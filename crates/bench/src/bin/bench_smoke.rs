@@ -112,7 +112,7 @@ fn scalar_l2_within(x: &[f64], y: &[f64], eps: f64) -> bool {
 }
 
 /// A pseudo-shuffled candidate order, so the probe loop touches points the
-/// way `within_batch` does in refinement (scattered ids, not a contiguous
+/// way per-pair refinement does (scattered ids, not a contiguous
 /// sweep the compiler can fuse across pairs).
 fn shuffled_ids(n: u32) -> Vec<u32> {
     let mut ids: Vec<u32> = (0..n).collect();

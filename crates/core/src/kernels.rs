@@ -31,7 +31,7 @@
 //! rounding of the final root.
 //!
 //! These functions are the single implementation point: [`crate::metric`]
-//! dispatches every `distance`/`within`/`within_batch` call here (with the
+//! dispatches every `distance`/`within` call here (with the
 //! `Lp(2)`/`Lp(1)` exponents normalized to the specialized L2/L1 kernels).
 
 /// Monotone fold of the four lane accumulators. Keeping one fixed

@@ -9,13 +9,11 @@
 //! Every evaluation dispatches through [`crate::simd`] to the best kernel
 //! tier the host supports (explicit AVX2/SSE2/NEON, falling back to the
 //! 4-lane scalar kernels in [`crate::kernels`]) — one dispatch per call,
-//! or one per *batch* through [`Metric::within_batch`] /
-//! [`Metric::within_range`] / [`Metric::within_block`] — with the
-//! `Lp(2)`/`Lp(1)` exponents normalized to the specialized L2/L1 kernels
-//! first. All tiers are bit-exact with each other (see [`crate::simd`]),
+//! or one per candidate *tile* through [`Metric::within_block`] — with
+//! the `Lp(2)`/`Lp(1)` exponents normalized to the specialized L2/L1
+//! kernels first. All tiers are bit-exact with each other (see [`crate::simd`]),
 //! so routing here changes speed, never results.
 
-use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::simd;
 use crate::soa::SoABlock;
@@ -55,7 +53,7 @@ impl Metric {
 
     /// The same metric with `Lp` exponents that have a specialized kernel
     /// rewritten to it: `Lp(2)` → `L2`, `Lp(1)` → `L1`. Evaluation methods
-    /// normalize internally; batch callers that dispatch once per group can
+    /// normalize internally; callers that dispatch once per tile can
     /// normalize up front.
     #[inline]
     pub fn normalized(&self) -> Metric {
@@ -95,60 +93,14 @@ impl Metric {
         }
     }
 
-    /// Batched threshold test: appends to `out` every id in `js` whose
-    /// point in `data` is within `eps` of `probe`. One metric dispatch per
-    /// batch; the inner loop runs the monomorphized kernel over the flat
-    /// row-major layout.
-    pub fn within_batch(
-        &self,
-        probe: &[f64],
-        data: &Dataset,
-        js: &[u32],
-        eps: f64,
-        out: &mut Vec<u32>,
-    ) {
-        match self.normalized() {
-            Metric::L1 => filter_ids(probe, data, js, out, |a, b| simd::l1_within(a, b, eps)),
-            Metric::L2 => filter_ids(probe, data, js, out, |a, b| simd::l2_within(a, b, eps)),
-            Metric::Linf => {
-                filter_ids(probe, data, js, out, |a, b| simd::linf_within(a, b, eps))
-            }
-            Metric::Lp(p) => {
-                filter_ids(probe, data, js, out, |a, b| simd::lp_within(a, b, eps, p))
-            }
-        }
-    }
-
-    /// [`Metric::within_batch`] over a contiguous id range — the shape the
-    /// nested-loop joins produce, with no id list to materialize.
-    pub fn within_range(
-        &self,
-        probe: &[f64],
-        data: &Dataset,
-        js: Range<u32>,
-        eps: f64,
-        out: &mut Vec<u32>,
-    ) {
-        match self.normalized() {
-            Metric::L1 => filter_range(probe, data, js, out, |a, b| simd::l1_within(a, b, eps)),
-            Metric::L2 => filter_range(probe, data, js, out, |a, b| simd::l2_within(a, b, eps)),
-            Metric::Linf => {
-                filter_range(probe, data, js, out, |a, b| simd::linf_within(a, b, eps))
-            }
-            Metric::Lp(p) => {
-                filter_range(probe, data, js, out, |a, b| simd::lp_within(a, b, eps, p))
-            }
-        }
-    }
-
     /// Block threshold test over a structure-of-arrays candidate tile:
     /// appends to `out` the dataset row id of every lane in `lanes` whose
     /// candidate is within `eps` of `probe`, in lane order. This is the
     /// across-candidate vector path — the kernels broadcast one probe
     /// coordinate and stream the tile's contiguous dimension columns.
     /// Decisions are bit-exact with [`Metric::within`] (see
-    /// [`crate::simd`]), so swapping a batch for a block never changes
-    /// join results.
+    /// [`crate::simd`]), so swapping per-pair tests for a block never
+    /// changes join results.
     pub fn within_block(
         &self,
         probe: &[f64],
@@ -172,40 +124,6 @@ impl Metric {
             Metric::L2 => "L2".into(),
             Metric::Linf => "Linf".into(),
             Metric::Lp(p) => format!("L{p}"),
-        }
-    }
-}
-
-/// Monomorphized batch filter over an explicit id list: the `within`
-/// closure is a concrete kernel, so the loop body inlines with no
-/// per-candidate metric dispatch.
-#[inline(always)]
-fn filter_ids(
-    probe: &[f64],
-    data: &Dataset,
-    js: &[u32],
-    out: &mut Vec<u32>,
-    within: impl Fn(&[f64], &[f64]) -> bool,
-) {
-    for &j in js {
-        if within(probe, data.point(j)) {
-            out.push(j);
-        }
-    }
-}
-
-/// Monomorphized batch filter over a contiguous id range.
-#[inline(always)]
-fn filter_range(
-    probe: &[f64],
-    data: &Dataset,
-    js: Range<u32>,
-    out: &mut Vec<u32>,
-    within: impl Fn(&[f64], &[f64]) -> bool,
-) {
-    for j in js {
-        if within(probe, data.point(j)) {
-            out.push(j);
         }
     }
 }
@@ -294,35 +212,6 @@ mod tests {
             let d1 = Metric::L1.distance(&a, &b);
             let dq = Metric::Lp(1.0).distance(&a, &b);
             assert_eq!(d1.to_bits(), dq.to_bits(), "d={dims}: L1 vs Lp(1)");
-        }
-    }
-
-    #[test]
-    fn batch_filters_agree_with_scalar_within() {
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                let t = i as f64 * 0.13;
-                vec![t.sin(), t.cos(), (t * 0.5).sin()]
-            })
-            .collect();
-        let data = Dataset::from_rows(&rows).unwrap();
-        let probe = data.point(0).to_vec();
-        let eps = 0.8;
-        for m in [Metric::L1, Metric::L2, Metric::Linf, Metric::Lp(3.0)] {
-            let expect: Vec<u32> = (0..40u32)
-                .filter(|&j| m.within(&probe, data.point(j), eps))
-                .collect();
-            let mut got = Vec::new();
-            m.within_range(&probe, &data, 0..40, eps, &mut got);
-            assert_eq!(got, expect, "{m:?} range");
-            let ids: Vec<u32> = (0..40).collect();
-            got.clear();
-            m.within_batch(&probe, &data, &ids, eps, &mut got);
-            assert_eq!(got, expect, "{m:?} batch");
-            let block = SoABlock::from_range(&data, 0..40);
-            got.clear();
-            m.within_block(&probe, &block, 0..40, eps, &mut got);
-            assert_eq!(got, expect, "{m:?} block");
         }
     }
 }

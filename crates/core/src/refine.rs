@@ -14,10 +14,6 @@ use crate::soa::SoABlock;
 use crate::stats::JoinStats;
 use std::ops::Range;
 
-/// Smallest batch worth transposing into a SoA scratch block: below this,
-/// the gather overhead outweighs the across-candidate kernel's gain.
-const BLOCK_BATCH_MIN: usize = 16;
-
 /// Verifies candidate pairs against the exact metric and forwards survivors
 /// to the caller's sink.
 ///
@@ -38,7 +34,6 @@ pub struct Refiner<'a> {
     results: u64,
     dist_evals: u64,
     scratch: Vec<u32>,
-    soa: SoABlock,
 }
 
 impl<'a> Refiner<'a> {
@@ -62,17 +57,7 @@ impl<'a> Refiner<'a> {
             results: 0,
             dist_evals: 0,
             scratch: Vec::new(),
-            soa: SoABlock::empty(b.dims()),
         }
-    }
-
-    /// True when a batch of `n` candidates should take the SoA block path:
-    /// large enough to amortize the transpose, a vector tier is active,
-    /// and the metric has an across-candidate kernel (`Lp` does not).
-    fn batch_wants_block(&self, n: usize) -> bool {
-        n >= BLOCK_BATCH_MIN
-            && crate::simd::level() > crate::simd::Level::Scalar
-            && !matches!(self.metric.normalized(), crate::metric::Metric::Lp(_))
     }
 
     /// Offers a candidate pair; evaluates the exact metric and forwards the
@@ -99,123 +84,17 @@ impl<'a> Refiner<'a> {
         }
     }
 
-    /// Offers a batch of candidates `(i, j)` for every `j` in `js`,
-    /// evaluated through the vectorized [`crate::metric::Metric::within_batch`]
-    /// kernel with a single metric dispatch.
-    ///
-    /// Self-join semantics match repeated [`Refiner::offer`] calls exactly:
-    /// diagonal entries (`j == i`) are dropped before counting, and
-    /// surviving pairs are emitted canonically as `(min, max)` — kernel
-    /// distances are bit-symmetric under argument swap, so evaluating
-    /// against the probe's orientation is exact.
-    pub fn offer_batch(&mut self, i: u32, js: &[u32]) {
-        self.scratch.clear();
-        let probe = self.a.point(i);
-        if self.batch_wants_block(js.len()) {
-            // Transpose the batch into the reusable SoA scratch block and
-            // run the across-candidate kernel. Decisions are bit-exact
-            // with `within_batch` (see `crate::simd`), and the gather
-            // preserves js order, so counters and emission are unchanged.
-            self.soa.gather_into(self.b, js);
-            self.metric.within_block(
-                probe,
-                &self.soa,
-                0..js.len(),
-                self.eps,
-                &mut self.scratch,
-            );
-        } else {
-            self.metric
-                .within_batch(probe, self.b, js, self.eps, &mut self.scratch);
-        }
-        match self.kind {
-            JoinKind::TwoSets => {
-                self.candidates += js.len() as u64;
-                self.dist_evals += js.len() as u64;
-                for &j in &self.scratch {
-                    self.results += 1;
-                    self.sink.push(i, j);
-                }
-            }
-            JoinKind::SelfJoin => {
-                let diag = js.iter().filter(|&&j| j == i).count() as u64;
-                self.candidates += js.len() as u64 - diag;
-                self.dist_evals += js.len() as u64 - diag;
-                for &j in &self.scratch {
-                    if j == i {
-                        continue;
-                    }
-                    self.results += 1;
-                    self.sink.push(i.min(j), i.max(j));
-                }
-            }
-        }
-    }
-
-    /// [`Refiner::offer_batch`] over a contiguous candidate range — the
-    /// shape block-nested-loop joins produce. For self-joins the diagonal
-    /// is skipped by splitting the range around `i` instead of testing
-    /// every element.
-    pub fn offer_range(&mut self, i: u32, js: Range<u32>) {
-        if js.end <= js.start {
-            return;
-        }
-        self.scratch.clear();
-        let probe = self.a.point(i);
-        let n = (js.end - js.start) as u64;
-        match self.kind {
-            JoinKind::TwoSets => {
-                self.candidates += n;
-                self.dist_evals += n;
-                self.metric
-                    .within_range(probe, self.b, js, self.eps, &mut self.scratch);
-                for &j in &self.scratch {
-                    self.results += 1;
-                    self.sink.push(i, j);
-                }
-            }
-            JoinKind::SelfJoin => {
-                if js.contains(&i) {
-                    self.candidates += n - 1;
-                    self.dist_evals += n - 1;
-                    self.metric.within_range(
-                        probe,
-                        self.b,
-                        js.start..i,
-                        self.eps,
-                        &mut self.scratch,
-                    );
-                    self.metric.within_range(
-                        probe,
-                        self.b,
-                        i + 1..js.end,
-                        self.eps,
-                        &mut self.scratch,
-                    );
-                } else {
-                    self.candidates += n;
-                    self.dist_evals += n;
-                    self.metric
-                        .within_range(probe, self.b, js, self.eps, &mut self.scratch);
-                }
-                for &j in &self.scratch {
-                    self.results += 1;
-                    self.sink.push(i.min(j), i.max(j));
-                }
-            }
-        }
-    }
-
     /// Offers the candidate lanes `lanes` of a pre-built SoA `block`
     /// against probe row `i`, evaluated through the across-candidate
     /// [`crate::metric::Metric::within_block`] kernel.
     ///
-    /// Semantics mirror [`Refiner::offer_batch`] over
-    /// `&block.ids()[lanes]` exactly: same counters (self-join diagonal
-    /// lanes dropped before counting), same canonical `(min, max)`
-    /// emission, same candidate order. Algorithms that tile their inner
-    /// set once per join (blocked nested loops) use this to skip the
-    /// per-batch gather.
+    /// Semantics match [`Refiner::offer`] called for every id of
+    /// `block.ids()[lanes]` in lane order: same counters (self-join
+    /// diagonal lanes dropped before counting), same canonical
+    /// `(min, max)` emission — kernel distances are bit-symmetric under
+    /// argument swap, so evaluating in the probe's orientation is exact.
+    /// Brute force tiles its inner set once per join; the MSJ sweep
+    /// gathers one tile per cell-pair window.
     pub fn offer_block(&mut self, i: u32, block: &SoABlock, lanes: Range<usize>) {
         debug_assert!(lanes.end <= block.len());
         if lanes.end <= lanes.start {
@@ -306,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_range_offers_match_serial_offers() {
+    fn block_offers_match_serial_offers() {
         let rows: Vec<Vec<f64>> = (0..30)
             .map(|i| {
                 let t = i as f64 * 0.21;
@@ -314,76 +193,31 @@ mod tests {
             })
             .collect();
         let a = Dataset::from_rows(&rows).unwrap();
-        let spec = JoinSpec::new(0.3, Metric::L2);
-        for kind in [JoinKind::SelfJoin, JoinKind::TwoSets] {
-            let mut serial_sink = VecSink::default();
-            let mut serial = Refiner::new(&a, &a, kind, &spec, &mut serial_sink);
-            for i in 0..30u32 {
-                for j in 0..30u32 {
-                    serial.offer(i, j);
+        let tile = SoABlock::from_range(&a, 0..30);
+        for metric in [Metric::L1, Metric::L2, Metric::Linf, Metric::Lp(3.0)] {
+            let spec = JoinSpec::new(0.3, metric);
+            for kind in [JoinKind::SelfJoin, JoinKind::TwoSets] {
+                let mut serial_sink = VecSink::default();
+                let mut serial = Refiner::new(&a, &a, kind, &spec, &mut serial_sink);
+                let mut block_sink = VecSink::default();
+                let mut blocked = Refiner::new(&a, &a, kind, &spec, &mut block_sink);
+                for i in 0..30u32 {
+                    for j in 0..30u32 {
+                        serial.offer(i, j);
+                    }
+                    // Split, empty, and inverted windows; the diagonal lane
+                    // falls at either edge of a window as `i` varies.
+                    blocked.offer_block(i, &tile, 0..15);
+                    blocked.offer_block(i, &tile, 15..15);
+                    #[allow(clippy::reversed_empty_ranges)]
+                    blocked.offer_block(i, &tile, 20..15);
+                    blocked.offer_block(i, &tile, 15..30);
                 }
+                assert_eq!(blocked.counters(), serial.counters(), "{metric:?} {kind:?}");
+                drop((serial, blocked));
+                assert_eq!(block_sink.pairs, serial_sink.pairs, "{metric:?} {kind:?}");
             }
-            let serial_counters = serial.counters();
-            drop(serial);
-
-            let mut batch_sink = VecSink::default();
-            let mut batch = Refiner::new(&a, &a, kind, &spec, &mut batch_sink);
-            let ids: Vec<u32> = (0..30).collect();
-            for i in 0..15u32 {
-                batch.offer_batch(i, &ids);
-            }
-            for i in 15..30u32 {
-                batch.offer_range(i, 0..30);
-            }
-            assert_eq!(batch.counters(), serial_counters, "{kind:?} counters");
-            drop(batch);
-
-            let mut block_sink = VecSink::default();
-            let mut blocked = Refiner::new(&a, &a, kind, &spec, &mut block_sink);
-            let tile = crate::soa::SoABlock::from_range(&a, 0..30);
-            for i in 0..30u32 {
-                blocked.offer_block(i, &tile, 0..15);
-                blocked.offer_block(i, &tile, 15..30);
-            }
-            assert_eq!(
-                blocked.counters(),
-                serial_counters,
-                "{kind:?} block counters"
-            );
-            drop(blocked);
-
-            let canon = |mut v: Vec<(u32, u32)>| {
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(
-                canon(batch_sink.pairs),
-                canon(serial_sink.pairs.clone()),
-                "{kind:?} pairs"
-            );
-            assert_eq!(
-                canon(block_sink.pairs),
-                canon(serial_sink.pairs),
-                "{kind:?} block pairs"
-            );
         }
-    }
-
-    #[test]
-    fn offer_range_handles_empty_and_diagonal_edges() {
-        let a = square();
-        let spec = JoinSpec::new(10.0, Metric::L2); // everything qualifies
-        let mut sink = VecSink::default();
-        let mut r = Refiner::new(&a, &a, JoinKind::SelfJoin, &spec, &mut sink);
-        r.offer_range(0, 0..0); // empty
-        #[allow(clippy::reversed_empty_ranges)]
-        r.offer_range(0, 5..3); // inverted: treated as empty
-        r.offer_range(0, 0..1); // only the diagonal: nothing offered
-        assert_eq!(r.counters(), (0, 0, 0));
-        r.offer_range(2, 0..3); // diagonal at the end of the range
-        let stats = r.finish(JoinStats::default());
-        assert_eq!(stats.candidates, 2);
-        assert_eq!(sink.pairs, vec![(0, 2), (1, 2)]);
     }
 
     #[test]

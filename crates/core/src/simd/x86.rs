@@ -459,8 +459,8 @@ mod avx2 {
             // feeds accumulator `k`, preserving the canonical per-lane
             // decomposition of the scalar kernels. Columns are addressed
             // as dimension-major offsets into `data` (one strength-reduced
-            // index chain) rather than via `block.col(dim)`, whose slice
-            // construction is an innermost-loop bounds check.
+            // index chain) rather than via a per-dimension column slice,
+            // whose construction is an innermost-loop bounds check.
             macro_rules! step4 {
                 ($base:expr) => {{
                     let base = $base;

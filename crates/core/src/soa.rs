@@ -14,9 +14,8 @@
 //!   tiles);
 //! * [`SoABlock::partition`] — the whole dataset cut into fixed-width
 //!   tiles, built once per join and reused for every probe;
-//! * [`SoABlock::gather`] / [`SoABlock::gather_into`] — an arbitrary id
-//!   list (the candidate batches the sweep-based algorithms produce), with
-//!   buffer reuse for per-probe scratch blocks.
+//! * [`SoABlock::gather_into`] — an arbitrary id list (one candidate tile
+//!   of an MSJ cell pair), refilling one reusable scratch block.
 //!
 //! ## Padding
 //!
@@ -75,16 +74,9 @@ impl SoABlock {
         b
     }
 
-    /// Transposes the listed rows of `ds` into a block (lane `t` holds
-    /// `ds.point(js[t])`).
-    pub fn gather(ds: &Dataset, js: &[u32]) -> SoABlock {
-        let mut b = SoABlock::empty(ds.dims());
-        b.gather_into(ds, js);
-        b
-    }
-
-    /// Refills this block from `js`, reusing the existing allocations —
-    /// the per-probe scratch path in batch refinement.
+    /// Refills this block with the listed rows of `ds` (lane `t` holds
+    /// `ds.point(js[t])`), reusing the existing allocations — the MSJ
+    /// sweep's one scratch tile.
     pub fn gather_into(&mut self, ds: &Dataset, js: &[u32]) {
         self.fill(ds, 0, js.len(), js);
     }
@@ -172,20 +164,13 @@ impl SoABlock {
         &self.ids
     }
 
-    /// The contiguous coordinate column for `dim`: `width` values, one
-    /// per lane (padding included).
-    #[inline]
-    pub fn col(&self, dim: usize) -> &[f64] {
-        &self.data[dim * self.width..(dim + 1) * self.width]
-    }
-
     /// The whole dimension-major buffer: exactly `dims() × width()`
     /// values, coordinate `dim` of lane `t` at index `dim * width + t`.
     ///
     /// Kernels that walk many columns per candidate group index this
-    /// directly instead of re-slicing [`Self::col`] per dimension — the
-    /// per-column slice construction is a bounds check in the innermost
-    /// loop that the optimizer does not always hoist.
+    /// directly instead of slicing a column per dimension — the slice
+    /// construction is a bounds check in the innermost loop that the
+    /// optimizer does not always hoist.
     #[inline]
     pub fn data(&self) -> &[f64] {
         &self.data
@@ -225,7 +210,8 @@ mod tests {
     fn gather_round_trips_arbitrary_id_lists() {
         let d = ds(20, 3);
         let js = [19u32, 0, 7, 7, 3];
-        let b = SoABlock::gather(&d, &js);
+        let mut b = SoABlock::empty(3);
+        b.gather_into(&d, &js);
         assert_eq!(b.ids(), &js);
         for (t, &id) in js.iter().enumerate() {
             for dim in 0..3 {

@@ -233,7 +233,8 @@ proptest! {
         }
         // Arbitrary-order gather (here: reversed ids) round-trips too.
         let js: Vec<u32> = (0..n).rev().collect();
-        let gathered = SoABlock::gather(&ds, &js);
+        let mut gathered = SoABlock::empty(ds.dims());
+        gathered.gather_into(&ds, &js);
         prop_assert_eq!(gathered.ids(), &js[..]);
         for (t, &j) in js.iter().enumerate() {
             for dim in 0..ds.dims() {

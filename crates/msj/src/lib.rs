@@ -18,13 +18,14 @@
 //!    with a stack of "open" ancestor cells: a cube can only intersect
 //!    cubes in its own cell or in an ancestor cell, so each cell's points
 //!    are joined against the cell itself and the stack. Candidates are
-//!    pre-filtered by a dimension-0 plane sweep and refined with the exact
-//!    metric.
+//!    pre-filtered by a dimension-0 plane sweep, taken tile-major (each
+//!    L1-sized candidate tile is transposed once and reused by every
+//!    probe whose window touches it), and refined with the exact metric.
 //!
 //! The memory the sweep needs is the stack of at most `depth + 1` open
-//! cells — independent of dimensionality, which is the structural reason
-//! MSJ scales to high `d` where the ε-KDB directory and the R-tree fan-out
-//! collapse (experiments E1, E5).
+//! cells plus one L1-sized scratch tile — independent of dimensionality,
+//! which is the structural reason MSJ scales to high `d` where the ε-KDB
+//! directory and the R-tree fan-out collapse (experiments E1, E5).
 #![forbid(unsafe_code)]
 
 pub mod assign;
@@ -458,35 +459,23 @@ impl Msj {
             hdsj_core::obs::names::MSJ_PHASE_SWEEP_NS,
         );
         let mut stats = JoinStats::default();
-        let peak_bytes = if refine_threads <= 1 {
+        let lifecycle = self.lifecycle.as_ref();
+        let tally = if refine_threads <= 1 {
             let mut refiner = Refiner::new(a, b, kind, spec, sink);
-            // Batch consecutive candidates that share a probe into one
-            // `offer_batch` call, so runs long enough for the SoA
-            // across-candidate kernel take it (semantics match per-pair
-            // `offer` exactly: same counters, same canonical emission).
-            const RUN_CAP: usize = 256;
-            let mut run_i = 0u32;
-            let mut run: Vec<u32> = Vec::with_capacity(RUN_CAP);
-            let peak = {
-                let mut emit = |i: u32, j: u32| {
-                    if i != run_i || run.len() >= RUN_CAP {
-                        if !run.is_empty() {
-                            refiner.offer_batch(run_i, &run);
-                            run.clear();
-                        }
-                        run_i = i;
-                    }
-                    run.push(j);
-                };
-                sweep::sweep(&sorted, codec, a, b, kind, spec.eps, &mut emit)?
-            };
-            if !run.is_empty() {
-                refiner.offer_batch(run_i, &run);
-            }
+            let tally = sweep::sweep(
+                &sorted,
+                codec,
+                a,
+                b,
+                kind,
+                spec.eps,
+                lifecycle,
+                &mut refiner,
+            )?;
             stats = refiner.finish(stats);
-            peak
+            tally
         } else {
-            let (peak, pairs, candidates) = parallel::sweep_and_refine(
+            let (tally, pairs, candidates) = parallel::sweep_and_refine(
                 &sorted,
                 codec,
                 a,
@@ -494,6 +483,7 @@ impl Msj {
                 kind,
                 spec,
                 refine_threads,
+                lifecycle,
                 &self.tracer,
                 sweep_timer.span_mut(),
                 self.fail_refine_worker,
@@ -504,8 +494,19 @@ impl Msj {
             for (i, j) in pairs {
                 sink.push(i, j);
             }
-            peak
+            tally
         };
+        if self.tracer.enabled() {
+            use hdsj_core::obs::names;
+            for (name, v) in [
+                (names::MSJ_SWEEP_TILES_GATHERED, tally.tiles_gathered),
+                (names::MSJ_SWEEP_LANES_GATHERED, tally.lanes_gathered),
+                (names::MSJ_SWEEP_BLOCK_CANDIDATES, tally.block_candidates),
+                (names::MSJ_SWEEP_PAIR_CANDIDATES, tally.pair_candidates),
+            ] {
+                self.tracer.counter(name).add(v);
+            }
+        }
         sweep_timer.finish(&mut phases);
         if let Some(lc) = &self.lifecycle {
             lc.poll()?;
@@ -516,7 +517,7 @@ impl Msj {
         sorted.destroy()?;
 
         stats.phases = phases;
-        stats.structure_bytes = peak_bytes;
+        stats.structure_bytes = tally.peak_bytes;
         Ok(stats)
     }
 }
@@ -937,34 +938,46 @@ mod parallel_tests {
     use hdsj_core::{verify, Metric, VecSink};
 
     #[test]
-    fn parallel_refinement_matches_serial() {
-        for (dims, eps, n) in [(4usize, 0.2f64, 600usize), (8, 0.35, 400)] {
-            let ds = hdsj_data::uniform(dims, n, 1000 + dims as u64).unwrap();
-            let spec = JoinSpec::new(eps, Metric::L2);
-            let mut serial = VecSink::default();
-            let s1 = Msj::default().self_join(&ds, &spec, &mut serial).unwrap();
-            let mut par = VecSink::default();
-            let s2 = Msj::with_refine_threads(4)
-                .self_join(&ds, &spec, &mut par)
-                .unwrap();
-            verify::assert_same_results("MSJ parallel", &serial.pairs, &par.pairs);
-            assert_eq!(s1.candidates, s2.candidates);
-            assert_eq!(s1.results, s2.results);
+    fn parallel_output_is_byte_identical_to_serial() {
+        // `threads` drives assignment, sort run formation, AND refinement.
+        // Tile jobs are numbered in sweep order and merged by that number,
+        // so the ordered pair list — not just the set — and the counters
+        // equal the serial pipeline's at every thread count.
+        let a = hdsj_data::uniform(5, 700, 2001).unwrap();
+        let b = hdsj_data::uniform(5, 650, 2002).unwrap();
+        let wide = hdsj_data::uniform(8, 400, 1008).unwrap();
+        let clusters = hdsj_data::ClusterSpec {
+            clusters: 5,
+            sigma: 0.04,
+            ..Default::default()
+        };
+        let clustered = hdsj_data::gaussian_clusters(4, 600, clusters, 3002).unwrap();
+        let cases: [(&Dataset, Option<&Dataset>, JoinSpec); 4] = [
+            (&a, None, JoinSpec::new(0.2, Metric::L2)),
+            (&wide, None, JoinSpec::new(0.5, Metric::L2)),
+            (&clustered, None, JoinSpec::new(0.06, Metric::L2)),
+            (&a, Some(&b), JoinSpec::new(0.25, Metric::Linf)),
+        ];
+        for (a, b, spec) in cases {
+            let run = |mut msj: Msj| {
+                let mut sink = VecSink::default();
+                let stats = match b {
+                    None => msj.self_join(a, &spec, &mut sink).unwrap(),
+                    Some(b) => msj.join(a, b, &spec, &mut sink).unwrap(),
+                };
+                (sink.pairs, stats.candidates, stats.results)
+            };
+            let serial = run(Msj::default());
+            assert!(serial.0.len() > 100, "too sparse: {} pairs", serial.0.len());
+            for threads in [1usize, 2, 4, 8] {
+                assert_eq!(run(Msj::with_threads(threads)), serial, "threads={threads}");
+            }
+            assert_eq!(run(Msj::with_refine_threads(3)), serial, "refine only");
+            let mut via_trait = Msj::default();
+            via_trait.set_threads(3);
+            assert_eq!((via_trait.threads, via_trait.refine_threads), (3, 3));
+            assert_eq!(run(via_trait), serial, "set_threads");
         }
-    }
-
-    #[test]
-    fn parallel_two_set_join_matches_serial() {
-        let a = hdsj_data::uniform(5, 400, 2001).unwrap();
-        let b = hdsj_data::uniform(5, 350, 2002).unwrap();
-        let spec = JoinSpec::new(0.25, Metric::Linf);
-        let mut serial = VecSink::default();
-        Msj::default().join(&a, &b, &spec, &mut serial).unwrap();
-        let mut par = VecSink::default();
-        Msj::with_refine_threads(3)
-            .join(&a, &b, &spec, &mut par)
-            .unwrap();
-        verify::assert_same_results("MSJ parallel two-set", &serial.pairs, &par.pairs);
     }
 
     #[test]
@@ -1053,66 +1066,5 @@ mod parallel_tests {
         let mut want = VecSink::default();
         Msj::default().self_join(&ds, &spec, &mut want).unwrap();
         verify::assert_same_results("MSJ after panic", &want.pairs, &retry_sink.pairs);
-    }
-
-    #[test]
-    fn fully_parallel_pipeline_matches_serial() {
-        // threads drives assignment, sort run formation, AND refinement;
-        // results and counters must be identical to the serial pipeline on
-        // both uniform and clustered data.
-        let uniform = hdsj_data::uniform(6, 700, 3001).unwrap();
-        let clustered = hdsj_data::gaussian_clusters(
-            4,
-            600,
-            hdsj_data::ClusterSpec {
-                clusters: 5,
-                sigma: 0.04,
-                ..Default::default()
-            },
-            3002,
-        )
-        .unwrap();
-        for (ds, eps) in [(&uniform, 0.3), (&clustered, 0.06)] {
-            let spec = JoinSpec::new(eps, Metric::L2);
-            let mut serial = VecSink::default();
-            let s1 = Msj::default().self_join(ds, &spec, &mut serial).unwrap();
-            for threads in [2usize, 4, 8] {
-                let mut par = VecSink::default();
-                let s2 = Msj::with_threads(threads)
-                    .self_join(ds, &spec, &mut par)
-                    .unwrap();
-                verify::assert_same_results("MSJ full pipeline", &serial.pairs, &par.pairs);
-                assert_eq!(s1.candidates, s2.candidates, "threads={threads}");
-                assert_eq!(s1.results, s2.results, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn set_threads_drives_the_whole_pipeline() {
-        let ds = hdsj_data::uniform(4, 300, 3003).unwrap();
-        let spec = JoinSpec::l2(0.15);
-        let mut msj = Msj::default();
-        msj.set_threads(3);
-        assert_eq!(msj.threads, 3);
-        assert_eq!(msj.refine_threads, 3);
-        let mut par = VecSink::default();
-        msj.self_join(&ds, &spec, &mut par).unwrap();
-        let mut want = VecSink::default();
-        Msj::default().self_join(&ds, &spec, &mut want).unwrap();
-        verify::assert_same_results("MSJ set_threads", &want.pairs, &par.pairs);
-    }
-
-    #[test]
-    fn single_thread_config_uses_serial_path() {
-        let ds = hdsj_data::uniform(3, 200, 2003).unwrap();
-        let spec = JoinSpec::l2(0.1);
-        let mut sink = VecSink::default();
-        Msj::with_refine_threads(1)
-            .self_join(&ds, &spec, &mut sink)
-            .unwrap();
-        let mut want = VecSink::default();
-        Msj::default().self_join(&ds, &spec, &mut want).unwrap();
-        verify::assert_same_results("MSJ t=1", &want.pairs, &sink.pairs);
     }
 }

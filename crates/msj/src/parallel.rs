@@ -1,44 +1,132 @@
 //! Parallel candidate refinement.
 //!
 //! The sweep itself is inherently sequential (it follows the sorted stream),
-//! but at large ε·d the dominant cost is evaluating the exact metric on the
-//! candidate pairs it emits (see experiment E8). This module fans that
-//! refinement out on [`hdsj_exec::Pool::producer_consumers`]: the sweep
-//! batches candidates into a bounded crossbeam channel and worker threads
-//! verify them through the vectorized `Metric::within_batch` kernel, each
-//! accumulating its own result list. Results are identical to the serial
-//! path (order of sink delivery aside), which the tests pin down.
+//! but at large ε·d the dominant cost is the exact metric on the candidates
+//! it emits (experiment E8). On [`hdsj_exec::Pool::producer_consumers`] the
+//! sweep runs on the calling thread and ships **tile jobs** — one owned
+//! [`SoABlock`] plus the probe windows into it, or a batch of pairs from
+//! tiles too sparse to gather — through a bounded channel; workers run each
+//! job through the [`Refiner`] entry points the serial path uses. Jobs are
+//! numbered in sweep order and results merged by that number, so pairs
+//! reach the sink in exactly the serial order at every thread count.
 //!
-//! When a tracer is installed, each worker reports a `refine-worker` span
-//! (child of the sweep span) carrying its pair/candidate counts and the
-//! time it spent blocked on the channel, and increments the shared
-//! `msj.refine.pairs` / `msj.refine.candidates` counters; the sweep side
-//! reports its channel-send backpressure as `msj.sweep.send_wait_us`.
-//!
-//! Panic containment lives in the pool: a panicking metric (or the chaos
-//! failpoint) becomes a typed `Error::Internal` carrying the panic message,
-//! never an unwind across the join.
+//! With a tracer installed, each worker reports a `refine-worker` span
+//! (child of the sweep span) with its pair/candidate counts and channel
+//! wait, and adds to the shared `msj.refine.pairs` / `msj.refine.candidates`
+//! counters; the sweep side reports `msj.sweep.send_wait_us`. A panicking
+//! metric (or the chaos failpoint) is contained by the pool as a typed
+//! `Error::Internal`, never an unwind across the join.
 
 use crate::assign::RecordCodec;
-use crate::sweep;
+use crate::sweep::{self, CandidateSink, SweepTally};
+use crossbeam::channel::Sender;
 use hdsj_core::obs::{names, Span};
-use hdsj_core::{Dataset, Error, JoinKind, JoinSpec, Metric, Result, SoABlock, Tracer};
+use hdsj_core::{
+    Dataset, Error, JoinKind, JoinSpec, LifecycleCtx, Refiner, Result, SoABlock, Tracer,
+    VecSink,
+};
 use hdsj_exec::Pool;
 use hdsj_storage::RecordFile;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// Candidate pairs per channel message: large enough to amortize channel
+/// Candidate pairs per pair job: large enough to amortize channel
 /// overhead, small enough to keep workers busy.
-const BATCH: usize = 4096;
+const PAIR_BATCH: usize = 4096;
 
-/// Smallest per-probe candidate group worth transposing into a worker's
-/// SoA scratch block for the across-candidate kernel (mirrors the
-/// refiner's batch threshold).
-const SOA_GROUP_MIN: usize = 16;
+/// Probe windows per tile job. A tile touched by more probes is shipped
+/// again with the next windows, which bounds a message (and the work
+/// between two worker polls) and splits a level-0 tile across workers.
+const WINDOW_BATCH: usize = 1024;
 
-/// `(peak_stack_bytes, matched_pairs, candidate_count)` from a refined
-/// sweep.
-pub type RefineOutcome = (u64, Vec<(u32, u32)>, u64);
+/// `(sweep tally, matched pairs in sweep order, candidate count)` from a
+/// refined sweep.
+pub type RefineOutcome = (SweepTally, Vec<(u32, u32)>, u64);
+
+/// The pairs one job produced, under the job's sweep-order number.
+type JobPairs = (u64, Vec<(u32, u32)>);
+
+/// One unit of refinement work.
+enum Job {
+    /// A gathered tile and `(probe, first lane, end lane)` windows into it.
+    Tile(SoABlock, Vec<(u32, u32, u32)>),
+    /// Candidates of tiles too sparse to gather.
+    Pairs(Vec<(u32, u32)>),
+}
+
+/// The sweep-side sink: buffers the current tile's windows and the pending
+/// pairs, and sends them as numbered jobs.
+struct Shipper {
+    tx: Sender<(u64, Job)>,
+    next_seq: u64,
+    tile: Option<SoABlock>,
+    windows: Vec<(u32, u32, u32)>,
+    pairs: Vec<(u32, u32)>,
+    send_wait: Duration,
+    /// Every worker is gone: they panicked, or saw the lifecycle error
+    /// before the sweep did.
+    closed: bool,
+}
+
+impl Shipper {
+    fn send(&mut self, job: Job) {
+        // allow(hdsj::determinism): backpressure timing feeds the
+        // producer's obs counter only; join results never read it.
+        let blocked = Instant::now();
+        self.closed |= self.tx.send((self.next_seq, job)).is_err();
+        self.send_wait += blocked.elapsed();
+        self.next_seq += 1;
+    }
+
+    fn ship_tile(&mut self) {
+        if let Some(tile) = self.tile.take() {
+            let windows = std::mem::take(&mut self.windows);
+            self.send(Job::Tile(tile, windows));
+        }
+    }
+
+    fn ship_pairs(&mut self) {
+        if !self.pairs.is_empty() {
+            let pairs = std::mem::replace(&mut self.pairs, Vec::with_capacity(PAIR_BATCH));
+            self.send(Job::Pairs(pairs));
+        }
+    }
+
+    /// Errors once the channel has closed. The pool's error priority
+    /// (worker error first) reports what made the workers leave instead.
+    fn check_open(&self) -> Result<()> {
+        if self.closed {
+            return Err(Error::Storage("refinement channel closed early".into()));
+        }
+        Ok(())
+    }
+}
+
+impl CandidateSink for Shipper {
+    fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
+        if self.windows.len() == WINDOW_BATCH {
+            self.ship_tile();
+        }
+        if self.tile.is_none() {
+            // Earlier sparse tiles' pairs precede this tile in sweep order.
+            self.ship_pairs();
+            self.tile = Some(tile.clone());
+        }
+        self.windows.push((i, lanes.start as u32, lanes.end as u32));
+    }
+
+    fn pair(&mut self, i: u32, j: u32) {
+        self.pairs.push((i, j));
+        if self.pairs.len() == PAIR_BATCH {
+            self.ship_pairs();
+        }
+    }
+
+    fn end_tile(&mut self) -> Result<()> {
+        self.ship_tile();
+        self.check_open()
+    }
+}
 
 /// Runs the sweep with `threads` refinement workers. `parent` is the span
 /// the per-worker spans nest under (the caller's sweep phase).
@@ -53,27 +141,31 @@ pub fn sweep_and_refine(
     kind: JoinKind,
     spec: &JoinSpec,
     threads: usize,
+    lifecycle: Option<&LifecycleCtx>,
     tracer: &Tracer,
     parent: &Span,
     fail_worker: Option<usize>,
 ) -> Result<RefineOutcome> {
     let threads = threads.max(1);
-    let eps = spec.eps;
-    let metric = spec.metric.normalized();
     let traced = tracer.enabled();
     let pairs_counter = tracer.counter(names::MSJ_REFINE_PAIRS);
     let candidates_counter = tracer.counter(names::MSJ_REFINE_CANDIDATES);
-    let batch_hist = tracer.histogram(names::MSJ_REFINE_BATCH);
-    let pool = Pool::with_tracer(threads, tracer.clone());
+    let mut pool = Pool::with_tracer(threads, tracer.clone());
+    if let Some(lc) = lifecycle {
+        pool = pool.with_lifecycle(lc.clone());
+    }
 
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<(u32, u32)>>(threads * 4);
+    // Deep enough that the workers do not drain it while a blocked sweep
+    // thread waits to be scheduled again (with 4 slots per worker they
+    // idled for half of a d = 64 join); a job is at most one L1 tile plus
+    // `WINDOW_BATCH` windows, so the queue stays near 0.5 MB per worker.
+    let (tx, rx) = crossbeam::channel::bounded::<(u64, Job)>(threads * 16);
     let consumers: Vec<_> = (0..threads)
         .map(|_| {
             let rx = rx.clone();
             let pairs_counter = pairs_counter.clone();
             let candidates_counter = candidates_counter.clone();
-            let batch_hist = batch_hist.clone();
-            move |worker_idx: usize| -> Result<(Vec<(u32, u32)>, u64)> {
+            move |worker_idx: usize| -> Result<(Vec<JobPairs>, u64)> {
                 let mut span = parent.child("refine-worker");
                 if fail_worker == Some(worker_idx) {
                     // The panic is contained by the pool and surfaces as a
@@ -81,86 +173,59 @@ pub fn sweep_and_refine(
                     // allow(hdsj::no_panic): deliberate chaos failpoint.
                     panic!("injected refine-worker failure (worker {worker_idx})");
                 }
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                let mut candidates = 0u64;
+                let mut done: Vec<JobPairs> = Vec::new();
+                let (mut pairs, mut candidates) = (0u64, 0u64);
                 let mut wait = Duration::ZERO;
-                let mut js: Vec<u32> = Vec::new();
-                let mut hits: Vec<u32> = Vec::new();
-                let mut soa = SoABlock::empty(b.dims());
                 loop {
                     // allow(hdsj::determinism): channel-wait timing feeds the
                     // worker's obs span only; join results never read it.
                     let blocked = Instant::now();
-                    let batch = match rx.recv() {
-                        Ok(batch) => {
-                            wait += blocked.elapsed();
-                            batch
-                        }
-                        Err(_) => {
-                            wait += blocked.elapsed();
-                            break;
-                        }
+                    let received = rx.recv();
+                    wait += blocked.elapsed();
+                    let Ok((seq, job)) = received else {
+                        break;
                     };
-                    if traced {
-                        batch_hist.record(batch.len() as u64);
+                    // Jobs already queued when the sweep stops must not
+                    // outlive a cancellation or deadline.
+                    if let Some(lc) = lifecycle {
+                        lc.poll()?;
                     }
-                    let mut batch_pairs = 0u64;
-                    let mut batch_candidates = 0u64;
-                    // Group consecutive candidates that share a probe so each
-                    // group runs through one monomorphized kernel dispatch.
-                    // Kernel distances are bit-symmetric under argument swap,
-                    // so evaluating in the sweep's orientation matches the
-                    // serial canonical-order evaluation exactly.
-                    let mut k = 0;
-                    while k < batch.len() {
-                        let i = batch[k].0;
-                        js.clear();
-                        while k < batch.len() && batch[k].0 == i {
-                            let j = batch[k].1;
-                            k += 1;
-                            if kind == JoinKind::SelfJoin && j == i {
-                                continue;
+                    // The serial path's refiner, one job at a time: same
+                    // counters, same canonical emission, same order.
+                    let mut out = VecSink::default();
+                    let mut refiner = Refiner::new(a, b, kind, spec, &mut out);
+                    match job {
+                        Job::Tile(tile, windows) => {
+                            for (i, w0, w1) in windows {
+                                refiner.offer_block(i, &tile, w0 as usize..w1 as usize);
                             }
-                            js.push(j);
                         }
-                        batch_candidates += js.len() as u64;
-                        hits.clear();
-                        // Large probe groups take the across-candidate SoA
-                        // kernel (bit-exact with within_batch, so results
-                        // are unchanged); small ones skip the transpose.
-                        if js.len() >= SOA_GROUP_MIN
-                            && hdsj_core::simd::level() > hdsj_core::simd::Level::Scalar
-                            && !matches!(metric, Metric::Lp(_))
-                        {
-                            soa.gather_into(b, &js);
-                            metric.within_block(a.point(i), &soa, 0..js.len(), eps, &mut hits);
-                        } else {
-                            metric.within_batch(a.point(i), b, &js, eps, &mut hits);
-                        }
-                        for &j in &hits {
-                            let pair = match kind {
-                                JoinKind::TwoSets => (i, j),
-                                JoinKind::SelfJoin => (i.min(j), i.max(j)),
-                            };
-                            pairs.push(pair);
-                            batch_pairs += 1;
+                        Job::Pairs(batch) => {
+                            for (i, j) in batch {
+                                refiner.offer(i, j);
+                            }
                         }
                     }
-                    candidates += batch_candidates;
+                    let (job_candidates, job_pairs, _) = refiner.counters();
+                    candidates += job_candidates;
+                    pairs += job_pairs;
                     if traced {
-                        // Per-batch shared increments: concurrent with the
+                        // Per-job shared increments: concurrent with the
                         // other workers, summing exactly to the totals.
-                        candidates_counter.add(batch_candidates);
-                        pairs_counter.add(batch_pairs);
+                        candidates_counter.add(job_candidates);
+                        pairs_counter.add(job_pairs);
+                    }
+                    if !out.pairs.is_empty() {
+                        done.push((seq, out.pairs));
                     }
                 }
                 if traced {
                     span.attr_u64("worker", worker_idx as u64);
-                    span.attr_u64("pairs", pairs.len() as u64);
+                    span.attr_u64("pairs", pairs);
                     span.attr_u64("candidates", candidates);
                     span.attr_u64("wait_us", wait.as_micros() as u64);
                 }
-                Ok((pairs, candidates))
+                Ok((done, candidates))
             }
         })
         .collect();
@@ -168,58 +233,41 @@ pub fn sweep_and_refine(
     // worker exit terminate the producer's sends.
     drop(rx);
 
-    // The sweep runs on the calling thread, batching candidates outward.
-    // The channel send only fails if all workers died, which only happens
-    // on panic — the pool's error priority (worker error first) then
-    // reports the panic rather than this generic error.
-    let producer = move || -> Result<u64> {
-        let mut batch: Vec<(u32, u32)> = Vec::with_capacity(BATCH);
-        let mut send_error = false;
-        let mut send_wait = Duration::ZERO;
-        let peak = {
-            let mut offer = |i: u32, j: u32| {
-                if send_error {
-                    return;
-                }
-                batch.push((i, j));
-                if batch.len() == BATCH {
-                    // allow(hdsj::determinism): backpressure timing feeds the
-                    // producer's obs attrs only; join results never read it.
-                    let blocked = Instant::now();
-                    if tx
-                        .send(std::mem::replace(&mut batch, Vec::with_capacity(BATCH)))
-                        .is_err()
-                    {
-                        send_error = true;
-                    }
-                    send_wait += blocked.elapsed();
-                }
-            };
-            sweep::sweep(sorted, codec, a, b, kind, eps, &mut offer)?
+    // The sweep runs on the calling thread, shipping jobs outward. A send
+    // only fails once every worker has left.
+    let producer = move || -> Result<SweepTally> {
+        let mut shipper = Shipper {
+            tx,
+            next_seq: 0,
+            tile: None,
+            windows: Vec::new(),
+            pairs: Vec::with_capacity(PAIR_BATCH),
+            send_wait: Duration::ZERO,
+            closed: false,
         };
-        if !batch.is_empty() {
-            let _ = tx.send(batch);
+        let swept = sweep::sweep(sorted, codec, a, b, kind, spec.eps, lifecycle, &mut shipper);
+        if swept.is_ok() {
+            shipper.ship_pairs();
         }
-        drop(tx);
         if traced {
             tracer
                 .counter(names::MSJ_SWEEP_SEND_WAIT_US)
-                .add(send_wait.as_micros() as u64);
+                .add(shipper.send_wait.as_micros() as u64);
         }
-        if send_error {
-            return Err(Error::Storage("refinement channel closed early".into()));
-        }
-        Ok(peak)
+        shipper.check_open()?;
+        swept
     };
 
-    let (peak, outcomes) = pool.producer_consumers(consumers, producer)?;
-    let mut all_pairs = Vec::new();
+    let (tally, outcomes) = pool.producer_consumers(consumers, producer)?;
+    let mut jobs: Vec<JobPairs> = Vec::new();
     let mut candidates = 0u64;
     // allow(hdsj::lifecycle_poll): one outcome per consumer, bounded by
-    // the worker count; the consumers polled while refining.
-    for (pairs, c) in outcomes {
-        all_pairs.extend(pairs);
+    // the worker count; the sweep polled while the consumers refined.
+    for (done, c) in outcomes {
+        jobs.extend(done);
         candidates += c;
     }
-    Ok((peak, all_pairs, candidates))
+    jobs.sort_unstable_by_key(|job| job.0);
+    let pairs = jobs.into_iter().flat_map(|job| job.1).collect();
+    Ok((tally, pairs, candidates))
 }

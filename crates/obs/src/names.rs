@@ -41,6 +41,15 @@ pub const MSJ_REFINE_CANDIDATES: &str = "msj.refine.candidates";
 pub const MSJ_REFINE_PAIRS: &str = "msj.refine.pairs";
 /// Microseconds MSJ sweep workers spent blocked on the refine channel.
 pub const MSJ_SWEEP_SEND_WAIT_US: &str = "msj.sweep.send_wait_us";
+/// Candidate tiles the MSJ sweep transposed into its SoA scratch block.
+pub const MSJ_SWEEP_TILES_GATHERED: &str = "msj.sweep.tiles_gathered";
+/// Lanes (rows) copied by those transposes; `block_candidates /
+/// lanes_gathered` is the reuse each gathered lane got.
+pub const MSJ_SWEEP_LANES_GATHERED: &str = "msj.sweep.lanes_gathered";
+/// MSJ candidates emitted as lane windows of a gathered tile.
+pub const MSJ_SWEEP_BLOCK_CANDIDATES: &str = "msj.sweep.block_candidates";
+/// MSJ candidates emitted pair by pair (tile too sparse to gather).
+pub const MSJ_SWEEP_PAIR_CANDIDATES: &str = "msj.sweep.pair_candidates";
 
 /// Chunks dispatched by the hdsj-exec pool.
 pub const EXEC_TASKS: &str = "exec.tasks";
@@ -99,9 +108,6 @@ pub const EXEC_CHUNK_NS: &str = "exec.chunk_ns";
 /// claim (histogram, ns) — queue/startup latency.
 pub const EXEC_QUEUE_WAIT_NS: &str = "exec.queue_wait_ns";
 
-/// Candidate batch sizes received by MSJ refine workers (histogram).
-pub const MSJ_REFINE_BATCH: &str = "msj.refine.batch_size";
-
 /// Brute-force join phase duration (histogram, ns).
 pub const BF_PHASE_JOIN_NS: &str = "bf.phase.join_ns";
 /// 1-d sort-merge sort-phase duration (histogram, ns).
@@ -155,6 +161,10 @@ pub const ALL: &[&str] = &[
     MSJ_REFINE_CANDIDATES,
     MSJ_REFINE_PAIRS,
     MSJ_SWEEP_SEND_WAIT_US,
+    MSJ_SWEEP_TILES_GATHERED,
+    MSJ_SWEEP_LANES_GATHERED,
+    MSJ_SWEEP_BLOCK_CANDIDATES,
+    MSJ_SWEEP_PAIR_CANDIDATES,
     EXEC_TASKS,
     EXEC_WORKERS,
     EXEC_STEAL_WAITS,
@@ -179,7 +189,6 @@ pub const ALL: &[&str] = &[
     POOL_WRITEBACK_NS,
     EXEC_CHUNK_NS,
     EXEC_QUEUE_WAIT_NS,
-    MSJ_REFINE_BATCH,
     BF_PHASE_JOIN_NS,
     SM1D_PHASE_SORT_NS,
     SM1D_PHASE_SWEEP_NS,

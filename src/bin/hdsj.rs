@@ -762,7 +762,7 @@ fn trace_report(args: &[String]) -> Result<()> {
     let trace = hdsj::obs::report::Trace::parse(&text)
         .map_err(|e| Error::InvalidInput(format!("{path}: {e}")))?;
     if !phases && !critical {
-        print!("{}", hdsj::obs::report::render(&trace, 10));
+        print!("{}", hdsj::obs::report::render(&trace, 16));
         return Ok(());
     }
     if phases {

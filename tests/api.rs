@@ -113,3 +113,57 @@ fn stats_phases_are_populated_for_all_structured_algorithms() {
         assert!(stats.total_time().as_nanos() > 0);
     }
 }
+
+#[test]
+fn msj_sweep_observes_deadline_and_cross_thread_cancel() {
+    use hdsj::core::{Error, LifecycleCtx};
+    use std::time::{Duration, Instant};
+
+    // ε·d this large puts every point in level 0: the whole join is one
+    // cell's sweep, with no page fetch or phase boundary left to poll at.
+    let ds = hdsj::data::uniform(16, 3000, 12).unwrap();
+    let spec = JoinSpec::new(0.5, Metric::L2);
+    for threads in [1usize, 2] {
+        let run = |lc: Option<LifecycleCtx>| {
+            let mut msj = hdsj::msj::Msj::with_threads(threads);
+            if let Some(lc) = lc {
+                msj.set_lifecycle(lc);
+            }
+            let started = Instant::now();
+            let outcome = msj.self_join(&ds, &spec, &mut CountSink::default());
+            (outcome, started.elapsed())
+        };
+        let (full, uncancelled) = run(None);
+        assert!(full.unwrap().candidates > 1_000_000);
+        let after = (uncancelled / 20).max(Duration::from_millis(1));
+
+        let lc = LifecycleCtx::builder()
+            .deadline_ms(after.as_millis() as u64)
+            .build();
+        let (outcome, took) = run(Some(lc));
+        let err = outcome.unwrap_err();
+        assert!(matches!(err, Error::DeadlineExceeded(_)), "{err:?}");
+        assert!(
+            took < uncancelled / 2,
+            "threads={threads}: deadline {after:?} honoured only after {took:?} of {uncancelled:?}"
+        );
+
+        let lc = LifecycleCtx::unbounded();
+        let token = lc.cancel_token();
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let canceller = std::thread::spawn(move || {
+            wait.recv().unwrap();
+            std::thread::sleep(after);
+            token.cancel();
+        });
+        go.send(()).unwrap();
+        let (outcome, took) = run(Some(lc));
+        canceller.join().unwrap();
+        let err = outcome.unwrap_err();
+        assert!(matches!(err, Error::Canceled(_)), "{err:?}");
+        assert!(
+            took < uncancelled / 2,
+            "threads={threads}: cancel after {after:?} honoured only after {took:?} of {uncancelled:?}"
+        );
+    }
+}

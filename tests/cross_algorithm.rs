@@ -67,7 +67,9 @@ fn check_all_two(a: &Dataset, b: &Dataset, spec: &JoinSpec, label: &str) {
 
 #[test]
 fn uniform_self_join_across_dims_and_eps() {
-    for (d, eps) in [(2usize, 0.03), (3, 0.1), (6, 0.3), (12, 0.5)] {
+    // d = 16 at ε = 0.8 leaves every point in MSJ's level 0: one cell whose
+    // sweep spans several candidate tiles.
+    for (d, eps) in [(2usize, 0.03), (3, 0.1), (6, 0.3), (12, 0.5), (16, 0.8)] {
         let ds = uniform(d, 500, d as u64 * 31 + 1).unwrap();
         check_all_self(
             &ds,
@@ -134,6 +136,9 @@ fn clustered_and_skewed_workloads_match() {
 fn fourier_feature_workload_matches() {
     let ds = timeseries::fourier_dataset(6, 400, 64, 2025).unwrap();
     check_all_self(&ds, &JoinSpec::new(0.04, Metric::L2), "fourier features");
+    // The paper's regime: d = 64 rows, a few dozen lanes per candidate tile.
+    let ds = timeseries::fourier_dataset(64, 600, 128, 2026).unwrap();
+    check_all_self(&ds, &JoinSpec::new(0.1, Metric::L2), "fourier d=64");
 }
 
 #[test]
