@@ -34,13 +34,16 @@ pub const RULE: &str = "determinism";
 /// nondeterministic source into lane order. The batch refinement paths
 /// (`core::refine`) joined with the dataflow PR: refinement reorders
 /// candidate batches for SIMD, and its accept/reject stream feeds the
-/// same byte-determinism promise.
+/// same byte-determinism promise. The tile-major plane sweep
+/// (`core::sweep`) stays in scope at its new address: it left `msj`, and
+/// it fixes the pair order of MSJ, EKDB and SM1D output.
 const SCOPE: &[&str] = &[
     "crates/core/src/kernels",
     "crates/core/src/lifecycle",
     "crates/core/src/refine",
     "crates/core/src/simd",
     "crates/core/src/soa",
+    "crates/core/src/sweep",
     "crates/bruteforce/src",
     "crates/msj/src",
     "crates/sortmerge/src",

@@ -51,6 +51,7 @@ pub mod refine;
 pub mod simd;
 pub mod soa;
 pub mod stats;
+pub mod sweep;
 pub mod verify;
 
 pub use dataset::Dataset;
@@ -64,6 +65,7 @@ pub use rect::Rect;
 pub use refine::Refiner;
 pub use soa::SoABlock;
 pub use stats::{IoCounters, JoinStats, Phase, PhaseTimer, TracedPhase};
+pub use sweep::{sort_by_coord, CandidateSink, TileJoin, TileTally};
 
 /// Structured tracing and metrics (re-exported from `hdsj-obs` so the
 /// algorithm crates need no extra dependency).

@@ -1,0 +1,485 @@
+//! The tile-major plane-sweep join of two sorted projection lists.
+//!
+//! MSJ cell pairs, ε-KDB leaf pairs and the 1-D sort-merge baseline all end
+//! in the same step: two lists of `(x, id)` sorted by one coordinate, of
+//! which every pair whose coordinates differ by at most ε is a candidate.
+//! [`TileJoin`] is that step, once. The join is **tile-major**: the
+//! candidate list is cut into L1-sized tiles, each tile is transposed once
+//! into one reusable [`SoABlock`], and every probe whose ε-window touches
+//! the tile hands its lane window to the sink — the same (probe, tile,
+//! lanes) shape brute force feeds the across-candidate kernel. A tile whose
+//! windows hold too few candidates to repay the transpose is emitted pair
+//! by pair instead.
+
+use crate::dataset::Dataset;
+use crate::error::Result;
+use crate::lifecycle::LifecycleCtx;
+use crate::refine::Refiner;
+use crate::simd::tile::soa_tile_width;
+use crate::soa::{SoABlock, LANE_PAD};
+use std::ops::Range;
+
+/// Probes walked between lifecycle polls inside one tile (a power of two).
+const PROBES_PER_POLL: usize = 1024;
+
+/// Lanes below which a tile is never gathered: a probe's window then
+/// spans at most two vector groups, and the block kernel's fixed cost per
+/// call outweighs what it saves over that many pair evaluations (measured
+/// on ε-KDB leaves of ~3 points at d = 4 and 8: a fifth of the join phase).
+const GATHER_LANES_MIN: usize = 2 * LANE_PAD;
+
+/// Sorts a projection list into the order [`TileJoin::run`] takes:
+/// ascending coordinate, ties by id. `total_cmp` gives a total order even
+/// on NaN (datasets reject them, but a sweep must not be able to panic on
+/// bad data).
+pub fn sort_by_coord(list: &mut [(f64, u32)]) {
+    list.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+}
+
+/// Receives the join's candidates, in sweep order. Probe ids index the
+/// left input, candidate ids the right input (the same dataset for a
+/// self-join). Every candidate pair arrives exactly once.
+pub trait CandidateSink {
+    /// Candidates `tile.ids()[lanes]` for probe `i`.
+    fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>);
+    /// One candidate `(i, j)` of a tile too sparse to gather.
+    fn pair(&mut self, i: u32, j: u32);
+    /// All events of the current tile have been delivered.
+    fn end_tile(&mut self) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The serial path: candidates go straight into the exact-metric refiner.
+impl CandidateSink for Refiner<'_> {
+    #[inline]
+    fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
+        self.offer_block(i, tile, lanes);
+    }
+
+    #[inline]
+    fn pair(&mut self, i: u32, j: u32) {
+        self.offer(i, j);
+    }
+}
+
+/// What the joins run so far did, beyond the candidates they emitted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TileTally {
+    /// Tiles transposed into the scratch block.
+    pub tiles_gathered: u64,
+    /// Lanes transposed (rows copied) over all gathered tiles.
+    pub lanes_gathered: u64,
+    /// Candidates emitted as lane windows of a gathered tile.
+    pub block_candidates: u64,
+    /// Candidates emitted one pair at a time.
+    pub pair_candidates: u64,
+}
+
+/// The tile-major join of two sorted `(x, id)` lists, with its reusable
+/// scratch tile.
+pub struct TileJoin<'a> {
+    /// The dataset candidate ids index (the right input).
+    data: &'a Dataset,
+    eps: f64,
+    /// Lanes per candidate tile.
+    tile_w: usize,
+    /// A tile is gathered once its windows hold `gather_min` candidates
+    /// per lane: the transpose costs `dims` strided writes per lane and
+    /// the block kernel saves a roughly constant time per candidate, so
+    /// the break-even reuse grows with `dims` (≈ d/4 fitted d = 4…64).
+    gather_min: usize,
+    /// Narrower tiles are never gathered ([`GATHER_LANES_MIN`]).
+    lanes_min: usize,
+    lifecycle: Option<&'a LifecycleCtx>,
+    tile: SoABlock,
+    ids: Vec<u32>,
+    /// Lanes of the widest tile gathered so far.
+    widest: usize,
+    tally: TileTally,
+}
+
+impl<'a> TileJoin<'a> {
+    /// A join whose candidate ids index `data`, polling `lifecycle` at
+    /// every tile and every 1024 probes within one.
+    pub fn new(
+        data: &'a Dataset,
+        eps: f64,
+        lifecycle: Option<&'a LifecycleCtx>,
+    ) -> TileJoin<'a> {
+        TileJoin {
+            data,
+            eps,
+            tile_w: soa_tile_width(data.dims()),
+            gather_min: (data.dims() / 4).max(1),
+            lanes_min: GATHER_LANES_MIN,
+            lifecycle,
+            tile: SoABlock::empty(data.dims()),
+            ids: Vec::new(),
+            widest: 0,
+            tally: TileTally::default(),
+        }
+    }
+
+    /// Tallies over every [`TileJoin::run`] so far.
+    pub fn tally(&self) -> TileTally {
+        self.tally
+    }
+
+    /// Bytes the scratch tile and its two id lists have grown to.
+    pub fn scratch_bytes(&self) -> u64 {
+        (self.widest.next_multiple_of(LANE_PAD) * (self.data.dims() * 8 + 8)) as u64
+    }
+
+    /// Emits every pair `(x, y)` of `xs × ys` whose coordinates differ by
+    /// at most ε — with `within`, `xs` and `ys` are the same list and each
+    /// unordered pair is emitted once, from its earlier entry. Both lists
+    /// ascend. The float predicates are exactly `y0 < x0 - eps` (left of
+    /// the window) and `y0 - x0 > eps` (right of it).
+    ///
+    /// Pairs arrive tile by tile of `ys`, within a tile probe by probe in
+    /// `xs` order, within a probe in `ys` order.
+    pub fn run<S: CandidateSink>(
+        &mut self,
+        xs: &[(f64, u32)],
+        ys: &[(f64, u32)],
+        within: bool,
+        sink: &mut S,
+    ) -> Result<()> {
+        let (eps, lifecycle) = (self.eps, self.lifecycle);
+        // First probe whose window can reach the current tile; both lists
+        // ascend, so it only moves forward from tile to tile.
+        let mut from = 0usize;
+        for lo in (0..ys.len()).step_by(self.tile_w) {
+            let hi = (lo + self.tile_w).min(ys.len());
+            while from < xs.len() && ys[lo].0 - xs[from].0 > eps {
+                from += 1;
+            }
+            if from == xs.len() {
+                break;
+            }
+            let tile_ys = &ys[..hi];
+            // Enough candidates to repay the transpose? Not when the tile is
+            // narrower than `lanes_min`, nor when fewer than
+            // `gather_min` probes remain (each holds at most one candidate
+            // per lane): such a tile goes pair by pair, uncounted.
+            // Otherwise counting stops as soon as the answer is yes.
+            let cutoff = self.gather_min * (hi - lo);
+            let mut gather = false;
+            if hi - lo >= self.lanes_min && xs.len() - from >= self.gather_min {
+                let mut total = 0usize;
+                tile_windows(xs, tile_ys, lo, from, within, eps, None, |_, w| {
+                    total += w.len();
+                    total < cutoff
+                })?;
+                if total == 0 {
+                    continue;
+                }
+                gather = total >= cutoff;
+            }
+            if gather {
+                self.ids.clear();
+                self.ids.extend(ys[lo..hi].iter().map(|y| y.1));
+                self.tile.gather_into(self.data, &self.ids);
+                self.widest = self.widest.max(hi - lo);
+                self.tally.tiles_gathered += 1;
+                self.tally.lanes_gathered += (hi - lo) as u64;
+            }
+            let (tile, mut n) = (&self.tile, 0u64);
+            tile_windows(xs, tile_ys, lo, from, within, eps, lifecycle, |p, w| {
+                n += w.len() as u64;
+                if gather {
+                    sink.block(xs[p].1, tile, w.start - lo..w.end - lo);
+                } else {
+                    for y in &ys[w] {
+                        sink.pair(xs[p].1, y.1);
+                    }
+                }
+                true
+            })?;
+            if gather {
+                self.tally.block_candidates += n;
+            } else {
+                self.tally.pair_candidates += n;
+            }
+            sink.end_tile()?;
+        }
+        Ok(())
+    }
+}
+
+/// Calls `f(p, window)` for each probe `xs[p]`, `p ≥ from`, whose ε-window
+/// over the tile `ys[lo..]` (`ys` ends where the tile ends) is non-empty,
+/// in probe order; `window` is an index range into `ys`. Stops early when
+/// `f` returns `false`. Windows only move forward from probe to probe, so
+/// one pass costs `O(probes + lanes)`; the lifecycle context, if given, is
+/// polled at the first probe and every [`PROBES_PER_POLL`] after it.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn tile_windows(
+    xs: &[(f64, u32)],
+    ys: &[(f64, u32)],
+    lo: usize,
+    from: usize,
+    within: bool,
+    eps: f64,
+    lifecycle: Option<&LifecycleCtx>,
+    mut f: impl FnMut(usize, Range<usize>) -> bool,
+) -> Result<()> {
+    let hi = ys.len();
+    let Some(&(y_last, _)) = ys.last() else {
+        return Ok(());
+    };
+    let (mut w0, mut w1) = (lo, lo);
+    for (p, &(x0, _)) in xs.iter().enumerate().skip(from) {
+        if (p - from) & (PROBES_PER_POLL - 1) == 0 {
+            if let Some(lc) = lifecycle {
+                lc.poll()?;
+            }
+        }
+        if within {
+            // Candidates are the later entries of the same list.
+            if p + 1 >= hi {
+                break;
+            }
+            w0 = w0.max(p + 1);
+        } else {
+            if y_last < x0 - eps {
+                break;
+            }
+            while w0 < hi && ys[w0].0 < x0 - eps {
+                w0 += 1;
+            }
+        }
+        w1 = w1.max(w0);
+        while w1 < hi {
+            if ys[w1].0 - x0 > eps {
+                break;
+            }
+            w1 += 1;
+        }
+        if w0 < w1 && !f(p, w0..w1) {
+            break;
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::Error;
+    use crate::join::{CountSink, JoinKind, JoinSpec};
+    use proptest::prelude::*;
+
+    /// One cell's `(x0, id)` list.
+    type List = Vec<(f64, u32)>;
+
+    /// Reference enumeration (the pre-tile sweep): unordered pairs within
+    /// one sorted list whose `x0` differ by at most ε.
+    fn sweep_within(xs: &[(f64, u32)], eps: f64, offer: &mut dyn FnMut(u32, u32)) {
+        for (idx, &(x0, i)) in xs.iter().enumerate() {
+            for &(y0, j) in &xs[idx + 1..] {
+                if y0 - x0 > eps {
+                    break;
+                }
+                offer(i, j);
+            }
+        }
+    }
+
+    /// Reference enumeration: cross pairs of two sorted lists whose `x0`
+    /// differ by at most ε.
+    fn sweep_pair(
+        xs: &[(f64, u32)],
+        ys: &[(f64, u32)],
+        eps: f64,
+        offer: &mut dyn FnMut(u32, u32),
+    ) {
+        let mut start = 0usize;
+        for &(x0, i) in xs {
+            while start < ys.len() && ys[start].0 < x0 - eps {
+                start += 1;
+            }
+            for &(y0, j) in &ys[start..] {
+                if y0 - x0 > eps {
+                    break;
+                }
+                offer(i, j);
+            }
+        }
+    }
+
+    /// Collects every event as pairs, checking each tile against the rows
+    /// it claims to hold.
+    struct Collect<'a> {
+        data: &'a Dataset,
+        pairs: Vec<(u32, u32)>,
+    }
+
+    impl CandidateSink for Collect<'_> {
+        fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
+            assert!(lanes.start < lanes.end && lanes.end <= tile.len());
+            for t in lanes {
+                let j = tile.ids()[t];
+                assert_eq!(tile.value(0, t).to_bits(), self.data.point(j)[0].to_bits());
+                self.pairs.push((i, j));
+            }
+        }
+        fn pair(&mut self, i: u32, j: u32) {
+            self.pairs.push((i, j));
+        }
+    }
+
+    /// A 1-d dataset holding `xs` then `ys`, and the two sorted lists with
+    /// ids into it.
+    fn lists(xs: &[f64], ys: &[f64]) -> (Dataset, List, List) {
+        let flat: Vec<f64> = xs.iter().chain(ys).copied().collect();
+        let data = Dataset::from_flat(1, flat).unwrap();
+        let sorted = |vals: &[f64], base: usize| {
+            let mut l: List = (base..).zip(vals).map(|(k, &v)| (v, k as u32)).collect();
+            sort_by_coord(&mut l);
+            l
+        };
+        (data, sorted(xs, 0), sorted(ys, xs.len()))
+    }
+
+    /// Checks `xs × ys` and `xs` within itself against the reference, as
+    /// multisets (no pair twice, none missing), on the always-gather
+    /// branch, the derived policy, and the never-gather branch — and that
+    /// `JoinStats.candidates` through the real refiner is the reference
+    /// count on each.
+    fn check(xv: &[f64], yv: &[f64], eps: f64, tile_w: usize) {
+        let (data, xs, ys) = lists(xv, yv);
+        let spec = JoinSpec::l2(eps.max(1e-9));
+        for within in [false, true] {
+            let mut want = Vec::new();
+            let (ys, kind) = if within {
+                sweep_within(&xs, eps, &mut |i, j| want.push((i, j)));
+                (&xs, JoinKind::SelfJoin)
+            } else {
+                sweep_pair(&xs, &ys, eps, &mut |i, j| want.push((i, j)));
+                (&ys, JoinKind::TwoSets)
+            };
+            want.sort_unstable();
+            let policies = [
+                (0usize, 0usize),
+                (1, GATHER_LANES_MIN),
+                (usize::MAX / 4096, 0),
+            ];
+            for (gather_min, lanes_min) in policies {
+                let label = format!("within={within} w={tile_w} g={gather_min}");
+                let mut join = TileJoin::new(&data, eps, None);
+                (join.tile_w, join.gather_min, join.lanes_min) =
+                    (tile_w, gather_min, lanes_min);
+                let mut sink = Collect {
+                    data: &data,
+                    pairs: Vec::new(),
+                };
+                join.run(&xs, ys, within, &mut sink).unwrap();
+                sink.pairs.sort_unstable();
+                assert_eq!(sink.pairs, want, "{label}");
+                let t = join.tally;
+                assert_eq!(t.block_candidates + t.pair_candidates, want.len() as u64);
+                assert!(gather_min != 0 || t.pair_candidates == 0, "{label}");
+                assert!(gather_min <= 1 || t.tiles_gathered == 0, "{label}");
+
+                let mut out = CountSink::default();
+                let mut refiner = Refiner::new(&data, &data, kind, &spec, &mut out);
+                join.run(&xs, ys, within, &mut refiner).unwrap();
+                let stats = refiner.finish(Default::default());
+                assert_eq!(stats.candidates, want.len() as u64, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_short_lists() {
+        check(&[], &[0.5], 0.1, 16);
+        check(&[0.5], &[], 0.1, 16);
+        check(&[], &[], 0.1, 16);
+        check(&[0.5], &[0.55], 0.1, 16);
+        check(&[0.1, 0.15, 0.5, 0.52], &[0.05, 0.18, 0.45, 0.9], 0.1, 16);
+    }
+
+    #[test]
+    fn duplicates_exact_eps_and_tile_boundaries() {
+        // 40 candidates on a 1/64 lattice (exactly representable), tile
+        // width 16: windows start and end exactly on lanes 16 and 32, probes
+        // sit at distance exactly ε, and several x0 repeat.
+        let ys: Vec<f64> = (0..40).map(|k| (k / 2) as f64 / 64.0).collect();
+        let eps = 4.0 / 64.0;
+        let xs: Vec<f64> = [0.0, 4.0, 8.0, 8.0, 12.0, 15.0, 16.0, 19.0, 19.0, 23.0]
+            .iter()
+            .map(|k| k / 64.0)
+            .collect();
+        for tile_w in [16, 4, 1, 64] {
+            check(&xs, &ys, eps, tile_w);
+            // Within-cell: the probe in the last lane of a tile (index 15,
+            // 31) must still meet the first lanes of the next tile.
+            check(&ys, &xs, eps, tile_w);
+        }
+        // All-equal x0: every pair is a candidate.
+        check(&[0.25; 35], &[0.25; 33], 0.0625, 16);
+    }
+
+    #[test]
+    fn cutoff_follows_dims_and_a_canceled_lifecycle_stops_the_join() {
+        let d64 = Dataset::from_flat(64, vec![0.0; 64]).unwrap();
+        assert_eq!(TileJoin::new(&d64, 0.1, None).gather_min, 16);
+        let (data, xs, ys) = lists(&[0.1, 0.2], &[0.1, 0.2]);
+        let lc = LifecycleCtx::unbounded();
+        lc.cancel_token().cancel();
+        let mut join = TileJoin::new(&data, 0.5, Some(&lc));
+        assert_eq!(join.gather_min, 1);
+        let mut sink = Collect {
+            data: &data,
+            pairs: Vec::new(),
+        };
+        let err = join.run(&xs, &ys, false, &mut sink).unwrap_err();
+        assert!(matches!(err, Error::Canceled(_)), "{err:?}");
+        assert!(sink.pairs.is_empty());
+    }
+
+    #[test]
+    fn narrow_tiles_and_short_probe_lists_go_pair_by_pair() {
+        // All-equal coordinates: every pair is a candidate, so only the
+        // input's shape decides. (probes, candidates, gather_min, gathered)
+        let shapes = [
+            (20, GATHER_LANES_MIN - 1, 1, false),
+            (20, GATHER_LANES_MIN, 1, true),
+            (3, 40, 4, false),
+            (4, 40, 4, true),
+        ];
+        for (probes, lanes, gather_min, gathered) in shapes {
+            let (data, xs, ys) = lists(&vec![0.5; probes], &vec![0.5; lanes]);
+            let mut join = TileJoin::new(&data, 0.1, None);
+            join.gather_min = gather_min;
+            let mut sink = Collect {
+                data: &data,
+                pairs: Vec::new(),
+            };
+            join.run(&xs, &ys, false, &mut sink).unwrap();
+            assert_eq!(sink.pairs.len(), probes * lanes);
+            let t = join.tally();
+            let all = (probes * lanes) as u64;
+            let want = if gathered { (all, 0) } else { (0, all) };
+            assert_eq!((t.block_candidates, t.pair_candidates), want);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn tile_major_join_matches_the_pair_enumeration(
+            xs in proptest::collection::vec(0u32..64, 0..70),
+            ys in proptest::collection::vec(0u32..64, 0..70),
+            eps_steps in 0u32..12,
+            tile_w in prop_oneof![Just(16usize), Just(1), Just(5), Just(32)],
+        ) {
+            // A coarse lattice makes duplicates and exact-ε distances the
+            // common case rather than the rare one.
+            let to_f = |v: &[u32]| v.iter().map(|&k| k as f64 / 64.0).collect::<Vec<_>>();
+            check(&to_f(&xs), &to_f(&ys), eps_steps as f64 / 64.0, tile_w);
+        }
+    }
+}

@@ -498,11 +498,12 @@ impl Msj {
         };
         if self.tracer.enabled() {
             use hdsj_core::obs::names;
+            let t = tally.tiles;
             for (name, v) in [
-                (names::MSJ_SWEEP_TILES_GATHERED, tally.tiles_gathered),
-                (names::MSJ_SWEEP_LANES_GATHERED, tally.lanes_gathered),
-                (names::MSJ_SWEEP_BLOCK_CANDIDATES, tally.block_candidates),
-                (names::MSJ_SWEEP_PAIR_CANDIDATES, tally.pair_candidates),
+                (names::MSJ_SWEEP_TILES_GATHERED, t.tiles_gathered),
+                (names::MSJ_SWEEP_LANES_GATHERED, t.lanes_gathered),
+                (names::MSJ_SWEEP_BLOCK_CANDIDATES, t.block_candidates),
+                (names::MSJ_SWEEP_PAIR_CANDIDATES, t.pair_candidates),
             ] {
                 self.tracer.counter(name).add(v);
             }

@@ -18,12 +18,12 @@
 //! `Error::Internal`, never an unwind across the join.
 
 use crate::assign::RecordCodec;
-use crate::sweep::{self, CandidateSink, SweepTally};
+use crate::sweep::{self, SweepTally};
 use crossbeam::channel::Sender;
 use hdsj_core::obs::{names, Span};
 use hdsj_core::{
-    Dataset, Error, JoinKind, JoinSpec, LifecycleCtx, Refiner, Result, SoABlock, Tracer,
-    VecSink,
+    CandidateSink, Dataset, Error, JoinKind, JoinSpec, LifecycleCtx, Refiner, Result, SoABlock,
+    Tracer, VecSink,
 };
 use hdsj_exec::Pool;
 use hdsj_storage::RecordFile;

@@ -10,48 +10,15 @@
 //!
 //! Inside a cell pair, a plane sweep along dimension 0 (lists kept sorted
 //! by the first coordinate) bounds the candidate set before the exact
-//! metric runs. The join is **tile-major**: the candidate list is cut into
-//! L1-sized tiles, each tile is transposed once into one reusable
-//! [`SoABlock`], and every probe whose ε-window touches the tile hands its
-//! lane window to the sink — the same (probe, tile, lanes) shape brute
-//! force feeds the across-candidate kernel. A tile whose windows hold too
-//! few candidates to repay the transpose is emitted pair by pair instead.
+//! metric runs: the shared tile-major [`TileJoin`], which hands the sink
+//! (probe, tile, lanes) windows of gathered candidate tiles.
 
 use crate::assign::{prefix_bits_equal, RecordCodec, TAG_A};
-use hdsj_core::simd::tile::soa_tile_width;
-use hdsj_core::{Dataset, Error, JoinKind, LifecycleCtx, Refiner, Result, SoABlock};
+use hdsj_core::{
+    sort_by_coord, CandidateSink, Dataset, Error, JoinKind, LifecycleCtx, Result, TileJoin,
+    TileTally,
+};
 use hdsj_storage::RecordFile;
-use std::ops::Range;
-
-/// Probes walked between lifecycle polls inside one tile (a power of two).
-const PROBES_PER_POLL: usize = 1024;
-
-/// Receives the sweep's candidates, in sweep order. Probe ids index the
-/// left input, candidate ids the right input (the same dataset for a
-/// self-join). Every candidate pair arrives exactly once.
-pub trait CandidateSink {
-    /// Candidates `tile.ids()[lanes]` for probe `i`.
-    fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>);
-    /// One candidate `(i, j)` of a tile too sparse to gather.
-    fn pair(&mut self, i: u32, j: u32);
-    /// All events of the current tile have been delivered.
-    fn end_tile(&mut self) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// The serial path: candidates go straight into the exact-metric refiner.
-impl CandidateSink for Refiner<'_> {
-    #[inline]
-    fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
-        self.offer_block(i, tile, lanes);
-    }
-
-    #[inline]
-    fn pair(&mut self, i: u32, j: u32) {
-        self.offer(i, j);
-    }
-}
 
 /// What one sweep did, beyond the candidates it emitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -59,14 +26,8 @@ pub struct SweepTally {
     /// Peak bytes held by the open-cell stack plus the scratch tile (the
     /// algorithm's structure memory, experiment E5).
     pub peak_bytes: u64,
-    /// Tiles transposed into the scratch block.
-    pub tiles_gathered: u64,
-    /// Lanes transposed (rows copied) over all gathered tiles.
-    pub lanes_gathered: u64,
-    /// Candidates emitted as lane windows of a gathered tile.
-    pub block_candidates: u64,
-    /// Candidates emitted one pair at a time.
-    pub pair_candidates: u64,
+    /// The cell-pair joins' gather/block/pair tallies.
+    pub tiles: TileTally,
 }
 
 /// One open cell on the sweep stack: its identity and the points it holds,
@@ -103,7 +64,8 @@ pub fn sweep<S: CandidateSink>(
     let dims = a.dims() as u32;
     let mut stack: Vec<OpenCell> = Vec::new();
     let mut current: Option<OpenCell> = None;
-    let mut join = TileJoin::new(b, eps, soa_tile_width(b.dims()), lifecycle);
+    let mut join = TileJoin::new(b, eps, lifecycle);
+    let mut peak_bytes = 0u64;
     let mut cursor = sorted.cursor();
 
     while let Some(rec) = cursor.next()? {
@@ -116,7 +78,8 @@ pub fn sweep<S: CandidateSink>(
         if !same_cell {
             // Close out the previous cell: join it and push it.
             if let Some(cell) = current.take() {
-                process_cell(cell, &mut stack, kind, &mut join, sink)?;
+                peak_bytes =
+                    peak_bytes.max(process_cell(cell, &mut stack, kind, &mut join, sink)?);
             }
             // Pop stack cells that are not ancestors of the new cell.
             while let Some(top) = stack.last() {
@@ -147,28 +110,25 @@ pub fn sweep<S: CandidateSink>(
         list.push((ds.point(id)[0], id));
     }
     if let Some(cell) = current.take() {
-        process_cell(cell, &mut stack, kind, &mut join, sink)?;
+        peak_bytes = peak_bytes.max(process_cell(cell, &mut stack, kind, &mut join, sink)?);
     }
-    // Plus what the scratch tile and its two id lists can grow to.
-    join.tally.peak_bytes += (join.tile_w * (b.dims() * 8 + 8)) as u64;
-    Ok(join.tally)
+    Ok(SweepTally {
+        peak_bytes: peak_bytes + join.scratch_bytes(),
+        tiles: join.tally(),
+    })
 }
 
 /// Joins a freshly completed cell against itself and the open ancestors,
-/// then pushes it.
+/// then pushes it; returns the bytes the stack then holds.
 fn process_cell<S: CandidateSink>(
     mut cell: OpenCell,
     stack: &mut Vec<OpenCell>,
     kind: JoinKind,
     join: &mut TileJoin,
     sink: &mut S,
-) -> Result<()> {
-    // total_cmp gives a total order even on NaN coordinates (datasets
-    // reject them, but the sweep must not be able to panic on bad data).
-    cell.a
-        .sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-    cell.b
-        .sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+) -> Result<u64> {
+    sort_by_coord(&mut cell.a);
+    sort_by_coord(&mut cell.b);
 
     match kind {
         JoinKind::SelfJoin => {
@@ -189,353 +149,5 @@ fn process_cell<S: CandidateSink>(
     }
 
     stack.push(cell);
-    let bytes: u64 = stack.iter().map(|c| c.bytes()).sum();
-    join.tally.peak_bytes = join.tally.peak_bytes.max(bytes);
-    Ok(())
-}
-
-/// The tile-major join of two `x0`-sorted lists, with its reusable scratch.
-struct TileJoin<'a> {
-    /// The dataset candidate ids index (the right input).
-    data: &'a Dataset,
-    eps: f64,
-    /// Lanes per candidate tile.
-    tile_w: usize,
-    /// A tile is gathered once its windows hold `gather_min` candidates
-    /// per lane: the transpose costs `dims` strided writes per lane and
-    /// the block kernel saves a roughly constant time per candidate, so
-    /// the break-even reuse grows with `dims` (≈ d/4 fitted d = 4…64).
-    gather_min: usize,
-    lifecycle: Option<&'a LifecycleCtx>,
-    tile: SoABlock,
-    ids: Vec<u32>,
-    tally: SweepTally,
-}
-
-impl<'a> TileJoin<'a> {
-    fn new(
-        data: &'a Dataset,
-        eps: f64,
-        tile_w: usize,
-        lifecycle: Option<&'a LifecycleCtx>,
-    ) -> TileJoin<'a> {
-        TileJoin {
-            data,
-            eps,
-            tile_w: tile_w.max(1),
-            gather_min: (data.dims() / 4).max(1),
-            lifecycle,
-            tile: SoABlock::empty(data.dims()),
-            ids: Vec::new(),
-            tally: SweepTally::default(),
-        }
-    }
-
-    /// Emits every pair `(x, y)` of `xs × ys` whose `x0` differ by at most
-    /// ε — with `within`, `xs` and `ys` are the same list and each
-    /// unordered pair is emitted once, from its earlier entry. The float
-    /// predicates are exactly `y0 < x0 - eps` (left of the window) and
-    /// `y0 - x0 > eps` (right of it).
-    fn run<S: CandidateSink>(
-        &mut self,
-        xs: &[(f64, u32)],
-        ys: &[(f64, u32)],
-        within: bool,
-        sink: &mut S,
-    ) -> Result<()> {
-        let (eps, lifecycle) = (self.eps, self.lifecycle);
-        // First probe whose window can reach the current tile; both lists
-        // ascend, so it only moves forward from tile to tile.
-        let mut from = 0usize;
-        for lo in (0..ys.len()).step_by(self.tile_w) {
-            let hi = (lo + self.tile_w).min(ys.len());
-            while from < xs.len() && ys[lo].0 - xs[from].0 > eps {
-                from += 1;
-            }
-            if from == xs.len() {
-                break;
-            }
-            let tile_ys = &ys[..hi];
-            // Enough candidates to repay the transpose? Stops counting as
-            // soon as the answer is yes.
-            let cutoff = self.gather_min * (hi - lo);
-            let mut total = 0usize;
-            tile_windows(xs, tile_ys, lo, from, within, eps, None, |_, w| {
-                total += w.len();
-                total < cutoff
-            })?;
-            if total == 0 {
-                continue;
-            }
-            let gather = total >= cutoff;
-            if gather {
-                self.ids.clear();
-                self.ids.extend(ys[lo..hi].iter().map(|y| y.1));
-                self.tile.gather_into(self.data, &self.ids);
-                self.tally.tiles_gathered += 1;
-                self.tally.lanes_gathered += (hi - lo) as u64;
-            }
-            let (tile, mut n) = (&self.tile, 0u64);
-            tile_windows(xs, tile_ys, lo, from, within, eps, lifecycle, |p, w| {
-                n += w.len() as u64;
-                if gather {
-                    sink.block(xs[p].1, tile, w.start - lo..w.end - lo);
-                } else {
-                    for y in &ys[w] {
-                        sink.pair(xs[p].1, y.1);
-                    }
-                }
-                true
-            })?;
-            if gather {
-                self.tally.block_candidates += n;
-            } else {
-                self.tally.pair_candidates += n;
-            }
-            sink.end_tile()?;
-        }
-        Ok(())
-    }
-}
-
-/// Calls `f(p, window)` for each probe `xs[p]`, `p ≥ from`, whose ε-window
-/// over the tile `ys[lo..]` (`ys` ends where the tile ends) is non-empty,
-/// in probe order; `window` is an index range into `ys`. Stops early when
-/// `f` returns `false`. Windows only move forward from probe to probe, so
-/// one pass costs `O(probes + lanes)`; the lifecycle context, if given, is
-/// polled at the first probe and every [`PROBES_PER_POLL`] after it.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn tile_windows(
-    xs: &[(f64, u32)],
-    ys: &[(f64, u32)],
-    lo: usize,
-    from: usize,
-    within: bool,
-    eps: f64,
-    lifecycle: Option<&LifecycleCtx>,
-    mut f: impl FnMut(usize, Range<usize>) -> bool,
-) -> Result<()> {
-    let hi = ys.len();
-    let Some(&(y_last, _)) = ys.last() else {
-        return Ok(());
-    };
-    let (mut w0, mut w1) = (lo, lo);
-    for (p, &(x0, _)) in xs.iter().enumerate().skip(from) {
-        if (p - from) & (PROBES_PER_POLL - 1) == 0 {
-            if let Some(lc) = lifecycle {
-                lc.poll()?;
-            }
-        }
-        if within {
-            // Candidates are the later entries of the same list.
-            if p + 1 >= hi {
-                break;
-            }
-            w0 = w0.max(p + 1);
-        } else {
-            if y_last < x0 - eps {
-                break;
-            }
-            while w0 < hi && ys[w0].0 < x0 - eps {
-                w0 += 1;
-            }
-        }
-        w1 = w1.max(w0);
-        while w1 < hi {
-            if ys[w1].0 - x0 > eps {
-                break;
-            }
-            w1 += 1;
-        }
-        if w0 < w1 && !f(p, w0..w1) {
-            break;
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hdsj_core::{CountSink, JoinSpec};
-    use proptest::prelude::*;
-
-    /// One cell's `(x0, id)` list.
-    type List = Vec<(f64, u32)>;
-
-    /// Reference enumeration (the pre-tile sweep): unordered pairs within
-    /// one sorted list whose `x0` differ by at most ε.
-    fn sweep_within(xs: &[(f64, u32)], eps: f64, offer: &mut dyn FnMut(u32, u32)) {
-        for (idx, &(x0, i)) in xs.iter().enumerate() {
-            for &(y0, j) in &xs[idx + 1..] {
-                if y0 - x0 > eps {
-                    break;
-                }
-                offer(i, j);
-            }
-        }
-    }
-
-    /// Reference enumeration: cross pairs of two sorted lists whose `x0`
-    /// differ by at most ε.
-    fn sweep_pair(
-        xs: &[(f64, u32)],
-        ys: &[(f64, u32)],
-        eps: f64,
-        offer: &mut dyn FnMut(u32, u32),
-    ) {
-        let mut start = 0usize;
-        for &(x0, i) in xs {
-            while start < ys.len() && ys[start].0 < x0 - eps {
-                start += 1;
-            }
-            for &(y0, j) in &ys[start..] {
-                if y0 - x0 > eps {
-                    break;
-                }
-                offer(i, j);
-            }
-        }
-    }
-
-    /// Collects every event as pairs, checking each tile against the rows
-    /// it claims to hold.
-    struct Collect<'a> {
-        data: &'a Dataset,
-        pairs: Vec<(u32, u32)>,
-    }
-
-    impl CandidateSink for Collect<'_> {
-        fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
-            assert!(lanes.start < lanes.end && lanes.end <= tile.len());
-            for t in lanes {
-                let j = tile.ids()[t];
-                assert_eq!(tile.value(0, t).to_bits(), self.data.point(j)[0].to_bits());
-                self.pairs.push((i, j));
-            }
-        }
-        fn pair(&mut self, i: u32, j: u32) {
-            self.pairs.push((i, j));
-        }
-    }
-
-    /// A 1-d dataset holding `xs` then `ys`, and the two sorted lists with
-    /// ids into it.
-    fn lists(xs: &[f64], ys: &[f64]) -> (Dataset, List, List) {
-        let flat: Vec<f64> = xs.iter().chain(ys).copied().collect();
-        let data = Dataset::from_flat(1, flat).unwrap();
-        let sorted = |vals: &[f64], base: usize| {
-            let mut l: List = (base..).zip(vals).map(|(k, &v)| (v, k as u32)).collect();
-            l.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-            l
-        };
-        (data, sorted(xs, 0), sorted(ys, xs.len()))
-    }
-
-    /// Checks `xs × ys` and `xs` within itself against the reference, as
-    /// multisets (no pair twice, none missing), on the always-gather
-    /// branch, the derived cutoff, and the never-gather branch — and that
-    /// `JoinStats.candidates` through the real refiner is the reference
-    /// count on each.
-    fn check(xv: &[f64], yv: &[f64], eps: f64, tile_w: usize) {
-        let (data, xs, ys) = lists(xv, yv);
-        let spec = JoinSpec::l2(eps.max(1e-9));
-        for within in [false, true] {
-            let mut want = Vec::new();
-            let (ys, kind) = if within {
-                sweep_within(&xs, eps, &mut |i, j| want.push((i, j)));
-                (&xs, JoinKind::SelfJoin)
-            } else {
-                sweep_pair(&xs, &ys, eps, &mut |i, j| want.push((i, j)));
-                (&ys, JoinKind::TwoSets)
-            };
-            want.sort_unstable();
-            for gather_min in [0usize, 1, usize::MAX / 4096] {
-                let label = format!("within={within} w={tile_w} g={gather_min}");
-                let mut join = TileJoin::new(&data, eps, tile_w, None);
-                join.gather_min = gather_min;
-                let mut sink = Collect {
-                    data: &data,
-                    pairs: Vec::new(),
-                };
-                join.run(&xs, ys, within, &mut sink).unwrap();
-                sink.pairs.sort_unstable();
-                assert_eq!(sink.pairs, want, "{label}");
-                let t = join.tally;
-                assert_eq!(t.block_candidates + t.pair_candidates, want.len() as u64);
-                assert!(gather_min != 0 || t.pair_candidates == 0, "{label}");
-                assert!(gather_min <= 1 || t.tiles_gathered == 0, "{label}");
-
-                let mut out = CountSink::default();
-                let mut refiner = Refiner::new(&data, &data, kind, &spec, &mut out);
-                join.run(&xs, ys, within, &mut refiner).unwrap();
-                let stats = refiner.finish(Default::default());
-                assert_eq!(stats.candidates, want.len() as u64, "{label}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_and_short_lists() {
-        check(&[], &[0.5], 0.1, 16);
-        check(&[0.5], &[], 0.1, 16);
-        check(&[], &[], 0.1, 16);
-        check(&[0.5], &[0.55], 0.1, 16);
-        check(&[0.1, 0.15, 0.5, 0.52], &[0.05, 0.18, 0.45, 0.9], 0.1, 16);
-    }
-
-    #[test]
-    fn duplicates_exact_eps_and_tile_boundaries() {
-        // 40 candidates on a 1/64 lattice (exactly representable), tile
-        // width 16: windows start and end exactly on lanes 16 and 32, probes
-        // sit at distance exactly ε, and several x0 repeat.
-        let ys: Vec<f64> = (0..40).map(|k| (k / 2) as f64 / 64.0).collect();
-        let eps = 4.0 / 64.0;
-        let xs: Vec<f64> = [0.0, 4.0, 8.0, 8.0, 12.0, 15.0, 16.0, 19.0, 19.0, 23.0]
-            .iter()
-            .map(|k| k / 64.0)
-            .collect();
-        for tile_w in [16, 4, 1, 64] {
-            check(&xs, &ys, eps, tile_w);
-            // Within-cell: the probe in the last lane of a tile (index 15,
-            // 31) must still meet the first lanes of the next tile.
-            check(&ys, &xs, eps, tile_w);
-        }
-        // All-equal x0: every pair is a candidate.
-        check(&[0.25; 35], &[0.25; 33], 0.0625, 16);
-    }
-
-    #[test]
-    fn cutoff_follows_dims_and_a_canceled_lifecycle_stops_the_join() {
-        let d64 = Dataset::from_flat(64, vec![0.0; 64]).unwrap();
-        assert_eq!(TileJoin::new(&d64, 0.1, 16, None).gather_min, 16);
-        let (data, xs, ys) = lists(&[0.1, 0.2], &[0.1, 0.2]);
-        let lc = LifecycleCtx::unbounded();
-        lc.cancel_token().cancel();
-        let mut join = TileJoin::new(&data, 0.5, 16, Some(&lc));
-        assert_eq!(join.gather_min, 1);
-        let mut sink = Collect {
-            data: &data,
-            pairs: Vec::new(),
-        };
-        let err = join.run(&xs, &ys, false, &mut sink).unwrap_err();
-        assert!(matches!(err, Error::Canceled(_)), "{err:?}");
-        assert!(sink.pairs.is_empty());
-    }
-
-    proptest! {
-        #[test]
-        fn tile_major_join_matches_the_pair_enumeration(
-            xs in proptest::collection::vec(0u32..64, 0..70),
-            ys in proptest::collection::vec(0u32..64, 0..70),
-            eps_steps in 0u32..12,
-            tile_w in prop_oneof![Just(16usize), Just(1), Just(5), Just(32)],
-        ) {
-            // A coarse lattice makes duplicates and exact-ε distances the
-            // common case rather than the rare one.
-            let to_f = |v: &[u32]| v.iter().map(|&k| k as f64 / 64.0).collect::<Vec<_>>();
-            check(&to_f(&xs), &to_f(&ys), eps_steps as f64 / 64.0, tile_w);
-        }
-    }
+    Ok(stack.iter().map(|c| c.bytes()).sum())
 }

@@ -25,6 +25,17 @@ pub const BF_RESULTS: &str = "bf.results";
 pub const EKDB_CANDIDATES: &str = "ekdb.candidates";
 /// Result pairs emitted by the ε-KDB-tree join.
 pub const EKDB_RESULTS: &str = "ekdb.results";
+/// Leaf pairs (a leaf with itself included) the ε-KDB traversal joined;
+/// `candidates / leaf_pairs` tells traversal-bound from kernel-bound runs.
+pub const EKDB_LEAF_PAIRS: &str = "ekdb.leaf_pairs";
+/// Candidate tiles the ε-KDB leaf joins transposed into the SoA scratch.
+pub const EKDB_SWEEP_TILES_GATHERED: &str = "ekdb.sweep.tiles_gathered";
+/// Lanes (rows) copied by those transposes.
+pub const EKDB_SWEEP_LANES_GATHERED: &str = "ekdb.sweep.lanes_gathered";
+/// ε-KDB candidates emitted as lane windows of a gathered tile.
+pub const EKDB_SWEEP_BLOCK_CANDIDATES: &str = "ekdb.sweep.block_candidates";
+/// ε-KDB candidates emitted pair by pair (tile too sparse to gather).
+pub const EKDB_SWEEP_PAIR_CANDIDATES: &str = "ekdb.sweep.pair_candidates";
 
 /// Candidate pairs examined by the ε-grid join.
 pub const GRID_CANDIDATES: &str = "grid.candidates";
@@ -154,6 +165,11 @@ pub const ALL: &[&str] = &[
     BF_RESULTS,
     EKDB_CANDIDATES,
     EKDB_RESULTS,
+    EKDB_LEAF_PAIRS,
+    EKDB_SWEEP_TILES_GATHERED,
+    EKDB_SWEEP_LANES_GATHERED,
+    EKDB_SWEEP_BLOCK_CANDIDATES,
+    EKDB_SWEEP_PAIR_CANDIDATES,
     GRID_CANDIDATES,
     GRID_RESULTS,
     MSJ_CANDIDATES,

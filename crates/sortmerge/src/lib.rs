@@ -4,7 +4,8 @@
 //! project all points onto one dimension, sort, and sweep a window of width
 //! ε — every result pair must project within ε of each other, so the window
 //! contains all candidates. The remaining `d − 1` dimensions are only
-//! checked by the exact refinement step.
+//! checked by the exact refinement step. The window sweep is the shared
+//! tile-major [`TileJoin`] over the two sorted projections.
 //!
 //! The method is excellent when one dimension is discriminative and
 //! collapses toward brute force as dimensionality grows (a window of width
@@ -19,14 +20,9 @@
 
 use hdsj_core::stats::TracedPhase;
 use hdsj_core::{
-    join::validate_inputs, Dataset, Error, JoinKind, JoinSpec, JoinStats, LifecycleCtx,
-    PairSink, Refiner, Result, SimilarityJoin, Tracer,
+    join::validate_inputs, sort_by_coord, Dataset, Error, JoinKind, JoinSpec, JoinStats,
+    LifecycleCtx, PairSink, Refiner, Result, SimilarityJoin, TileJoin, Tracer,
 };
-
-/// Sweep probes between lifecycle polls: frequent enough that a canceled
-/// query stops within a few thousand window probes, rare enough that the
-/// poll never shows up in a profile.
-const POLL_STRIDE: usize = 4096;
 
 /// Sort-merge join over one projected dimension.
 ///
@@ -43,8 +39,8 @@ pub struct SortMergeJoin {
     /// Projection dimension; `None` selects the highest-variance dimension
     /// of the (left) input at run time.
     pub dimension: Option<usize>,
-    /// Per-query lifecycle context, polled at phase boundaries and every
-    /// [`POLL_STRIDE`] sweep probes.
+    /// Per-query lifecycle context, polled at phase boundaries and by the
+    /// sweep's tile join (per candidate tile and every 1024 probes).
     lifecycle: Option<LifecycleCtx>,
     /// Trace sink for spans/counters (disabled by default; see
     /// `set_tracer`).
@@ -121,7 +117,7 @@ impl SortMergeJoin {
             JoinKind::SelfJoin => None,
             JoinKind::TwoSets => Some(sorted_projection(b, dim)),
         };
-        let structure_bytes =
+        let list_bytes =
             (sorted_a.len() + sorted_b.as_ref().map(|s| s.len()).unwrap_or(0)) as u64 * 12;
         sort_timer.finish(&mut phases);
 
@@ -136,47 +132,14 @@ impl SortMergeJoin {
             lc.poll()?;
         }
         let mut refiner = Refiner::new(a, b, kind, spec, sink);
-        match &sorted_b {
-            None => {
-                for (idx, &(x, i)) in sorted_a.iter().enumerate() {
-                    if idx % POLL_STRIDE == 0 {
-                        if let Some(lc) = &self.lifecycle {
-                            lc.poll()?;
-                        }
-                    }
-                    for &(y, j) in &sorted_a[idx + 1..] {
-                        if y - x > spec.eps {
-                            break;
-                        }
-                        refiner.offer(i, j);
-                    }
-                }
-            }
-            Some(sorted_b) => {
-                let mut start = 0usize;
-                for (idx, &(x, i)) in sorted_a.iter().enumerate() {
-                    if idx % POLL_STRIDE == 0 {
-                        if let Some(lc) = &self.lifecycle {
-                            lc.poll()?;
-                        }
-                    }
-                    while start < sorted_b.len() && sorted_b[start].0 < x - spec.eps {
-                        start += 1;
-                    }
-                    for &(y, j) in &sorted_b[start..] {
-                        if y - x > spec.eps {
-                            break;
-                        }
-                        refiner.offer(i, j);
-                    }
-                }
-            }
-        }
+        let mut join = TileJoin::new(b, spec.eps, self.lifecycle.as_ref());
+        let candidates = sorted_b.as_ref().unwrap_or(&sorted_a);
+        join.run(&sorted_a, candidates, sorted_b.is_none(), &mut refiner)?;
         let mut stats = refiner.finish(JoinStats::default());
         sweep_timer.finish(&mut phases);
 
         stats.phases = phases;
-        stats.structure_bytes = structure_bytes;
+        stats.structure_bytes = list_bytes + join.scratch_bytes();
         if self.tracer.enabled() {
             root.attr_u64("candidates", stats.candidates);
             root.attr_u64("results", stats.results);
@@ -190,7 +153,7 @@ impl SortMergeJoin {
 
 fn sorted_projection(ds: &Dataset, dim: usize) -> Vec<(f64, u32)> {
     let mut proj: Vec<(f64, u32)> = ds.iter().map(|(i, p)| (p[dim], i)).collect();
-    proj.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    sort_by_coord(&mut proj);
     proj
 }
 

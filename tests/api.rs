@@ -167,3 +167,23 @@ fn msj_sweep_observes_deadline_and_cross_thread_cancel() {
         );
     }
 }
+
+#[test]
+fn ekdb_observes_deadline_inside_one_leaf() {
+    use hdsj::core::{Error, LifecycleCtx};
+    use std::time::{Duration, Instant};
+
+    // Identical points never separate: past depth == dims they share one
+    // leaf that grows without bound, and its 8·10⁸-candidate join is a
+    // single leaf pair — no traversal step left to poll at.
+    let ds = Dataset::from_flat(2, vec![0.5; 2 * 40_000]).unwrap();
+    let mut ekdb = hdsj::ekdb::EkdbJoin::default();
+    ekdb.set_lifecycle(LifecycleCtx::builder().deadline_ms(100).build());
+    let started = Instant::now();
+    let err = ekdb
+        .self_join(&ds, &JoinSpec::l2(0.01), &mut CountSink::default())
+        .unwrap_err();
+    assert!(matches!(err, Error::DeadlineExceeded(_)), "{err:?}");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "stopped after {took:?}");
+}

@@ -65,17 +65,45 @@ fn check_all_two(a: &Dataset, b: &Dataset, spec: &JoinSpec, label: &str) {
     }
 }
 
+/// EKDB and SM1D by name — no roster skip can hide them — on inputs whose
+/// leaves and projection span several candidate tiles: brute-force results
+/// through the shared tile join's block path.
+fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) {
+    let want = ground_truth_self(ds, spec);
+    let (tracer, mem) = hdsj::obs::Tracer::memory();
+    let mut ekdb = hdsj::ekdb::EkdbJoin::default();
+    ekdb.set_tracer(tracer.clone());
+    let mut sink = VecSink::default();
+    let stats = ekdb.self_join(ds, spec, &mut sink).unwrap();
+    tracer.flush();
+    verify::assert_same_results(&format!("{label}/EKDB"), &want, &sink.pairs);
+    let tally = |name| mem.counter_value(name).unwrap_or(0);
+    let block = tally("ekdb.sweep.block_candidates");
+    assert!(block > 0, "{label}: EKDB gathered no tile");
+    assert_eq!(
+        block + tally("ekdb.sweep.pair_candidates"),
+        stats.candidates,
+        "{label}"
+    );
+
+    let mut sink = VecSink::default();
+    hdsj::sortmerge::SortMergeJoin::default()
+        .self_join(ds, spec, &mut sink)
+        .unwrap();
+    verify::assert_same_results(&format!("{label}/SM1D"), &want, &sink.pairs);
+}
+
 #[test]
 fn uniform_self_join_across_dims_and_eps() {
     // d = 16 at ε = 0.8 leaves every point in MSJ's level 0: one cell whose
     // sweep spans several candidate tiles.
     for (d, eps) in [(2usize, 0.03), (3, 0.1), (6, 0.3), (12, 0.5), (16, 0.8)] {
         let ds = uniform(d, 500, d as u64 * 31 + 1).unwrap();
-        check_all_self(
-            &ds,
-            &JoinSpec::new(eps, Metric::L2),
-            &format!("uniform d={d}"),
-        );
+        let spec = JoinSpec::new(eps, Metric::L2);
+        check_all_self(&ds, &spec, &format!("uniform d={d}"));
+        if d == 16 {
+            check_tiled_self(&ds, &spec, "uniform d=16");
+        }
     }
 }
 
@@ -139,6 +167,7 @@ fn fourier_feature_workload_matches() {
     // The paper's regime: d = 64 rows, a few dozen lanes per candidate tile.
     let ds = timeseries::fourier_dataset(64, 600, 128, 2026).unwrap();
     check_all_self(&ds, &JoinSpec::new(0.1, Metric::L2), "fourier d=64");
+    check_tiled_self(&ds, &JoinSpec::new(0.1, Metric::L2), "fourier d=64");
 }
 
 #[test]
