@@ -3,11 +3,13 @@
 //!
 //! Two halves:
 //!
-//! 1. Every non-baseline vendor intrinsic (`_mm256_*`, `_mm512_*`) must be
-//!    written inside a function carrying a matching
-//!    `#[target_feature(enable = "…")]` attribute. Baseline features
-//!    (`sse2` via `_mm_*`, `neon` via `v*q_*`) compile unconditionally on
-//!    their targets and need no gate.
+//! 1. Every non-baseline vendor intrinsic (`_mm256_*`, `_mm512_*`) and
+//!    every AVX-512 vector/mask type (`__m512d`, `__mmask8`, …) must be
+//!    written inside a function — body or signature — carrying a matching
+//!    `#[target_feature(enable = "…")]` attribute; a wider gate covers
+//!    the features it implies (`avx512f` ⊇ `avx2` ⊇ `avx`). Baseline
+//!    features (`sse2` via `_mm_*`, `neon` via `v*q_*`) compile
+//!    unconditionally on their targets and need no gate.
 //! 2. Every `#[target_feature]`-gated function with a non-baseline feature
 //!    may only be entered from (a) another function gated on the same
 //!    feature, (b) a dispatch shim in `simd/mod.rs` that branches on the
@@ -20,7 +22,7 @@
 use super::Analysis;
 use crate::diag::{Diagnostic, Level};
 use crate::lexer::TokenKind;
-use crate::parse::FileModel;
+use crate::parse::{FileModel, FnSpan};
 use std::collections::BTreeSet;
 
 pub const RULE: &str = "target_feature_gate";
@@ -32,13 +34,48 @@ const BASELINE: &[&str] = &["sse", "sse2", "neon"];
 /// Gate features accepted for each intrinsic family. `None` marks a
 /// baseline (or unrecognized) name.
 fn required_features(name: &str) -> Option<&'static [&'static str]> {
-    if name.starts_with("_mm512_") {
+    if name.starts_with("_mm512_") || name.starts_with("__m512") || name.starts_with("__mmask")
+    {
         Some(&["avx512f"])
     } else if name.starts_with("_mm256_") {
         Some(&["avx2", "avx"])
     } else {
         None
     }
+}
+
+/// True when a fn gated on `gate` may use feature `feat`: the same
+/// feature, or one the compiler enables along with it.
+fn covers(gate: &str, feat: &str) -> bool {
+    gate == feat
+        || match gate {
+            "avx512f" => matches!(feat, "avx2" | "avx"),
+            "avx2" => feat == "avx",
+            _ => false,
+        }
+}
+
+/// The fn holding token `ti` in its signature or, failing that, its body:
+/// vector types sit in parameter lists and return types, ahead of the `{`
+/// that [`FileModel::enclosing_fn`] starts from.
+fn owning_fn(file: &FileModel, ti: usize) -> Option<&FnSpan> {
+    let toks = &file.tokens;
+    let mut brackets = 0u32;
+    for (j, t) in toks.iter().enumerate().skip(ti) {
+        if t.is_punct('[') {
+            brackets += 1;
+        } else if t.is_punct(']') {
+            brackets = brackets.saturating_sub(1);
+        } else if t.is_punct('{') {
+            if let Some(f) = file.fns.iter().find(|f| f.body_start == j) {
+                return Some(f);
+            }
+            break;
+        } else if t.is_punct('}') || (t.is_punct(';') && brackets == 0) {
+            break;
+        }
+    }
+    file.enclosing_fn(ti)
 }
 
 /// Token ranges (inclusive) covered by `use` declarations. An intrinsic
@@ -225,10 +262,13 @@ pub fn check(a: &Analysis, out: &mut Vec<Diagnostic>) {
             if f.is_test_line(t.line) || f.suppressed(RULE, t.line) {
                 continue;
             }
-            let gated = f
-                .enclosing_fn(ti)
+            let gated = owning_fn(f, ti)
                 .and_then(|s| a.symbols.fn_id_at(fi, s.body_start))
-                .is_some_and(|id| feats.iter().any(|ft| gates[id].iter().any(|g| g == ft)));
+                .is_some_and(|id| {
+                    feats
+                        .iter()
+                        .any(|ft| gates[id].iter().any(|g| covers(g, ft)))
+                });
             if !gated {
                 out.push(Diagnostic {
                     rule: RULE,
@@ -236,7 +276,7 @@ pub fn check(a: &Analysis, out: &mut Vec<Diagnostic>) {
                     path: f.path.clone(),
                     line: t.line,
                     message: format!(
-                        "intrinsic `{}` used outside a `#[target_feature(enable = \"{}\")]` function",
+                        "`{}` used outside a `#[target_feature(enable = \"{}\")]` function",
                         t.text, feats[0]
                     ),
                 });
@@ -275,7 +315,7 @@ pub fn check(a: &Analysis, out: &mut Vec<Diagnostic>) {
                 if cfile.is_test_line(site.line) || cfile.suppressed(RULE, site.line) {
                     continue;
                 }
-                let caller_gated = nb.iter().all(|ft| gates[f].iter().any(|c| c == ft));
+                let caller_gated = nb.iter().all(|ft| gates[f].iter().any(|c| covers(c, ft)));
                 if caller_gated || is_shim(a, f) || is_probe(a, &mods, f) {
                     continue;
                 }
@@ -324,6 +364,37 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 1);
         assert!(d[0].message.contains("_mm256_setzero_pd"), "{d:?}");
+    }
+
+    #[test]
+    fn avx512_types_in_signatures_need_the_avx512f_gate() {
+        let d = run(&[(
+            "crates/core/src/simd/x.rs",
+            "fn bare(v: __m512d) -> __mmask8 { 0 }\n\
+             #[target_feature(enable = \"avx2\")]\n\
+             fn narrow(v: __m512d) {}\n\
+             #[target_feature(enable = \"avx512f\")]\n\
+             fn wide(v: __m512d) -> __mmask8 { let _ = _mm256_setzero_pd(); 0 }\n",
+        )]);
+        let lines: Vec<u32> = d.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [1, 1, 3], "{d:?}");
+        assert!(d[0].message.contains("avx512f"), "{d:?}");
+    }
+
+    #[test]
+    fn a_wider_gate_may_enter_the_gates_it_implies_but_not_the_reverse() {
+        let d = run(&[(
+            "crates/core/src/simd/x.rs",
+            "#[target_feature(enable = \"avx2\")]\n\
+             fn four() { let _ = _mm256_setzero_pd(); }\n\
+             #[target_feature(enable = \"avx512f\")]\n\
+             fn eight() { let _ = _mm512_setzero_pd(); four(); }\n\
+             #[target_feature(enable = \"avx2\")]\n\
+             fn lifted() { eight(); }\n",
+        )]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 6);
+        assert!(d[0].message.contains("lifted"), "{d:?}");
     }
 
     #[test]

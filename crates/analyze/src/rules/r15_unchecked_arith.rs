@@ -10,8 +10,8 @@
 //!    `e` bound by a `let` with arithmetic is proved at its definition
 //!    (the deny points at the `let`, where the wrap would happen).
 //! 2. Arguments passed into same-file *sink helpers* — functions whose
-//!    body offsets a raw pointer by one of their parameters (`load2`,
-//!    `load4`). The unchecked arithmetic happens at the call site, before
+//!    body offsets a raw pointer by one of their parameters (`load`,
+//!    `load2`). The unchecked arithmetic happens at the call site, before
 //!    the helper's own `debug_assert` can see it.
 //! 3. Arithmetic *inside* `assert!`/`debug_assert!` conditions: a bounds
 //!    check of the shape `at + k <= xs.len()` wraps before it checks in

@@ -49,6 +49,10 @@ fn bad_fixtures_produce_exactly_the_expected_diagnostics() {
         // The dataflow rules key off the unsafe SIMD layer's path.
         fixture("r13_bad.rs", "crates/core/src/simd/r13_bad.rs"),
         fixture("r14_bad.rs", "crates/core/src/simd/r14_bad.rs"),
+        fixture(
+            "r14_avx512_bad.rs",
+            "crates/core/src/simd/r14_avx512_bad.rs",
+        ),
         fixture("r15_bad.rs", "crates/core/src/simd/r15_bad.rs"),
     ]);
     let got: Vec<(String, &str, u32, Level)> = ws
@@ -123,6 +127,39 @@ fn bad_fixtures_produce_exactly_the_expected_diagnostics() {
             "unsafe_bounds",
             13,
             Level::Deny,
+        ),
+        // AVX-512 tier: an ungated `__mmask8` signature; a `__m512d` and
+        // an entry into the `avx512f` load under an `avx2`-only gate; the
+        // wrapping bounds check of the 8-lane load (its R13 note follows).
+        (
+            "crates/core/src/simd/r14_avx512_bad.rs".into(),
+            "target_feature_gate",
+            7,
+            Level::Deny,
+        ),
+        (
+            "crates/core/src/simd/r14_avx512_bad.rs".into(),
+            "target_feature_gate",
+            13,
+            Level::Deny,
+        ),
+        (
+            "crates/core/src/simd/r14_avx512_bad.rs".into(),
+            "target_feature_gate",
+            13,
+            Level::Deny,
+        ),
+        (
+            "crates/core/src/simd/r14_avx512_bad.rs".into(),
+            "unchecked_arith",
+            19,
+            Level::Deny,
+        ),
+        (
+            "crates/core/src/simd/r14_avx512_bad.rs".into(),
+            "unsafe_bounds",
+            21,
+            Level::Note,
         ),
         (
             "crates/core/src/simd/r14_bad.rs".into(),
@@ -274,6 +311,10 @@ fn good_fixtures_are_clean() {
         // The R14 good fixture is the dispatch-shim pattern itself, so it
         // mounts at the one path the rule treats as a shim.
         fixture("r14_good.rs", "crates/core/src/simd/mod.rs"),
+        fixture(
+            "r14_avx512_good.rs",
+            "crates/core/src/simd/r14_avx512_good.rs",
+        ),
         fixture("r15_good.rs", "crates/core/src/simd/r15_good.rs"),
     ]);
     let diags = ws.check();

@@ -388,7 +388,9 @@ fn sweep_block(ds: &hdsj_core::Dataset, eps: f64, reps: usize) -> (f64, u64) {
 /// bit-exactness contract, enforced here on real workload data, not just
 /// in unit tests. ε sits at the 25% pair quantile so most candidates
 /// survive deep into the dimension loop and the sweep measures kernel
-/// throughput rather than early-exit latency.
+/// throughput rather than early-exit latency. Rows are `pair_<tier>` and
+/// `block_<tier>` per supported tier (`block_avx512` is the 8-lane
+/// kernel; `pair_avx512` re-times the AVX2 pair kernel that tier uses).
 fn bench_kernel_sweep(kd: &hdsj_core::Dataset, quick: bool) -> Result<()> {
     use hdsj_core::simd;
     let eps = hdsj_bench::eps_for_sample_quantile(kd, Metric::L2, 0.25, 50_000);

@@ -115,16 +115,20 @@ impl<'a> Refiner<'a> {
                 }
             }
             JoinKind::SelfJoin => {
-                let diag = block.ids()[lanes].iter().filter(|&&j| j == i).count() as u64;
-                self.candidates += n - diag;
-                self.dist_evals += n - diag;
+                // A diagonal lane is at distance 0, so the kernel always
+                // lists it: counting `j == i` among the hits finds every
+                // one without a scan of the window's ids.
+                let mut diag = 0;
                 for &j in &self.scratch {
                     if j == i {
+                        diag += 1;
                         continue;
                     }
                     self.results += 1;
                     self.sink.push(i.min(j), i.max(j));
                 }
+                self.candidates += n - diag;
+                self.dist_evals += n - diag;
             }
         }
     }
@@ -213,6 +217,10 @@ mod tests {
                     blocked.offer_block(i, &tile, 20..15);
                     blocked.offer_block(i, &tile, 15..30);
                 }
+                // A window whose only lane is the diagonal: a self-join
+                // neither counts nor emits it, a two-set join does both.
+                serial.offer(7, 7);
+                blocked.offer_block(7, &tile, 7..8);
                 assert_eq!(blocked.counters(), serial.counters(), "{metric:?} {kind:?}");
                 drop((serial, blocked));
                 assert_eq!(block_sink.pairs, serial_sink.pairs, "{metric:?} {kind:?}");

@@ -1,12 +1,12 @@
 //! Runtime-dispatched SIMD distance kernels.
 //!
 //! Every public function here is a thin dispatcher: a one-time capability
-//! probe picks the best kernel tier the host supports (AVX2 → SSE2 →
-//! scalar on x86-64, NEON → scalar on aarch64), and all subsequent calls
-//! jump straight to that tier. The probe honours the `HDSJ_SIMD`
-//! environment variable (`off`/`scalar`, `sse2`, `avx2`, `neon` — clamped
-//! to what the host actually supports), and tests/benches can override it
-//! programmatically with [`set_level`].
+//! probe picks the best kernel tier the host supports (AVX-512 → AVX2 →
+//! SSE2 → scalar on x86-64, NEON → scalar on aarch64), and all subsequent
+//! calls jump straight to that tier. The probe honours the `HDSJ_SIMD`
+//! environment variable (`off`/`scalar`, `sse2`, `avx2`, `avx512`, `neon`
+//! — clamped to what the host actually supports), and tests/benches can
+//! override it programmatically with [`set_level`].
 //!
 //! ## The exactness contract
 //!
@@ -52,8 +52,12 @@ pub enum Level {
     Sse2 = 2,
     /// Four f64 lanes per vector (runtime-probed).
     Avx2 = 3,
+    /// Eight candidates per vector in the block kernels (runtime-probed
+    /// `avx512f`); pair kernels are the AVX2 ones, whose canonical fold
+    /// has only four accumulators to fill.
+    Avx512 = 4,
     /// Two f64 lanes per vector (aarch64 baseline).
-    Neon = 4,
+    Neon = 5,
 }
 
 impl Level {
@@ -63,6 +67,7 @@ impl Level {
             Level::Scalar => "scalar",
             Level::Sse2 => "sse2",
             Level::Avx2 => "avx2",
+            Level::Avx512 => "avx512",
             Level::Neon => "neon",
         }
     }
@@ -71,7 +76,8 @@ impl Level {
         match v {
             2 => Level::Sse2,
             3 => Level::Avx2,
-            4 => Level::Neon,
+            4 => Level::Avx512,
+            5 => Level::Neon,
             _ => Level::Scalar,
         }
     }
@@ -118,6 +124,9 @@ pub fn supported() -> Vec<Level> {
         if std::arch::is_x86_feature_detected!("avx2") {
             tiers.push(Level::Avx2);
         }
+        if x86::avx512_available() {
+            tiers.push(Level::Avx512);
+        }
     }
     #[cfg(target_arch = "aarch64")]
     tiers.push(Level::Neon);
@@ -132,21 +141,28 @@ pub fn best() -> Level {
 /// The level the environment asks for: `HDSJ_SIMD` if set (unknown values
 /// fall back to the host's best), else the host's best.
 fn requested() -> Level {
-    match std::env::var("HDSJ_SIMD") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "off" | "scalar" | "0" => Level::Scalar,
-            "sse2" => Level::Sse2,
-            "avx2" => Level::Avx2,
-            "neon" => Level::Neon,
-            _ => best(),
-        },
-        Err(_) => best(),
+    std::env::var("HDSJ_SIMD")
+        .ok()
+        .and_then(|v| parse_level(&v))
+        .unwrap_or_else(best)
+}
+
+/// Parses an `HDSJ_SIMD` spelling: a [`Level::name`], or `off`/`0` for
+/// the scalar kernels.
+fn parse_level(v: &str) -> Option<Level> {
+    match v.trim().to_ascii_lowercase().as_str() {
+        "off" | "scalar" | "0" => Some(Level::Scalar),
+        "sse2" => Some(Level::Sse2),
+        "avx2" => Some(Level::Avx2),
+        "avx512" => Some(Level::Avx512),
+        "neon" => Some(Level::Neon),
+        _ => None,
     }
 }
 
 /// Clamps a requested tier to the host: the most capable supported tier
-/// that does not exceed the request (requesting `avx2` on an SSE2-only
-/// host yields `sse2`; requesting `neon` on x86 yields the x86 best).
+/// that does not exceed the request (requesting `avx512` on an AVX2 host
+/// yields `avx2`; requesting `neon` on x86 yields the x86 best).
 fn clamp(requested: Level) -> Level {
     supported()
         .into_iter()
@@ -167,7 +183,7 @@ pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
         #[cfg(target_arch = "x86_64")]
         Level::Sse2 => x86::sse2_l1_distance(a, b),
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l1_distance(a, b),
+        Level::Avx2 | Level::Avx512 => x86::avx2_l1_distance(a, b),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::l1_distance(a, b),
         _ => kernels::l1_distance(a, b),
@@ -180,7 +196,7 @@ pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
         #[cfg(target_arch = "x86_64")]
         Level::Sse2 => x86::sse2_l2_distance(a, b),
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l2_distance(a, b),
+        Level::Avx2 | Level::Avx512 => x86::avx2_l2_distance(a, b),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::l2_distance(a, b),
         _ => kernels::l2_distance(a, b),
@@ -193,7 +209,7 @@ pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
         #[cfg(target_arch = "x86_64")]
         Level::Sse2 => x86::sse2_linf_distance(a, b),
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_linf_distance(a, b),
+        Level::Avx2 | Level::Avx512 => x86::avx2_linf_distance(a, b),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::linf_distance(a, b),
         _ => kernels::linf_distance(a, b),
@@ -212,7 +228,7 @@ pub fn l1_within(a: &[f64], b: &[f64], eps: f64) -> bool {
         #[cfg(target_arch = "x86_64")]
         Level::Sse2 => x86::sse2_l1_within(a, b, eps),
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l1_within(a, b, eps),
+        Level::Avx2 | Level::Avx512 => x86::avx2_l1_within(a, b, eps),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::l1_within(a, b, eps),
         _ => kernels::l1_within(a, b, eps),
@@ -225,7 +241,7 @@ pub fn l2_within(a: &[f64], b: &[f64], eps: f64) -> bool {
         #[cfg(target_arch = "x86_64")]
         Level::Sse2 => x86::sse2_l2_within(a, b, eps),
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l2_within(a, b, eps),
+        Level::Avx2 | Level::Avx512 => x86::avx2_l2_within(a, b, eps),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::l2_within(a, b, eps),
         _ => kernels::l2_within(a, b, eps),
@@ -238,7 +254,7 @@ pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
         #[cfg(target_arch = "x86_64")]
         Level::Sse2 => x86::sse2_linf_within(a, b, eps),
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_linf_within(a, b, eps),
+        Level::Avx2 | Level::Avx512 => x86::avx2_linf_within(a, b, eps),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::linf_within(a, b, eps),
         _ => kernels::linf_within(a, b, eps),
@@ -268,6 +284,8 @@ pub fn l1_within_block(
         Level::Sse2 => x86::sse2_l1_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => x86::avx2_l1_within_block(probe, block, lanes, eps, out),
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => x86::avx512_l1_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::l1_within_block(probe, block, lanes, eps, out),
         _ => portable::l1_within_block(probe, block, lanes, eps, out),
@@ -287,6 +305,8 @@ pub fn l2_within_block(
         Level::Sse2 => x86::sse2_l2_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => x86::avx2_l2_within_block(probe, block, lanes, eps, out),
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => x86::avx512_l2_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::l2_within_block(probe, block, lanes, eps, out),
         _ => portable::l2_within_block(probe, block, lanes, eps, out),
@@ -306,6 +326,8 @@ pub fn linf_within_block(
         Level::Sse2 => x86::sse2_linf_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => x86::avx2_linf_within_block(probe, block, lanes, eps, out),
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => x86::avx512_linf_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "aarch64")]
         Level::Neon => neon::linf_within_block(probe, block, lanes, eps, out),
         _ => portable::linf_within_block(probe, block, lanes, eps, out),
@@ -329,6 +351,14 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
 
+    const ALL_LEVELS: [Level; 5] = [
+        Level::Scalar,
+        Level::Sse2,
+        Level::Avx2,
+        Level::Avx512,
+        Level::Neon,
+    ];
+
     fn ds(n: usize, dims: usize) -> Dataset {
         let flat: Vec<f64> = (0..n * dims)
             .map(|i| ((i as f64 * 0.43).sin() * 0.5 + 0.5).abs())
@@ -338,7 +368,7 @@ mod tests {
 
     #[test]
     fn clamp_never_exceeds_the_request_or_the_host() {
-        for req in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Neon] {
+        for req in ALL_LEVELS {
             let eff = clamp(req);
             assert!(eff <= req, "{req:?} -> {eff:?}");
             assert!(supported().contains(&eff), "{req:?} -> {eff:?}");
@@ -434,10 +464,13 @@ mod tests {
 
     #[test]
     fn level_names_round_trip_the_env_spelling() {
-        for l in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Neon] {
-            assert!(!l.name().is_empty());
+        for l in ALL_LEVELS {
+            assert_eq!(parse_level(l.name()), Some(l));
+            assert_eq!(Level::from_u8(l as u8), l);
         }
-        assert_eq!(Level::from_u8(Level::Avx2 as u8), Level::Avx2);
+        assert_eq!(parse_level(" AVX512\n"), Some(Level::Avx512));
+        assert_eq!(parse_level("off"), Some(Level::Scalar));
+        assert_eq!(parse_level("avx9000"), None);
         assert_eq!(Level::from_u8(0), Level::Scalar);
     }
 }

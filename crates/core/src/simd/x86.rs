@@ -1,36 +1,37 @@
-//! Explicit SSE2/AVX2 distance kernels for x86-64.
+//! Explicit SSE2/AVX2/AVX-512 distance kernels for x86-64.
 //!
 //! Every kernel here reproduces the **exact** arithmetic of the 4-lane
 //! scalar kernels in [`crate::kernels`]: dimensions `≡ k (mod 4)` feed
 //! lane accumulator `k` with plain IEEE sub/mul/add (never FMA), the
 //! per-candidate sum is the canonical monotone fold
 //! `(acc0 + acc1) + (acc2 + acc3)` plus a separately chained scalar tail,
-//! and `abs` is a sign-bit mask (`andnot` with `-0.0`), which matches
-//! `f64::abs` bit for bit. Because the fold is monotone in the
-//! non-negative terms, *any* early-exit schedule — per super-block here,
-//! all-lanes-exceed for candidate groups — returns the same decision as
-//! the full sum, so `within` decisions (and therefore join results) are
-//! byte-identical across dispatch levels.
+//! and `abs` clears the sign bit, which matches `f64::abs` bit for bit.
+//! Because the fold is monotone in the non-negative terms, *any*
+//! early-exit schedule — per super-block in the pair kernels,
+//! all-lanes-exceed per [`check_due`] for candidate groups — returns the
+//! same decision as the full sum, so `within` decisions (and therefore
+//! join results) are byte-identical across dispatch levels.
 //!
 //! The AVX2 pair kernels hold all four dimension lanes in one `__m256d`;
 //! the SSE2 pair kernels split them across two `__m128d`s. The block
-//! kernels vectorize **across candidates** instead: four (AVX2) or two
-//! (SSE2) candidates per vector, one accumulator vector per dimension
-//! lane, streaming the contiguous [`SoABlock`] columns.
+//! kernel vectorizes **across candidates** instead — two (SSE2), four
+//! (AVX2) or eight (AVX-512) candidates per vector, one accumulator
+//! vector per dimension lane, streaming the contiguous [`SoABlock`]
+//! columns — and is one body ([`block_kernel!`]) for all three widths.
 //!
 //! This file (with `neon.rs`) is the only place in the workspace where
 //! `unsafe` is permitted: hdsj-core carries `#![deny(unsafe_code)]` and
 //! every other crate keeps `forbid`. The unsafe surface is exactly (a)
 //! unaligned vector loads/stores on in-bounds slice regions and (b) the
-//! AVX2 entry wrappers, whose target feature the dispatch probe has
-//! verified. Each carries a `SAFETY:` comment per R2.
+//! AVX2/AVX-512 entry wrappers, whose target features the dispatch probe
+//! has verified. Each carries a `SAFETY:` comment per R2.
 #![allow(unsafe_code)]
 
 use crate::simd::portable;
 use crate::soa::SoABlock;
 use std::ops::Range;
 
-/// Scalar tail term, shared by both widths: `(x−y)²` or `|x−y|`.
+/// Scalar tail term of the pair kernels: `(x−y)²` or `|x−y|`.
 #[inline(always)]
 fn sterm<const SQ: bool>(x: f64, y: f64) -> f64 {
     if SQ {
@@ -40,20 +41,153 @@ fn sterm<const SQ: bool>(x: f64, y: f64) -> f64 {
     }
 }
 
-/// Pushes the ids of qualifying lanes `t..t+G` (bit `k` of `mask` set),
+/// Pushes the ids of qualifying lanes `t..t+g` (bit `k` of `mask` set),
 /// capped at the requested lane range end.
 #[inline(always)]
-fn emit(mask: i32, t: usize, end: usize, g: usize, ids: &[u32], out: &mut Vec<u32>) {
-    let lanes = (end - t).min(g);
-    for k in 0..lanes {
-        if (mask >> k) & 1 == 1 {
-            out.push(ids[t + k]);
+fn emit(mask: u32, t: usize, end: usize, g: usize, ids: &[u32], out: &mut Vec<u32>) {
+    let mut hits = mask & ((1u32 << (end - t).min(g)) - 1);
+    while hits != 0 {
+        out.push(ids[t + hits.trailing_zeros() as usize]);
+        hits &= hits - 1;
+    }
+}
+
+/// The block kernels' early-exit schedule: the all-lanes-rejected check
+/// runs after `dim` (a multiple of 4) dimensions when this holds — every
+/// 4 dimensions up to 16, every 16 after that. The partial sums (and
+/// running maxima) are monotone, so *which* steps carry a check never
+/// changes a decision, only how soon a hopeless group is dropped — and
+/// at d ≤ 16 a group is usually hopeless well before its last step.
+#[inline(always)]
+fn check_due(dim: usize) -> bool {
+    dim <= 16 || dim.is_multiple_of(16)
+}
+
+/// Lanes past the last full vector group of the SSE2/AVX2 block kernels
+/// (at most `LANE_PAD − 1` of them): the portable strided kernels are
+/// decision-identical.
+fn tail_lanes<const SQ: bool, const MAX: bool>(
+    probe: &[f64],
+    block: &SoABlock,
+    lanes: Range<usize>,
+    budget: f64,
+    out: &mut Vec<u32>,
+) {
+    for t in lanes {
+        let within = if MAX {
+            portable::max_within_budget(probe, block, t, budget)
+        } else {
+            portable::sum_within_budget::<SQ>(probe, block, t, budget)
+        };
+        if within {
+            out.push(block.ids()[t]);
         }
     }
 }
 
+/// The across-candidate block kernel, written once and instantiated in
+/// `sse2` (2 lanes), `avx2` (4) and `avx512` (8). Everything
+/// width-specific is a name the instantiating module supplies: `LANES`,
+/// `load`, `splat`, `term`, `acc`, `gt_mask`, `le_mask`, and `tail_lanes`
+/// for the lanes past the last full group. A macro rather than a generic
+/// fn because the body must itself carry the module's `#[target_feature]`
+/// for those helpers to inline into it.
+macro_rules! block_kernel {
+    ($feature:literal) => {
+        /// Block filter: pushes the id of every lane in `lanes` whose
+        /// candidate is within `budget` of `probe` — `Σ term ≤ budget`
+        /// (L1; L2 with `SQ` and a squared budget) or, with `MAX`,
+        /// `max |probeᵢ − cᵢ| ≤ budget` (L∞) — `LANES` candidates per
+        /// vector group, streaming the SoA columns.
+        ///
+        /// Accumulator `a_k` collects dimensions `≡ k (mod 4)`, the
+        /// per-lane result is `(a0 + a1) + (a2 + a3)` plus a separately
+        /// chained `d mod 4` tail — the scalar kernels' decomposition, one
+        /// candidate per vector lane (for `MAX` every `+` is a `max`, which
+        /// no grouping can change). The four accumulators are named
+        /// locals, not an array threaded through a helper: a spilled
+        /// accumulator array turns the hot loop into stack traffic.
+        #[target_feature(enable = $feature)]
+        pub fn within_block<const SQ: bool, const MAX: bool>(
+            probe: &[f64],
+            block: &SoABlock,
+            lanes: Range<usize>,
+            budget: f64,
+            out: &mut Vec<u32>,
+        ) {
+            let d = probe.len();
+            debug_assert_eq!(d, block.dims());
+            debug_assert!(lanes.end <= block.len());
+            let width = block.width();
+            let ids = block.ids();
+            let data = block.data();
+            let vbudget = splat(budget);
+            let all = (1u32 << LANES) - 1;
+            let mut t = lanes.start;
+            'group: while t < lanes.end && t + LANES <= width {
+                let g = t;
+                t += LANES;
+                let (mut a0, mut a1, mut a2, mut a3) =
+                    (splat(0.0), splat(0.0), splat(0.0), splat(0.0));
+                let mut dim = 0;
+                while dim + 4 <= d {
+                    // Columns are addressed as dimension-major offsets into
+                    // `data` (one strength-reduced index chain) rather than
+                    // via a per-dimension column slice, whose construction
+                    // is an innermost-loop bounds check.
+                    // BOUND: dim + 4 <= dims and g + LANES <= width, so every
+                    // offset below is < dims * width = data.len(); fits usize.
+                    let o = dim * width + g;
+                    a0 = acc::<MAX>(a0, term::<SQ>(splat(probe[dim]), load(data, o)));
+                    a1 = acc::<MAX>(
+                        a1,
+                        term::<SQ>(splat(probe[dim + 1]), load(data, o + width)), // BOUND: see `o`
+                    );
+                    a2 = acc::<MAX>(
+                        a2,
+                        term::<SQ>(splat(probe[dim + 2]), load(data, o + 2 * width)), // BOUND: see `o`
+                    );
+                    a3 = acc::<MAX>(
+                        a3,
+                        term::<SQ>(splat(probe[dim + 3]), load(data, o + 3 * width)), // BOUND: see `o`
+                    );
+                    dim += 4;
+                    // Every lane's final value is at least its partial one,
+                    // so once all of them exceed the budget all `LANES`
+                    // decisions are already `false`.
+                    if check_due(dim) {
+                        let partial = acc::<MAX>(acc::<MAX>(a0, a1), acc::<MAX>(a2, a3));
+                        if gt_mask(partial, vbudget) == all {
+                            continue 'group;
+                        }
+                    }
+                }
+                let mut tail = splat(0.0);
+                while dim < d {
+                    // BOUND: dim < d = dims, g + LANES <= width ⇒ offset < dims * width.
+                    let c = load(data, dim * width + g);
+                    tail = acc::<MAX>(tail, term::<SQ>(splat(probe[dim]), c));
+                    dim += 1;
+                }
+                let total =
+                    acc::<MAX>(acc::<MAX>(acc::<MAX>(a0, a1), acc::<MAX>(a2, a3)), tail);
+                emit(le_mask(total, vbudget), g, lanes.end, LANES, ids, out);
+            }
+            if t < lanes.end {
+                tail_lanes::<SQ, MAX>(probe, block, t..lanes.end, budget, out);
+            }
+        }
+    };
+}
+
 fn avx2_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// The 8-lane tier needs `avx512f` for its own body and `avx2` for the
+/// pair kernels and the trailing 4-lane group it hands down.
+pub fn avx512_available() -> bool {
+    avx2_available() && std::arch::is_x86_feature_detected!("avx512f")
 }
 
 // ---------------------------------------------------------------------
@@ -127,7 +261,7 @@ pub fn avx2_l1_within_block(
     // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
     // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
     // reports support, so the required target feature is present.
-    unsafe { avx2::sum_within_block::<false>(probe, block, lanes, eps, out) }
+    unsafe { avx2::within_block::<false, false>(probe, block, lanes, eps, out) }
 }
 
 /// L2 block filter via the AVX2 across-candidate kernel.
@@ -142,7 +276,7 @@ pub fn avx2_l2_within_block(
     // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
     // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
     // reports support, so the required target feature is present.
-    unsafe { avx2::sum_within_block::<true>(probe, block, lanes, eps * eps, out) }
+    unsafe { avx2::within_block::<true, false>(probe, block, lanes, eps * eps, out) }
 }
 
 /// L∞ block filter via the AVX2 across-candidate kernel.
@@ -157,7 +291,56 @@ pub fn avx2_linf_within_block(
     // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
     // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
     // reports support, so the required target feature is present.
-    unsafe { avx2::linf_within_block(probe, block, lanes, eps, out) }
+    unsafe { avx2::within_block::<false, true>(probe, block, lanes, eps, out) }
+}
+
+// ---------------------------------------------------------------------
+// AVX-512 entry points: block kernels only (see `mod avx512`).
+// ---------------------------------------------------------------------
+
+/// L1 block filter via the AVX-512 across-candidate kernel.
+pub fn avx512_l1_within_block(
+    probe: &[f64],
+    block: &SoABlock,
+    lanes: Range<usize>,
+    eps: f64,
+    out: &mut Vec<u32>,
+) {
+    debug_assert!(avx512_available());
+    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
+    // select the AVX-512 kernels only after `avx512_available()` reports
+    // `avx512f` and `avx2`, so the required target features are present.
+    unsafe { avx512::within_block::<false, false>(probe, block, lanes, eps, out) }
+}
+
+/// L2 block filter via the AVX-512 across-candidate kernel.
+pub fn avx512_l2_within_block(
+    probe: &[f64],
+    block: &SoABlock,
+    lanes: Range<usize>,
+    eps: f64,
+    out: &mut Vec<u32>,
+) {
+    debug_assert!(avx512_available());
+    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
+    // select the AVX-512 kernels only after `avx512_available()` reports
+    // `avx512f` and `avx2`, so the required target features are present.
+    unsafe { avx512::within_block::<true, false>(probe, block, lanes, eps * eps, out) }
+}
+
+/// L∞ block filter via the AVX-512 across-candidate kernel.
+pub fn avx512_linf_within_block(
+    probe: &[f64],
+    block: &SoABlock,
+    lanes: Range<usize>,
+    eps: f64,
+    out: &mut Vec<u32>,
+) {
+    debug_assert!(avx512_available());
+    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
+    // select the AVX-512 kernels only after `avx512_available()` reports
+    // `avx512f` and `avx2`, so the required target features are present.
+    unsafe { avx512::within_block::<false, true>(probe, block, lanes, eps, out) }
 }
 
 // ---------------------------------------------------------------------
@@ -219,7 +402,7 @@ pub fn sse2_l1_within_block(
 ) {
     // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
     // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_within_block::<false>(probe, block, lanes, eps, out) }
+    unsafe { sse2::within_block::<false, false>(probe, block, lanes, eps, out) }
 }
 
 /// L2 block filter via the SSE2 across-candidate kernel.
@@ -232,7 +415,7 @@ pub fn sse2_l2_within_block(
 ) {
     // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
     // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_within_block::<true>(probe, block, lanes, eps * eps, out) }
+    unsafe { sse2::within_block::<true, false>(probe, block, lanes, eps * eps, out) }
 }
 
 /// L∞ block filter via the SSE2 across-candidate kernel.
@@ -245,7 +428,7 @@ pub fn sse2_linf_within_block(
 ) {
     // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
     // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::linf_within_block(probe, block, lanes, eps, out) }
+    unsafe { sse2::within_block::<false, true>(probe, block, lanes, eps, out) }
 }
 
 mod avx2 {
@@ -255,7 +438,7 @@ mod avx2 {
     /// Loads 4 consecutive f64s starting at `xs[at]`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn load4(xs: &[f64], at: usize) -> __m256d {
+    fn load(xs: &[f64], at: usize) -> __m256d {
         debug_assert!(xs.len() >= 4 && at <= xs.len() - 4);
         // SAFETY: callers maintain `at + 4 <= xs.len()` (pair kernels stop
         // at `dim + 4 <= d`; block kernels pass `dim * width + t` with
@@ -306,7 +489,7 @@ mod avx2 {
         let mut acc = _mm256_setzero_pd();
         let mut dim = 0;
         while dim + 4 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim), load4(b, dim)));
+            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim), load(b, dim)));
             dim += 4;
         }
         let mut tail = 0.0;
@@ -326,24 +509,24 @@ mod avx2 {
         let mut acc = _mm256_setzero_pd();
         let mut dim = 0;
         if d >= 4 {
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, 0), load4(b, 0)));
+            acc = _mm256_add_pd(acc, term::<SQ>(load(a, 0), load(b, 0)));
             if fold(acc) > budget {
                 return false;
             }
             dim = 4;
         }
         while dim + 16 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim), load4(b, dim)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim + 4), load4(b, dim + 4)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim + 8), load4(b, dim + 8)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim + 12), load4(b, dim + 12)));
+            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim), load(b, dim)));
+            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim + 4), load(b, dim + 4)));
+            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim + 8), load(b, dim + 8)));
+            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim + 12), load(b, dim + 12)));
             if fold(acc) > budget {
                 return false;
             }
             dim += 16;
         }
         while dim + 4 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim), load4(b, dim)));
+            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim), load(b, dim)));
             dim += 4;
         }
         let mut tail = 0.0;
@@ -363,7 +546,7 @@ mod avx2 {
         let mut m = _mm256_setzero_pd();
         let mut dim = 0;
         while dim + 4 <= d {
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim), load4(b, dim)));
+            m = _mm256_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
             dim += 4;
         }
         let mut tail = 0.0f64;
@@ -383,7 +566,7 @@ mod avx2 {
         let mut m = _mm256_setzero_pd();
         let mut dim = 0;
         if d >= 4 {
-            m = _mm256_max_pd(m, term::<false>(load4(a, 0), load4(b, 0)));
+            m = _mm256_max_pd(m, term::<false>(load(a, 0), load(b, 0)));
             let arr = to_array(m);
             if arr[0].max(arr[1]).max(arr[2]).max(arr[3]) > eps {
                 return false;
@@ -391,10 +574,10 @@ mod avx2 {
             dim = 4;
         }
         while dim + 16 <= d {
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim), load4(b, dim)));
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim + 4), load4(b, dim + 4)));
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim + 8), load4(b, dim + 8)));
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim + 12), load4(b, dim + 12)));
+            m = _mm256_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
+            m = _mm256_max_pd(m, term::<false>(load(a, dim + 4), load(b, dim + 4)));
+            m = _mm256_max_pd(m, term::<false>(load(a, dim + 8), load(b, dim + 8)));
+            m = _mm256_max_pd(m, term::<false>(load(a, dim + 12), load(b, dim + 12)));
             let arr = to_array(m);
             if arr[0].max(arr[1]).max(arr[2]).max(arr[3]) > eps {
                 return false;
@@ -402,7 +585,7 @@ mod avx2 {
             dim += 16;
         }
         while dim + 4 <= d {
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim), load4(b, dim)));
+            m = _mm256_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
             dim += 4;
         }
         let mut tail = 0.0f64;
@@ -414,181 +597,41 @@ mod avx2 {
         arr[0].max(arr[1]).max(arr[2]).max(arr[3]).max(tail) <= eps
     }
 
-    /// Block filter: pushes the id of every lane in `lanes` whose
-    /// candidate satisfies `Σ term(probeᵢ, cᵢ) ≤ budget`, four candidates
-    /// per vector group, streaming the SoA columns.
-    ///
-    /// The four accumulators are named locals expanded through a lexical
-    /// macro rather than an array threaded through a helper fn: a
-    /// `#[target_feature]` helper is not reliably inlined, and a spilled
-    /// accumulator array turns the hot loop into stack traffic.
+    /// Lanes per vector — the block kernels' candidate-group width.
+    const LANES: usize = 4;
+
     #[target_feature(enable = "avx2")]
-    pub fn sum_within_block<const SQ: bool>(
-        probe: &[f64],
-        block: &SoABlock,
-        lanes: Range<usize>,
-        budget: f64,
-        out: &mut Vec<u32>,
-    ) {
-        let d = probe.len();
-        debug_assert_eq!(d, block.dims());
-        debug_assert!(lanes.end <= block.len());
-        let width = block.width();
-        let ids = block.ids();
-        let data = block.data();
-        let vbudget = _mm256_set1_pd(budget);
-        let mut t = lanes.start;
-        while t < lanes.end {
-            if t + 4 > width {
-                // Ragged tail past the last full group (at most
-                // LANE_PAD − 1 lanes): the portable strided kernel is
-                // decision-identical.
-                while t < lanes.end {
-                    if portable::sum_within_budget::<SQ>(probe, block, t, budget) {
-                        out.push(ids[t]);
-                    }
-                    t += 1;
-                }
-                return;
-            }
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut a2 = _mm256_setzero_pd();
-            let mut a3 = _mm256_setzero_pd();
-            // One 4-dimension step for the group: dimension `base + k`
-            // feeds accumulator `k`, preserving the canonical per-lane
-            // decomposition of the scalar kernels. Columns are addressed
-            // as dimension-major offsets into `data` (one strength-reduced
-            // index chain) rather than via a per-dimension column slice,
-            // whose construction is an innermost-loop bounds check.
-            macro_rules! step4 {
-                ($base:expr) => {{
-                    let base = $base;
-                    // BOUND: base + 4 <= dims and t + 4 <= width, so every
-                    // offset below is < dims * width = data.len(); fits usize.
-                    let o = base * width + t;
-                    a0 = _mm256_add_pd(
-                        a0,
-                        term::<SQ>(_mm256_set1_pd(probe[base]), load4(data, o)),
-                    );
-                    a1 = _mm256_add_pd(
-                        a1,
-                        term::<SQ>(_mm256_set1_pd(probe[base + 1]), load4(data, o + width)), // BOUND: see `o`
-                    );
-                    a2 = _mm256_add_pd(
-                        a2,
-                        term::<SQ>(_mm256_set1_pd(probe[base + 2]), load4(data, o + 2 * width)), // BOUND: see `o`
-                    );
-                    a3 = _mm256_add_pd(
-                        a3,
-                        term::<SQ>(_mm256_set1_pd(probe[base + 3]), load4(data, o + 3 * width)), // BOUND: see `o`
-                    );
-                }};
-            }
-            // The lane-wise canonical fold `(a0 + a1) + (a2 + a3)`.
-            macro_rules! partial {
-                () => {
-                    _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3))
-                };
-            }
-            // True when every candidate in the group already exceeds the
-            // budget — a group-wide monotone early exit (each lane's final
-            // sum is at least its partial sum, so all four decisions are
-            // already `false`).
-            macro_rules! all_rejected {
-                () => {
-                    _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(partial!(), vbudget)) == 0xF
-                };
-            }
-            let mut dim = 0;
-            let mut alive = true;
-            if d >= 4 {
-                step4!(0);
-                alive = !all_rejected!();
-                dim = 4;
-            }
-            while alive && dim + 16 <= d {
-                step4!(dim);
-                step4!(dim + 4);
-                step4!(dim + 8);
-                step4!(dim + 12);
-                alive = !all_rejected!();
-                dim += 16;
-            }
-            if alive {
-                while dim + 4 <= d {
-                    step4!(dim);
-                    dim += 4;
-                }
-                // `d mod 4` tail dimensions: a separately chained
-                // accumulator added after the fold, as in the scalar
-                // kernels.
-                let mut tailv = _mm256_setzero_pd();
-                while dim < d {
-                    let vp = _mm256_set1_pd(probe[dim]);
-                    // BOUND: dim < d = dims, t + 4 <= width ⇒ offset < dims * width.
-                    let vc = load4(data, dim * width + t);
-                    tailv = _mm256_add_pd(tailv, term::<SQ>(vp, vc));
-                    dim += 1;
-                }
-                let total = _mm256_add_pd(partial!(), tailv);
-                let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(total, vbudget));
-                emit(mask, t, lanes.end, 4, ids, out);
-            }
-            t += 4;
+    #[inline]
+    fn splat(x: f64) -> __m256d {
+        _mm256_set1_pd(x)
+    }
+
+    /// Folds a term vector into an accumulator: `max` (`MAX`) or `+`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn acc<const MAX: bool>(a: __m256d, x: __m256d) -> __m256d {
+        if MAX {
+            _mm256_max_pd(a, x)
+        } else {
+            _mm256_add_pd(a, x)
         }
     }
 
-    /// L∞ block filter: running max per candidate, group-wide early exit.
+    /// Bit `k` set where lane `k` of `a` is `>` lane `k` of `b`.
     #[target_feature(enable = "avx2")]
-    pub fn linf_within_block(
-        probe: &[f64],
-        block: &SoABlock,
-        lanes: Range<usize>,
-        eps: f64,
-        out: &mut Vec<u32>,
-    ) {
-        let d = probe.len();
-        debug_assert_eq!(d, block.dims());
-        debug_assert!(lanes.end <= block.len());
-        let width = block.width();
-        let ids = block.ids();
-        let data = block.data();
-        let veps = _mm256_set1_pd(eps);
-        let mut t = lanes.start;
-        while t < lanes.end {
-            if t + 4 > width {
-                while t < lanes.end {
-                    if portable::max_within_budget(probe, block, t, eps) {
-                        out.push(ids[t]);
-                    }
-                    t += 1;
-                }
-                return;
-            }
-            let mut m = _mm256_setzero_pd();
-            let mut dim = 0;
-            let mut alive = true;
-            while alive && dim < d {
-                let stop = (dim + 16).min(d);
-                while dim < stop {
-                    let vp = _mm256_set1_pd(probe[dim]);
-                    // BOUND: dim < d = dims, t + 4 <= width ⇒ offset < dims * width.
-                    let vc = load4(data, dim * width + t);
-                    m = _mm256_max_pd(m, term::<false>(vp, vc));
-                    dim += 1;
-                }
-                if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(m, veps)) == 0xF {
-                    alive = false;
-                }
-            }
-            if alive {
-                let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(m, veps));
-                emit(mask, t, lanes.end, 4, ids, out);
-            }
-            t += 4;
-        }
+    #[inline]
+    fn gt_mask(a: __m256d, b: __m256d) -> u32 {
+        _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(a, b)) as u32
     }
+
+    /// Bit `k` set where lane `k` of `a` is `<=` lane `k` of `b`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn le_mask(a: __m256d, b: __m256d) -> u32 {
+        _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a, b)) as u32
+    }
+
+    block_kernel!("avx2");
 }
 
 mod sse2 {
@@ -598,7 +641,7 @@ mod sse2 {
     /// Loads 2 consecutive f64s starting at `xs[at]`. SSE2 is in the
     /// x86-64 baseline, so no feature gate is needed.
     #[inline(always)]
-    fn load2(xs: &[f64], at: usize) -> __m128d {
+    fn load(xs: &[f64], at: usize) -> __m128d {
         debug_assert!(xs.len() >= 2 && at <= xs.len() - 2);
         // SAFETY: callers maintain `at + 2 <= xs.len()` (pair kernels stop
         // at `dim + 4 <= d`; block kernels pass `dim * width + t` with
@@ -638,8 +681,8 @@ mod sse2 {
         let mut acc23 = _mm_setzero_pd();
         let mut dim = 0;
         while dim + 4 <= d {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load2(a, dim), load2(b, dim)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load2(a, dim + 2), load2(b, dim + 2)));
+            acc01 = _mm_add_pd(acc01, term::<SQ>(load(a, dim), load(b, dim)));
+            acc23 = _mm_add_pd(acc23, term::<SQ>(load(a, dim + 2), load(b, dim + 2)));
             dim += 4;
         }
         let mut tail = 0.0;
@@ -660,8 +703,8 @@ mod sse2 {
         let mut acc23 = _mm_setzero_pd();
         let mut dim = 0;
         if d >= 4 {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load2(a, 0), load2(b, 0)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load2(a, 2), load2(b, 2)));
+            acc01 = _mm_add_pd(acc01, term::<SQ>(load(a, 0), load(b, 0)));
+            acc23 = _mm_add_pd(acc23, term::<SQ>(load(a, 2), load(b, 2)));
             if fold(acc01, acc23) > budget {
                 return false;
             }
@@ -670,8 +713,8 @@ mod sse2 {
         while dim + 16 <= d {
             for c in 0..4 {
                 let at = dim + 4 * c;
-                acc01 = _mm_add_pd(acc01, term::<SQ>(load2(a, at), load2(b, at)));
-                acc23 = _mm_add_pd(acc23, term::<SQ>(load2(a, at + 2), load2(b, at + 2)));
+                acc01 = _mm_add_pd(acc01, term::<SQ>(load(a, at), load(b, at)));
+                acc23 = _mm_add_pd(acc23, term::<SQ>(load(a, at + 2), load(b, at + 2)));
             }
             if fold(acc01, acc23) > budget {
                 return false;
@@ -679,8 +722,8 @@ mod sse2 {
             dim += 16;
         }
         while dim + 4 <= d {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load2(a, dim), load2(b, dim)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load2(a, dim + 2), load2(b, dim + 2)));
+            acc01 = _mm_add_pd(acc01, term::<SQ>(load(a, dim), load(b, dim)));
+            acc23 = _mm_add_pd(acc23, term::<SQ>(load(a, dim + 2), load(b, dim + 2)));
             dim += 4;
         }
         let mut tail = 0.0;
@@ -699,7 +742,7 @@ mod sse2 {
         let mut m = _mm_setzero_pd();
         let mut dim = 0;
         while dim + 2 <= d {
-            m = _mm_max_pd(m, term::<false>(load2(a, dim), load2(b, dim)));
+            m = _mm_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
             dim += 2;
         }
         let mut tail = 0.0f64;
@@ -721,7 +764,7 @@ mod sse2 {
         while dim + 2 <= d {
             let stop = dim + 16;
             while dim + 2 <= stop.min(d) {
-                m = _mm_max_pd(m, term::<false>(load2(a, dim), load2(b, dim)));
+                m = _mm_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
                 dim += 2;
             }
             let hi = _mm_cvtsd_f64(_mm_unpackhi_pd(m, m));
@@ -738,156 +781,112 @@ mod sse2 {
         _mm_cvtsd_f64(m).max(hi).max(tail) <= eps
     }
 
-    /// Block filter: two candidates per vector group. Named accumulator
-    /// locals via a lexical macro, for the same codegen reason as the
-    /// AVX2 variant (see `avx2::sum_within_block`).
+    /// Lanes per vector — the block kernels' candidate-group width.
+    const LANES: usize = 2;
+
+    #[inline]
     #[target_feature(enable = "sse2")]
-    pub fn sum_within_block<const SQ: bool>(
-        probe: &[f64],
-        block: &SoABlock,
-        lanes: Range<usize>,
-        budget: f64,
-        out: &mut Vec<u32>,
-    ) {
-        let d = probe.len();
-        debug_assert_eq!(d, block.dims());
-        debug_assert!(lanes.end <= block.len());
-        let width = block.width();
-        let ids = block.ids();
-        let data = block.data();
-        let vbudget = _mm_set1_pd(budget);
-        let mut t = lanes.start;
-        while t < lanes.end {
-            if t + 2 > width {
-                while t < lanes.end {
-                    if portable::sum_within_budget::<SQ>(probe, block, t, budget) {
-                        out.push(ids[t]);
-                    }
-                    t += 1;
-                }
-                return;
-            }
-            let mut a0 = _mm_setzero_pd();
-            let mut a1 = _mm_setzero_pd();
-            let mut a2 = _mm_setzero_pd();
-            let mut a3 = _mm_setzero_pd();
-            macro_rules! step4 {
-                ($base:expr) => {{
-                    let base = $base;
-                    // BOUND: base + 4 <= dims and t + 2 <= width, so every
-                    // offset below is < dims * width = data.len(); fits usize.
-                    let o = base * width + t;
-                    a0 = _mm_add_pd(a0, term::<SQ>(_mm_set1_pd(probe[base]), load2(data, o)));
-                    a1 = _mm_add_pd(
-                        a1,
-                        term::<SQ>(_mm_set1_pd(probe[base + 1]), load2(data, o + width)), // BOUND: see `o`
-                    );
-                    a2 = _mm_add_pd(
-                        a2,
-                        term::<SQ>(_mm_set1_pd(probe[base + 2]), load2(data, o + 2 * width)), // BOUND: see `o`
-                    );
-                    a3 = _mm_add_pd(
-                        a3,
-                        term::<SQ>(_mm_set1_pd(probe[base + 3]), load2(data, o + 3 * width)), // BOUND: see `o`
-                    );
-                }};
-            }
-            macro_rules! partial {
-                () => {
-                    _mm_add_pd(_mm_add_pd(a0, a1), _mm_add_pd(a2, a3))
-                };
-            }
-            macro_rules! all_rejected {
-                () => {
-                    _mm_movemask_pd(_mm_cmpgt_pd(partial!(), vbudget)) == 0x3
-                };
-            }
-            let mut dim = 0;
-            let mut alive = true;
-            if d >= 4 {
-                step4!(0);
-                alive = !all_rejected!();
-                dim = 4;
-            }
-            while alive && dim + 16 <= d {
-                step4!(dim);
-                step4!(dim + 4);
-                step4!(dim + 8);
-                step4!(dim + 12);
-                alive = !all_rejected!();
-                dim += 16;
-            }
-            if alive {
-                while dim + 4 <= d {
-                    step4!(dim);
-                    dim += 4;
-                }
-                let mut tailv = _mm_setzero_pd();
-                while dim < d {
-                    let vp = _mm_set1_pd(probe[dim]);
-                    // BOUND: dim < d = dims, t + 2 <= width ⇒ offset < dims * width.
-                    let vc = load2(data, dim * width + t);
-                    tailv = _mm_add_pd(tailv, term::<SQ>(vp, vc));
-                    dim += 1;
-                }
-                let total = _mm_add_pd(partial!(), tailv);
-                let mask = _mm_movemask_pd(_mm_cmple_pd(total, vbudget));
-                emit(mask, t, lanes.end, 2, ids, out);
-            }
-            t += 2;
+    fn splat(x: f64) -> __m128d {
+        _mm_set1_pd(x)
+    }
+
+    /// Folds a term vector into an accumulator: `max` (`MAX`) or `+`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn acc<const MAX: bool>(a: __m128d, x: __m128d) -> __m128d {
+        if MAX {
+            _mm_max_pd(a, x)
+        } else {
+            _mm_add_pd(a, x)
         }
     }
 
-    /// L∞ block filter: running max per candidate lane.
+    /// Bit `k` set where lane `k` of `a` is `>` lane `k` of `b`.
+    #[inline]
     #[target_feature(enable = "sse2")]
-    pub fn linf_within_block(
-        probe: &[f64],
-        block: &SoABlock,
-        lanes: Range<usize>,
-        eps: f64,
-        out: &mut Vec<u32>,
-    ) {
-        let d = probe.len();
-        debug_assert_eq!(d, block.dims());
-        debug_assert!(lanes.end <= block.len());
-        let width = block.width();
-        let ids = block.ids();
-        let data = block.data();
-        let veps = _mm_set1_pd(eps);
-        let mut t = lanes.start;
-        while t < lanes.end {
-            if t + 2 > width {
-                while t < lanes.end {
-                    if portable::max_within_budget(probe, block, t, eps) {
-                        out.push(ids[t]);
-                    }
-                    t += 1;
-                }
-                return;
-            }
-            let mut m = _mm_setzero_pd();
-            let mut dim = 0;
-            let mut alive = true;
-            while alive && dim < d {
-                let stop = (dim + 16).min(d);
-                while dim < stop {
-                    let vp = _mm_set1_pd(probe[dim]);
-                    // BOUND: dim < d = dims, t + 2 <= width ⇒ offset < dims * width.
-                    let vc = load2(data, dim * width + t);
-                    m = _mm_max_pd(m, term::<false>(vp, vc));
-                    dim += 1;
-                }
-                if _mm_movemask_pd(_mm_cmpgt_pd(m, veps)) == 0x3 {
-                    alive = false;
-                }
-            }
-            if alive {
-                let mask = _mm_movemask_pd(_mm_cmple_pd(m, veps));
-                emit(mask, t, lanes.end, 2, ids, out);
-            }
-            t += 2;
+    fn gt_mask(a: __m128d, b: __m128d) -> u32 {
+        _mm_movemask_pd(_mm_cmpgt_pd(a, b)) as u32
+    }
+
+    /// Bit `k` set where lane `k` of `a` is `<=` lane `k` of `b`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn le_mask(a: __m128d, b: __m128d) -> u32 {
+        _mm_movemask_pd(_mm_cmple_pd(a, b)) as u32
+    }
+
+    block_kernel!("sse2");
+}
+
+/// The 8-lane tier. Only the block kernels widen: the canonical fold has
+/// four accumulators, so the pair entry points of `Level::Avx512` are the
+/// AVX2 pair kernels.
+mod avx512 {
+    // Lanes past the last full 8-group: at most one 4-lane group for the
+    // AVX2 instantiation, which hands what is left to the portable path.
+    use super::avx2::within_block as tail_lanes;
+    use super::*;
+    use core::arch::x86_64::*;
+
+    /// Lanes per vector — the block kernels' candidate-group width.
+    const LANES: usize = 8;
+
+    /// Loads 8 consecutive f64s starting at `xs[at]`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load(xs: &[f64], at: usize) -> __m512d {
+        debug_assert!(xs.len() >= 8 && at <= xs.len() - 8);
+        // SAFETY: the block kernels pass `dim * width + t` with
+        // `t + 8 <= width`, `dim < dims`, into the `dims × width` buffer,
+        // so `at + 8 <= xs.len()`.
+        unsafe { _mm512_loadu_pd(xs.as_ptr().add(at)) }
+    }
+
+    /// One term vector: `(a−b)²` (`SQ`) or `|a−b|` (`_mm512_abs_pd` clears
+    /// the sign bit, as `f64::abs` does).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn term<const SQ: bool>(a: __m512d, b: __m512d) -> __m512d {
+        let d = _mm512_sub_pd(a, b);
+        if SQ {
+            _mm512_mul_pd(d, d)
+        } else {
+            _mm512_abs_pd(d)
         }
     }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn splat(x: f64) -> __m512d {
+        _mm512_set1_pd(x)
+    }
+
+    /// Folds a term vector into an accumulator: `max` (`MAX`) or `+`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn acc<const MAX: bool>(a: __m512d, x: __m512d) -> __m512d {
+        if MAX {
+            _mm512_max_pd(a, x)
+        } else {
+            _mm512_add_pd(a, x)
+        }
+    }
+
+    /// Bit `k` set where lane `k` of `a` is `>` lane `k` of `b`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn gt_mask(a: __m512d, b: __m512d) -> u32 {
+        _mm512_cmp_pd_mask::<_CMP_GT_OQ>(a, b) as u32
+    }
+
+    /// Bit `k` set where lane `k` of `a` is `<=` lane `k` of `b`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn le_mask(a: __m512d, b: __m512d) -> u32 {
+        _mm512_cmp_pd_mask::<_CMP_LE_OQ>(a, b) as u32
+    }
+
+    block_kernel!("avx512f");
 }
 
 #[cfg(test)]
@@ -990,9 +989,48 @@ mod tests {
         }
     }
 
+    type PairFn = fn(&[f64], &[f64], f64) -> bool;
+    type BlockFn = fn(&[f64], &SoABlock, Range<usize>, f64, &mut Vec<u32>);
+
+    /// `(tier, [l1, l2, linf])` for every block-kernel instantiation the
+    /// host can run.
+    fn block_tiers() -> Vec<(&'static str, [BlockFn; 3])> {
+        let mut tiers: Vec<(&'static str, [BlockFn; 3])> = vec![(
+            "sse2",
+            [
+                sse2_l1_within_block,
+                sse2_l2_within_block,
+                sse2_linf_within_block,
+            ],
+        )];
+        if avx2_available() {
+            tiers.push((
+                "avx2",
+                [
+                    avx2_l1_within_block,
+                    avx2_l2_within_block,
+                    avx2_linf_within_block,
+                ],
+            ));
+        }
+        if avx512_available() {
+            tiers.push((
+                "avx512",
+                [
+                    avx512_l1_within_block,
+                    avx512_l2_within_block,
+                    avx512_linf_within_block,
+                ],
+            ));
+        }
+        tiers
+    }
+
     #[test]
     fn block_kernels_match_per_pair_decisions_exactly() {
-        for dims in [1, 3, 4, 5, 16, 17, 64, 65] {
+        let within: [PairFn; 3] =
+            [kernels::l1_within, kernels::l2_within, kernels::linf_within];
+        for dims in [1, 3, 4, 5, 8, 12, 16, 17, 20, 64, 65] {
             let flat: Vec<f64> = (0..23 * dims)
                 .map(|i| ((i as f64 * 0.41).sin() * 0.5 + 0.5).abs())
                 .collect();
@@ -1000,34 +1038,15 @@ mod tests {
             let block = crate::soa::SoABlock::from_range(&ds, 0..23);
             let probe = ds.point(11).to_vec();
             for eps in [0.1, 0.5, 2.0] {
-                let expect_l2: Vec<u32> = (0..23u32)
-                    .filter(|&j| kernels::l2_within(&probe, ds.point(j), eps))
-                    .collect();
-                let mut got = Vec::new();
-                sse2_l2_within_block(&probe, &block, 0..23, eps, &mut got);
-                assert_eq!(got, expect_l2, "sse2 l2 d={dims} eps={eps}");
-                let expect_l1: Vec<u32> = (0..23u32)
-                    .filter(|&j| kernels::l1_within(&probe, ds.point(j), eps))
-                    .collect();
-                got.clear();
-                sse2_l1_within_block(&probe, &block, 0..23, eps, &mut got);
-                assert_eq!(got, expect_l1, "sse2 l1 d={dims} eps={eps}");
-                let expect_linf: Vec<u32> = (0..23u32)
-                    .filter(|&j| kernels::linf_within(&probe, ds.point(j), eps))
-                    .collect();
-                got.clear();
-                sse2_linf_within_block(&probe, &block, 0..23, eps, &mut got);
-                assert_eq!(got, expect_linf, "sse2 linf d={dims} eps={eps}");
-                if avx2_available() {
-                    got.clear();
-                    avx2_l2_within_block(&probe, &block, 0..23, eps, &mut got);
-                    assert_eq!(got, expect_l2, "avx2 l2 d={dims} eps={eps}");
-                    got.clear();
-                    avx2_l1_within_block(&probe, &block, 0..23, eps, &mut got);
-                    assert_eq!(got, expect_l1, "avx2 l1 d={dims} eps={eps}");
-                    got.clear();
-                    avx2_linf_within_block(&probe, &block, 0..23, eps, &mut got);
-                    assert_eq!(got, expect_linf, "avx2 linf d={dims} eps={eps}");
+                for (tier, fns) in block_tiers() {
+                    for (m, f) in fns.iter().enumerate() {
+                        let expect: Vec<u32> = (0..23u32)
+                            .filter(|&j| within[m](&probe, ds.point(j), eps))
+                            .collect();
+                        let mut got = Vec::new();
+                        f(&probe, &block, 0..23, eps, &mut got);
+                        assert_eq!(got, expect, "{tier} metric#{m} d={dims} eps={eps}");
+                    }
                 }
             }
         }
@@ -1035,17 +1054,25 @@ mod tests {
 
     #[test]
     fn block_kernels_respect_lane_subranges() {
-        let flat: Vec<f64> = (0..40).map(|i| i as f64 * 1e-3).collect();
+        let flat: Vec<f64> = (0..80).map(|i| i as f64 * 1e-3).collect();
         let ds = Dataset::from_flat(4, flat).unwrap();
-        let block = crate::soa::SoABlock::from_range(&ds, 0..10);
+        let block = crate::soa::SoABlock::from_range(&ds, 0..20);
         let probe = ds.point(0).to_vec();
-        let mut got = Vec::new();
-        sse2_l2_within_block(&probe, &block, 3..8, 1e9, &mut got);
-        assert_eq!(got, vec![3, 4, 5, 6, 7]);
-        if avx2_available() {
-            got.clear();
-            avx2_l2_within_block(&probe, &block, 3..8, 1e9, &mut got);
-            assert_eq!(got, vec![3, 4, 5, 6, 7]);
+        for (tier, fns) in block_tiers() {
+            for lanes in [3..8, 1..20, 9..19, 16..20, 19..20] {
+                for f in fns {
+                    let mut got = Vec::new();
+                    f(&probe, &block, lanes.clone(), 1e9, &mut got);
+                    let want: Vec<u32> = lanes.clone().map(|t| t as u32).collect();
+                    assert_eq!(got, want, "{tier} {lanes:?}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn early_exit_checks_fall_every_4_dims_to_16_then_every_16() {
+        let due: Vec<usize> = (4..=70).step_by(4).filter(|&dim| check_due(dim)).collect();
+        assert_eq!(due, [4, 8, 12, 16, 32, 48, 64]);
     }
 }

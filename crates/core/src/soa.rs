@@ -30,8 +30,9 @@
 use crate::dataset::Dataset;
 use std::ops::Range;
 
-/// Lane padding granularity: the widest vector group any dispatch level
-/// uses (4 × f64 under AVX2). Every block's `width` is a multiple of this.
+/// Lane padding granularity: 4 × f64, the AVX2 vector group. Every
+/// block's `width` is a multiple of this; the 8-lane AVX-512 kernel takes
+/// full 8-lane groups only and leaves a trailing 4 to the AVX2 one.
 pub const LANE_PAD: usize = 4;
 
 /// A dimension-major tile of candidate points with row-id back-map.

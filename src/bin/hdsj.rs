@@ -644,6 +644,7 @@ fn join(flags: &HashMap<String, String>) -> Result<()> {
                 stats.filter_precision()
             );
             eprintln!("time      : {elapsed:?}");
+            eprintln!("simd      : {}", hdsj::core::simd::level().name());
             for phase in &stats.phases {
                 eprintln!("  {:<8}: {:?}", phase.name, phase.elapsed);
             }
@@ -702,6 +703,10 @@ fn stats_json(
     use hdsj::obs::json::{encode_f64, encode_str};
     let mut s = String::from("{");
     s.push_str(&format!("\"algorithm\":{},", encode_str(algo)));
+    s.push_str(&format!(
+        "\"simd\":{},",
+        encode_str(hdsj::core::simd::level().name())
+    ));
     s.push_str(&format!("\"results\":{},", stats.results));
     s.push_str(&format!("\"candidates\":{},", stats.candidates));
     s.push_str(&format!("\"dist_evals\":{},", stats.dist_evals));

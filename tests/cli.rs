@@ -191,7 +191,7 @@ fn stats_block_goes_to_stderr_unless_quiet() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stdout.contains("algorithm : MSJ"), "{stdout}");
     assert!(stdout.contains("pairs"), "{stdout}");
-    for detail in ["candidates:", "time", "assign", "sort", "sweep"] {
+    for detail in ["candidates:", "time", "simd", "assign", "sort", "sweep"] {
         assert!(stderr.contains(detail), "stderr missing {detail}: {stderr}");
         assert!(
             !stdout.contains(detail),
@@ -235,6 +235,24 @@ fn stats_json_emits_one_parseable_object() {
         assert!(phases.get(phase).is_some(), "missing phase {phase}");
     }
     assert!(obj.get("io").and_then(|io| io.get("reads")).is_some());
+    // The kernel tier that produced the numbers: the probed one by default,
+    // and `HDSJ_SIMD=<name>` round-trips for every tier the host has.
+    let supported = hdsj::core::simd::supported();
+    let tier = obj.get("simd").and_then(|v| v.as_str()).expect("simd key");
+    assert!(supported.iter().any(|l| l.name() == tier), "{tier}");
+    for cap in supported.iter().map(|l| l.name()).chain(["off"]) {
+        let out = hdsj()
+            .env("HDSJ_SIMD", cap)
+            .args(["join", "--algo", "msj", "--eps", "0.2", "--stats", "json"])
+            .args(["--input", csv.to_str().unwrap()])
+            .output()
+            .expect("join");
+        let capped = String::from_utf8(out.stdout).unwrap();
+        let capped = hdsj::obs::json::parse(capped.trim()).expect("valid JSON");
+        let want = if cap == "off" { "scalar" } else { cap };
+        assert_eq!(capped.get("simd").and_then(|v| v.as_str()), Some(want));
+        assert_eq!(capped.get("results"), obj.get("results"), "{cap}");
+    }
 }
 
 #[test]
