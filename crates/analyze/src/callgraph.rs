@@ -152,7 +152,9 @@ fn collect_calls(files: &[FileModel], table: &SymbolTable, f: &FnSym) -> Vec<Cal
     while i < end {
         let t = &toks[i];
         let is_call = t.kind == crate::lexer::TokenKind::Ident
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+            && toks
+                .get(skip_turbofish(toks, i + 1))
+                .is_some_and(|n| n.is_punct('('))
             && !NON_CALLS.contains(&t.text.as_str());
         if !is_call {
             i += 1;
@@ -189,6 +191,32 @@ fn collect_calls(files: &[FileModel], table: &SymbolTable, f: &FnSym) -> Vec<Cal
         i += 1;
     }
     out
+}
+
+/// Index one past a `::<…>` generic-argument list starting at `at`, or `at`
+/// itself when none starts there: `name::<SQ, MAX>(…)` is as much a call of
+/// `name` as `name(…)` is.
+fn skip_turbofish(toks: &[crate::lexer::Token], at: usize) -> usize {
+    let opens = toks.get(at).is_some_and(|t| t.is_punct(':'))
+        && toks.get(at + 1).is_some_and(|t| t.is_punct(':'))
+        && toks.get(at + 2).is_some_and(|t| t.is_punct('<'));
+    if !opens {
+        return at;
+    }
+    let mut depth = 0u32;
+    for (j, t) in toks.iter().enumerate().skip(at + 2) {
+        if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') && !toks[j - 1].is_punct('-') {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        } else if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
+            break;
+        }
+    }
+    at
 }
 
 /// `recv.name(…)` — narrow by resolved receiver type when possible. The
@@ -410,6 +438,22 @@ mod tests {
         assert!(g.calls[go].iter().all(|s| s.name != "println"));
         assert!(g.calls[go].iter().all(|s| s.name != "if"));
         assert!(g.calls[go].iter().any(|s| s.name == "x"));
+    }
+
+    #[test]
+    fn turbofish_calls_are_calls() {
+        let (g, t) = graph(
+            "fn kern<const SQ: bool>() {}\n\
+             fn go() { kern::<true>(); m::kern::<{ 1 }>(); let v = Vec::<Vec<u8>>::new(); }\n",
+        );
+        let go = fid(&t, "go", None);
+        let kern = fid(&t, "kern", None);
+        let sites: Vec<&CallSite> = g.calls[go].iter().filter(|s| s.name == "kern").collect();
+        // The braced const argument is not followed: one site, not two.
+        assert_eq!(sites.len(), 1, "{:?}", g.calls[go]);
+        assert!(sites[0].resolved && sites[0].targets == [kern]);
+        assert!(g.calls_name(go, "new"));
+        assert_eq!(g.callers[kern], vec![go]);
     }
 
     #[test]

@@ -448,6 +448,35 @@ mod tests {
     }
 
     #[test]
+    fn generic_hand_off_is_checked_through_its_turbofish() {
+        // The live shape: one generic dispatcher → one generic probe
+        // wrapper per tier → the gated kernel, every call a `::<SQ, MAX>`.
+        let wrapper = |probe: &str| {
+            format!(
+                "fn level() -> u8 {{ 2 }}\n\
+                 fn avx2_available() -> bool {{ true }}\n\
+                 #[target_feature(enable = \"avx2\")]\n\
+                 fn kern<const SQ: bool, const MAX: bool>() {{ let _ = _mm256_setzero_pd(); }}\n\
+                 fn avx2_within_block<const SQ: bool, const MAX: bool>() {{\n\
+                 {probe}\n\
+                 unsafe {{ kern::<SQ, MAX>() }}\n\
+                 }}\n\
+                 pub fn within_block<const SQ: bool, const MAX: bool>() {{\n\
+                 if level() == 2 {{ avx2_within_block::<SQ, MAX>(); }}\n\
+                 }}\n"
+            )
+        };
+        let ok = wrapper("debug_assert!(avx2_available());");
+        let d = run(&[("crates/core/src/simd/mod.rs", &ok)]);
+        assert!(d.is_empty(), "{d:?}");
+        let unprobed = wrapper("");
+        let d = run(&[("crates/core/src/simd/mod.rs", &unprobed)]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 7);
+        assert!(d[0].message.contains("avx2_within_block"), "{d:?}");
+    }
+
+    #[test]
     fn cross_module_by_name_edges_are_not_plausible() {
         // `neon::f` must not count as an entry into `avx2::f`.
         let d = run(&[(

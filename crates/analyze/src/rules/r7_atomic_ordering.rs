@@ -71,7 +71,7 @@ pub const ATOMICS: &[(&str, &str, Class)] = &[
     ("core", "io_used", Class::Stat),
     ("core", "pages_used", Class::Stat),
     ("core", "checkpoints", Class::Stat),
-    // The SIMD dispatch probe: gates which kernel tier every distance
+    // The SIMD dispatch probe: gates which block-kernel tier every tile
     // evaluation takes, so each relaxed site must justify why that is
     // sound (idempotent probe — all racers store the same value).
     ("core", "DISPATCH", Class::Gate),

@@ -2,16 +2,17 @@
 //! reference loop, across dimensionalities, for both full distances and
 //! ε-threshold `within` checks (where block-level early exit applies).
 //!
-//! The `simd` rows go through `hdsj_core::simd` at the host's best
-//! dispatch tier (override with `HDSJ_SIMD`); `simd_block` is the
-//! across-candidate SoA filter — the throughput path, with independent
+//! `kernel` is the 4-lane scalar kernel — the one per-pair kernel, which
+//! `Metric::within` (`metric_dispatch`) calls directly. `simd_block` is
+//! the across-candidate SoA filter at the host's best dispatch tier
+//! (override with `HDSJ_SIMD`) — the throughput path, with independent
 //! accumulator chains per candidate.
 // Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdsj_core::soa::SoABlock;
-use hdsj_core::{kernels, simd, Dataset, Metric};
+use hdsj_core::{kernels, Dataset, Metric};
 
 /// Deterministic pseudo-random point, same flavor as the kernel unit tests.
 fn pseudo_point(dims: usize, seed: u64) -> Vec<f64> {
@@ -50,9 +51,6 @@ fn bench_distance(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("kernel", d), &d, |b, _| {
             b.iter(|| kernels::l2_distance(black_box(&x), black_box(&y)))
         });
-        group.bench_with_input(BenchmarkId::new("simd", d), &d, |b, _| {
-            b.iter(|| simd::l2_distance(black_box(&x), black_box(&y)))
-        });
     }
     group.finish();
 }
@@ -88,20 +86,13 @@ fn bench_within(c: &mut Criterion) {
                     .count()
             })
         });
-        group.bench_with_input(BenchmarkId::new("simd", d), &points, |b, pts| {
-            b.iter(|| {
-                pts.iter()
-                    .filter(|p| simd::l2_within(black_box(&x), black_box(p), eps))
-                    .count()
-            })
-        });
         let ds = Dataset::from_rows(&points).unwrap();
         let block = SoABlock::from_range(&ds, 0..points.len() as u32);
         group.bench_with_input(BenchmarkId::new("simd_block", d), &block, |b, blk| {
             let mut out = Vec::with_capacity(blk.len());
             b.iter(|| {
                 out.clear();
-                simd::l2_within_block(
+                Metric::L2.within_block(
                     black_box(&x),
                     black_box(blk),
                     0..blk.len(),

@@ -15,11 +15,11 @@
 //! vacuous number.
 //!
 //! The SIMD dispatch sweep (`BENCH_0006.json`) times the d=64 L2
-//! `within` kernel at every tier the host supports — the single-chain
-//! scalar reference, the 4-lane scalar kernel, and the dispatched
-//! pair/block kernels per tier — pinning exact hit-count equality across
-//! tiers (the bit-exactness contract) and recording speedups against the
-//! 4-lane kernel along with the honest host dispatch level.
+//! `within` test through the single-chain scalar reference, the 4-lane
+//! scalar kernel (the one per-pair kernel), and the dispatched block
+//! kernel at every tier the host supports — pinning exact hit-count
+//! equality across tiers (the exactness contract) and recording speedups
+//! against the 4-lane kernel along with the honest host dispatch level.
 //!
 //! It also runs one traced MSJ pass (memory sink) and writes
 //! `BENCH_0005.json` with per-phase latency percentiles (p50/p90/p99/max
@@ -364,13 +364,7 @@ fn sweep_block(ds: &hdsj_core::Dataset, eps: f64, reps: usize) -> (f64, u64) {
             for (i, x) in ds.iter() {
                 for tile in &tiles {
                     out.clear();
-                    hdsj_core::simd::l2_within_block(
-                        black_box(x),
-                        tile,
-                        0..tile.len(),
-                        eps,
-                        &mut out,
-                    );
+                    Metric::L2.within_block(black_box(x), tile, 0..tile.len(), eps, &mut out);
                     hits += out.iter().filter(|&&j| j != i).count() as u64;
                 }
             }
@@ -381,16 +375,15 @@ fn sweep_block(ds: &hdsj_core::Dataset, eps: f64, reps: usize) -> (f64, u64) {
     (median(times), hits / reps as u64)
 }
 
-/// The BENCH_0006 dispatch sweep: d=64 L2 `within` through every kernel
-/// tier the host supports, pair and block forms, against the single-chain
-/// scalar reference and the 4-lane scalar kernel. Hit counts across the
-/// 4-lane kernel and every SIMD tier must agree *exactly* — that is the
-/// bit-exactness contract, enforced here on real workload data, not just
-/// in unit tests. ε sits at the 25% pair quantile so most candidates
-/// survive deep into the dimension loop and the sweep measures kernel
-/// throughput rather than early-exit latency. Rows are `pair_<tier>` and
-/// `block_<tier>` per supported tier (`block_avx512` is the 8-lane
-/// kernel; `pair_avx512` re-times the AVX2 pair kernel that tier uses).
+/// The BENCH_0006 dispatch sweep: d=64 L2 `within` through the block
+/// kernel of every tier the host supports, against the single-chain
+/// scalar reference and the 4-lane scalar kernel (`lanes4` — the one
+/// per-pair kernel, `Metric::within`). Hit counts across the 4-lane kernel
+/// and every block tier must agree *exactly* — that is the exactness
+/// contract, enforced here on real workload data, not just in unit tests.
+/// ε sits at the 25% pair quantile so most candidates survive deep into
+/// the dimension loop and the sweep measures kernel throughput rather
+/// than early-exit latency. Rows are `block_<tier>` per supported tier.
 fn bench_kernel_sweep(kd: &hdsj_core::Dataset, quick: bool) -> Result<()> {
     use hdsj_core::simd;
     let eps = hdsj_bench::eps_for_sample_quantile(kd, Metric::L2, 0.25, 50_000);
@@ -419,19 +412,6 @@ fn bench_kernel_sweep(kd: &hdsj_core::Dataset, quick: bool) -> Result<()> {
     let supported = simd::supported();
     for &tier in &supported {
         simd::set_level(tier);
-        let (ms, hits) = sweep_pair(kd, eps, reps, simd::l2_within);
-        if hits != lanes4_hits {
-            simd::set_level(saved);
-            return Err(Error::Internal(format!(
-                "pair kernel at {tier:?} broke the bit-exactness contract: \
-                 {hits} hits vs 4-lane {lanes4_hits}"
-            )));
-        }
-        rows.push(SweepRow {
-            variant: format!("pair_{}", tier.name()),
-            ms,
-            hits,
-        });
         let (bms, bhits) = sweep_block(kd, eps, reps);
         if bhits != lanes4_hits {
             simd::set_level(saved);
@@ -451,7 +431,7 @@ fn bench_kernel_sweep(kd: &hdsj_core::Dataset, quick: bool) -> Result<()> {
     let mut best_speedup = 0.0f64;
     for row in &rows {
         let speedup = lanes4_ms / row.ms;
-        if row.variant.starts_with("pair_") || row.variant.starts_with("block_") {
+        if row.variant.starts_with("block_") {
             best_speedup = best_speedup.max(speedup);
         }
         println!(

@@ -32,8 +32,8 @@
 //!
 //! The crate is `#![deny(unsafe_code)]`. Exactly two files override it
 //! with a file-level `allow`: `simd/x86.rs` and `simd/neon.rs`, which
-//! hold the explicit vector kernels. Every `unsafe` block there is an
-//! unaligned vector load/store on an in-bounds slice region or a
+//! hold the explicit vector block kernels. Every `unsafe` block there is
+//! an unaligned vector load on an in-bounds slice region or a
 //! feature-gated kernel call behind the runtime dispatch probe, each with
 //! a `SAFETY:` comment (lint R2 enforces the comment discipline, and the
 //! analyze suite pins the expected shape). All other workspace crates

@@ -6,15 +6,17 @@
 //! can no longer stay under the threshold — the classic "partial distance"
 //! optimization that matters in high dimensions.
 //!
-//! Every evaluation dispatches through [`crate::simd`] to the best kernel
-//! tier the host supports (explicit AVX2/SSE2/NEON, falling back to the
-//! 4-lane scalar kernels in [`crate::kernels`]) — one dispatch per call,
-//! or one per candidate *tile* through [`Metric::within_block`] — with
-//! the `Lp(2)`/`Lp(1)` exponents normalized to the specialized L2/L1
-//! kernels first. All tiers are bit-exact with each other (see [`crate::simd`]),
-//! so routing here changes speed, never results.
+//! There are two evaluation paths. One pair goes straight to the 4-lane
+//! scalar kernels in [`crate::kernels`]; a candidate *tile* goes through
+//! [`Metric::within_block`] to the block kernel of the best tier the host
+//! supports ([`crate::simd`]: AVX-512/AVX2/SSE2/NEON, falling back to a
+//! portable strided loop). Either way the `Lp(2)`/`Lp(1)` exponents are
+//! normalized to the specialized L2/L1 kernels first. Every block tier
+//! decides each candidate exactly as the pair kernel would (see
+//! [`crate::simd`]), so routing here changes speed, never results.
 
 use crate::error::{Error, Result};
+use crate::kernels;
 use crate::simd;
 use crate::soa::SoABlock;
 use std::ops::Range;
@@ -68,10 +70,10 @@ impl Metric {
     pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         match self.normalized() {
-            Metric::L1 => simd::l1_distance(a, b),
-            Metric::L2 => simd::l2_distance(a, b),
-            Metric::Linf => simd::linf_distance(a, b),
-            Metric::Lp(p) => simd::lp_distance(a, b, p),
+            Metric::L1 => kernels::l1_distance(a, b),
+            Metric::L2 => kernels::l2_distance(a, b),
+            Metric::Linf => kernels::linf_distance(a, b),
+            Metric::Lp(p) => kernels::lp_distance(a, b, p),
         }
     }
 
@@ -86,10 +88,10 @@ impl Metric {
     pub fn within(&self, a: &[f64], b: &[f64], eps: f64) -> bool {
         debug_assert_eq!(a.len(), b.len());
         match self.normalized() {
-            Metric::L1 => simd::l1_within(a, b, eps),
-            Metric::L2 => simd::l2_within(a, b, eps),
-            Metric::Linf => simd::linf_within(a, b, eps),
-            Metric::Lp(p) => simd::lp_within(a, b, eps, p),
+            Metric::L1 => kernels::l1_within(a, b, eps),
+            Metric::L2 => kernels::l2_within(a, b, eps),
+            Metric::Linf => kernels::linf_within(a, b, eps),
+            Metric::Lp(p) => kernels::lp_within(a, b, eps, p),
         }
     }
 
@@ -97,8 +99,10 @@ impl Metric {
     /// appends to `out` the dataset row id of every lane in `lanes` whose
     /// candidate is within `eps` of `probe`, in lane order. This is the
     /// across-candidate vector path — the kernels broadcast one probe
-    /// coordinate and stream the tile's contiguous dimension columns.
-    /// Decisions are bit-exact with [`Metric::within`] (see
+    /// coordinate and stream the tile's contiguous dimension columns — and
+    /// the only one that depends on the dispatch tier. ε is converted to
+    /// the kernel's accumulation domain (ε² for L2) here, once per tile.
+    /// Decisions are exactly those of [`Metric::within`] (see
     /// [`crate::simd`]), so swapping per-pair tests for a block never
     /// changes join results.
     pub fn within_block(
@@ -110,10 +114,12 @@ impl Metric {
         out: &mut Vec<u32>,
     ) {
         match self.normalized() {
-            Metric::L1 => simd::l1_within_block(probe, block, lanes, eps, out),
-            Metric::L2 => simd::l2_within_block(probe, block, lanes, eps, out),
-            Metric::Linf => simd::linf_within_block(probe, block, lanes, eps, out),
-            Metric::Lp(p) => simd::lp_within_block(probe, block, lanes, eps, p, out),
+            Metric::L1 => simd::within_block::<false, false>(probe, block, lanes, eps, out),
+            Metric::L2 => {
+                simd::within_block::<true, false>(probe, block, lanes, eps * eps, out)
+            }
+            Metric::Linf => simd::within_block::<false, true>(probe, block, lanes, eps, out),
+            Metric::Lp(p) => simd::portable::lp_within_block(probe, block, lanes, eps, p, out),
         }
     }
 

@@ -1,30 +1,38 @@
-//! Runtime-dispatched SIMD distance kernels.
+//! The runtime-dispatched block kernel: one probe row against a
+//! structure-of-arrays candidate tile.
 //!
-//! Every public function here is a thin dispatcher: a one-time capability
-//! probe picks the best kernel tier the host supports (AVX-512 → AVX2 →
-//! SSE2 → scalar on x86-64, NEON → scalar on aarch64), and all subsequent
-//! calls jump straight to that tier. The probe honours the `HDSJ_SIMD`
-//! environment variable (`off`/`scalar`, `sse2`, `avx2`, `avx512`, `neon`
-//! — clamped to what the host actually supports), and tests/benches can
-//! override it programmatically with [`set_level`].
+//! Refinement has two code paths. A single pair goes through the 4-lane
+//! scalar kernels in [`crate::kernels`] — [`crate::Metric::within`] calls
+//! them directly, at every tier. A candidate *tile* goes through
+//! [`within_block`], the one dispatcher here: a one-time capability probe
+//! picks the best block tier the host supports (AVX-512 → AVX2 → SSE2 →
+//! scalar on x86-64, NEON → scalar on aarch64), and every later call jumps
+//! straight to that tier. [`Level`] therefore names the *block* tier. The
+//! probe honours the `HDSJ_SIMD` environment variable (`off`/`scalar`,
+//! `sse2`, `avx2`, `avx512`, `neon` — clamped to what the host actually
+//! supports; see [`parse_level`]), and tests/benches can override it
+//! programmatically with [`set_level`].
+//!
+//! There is no per-pair vector tier: the contract below gives a pair one
+//! accumulator vector, hence the scalar kernel's latency chain, and SSE2/
+//! AVX2 pair kernels measured 1.02–1.10× of it at d = 64 while the
+//! tile-major sweeps leave the pair path a few percent of the candidates
+//! (DESIGN §16).
 //!
 //! ## The exactness contract
 //!
-//! Dispatch would be useless if the tiers disagreed. They cannot: every
-//! tier computes the *bit-identical* sum of the 4-lane scalar kernels in
-//! [`crate::kernels`] — dimensions `≡ k (mod 4)` feed lane accumulator
-//! `k`, the per-pair result is the canonical fold
-//! `(acc0 + acc1) + (acc2 + acc3)` plus a separately chained scalar tail,
-//! all in plain IEEE sub/mul/add (never FMA). Early exits only ever
-//! compare a *partial* monotone fold against the budget, so `within`
-//! decisions equal the full-sum decision at every tier. Distances are
-//! bit-identical; decisions are exactly identical; join results therefore
-//! do not depend on the dispatch level. `Lp` for general `p` is
-//! `powf`-bound and stays on the scalar kernels at every tier.
-//!
-//! The `*_within_block` entry points run the same contract over a
-//! [`SoABlock`] candidate tile, vectorizing across candidates instead of
-//! dimensions (see [`portable`], `x86`, `neon`).
+//! Dispatch would be useless if the tiers disagreed with each other or
+//! with the pair kernel. They cannot: every tier computes, per candidate
+//! lane, the *bit-identical* sum of the 4-lane scalar kernels —
+//! dimensions `≡ k (mod 4)` feed lane accumulator `k`, the per-candidate
+//! result is the canonical fold `(acc0 + acc1) + (acc2 + acc3)` plus a
+//! separately chained scalar tail, all in plain IEEE sub/mul/add (never
+//! FMA). Early exits only ever compare a *partial* monotone fold against
+//! the budget, so a block decision equals the full-sum decision — that
+//! is, [`crate::Metric::within`] on the same pair — at every tier, and
+//! join results do not depend on the dispatch level. `Lp` for general `p`
+//! is `powf`-bound and stays on [`portable::lp_within_block`] at every
+//! tier.
 
 pub mod portable;
 pub mod tile;
@@ -34,29 +42,26 @@ mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-use crate::kernels;
 use crate::soa::SoABlock;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// A kernel tier. Discriminants order tiers by capability so clamping a
-/// request to the host is a numeric comparison; `0` is reserved in the
+/// A block-kernel tier. Discriminants order tiers by capability so clamping
+/// a request to the host is a numeric comparison; `0` is reserved in the
 /// private `DISPATCH` atomic for "not probed yet".
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Level {
-    /// The 4-lane scalar kernels in [`crate::kernels`] — always available,
-    /// and the oracle every other tier is differentially tested against.
+    /// One candidate at a time through [`portable`] — always available,
+    /// and the reference every other tier is differentially tested against.
     Scalar = 1,
-    /// Two f64 lanes per vector (x86-64 baseline; no runtime probe needed).
+    /// Two candidates per vector (x86-64 baseline; no runtime probe needed).
     Sse2 = 2,
-    /// Four f64 lanes per vector (runtime-probed).
+    /// Four candidates per vector (runtime-probed).
     Avx2 = 3,
-    /// Eight candidates per vector in the block kernels (runtime-probed
-    /// `avx512f`); pair kernels are the AVX2 ones, whose canonical fold
-    /// has only four accumulators to fill.
+    /// Eight candidates per vector (runtime-probed `avx512f`).
     Avx512 = 4,
-    /// Two f64 lanes per vector (aarch64 baseline).
+    /// Two candidates per vector (aarch64 baseline).
     Neon = 5,
 }
 
@@ -138,8 +143,10 @@ pub fn best() -> Level {
     supported().last().copied().unwrap_or(Level::Scalar)
 }
 
-/// The level the environment asks for: `HDSJ_SIMD` if set (unknown values
-/// fall back to the host's best), else the host's best.
+/// The level the environment asks for: `HDSJ_SIMD` if set, else the
+/// host's best. An unknown value falls back to the best too — a library
+/// probe has nobody to report to; `hdsj` rejects one at start-up with
+/// [`parse_level`] before any kernel runs.
 fn requested() -> Level {
     std::env::var("HDSJ_SIMD")
         .ok()
@@ -147,9 +154,13 @@ fn requested() -> Level {
         .unwrap_or_else(best)
 }
 
+/// Every spelling [`parse_level`] accepts, `|`-separated, for messages.
+pub const SPELLINGS: &str = "off|scalar|0|sse2|avx2|avx512|neon";
+
 /// Parses an `HDSJ_SIMD` spelling: a [`Level::name`], or `off`/`0` for
-/// the scalar kernels.
-fn parse_level(v: &str) -> Option<Level> {
+/// the scalar tier (case and surrounding whitespace ignored). `None` for
+/// anything else.
+pub fn parse_level(v: &str) -> Option<Level> {
     match v.trim().to_ascii_lowercase().as_str() {
         "off" | "scalar" | "0" => Some(Level::Scalar),
         "sse2" => Some(Level::Sse2),
@@ -171,179 +182,32 @@ fn clamp(requested: Level) -> Level {
         .unwrap_or(Level::Scalar)
 }
 
-// ---------------------------------------------------------------------
-// Pair dispatchers. Each match carries a `_` arm to the scalar kernels:
-// `clamp` guarantees foreign-arch tiers are never stored, so the arm only
-// ever runs for `Level::Scalar` (and keeps each arch's match exhaustive).
-// ---------------------------------------------------------------------
-
-/// Manhattan distance `Σ |aᵢ − bᵢ|` at the active dispatch level.
-pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l1_distance(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx512 => x86::avx2_l1_distance(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l1_distance(a, b),
-        _ => kernels::l1_distance(a, b),
-    }
-}
-
-/// Euclidean distance `√Σ (aᵢ − bᵢ)²` at the active dispatch level.
-pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l2_distance(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx512 => x86::avx2_l2_distance(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l2_distance(a, b),
-        _ => kernels::l2_distance(a, b),
-    }
-}
-
-/// Chebyshev distance `max |aᵢ − bᵢ|` at the active dispatch level.
-pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_linf_distance(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx512 => x86::avx2_linf_distance(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::linf_distance(a, b),
-        _ => kernels::linf_distance(a, b),
-    }
-}
-
-/// Minkowski distance for general `p`. `powf` has no vector form, so this
-/// is the scalar kernel at every tier.
-pub fn lp_distance(a: &[f64], b: &[f64], p: f64) -> f64 {
-    kernels::lp_distance(a, b, p)
-}
-
-/// `Σ |aᵢ − bᵢ| ≤ eps` at the active dispatch level.
-pub fn l1_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l1_within(a, b, eps),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx512 => x86::avx2_l1_within(a, b, eps),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l1_within(a, b, eps),
-        _ => kernels::l1_within(a, b, eps),
-    }
-}
-
-/// `Σ (aᵢ − bᵢ)² ≤ eps²` at the active dispatch level (no root taken).
-pub fn l2_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l2_within(a, b, eps),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx512 => x86::avx2_l2_within(a, b, eps),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l2_within(a, b, eps),
-        _ => kernels::l2_within(a, b, eps),
-    }
-}
-
-/// `max |aᵢ − bᵢ| ≤ eps` at the active dispatch level.
-pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_linf_within(a, b, eps),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx512 => x86::avx2_linf_within(a, b, eps),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::linf_within(a, b, eps),
-        _ => kernels::linf_within(a, b, eps),
-    }
-}
-
-/// `Σ |aᵢ − bᵢ|^p ≤ eps^p` — scalar at every tier (see [`lp_distance`]).
-pub fn lp_within(a: &[f64], b: &[f64], eps: f64, p: f64) -> bool {
-    kernels::lp_within(a, b, eps, p)
-}
-
-// ---------------------------------------------------------------------
-// Block dispatchers: one probe row against a SoA candidate tile.
-// ---------------------------------------------------------------------
-
-/// L1 block filter: pushes ids of lanes in `lanes` whose L1 distance to
-/// `probe` is `≤ eps`, in lane order.
-pub fn l1_within_block(
+/// The one block dispatcher: appends to `out` the id of every lane in
+/// `lanes` whose candidate is within `budget` of `probe`, in lane order, at
+/// the active tier. `budget` is in the accumulation domain — `Σ |pᵢ − cᵢ|`
+/// (L1), `Σ (pᵢ − cᵢ)²` with `SQ` and `ε²` (L2), `max |pᵢ − cᵢ|` with
+/// `MAX` (L∞) — and [`crate::Metric::within_block`] converts ε to it once
+/// per call. The `_` arm is the scalar tier: `clamp` never stores a
+/// foreign-arch tier, so it only ever runs for [`Level::Scalar`] (and
+/// keeps each arch's match exhaustive).
+pub fn within_block<const SQ: bool, const MAX: bool>(
     probe: &[f64],
     block: &SoABlock,
     lanes: Range<usize>,
-    eps: f64,
+    budget: f64,
     out: &mut Vec<u32>,
 ) {
     match level() {
         #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l1_within_block(probe, block, lanes, eps, out),
+        Level::Sse2 => x86::sse2_within_block::<SQ, MAX>(probe, block, lanes, budget, out),
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l1_within_block(probe, block, lanes, eps, out),
+        Level::Avx2 => x86::avx2_within_block::<SQ, MAX>(probe, block, lanes, budget, out),
         #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => x86::avx512_l1_within_block(probe, block, lanes, eps, out),
+        Level::Avx512 => x86::avx512_within_block::<SQ, MAX>(probe, block, lanes, budget, out),
         #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l1_within_block(probe, block, lanes, eps, out),
-        _ => portable::l1_within_block(probe, block, lanes, eps, out),
+        Level::Neon => neon::within_block::<SQ, MAX>(probe, block, lanes, budget, out),
+        _ => portable::within_block::<SQ, MAX>(probe, block, lanes, budget, out),
     }
-}
-
-/// L2 block filter (squared domain; see [`l1_within_block`] for shape).
-pub fn l2_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l2_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l2_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => x86::avx512_l2_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l2_within_block(probe, block, lanes, eps, out),
-        _ => portable::l2_within_block(probe, block, lanes, eps, out),
-    }
-}
-
-/// L∞ block filter (see [`l1_within_block`] for shape).
-pub fn linf_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_linf_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_linf_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => x86::avx512_linf_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::linf_within_block(probe, block, lanes, eps, out),
-        _ => portable::linf_within_block(probe, block, lanes, eps, out),
-    }
-}
-
-/// Lp block filter — the portable strided path at every tier.
-pub fn lp_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    p: f64,
-    out: &mut Vec<u32>,
-) {
-    portable::lp_within_block(probe, block, lanes, eps, p, out);
 }
 
 #[cfg(test)]
@@ -385,79 +249,28 @@ mod tests {
     }
 
     // The full differential suite lives in tests/simd_parity.rs; this is
-    // the smoke-level check that every supported tier agrees bit-for-bit
-    // through the public dispatchers. Runs the sweep in one test body
+    // the smoke-level check that the dispatcher reaches a kernel that
+    // agrees with the scalar tier's. One test body sweeps the tiers
     // because set_level mutates process-global state.
     #[test]
-    fn every_supported_tier_matches_the_scalar_kernels() {
-        let d = ds(9, 33);
+    fn block_dispatch_matches_portable_at_every_tier() {
+        fn check<const SQ: bool, const MAX: bool>(name: &str, tier: Level) {
+            let d = ds(23, 17);
+            let block = crate::soa::SoABlock::from_range(&d, 0..23);
+            let probe = d.point(11);
+            for budget in [0.1, 0.6, 2.0] {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                within_block::<SQ, MAX>(probe, &block, 0..23, budget, &mut got);
+                portable::within_block::<SQ, MAX>(probe, &block, 0..23, budget, &mut want);
+                assert_eq!(got, want, "{name} {tier:?} budget={budget}");
+            }
+        }
         let saved = level();
         for tier in supported() {
             assert_eq!(set_level(tier), tier);
-            for i in 0..9u32 {
-                for j in 0..9u32 {
-                    let (a, b) = (d.point(i), d.point(j));
-                    assert_eq!(
-                        l1_distance(a, b).to_bits(),
-                        kernels::l1_distance(a, b).to_bits(),
-                        "l1 {tier:?} {i},{j}"
-                    );
-                    assert_eq!(
-                        l2_distance(a, b).to_bits(),
-                        kernels::l2_distance(a, b).to_bits(),
-                        "l2 {tier:?} {i},{j}"
-                    );
-                    assert_eq!(
-                        linf_distance(a, b).to_bits(),
-                        kernels::linf_distance(a, b).to_bits(),
-                        "linf {tier:?} {i},{j}"
-                    );
-                    for eps in [0.2, 1.0, 2.5] {
-                        assert_eq!(
-                            l2_within(a, b, eps),
-                            kernels::l2_within(a, b, eps),
-                            "within {tier:?} {i},{j} {eps}"
-                        );
-                    }
-                }
-            }
-        }
-        set_level(saved);
-    }
-
-    #[test]
-    fn block_dispatch_matches_portable_at_every_tier() {
-        let d = ds(23, 17);
-        let block = crate::soa::SoABlock::from_range(&d, 0..23);
-        let probe = d.point(11).to_vec();
-        let saved = level();
-        for tier in supported() {
-            set_level(tier);
-            for eps in [0.1, 0.6, 2.0] {
-                for (name, f) in [
-                    (
-                        "l1",
-                        l1_within_block
-                            as fn(&[f64], &SoABlock, Range<usize>, f64, &mut Vec<u32>),
-                    ),
-                    ("l2", l2_within_block),
-                    ("linf", linf_within_block),
-                ] {
-                    let mut got = Vec::new();
-                    f(&probe, &block, 0..23, eps, &mut got);
-                    let mut want = Vec::new();
-                    match name {
-                        "l1" => {
-                            portable::l1_within_block(&probe, &block, 0..23, eps, &mut want)
-                        }
-                        "l2" => {
-                            portable::l2_within_block(&probe, &block, 0..23, eps, &mut want)
-                        }
-                        _ => portable::linf_within_block(&probe, &block, 0..23, eps, &mut want),
-                    }
-                    assert_eq!(got, want, "{name} {tier:?} eps={eps}");
-                }
-            }
+            check::<false, false>("l1", tier);
+            check::<true, false>("l2", tier);
+            check::<false, true>("linf", tier);
         }
         set_level(saved);
     }
@@ -468,6 +281,10 @@ mod tests {
             assert_eq!(parse_level(l.name()), Some(l));
             assert_eq!(Level::from_u8(l as u8), l);
         }
+        assert!(SPELLINGS.split('|').all(|v| parse_level(v).is_some()));
+        assert!(ALL_LEVELS
+            .iter()
+            .all(|l| SPELLINGS.split('|').any(|v| v == l.name())));
         assert_eq!(parse_level(" AVX512\n"), Some(Level::Avx512));
         assert_eq!(parse_level("off"), Some(Level::Scalar));
         assert_eq!(parse_level("avx9000"), None);

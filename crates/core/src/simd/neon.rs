@@ -1,15 +1,16 @@
-//! NEON distance kernels for aarch64.
+//! The NEON block kernel for aarch64.
 //!
-//! Structurally a twin of the SSE2 tier in `x86.rs`: two dimension lanes
-//! per `float64x2_t`, the canonical `(acc0 + acc1) + (acc2 + acc3)` fold
-//! via scalar lane extraction, plain sub/mul/add (no fused multiply-add
-//! — `vfmaq_f64` would change rounding), and the same first-4 / per-16
-//! early-exit cadence, so decisions are bit-identical to the scalar
-//! kernels. NEON is in the aarch64 baseline feature set, so the kernels
-//! are directly callable without a runtime probe.
+//! Structurally a twin of the SSE2 tier in `x86.rs`: two candidates per
+//! `float64x2_t`, one accumulator vector per dimension lane, the canonical
+//! `(acc0 + acc1) + (acc2 + acc3)` fold lane-wise, plain sub/mul/add (no
+//! fused multiply-add — `vfmaq_f64` would change rounding), and a first-4
+//! / per-16 early-exit cadence, so decisions are identical to the scalar
+//! kernels'. NEON is in the aarch64 baseline feature set, so the kernel is
+//! directly callable without a runtime probe.
 //!
-//! `unsafe` here is confined to unaligned vector loads from in-bounds
-//! slice regions, each with a `SAFETY:` comment per R2.
+//! `unsafe` here is confined to one unaligned vector load from an
+//! in-bounds slice region and the intrinsic calls older toolchains still
+//! mark `unsafe`, each with a `SAFETY:` comment per R2.
 #![allow(unsafe_code)]
 // Older toolchains still mark some NEON intrinsics `unsafe`; the blocks
 // below are needed there and redundant (but harmless) on newer ones.
@@ -20,27 +21,17 @@ use crate::soa::SoABlock;
 use core::arch::aarch64::*;
 use std::ops::Range;
 
-/// Scalar tail term: `(x−y)²` or `|x−y|`.
-#[inline(always)]
-fn sterm<const SQ: bool>(x: f64, y: f64) -> f64 {
-    if SQ {
-        (x - y) * (x - y)
-    } else {
-        (x - y).abs()
-    }
-}
-
 /// Loads 2 consecutive f64s starting at `xs[at]`.
 #[inline(always)]
 fn load2(xs: &[f64], at: usize) -> float64x2_t {
     debug_assert!(xs.len() >= 2 && at <= xs.len() - 2);
-    // SAFETY: callers maintain `at + 2 <= xs.len()` (pair kernels stop at
-    // `dim + 4 <= d`; block kernels pass `dim * width + t` with
-    // `t + 2 <= width`, `dim < dims`, into the `dims × width` buffer).
+    // SAFETY: the block kernels pass `dim * width + t` with
+    // `t + 2 <= width`, `dim < dims`, into the `dims × width` buffer, so
+    // `at + 2 <= xs.len()`.
     unsafe { vld1q_f64(xs.as_ptr().add(at)) }
 }
 
-/// One 2-dimension term vector: `(a−b)²` (`SQ`) or `|a−b|`.
+/// One term vector: `(a−b)²` (`SQ`) or `|a−b|`.
 #[inline(always)]
 fn term<const SQ: bool>(a: float64x2_t, b: float64x2_t) -> float64x2_t {
     // SAFETY: NEON is statically enabled on aarch64; these arithmetic
@@ -52,17 +43,6 @@ fn term<const SQ: bool>(a: float64x2_t, b: float64x2_t) -> float64x2_t {
         } else {
             vabsq_f64(d)
         }
-    }
-}
-
-/// The canonical fold `(acc0 + acc1) + (acc2 + acc3)`.
-#[inline(always)]
-fn fold(acc01: float64x2_t, acc23: float64x2_t) -> f64 {
-    // SAFETY: NEON is statically enabled on aarch64; lane extraction has
-    // no preconditions for in-range constant lane indexes.
-    unsafe {
-        (vgetq_lane_f64::<0>(acc01) + vgetq_lane_f64::<1>(acc01))
-            + (vgetq_lane_f64::<0>(acc23) + vgetq_lane_f64::<1>(acc23))
     }
 }
 
@@ -105,136 +85,6 @@ fn le(a: float64x2_t, b: float64x2_t) -> [bool; 2] {
         let m = vcleq_f64(a, b);
         [vgetq_lane_u64::<0>(m) != 0, vgetq_lane_u64::<1>(m) != 0]
     }
-}
-
-/// `Σ term(aᵢ, bᵢ)` with the canonical lane decomposition.
-fn sum_distance<const SQ: bool>(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let d = a.len();
-    let mut acc01 = splat(0.0);
-    let mut acc23 = splat(0.0);
-    let mut dim = 0;
-    while dim + 4 <= d {
-        acc01 = vadd(acc01, term::<SQ>(load2(a, dim), load2(b, dim)));
-        acc23 = vadd(acc23, term::<SQ>(load2(a, dim + 2), load2(b, dim + 2)));
-        dim += 4;
-    }
-    let mut tail = 0.0;
-    while dim < d {
-        tail += sterm::<SQ>(a[dim], b[dim]);
-        dim += 1;
-    }
-    fold(acc01, acc23) + tail
-}
-
-/// `Σ term(aᵢ, bᵢ) ≤ budget` with the first-4 / per-16 exit cadence.
-fn sum_within<const SQ: bool>(a: &[f64], b: &[f64], budget: f64) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    let d = a.len();
-    let mut acc01 = splat(0.0);
-    let mut acc23 = splat(0.0);
-    let mut dim = 0;
-    if d >= 4 {
-        acc01 = vadd(acc01, term::<SQ>(load2(a, 0), load2(b, 0)));
-        acc23 = vadd(acc23, term::<SQ>(load2(a, 2), load2(b, 2)));
-        if fold(acc01, acc23) > budget {
-            return false;
-        }
-        dim = 4;
-    }
-    while dim + 16 <= d {
-        for c in 0..4 {
-            let at = dim + 4 * c;
-            acc01 = vadd(acc01, term::<SQ>(load2(a, at), load2(b, at)));
-            acc23 = vadd(acc23, term::<SQ>(load2(a, at + 2), load2(b, at + 2)));
-        }
-        if fold(acc01, acc23) > budget {
-            return false;
-        }
-        dim += 16;
-    }
-    while dim + 4 <= d {
-        acc01 = vadd(acc01, term::<SQ>(load2(a, dim), load2(b, dim)));
-        acc23 = vadd(acc23, term::<SQ>(load2(a, dim + 2), load2(b, dim + 2)));
-        dim += 4;
-    }
-    let mut tail = 0.0;
-    while dim < d {
-        tail += sterm::<SQ>(a[dim], b[dim]);
-        dim += 1;
-    }
-    fold(acc01, acc23) + tail <= budget
-}
-
-/// Manhattan distance via NEON.
-pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    sum_distance::<false>(a, b)
-}
-
-/// Euclidean distance via NEON.
-pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    sum_distance::<true>(a, b).sqrt()
-}
-
-/// `max |aᵢ − bᵢ|` via NEON (order-independent max, exact).
-pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let d = a.len();
-    let mut m = splat(0.0);
-    let mut dim = 0;
-    while dim + 2 <= d {
-        m = vmax(m, term::<false>(load2(a, dim), load2(b, dim)));
-        dim += 2;
-    }
-    let mut tail = 0.0f64;
-    while dim < d {
-        tail = tail.max((a[dim] - b[dim]).abs());
-        dim += 1;
-    }
-    // SAFETY: NEON is statically enabled on aarch64; lane extraction has
-    // no preconditions.
-    let (m0, m1) = unsafe { (vgetq_lane_f64::<0>(m), vgetq_lane_f64::<1>(m)) };
-    m0.max(m1).max(tail)
-}
-
-/// `Σ |aᵢ − bᵢ| ≤ eps` via NEON.
-pub fn l1_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    sum_within::<false>(a, b, eps)
-}
-
-/// `Σ (aᵢ − bᵢ)² ≤ eps²` via NEON (no root taken).
-pub fn l2_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    sum_within::<true>(a, b, eps * eps)
-}
-
-/// `max |aᵢ − bᵢ| ≤ eps` via NEON with block-level early exit.
-pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    let d = a.len();
-    let mut m = splat(0.0);
-    let mut dim = 0;
-    while dim + 2 <= d {
-        let stop = dim + 16;
-        while dim + 2 <= stop.min(d) {
-            m = vmax(m, term::<false>(load2(a, dim), load2(b, dim)));
-            dim += 2;
-        }
-        // SAFETY: NEON is statically enabled on aarch64; lane extraction
-        // has no preconditions.
-        let (m0, m1) = unsafe { (vgetq_lane_f64::<0>(m), vgetq_lane_f64::<1>(m)) };
-        if m0.max(m1) > eps {
-            return false;
-        }
-    }
-    let mut tail = 0.0f64;
-    while dim < d {
-        tail = tail.max((a[dim] - b[dim]).abs());
-        dim += 1;
-    }
-    // SAFETY: NEON is statically enabled on aarch64; lane extraction has
-    // no preconditions.
-    let (m0, m1) = unsafe { (vgetq_lane_f64::<0>(m), vgetq_lane_f64::<1>(m)) };
-    m0.max(m1).max(tail) <= eps
 }
 
 /// Accumulates dimensions `base..base+4` for the candidate pair at lanes
@@ -293,12 +143,7 @@ fn sum_within_block<const SQ: bool>(
     let mut t = lanes.start;
     while t < lanes.end {
         if t + 2 > width {
-            while t < lanes.end {
-                if portable::sum_within_budget::<SQ>(probe, block, t, budget) {
-                    out.push(ids[t]);
-                }
-                t += 1;
-            }
+            portable::within_block::<SQ, false>(probe, block, t..lanes.end, budget, out);
             return;
         }
         let mut acc = [splat(0.0); 4];
@@ -341,30 +186,8 @@ fn sum_within_block<const SQ: bool>(
     }
 }
 
-/// L1 block filter via NEON.
-pub fn l1_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    sum_within_block::<false>(probe, block, lanes, eps, out);
-}
-
-/// L2 block filter via NEON.
-pub fn l2_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    sum_within_block::<true>(probe, block, lanes, eps * eps, out);
-}
-
-/// L∞ block filter via NEON: running max per candidate lane.
-pub fn linf_within_block(
+/// L∞ block filter: running max per candidate lane.
+fn max_within_block(
     probe: &[f64],
     block: &SoABlock,
     lanes: Range<usize>,
@@ -381,12 +204,7 @@ pub fn linf_within_block(
     let mut t = lanes.start;
     while t < lanes.end {
         if t + 2 > width {
-            while t < lanes.end {
-                if portable::max_within_budget(probe, block, t, eps) {
-                    out.push(ids[t]);
-                }
-                t += 1;
-            }
+            portable::within_block::<false, true>(probe, block, t..lanes.end, eps, out);
             return;
         }
         let mut m = splat(0.0);
@@ -409,5 +227,21 @@ pub fn linf_within_block(
             emit(le(m, veps), t, lanes.end, ids, out);
         }
         t += 2;
+    }
+}
+
+/// The tier's one entry point: `budget` is in the accumulation domain (see
+/// `crate::simd::within_block`).
+pub fn within_block<const SQ: bool, const MAX: bool>(
+    probe: &[f64],
+    block: &SoABlock,
+    lanes: Range<usize>,
+    budget: f64,
+    out: &mut Vec<u32>,
+) {
+    if MAX {
+        max_within_block(probe, block, lanes, budget, out);
+    } else {
+        sum_within_block::<SQ>(probe, block, lanes, budget, out);
     }
 }

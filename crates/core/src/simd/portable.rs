@@ -1,5 +1,6 @@
-//! Portable strided block kernels — the scalar dispatch level's SoA path
-//! and the fallback for metrics without a vector implementation (`Lp`).
+//! Portable strided block kernels — the scalar dispatch level's SoA path,
+//! the vector tiers' ragged-lane fallback, and the only path for the
+//! metric without a vector implementation (`Lp`).
 //!
 //! These walk a [`SoABlock`] one candidate lane at a time with **exactly**
 //! the accumulation scheme of [`crate::kernels`]: four dimension-lane
@@ -83,30 +84,7 @@ fn max_within_at(probe: &[f64], block: &SoABlock, t: usize, eps: f64) -> bool {
     true
 }
 
-/// Budget-domain single-lane test used by the vector block kernels for
-/// their ragged tail lanes (`SQ` selects the squared L2 term; the budget
-/// is already in the accumulation domain, e.g. `eps²`).
-#[inline]
-pub(crate) fn sum_within_budget<const SQ: bool>(
-    probe: &[f64],
-    block: &SoABlock,
-    t: usize,
-    budget: f64,
-) -> bool {
-    if SQ {
-        sum_within_at(probe, block, t, budget, |x, y| (x - y) * (x - y))
-    } else {
-        sum_within_at(probe, block, t, budget, |x, y| (x - y).abs())
-    }
-}
-
-/// Single-lane L∞ test for the vector block kernels' ragged tail lanes.
-#[inline]
-pub(crate) fn max_within_budget(probe: &[f64], block: &SoABlock, t: usize, eps: f64) -> bool {
-    max_within_at(probe, block, t, eps)
-}
-
-/// Generic lane loop shared by the per-metric entry points below: pushes
+/// Lane loop shared by the two entry points below: pushes
 /// `block.ids()[t]` for every qualifying lane in `lanes`, in lane order.
 #[inline(always)]
 fn filter_lanes(
@@ -123,41 +101,26 @@ fn filter_lanes(
     }
 }
 
-/// L1 block filter: `Σ |pᵢ − cᵢ| ≤ eps`.
-pub fn l1_within_block(
+/// The scalar tier's block filter, and the vector tiers' for the lanes past
+/// their last full group: `Σ |pᵢ − cᵢ| ≤ budget` (L1), `Σ (pᵢ − cᵢ)² ≤
+/// budget` with `SQ` (L2, `budget = ε²`), or `max |pᵢ − cᵢ| ≤ budget` with
+/// `MAX` (L∞).
+pub fn within_block<const SQ: bool, const MAX: bool>(
     probe: &[f64],
     block: &SoABlock,
     lanes: Range<usize>,
-    eps: f64,
+    budget: f64,
     out: &mut Vec<u32>,
 ) {
     filter_lanes(block, lanes, out, |t| {
-        sum_within_at(probe, block, t, eps, |x, y| (x - y).abs())
+        if MAX {
+            max_within_at(probe, block, t, budget)
+        } else if SQ {
+            sum_within_at(probe, block, t, budget, |x, y| (x - y) * (x - y))
+        } else {
+            sum_within_at(probe, block, t, budget, |x, y| (x - y).abs())
+        }
     });
-}
-
-/// L2 block filter in the squared domain: `Σ (pᵢ − cᵢ)² ≤ eps²`.
-pub fn l2_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    filter_lanes(block, lanes, out, |t| {
-        sum_within_at(probe, block, t, eps * eps, |x, y| (x - y) * (x - y))
-    });
-}
-
-/// L∞ block filter: `max |pᵢ − cᵢ| ≤ eps`.
-pub fn linf_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    filter_lanes(block, lanes, out, |t| max_within_at(probe, block, t, eps));
 }
 
 /// Lp block filter in the `ε^p` domain. `powf` has no vector ISA, so every
@@ -199,21 +162,21 @@ mod tests {
                     (0..13u32).filter(|&j| within(&probe, d.point(j))).collect()
                 };
                 let mut got = Vec::new();
-                l2_within_block(&probe, &block, 0..13, eps, &mut got);
+                within_block::<true, false>(&probe, &block, 0..13, eps * eps, &mut got);
                 assert_eq!(
                     got,
                     expect(&|a, b| kernels::l2_within(a, b, eps)),
                     "l2 d={dims} eps={eps}"
                 );
                 got.clear();
-                l1_within_block(&probe, &block, 0..13, eps, &mut got);
+                within_block::<false, false>(&probe, &block, 0..13, eps, &mut got);
                 assert_eq!(
                     got,
                     expect(&|a, b| kernels::l1_within(a, b, eps)),
                     "l1 d={dims} eps={eps}"
                 );
                 got.clear();
-                linf_within_block(&probe, &block, 0..13, eps, &mut got);
+                within_block::<false, true>(&probe, &block, 0..13, eps, &mut got);
                 assert_eq!(
                     got,
                     expect(&|a, b| kernels::linf_within(a, b, eps)),
@@ -236,10 +199,10 @@ mod tests {
         let block = crate::soa::SoABlock::from_range(&d, 0..10);
         let probe = d.point(0).to_vec();
         let mut all = Vec::new();
-        l2_within_block(&probe, &block, 0..10, 10.0, &mut all);
+        within_block::<true, false>(&probe, &block, 0..10, 100.0, &mut all);
         assert_eq!(all, (0..10).collect::<Vec<u32>>());
         let mut sub = Vec::new();
-        l2_within_block(&probe, &block, 3..7, 10.0, &mut sub);
+        within_block::<true, false>(&probe, &block, 3..7, 100.0, &mut sub);
         assert_eq!(sub, vec![3, 4, 5, 6]);
     }
 }

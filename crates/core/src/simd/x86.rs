@@ -1,45 +1,30 @@
-//! Explicit SSE2/AVX2/AVX-512 distance kernels for x86-64.
+//! The SSE2/AVX2/AVX-512 block kernel for x86-64.
 //!
-//! Every kernel here reproduces the **exact** arithmetic of the 4-lane
-//! scalar kernels in [`crate::kernels`]: dimensions `≡ k (mod 4)` feed
-//! lane accumulator `k` with plain IEEE sub/mul/add (never FMA), the
+//! The kernel vectorizes **across candidates** — two (SSE2), four (AVX2)
+//! or eight (AVX-512) candidates per vector, one accumulator vector per
+//! dimension lane, streaming the contiguous [`SoABlock`] columns — and is
+//! one body ([`block_kernel!`]) for all three widths. Each vector lane
+//! reproduces the **exact** arithmetic of the 4-lane scalar kernels in
+//! [`crate::kernels`] for its candidate: dimensions `≡ k (mod 4)` feed
+//! accumulator `k` with plain IEEE sub/mul/add (never FMA), the
 //! per-candidate sum is the canonical monotone fold
-//! `(acc0 + acc1) + (acc2 + acc3)` plus a separately chained scalar tail,
-//! and `abs` clears the sign bit, which matches `f64::abs` bit for bit.
-//! Because the fold is monotone in the non-negative terms, *any*
-//! early-exit schedule — per super-block in the pair kernels,
-//! all-lanes-exceed per [`check_due`] for candidate groups — returns the
-//! same decision as the full sum, so `within` decisions (and therefore
-//! join results) are byte-identical across dispatch levels.
-//!
-//! The AVX2 pair kernels hold all four dimension lanes in one `__m256d`;
-//! the SSE2 pair kernels split them across two `__m128d`s. The block
-//! kernel vectorizes **across candidates** instead — two (SSE2), four
-//! (AVX2) or eight (AVX-512) candidates per vector, one accumulator
-//! vector per dimension lane, streaming the contiguous [`SoABlock`]
-//! columns — and is one body ([`block_kernel!`]) for all three widths.
+//! `(acc0 + acc1) + (acc2 + acc3)` plus a separately chained tail, and
+//! `abs` clears the sign bit, which matches `f64::abs` bit for bit.
+//! Because the fold is monotone in the non-negative terms, the
+//! all-lanes-exceed early exit ([`check_due`]) returns the same decisions
+//! as the full sum, so block decisions equal [`crate::Metric::within`]'s
+//! (and join results are byte-identical) at every dispatch level.
 //!
 //! This file (with `neon.rs`) is the only place in the workspace where
 //! `unsafe` is permitted: hdsj-core carries `#![deny(unsafe_code)]` and
 //! every other crate keeps `forbid`. The unsafe surface is exactly (a)
-//! unaligned vector loads/stores on in-bounds slice regions and (b) the
-//! AVX2/AVX-512 entry wrappers, whose target features the dispatch probe
-//! has verified. Each carries a `SAFETY:` comment per R2.
+//! one unaligned vector load per width, on an in-bounds slice region, and
+//! (b) one entry wrapper per tier, whose target feature the dispatch
+//! probe has verified. Each carries a `SAFETY:` comment per R2.
 #![allow(unsafe_code)]
 
-use crate::simd::portable;
 use crate::soa::SoABlock;
 use std::ops::Range;
-
-/// Scalar tail term of the pair kernels: `(x−y)²` or `|x−y|`.
-#[inline(always)]
-fn sterm<const SQ: bool>(x: f64, y: f64) -> f64 {
-    if SQ {
-        (x - y) * (x - y)
-    } else {
-        (x - y).abs()
-    }
-}
 
 /// Pushes the ids of qualifying lanes `t..t+g` (bit `k` of `mask` set),
 /// capped at the requested lane range end.
@@ -61,28 +46,6 @@ fn emit(mask: u32, t: usize, end: usize, g: usize, ids: &[u32], out: &mut Vec<u3
 #[inline(always)]
 fn check_due(dim: usize) -> bool {
     dim <= 16 || dim.is_multiple_of(16)
-}
-
-/// Lanes past the last full vector group of the SSE2/AVX2 block kernels
-/// (at most `LANE_PAD − 1` of them): the portable strided kernels are
-/// decision-identical.
-fn tail_lanes<const SQ: bool, const MAX: bool>(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    budget: f64,
-    out: &mut Vec<u32>,
-) {
-    for t in lanes {
-        let within = if MAX {
-            portable::max_within_budget(probe, block, t, budget)
-        } else {
-            portable::sum_within_budget::<SQ>(probe, block, t, budget)
-        };
-        if within {
-            out.push(block.ids()[t]);
-        }
-    }
 }
 
 /// The across-candidate block kernel, written once and instantiated in
@@ -185,279 +148,82 @@ fn avx2_available() -> bool {
 }
 
 /// The 8-lane tier needs `avx512f` for its own body and `avx2` for the
-/// pair kernels and the trailing 4-lane group it hands down.
+/// trailing 4-lane group it hands down.
 pub fn avx512_available() -> bool {
     avx2_available() && std::arch::is_x86_feature_detected!("avx512f")
 }
 
 // ---------------------------------------------------------------------
-// AVX2 entry points. The inner kernels are safe `#[target_feature]` fns;
-// only the feature-availability hand-off needs `unsafe`.
+// One entry point per tier. The kernels are safe `#[target_feature]` fns;
+// only the feature-availability hand-off needs `unsafe`. `budget` is in
+// the accumulation domain (see `crate::simd::within_block`).
 // ---------------------------------------------------------------------
 
-/// Manhattan distance via the AVX2 kernel.
-pub fn avx2_l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::sum_distance::<false>(a, b) }
-}
-
-/// Euclidean distance via the AVX2 kernel.
-pub fn avx2_l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::sum_distance::<true>(a, b) }.sqrt()
-}
-
-/// Chebyshev distance via the AVX2 kernel.
-pub fn avx2_linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::linf_distance(a, b) }
-}
-
-/// `Σ |aᵢ − bᵢ| ≤ eps` via the AVX2 kernel.
-pub fn avx2_l1_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::sum_within::<false>(a, b, eps) }
-}
-
-/// `Σ (aᵢ − bᵢ)² ≤ eps²` via the AVX2 kernel (no root taken).
-pub fn avx2_l2_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::sum_within::<true>(a, b, eps * eps) }
-}
-
-/// `max |aᵢ − bᵢ| ≤ eps` via the AVX2 kernel.
-pub fn avx2_linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::linf_within(a, b, eps) }
-}
-
-/// L1 block filter via the AVX2 across-candidate kernel.
-pub fn avx2_l1_within_block(
+/// Block filter via the 2-lane SSE2 kernel.
+pub fn sse2_within_block<const SQ: bool, const MAX: bool>(
     probe: &[f64],
     block: &SoABlock,
     lanes: Range<usize>,
-    eps: f64,
+    budget: f64,
+    out: &mut Vec<u32>,
+) {
+    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
+    // provides it, so the kernel's required target feature is present.
+    unsafe { sse2::within_block::<SQ, MAX>(probe, block, lanes, budget, out) }
+}
+
+/// Block filter via the 4-lane AVX2 kernel.
+pub fn avx2_within_block<const SQ: bool, const MAX: bool>(
+    probe: &[f64],
+    block: &SoABlock,
+    lanes: Range<usize>,
+    budget: f64,
     out: &mut Vec<u32>,
 ) {
     debug_assert!(avx2_available());
     // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
+    // select the AVX2 kernel only after `is_x86_feature_detected!("avx2")`
     // reports support, so the required target feature is present.
-    unsafe { avx2::within_block::<false, false>(probe, block, lanes, eps, out) }
+    unsafe { avx2::within_block::<SQ, MAX>(probe, block, lanes, budget, out) }
 }
 
-/// L2 block filter via the AVX2 across-candidate kernel.
-pub fn avx2_l2_within_block(
+/// Block filter via the 8-lane AVX-512 kernel.
+pub fn avx512_within_block<const SQ: bool, const MAX: bool>(
     probe: &[f64],
     block: &SoABlock,
     lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::within_block::<true, false>(probe, block, lanes, eps * eps, out) }
-}
-
-/// L∞ block filter via the AVX2 across-candidate kernel.
-pub fn avx2_linf_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::within_block::<false, true>(probe, block, lanes, eps, out) }
-}
-
-// ---------------------------------------------------------------------
-// AVX-512 entry points: block kernels only (see `mod avx512`).
-// ---------------------------------------------------------------------
-
-/// L1 block filter via the AVX-512 across-candidate kernel.
-pub fn avx512_l1_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
+    budget: f64,
     out: &mut Vec<u32>,
 ) {
     debug_assert!(avx512_available());
     // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX-512 kernels only after `avx512_available()` reports
+    // select the AVX-512 kernel only after `avx512_available()` reports
     // `avx512f` and `avx2`, so the required target features are present.
-    unsafe { avx512::within_block::<false, false>(probe, block, lanes, eps, out) }
-}
-
-/// L2 block filter via the AVX-512 across-candidate kernel.
-pub fn avx512_l2_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    debug_assert!(avx512_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX-512 kernels only after `avx512_available()` reports
-    // `avx512f` and `avx2`, so the required target features are present.
-    unsafe { avx512::within_block::<true, false>(probe, block, lanes, eps * eps, out) }
-}
-
-/// L∞ block filter via the AVX-512 across-candidate kernel.
-pub fn avx512_linf_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    debug_assert!(avx512_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX-512 kernels only after `avx512_available()` reports
-    // `avx512f` and `avx2`, so the required target features are present.
-    unsafe { avx512::within_block::<false, true>(probe, block, lanes, eps, out) }
-}
-
-// ---------------------------------------------------------------------
-// SSE2 entry points. SSE2 is in the x86-64 baseline feature set (this
-// crate only builds these on x86_64), so the feature is unconditionally
-// present; the `unsafe` below only discharges the lexical
-// `#[target_feature]` requirement.
-// ---------------------------------------------------------------------
-
-/// Manhattan distance via the SSE2 kernel.
-pub fn sse2_l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_distance::<false>(a, b) }
-}
-
-/// Euclidean distance via the SSE2 kernel.
-pub fn sse2_l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_distance::<true>(a, b) }.sqrt()
-}
-
-/// Chebyshev distance via the SSE2 kernel.
-pub fn sse2_linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::linf_distance(a, b) }
-}
-
-/// `Σ |aᵢ − bᵢ| ≤ eps` via the SSE2 kernel.
-pub fn sse2_l1_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_within::<false>(a, b, eps) }
-}
-
-/// `Σ (aᵢ − bᵢ)² ≤ eps²` via the SSE2 kernel (no root taken).
-pub fn sse2_l2_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_within::<true>(a, b, eps * eps) }
-}
-
-/// `max |aᵢ − bᵢ| ≤ eps` via the SSE2 kernel.
-pub fn sse2_linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::linf_within(a, b, eps) }
-}
-
-/// L1 block filter via the SSE2 across-candidate kernel.
-pub fn sse2_l1_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::within_block::<false, false>(probe, block, lanes, eps, out) }
-}
-
-/// L2 block filter via the SSE2 across-candidate kernel.
-pub fn sse2_l2_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::within_block::<true, false>(probe, block, lanes, eps * eps, out) }
-}
-
-/// L∞ block filter via the SSE2 across-candidate kernel.
-pub fn sse2_linf_within_block(
-    probe: &[f64],
-    block: &SoABlock,
-    lanes: Range<usize>,
-    eps: f64,
-    out: &mut Vec<u32>,
-) {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::within_block::<false, true>(probe, block, lanes, eps, out) }
+    unsafe { avx512::within_block::<SQ, MAX>(probe, block, lanes, budget, out) }
 }
 
 mod avx2 {
     use super::*;
+    // Lanes past the last full group (at most `LANE_PAD − 1` of them): the
+    // portable strided kernel is decision-identical.
+    use crate::simd::portable::within_block as tail_lanes;
     use core::arch::x86_64::*;
+
+    /// Lanes per vector — the block kernels' candidate-group width.
+    const LANES: usize = 4;
 
     /// Loads 4 consecutive f64s starting at `xs[at]`.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn load(xs: &[f64], at: usize) -> __m256d {
         debug_assert!(xs.len() >= 4 && at <= xs.len() - 4);
-        // SAFETY: callers maintain `at + 4 <= xs.len()` (pair kernels stop
-        // at `dim + 4 <= d`; block kernels pass `dim * width + t` with
-        // `t + 4 <= width`, `dim < dims`, into the `dims × width` buffer).
+        // SAFETY: the block kernel passes `dim * width + t` with
+        // `t + 4 <= width`, `dim < dims`, into the `dims × width` buffer,
+        // so `at + 4 <= xs.len()`.
         unsafe { _mm256_loadu_pd(xs.as_ptr().add(at)) }
     }
 
-    /// Spills a vector to an array (for the scalar L∞ max fold).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn to_array(v: __m256d) -> [f64; 4] {
-        let mut out = [0.0f64; 4];
-        // SAFETY: `out` is four f64s of writable local memory; `storeu`
-        // has no alignment requirement.
-        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
-        out
-    }
-
-    /// One 4-dimension term vector: `(a−b)²` (`SQ`) or `|a−b|`.
+    /// One term vector: `(a−b)²` (`SQ`) or `|a−b|`.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn term<const SQ: bool>(a: __m256d, b: __m256d) -> __m256d {
@@ -468,137 +234,6 @@ mod avx2 {
             _mm256_andnot_pd(_mm256_set1_pd(-0.0), d)
         }
     }
-
-    /// The canonical scalar fold `(acc0 + acc1) + (acc2 + acc3)` of the
-    /// four dimension-lane partials held in one vector — bit-identical
-    /// to [`crate::kernels`]'s `fold4`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn fold(acc: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(acc); // [acc0, acc1]
-        let hi = _mm256_extractf128_pd::<1>(acc); // [acc2, acc3]
-        let h = _mm_hadd_pd(lo, hi); // [acc0+acc1, acc2+acc3]
-        _mm_cvtsd_f64(_mm_add_sd(h, _mm_unpackhi_pd(h, h)))
-    }
-
-    /// `Σ term(aᵢ, bᵢ)` with the canonical lane decomposition.
-    #[target_feature(enable = "avx2")]
-    pub fn sum_distance<const SQ: bool>(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut acc = _mm256_setzero_pd();
-        let mut dim = 0;
-        while dim + 4 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim), load(b, dim)));
-            dim += 4;
-        }
-        let mut tail = 0.0;
-        while dim < d {
-            tail += sterm::<SQ>(a[dim], b[dim]);
-            dim += 1;
-        }
-        fold(acc) + tail
-    }
-
-    /// `Σ term(aᵢ, bᵢ) ≤ budget` with the scalar kernels' first-4 /
-    /// per-16 early-exit cadence.
-    #[target_feature(enable = "avx2")]
-    pub fn sum_within<const SQ: bool>(a: &[f64], b: &[f64], budget: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut acc = _mm256_setzero_pd();
-        let mut dim = 0;
-        if d >= 4 {
-            acc = _mm256_add_pd(acc, term::<SQ>(load(a, 0), load(b, 0)));
-            if fold(acc) > budget {
-                return false;
-            }
-            dim = 4;
-        }
-        while dim + 16 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim), load(b, dim)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim + 4), load(b, dim + 4)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim + 8), load(b, dim + 8)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim + 12), load(b, dim + 12)));
-            if fold(acc) > budget {
-                return false;
-            }
-            dim += 16;
-        }
-        while dim + 4 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load(a, dim), load(b, dim)));
-            dim += 4;
-        }
-        let mut tail = 0.0;
-        while dim < d {
-            tail += sterm::<SQ>(a[dim], b[dim]);
-            dim += 1;
-        }
-        fold(acc) + tail <= budget
-    }
-
-    /// `max |aᵢ − bᵢ|`; max over the non-negative finite terms datasets
-    /// hold is order-independent, so the lane split is exact.
-    #[target_feature(enable = "avx2")]
-    pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut m = _mm256_setzero_pd();
-        let mut dim = 0;
-        while dim + 4 <= d {
-            m = _mm256_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
-            dim += 4;
-        }
-        let mut tail = 0.0f64;
-        while dim < d {
-            tail = tail.max((a[dim] - b[dim]).abs());
-            dim += 1;
-        }
-        let arr = to_array(m);
-        arr[0].max(arr[1]).max(arr[2]).max(arr[3]).max(tail)
-    }
-
-    /// `max |aᵢ − bᵢ| ≤ eps` with block-level early exit.
-    #[target_feature(enable = "avx2")]
-    pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut m = _mm256_setzero_pd();
-        let mut dim = 0;
-        if d >= 4 {
-            m = _mm256_max_pd(m, term::<false>(load(a, 0), load(b, 0)));
-            let arr = to_array(m);
-            if arr[0].max(arr[1]).max(arr[2]).max(arr[3]) > eps {
-                return false;
-            }
-            dim = 4;
-        }
-        while dim + 16 <= d {
-            m = _mm256_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
-            m = _mm256_max_pd(m, term::<false>(load(a, dim + 4), load(b, dim + 4)));
-            m = _mm256_max_pd(m, term::<false>(load(a, dim + 8), load(b, dim + 8)));
-            m = _mm256_max_pd(m, term::<false>(load(a, dim + 12), load(b, dim + 12)));
-            let arr = to_array(m);
-            if arr[0].max(arr[1]).max(arr[2]).max(arr[3]) > eps {
-                return false;
-            }
-            dim += 16;
-        }
-        while dim + 4 <= d {
-            m = _mm256_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
-            dim += 4;
-        }
-        let mut tail = 0.0f64;
-        while dim < d {
-            tail = tail.max((a[dim] - b[dim]).abs());
-            dim += 1;
-        }
-        let arr = to_array(m);
-        arr[0].max(arr[1]).max(arr[2]).max(arr[3]).max(tail) <= eps
-    }
-
-    /// Lanes per vector — the block kernels' candidate-group width.
-    const LANES: usize = 4;
 
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -636,20 +271,25 @@ mod avx2 {
 
 mod sse2 {
     use super::*;
+    // Lanes past the last full group: see `avx2`.
+    use crate::simd::portable::within_block as tail_lanes;
     use core::arch::x86_64::*;
+
+    /// Lanes per vector — the block kernels' candidate-group width.
+    const LANES: usize = 2;
 
     /// Loads 2 consecutive f64s starting at `xs[at]`. SSE2 is in the
     /// x86-64 baseline, so no feature gate is needed.
     #[inline(always)]
     fn load(xs: &[f64], at: usize) -> __m128d {
         debug_assert!(xs.len() >= 2 && at <= xs.len() - 2);
-        // SAFETY: callers maintain `at + 2 <= xs.len()` (pair kernels stop
-        // at `dim + 4 <= d`; block kernels pass `dim * width + t` with
-        // `t + 2 <= width`, `dim < dims`, into the `dims × width` buffer).
+        // SAFETY: the block kernel passes `dim * width + t` with
+        // `t + 2 <= width`, `dim < dims`, into the `dims × width` buffer,
+        // so `at + 2 <= xs.len()`.
         unsafe { _mm_loadu_pd(xs.as_ptr().add(at)) }
     }
 
-    /// One 2-dimension term vector: `(a−b)²` (`SQ`) or `|a−b|`.
+    /// One term vector: `(a−b)²` (`SQ`) or `|a−b|`.
     #[inline]
     #[target_feature(enable = "sse2")]
     fn term<const SQ: bool>(a: __m128d, b: __m128d) -> __m128d {
@@ -660,129 +300,6 @@ mod sse2 {
             _mm_andnot_pd(_mm_set1_pd(-0.0), d)
         }
     }
-
-    /// The canonical fold `(acc0 + acc1) + (acc2 + acc3)` of the two
-    /// accumulator pairs (`acc01` holds lanes 0–1, `acc23` lanes 2–3).
-    /// No SSE3 `hadd` here — SSE2 baseline only.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn fold(acc01: __m128d, acc23: __m128d) -> f64 {
-        let s01 = _mm_add_sd(acc01, _mm_unpackhi_pd(acc01, acc01));
-        let s23 = _mm_add_sd(acc23, _mm_unpackhi_pd(acc23, acc23));
-        _mm_cvtsd_f64(_mm_add_sd(s01, s23))
-    }
-
-    /// `Σ term(aᵢ, bᵢ)` with the canonical lane decomposition.
-    #[target_feature(enable = "sse2")]
-    pub fn sum_distance<const SQ: bool>(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        let mut dim = 0;
-        while dim + 4 <= d {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load(a, dim), load(b, dim)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load(a, dim + 2), load(b, dim + 2)));
-            dim += 4;
-        }
-        let mut tail = 0.0;
-        while dim < d {
-            tail += sterm::<SQ>(a[dim], b[dim]);
-            dim += 1;
-        }
-        fold(acc01, acc23) + tail
-    }
-
-    /// `Σ term(aᵢ, bᵢ) ≤ budget` with the scalar kernels' first-4 /
-    /// per-16 early-exit cadence.
-    #[target_feature(enable = "sse2")]
-    pub fn sum_within<const SQ: bool>(a: &[f64], b: &[f64], budget: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        let mut dim = 0;
-        if d >= 4 {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load(a, 0), load(b, 0)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load(a, 2), load(b, 2)));
-            if fold(acc01, acc23) > budget {
-                return false;
-            }
-            dim = 4;
-        }
-        while dim + 16 <= d {
-            for c in 0..4 {
-                let at = dim + 4 * c;
-                acc01 = _mm_add_pd(acc01, term::<SQ>(load(a, at), load(b, at)));
-                acc23 = _mm_add_pd(acc23, term::<SQ>(load(a, at + 2), load(b, at + 2)));
-            }
-            if fold(acc01, acc23) > budget {
-                return false;
-            }
-            dim += 16;
-        }
-        while dim + 4 <= d {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load(a, dim), load(b, dim)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load(a, dim + 2), load(b, dim + 2)));
-            dim += 4;
-        }
-        let mut tail = 0.0;
-        while dim < d {
-            tail += sterm::<SQ>(a[dim], b[dim]);
-            dim += 1;
-        }
-        fold(acc01, acc23) + tail <= budget
-    }
-
-    /// `max |aᵢ − bᵢ|` — order-independent max, exact under any split.
-    #[target_feature(enable = "sse2")]
-    pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut m = _mm_setzero_pd();
-        let mut dim = 0;
-        while dim + 2 <= d {
-            m = _mm_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
-            dim += 2;
-        }
-        let mut tail = 0.0f64;
-        while dim < d {
-            tail = tail.max((a[dim] - b[dim]).abs());
-            dim += 1;
-        }
-        let hi = _mm_cvtsd_f64(_mm_unpackhi_pd(m, m));
-        _mm_cvtsd_f64(m).max(hi).max(tail)
-    }
-
-    /// `max |aᵢ − bᵢ| ≤ eps` with block-level early exit.
-    #[target_feature(enable = "sse2")]
-    pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut m = _mm_setzero_pd();
-        let mut dim = 0;
-        while dim + 2 <= d {
-            let stop = dim + 16;
-            while dim + 2 <= stop.min(d) {
-                m = _mm_max_pd(m, term::<false>(load(a, dim), load(b, dim)));
-                dim += 2;
-            }
-            let hi = _mm_cvtsd_f64(_mm_unpackhi_pd(m, m));
-            if _mm_cvtsd_f64(m).max(hi) > eps {
-                return false;
-            }
-        }
-        let mut tail = 0.0f64;
-        while dim < d {
-            tail = tail.max((a[dim] - b[dim]).abs());
-            dim += 1;
-        }
-        let hi = _mm_cvtsd_f64(_mm_unpackhi_pd(m, m));
-        _mm_cvtsd_f64(m).max(hi).max(tail) <= eps
-    }
-
-    /// Lanes per vector — the block kernels' candidate-group width.
-    const LANES: usize = 2;
 
     #[inline]
     #[target_feature(enable = "sse2")]
@@ -818,9 +335,7 @@ mod sse2 {
     block_kernel!("sse2");
 }
 
-/// The 8-lane tier. Only the block kernels widen: the canonical fold has
-/// four accumulators, so the pair entry points of `Level::Avx512` are the
-/// AVX2 pair kernels.
+/// The 8-lane tier.
 mod avx512 {
     // Lanes past the last full 8-group: at most one 4-lane group for the
     // AVX2 instantiation, which hands what is left to the portable path.
@@ -893,104 +408,21 @@ mod avx512 {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::kernels;
+    use crate::metric::Metric;
 
-    fn pt(dims: usize, seed: u64) -> Vec<f64> {
-        (0..dims)
-            .map(|i| {
-                let h = seed
-                    .rotate_left(i as u32 * 13)
-                    .wrapping_mul(0x9e3779b97f4a7c15);
-                (h >> 11) as f64 / (1u64 << 53) as f64
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sse2_pair_kernels_are_bit_identical_to_scalar() {
-        for dims in [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65] {
-            let a = pt(dims, 3);
-            let b = pt(dims, 9);
-            assert_eq!(
-                sse2_l1_distance(&a, &b).to_bits(),
-                kernels::l1_distance(&a, &b).to_bits(),
-                "l1 d={dims}"
-            );
-            assert_eq!(
-                sse2_l2_distance(&a, &b).to_bits(),
-                kernels::l2_distance(&a, &b).to_bits(),
-                "l2 d={dims}"
-            );
-            assert_eq!(
-                sse2_linf_distance(&a, &b).to_bits(),
-                kernels::linf_distance(&a, &b).to_bits(),
-                "linf d={dims}"
-            );
-            for eps in [0.01, 0.2, 1.0, 10.0] {
-                assert_eq!(
-                    sse2_l2_within(&a, &b, eps),
-                    kernels::l2_within(&a, &b, eps),
-                    "l2 within d={dims} eps={eps}"
-                );
-                assert_eq!(
-                    sse2_l1_within(&a, &b, eps),
-                    kernels::l1_within(&a, &b, eps),
-                    "l1 within d={dims} eps={eps}"
-                );
-                assert_eq!(
-                    sse2_linf_within(&a, &b, eps),
-                    kernels::linf_within(&a, &b, eps),
-                    "linf within d={dims} eps={eps}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn avx2_pair_kernels_are_bit_identical_to_scalar() {
-        if !avx2_available() {
-            return;
-        }
-        for dims in [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65] {
-            let a = pt(dims, 5);
-            let b = pt(dims, 17);
-            assert_eq!(
-                avx2_l1_distance(&a, &b).to_bits(),
-                kernels::l1_distance(&a, &b).to_bits(),
-                "l1 d={dims}"
-            );
-            assert_eq!(
-                avx2_l2_distance(&a, &b).to_bits(),
-                kernels::l2_distance(&a, &b).to_bits(),
-                "l2 d={dims}"
-            );
-            assert_eq!(
-                avx2_linf_distance(&a, &b).to_bits(),
-                kernels::linf_distance(&a, &b).to_bits(),
-                "linf d={dims}"
-            );
-            for eps in [0.01, 0.2, 1.0, 10.0] {
-                assert_eq!(
-                    avx2_l2_within(&a, &b, eps),
-                    kernels::l2_within(&a, &b, eps),
-                    "l2 within d={dims} eps={eps}"
-                );
-                assert_eq!(
-                    avx2_l1_within(&a, &b, eps),
-                    kernels::l1_within(&a, &b, eps),
-                    "l1 within d={dims} eps={eps}"
-                );
-                assert_eq!(
-                    avx2_linf_within(&a, &b, eps),
-                    kernels::linf_within(&a, &b, eps),
-                    "linf within d={dims} eps={eps}"
-                );
-            }
-        }
-    }
-
-    type PairFn = fn(&[f64], &[f64], f64) -> bool;
     type BlockFn = fn(&[f64], &SoABlock, Range<usize>, f64, &mut Vec<u32>);
+
+    /// The metric each `[l1, l2, linf]` slot of [`block_tiers`] decides,
+    /// and the budget its kernel takes for a given ε.
+    const METRICS: [Metric; 3] = [Metric::L1, Metric::L2, Metric::Linf];
+
+    fn budget(metric: Metric, eps: f64) -> f64 {
+        if metric == Metric::L2 {
+            eps * eps
+        } else {
+            eps
+        }
+    }
 
     /// `(tier, [l1, l2, linf])` for every block-kernel instantiation the
     /// host can run.
@@ -998,18 +430,18 @@ mod tests {
         let mut tiers: Vec<(&'static str, [BlockFn; 3])> = vec![(
             "sse2",
             [
-                sse2_l1_within_block,
-                sse2_l2_within_block,
-                sse2_linf_within_block,
+                sse2_within_block::<false, false>,
+                sse2_within_block::<true, false>,
+                sse2_within_block::<false, true>,
             ],
         )];
         if avx2_available() {
             tiers.push((
                 "avx2",
                 [
-                    avx2_l1_within_block,
-                    avx2_l2_within_block,
-                    avx2_linf_within_block,
+                    avx2_within_block::<false, false>,
+                    avx2_within_block::<true, false>,
+                    avx2_within_block::<false, true>,
                 ],
             ));
         }
@@ -1017,9 +449,9 @@ mod tests {
             tiers.push((
                 "avx512",
                 [
-                    avx512_l1_within_block,
-                    avx512_l2_within_block,
-                    avx512_linf_within_block,
+                    avx512_within_block::<false, false>,
+                    avx512_within_block::<true, false>,
+                    avx512_within_block::<false, true>,
                 ],
             ));
         }
@@ -1028,8 +460,6 @@ mod tests {
 
     #[test]
     fn block_kernels_match_per_pair_decisions_exactly() {
-        let within: [PairFn; 3] =
-            [kernels::l1_within, kernels::l2_within, kernels::linf_within];
         for dims in [1, 3, 4, 5, 8, 12, 16, 17, 20, 64, 65] {
             let flat: Vec<f64> = (0..23 * dims)
                 .map(|i| ((i as f64 * 0.41).sin() * 0.5 + 0.5).abs())
@@ -1039,13 +469,13 @@ mod tests {
             let probe = ds.point(11).to_vec();
             for eps in [0.1, 0.5, 2.0] {
                 for (tier, fns) in block_tiers() {
-                    for (m, f) in fns.iter().enumerate() {
+                    for (metric, f) in METRICS.into_iter().zip(fns) {
                         let expect: Vec<u32> = (0..23u32)
-                            .filter(|&j| within[m](&probe, ds.point(j), eps))
+                            .filter(|&j| metric.within(&probe, ds.point(j), eps))
                             .collect();
                         let mut got = Vec::new();
-                        f(&probe, &block, 0..23, eps, &mut got);
-                        assert_eq!(got, expect, "{tier} metric#{m} d={dims} eps={eps}");
+                        f(&probe, &block, 0..23, budget(metric, eps), &mut got);
+                        assert_eq!(got, expect, "{tier} {metric:?} d={dims} eps={eps}");
                     }
                 }
             }

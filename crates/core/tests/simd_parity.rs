@@ -1,12 +1,14 @@
-//! Differential property tests for the SIMD kernel tiers.
+//! Differential property tests for the block-kernel tiers.
 //!
-//! The dispatch contract (see `hdsj_core::simd`) promises that every tier
-//! computes the *bit-identical* distance of the 4-lane scalar kernels and
-//! the *exactly identical* `within` decision. This suite drives randomized
-//! NaN-free inputs — spanning subnormals, mixed magnitudes, and both signs
-//! — through every tier the host supports and pins both promises against
-//! the scalar oracle, for the pair kernels and the SoA block kernels
-//! alike. It also pins the SoA transpose itself as bit-lossless.
+//! The dispatch contract (see `hdsj_core::simd`) promises that every tier's
+//! block kernel decides each candidate *exactly* as the one per-pair kernel
+//! — `Metric::within`, the 4-lane scalar kernels in `hdsj_core::kernels` —
+//! would. This suite drives randomized NaN-free inputs — spanning
+//! subnormals, mixed magnitudes, and both signs — through every tier the
+//! host supports and pins that promise, with `Metric::within` as the
+//! reference throughout. It also pins `Metric::{distance, within}` to the
+//! scalar kernels bit for bit (including the `Lp(1)`/`Lp(2)`
+//! normalisation), and the SoA transpose itself as bit-lossless.
 //!
 //! Dimension choices deliberately straddle the kernels' structural
 //! boundaries: below/at/above the 4-lane width (1..8), the 16-dimension
@@ -20,7 +22,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hdsj_core::soa::SoABlock;
-use hdsj_core::{kernels, simd, Dataset};
+use hdsj_core::{kernels, simd, Dataset, Metric};
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
@@ -97,80 +99,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn distances_are_bit_identical_at_every_tier(pair in vec_pair()) {
+    fn metric_pair_evaluation_is_the_scalar_kernels(pair in vec_pair()) {
         let (a, b) = pair;
-        let _sweep = tier_sweep();
-        let saved = simd::level();
-        for tier in simd::supported() {
-            prop_assert_eq!(simd::set_level(tier), tier);
-            prop_assert_eq!(
-                simd::l1_distance(&a, &b).to_bits(),
-                kernels::l1_distance(&a, &b).to_bits(),
-                "l1 at {:?}", tier
-            );
-            prop_assert_eq!(
-                simd::l2_distance(&a, &b).to_bits(),
-                kernels::l2_distance(&a, &b).to_bits(),
-                "l2 at {:?}", tier
-            );
-            prop_assert_eq!(
-                simd::linf_distance(&a, &b).to_bits(),
-                kernels::linf_distance(&a, &b).to_bits(),
-                "linf at {:?}", tier
-            );
-            prop_assert_eq!(
-                simd::lp_distance(&a, &b, 2.5).to_bits(),
-                kernels::lp_distance(&a, &b, 2.5).to_bits(),
-                "lp at {:?}", tier
-            );
+        type Distance = fn(&[f64], &[f64]) -> f64;
+        type Within = fn(&[f64], &[f64], f64) -> bool;
+        // `Lp(1)`/`Lp(2)` must land on the specialized kernels, not `powf`.
+        let cases: [(Metric, Distance, Within); 5] = [
+            (Metric::L1, kernels::l1_distance, kernels::l1_within),
+            (Metric::Lp(1.0), kernels::l1_distance, kernels::l1_within),
+            (Metric::L2, kernels::l2_distance, kernels::l2_within),
+            (Metric::Lp(2.0), kernels::l2_distance, kernels::l2_within),
+            (Metric::Linf, kernels::linf_distance, kernels::linf_within),
+        ];
+        for (metric, distance, within) in cases {
+            let dist = distance(&a, &b);
+            prop_assert_eq!(metric.distance(&a, &b).to_bits(), dist.to_bits(), "{:?}", metric);
+            for eps in boundary_eps(dist) {
+                prop_assert_eq!(
+                    metric.within(&a, &b, eps),
+                    within(&a, &b, eps),
+                    "{:?} eps {}", metric, eps
+                );
+            }
         }
-        simd::set_level(saved);
+        let lp = Metric::Lp(2.5);
+        let dist = kernels::lp_distance(&a, &b, 2.5);
+        prop_assert_eq!(lp.distance(&a, &b).to_bits(), dist.to_bits());
+        for eps in boundary_eps(dist) {
+            prop_assert_eq!(lp.within(&a, &b, eps), kernels::lp_within(&a, &b, eps, 2.5));
+        }
     }
 
     #[test]
-    fn within_decisions_are_exact_at_every_tier(pair in vec_pair()) {
-        let (a, b) = pair;
-        let _sweep = tier_sweep();
-        // ε pinned to the true distance and its bit-neighbours: the early
-        // exits must agree with the full sum even exactly on the boundary.
-        let d1 = kernels::l1_distance(&a, &b);
-        let d2 = kernels::l2_distance(&a, &b);
-        let di = kernels::linf_distance(&a, &b);
-        let saved = simd::level();
-        for tier in simd::supported() {
-            simd::set_level(tier);
-            for eps in boundary_eps(d1) {
-                prop_assert_eq!(
-                    simd::l1_within(&a, &b, eps),
-                    kernels::l1_within(&a, &b, eps),
-                    "l1 at {:?} eps {}", tier, eps
-                );
-            }
-            for eps in boundary_eps(d2) {
-                prop_assert_eq!(
-                    simd::l2_within(&a, &b, eps),
-                    kernels::l2_within(&a, &b, eps),
-                    "l2 at {:?} eps {}", tier, eps
-                );
-            }
-            for eps in boundary_eps(di) {
-                prop_assert_eq!(
-                    simd::linf_within(&a, &b, eps),
-                    kernels::linf_within(&a, &b, eps),
-                    "linf at {:?} eps {}", tier, eps
-                );
-            }
-            prop_assert_eq!(
-                simd::lp_within(&a, &b, d1.max(0.1), 2.5),
-                kernels::lp_within(&a, &b, d1.max(0.1), 2.5),
-                "lp at {:?}", tier
-            );
-        }
-        simd::set_level(saved);
-    }
-
-    #[test]
-    fn block_filters_match_pair_kernels_at_every_tier(
+    fn block_filters_match_metric_within_at_every_tier(
         ds in small_dataset(),
         eps in 0.0f64..2.5,
     ) {
@@ -186,38 +147,19 @@ proptest! {
         for tier in simd::supported() {
             simd::set_level(tier);
             for lanes in [full.clone(), tail.clone()] {
-                let want_l1: Vec<u32> = block.ids()[lanes.clone()]
-                    .iter()
-                    .copied()
-                    .filter(|&j| kernels::l1_within(&probe, ds.point(j), eps))
-                    .collect();
-                let want_l2: Vec<u32> = block.ids()[lanes.clone()]
-                    .iter()
-                    .copied()
-                    .filter(|&j| kernels::l2_within(&probe, ds.point(j), eps))
-                    .collect();
-                let want_li: Vec<u32> = block.ids()[lanes.clone()]
-                    .iter()
-                    .copied()
-                    .filter(|&j| kernels::linf_within(&probe, ds.point(j), eps))
-                    .collect();
-                let want_lp: Vec<u32> = block.ids()[lanes.clone()]
-                    .iter()
-                    .copied()
-                    .filter(|&j| kernels::lp_within(&probe, ds.point(j), eps, 2.5))
-                    .collect();
-                let mut got = Vec::new();
-                simd::l1_within_block(&probe, &block, lanes.clone(), eps, &mut got);
-                prop_assert_eq!(&got, &want_l1, "l1 at {:?} lanes {:?}", tier, &lanes);
-                got.clear();
-                simd::l2_within_block(&probe, &block, lanes.clone(), eps, &mut got);
-                prop_assert_eq!(&got, &want_l2, "l2 at {:?} lanes {:?}", tier, &lanes);
-                got.clear();
-                simd::linf_within_block(&probe, &block, lanes.clone(), eps, &mut got);
-                prop_assert_eq!(&got, &want_li, "linf at {:?} lanes {:?}", tier, &lanes);
-                got.clear();
-                simd::lp_within_block(&probe, &block, lanes.clone(), eps, 2.5, &mut got);
-                prop_assert_eq!(&got, &want_lp, "lp at {:?} lanes {:?}", tier, &lanes);
+                for metric in BLOCK_METRICS {
+                    let want: Vec<u32> = block.ids()[lanes.clone()]
+                        .iter()
+                        .copied()
+                        .filter(|&j| metric.within(&probe, ds.point(j), eps))
+                        .collect();
+                    let mut got = Vec::new();
+                    metric.within_block(&probe, &block, lanes.clone(), eps, &mut got);
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{:?} at {:?} lanes {:?}", metric, tier, &lanes
+                    );
+                }
             }
         }
         simd::set_level(saved);
@@ -275,30 +217,18 @@ proptest! {
 /// them (17, 20), and the per-16 checks (64).
 const SEAM_DIMS: &[usize] = &[1, 3, 4, 5, 8, 12, 16, 17, 20, 64];
 
-type PairWithin = fn(&[f64], &[f64], f64) -> bool;
-type PairDistance = fn(&[f64], &[f64]) -> f64;
-type BlockWithin = fn(&[f64], &SoABlock, Range<usize>, f64, &mut Vec<u32>);
+/// The metrics with a vector block kernel.
+const METRICS: [Metric; 3] = [Metric::L1, Metric::L2, Metric::Linf];
 
-/// `(name, scalar distance, scalar decision, dispatched block filter)`.
-const METRICS: [(&str, PairDistance, PairWithin, BlockWithin); 3] = [
-    (
-        "l1",
-        kernels::l1_distance,
-        kernels::l1_within,
-        simd::l1_within_block,
-    ),
-    (
-        "l2",
-        kernels::l2_distance,
-        kernels::l2_within,
-        simd::l2_within_block,
-    ),
-    (
-        "linf",
-        kernels::linf_distance,
-        kernels::linf_within,
-        simd::linf_within_block,
-    ),
+/// Those plus the portable-only `Lp` and the two exponents that normalise
+/// onto a vector kernel.
+const BLOCK_METRICS: [Metric; 6] = [
+    Metric::L1,
+    Metric::L2,
+    Metric::Linf,
+    Metric::Lp(2.5),
+    Metric::Lp(1.0),
+    Metric::Lp(2.0),
 ];
 
 /// A deterministic unit-interval stream: these cases are enumerated, not
@@ -310,24 +240,24 @@ fn unit(state: &mut u64) -> f64 {
     (*state >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Asserts the dispatched block filter over `lanes` lists exactly the ids
-/// the scalar pair kernel accepts, at every supported tier.
+/// Asserts `Metric::within_block` over `lanes` lists exactly the ids
+/// `Metric::within` accepts, at every supported tier.
 fn assert_block_matches_pairs(ds: &Dataset, block: &SoABlock, lanes: Range<usize>, eps: f64) {
     let probe = ds.point(0);
-    for (name, _, within, filter) in METRICS {
+    for metric in METRICS {
         let want: Vec<u32> = block.ids()[lanes.clone()]
             .iter()
             .copied()
-            .filter(|&j| within(probe, ds.point(j), eps))
+            .filter(|&j| metric.within(probe, ds.point(j), eps))
             .collect();
         for tier in simd::supported() {
             simd::set_level(tier);
             let mut got = Vec::new();
-            filter(probe, block, lanes.clone(), eps, &mut got);
+            metric.within_block(probe, block, lanes.clone(), eps, &mut got);
             assert_eq!(
                 got,
                 want,
-                "{name} at {tier:?}: d={} lanes {lanes:?} of {} (width {}), eps {eps}",
+                "{metric:?} at {tier:?}: d={} lanes {lanes:?} of {} (width {}), eps {eps}",
                 ds.dims(),
                 block.len(),
                 block.width()
@@ -359,8 +289,8 @@ fn block_windows_hold_at_every_group_seam() {
                 if lane >= len {
                     continue;
                 }
-                for (_, distance, _, _) in METRICS {
-                    let exact = distance(ds.point(0), ds.point(block.ids()[lane]));
+                for metric in METRICS {
+                    let exact = metric.distance(ds.point(0), ds.point(block.ids()[lane]));
                     for eps in boundary_eps(exact) {
                         // Windows starting at every offset of an 8-group,
                         // ending at the block's end and inside its last

@@ -47,7 +47,25 @@ fn exit_code(e: &Error) -> i32 {
     }
 }
 
+/// Rejects an `HDSJ_SIMD` the kernel probe cannot parse. The probe itself
+/// falls back to the host's best tier (a library has nobody to tell), so
+/// without this a mistyped cap runs uncapped and only the `simd` stats
+/// field gives it away.
+fn check_simd_env() -> Result<()> {
+    use hdsj::core::simd::{parse_level, SPELLINGS};
+    let Some(raw) = std::env::var_os("HDSJ_SIMD") else {
+        return Ok(());
+    };
+    match raw.to_str().and_then(parse_level) {
+        Some(_) => Ok(()),
+        None => Err(Error::InvalidInput(format!(
+            "HDSJ_SIMD={raw:?} is not a kernel tier; accepted: {SPELLINGS}"
+        ))),
+    }
+}
+
 fn run(args: &[String]) -> Result<()> {
+    check_simd_env()?;
     let Some(cmd) = args.first() else {
         print_help();
         return Ok(());
@@ -133,6 +151,14 @@ THREADS:
                         when unset. Results are identical at every thread
                         count; algorithms without a parallel path ignore it.
 
+KERNEL TIER:
+  HDSJ_SIMD=TIER        environment variable capping the block kernel that
+                        refines candidate tiles: {spellings}.
+                        A tier the host lacks clamps down to one it has;
+                        anything else is rejected (exit 2). Results are
+                        identical at every tier; `--stats json` reports the
+                        one that ran as `simd`.
+
 FAULT INJECTION (disk-backed algorithms rsj and msj only):
   --inject-faults SPEC  seeded fault plan for the page store. SPEC is
                         comma-separated clauses: `seed=N`,
@@ -166,7 +192,8 @@ EXIT CODES:
   0 success        2 invalid input     3 unsupported
   4 storage fault  5 data corruption   6 OS-level I/O error
   7 internal invariant violated        8 canceled
-  9 deadline exceeded                 10 budget exhausted"
+  9 deadline exceeded                 10 budget exhausted",
+        spellings = hdsj::core::simd::SPELLINGS
     );
 }
 

@@ -256,6 +256,31 @@ fn stats_json_emits_one_parseable_object() {
 }
 
 #[test]
+fn mistyped_simd_cap_is_rejected_at_startup() {
+    // A cap the probe cannot parse used to run the host's best tier
+    // silently; now no command starts, and the message names the variable
+    // and the spellings it takes.
+    for bad in ["avx", "AVX-2", "of", ""] {
+        let out = hdsj()
+            .env("HDSJ_SIMD", bad)
+            .args(["info", "--input", "/nonexistent.csv"])
+            .output()
+            .expect("info");
+        assert_eq!(out.status.code(), Some(2), "HDSJ_SIMD={bad:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("HDSJ_SIMD"), "{err}");
+        assert!(err.contains("avx512") && err.contains("off"), "{err}");
+    }
+    // Case and surrounding whitespace are still forgiven.
+    let out = hdsj()
+        .env("HDSJ_SIMD", " Off\n")
+        .arg("help")
+        .output()
+        .expect("help");
+    assert!(out.status.success());
+}
+
+#[test]
 fn trace_file_has_nested_spans_and_pool_counters() {
     let csv = tmp("traced.csv");
     hdsj()
