@@ -73,14 +73,19 @@ impl RecordCodec {
     }
 }
 
+/// Half the side of an ε-cube, inflated by one part in 10¹² so cubes whose
+/// true extent touches a cell boundary are conservatively classified as
+/// crossing it (extra candidates are refined away; lost candidates would be
+/// wrong answers). The sweep's view test quantises with the same value.
+pub fn cube_half(eps: f64) -> f64 {
+    eps / 2.0 * (1.0 + 1e-12)
+}
+
 /// Assigns ε-cubes to hierarchy levels and cell keys.
 pub struct Assigner {
     dims: usize,
     depth: u32,
-    /// Half cube side, inflated by one part in 10¹² so cubes whose true
-    /// extent touches a cell boundary are conservatively classified as
-    /// crossing it (extra candidates are refined away; lost candidates would
-    /// be wrong answers).
+    /// Half cube side ([`cube_half`]).
     half: f64,
     curve: Curve,
     key_bits: u32,
@@ -98,7 +103,7 @@ impl Assigner {
         Ok(Assigner {
             dims,
             depth,
-            half: eps / 2.0 * (1.0 + 1e-12),
+            half: cube_half(eps),
             curve,
             key_bits: dims as u32 * depth,
             lo: vec![0; dims],

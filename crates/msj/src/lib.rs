@@ -17,15 +17,18 @@
 //! 4. **Synchronized sweep** ([`sweep`]) — one pass over the sorted stream
 //!    with a stack of "open" ancestor cells: a cube can only intersect
 //!    cubes in its own cell or in an ancestor cell, so each cell's points
-//!    are joined against the cell itself and the stack. Candidates are
-//!    pre-filtered by a dimension-0 plane sweep, taken tile-major (each
-//!    L1-sized candidate tile is transposed once and reused by every
-//!    probe whose window touches it), and refined with the exact metric.
+//!    are joined against the cell itself and against its *view* of the
+//!    stack — the ancestors' points whose cube reaches the cell. Candidates
+//!    are pre-filtered by ε-stripes of a second dimension (long lists
+//!    only) and a dimension-0 plane sweep, taken tile-major (each L1-sized
+//!    candidate tile is transposed once and reused by every probe whose
+//!    window touches it), and refined with the exact metric.
 //!
 //! The memory the sweep needs is the stack of at most `depth + 1` open
-//! cells plus one L1-sized scratch tile — independent of dimensionality,
-//! which is the structural reason MSJ scales to high `d` where the ε-KDB
-//! directory and the R-tree fan-out collapse (experiments E1, E5).
+//! cells, their cached views (together at most `depth` times the stack)
+//! and one L1-sized scratch tile — independent of dimensionality, which is
+//! the structural reason MSJ scales to high `d` where the ε-KDB directory
+//! and the R-tree fan-out collapse (experiments E1, E5).
 #![forbid(unsafe_code)]
 
 pub mod assign;
@@ -504,6 +507,9 @@ impl Msj {
                 (names::MSJ_SWEEP_LANES_GATHERED, t.lanes_gathered),
                 (names::MSJ_SWEEP_BLOCK_CANDIDATES, t.block_candidates),
                 (names::MSJ_SWEEP_PAIR_CANDIDATES, t.pair_candidates),
+                (names::MSJ_SWEEP_VIEW_TESTED, tally.view_tested),
+                (names::MSJ_SWEEP_VIEW_KEPT, tally.view_kept),
+                (names::MSJ_SWEEP_STRIPED_JOINS, tally.striped_joins),
             ] {
                 self.tracer.counter(name).add(v);
             }

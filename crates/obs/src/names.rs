@@ -61,6 +61,12 @@ pub const MSJ_SWEEP_LANES_GATHERED: &str = "msj.sweep.lanes_gathered";
 pub const MSJ_SWEEP_BLOCK_CANDIDATES: &str = "msj.sweep.block_candidates";
 /// MSJ candidates emitted pair by pair (tile too sparse to gather).
 pub const MSJ_SWEEP_PAIR_CANDIDATES: &str = "msj.sweep.pair_candidates";
+/// Ancestor entries the MSJ sweep tested while narrowing cell views.
+pub const MSJ_SWEEP_VIEW_TESTED: &str = "msj.sweep.view_tested";
+/// Of those, entries whose ε-cube met the cell (`view_kept ≤ view_tested`).
+pub const MSJ_SWEEP_VIEW_KEPT: &str = "msj.sweep.view_kept";
+/// MSJ cell-pair joins partitioned by a second dimension's ε-stripes.
+pub const MSJ_SWEEP_STRIPED_JOINS: &str = "msj.sweep.striped_joins";
 
 /// Chunks dispatched by the hdsj-exec pool.
 pub const EXEC_TASKS: &str = "exec.tasks";
@@ -181,6 +187,9 @@ pub const ALL: &[&str] = &[
     MSJ_SWEEP_LANES_GATHERED,
     MSJ_SWEEP_BLOCK_CANDIDATES,
     MSJ_SWEEP_PAIR_CANDIDATES,
+    MSJ_SWEEP_VIEW_TESTED,
+    MSJ_SWEEP_VIEW_KEPT,
+    MSJ_SWEEP_STRIPED_JOINS,
     EXEC_TASKS,
     EXEC_WORKERS,
     EXEC_STEAL_WAITS,

@@ -12,13 +12,15 @@
 pub fn quantize(x: f64, bits: u32) -> u32 {
     debug_assert!((1..=31).contains(&bits));
     let cells = (1u64 << bits) as f64;
-    let v = (x * cells).floor();
-    if v < 0.0 {
-        0
-    } else if v >= cells {
+    let v = x * cells;
+    // `as` truncates, which is `floor` for the non-negative values left
+    // (and maps NaN to 0); a negative `v` floors below zero, hence clamps.
+    if v >= cells {
         (1u32 << bits) - 1
-    } else {
+    } else if v >= 0.0 {
         v as u32
+    } else {
+        0
     }
 }
 
@@ -66,6 +68,48 @@ mod tests {
     }
 
     #[test]
+    fn quantize_is_the_clamped_floor() {
+        // The definition, with the `floor` the implementation avoids.
+        let by_floor = |x: f64, bits: u32| {
+            let cells = (1u64 << bits) as f64;
+            let v = (x * cells).floor();
+            if v < 0.0 {
+                0
+            } else if v >= cells {
+                (1u32 << bits) - 1
+            } else {
+                v as u32
+            }
+        };
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1e-300,
+            1e-300,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON / 2.0,
+            1.0 + f64::EPSILON,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Every cell boundary of a 7-bit grid, and one ulp to either side.
+        for k in -3i32..=131 {
+            let x = k as f64 / 128.0;
+            xs.extend([x, x - x.abs() * f64::EPSILON, x + x.abs() * f64::EPSILON]);
+        }
+        for &x in &xs {
+            for bits in [1u32, 2, 7, 16, 20, 31] {
+                assert_eq!(quantize(x, bits), by_floor(x, bits), "x={x:e} bits={bits}");
+            }
+        }
+    }
+
+    #[test]
     fn quantize_point_fills_buffer() {
         let mut out = [0u32; 3];
         quantize_point(&[0.0, 0.5, 0.99], 2, &mut out);
@@ -85,6 +129,8 @@ mod tests {
         fn prop_quantize_within_range(x in -1.0f64..2.0, bits in 1u32..31) {
             let q = quantize(x, bits);
             prop_assert!(q < (1u32 << bits));
+            let floor = (x * (1u64 << bits) as f64).floor();
+            prop_assert_eq!(q as f64, floor.clamp(0.0, ((1u64 << bits) - 1) as f64));
         }
 
         #[test]

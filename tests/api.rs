@@ -121,50 +121,69 @@ fn msj_sweep_observes_deadline_and_cross_thread_cancel() {
 
     // ε·d this large puts every point in level 0: the whole join is one
     // cell's sweep, with no page fetch or phase boundary left to poll at.
-    let ds = hdsj::data::uniform(16, 3000, 12).unwrap();
-    let spec = JoinSpec::new(0.5, Metric::L2);
-    for threads in [1usize, 2] {
-        let run = |lc: Option<LifecycleCtx>| {
-            let mut msj = hdsj::msj::Msj::with_threads(threads);
-            if let Some(lc) = lc {
-                msj.set_lifecycle(lc);
-            }
-            let started = Instant::now();
-            let outcome = msj.self_join(&ds, &spec, &mut CountSink::default());
-            (outcome, started.elapsed())
-        };
-        let (full, uncancelled) = run(None);
-        assert!(full.unwrap().candidates > 1_000_000);
-        let after = (uncancelled / 20).max(Duration::from_millis(1));
+    let flat = hdsj::data::uniform(16, 3000, 12).unwrap();
+    // The opposite shape: a deep hierarchy of thousands of small cells,
+    // whose sweep narrows a view per cell and stripes the big joins. Assign
+    // and sort are close to half of this join and poll per record, so a stop
+    // a twentieth of the way in would never reach the sweep: this case alone
+    // times its stop, and its bound, from where the uncancelled sweep began.
+    let deep = hdsj::data::uniform(4, 40_000, 12).unwrap();
+    let cases = [
+        (&flat, JoinSpec::new(0.5, Metric::L2), 1_000_000, false),
+        (&deep, JoinSpec::new(0.02, Metric::L2), 100_000, true),
+    ];
+    for (ds, spec, candidates, from_sweep) in cases {
+        for threads in [1usize, 2] {
+            let run = |lc: Option<LifecycleCtx>| {
+                let mut msj = hdsj::msj::Msj::with_threads(threads);
+                if let Some(lc) = lc {
+                    msj.set_lifecycle(lc);
+                }
+                let started = Instant::now();
+                let outcome = msj.self_join(ds, &spec, &mut CountSink::default());
+                (outcome, started.elapsed())
+            };
+            let (full, uncancelled) = run(None);
+            let full = full.unwrap();
+            assert!(full.candidates > candidates);
+            let head = if from_sweep {
+                uncancelled.saturating_sub(full.phase("sweep").unwrap())
+            } else {
+                Duration::ZERO
+            };
+            let after = head + ((uncancelled - head) / 20).max(Duration::from_millis(1));
+            let limit = head + (uncancelled - head) / 2;
+            let case = format!("d={} threads={threads}", ds.dims());
 
-        let lc = LifecycleCtx::builder()
-            .deadline_ms(after.as_millis() as u64)
-            .build();
-        let (outcome, took) = run(Some(lc));
-        let err = outcome.unwrap_err();
-        assert!(matches!(err, Error::DeadlineExceeded(_)), "{err:?}");
-        assert!(
-            took < uncancelled / 2,
-            "threads={threads}: deadline {after:?} honoured only after {took:?} of {uncancelled:?}"
-        );
+            let lc = LifecycleCtx::builder()
+                .deadline_ms(after.as_millis() as u64)
+                .build();
+            let (outcome, took) = run(Some(lc));
+            let err = outcome.unwrap_err();
+            assert!(matches!(err, Error::DeadlineExceeded(_)), "{case}: {err:?}");
+            assert!(
+                took < limit,
+                "{case}: deadline {after:?} honoured only after {took:?}, limit {limit:?} of {uncancelled:?}"
+            );
 
-        let lc = LifecycleCtx::unbounded();
-        let token = lc.cancel_token();
-        let (go, wait) = std::sync::mpsc::channel::<()>();
-        let canceller = std::thread::spawn(move || {
-            wait.recv().unwrap();
-            std::thread::sleep(after);
-            token.cancel();
-        });
-        go.send(()).unwrap();
-        let (outcome, took) = run(Some(lc));
-        canceller.join().unwrap();
-        let err = outcome.unwrap_err();
-        assert!(matches!(err, Error::Canceled(_)), "{err:?}");
-        assert!(
-            took < uncancelled / 2,
-            "threads={threads}: cancel after {after:?} honoured only after {took:?} of {uncancelled:?}"
-        );
+            let lc = LifecycleCtx::unbounded();
+            let token = lc.cancel_token();
+            let (go, wait) = std::sync::mpsc::channel::<()>();
+            let canceller = std::thread::spawn(move || {
+                wait.recv().unwrap();
+                std::thread::sleep(after);
+                token.cancel();
+            });
+            go.send(()).unwrap();
+            let (outcome, took) = run(Some(lc));
+            canceller.join().unwrap();
+            let err = outcome.unwrap_err();
+            assert!(matches!(err, Error::Canceled(_)), "{case}: {err:?}");
+            assert!(
+                took < limit,
+                "{case}: cancel after {after:?} honoured only after {took:?}, limit {limit:?} of {uncancelled:?}"
+            );
+        }
     }
 }
 

@@ -65,11 +65,30 @@ fn check_all_two(a: &Dataset, b: &Dataset, spec: &JoinSpec, label: &str) {
     }
 }
 
-/// EKDB and SM1D by name — no roster skip can hide them — on inputs whose
-/// leaves and projection span several candidate tiles: brute-force results
-/// through the shared tile join's block path.
-fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) {
+/// EKDB, SM1D and MSJ by name — no roster skip can hide them — on inputs
+/// whose leaves, projection and cells span several candidate tiles:
+/// brute-force results through the shared tile join's block path. Returns
+/// MSJ's `(view_tested, striped_joins)`.
+fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) -> (u64, u64) {
     let want = ground_truth_self(ds, spec);
+    let (tracer, mem) = hdsj::obs::Tracer::memory();
+    let mut msj = hdsj::msj::Msj::default();
+    msj.set_tracer(tracer.clone());
+    let mut sink = VecSink::default();
+    let stats = msj.self_join(ds, spec, &mut sink).unwrap();
+    tracer.flush();
+    verify::assert_same_results(&format!("{label}/MSJ"), &want, &sink.pairs);
+    let tally = |name| mem.counter_value(name).unwrap_or(0);
+    assert_eq!(
+        tally("msj.sweep.block_candidates") + tally("msj.sweep.pair_candidates"),
+        stats.candidates,
+        "{label}"
+    );
+    // The funnel of the sweep's view filter: tested → kept.
+    let tested = tally("msj.sweep.view_tested");
+    assert!(tally("msj.sweep.view_kept") <= tested, "{label}");
+    let msj_funnel = (tested, tally("msj.sweep.striped_joins"));
+
     let (tracer, mem) = hdsj::obs::Tracer::memory();
     let mut ekdb = hdsj::ekdb::EkdbJoin::default();
     ekdb.set_tracer(tracer.clone());
@@ -91,6 +110,7 @@ fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) {
         .self_join(ds, spec, &mut sink)
         .unwrap();
     verify::assert_same_results(&format!("{label}/SM1D"), &want, &sink.pairs);
+    msj_funnel
 }
 
 #[test]
@@ -102,9 +122,18 @@ fn uniform_self_join_across_dims_and_eps() {
         let spec = JoinSpec::new(eps, Metric::L2);
         check_all_self(&ds, &spec, &format!("uniform d={d}"));
         if d == 16 {
-            check_tiled_self(&ds, &spec, "uniform d=16");
+            // One cell, ε·(1 + 1e-9) stripes wider than a third of the
+            // domain: no view to narrow, nothing to stripe.
+            assert_eq!(check_tiled_self(&ds, &spec, "uniform d=16"), (0, 0));
         }
     }
+    // A deep hierarchy with a big level 0: both MSJ filters run.
+    let ds = uniform(3, 3000, 94).unwrap();
+    let (tested, striped) = check_tiled_self(&ds, &JoinSpec::l2(0.04), "uniform d=3");
+    assert!(
+        tested > 0 && striped > 0,
+        "views {tested}, stripes {striped}"
+    );
 }
 
 #[test]
