@@ -4,11 +4,9 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// Severity of a diagnostic. `Deny` diagnostics fail the check (non-zero
-/// exit); `Warn` diagnostics are reported but do not; `Note` records a
-/// positive result (e.g. an R13 discharged bounds proof) and never fails.
+/// exit); `Warn` diagnostics are reported but do not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
-    Note,
     Warn,
     Deny,
 }
@@ -16,7 +14,6 @@ pub enum Level {
 impl fmt::Display for Level {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Level::Note => write!(f, "note"),
             Level::Warn => write!(f, "warn"),
             Level::Deny => write!(f, "deny"),
         }
@@ -26,8 +23,8 @@ impl fmt::Display for Level {
 /// One finding, addressed `file:line` like rustc output.
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
-    /// Short rule name, e.g. `no_panic`; rendered as `hdsj::no_panic`,
-    /// matching the `allow(hdsj::no_panic)` suppression syntax.
+    /// Short rule name, e.g. `lock_order`; rendered as `hdsj::lock_order`,
+    /// matching the `allow(hdsj::lock_order)` suppression syntax.
     pub rule: &'static str,
     pub level: Level,
     pub path: PathBuf,

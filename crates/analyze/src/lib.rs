@@ -1,27 +1,25 @@
 //! # hdsj-analyze — workspace-wide static invariant checker
 //!
-//! Clippy's generic lints cannot see project rules: that hdsj library code
-//! must be panic-free because the chaos suite injects faults everywhere,
-//! that every buffer-pool pin has an RAII unpin, that the few blocking
-//! locks follow one global order, that the error taxonomy has no dead
-//! variants, and that obs metric names match the registry. This crate is a
-//! std-only diagnostics engine — hand-rolled lexer, light structural
-//! parser, a workspace symbol table and conservative call graph
-//! ([`symbols`], [`callgraph`]), an intraprocedural dataflow engine for
-//! bound proofs ([`dataflow`]), fifteen rules — that enforces exactly
-//! those, with `file:line` output, deny/warn/note levels, and
-//! comment-based suppression (`// allow(hdsj::<rule>): why`; bound
-//! justifications use `// BOUND: why`).
+//! Clippy's generic lints cannot see project rules: that every
+//! buffer-pool pin has an RAII unpin, that the few blocking locks follow
+//! one global order, that the error taxonomy has no dead variants, that
+//! obs metric names match the registry, that input-sized loops reach a
+//! lifecycle poll. This crate is a std-only diagnostics engine —
+//! hand-rolled lexer, light structural parser, a workspace symbol table
+//! and conservative call graph ([`symbols`], [`callgraph`]), ten rules
+//! (R3–R12) — that enforces exactly those, with `file:line` output,
+//! deny/warn levels, and comment-based suppression
+//! (`// allow(hdsj::<rule>): why`). What clippy *can* see — panics in
+//! library code, undocumented `unsafe` — is left to it
+//! (`[workspace.lints.clippy]`).
 //!
-//! Entry points: `cargo run -p hdsj-analyze -- check` (CI gate), the
-//! `hdsj analyze` CLI subcommand, and [`Workspace::check`] for tests.
-//! Rules are documented in [`rules`] and DESIGN.md §10; the complementary
-//! *runtime* invariant layer is the storage crate's `debug-invariants`
-//! feature.
+//! Entry points: `cargo run -p hdsj-analyze -- check` (CI gate) and
+//! [`Workspace::check`] for tests. Rules are documented in [`rules`] and
+//! DESIGN.md §10; the complementary *runtime* invariant layer is the
+//! storage crate's `debug-invariants` feature.
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod dataflow;
 pub mod diag;
 pub mod lexer;
 pub mod parse;
@@ -34,7 +32,7 @@ pub use workspace::Workspace;
 
 use std::path::Path;
 
-/// Outcome of a check run, with render helpers shared by the two CLIs.
+/// Outcome of a check run, with the CLI's render helpers.
 pub struct CheckReport {
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -54,14 +52,6 @@ impl CheckReport {
             .count()
     }
 
-    /// Positive findings (discharged proofs); never affect the exit code.
-    pub fn notes(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.level == Level::Note)
-            .count()
-    }
-
     /// True when the check should fail (any deny-level finding).
     pub fn failed(&self) -> bool {
         self.denies() > 0
@@ -75,10 +65,9 @@ impl CheckReport {
             s.push('\n');
         }
         s.push_str(&format!(
-            "hdsj-analyze: {} deny, {} warn, {} note\n",
+            "hdsj-analyze: {} deny, {} warn\n",
             self.denies(),
-            self.warns(),
-            self.notes()
+            self.warns()
         ));
         s
     }
@@ -118,7 +107,6 @@ impl CheckReport {
             let level = match d.level {
                 Level::Deny => "error",
                 Level::Warn => "warning",
-                Level::Note => "note",
             };
             s.push_str(&format!(
                 "{{\"ruleId\":{:?},\"level\":{:?},\"message\":{{\"text\":{:?}}},\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{:?}}},\"region\":{{\"startLine\":{}}}}}}}]}}",

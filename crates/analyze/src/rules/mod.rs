@@ -5,8 +5,6 @@
 //!
 //! | rule | name | scope | default |
 //! |------|-----------------------|----------------------------------|---------|
-//! | R1   | `no_panic`            | per file, non-test               | deny    |
-//! | R2   | `safety_comment`      | per file                         | deny    |
 //! | R3   | `pin_pairing`         | per function                     | deny    |
 //! | R4   | `lock_order`          | per function + call graph        | deny    |
 //! | R5   | `error_taxonomy`      | workspace-wide                   | deny/warn |
@@ -17,24 +15,18 @@
 //! | R10  | `lifecycle_poll`      | algorithm/exec/storage loops + call graph | deny |
 //! | R11  | `budget_charge`       | crates/storage + call graph       | deny   |
 //! | R12  | `durability_order`    | storage::manifest sealing fns     | deny   |
-//! | R13  | `unsafe_bounds`       | core::simd raw offsets + dataflow | deny/note |
-//! | R14  | `target_feature_gate` | vendor intrinsics + call graph    | deny   |
-//! | R15  | `unchecked_arith`     | core::simd offset arithmetic + dataflow | deny |
+//!
+//! Ids are stable names (CI filters and suppressions cite them), so they
+//! start at R3: panic-freedom and `SAFETY:` comments are clippy lints in
+//! `[workspace.lints.clippy]`, not rules here.
 //!
 //! Suppression: a comment containing `allow(hdsj::<rule>)` on the same
 //! line or up to two lines above the flagged line silences that rule
-//! there. Always pair the suppression with a justification. R15
-//! additionally honours `// BOUND: <why>` for bounds the engine cannot
-//! derive.
+//! there. Always pair the suppression with a justification.
 
 pub mod r10_lifecycle_poll;
 pub mod r11_budget_charge;
 pub mod r12_durability_order;
-pub mod r13_unsafe_bounds;
-pub mod r14_target_feature_gate;
-pub mod r15_unchecked_arith;
-pub mod r1_no_panic;
-pub mod r2_safety_comment;
 pub mod r3_pin_pairing;
 pub mod r4_lock_order;
 pub mod r5_error_taxonomy;
@@ -90,28 +82,6 @@ pub struct RuleInfo {
 
 /// Every rule the checker knows, in id order.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "r1",
-        name: r1_no_panic::RULE,
-        level: "deny",
-        summary: "no unwrap/expect/panic!/unreachable!/todo! outside tests",
-        doc: "The chaos suite injects disk faults everywhere, so every \
-              library-code panic is a latent crash under fault injection. \
-              Errors travel through the typed `Error` enum instead; test \
-              code (`#[cfg(test)]`, `#[test]`) is exempt.",
-        example: include_str!("../../tests/fixtures/r1_bad.rs"),
-    },
-    RuleInfo {
-        id: "r2",
-        name: r2_safety_comment::RULE,
-        level: "deny",
-        summary: "every `unsafe` block carries a SAFETY: comment within 3 lines",
-        doc: "Each `unsafe` block must state the invariant that makes it \
-              sound, in a `// SAFETY:` comment within the three lines \
-              above it, so reviewers audit the claim rather than the \
-              keyword.",
-        example: include_str!("../../tests/fixtures/r2_bad.rs"),
-    },
     RuleInfo {
         id: "r3",
         name: r3_pin_pairing::RULE,
@@ -252,61 +222,6 @@ pub const RULES: &[RuleInfo] = &[
               resolved field types, not names.",
         example: include_str!("../../tests/fixtures/r12_bad.rs"),
     },
-    RuleInfo {
-        id: "r13",
-        name: r13_unsafe_bounds::RULE,
-        level: "deny/note",
-        summary: "every core::simd raw-pointer offset is discharged against a \
-                  dominating checked precondition",
-        doc: "The SIMD layer holds the workspace's only `unsafe`. A SAFETY \
-              comment claims a bound; this rule makes the claim checkable: \
-              the intraprocedural dataflow pass propagates intervals and \
-              symbolic bounds from `assert!`/`debug_assert!` conjuncts, \
-              loop guards, and inverted early-return guards, and every \
-              `as_ptr().add(e)` / `get_unchecked(e)` offset must be \
-              *discharged* — proven `e < receiver.len()` by a dominating \
-              fact. A discharged site is reported as a note carrying the \
-              witness expression; an undischarged one is denied with the \
-              missing bound spelled out.",
-        example: include_str!("../../tests/fixtures/r13_bad.rs"),
-    },
-    RuleInfo {
-        id: "r14",
-        name: r14_target_feature_gate::RULE,
-        level: "deny",
-        summary: "non-baseline vendor intrinsics sit in matching #[target_feature] \
-                  fns, entered only via the probed dispatch shims",
-        doc: "Calling an AVX2 intrinsic on a CPU without AVX2 is undefined \
-              behaviour regardless of bounds. Two obligations: every \
-              `_mm256_*`/`_mm512_*` intrinsic must be inside a function \
-              gated with the matching `#[target_feature(enable = …)]`, and \
-              every such gated function may only be entered from another \
-              function gated the same way, a `simd/mod.rs` dispatch shim \
-              branching on the probed `level()`, or a probe wrapper that \
-              asserts `*_available()` and is itself reached only from those \
-              shims. Only precise call-graph edges, refined by module \
-              plausibility, are trusted. Baseline features (sse2, neon) \
-              are exempt.",
-        example: include_str!("../../tests/fixtures/r14_bad.rs"),
-    },
-    RuleInfo {
-        id: "r15",
-        name: r15_unchecked_arith::RULE,
-        level: "deny",
-        summary: "integer arithmetic feeding a raw-pointer offset is provably \
-                  non-overflowing or carries a BOUND: justification",
-        doc: "A bounds check that wraps is no check: `at + k <= xs.len()` \
-              passes for `at = usize::MAX - k + 1` in release mode. \
-              Arithmetic that feeds a raw offset — in the offset \
-              expression itself, in a `let` that flows into one, in an \
-              argument to a same-file sink helper, or inside the assert \
-              that guards one — must be provably non-overflowing under \
-              the propagated intervals (an assert's own conjunct cannot \
-              vouch for itself; earlier conjuncts can). Bounds the engine \
-              cannot derive are recorded with `// BOUND: <why>` on or \
-              just above the flagged line.",
-        example: include_str!("../../tests/fixtures/r15_bad.rs"),
-    },
 ];
 
 /// Resolves a comma-separated filter (`"r7,r8"` or `"determinism"`) into a
@@ -372,8 +287,6 @@ fn run_impl(
         r10_lifecycle_poll::RULE,
         r11_budget_charge::RULE,
         r12_durability_order::RULE,
-        r14_target_feature_gate::RULE,
-        r15_unchecked_arith::RULE,
     ]
     .iter()
     .any(|r| on(r))
@@ -399,12 +312,6 @@ fn run_impl(
         .collect();
 
     for (fi, f) in files.iter().enumerate() {
-        if on(r1_no_panic::RULE) {
-            r1_no_panic::check(f, &mut out);
-        }
-        if on(r2_safety_comment::RULE) {
-            r2_safety_comment::check(f, &mut out);
-        }
         if on(r3_pin_pairing::RULE) {
             r3_pin_pairing::check(f, &mut out);
         }
@@ -424,9 +331,6 @@ fn run_impl(
         if on(r9_exec_only::RULE) {
             r9_exec_only::check(f, &mut out);
         }
-        if on(r13_unsafe_bounds::RULE) {
-            r13_unsafe_bounds::check(f, &mut out);
-        }
         if on(r5_error_taxonomy::RULE) {
             r5_error_taxonomy::scan_usage(f, &mut tally);
         }
@@ -445,12 +349,6 @@ fn run_impl(
         }
         if on(r12_durability_order::RULE) {
             r12_durability_order::check(a, &mut out);
-        }
-        if on(r14_target_feature_gate::RULE) {
-            r14_target_feature_gate::check(a, &mut out);
-        }
-        if on(r15_unchecked_arith::RULE) {
-            r15_unchecked_arith::check(a, &mut out);
         }
     }
     if on(r5_error_taxonomy::RULE) {

@@ -2,8 +2,8 @@
 //! the per-crate table below, and every `Ordering::Relaxed` operation on a
 //! **gate** atomic (one that other threads consult to decide whether, or
 //! what, shared data may be touched) carries an `// ORDERING:` comment
-//! within the three lines above it — the same discipline R2 applies to
-//! `unsafe` via `// SAFETY:`.
+//! within the three lines above it — the same discipline clippy's
+//! `undocumented_unsafe_blocks` applies to `unsafe` via `// SAFETY:`.
 //!
 //! Why a table: memory orderings are a contract between *all* the code
 //! touching one atomic, so the reviewable unit is the atomic, not the call
@@ -44,8 +44,7 @@ use crate::symbols::resolve_receiver;
 
 pub const RULE: &str = "atomic_ordering";
 
-/// How many lines above the operation an `// ORDERING:` comment may sit
-/// (mirrors R2's SAFETY reach).
+/// How many lines above the operation an `// ORDERING:` comment may sit.
 const REACH: u32 = 3;
 
 /// Classification of a declared atomic.

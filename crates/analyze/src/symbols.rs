@@ -115,11 +115,6 @@ impl SymbolTable {
             .map(|&i| &self.fns[i])
     }
 
-    /// Id of the function symbol at (file, body_start).
-    pub fn fn_id_at(&self, file: usize, body_start: usize) -> Option<usize> {
-        self.fn_by_body.get(&(file, body_start)).copied()
-    }
-
     /// The declared type of field `field` on struct `ty`, if known.
     pub fn field_ty(&self, ty: &str, field: &str) -> Option<&TypedName> {
         self.structs

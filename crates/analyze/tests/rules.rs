@@ -4,7 +4,7 @@
 //! are fed through [`Workspace::from_sources`], the same pipeline as a
 //! real checkout minus the directory walk.
 // Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use hdsj_analyze::{Level, Workspace};
 use std::path::{Path, PathBuf};
@@ -23,8 +23,6 @@ fn fixture(name: &str, mount: &str) -> (PathBuf, String) {
 #[test]
 fn bad_fixtures_produce_exactly_the_expected_diagnostics() {
     let ws = Workspace::from_sources(&[
-        fixture("r1_bad.rs", "r1_bad.rs"),
-        fixture("r2_bad.rs", "r2_bad.rs"),
         fixture("r3_bad.rs", "r3_bad.rs"),
         fixture("r4_bad.rs", "r4_bad.rs"),
         fixture("r4_cycle.rs", "r4_cycle.rs"),
@@ -39,21 +37,13 @@ fn bad_fixtures_produce_exactly_the_expected_diagnostics() {
         // its loops exercise exactly one rule.
         fixture("r7_bad.rs", "crates/exec/src/r7_bad.rs"),
         fixture("r8_bad.rs", "crates/core/src/kernels/r8_bad.rs"),
-        // R8's scope grew to `core::refine` with the dataflow PR; the same
-        // fixture remounts there to pin the extension.
+        // R8's scope includes `core::refine`; the same fixture remounts
+        // there to pin it.
         fixture("r8_bad.rs", "crates/core/src/refine/r8_bad.rs"),
         fixture("r9_bad.rs", "crates/storage/src/r9_bad.rs"),
         fixture("r10_bad.rs", "crates/msj/src/r10_bad.rs"),
         fixture("r11_bad.rs", "crates/storage/src/r11_bad.rs"),
         fixture("r12_bad.rs", "crates/storage/src/manifest/r12_bad.rs"),
-        // The dataflow rules key off the unsafe SIMD layer's path.
-        fixture("r13_bad.rs", "crates/core/src/simd/r13_bad.rs"),
-        fixture("r14_bad.rs", "crates/core/src/simd/r14_bad.rs"),
-        fixture(
-            "r14_avx512_bad.rs",
-            "crates/core/src/simd/r14_avx512_bad.rs",
-        ),
-        fixture("r15_bad.rs", "crates/core/src/simd/r15_bad.rs"),
     ]);
     let got: Vec<(String, &str, u32, Level)> = ws
         .check()
@@ -117,87 +107,6 @@ fn bad_fixtures_produce_exactly_the_expected_diagnostics() {
             Level::Deny,
         ),
         (
-            "crates/core/src/simd/r13_bad.rs".into(),
-            "unsafe_bounds",
-            7,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r13_bad.rs".into(),
-            "unsafe_bounds",
-            13,
-            Level::Deny,
-        ),
-        // AVX-512 tier: an ungated `__mmask8` signature; a `__m512d` and
-        // an entry into the `avx512f` load under an `avx2`-only gate; the
-        // wrapping bounds check of the 8-lane load (its R13 note follows).
-        (
-            "crates/core/src/simd/r14_avx512_bad.rs".into(),
-            "target_feature_gate",
-            7,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r14_avx512_bad.rs".into(),
-            "target_feature_gate",
-            13,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r14_avx512_bad.rs".into(),
-            "target_feature_gate",
-            13,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r14_avx512_bad.rs".into(),
-            "unchecked_arith",
-            19,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r14_avx512_bad.rs".into(),
-            "unsafe_bounds",
-            21,
-            Level::Note,
-        ),
-        (
-            "crates/core/src/simd/r14_bad.rs".into(),
-            "target_feature_gate",
-            7,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r14_bad.rs".into(),
-            "target_feature_gate",
-            18,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r15_bad.rs".into(),
-            "unchecked_arith",
-            5,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r15_bad.rs".into(),
-            "unsafe_bounds",
-            8,
-            Level::Note,
-        ),
-        (
-            "crates/core/src/simd/r15_bad.rs".into(),
-            "unchecked_arith",
-            12,
-            Level::Deny,
-        ),
-        (
-            "crates/core/src/simd/r15_bad.rs".into(),
-            "unsafe_bounds",
-            14,
-            Level::Note,
-        ),
-        (
             "crates/exec/src/r7_bad.rs".into(),
             "atomic_ordering",
             5,
@@ -245,11 +154,6 @@ fn bad_fixtures_produce_exactly_the_expected_diagnostics() {
             5,
             Level::Deny,
         ),
-        ("r1_bad.rs".into(), "no_panic", 3, Level::Deny),
-        ("r1_bad.rs".into(), "no_panic", 7, Level::Deny),
-        ("r1_bad.rs".into(), "no_panic", 12, Level::Deny),
-        ("r1_bad.rs".into(), "no_panic", 14, Level::Deny),
-        ("r2_bad.rs".into(), "safety_comment", 3, Level::Deny),
         ("r3_bad.rs".into(), "pin_pairing", 4, Level::Deny),
         ("r3_bad.rs".into(), "pin_pairing", 7, Level::Deny),
         ("r4_bad.rs".into(), "lock_order", 4, Level::Deny),
@@ -292,9 +196,6 @@ fn bad_fixture_messages_name_the_offence() {
 #[test]
 fn good_fixtures_are_clean() {
     let ws = Workspace::from_sources(&[
-        fixture("r1_good.rs", "r1_good.rs"),
-        fixture("r2_good.rs", "r2_good.rs"),
-        fixture("r2_intrinsics.rs", "crates/core/src/simd/r2_intrinsics.rs"),
         fixture("r3_good.rs", "r3_good.rs"),
         fixture("r4_good.rs", "r4_good.rs"),
         fixture("r5_good.rs", "r5_good.rs"),
@@ -307,58 +208,15 @@ fn good_fixtures_are_clean() {
         fixture("r11_good.rs", "crates/storage/src/r11_good.rs"),
         fixture("r12_good.rs", "crates/storage/src/manifest/r12_good.rs"),
         fixture("r8_good.rs", "crates/core/src/refine/r8_good.rs"),
-        fixture("r13_good.rs", "crates/core/src/simd/r13_good.rs"),
-        // The R14 good fixture is the dispatch-shim pattern itself, so it
-        // mounts at the one path the rule treats as a shim.
-        fixture("r14_good.rs", "crates/core/src/simd/mod.rs"),
-        fixture(
-            "r14_avx512_good.rs",
-            "crates/core/src/simd/r14_avx512_good.rs",
-        ),
-        fixture("r15_good.rs", "crates/core/src/simd/r15_good.rs"),
     ]);
     let diags = ws.check();
-    // Discharged R13 proofs surface as notes; nothing may deny or warn.
-    assert!(
-        diags.iter().all(|d| d.level == Level::Note),
-        "good fixtures must be deny/warn-free:\n{diags:#?}"
-    );
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "unsafe_bounds" && d.message.contains("discharged")),
-        "discharged bounds should leave a proof trail:\n{diags:#?}"
-    );
-}
-
-/// Deleting a single precondition assert from an otherwise-proved kernel
-/// must flip R13 to deny: the proof obligations are live, not vestigial.
-#[test]
-fn deleting_a_precondition_assert_makes_r13_deny() {
-    let (_, text) = fixture("r13_good.rs", "");
-    let stripped: String = text
-        .lines()
-        .filter(|l| !l.contains("debug_assert!"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_ne!(stripped, text, "fixture must contain the assert");
-    let ws = Workspace::from_sources(&[(
-        PathBuf::from("crates/core/src/simd/stripped.rs"),
-        stripped,
-    )]);
-    let diags = ws.check();
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "unsafe_bounds" && d.level == Level::Deny),
-        "stripping the assert must undischarge the site:\n{diags:#?}"
-    );
+    assert!(diags.is_empty(), "good fixtures must be clean:\n{diags:#?}");
 }
 
 #[test]
 fn rule_filter_restricts_the_run() {
     let ws = Workspace::from_sources(&[
-        fixture("r1_bad.rs", "r1_bad.rs"),
+        fixture("r3_bad.rs", "r3_bad.rs"),
         fixture("r7_bad.rs", "crates/exec/src/r7_bad.rs"),
         fixture("r8_bad.rs", "crates/msj/src/r8_bad.rs"),
     ]);
@@ -371,27 +229,30 @@ fn rule_filter_restricts_the_run() {
             .all(|d| d.rule == "atomic_ordering" || d.rule == "determinism"),
         "filter leaked other rules:\n{diags:#?}"
     );
-    // The unfiltered run on the same sources does report R1.
-    assert!(ws.check().iter().any(|d| d.rule == "no_panic"));
-    // Typos fail loudly rather than silently checking nothing.
-    assert!(hdsj_analyze::rules::parse_filter("r42").is_err());
+    // The unfiltered run on the same sources does report R3.
+    assert!(ws.check().iter().any(|d| d.rule == "pin_pairing"));
+    // Typos — and the ids of rules that left for clippy or with the raw
+    // loads they guarded — fail loudly rather than silently checking nothing.
+    for gone in ["r42", "r1", "r2", "r13", "r14", "r15"] {
+        assert!(hdsj_analyze::rules::parse_filter(gone).is_err(), "{gone}");
+    }
     assert!(hdsj_analyze::rules::parse_filter("").is_err());
 }
 
 #[test]
-fn rule_list_names_all_fifteen_rules() {
+fn rule_list_names_r3_to_r12_under_their_ids() {
     let listing = hdsj_analyze::render_rule_list();
     for (id, name) in [
-        ("r1", "no_panic"),
+        ("r3", "pin_pairing"),
+        ("r4", "lock_order"),
+        ("r5", "error_taxonomy"),
+        ("r6", "counter_registry"),
         ("r7", "atomic_ordering"),
         ("r8", "determinism"),
         ("r9", "exec_only"),
         ("r10", "lifecycle_poll"),
         ("r11", "budget_charge"),
         ("r12", "durability_order"),
-        ("r13", "unsafe_bounds"),
-        ("r14", "target_feature_gate"),
-        ("r15", "unchecked_arith"),
     ] {
         let line = listing
             .lines()
@@ -400,19 +261,12 @@ fn rule_list_names_all_fifteen_rules() {
         assert!(line.contains(name), "{line}");
         assert!(line.contains("deny"), "{line}");
     }
-    assert_eq!(listing.lines().count(), 15);
+    assert_eq!(listing.lines().count(), 10);
 }
 
 #[test]
 fn explain_renders_doc_example_and_suppression() {
-    for key in [
-        "r4",
-        "lifecycle_poll",
-        "hdsj::budget_charge",
-        "r13",
-        "target_feature_gate",
-        "hdsj::unchecked_arith",
-    ] {
+    for key in ["r4", "lifecycle_poll", "hdsj::budget_charge"] {
         let text =
             hdsj_analyze::render_explain(key).unwrap_or_else(|e| panic!("explain {key}: {e}"));
         assert!(text.contains("allow(hdsj::"), "{text}");
@@ -423,17 +277,17 @@ fn explain_renders_doc_example_and_suppression() {
 
 #[test]
 fn sarif_rendering_carries_rules_and_results() {
-    let ws = Workspace::from_sources(&[fixture("r2_bad.rs", "r2_bad.rs")]);
+    let ws = Workspace::from_sources(&[fixture("r3_bad.rs", "r3_bad.rs")]);
     let report = hdsj_analyze::CheckReport {
         diagnostics: ws.check(),
     };
     let sarif = report.render_sarif();
     assert!(sarif.contains("\"version\":\"2.1.0\""), "{sarif}");
     assert!(
-        sarif.contains("\"ruleId\":\"hdsj::safety_comment\""),
+        sarif.contains("\"ruleId\":\"hdsj::pin_pairing\""),
         "{sarif}"
     );
-    assert!(sarif.contains("\"startLine\":3"), "{sarif}");
+    assert!(sarif.contains("\"startLine\":4"), "{sarif}");
     assert!(sarif.contains("\"level\":\"error\""), "{sarif}");
     // Every rule in the catalog is declared in the driver section.
     assert!(
@@ -444,12 +298,12 @@ fn sarif_rendering_carries_rules_and_results() {
 
 #[test]
 fn diagnostics_render_as_path_line_level_rule() {
-    let ws = Workspace::from_sources(&[fixture("r2_bad.rs", "r2_bad.rs")]);
+    let ws = Workspace::from_sources(&[fixture("r3_bad.rs", "r3_bad.rs")]);
     let diags = ws.check();
-    assert_eq!(diags.len(), 1);
+    assert_eq!(diags.len(), 2);
     let line = diags[0].to_string();
     assert!(
-        line.starts_with("r2_bad.rs:3: deny[hdsj::safety_comment]"),
+        line.starts_with("r3_bad.rs:4: deny[hdsj::pin_pairing]"),
         "human rendering drifted: {line}"
     );
 }

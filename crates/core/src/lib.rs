@@ -30,14 +30,16 @@
 //!
 //! ## Unsafe policy
 //!
-//! The crate is `#![deny(unsafe_code)]`. Exactly two files override it
-//! with a file-level `allow`: `simd/x86.rs` and `simd/neon.rs`, which
-//! hold the explicit vector block kernels. Every `unsafe` block there is
-//! an unaligned vector load on an in-bounds slice region or a
-//! feature-gated kernel call behind the runtime dispatch probe, each with
-//! a `SAFETY:` comment (lint R2 enforces the comment discipline, and the
-//! analyze suite pins the expected shape). All other workspace crates
-//! keep `#![forbid(unsafe_code)]`.
+//! The crate is `#![deny(unsafe_code)]`. One file overrides it with a
+//! file-level `allow`: `simd/x86.rs`, the explicit vector block kernel.
+//! Its six `unsafe` blocks are three unaligned vector loads, each on a
+//! slice that safe code has already cut to the vector's length (so the
+//! bound is checked in release builds too), and three feature-gated
+//! kernel entries behind the runtime dispatch probe; each carries a
+//! `SAFETY:` comment (`clippy::undocumented_unsafe_blocks`), and
+//! `tests/unsafe_surface.rs` pins the count and the absence of raw-pointer
+//! offsets (DESIGN §17). All other workspace crates keep
+//! `#![forbid(unsafe_code)]`.
 #![deny(unsafe_code)]
 
 pub mod dataset;

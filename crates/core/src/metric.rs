@@ -9,7 +9,7 @@
 //! There are two evaluation paths. One pair goes straight to the 4-lane
 //! scalar kernels in [`crate::kernels`]; a candidate *tile* goes through
 //! [`Metric::within_block`] to the block kernel of the best tier the host
-//! supports ([`crate::simd`]: AVX-512/AVX2/SSE2/NEON, falling back to a
+//! supports ([`crate::simd`]: AVX-512/AVX2/SSE2, falling back to a
 //! portable strided loop). Either way the `Lp(2)`/`Lp(1)` exponents are
 //! normalized to the specialized L2/L1 kernels first. Every block tier
 //! decides each candidate exactly as the pair kernel would (see

@@ -6,12 +6,13 @@
 //! them directly, at every tier. A candidate *tile* goes through
 //! [`within_block`], the one dispatcher here: a one-time capability probe
 //! picks the best block tier the host supports (AVX-512 → AVX2 → SSE2 →
-//! scalar on x86-64, NEON → scalar on aarch64), and every later call jumps
-//! straight to that tier. [`Level`] therefore names the *block* tier. The
-//! probe honours the `HDSJ_SIMD` environment variable (`off`/`scalar`,
-//! `sse2`, `avx2`, `avx512`, `neon` — clamped to what the host actually
-//! supports; see [`parse_level`]), and tests/benches can override it
-//! programmatically with [`set_level`].
+//! scalar on x86-64; every other architecture runs the scalar tier, the
+//! reference the vector tiers are tested against), and every later call
+//! jumps straight to that tier. [`Level`] therefore names the *block*
+//! tier. The probe honours the `HDSJ_SIMD` environment variable
+//! (`off`/`scalar`, `sse2`, `avx2`, `avx512` — clamped to what the host
+//! actually supports; see [`parse_level`]), and tests/benches can
+//! override it programmatically with [`set_level`].
 //!
 //! There is no per-pair vector tier: the contract below gives a pair one
 //! accumulator vector, hence the scalar kernel's latency chain, and SSE2/
@@ -37,8 +38,6 @@
 pub mod portable;
 pub mod tile;
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -61,8 +60,6 @@ pub enum Level {
     Avx2 = 3,
     /// Eight candidates per vector (runtime-probed `avx512f`).
     Avx512 = 4,
-    /// Two candidates per vector (aarch64 baseline).
-    Neon = 5,
 }
 
 impl Level {
@@ -73,7 +70,6 @@ impl Level {
             Level::Sse2 => "sse2",
             Level::Avx2 => "avx2",
             Level::Avx512 => "avx512",
-            Level::Neon => "neon",
         }
     }
 
@@ -82,7 +78,6 @@ impl Level {
             2 => Level::Sse2,
             3 => Level::Avx2,
             4 => Level::Avx512,
-            5 => Level::Neon,
             _ => Level::Scalar,
         }
     }
@@ -133,8 +128,6 @@ pub fn supported() -> Vec<Level> {
             tiers.push(Level::Avx512);
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    tiers.push(Level::Neon);
     tiers
 }
 
@@ -155,7 +148,7 @@ fn requested() -> Level {
 }
 
 /// Every spelling [`parse_level`] accepts, `|`-separated, for messages.
-pub const SPELLINGS: &str = "off|scalar|0|sse2|avx2|avx512|neon";
+pub const SPELLINGS: &str = "off|scalar|0|sse2|avx2|avx512";
 
 /// Parses an `HDSJ_SIMD` spelling: a [`Level::name`], or `off`/`0` for
 /// the scalar tier (case and surrounding whitespace ignored). `None` for
@@ -166,14 +159,13 @@ pub fn parse_level(v: &str) -> Option<Level> {
         "sse2" => Some(Level::Sse2),
         "avx2" => Some(Level::Avx2),
         "avx512" => Some(Level::Avx512),
-        "neon" => Some(Level::Neon),
         _ => None,
     }
 }
 
 /// Clamps a requested tier to the host: the most capable supported tier
 /// that does not exceed the request (requesting `avx512` on an AVX2 host
-/// yields `avx2`; requesting `neon` on x86 yields the x86 best).
+/// yields `avx2`).
 fn clamp(requested: Level) -> Level {
     supported()
         .into_iter()
@@ -187,9 +179,8 @@ fn clamp(requested: Level) -> Level {
 /// the active tier. `budget` is in the accumulation domain — `Σ |pᵢ − cᵢ|`
 /// (L1), `Σ (pᵢ − cᵢ)²` with `SQ` and `ε²` (L2), `max |pᵢ − cᵢ|` with
 /// `MAX` (L∞) — and [`crate::Metric::within_block`] converts ε to it once
-/// per call. The `_` arm is the scalar tier: `clamp` never stores a
-/// foreign-arch tier, so it only ever runs for [`Level::Scalar`] (and
-/// keeps each arch's match exhaustive).
+/// per call. The `_` arm is the scalar tier: `clamp` never stores a tier
+/// the host lacks, so off x86-64 it is the only arm there is.
 pub fn within_block<const SQ: bool, const MAX: bool>(
     probe: &[f64],
     block: &SoABlock,
@@ -204,8 +195,6 @@ pub fn within_block<const SQ: bool, const MAX: bool>(
         Level::Avx2 => x86::avx2_within_block::<SQ, MAX>(probe, block, lanes, budget, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx512 => x86::avx512_within_block::<SQ, MAX>(probe, block, lanes, budget, out),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::within_block::<SQ, MAX>(probe, block, lanes, budget, out),
         _ => portable::within_block::<SQ, MAX>(probe, block, lanes, budget, out),
     }
 }
@@ -215,13 +204,7 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
 
-    const ALL_LEVELS: [Level; 5] = [
-        Level::Scalar,
-        Level::Sse2,
-        Level::Avx2,
-        Level::Avx512,
-        Level::Neon,
-    ];
+    const ALL_LEVELS: [Level; 4] = [Level::Scalar, Level::Sse2, Level::Avx2, Level::Avx512];
 
     fn ds(n: usize, dims: usize) -> Dataset {
         let flat: Vec<f64> = (0..n * dims)

@@ -15,12 +15,14 @@
 //! as the full sum, so block decisions equal [`crate::Metric::within`]'s
 //! (and join results are byte-identical) at every dispatch level.
 //!
-//! This file (with `neon.rs`) is the only place in the workspace where
-//! `unsafe` is permitted: hdsj-core carries `#![deny(unsafe_code)]` and
-//! every other crate keeps `forbid`. The unsafe surface is exactly (a)
-//! one unaligned vector load per width, on an in-bounds slice region, and
-//! (b) one entry wrapper per tier, whose target feature the dispatch
-//! probe has verified. Each carries a `SAFETY:` comment per R2.
+//! This file is the only place in the workspace where `unsafe` is
+//! permitted: hdsj-core carries `#![deny(unsafe_code)]` and every other
+//! crate keeps `forbid`. The unsafe surface is exactly (a) one unaligned
+//! vector load per width, from the start of a slice that safe code cut to
+//! `LANES` elements — the bound is the slice's, checked in every build —
+//! and (b) one entry wrapper per tier, whose target feature the dispatch
+//! probe has verified (rustc rejects any other call into a
+//! `#[target_feature]` fn from an ungated one: E0133). DESIGN §17.
 #![allow(unsafe_code)]
 
 use crate::soa::SoABlock;
@@ -78,42 +80,44 @@ macro_rules! block_kernel {
             budget: f64,
             out: &mut Vec<u32>,
         ) {
-            let d = probe.len();
-            debug_assert_eq!(d, block.dims());
+            debug_assert_eq!(probe.len(), block.dims());
             debug_assert!(lanes.end <= block.len());
             let width = block.width();
             let ids = block.ids();
-            let data = block.data();
+            // The columns come four at a time. An empty block has none
+            // (and `chunks_exact(0)` panics), and a `width` whose quadruple
+            // wraps cannot be a tile's: both go to `tail_lanes` whole.
+            // Knowing that `4 * width` does not wrap is also what lets the
+            // optimizer drop the three `split_at` checks below.
+            if width == 0 || width > usize::MAX / 4 {
+                return tail_lanes::<SQ, MAX>(probe, block, lanes, budget, out);
+            }
+            // Chunked once per call and cloned per group: building these
+            // iterators divides, cloning one copies two slices.
+            let quads = block.data().chunks_exact(4 * width);
+            let singles = quads.remainder().chunks_exact(width);
+            let probe4 = probe.chunks_exact(4);
             let vbudget = splat(budget);
             let all = (1u32 << LANES) - 1;
             let mut t = lanes.start;
-            'group: while t < lanes.end && t + LANES <= width {
+            // Every column below is a slice of exactly `width` values, so
+            // this guard (`t < width` first: `width - t` cannot wrap) is the
+            // bound of all of a group's loads — `load` checks it again on
+            // the slice, and the optimizer folds that check into this one.
+            'group: while t < lanes.end && t < width && width - t >= LANES {
                 let g = t;
                 t += LANES;
                 let (mut a0, mut a1, mut a2, mut a3) =
                     (splat(0.0), splat(0.0), splat(0.0), splat(0.0));
                 let mut dim = 0;
-                while dim + 4 <= d {
-                    // Columns are addressed as dimension-major offsets into
-                    // `data` (one strength-reduced index chain) rather than
-                    // via a per-dimension column slice, whose construction
-                    // is an innermost-loop bounds check.
-                    // BOUND: dim + 4 <= dims and g + LANES <= width, so every
-                    // offset below is < dims * width = data.len(); fits usize.
-                    let o = dim * width + g;
-                    a0 = acc::<MAX>(a0, term::<SQ>(splat(probe[dim]), load(data, o)));
-                    a1 = acc::<MAX>(
-                        a1,
-                        term::<SQ>(splat(probe[dim + 1]), load(data, o + width)), // BOUND: see `o`
-                    );
-                    a2 = acc::<MAX>(
-                        a2,
-                        term::<SQ>(splat(probe[dim + 2]), load(data, o + 2 * width)), // BOUND: see `o`
-                    );
-                    a3 = acc::<MAX>(
-                        a3,
-                        term::<SQ>(splat(probe[dim + 3]), load(data, o + 3 * width)), // BOUND: see `o`
-                    );
+                for (p, cols) in probe4.clone().zip(quads.clone()) {
+                    let (c0, cols) = cols.split_at(width);
+                    let (c1, cols) = cols.split_at(width);
+                    let (c2, c3) = cols.split_at(width);
+                    a0 = acc::<MAX>(a0, term::<SQ>(splat(p[0]), load(c0, g)));
+                    a1 = acc::<MAX>(a1, term::<SQ>(splat(p[1]), load(c1, g)));
+                    a2 = acc::<MAX>(a2, term::<SQ>(splat(p[2]), load(c2, g)));
+                    a3 = acc::<MAX>(a3, term::<SQ>(splat(p[3]), load(c3, g)));
                     dim += 4;
                     // Every lane's final value is at least its partial one,
                     // so once all of them exceed the budget all `LANES`
@@ -126,11 +130,8 @@ macro_rules! block_kernel {
                     }
                 }
                 let mut tail = splat(0.0);
-                while dim < d {
-                    // BOUND: dim < d = dims, g + LANES <= width ⇒ offset < dims * width.
-                    let c = load(data, dim * width + g);
-                    tail = acc::<MAX>(tail, term::<SQ>(splat(probe[dim]), c));
-                    dim += 1;
+                for (&p, col) in probe4.remainder().iter().zip(singles.clone()) {
+                    tail = acc::<MAX>(tail, term::<SQ>(splat(p), load(col, g)));
                 }
                 let total =
                     acc::<MAX>(acc::<MAX>(acc::<MAX>(a0, a1), acc::<MAX>(a2, a3)), tail);
@@ -212,15 +213,14 @@ mod avx2 {
     /// Lanes per vector — the block kernels' candidate-group width.
     const LANES: usize = 4;
 
-    /// Loads 4 consecutive f64s starting at `xs[at]`.
+    /// Loads 4 consecutive f64s from `col[at..]`, or panics.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn load(xs: &[f64], at: usize) -> __m256d {
-        debug_assert!(xs.len() >= 4 && at <= xs.len() - 4);
-        // SAFETY: the block kernel passes `dim * width + t` with
-        // `t + 4 <= width`, `dim < dims`, into the `dims × width` buffer,
-        // so `at + 4 <= xs.len()`.
-        unsafe { _mm256_loadu_pd(xs.as_ptr().add(at)) }
+    pub(super) fn load(col: &[f64], at: usize) -> __m256d {
+        let s = &col[at..][..LANES];
+        // SAFETY: `s` is exactly `LANES` f64s long (the two slicings above
+        // panic otherwise) and an unaligned load reads `LANES` from its start.
+        unsafe { _mm256_loadu_pd(s.as_ptr()) }
     }
 
     /// One term vector: `(a−b)²` (`SQ`) or `|a−b|`.
@@ -278,15 +278,14 @@ mod sse2 {
     /// Lanes per vector — the block kernels' candidate-group width.
     const LANES: usize = 2;
 
-    /// Loads 2 consecutive f64s starting at `xs[at]`. SSE2 is in the
-    /// x86-64 baseline, so no feature gate is needed.
+    /// Loads 2 consecutive f64s from `col[at..]`, or panics. SSE2 is in
+    /// the x86-64 baseline, so no feature gate is needed.
     #[inline(always)]
-    fn load(xs: &[f64], at: usize) -> __m128d {
-        debug_assert!(xs.len() >= 2 && at <= xs.len() - 2);
-        // SAFETY: the block kernel passes `dim * width + t` with
-        // `t + 2 <= width`, `dim < dims`, into the `dims × width` buffer,
-        // so `at + 2 <= xs.len()`.
-        unsafe { _mm_loadu_pd(xs.as_ptr().add(at)) }
+    pub(super) fn load(col: &[f64], at: usize) -> __m128d {
+        let s = &col[at..][..LANES];
+        // SAFETY: `s` is exactly `LANES` f64s long (the two slicings above
+        // panic otherwise) and an unaligned load reads `LANES` from its start.
+        unsafe { _mm_loadu_pd(s.as_ptr()) }
     }
 
     /// One term vector: `(a−b)²` (`SQ`) or `|a−b|`.
@@ -346,15 +345,14 @@ mod avx512 {
     /// Lanes per vector — the block kernels' candidate-group width.
     const LANES: usize = 8;
 
-    /// Loads 8 consecutive f64s starting at `xs[at]`.
+    /// Loads 8 consecutive f64s from `col[at..]`, or panics.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn load(xs: &[f64], at: usize) -> __m512d {
-        debug_assert!(xs.len() >= 8 && at <= xs.len() - 8);
-        // SAFETY: the block kernels pass `dim * width + t` with
-        // `t + 8 <= width`, `dim < dims`, into the `dims × width` buffer,
-        // so `at + 8 <= xs.len()`.
-        unsafe { _mm512_loadu_pd(xs.as_ptr().add(at)) }
+    pub(super) fn load(col: &[f64], at: usize) -> __m512d {
+        let s = &col[at..][..LANES];
+        // SAFETY: `s` is exactly `LANES` f64s long (the two slicings above
+        // panic otherwise) and an unaligned load reads `LANES` from its start.
+        unsafe { _mm512_loadu_pd(s.as_ptr()) }
     }
 
     /// One term vector: `(a−b)²` (`SQ`) or `|a−b|` (`_mm512_abs_pd` clears
@@ -496,6 +494,40 @@ mod tests {
                     let want: Vec<u32> = lanes.clone().map(|t| t as u32).collect();
                     assert_eq!(got, want, "{tier} {lanes:?}");
                 }
+            }
+        }
+    }
+
+    /// The bound of a vector load is the slice it reads from, in release
+    /// builds too: one element past a column's last full group panics
+    /// before anything is read.
+    #[test]
+    fn a_load_past_the_last_full_group_panics_at_every_tier() {
+        type Load = fn(&[f64], usize);
+        let mut loads: Vec<(&str, usize, Load)> = vec![("sse2", 2, |col, at| {
+            sse2::load(col, at);
+        })];
+        if avx2_available() {
+            loads.push(("avx2", 4, |col, at| {
+                // SAFETY: `avx2_available()` held just above.
+                unsafe { avx2::load(col, at) };
+            }));
+        }
+        if avx512_available() {
+            loads.push(("avx512", 8, |col, at| {
+                // SAFETY: `avx512_available()` held just above.
+                unsafe { avx512::load(col, at) };
+            }));
+        }
+        // The column is a window of a longer buffer, so a load that lost
+        // its check fails this test instead of leaving the allocation.
+        let buf = [0.5f64; 32];
+        let col = &buf[..16];
+        for (tier, lanes, load) in loads {
+            load(col, col.len() - lanes);
+            for at in [col.len() - lanes + 1, col.len(), col.len() + 1, usize::MAX] {
+                let past = std::panic::catch_unwind(|| load(col, at));
+                assert!(past.is_err(), "{tier}: load at {at} of 16 did not panic");
             }
         }
     }

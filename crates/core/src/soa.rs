@@ -168,10 +168,9 @@ impl SoABlock {
     /// The whole dimension-major buffer: exactly `dims() × width()`
     /// values, coordinate `dim` of lane `t` at index `dim * width + t`.
     ///
-    /// Kernels that walk many columns per candidate group index this
-    /// directly instead of slicing a column per dimension — the slice
-    /// construction is a bounds check in the innermost loop that the
-    /// optimizer does not always hoist.
+    /// The vector kernel cuts it into columns with `chunks_exact` once per
+    /// call, so every column is a slice of exactly `width()` values and a
+    /// group's loads are bounded by one comparison (DESIGN §17).
     #[inline]
     pub fn data(&self) -> &[f64] {
         &self.data

@@ -538,7 +538,7 @@ mod tests {
         let err = Pool::new(3)
             .map_chunks(None, 50, 5, |r| {
                 if r.start == 20 {
-                    // allow(hdsj::no_panic): the containment path under test.
+                    // The containment path under test.
                     panic!("boom at {}", r.start);
                 }
                 Ok(r.start)
@@ -624,7 +624,7 @@ mod tests {
                 let rx = rx.clone();
                 move |idx: usize| -> Result<u64> {
                     drop(rx);
-                    // allow(hdsj::no_panic): the containment path under test.
+                    // The containment path under test.
                     panic!("injected consumer failure (worker {idx})")
                 }
             })

@@ -7,6 +7,8 @@
 //! `HDSJ_SCHED_SEEDS="lo..hi"` overrides the swept range — set it to
 //! `N..N+1` to replay a failing seed printed by a previous run.
 #![cfg(feature = "debug-schedules")]
+// A malformed seed range fails the sweep loudly; see clippy.toml.
+#![allow(clippy::panic)]
 
 use hdsj_exec::schedule;
 

@@ -168,10 +168,12 @@ pub fn sweep_and_refine(
             move |worker_idx: usize| -> Result<(Vec<JobPairs>, u64)> {
                 let mut span = parent.child("refine-worker");
                 if fail_worker == Some(worker_idx) {
-                    // The panic is contained by the pool and surfaces as a
-                    // typed error at the join() site.
-                    // allow(hdsj::no_panic): deliberate chaos failpoint.
-                    panic!("injected refine-worker failure (worker {worker_idx})");
+                    // Deliberate chaos failpoint: the panic is contained by the
+                    // pool and surfaces as a typed error at the join() site.
+                    #[allow(clippy::panic)]
+                    {
+                        panic!("injected refine-worker failure (worker {worker_idx})");
+                    }
                 }
                 let mut done: Vec<JobPairs> = Vec::new();
                 let (mut pairs, mut candidates) = (0u64, 0u64);

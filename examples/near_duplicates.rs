@@ -77,7 +77,11 @@ fn main() -> hdsj::core::Result<()> {
     let mut count = CountSink::default();
     match GridJoin::default().self_join(&wide, &wide_spec, &mut count) {
         Err(e) => println!("\nat d=24 the grid declines: {e}"),
-        Ok(_) => unreachable!("grid must refuse d=24"),
+        Ok(_) => {
+            return Err(hdsj::core::Error::Internal(
+                "grid must refuse d=24".to_string(),
+            ))
+        }
     }
     let stats = Msj::default().self_join(&wide, &wide_spec, &mut count)?;
     println!(

@@ -83,7 +83,6 @@ fn run(args: &[String]) -> Result<()> {
         "generate" => generate(&flags),
         "join" => join(&flags),
         "info" => info(&flags),
-        "analyze" => analyze(&flags),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -109,28 +108,12 @@ USAGE:
                 [--deadline-ms N] [--mem-budget-pages N] [--resume MANIFEST]
                 [--sort-mem-records N]
   hdsj info     --input FILE
-  hdsj analyze  [--root DIR] [--format human|jsonl|sarif] [--rules r7,r8]
-                [--list-rules] [--explain RULE]
   hdsj trace-report FILE [--phases] [--critical-path]
   hdsj stats FILE [--format human|prom]
 
 Datasets are headerless CSV, one point per row. `join` runs a self-join of
 --input, or a two-set join against --other. Results go to --out as
 `i,j` index pairs (or are only counted with --quiet).
-
-`analyze` runs the hdsj-analyze static invariant checker over the
-workspace at --root (default `.`): panic-freedom, SAFETY comments,
-pin/unpin pairing, interprocedural lock order, error-taxonomy coverage,
-metric-name registry conformance, atomic-ordering declarations,
-byte-determinism, pool-only threading, lifecycle-poll coverage, budget
-charging, manifest durability order, and the SIMD layer's dataflow
-proofs (unsafe bounds, target-feature gating, unchecked offset
-arithmetic). It exits 1 when any deny-level
-finding survives suppression — the same contract as
-`cargo run -p hdsj-analyze -- check`. `--rules r7,r8` (ids or names)
-restricts the run to those rules; `--list-rules` prints each rule's id,
-level, and description; `--explain RULE` prints one rule's doc, example,
-and suppression syntax.
 
 `join` prints `algorithm`/`pairs` to stdout; detailed statistics
 (candidates, filter precision, per-phase times, I/O) go to stderr unless
@@ -197,45 +180,6 @@ EXIT CODES:
     );
 }
 
-/// `hdsj analyze` — the static invariant checker, embedded. Prints every
-/// finding as `path:line: level[rule] message` (or JSONL with
-/// `--format json`, SARIF 2.1.0 with `--format sarif`) and exits 1 on
-/// deny findings, mirroring the standalone `hdsj-analyze` binary so CI
-/// can gate on either. `--explain RULE` prints one rule's documentation,
-/// a fixture example, and its suppression syntax instead of checking.
-fn analyze(flags: &HashMap<String, String>) -> Result<()> {
-    if flags.contains_key("list-rules") {
-        print!("{}", hdsj_analyze::render_rule_list());
-        return Ok(());
-    }
-    if let Some(rule) = flags.get("explain") {
-        let text = hdsj_analyze::render_explain(rule).map_err(Error::InvalidInput)?;
-        print!("{text}");
-        return Ok(());
-    }
-    let root = flags.get("root").map(String::as_str).unwrap_or(".");
-    let format = flags.get("format").map(String::as_str).unwrap_or("human");
-    let report = match flags.get("rules") {
-        Some(spec) => hdsj_analyze::check_workspace_filtered(Path::new(root), spec)
-            .map_err(Error::InvalidInput)?,
-        None => hdsj_analyze::check_workspace(Path::new(root))?,
-    };
-    match format {
-        "human" => print!("{}", report.render_human()),
-        "json" | "jsonl" => print!("{}", report.render_json()),
-        "sarif" => print!("{}", report.render_sarif()),
-        other => {
-            return Err(Error::InvalidInput(format!(
-                "unknown --format {other:?}; expected human, json, or sarif"
-            )))
-        }
-    }
-    if report.failed() {
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
@@ -243,7 +187,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>> {
         let Some(name) = key.strip_prefix("--") else {
             return Err(Error::InvalidInput(format!("expected --flag, got {key:?}")));
         };
-        if name == "quiet" || name == "list-rules" {
+        if name == "quiet" {
             flags.insert(name.to_string(), "1".to_string());
             continue;
         }

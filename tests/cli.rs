@@ -260,7 +260,8 @@ fn mistyped_simd_cap_is_rejected_at_startup() {
     // A cap the probe cannot parse used to run the host's best tier
     // silently; now no command starts, and the message names the variable
     // and the spellings it takes.
-    for bad in ["avx", "AVX-2", "of", ""] {
+    // `neon` named a tier no host ever ran; it is a typo like the rest.
+    for bad in ["avx", "AVX-2", "of", "", "neon"] {
         let out = hdsj()
             .env("HDSJ_SIMD", bad)
             .args(["info", "--input", "/nonexistent.csv"])
@@ -346,10 +347,12 @@ fn help_lists_commands() {
 /// variant, so scripts can tell bad flags from bad disks.
 #[test]
 fn exit_codes_reflect_error_families() {
-    // 2: invalid input (unknown command).
-    let out = hdsj().arg("frobnicate").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("InvalidInput"));
+    // 2: invalid input (unknown command; the analyzer is `hdsj-analyze`).
+    for cmd in ["frobnicate", "analyze"] {
+        let out = hdsj().arg(cmd).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("InvalidInput"));
+    }
 
     let csv = tmp("chaos.csv");
     hdsj()

@@ -2,7 +2,7 @@
 //! brute-force result set on every workload × metric × join-kind
 //! combination. This is the central correctness contract of the library.
 // Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use hdsj::all_algorithms;
 use hdsj::bruteforce::BruteForce;

@@ -7,7 +7,7 @@
 //! stripe that holds almost everything. Every scenario asserts that the
 //! filter it targets really ran.
 // Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use hdsj::core::obs::Tracer;
 use hdsj::core::{
