@@ -1,6 +1,7 @@
 //! Portable strided block kernels — the scalar dispatch level's SoA path,
-//! the vector tiers' ragged-lane fallback, and the only path for the
-//! metric without a vector implementation (`Lp`).
+//! the reference the vector tiers are tested against (they come here
+//! themselves only for an empty block), and the only path for the metric
+//! without a vector implementation (`Lp`).
 //!
 //! These walk a [`SoABlock`] one candidate lane at a time with **exactly**
 //! the accumulation scheme of [`crate::kernels`]: four dimension-lane
@@ -26,11 +27,12 @@ fn sum_within_at(
     term: impl Fn(f64, f64) -> f64,
 ) -> bool {
     let d = probe.len();
+    let (cols, width) = (block.data(), block.width());
     let mut acc = [0.0f64; 4];
     let mut dim = 0;
     if d >= 4 {
         for k in 0..4 {
-            acc[k] += term(probe[k], block.value(k, t));
+            acc[k] += term(probe[k], cols[k * width + t]);
         }
         if fold4(&acc) > budget {
             return false;
@@ -41,7 +43,7 @@ fn sum_within_at(
         for c in 0..SUPER_BLOCK / 4 {
             for (k, a) in acc.iter_mut().enumerate() {
                 let at = dim + 4 * c + k;
-                *a += term(probe[at], block.value(at, t));
+                *a += term(probe[at], cols[at * width + t]);
             }
         }
         if fold4(&acc) > budget {
@@ -51,13 +53,13 @@ fn sum_within_at(
     }
     while dim + 4 <= d {
         for k in 0..4 {
-            acc[k] += term(probe[dim + k], block.value(dim + k, t));
+            acc[k] += term(probe[dim + k], cols[(dim + k) * width + t]);
         }
         dim += 4;
     }
     let mut tail = 0.0;
     while dim < d {
-        tail += term(probe[dim], block.value(dim, t));
+        tail += term(probe[dim], cols[dim * width + t]);
         dim += 1;
     }
     fold4(&acc) + tail <= budget
@@ -69,12 +71,13 @@ fn sum_within_at(
 #[inline(always)]
 fn max_within_at(probe: &[f64], block: &SoABlock, t: usize, eps: f64) -> bool {
     let d = probe.len();
+    let (cols, width) = (block.data(), block.width());
     let mut m = 0.0f64;
     let mut dim = 0;
     while dim < d {
         let stop = (dim + SUPER_BLOCK).min(d);
         while dim < stop {
-            m = m.max((probe[dim] - block.value(dim, t)).abs());
+            m = m.max((probe[dim] - cols[dim * width + t]).abs());
             dim += 1;
         }
         if m > eps {
@@ -101,10 +104,9 @@ fn filter_lanes(
     }
 }
 
-/// The scalar tier's block filter, and the vector tiers' for the lanes past
-/// their last full group: `Σ |pᵢ − cᵢ| ≤ budget` (L1), `Σ (pᵢ − cᵢ)² ≤
-/// budget` with `SQ` (L2, `budget = ε²`), or `max |pᵢ − cᵢ| ≤ budget` with
-/// `MAX` (L∞).
+/// The scalar tier's block filter: `Σ |pᵢ − cᵢ| ≤ budget` (L1),
+/// `Σ (pᵢ − cᵢ)² ≤ budget` with `SQ` (L2, `budget = ε²`), or
+/// `max |pᵢ − cᵢ| ≤ budget` with `MAX` (L∞).
 pub fn within_block<const SQ: bool, const MAX: bool>(
     probe: &[f64],
     block: &SoABlock,

@@ -78,12 +78,15 @@ fn parse_size(s: &str) -> Option<usize> {
 
 /// Candidate-tile width (lanes) for `dims`-dimensional points: half of
 /// L1d for the tile's coordinate columns, rounded down to a multiple of
-/// [`crate::soa::LANE_PAD`] and clamped to a sane range.
+/// [`crate::soa::LANE_PAD`] and clamped to a sane range. The floor of 16
+/// is a lane count measured with the gather policy, not a multiple of the
+/// padding granule: at d ≥ 192 on a 48 KiB L1 it *is* the tile, and a
+/// floor that grew with the granule would leave the tile's half of L1.
 pub fn soa_tile_width(dims: usize) -> usize {
     let budget = cache_info().l1d / 2;
     let lanes = budget / (std::mem::size_of::<f64>() * dims.max(1));
     let pad = crate::soa::LANE_PAD;
-    (lanes / pad * pad).clamp(pad * 4, 4096)
+    (lanes / pad * pad).clamp(16, 4096)
 }
 
 /// Probe-block row count for the outer loop of blocked brute force: half

@@ -25,14 +25,19 @@
 //! `#[target_feature]` fn from an ungated one: E0133). DESIGN §17.
 #![allow(unsafe_code)]
 
+use crate::simd::portable;
 use crate::soa::SoABlock;
 use std::ops::Range;
 
-/// Pushes the ids of qualifying lanes `t..t+g` (bit `k` of `mask` set),
-/// capped at the requested lane range end.
+/// Pushes the ids of the qualifying lanes (bit `k` of `mask` set) of the
+/// group `t..t + g` that lie inside `lanes`. A group starts at a multiple
+/// of `g`, not at the window, so its lanes below `lanes.start` are dropped
+/// here exactly as those at and past `lanes.end` are. Needs `t < lanes.end`.
 #[inline(always)]
-fn emit(mask: u32, t: usize, end: usize, g: usize, ids: &[u32], out: &mut Vec<u32>) {
-    let mut hits = mask & ((1u32 << (end - t).min(g)) - 1);
+fn emit(mask: u32, t: usize, lanes: &Range<usize>, g: usize, ids: &[u32], out: &mut Vec<u32>) {
+    let upto = (1u32 << (lanes.end - t).min(g)) - 1;
+    let below = (1u32 << lanes.start.saturating_sub(t).min(g)) - 1;
+    let mut hits = mask & upto & !below;
     while hits != 0 {
         out.push(ids[t + hits.trailing_zeros() as usize]);
         hits &= hits - 1;
@@ -50,15 +55,27 @@ fn check_due(dim: usize) -> bool {
     dim <= 16 || dim.is_multiple_of(16)
 }
 
+/// The canonical fold of a group's four accumulators, `(a0 + a1) + (a2 + a3)`
+/// (every `+` a `max` under `MAX`), for the instantiation it expands in.
+macro_rules! fold4 {
+    ($a0:ident $a1:ident $a2:ident $a3:ident) => {
+        acc::<MAX>(acc::<MAX>($a0, $a1), acc::<MAX>($a2, $a3))
+    };
+}
+
 /// The across-candidate block kernel, written once and instantiated in
 /// `sse2` (2 lanes), `avx2` (4) and `avx512` (8). Everything
 /// width-specific is a name the instantiating module supplies: `LANES`,
-/// `load`, `splat`, `term`, `acc`, `gt_mask`, `le_mask`, and `tail_lanes`
-/// for the lanes past the last full group. A macro rather than a generic
-/// fn because the body must itself carry the module's `#[target_feature]`
-/// for those helpers to inline into it.
+/// `load`, `splat`, `term`, `acc`, `gt_mask`, `le_mask`. A macro rather
+/// than a generic fn because the body must itself carry the module's
+/// `#[target_feature]` for those helpers to inline into it.
 macro_rules! block_kernel {
     ($feature:literal) => {
+        block_kernel!($feature, $);
+    };
+    // `$d` is a literal `$`: the body defines a macro of its own, whose
+    // metavariables this one has to pass through unexpanded.
+    ($feature:literal, $d:tt) => {
         /// Block filter: pushes the id of every lane in `lanes` whose
         /// candidate is within `budget` of `probe` — `Σ term ≤ budget`
         /// (L1; L2 with `SQ` and a squared budget) or, with `MAX`,
@@ -69,9 +86,14 @@ macro_rules! block_kernel {
         /// per-lane result is `(a0 + a1) + (a2 + a3)` plus a separately
         /// chained `d mod 4` tail — the scalar kernels' decomposition, one
         /// candidate per vector lane (for `MAX` every `+` is a `max`, which
-        /// no grouping can change). The four accumulators are named
-        /// locals, not an array threaded through a helper: a spilled
-        /// accumulator array turns the hot loop into stack traffic.
+        /// no grouping can change).
+        ///
+        /// Groups start at multiples of `LANES` — on the tile's cache
+        /// lines ([`crate::soa`] aligns the columns), `lanes.start` rounded
+        /// down for the first — and go **two per iteration**: one group's
+        /// four add chains leave the loop waiting on add latency and on a
+        /// data-dependent exit branch every step, a second group's eight
+        /// loads and adds fill those slots (DESIGN §16 has the cycles).
         #[target_feature(enable = $feature)]
         pub fn within_block<const SQ: bool, const MAX: bool>(
             probe: &[f64],
@@ -86,59 +108,80 @@ macro_rules! block_kernel {
             let ids = block.ids();
             // The columns come four at a time. An empty block has none
             // (and `chunks_exact(0)` panics), and a `width` whose quadruple
-            // wraps cannot be a tile's: both go to `tail_lanes` whole.
+            // wraps cannot be a tile's: both go to the portable loop whole.
             // Knowing that `4 * width` does not wrap is also what lets the
             // optimizer drop the three `split_at` checks below.
             if width == 0 || width > usize::MAX / 4 {
-                return tail_lanes::<SQ, MAX>(probe, block, lanes, budget, out);
+                return portable::within_block::<SQ, MAX>(probe, block, lanes, budget, out);
             }
-            // Chunked once per call and cloned per group: building these
-            // iterators divides, cloning one copies two slices.
+            // Chunked once per call and cloned per iteration: building
+            // these iterators divides, cloning one copies two slices.
             let quads = block.data().chunks_exact(4 * width);
             let singles = quads.remainder().chunks_exact(width);
             let probe4 = probe.chunks_exact(4);
             let vbudget = splat(budget);
             let all = (1u32 << LANES) - 1;
-            let mut t = lanes.start;
-            // Every column below is a slice of exactly `width` values, so
-            // this guard (`t < width` first: `width - t` cannot wrap) is the
-            // bound of all of a group's loads — `load` checks it again on
-            // the slice, and the optimizer folds that check into this one.
-            'group: while t < lanes.end && t < width && width - t >= LANES {
-                let g = t;
-                t += LANES;
-                let (mut a0, mut a1, mut a2, mut a3) =
-                    (splat(0.0), splat(0.0), splat(0.0), splat(0.0));
-                let mut dim = 0;
-                for (p, cols) in probe4.clone().zip(quads.clone()) {
-                    let (c0, cols) = cols.split_at(width);
-                    let (c1, cols) = cols.split_at(width);
-                    let (c2, c3) = cols.split_at(width);
-                    a0 = acc::<MAX>(a0, term::<SQ>(splat(p[0]), load(c0, g)));
-                    a1 = acc::<MAX>(a1, term::<SQ>(splat(p[1]), load(c1, g)));
-                    a2 = acc::<MAX>(a2, term::<SQ>(splat(p[2]), load(c2, g)));
-                    a3 = acc::<MAX>(a3, term::<SQ>(splat(p[3]), load(c3, g)));
-                    dim += 4;
-                    // Every lane's final value is at least its partial one,
-                    // so once all of them exceed the budget all `LANES`
-                    // decisions are already `false`.
-                    if check_due(dim) {
-                        let partial = acc::<MAX>(acc::<MAX>(a0, a1), acc::<MAX>(a2, a3));
-                        if gt_mask(partial, vbudget) == all {
-                            continue 'group;
+
+            // One iteration over the groups `(start: a0 a1 a2 a3)…`: the
+            // 4-dimension steps with the probe splats shared, one exit test
+            // for all of them, then each group's tail, fold and emit. The
+            // accumulators are locals named by the caller, not an array
+            // threaded through a helper: a spilled accumulator array turns
+            // the hot loop into stack traffic.
+            macro_rules! groups {
+                ($d(($d g:ident: $d a0:ident $d a1:ident $d a2:ident $d a3:ident))+) => {'exit: {
+                    $d(let (mut $d a0, mut $d a1, mut $d a2, mut $d a3) =
+                        (splat(0.0), splat(0.0), splat(0.0), splat(0.0));)+
+                    let mut dim = 0;
+                    for (p, cols) in probe4.clone().zip(quads.clone()) {
+                        let (c0, cols) = cols.split_at(width);
+                        let (c1, cols) = cols.split_at(width);
+                        let (c2, c3) = cols.split_at(width);
+                        let (p0, p1, p2, p3) =
+                            (splat(p[0]), splat(p[1]), splat(p[2]), splat(p[3]));
+                        $d(
+                            $d a0 = acc::<MAX>($d a0, term::<SQ>(p0, load(c0, $d g)));
+                            $d a1 = acc::<MAX>($d a1, term::<SQ>(p1, load(c1, $d g)));
+                            $d a2 = acc::<MAX>($d a2, term::<SQ>(p2, load(c2, $d g)));
+                            $d a3 = acc::<MAX>($d a3, term::<SQ>(p3, load(c3, $d g)));
+                        )+
+                        dim += 4;
+                        // Every lane's final value is at least its partial
+                        // one, so once all of them — in every group — exceed
+                        // the budget all the decisions are already `false`.
+                        if check_due(dim) {
+                            let rejected = all
+                                $d(& gt_mask(fold4!($d a0 $d a1 $d a2 $d a3), vbudget))+;
+                            if rejected == all {
+                                break 'exit;
+                            }
                         }
                     }
-                }
-                let mut tail = splat(0.0);
-                for (&p, col) in probe4.remainder().iter().zip(singles.clone()) {
-                    tail = acc::<MAX>(tail, term::<SQ>(splat(p), load(col, g)));
-                }
-                let total =
-                    acc::<MAX>(acc::<MAX>(acc::<MAX>(a0, a1), acc::<MAX>(a2, a3)), tail);
-                emit(le_mask(total, vbudget), g, lanes.end, LANES, ids, out);
+                    $d(
+                        let mut tail = splat(0.0);
+                        for (&p, col) in probe4.remainder().iter().zip(singles.clone()) {
+                            tail = acc::<MAX>(tail, term::<SQ>(splat(p), load(col, $d g)));
+                        }
+                        let total = acc::<MAX>(fold4!($d a0 $d a1 $d a2 $d a3), tail);
+                        emit(le_mask(total, vbudget), $d g, &lanes, LANES, ids, out);
+                    )+
+                }};
             }
-            if t < lanes.end {
-                tail_lanes::<SQ, MAX>(probe, block, t..lanes.end, budget, out);
+
+            let mut g = lanes.start / LANES * LANES;
+            // Every column is a slice of exactly `width` values, so these
+            // guards (`g < width` first: `width - g` cannot wrap) are the
+            // bound of all of an iteration's loads — `load` checks it again
+            // on the slice, and the optimizer folds that check into these.
+            // `width` is a multiple of `LANE_PAD`, hence of `LANES`, so no
+            // group is ragged and the odd one out is the last.
+            while g < width && width - g >= 2 * LANES && g + LANES < lanes.end {
+                let h = g + LANES;
+                groups!((g: a0 a1 a2 a3) (h: b0 b1 b2 b3));
+                g += 2 * LANES;
+            }
+            if g < lanes.end && g < width && width - g >= LANES {
+                groups!((g: a0 a1 a2 a3));
             }
         }
     };
@@ -148,10 +191,9 @@ fn avx2_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
-/// The 8-lane tier needs `avx512f` for its own body and `avx2` for the
-/// trailing 4-lane group it hands down.
+/// Whether the host can run the 8-lane tier: `avx512f` and nothing else.
 pub fn avx512_available() -> bool {
-    avx2_available() && std::arch::is_x86_feature_detected!("avx512f")
+    std::arch::is_x86_feature_detected!("avx512f")
 }
 
 // ---------------------------------------------------------------------
@@ -199,15 +241,12 @@ pub fn avx512_within_block<const SQ: bool, const MAX: bool>(
     debug_assert!(avx512_available());
     // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
     // select the AVX-512 kernel only after `avx512_available()` reports
-    // `avx512f` and `avx2`, so the required target features are present.
+    // `avx512f`, so the required target feature is present.
     unsafe { avx512::within_block::<SQ, MAX>(probe, block, lanes, budget, out) }
 }
 
 mod avx2 {
     use super::*;
-    // Lanes past the last full group (at most `LANE_PAD − 1` of them): the
-    // portable strided kernel is decision-identical.
-    use crate::simd::portable::within_block as tail_lanes;
     use core::arch::x86_64::*;
 
     /// Lanes per vector — the block kernels' candidate-group width.
@@ -271,8 +310,6 @@ mod avx2 {
 
 mod sse2 {
     use super::*;
-    // Lanes past the last full group: see `avx2`.
-    use crate::simd::portable::within_block as tail_lanes;
     use core::arch::x86_64::*;
 
     /// Lanes per vector — the block kernels' candidate-group width.
@@ -336,9 +373,6 @@ mod sse2 {
 
 /// The 8-lane tier.
 mod avx512 {
-    // Lanes past the last full 8-group: at most one 4-lane group for the
-    // AVX2 instantiation, which hands what is left to the portable path.
-    use super::avx2::within_block as tail_lanes;
     use super::*;
     use core::arch::x86_64::*;
 

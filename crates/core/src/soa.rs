@@ -17,7 +17,7 @@
 //! * [`SoABlock::gather_into`] — an arbitrary id list (one candidate tile
 //!   of an MSJ cell pair), refilling one reusable scratch block.
 //!
-//! ## Padding
+//! ## Padding and alignment
 //!
 //! `width` (the lane count per dimension) is `len` rounded up to a
 //! multiple of [`LANE_PAD`], and padding lanes replicate the **last real
@@ -26,19 +26,30 @@
 //! coordinates (so no spurious NaN/trap behaviour) and are filtered out at
 //! emit time by lane index, never by value. An empty block has
 //! `width == 0` and no storage.
+//!
+//! `LANE_PAD` values are one 64-byte cache line, and the first column
+//! starts on one (the buffer carries a line of slack to skip), so every
+//! column does, and a vector group that starts at a multiple of its own
+//! width never straddles two lines. That is a speed property only: the
+//! kernels load unaligned from checked slices, and where the allocator or
+//! an interpreter cannot give the alignment the columns start at offset 0.
 
 use crate::dataset::Dataset;
 use std::ops::Range;
 
-/// Lane padding granularity: 4 × f64, the AVX2 vector group. Every
-/// block's `width` is a multiple of this; the 8-lane AVX-512 kernel takes
-/// full 8-lane groups only and leaves a trailing 4 to the AVX2 one.
-pub const LANE_PAD: usize = 4;
+/// Lane padding granularity: 8 × f64 — the widest vector group (AVX-512)
+/// and one cache line. Every block's `width` is a multiple of this, so no
+/// tier's groups leave a ragged tail and every column keeps the alignment
+/// of the first.
+pub const LANE_PAD: usize = 8;
+
+/// Cache-line size the columns are aligned to, in bytes.
+const LINE_BYTES: usize = LANE_PAD * std::mem::size_of::<f64>();
 
 /// A dimension-major tile of candidate points with row-id back-map.
 ///
 /// Storage is `dims × width` values, laid out column-contiguous:
-/// `data[dim * width + t]` is coordinate `dim` of lane `t`. Lanes
+/// `data()[dim * width + t]` is coordinate `dim` of lane `t`. Lanes
 /// `0..len` are real candidates (`ids()[t]` is the dataset row id); lanes
 /// `len..width` replicate lane `len - 1`.
 #[derive(Clone, Debug)]
@@ -47,7 +58,12 @@ pub struct SoABlock {
     len: usize,
     width: usize,
     ids: Vec<u32>,
-    data: Vec<f64>,
+    /// `head` values to skip, then the `dims × width` columns, nothing
+    /// after them.
+    buf: Vec<f64>,
+    /// Where the first column starts in `buf`: on a cache line if the
+    /// allocation allows (a clone keeps the offset, not the alignment).
+    head: usize,
 }
 
 impl SoABlock {
@@ -59,7 +75,8 @@ impl SoABlock {
             len: 0,
             width: 0,
             ids: Vec::new(),
-            data: Vec::new(),
+            buf: Vec::new(),
+            head: 0,
         }
     }
 
@@ -106,31 +123,38 @@ impl SoABlock {
         self.ids.clear();
         if count == 0 {
             self.width = 0;
-            self.data.clear();
+            self.buf.clear();
+            self.head = 0;
             return;
         }
         self.width = count.next_multiple_of(LANE_PAD);
-        self.data.clear();
-        self.data.resize(self.dims * self.width, 0.0);
+        let cells = self.dims * self.width;
+        // One line of slack, of which the part in front of the next line
+        // boundary is skipped. The boundary moves when `resize` reallocates,
+        // so it is looked up on every fill; `usize::MAX` ("cannot say":
+        // Miri) means offset 0. Every cell is written below, so only what
+        // `resize` appends is zeroed first.
+        self.buf.resize(cells + LANE_PAD, 0.0);
+        let to_line = self.buf.as_ptr().align_offset(LINE_BYTES);
+        self.head = if to_line < LANE_PAD { to_line } else { 0 };
+        self.buf.truncate(self.head + cells);
         if js.is_empty() {
             self.ids.extend(base..base + count as u32);
         } else {
             self.ids.extend_from_slice(&js[..count]);
         }
-        let (dims, width) = (self.dims, self.width);
-        for t in 0..count {
-            let row = ds.point(self.ids[t]);
-            for (dim, &v) in row.iter().enumerate() {
-                self.data[dim * width + t] = v;
+        let width = self.width;
+        let data = &mut self.buf[self.head..];
+        for (t, &id) in self.ids.iter().enumerate() {
+            for (dim, &v) in ds.point(id).iter().enumerate() {
+                data[dim * width + t] = v;
             }
         }
         // Padding lanes replicate the last real candidate so vector loads
         // of a full group stay in bounds and finite.
-        for dim in 0..dims {
-            let last = self.data[dim * width + count - 1];
-            for t in count..width {
-                self.data[dim * width + t] = last;
-            }
+        for col in data.chunks_exact_mut(width) {
+            let last = col[count - 1];
+            col[count..].fill(last);
         }
     }
 
@@ -173,13 +197,13 @@ impl SoABlock {
     /// group's loads are bounded by one comparison (DESIGN §17).
     #[inline]
     pub fn data(&self) -> &[f64] {
-        &self.data
+        &self.buf[self.head..]
     }
 
     /// Coordinate `dim` of lane `t`.
     #[inline]
     pub fn value(&self, dim: usize, t: usize) -> f64 {
-        self.data[dim * self.width + t]
+        self.buf[self.head + dim * self.width + t]
     }
 }
 
@@ -239,7 +263,7 @@ mod tests {
         b.gather_into(&d, &[1, 2, 3, 4, 5]);
         assert_eq!((b.len(), b.width()), (5, 8));
         b.gather_into(&d, &[11]);
-        assert_eq!((b.len(), b.width()), (1, 4));
+        assert_eq!((b.len(), b.width()), (1, 8));
         assert_eq!(b.value(2, 0).to_bits(), d.point(11)[2].to_bits());
         b.gather_into(&d, &[]);
         assert!(b.is_empty());
@@ -250,11 +274,55 @@ mod tests {
     fn partition_covers_the_dataset_in_order() {
         let d = ds(11, 3);
         let tiles = SoABlock::partition(&d, 4);
-        assert_eq!(tiles.len(), 3);
+        assert_eq!(tiles.len(), 2);
         let all: Vec<u32> = tiles.iter().flat_map(|t| t.ids().iter().copied()).collect();
         assert_eq!(all, (0..11).collect::<Vec<u32>>());
-        assert_eq!(tiles[2].len(), 3);
-        assert_eq!(tiles[2].width(), 4);
+        assert_eq!(tiles[1].len(), 3);
+        assert_eq!(tiles[1].width(), 8);
+    }
+
+    /// What the kernels lean on for speed (line-aligned columns) and for
+    /// bounds (8-lane widths, finite padding), from every producer and
+    /// across reuse of one scratch block.
+    fn assert_layout(b: &SoABlock, what: &str) {
+        assert_eq!(b.width() % 8, 0, "{what}");
+        assert_eq!(b.width(), b.len().next_multiple_of(LANE_PAD), "{what}");
+        assert_eq!(b.data().len(), b.dims() * b.width(), "{what}");
+        // Miri may not promise any alignment past the element's
+        // (`align_offset` answers `usize::MAX`): offset 0, still correct.
+        #[cfg(not(miri))]
+        assert_eq!(b.data().as_ptr() as usize % 64, 0, "{what}");
+        for dim in 0..b.dims() {
+            for t in b.len()..b.width() {
+                let last = b.value(dim, b.len() - 1);
+                assert_eq!(b.value(dim, t).to_bits(), last.to_bits(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn columns_start_on_cache_lines_and_widths_are_8_lane_multiples() {
+        let d = ds(300, 5);
+        for n in [1u32, 7, 8, 9, 64, 299] {
+            assert_layout(&SoABlock::from_range(&d, 0..n), "from_range");
+        }
+        for tile in SoABlock::partition(&d, 24) {
+            assert_layout(&tile, "partition");
+        }
+        // One scratch block through growth (reallocation moves the line
+        // boundary), shrink and regrowth within capacity, and a clone.
+        let mut b = SoABlock::empty(5);
+        for n in [3usize, 40, 9, 300, 1, 0, 17, 300] {
+            let js: Vec<u32> = (0..n as u32).rev().collect();
+            b.gather_into(&d, &js);
+            assert_eq!(b.ids(), &js[..]);
+            if n > 0 {
+                assert_layout(&b, "gather_into");
+                assert_eq!(b.value(4, n - 1).to_bits(), d.point(0)[4].to_bits());
+            }
+        }
+        let c = b.clone();
+        assert_eq!(c.data(), b.data());
     }
 
     #[test]

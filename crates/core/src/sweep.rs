@@ -26,7 +26,8 @@ const PROBES_PER_POLL: usize = 1024;
 /// spans at most two vector groups, and the block kernel's fixed cost per
 /// call outweighs what it saves over that many pair evaluations (measured
 /// on ε-KDB leaves of ~3 points at d = 4 and 8: a fifth of the join phase).
-const GATHER_LANES_MIN: usize = 2 * LANE_PAD;
+/// A measured lane count, not a multiple of the padding granule.
+const GATHER_LANES_MIN: usize = 8;
 
 /// Sorts a projection list into the order [`TileJoin::run`] takes:
 /// ascending coordinate, ties by id. `total_cmp` gives a total order even
@@ -72,6 +73,9 @@ pub struct TileTally {
     pub lanes_gathered: u64,
     /// Candidates emitted as lane windows of a gathered tile.
     pub block_candidates: u64,
+    /// Those windows: one block-kernel call each, so `block_candidates /
+    /// block_calls` is the lanes a call's fixed cost is spread over.
+    pub block_calls: u64,
     /// Candidates emitted one pair at a time.
     pub pair_candidates: u64,
 }
@@ -185,9 +189,10 @@ impl<'a> TileJoin<'a> {
                 self.tally.tiles_gathered += 1;
                 self.tally.lanes_gathered += (hi - lo) as u64;
             }
-            let (tile, mut n) = (&self.tile, 0u64);
+            let (tile, mut n, mut windows) = (&self.tile, 0u64, 0u64);
             tile_windows(xs, tile_ys, lo, from, within, eps, lifecycle, |p, w| {
                 n += w.len() as u64;
+                windows += 1;
                 if gather {
                     sink.block(xs[p].1, tile, w.start - lo..w.end - lo);
                 } else {
@@ -199,6 +204,7 @@ impl<'a> TileJoin<'a> {
             })?;
             if gather {
                 self.tally.block_candidates += n;
+                self.tally.block_calls += windows;
             } else {
                 self.tally.pair_candidates += n;
             }
@@ -465,6 +471,9 @@ mod tests {
             let all = (probes * lanes) as u64;
             let want = if gathered { (all, 0) } else { (0, all) };
             assert_eq!((t.block_candidates, t.pair_candidates), want);
+            // One tile, every probe's window non-empty: a call per probe.
+            let calls = if gathered { probes as u64 } else { 0 };
+            assert_eq!(t.block_calls, calls);
         }
     }
 

@@ -14,10 +14,11 @@
 //! boundaries: below/at/above the 4-lane width (1..8), the 16-dimension
 //! early-exit super-block (15, 16, 17), and a multi-super-block span
 //! (63, 64, 65). The enumerated (non-proptest) cases at the end walk the
-//! block kernels' own seams: every window offset inside an 8-lane group,
-//! tile widths with and without a trailing 4-lane group, every branch of
-//! the 4/8/12/16/32/… early-exit schedule, and ε exactly at a candidate
-//! in the first and last lane of a group.
+//! block kernels' own seams: every window offset inside a pair of 8-lane
+//! groups, tiles that end in a two-group iteration and in the one-group
+//! epilogue, every branch of the 4/8/12/16/32/… early-exit schedule with
+//! either group of a pair rejected alone, and ε exactly at a candidate in
+//! the first and last lane of a group.
 // Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -272,16 +273,20 @@ fn block_windows_hold_at_every_group_seam() {
     let saved = simd::level();
     let mut state = 0x5eed;
     for &d in SEAM_DIMS {
-        // Row 0 is the probe; the block holds rows 1..=len. Widths 4, 8,
-        // 12 and 20 are exact; 19 and 23 pad up to 20 and 24. 12 and 20
-        // leave the 8-lane kernel one trailing 4-lane group.
-        for len in [4usize, 8, 12, 19, 20, 23] {
+        // Row 0 is the probe; the block holds rows 1..=len, padded up to
+        // a multiple of 8. The kernels take groups two at a time and an
+        // odd last one alone: 16 and 32 lanes are whole 8-lane pairs, 24
+        // and 40 leave the epilogue a full group, 12, 19, 20, 23, 31 and
+        // 33 end inside the first or the second group of a pair or inside
+        // the epilogue's (at 2 and 4 lanes the same lengths fall on other
+        // seams).
+        for len in [4usize, 8, 12, 16, 19, 20, 23, 24, 31, 32, 33, 40] {
             let rows: Vec<Vec<f64>> = (0..=len)
                 .map(|_| (0..d).map(|_| unit(&mut state)).collect())
                 .collect();
             let ds = Dataset::from_rows(&rows).unwrap();
             let block = SoABlock::from_range(&ds, 1..len as u32 + 1);
-            assert_eq!(block.width(), len.next_multiple_of(4));
+            assert_eq!(block.width(), len.next_multiple_of(8));
             // ε exactly at the candidate in the first and the last lane
             // of a group (lanes 0 / 7 of the first 8-group, lane 8, and
             // the block's last real lane), and one ulp either side.
@@ -292,10 +297,11 @@ fn block_windows_hold_at_every_group_seam() {
                 for metric in METRICS {
                     let exact = metric.distance(ds.point(0), ds.point(block.ids()[lane]));
                     for eps in boundary_eps(exact) {
-                        // Windows starting at every offset of an 8-group,
-                        // ending at the block's end and inside its last
-                        // group.
-                        for start in 0..len.min(8) {
+                        // Windows starting at every offset of a pair of
+                        // 8-groups — the kernels round the start down to
+                        // a group and mask the lanes below it — ending at
+                        // the block's end and inside its last group.
+                        for start in 0..len.min(16) {
                             assert_block_matches_pairs(&ds, &block, start..len, eps);
                             let short = start.max(len - 3);
                             assert_block_matches_pairs(&ds, &block, start..short, eps);
@@ -324,8 +330,14 @@ fn groups_rejected_at_each_check_are_dropped_exactly() {
             }
             // `spared` lanes stay equal to the probe, so their 8-, 4- and
             // 2-lane groups cannot take the group-wide exit while the
-            // groups around them do.
-            for spared in [&[][..], &[3, 12], &[0, 7, 8, 19]] {
+            // groups around them do. The exit is taken by two groups
+            // together: a lone spared lane leaves the other group of its
+            // pair wholly rejected at this step — at 8 and 4 lanes lane 3
+            // sits in a first group, 12 and 14 in a second; at 2 lanes 12
+            // in a first, 3 and 14 in a second.
+            let spared_sets: [&[usize]; 6] =
+                [&[], &[3, 12], &[0, 7, 8, 19], &[3], &[12], &[14]];
+            for spared in spared_sets {
                 let probe: Vec<f64> = (0..d).map(|k| 0.25 + k as f64 * 1e-3).collect();
                 let mut rows = vec![probe.clone()];
                 for lane in 0..LEN {

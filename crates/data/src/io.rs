@@ -1,5 +1,5 @@
 //! Dataset import/export: CSV (interoperability) and a compact binary
-//! format (fast reload of generated workloads).
+//! format (fast reload of generated workloads); result pairs as CSV.
 
 use hdsj_core::{Dataset, Error, Result};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -56,6 +56,48 @@ pub fn load_csv(path: &Path) -> Result<Dataset> {
         }
     }
     ds.ok_or_else(|| Error::InvalidInput("empty csv".into()))
+}
+
+/// Bytes of result pairs formatted between two `write_all` calls.
+const PAIR_PIECE: usize = 64 * 1024;
+
+/// Writes the decimal digits of `v`, as `write!(.., "{v}")` would, into
+/// `line` so that they end just before `line[end]`, and returns where they
+/// start. Not the formatter: through `writeln!` it costs ~45 ns per pair,
+/// a fifth of a dense join's wall time.
+fn put_decimal(line: &mut [u8], end: usize, mut v: u32) -> usize {
+    let mut at = end;
+    loop {
+        at -= 1;
+        line[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return at;
+        }
+    }
+}
+
+/// Writes result pairs as CSV, one `i,j` line per pair, in the order given.
+pub fn save_pairs(pairs: &[(u32, u32)], path: &Path) -> Result<()> {
+    let mut out = std::fs::File::create(path)?;
+    // Two u32s of at most ten digits, a comma and a newline, written from
+    // the end so the line goes into `buf` in one copy.
+    let mut line = [0u8; 22];
+    let mut buf = Vec::with_capacity(PAIR_PIECE + line.len());
+    let last = line.len() - 1;
+    line[last] = b'\n';
+    for &(i, j) in pairs {
+        let comma = put_decimal(&mut line, last, j) - 1;
+        line[comma] = b',';
+        let start = put_decimal(&mut line, comma, i);
+        buf.extend_from_slice(&line[start..]);
+        if buf.len() >= PAIR_PIECE {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    out.write_all(&buf)?;
+    Ok(())
 }
 
 /// Writes `ds` in the binary format: magic, dims (u32 LE), count (u64 LE),
@@ -148,6 +190,36 @@ mod tests {
         for p in [ragged, garbage, empty] {
             std::fs::remove_file(&p).ok();
         }
+    }
+
+    #[test]
+    fn decimal_digits_match_the_formatter() {
+        let mut values = vec![0u32, 9, u32::MAX];
+        for k in 1..10 {
+            values.extend([10u32.pow(k) - 1, 10u32.pow(k)]);
+        }
+        for v in values {
+            let mut line = [b'x'; 12];
+            let start = put_decimal(&mut line, 11, v);
+            assert_eq!(&line[start..11], format!("{v}").as_bytes());
+            assert!(line[..start].iter().all(|&b| b == b'x') && line[11] == b'x');
+        }
+    }
+
+    #[test]
+    fn pairs_file_is_one_line_per_pair_across_write_pieces() {
+        // Enough pairs for several 64 KiB pieces, ids of every digit count.
+        let pairs: Vec<(u32, u32)> = (0..30_000u32)
+            .map(|k| (k.wrapping_mul(2_654_435_761) >> (k % 32), k))
+            .collect();
+        let want: String = pairs.iter().map(|(i, j)| format!("{i},{j}\n")).collect();
+        assert!(want.len() > 3 * PAIR_PIECE);
+        let path = tmp("pairs.csv");
+        save_pairs(&pairs, &path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        save_pairs(&[], &path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -242,6 +242,7 @@ impl EkdbJoin {
                 (names::EKDB_SWEEP_TILES_GATHERED, tally.tiles_gathered),
                 (names::EKDB_SWEEP_LANES_GATHERED, tally.lanes_gathered),
                 (names::EKDB_SWEEP_BLOCK_CANDIDATES, tally.block_candidates),
+                (names::EKDB_SWEEP_BLOCK_CALLS, tally.block_calls),
                 (names::EKDB_SWEEP_PAIR_CANDIDATES, tally.pair_candidates),
             ] {
                 self.tracer.counter(name).add(v);

@@ -506,6 +506,7 @@ impl Msj {
                 (names::MSJ_SWEEP_TILES_GATHERED, t.tiles_gathered),
                 (names::MSJ_SWEEP_LANES_GATHERED, t.lanes_gathered),
                 (names::MSJ_SWEEP_BLOCK_CANDIDATES, t.block_candidates),
+                (names::MSJ_SWEEP_BLOCK_CALLS, t.block_calls),
                 (names::MSJ_SWEEP_PAIR_CANDIDATES, t.pair_candidates),
                 (names::MSJ_SWEEP_VIEW_TESTED, tally.view_tested),
                 (names::MSJ_SWEEP_VIEW_KEPT, tally.view_kept),

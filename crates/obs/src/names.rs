@@ -34,6 +34,9 @@ pub const EKDB_SWEEP_TILES_GATHERED: &str = "ekdb.sweep.tiles_gathered";
 pub const EKDB_SWEEP_LANES_GATHERED: &str = "ekdb.sweep.lanes_gathered";
 /// ε-KDB candidates emitted as lane windows of a gathered tile.
 pub const EKDB_SWEEP_BLOCK_CANDIDATES: &str = "ekdb.sweep.block_candidates";
+/// Lane windows those candidates came in — block-kernel calls; EKDB's
+/// leaf-sized windows make `block_candidates / block_calls` small.
+pub const EKDB_SWEEP_BLOCK_CALLS: &str = "ekdb.sweep.block_calls";
 /// ε-KDB candidates emitted pair by pair (tile too sparse to gather).
 pub const EKDB_SWEEP_PAIR_CANDIDATES: &str = "ekdb.sweep.pair_candidates";
 
@@ -59,6 +62,9 @@ pub const MSJ_SWEEP_TILES_GATHERED: &str = "msj.sweep.tiles_gathered";
 pub const MSJ_SWEEP_LANES_GATHERED: &str = "msj.sweep.lanes_gathered";
 /// MSJ candidates emitted as lane windows of a gathered tile.
 pub const MSJ_SWEEP_BLOCK_CANDIDATES: &str = "msj.sweep.block_candidates";
+/// Lane windows those candidates came in — block-kernel calls;
+/// `block_candidates / block_calls` is the lanes per call.
+pub const MSJ_SWEEP_BLOCK_CALLS: &str = "msj.sweep.block_calls";
 /// MSJ candidates emitted pair by pair (tile too sparse to gather).
 pub const MSJ_SWEEP_PAIR_CANDIDATES: &str = "msj.sweep.pair_candidates";
 /// Ancestor entries the MSJ sweep tested while narrowing cell views.

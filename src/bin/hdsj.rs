@@ -16,7 +16,6 @@ use hdsj::storage::{
     Checkpointer, FaultPlan, Manifest, ManifestState, RetryPolicy, StorageEngine,
 };
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 fn main() {
@@ -641,11 +640,7 @@ fn join(flags: &HashMap<String, String>) -> Result<()> {
     }
 
     if let Some(out) = flags.get("out") {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(out)?);
-        for (i, j) in &sink.pairs {
-            writeln!(f, "{i},{j}")?;
-        }
-        f.flush()?;
+        dio::save_pairs(&sink.pairs, Path::new(out))?;
         if !json_stats {
             println!("pairs written to {out}");
         }
@@ -738,7 +733,9 @@ fn trace_report(args: &[String]) -> Result<()> {
     let trace = hdsj::obs::report::Trace::parse(&text)
         .map_err(|e| Error::InvalidInput(format!("{path}: {e}")))?;
     if !phases && !critical {
-        print!("{}", hdsj::obs::report::render(&trace, 16));
+        // An MSJ trace alone carries 21 counters, the pool's nine among
+        // the smallest: the cut sits past one algorithm's full set.
+        print!("{}", hdsj::obs::report::render(&trace, 24));
         return Ok(());
     }
     if phases {

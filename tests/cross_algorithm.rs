@@ -84,6 +84,12 @@ fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) -> (u64, u64) {
         stats.candidates,
         "{label}"
     );
+    // Every block call carries at least one candidate.
+    let (calls, block) = (
+        tally("msj.sweep.block_calls"),
+        tally("msj.sweep.block_candidates"),
+    );
+    assert!(calls <= block && (calls == 0) == (block == 0), "{label}");
     // The funnel of the sweep's view filter: tested → kept.
     let tested = tally("msj.sweep.view_tested");
     assert!(tally("msj.sweep.view_kept") <= tested, "{label}");
@@ -99,6 +105,8 @@ fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) -> (u64, u64) {
     let tally = |name| mem.counter_value(name).unwrap_or(0);
     let block = tally("ekdb.sweep.block_candidates");
     assert!(block > 0, "{label}: EKDB gathered no tile");
+    let calls = tally("ekdb.sweep.block_calls");
+    assert!(0 < calls && calls <= block, "{label}: {calls} calls");
     assert_eq!(
         block + tally("ekdb.sweep.pair_candidates"),
         stats.candidates,
