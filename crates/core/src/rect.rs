@@ -81,15 +81,6 @@ impl Rect {
         }
     }
 
-    /// True when the rectangles share at least one point.
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .zip(other.lo.iter().zip(&other.hi))
-            .all(|((alo, ahi), (blo, bhi))| alo <= bhi && blo <= ahi)
-    }
-
     /// True when `p` lies inside the (closed) rectangle.
     pub fn contains_point(&self, p: &[f64]) -> bool {
         self.lo
@@ -126,18 +117,6 @@ impl Rect {
         m
     }
 
-    /// Squared L2 minimum distance between the rectangles.
-    pub fn mindist_l2_sq(&self, other: &Rect) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..self.dims() {
-            let gap = (other.lo[i] - self.hi[i])
-                .max(self.lo[i] - other.hi[i])
-                .max(0.0);
-            acc += gap * gap;
-        }
-        acc
-    }
-
     /// Volume (product of side lengths); 0 for empty rectangles.
     pub fn volume(&self) -> f64 {
         if self.is_empty() {
@@ -146,34 +125,11 @@ impl Rect {
         self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).product()
     }
 
-    /// Sum of side lengths (the "margin" criterion of the R*-tree split).
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).sum()
-    }
-
     /// Volume the rectangle would gain if grown to cover `other`.
     pub fn enlargement(&self, other: &Rect) -> f64 {
         let mut grown = self.clone();
         grown.grow_rect(other);
         grown.volume() - self.volume()
-    }
-
-    /// Center coordinate along dimension `dim`.
-    pub fn center(&self, dim: usize) -> f64 {
-        (self.lo[dim] + self.hi[dim]) / 2.0
-    }
-
-    /// Expands each side by `delta` in both directions (the ε/2 cube
-    /// expansion used when reducing a similarity join to an intersection
-    /// join).
-    pub fn expanded(&self, delta: f64) -> Rect {
-        Rect {
-            lo: self.lo.iter().map(|v| v - delta).collect(),
-            hi: self.hi.iter().map(|v| v + delta).collect(),
-        }
     }
 }
 
@@ -203,47 +159,21 @@ mod tests {
     }
 
     #[test]
-    fn intersection_is_symmetric_and_touching_counts() {
-        let a = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let b = Rect::new(vec![1.0, 1.0], vec![2.0, 2.0]); // shares the corner
-        let c = Rect::new(vec![1.1, 1.1], vec![2.0, 2.0]);
-        assert!(a.intersects(&b) && b.intersects(&a));
-        assert!(!a.intersects(&c) && !c.intersects(&a));
-    }
-
-    #[test]
     fn mindist_values() {
         let a = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
         let b = Rect::new(vec![2.0, 0.5], vec![3.0, 0.6]); // gap 1 on x only
         assert_eq!(a.mindist_linf(&b), 1.0);
-        assert_eq!(a.mindist_l2_sq(&b), 1.0);
         let c = Rect::new(vec![2.0, 3.0], vec![3.0, 4.0]); // gaps (1, 2)
         assert_eq!(a.mindist_linf(&c), 2.0);
-        assert_eq!(a.mindist_l2_sq(&c), 5.0);
         assert_eq!(a.mindist_linf(&a), 0.0);
     }
 
     #[test]
-    fn volume_margin_enlargement() {
+    fn volume_and_enlargement() {
         let a = Rect::new(vec![0.0, 0.0], vec![2.0, 3.0]);
         assert_eq!(a.volume(), 6.0);
-        assert_eq!(a.margin(), 5.0);
         let b = Rect::new(vec![0.0, 0.0], vec![4.0, 3.0]);
         assert_eq!(a.enlargement(&b), 6.0);
         assert_eq!(b.enlargement(&a), 0.0);
-    }
-
-    #[test]
-    fn expanded_cube() {
-        let r = Rect::point(&[0.5, 0.5]).expanded(0.1);
-        assert!((r.lo()[0] - 0.4).abs() < 1e-12);
-        assert!((r.hi()[1] - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn center() {
-        let r = Rect::new(vec![0.0, 1.0], vec![1.0, 3.0]);
-        assert_eq!(r.center(0), 0.5);
-        assert_eq!(r.center(1), 2.0);
     }
 }

@@ -80,6 +80,23 @@ pub struct TileTally {
     pub pair_candidates: u64,
 }
 
+impl TileTally {
+    /// Adds the tally to `tracer`'s counters `<algo>.sweep.<field>` — one
+    /// spelling of the five names for every algorithm that ends in a
+    /// [`TileJoin`]. The expansions are registered in `obs::names`.
+    pub fn record(&self, tracer: &hdsj_obs::Tracer, algo: &str) {
+        for (field, value) in [
+            ("tiles_gathered", self.tiles_gathered),
+            ("lanes_gathered", self.lanes_gathered),
+            ("block_candidates", self.block_candidates),
+            ("block_calls", self.block_calls),
+            ("pair_candidates", self.pair_candidates),
+        ] {
+            tracer.counter(format!("{algo}.sweep.{field}")).add(value);
+        }
+    }
+}
+
 /// The tile-major join of two sorted `(x, id)` lists, with its reusable
 /// scratch tile.
 pub struct TileJoin<'a> {
@@ -474,6 +491,32 @@ mod tests {
             // One tile, every probe's window non-empty: a call per probe.
             let calls = if gathered { probes as u64 } else { 0 };
             assert_eq!(t.block_calls, calls);
+        }
+    }
+
+    #[test]
+    fn a_recorded_tally_uses_registered_names() {
+        let tally = TileTally {
+            tiles_gathered: 1,
+            lanes_gathered: 2,
+            block_candidates: 3,
+            block_calls: 4,
+            pair_candidates: 5,
+        };
+        for algo in ["msj", "ekdb", "rsj", "grid"] {
+            let (tracer, mem) = hdsj_obs::Tracer::memory();
+            tally.record(&tracer, algo);
+            tracer.flush();
+            let counters = mem.counters();
+            assert_eq!(counters.iter().map(|c| c.value).sum::<u64>(), 15);
+            for c in &counters {
+                assert!(c.name.starts_with(algo), "{}", c.name);
+                assert!(
+                    hdsj_obs::names::ALL.contains(&c.name.as_str()),
+                    "{} is not in the registry",
+                    c.name
+                );
+            }
         }
     }
 

@@ -29,7 +29,7 @@ pub mod timeseries;
 pub mod util;
 
 pub use histograms::{color_histograms, HistogramSpec};
-pub use synthetic::{correlated, gaussian_clusters, uniform, ClusterSpec};
+pub use synthetic::{correlated, gaussian_clusters, lattice_stripes, uniform, ClusterSpec};
 pub use util::{concat, eps_for_target_pairs, estimate_self_join_size, sample, split};
 
 #[cfg(test)]

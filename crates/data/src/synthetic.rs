@@ -40,6 +40,22 @@ pub fn uniform(dims: usize, n: usize, seed: u64) -> Result<Dataset> {
     Ok(ds)
 }
 
+/// Points on a 1/64 lattice, `sizes[s]` of them in dimension-0 stripe `s`
+/// of width 8/64: joined at ε = 8/64, duplicates, dimension-0 gaps of
+/// exactly ε and points on cell, stripe and MBR faces are the common case —
+/// the boundary input of the index joins' tests. Errors on `dims == 0`.
+pub fn lattice_stripes(dims: usize, sizes: &[usize], seed: u64) -> Result<Dataset> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut flat = Vec::new();
+    for (s, &k) in sizes.iter().enumerate() {
+        for _ in 0..k {
+            flat.push((s as u64 * 8 + rng.gen_range(0..8u64)) as f64 / 64.0);
+            flat.extend((1..dims).map(|_| rng.gen_range(0..64u64) as f64 / 64.0));
+        }
+    }
+    Dataset::from_flat(dims, flat)
+}
+
 /// Shape of a clustered workload.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterSpec {

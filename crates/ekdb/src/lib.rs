@@ -232,18 +232,13 @@ impl EkdbJoin {
         stats.structure_bytes = tree_bytes + leaves.join.scratch_bytes();
         if self.tracer.enabled() {
             use hdsj_core::obs::names;
-            let tally = leaves.join.tally();
+            leaves.join.tally().record(&self.tracer, "ekdb");
             root.attr_u64("candidates", stats.candidates);
             root.attr_u64("results", stats.results);
             for (name, v) in [
                 (names::EKDB_CANDIDATES, stats.candidates),
                 (names::EKDB_RESULTS, stats.results),
                 (names::EKDB_LEAF_PAIRS, leaves.leaf_pairs),
-                (names::EKDB_SWEEP_TILES_GATHERED, tally.tiles_gathered),
-                (names::EKDB_SWEEP_LANES_GATHERED, tally.lanes_gathered),
-                (names::EKDB_SWEEP_BLOCK_CANDIDATES, tally.block_candidates),
-                (names::EKDB_SWEEP_BLOCK_CALLS, tally.block_calls),
-                (names::EKDB_SWEEP_PAIR_CANDIDATES, tally.pair_candidates),
             ] {
                 self.tracer.counter(name).add(v);
             }
@@ -380,7 +375,6 @@ mod tests {
     use hdsj_core::simd::tile::soa_tile_width;
     use hdsj_core::{verify, Metric, VecSink};
     use proptest::prelude::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn compare_with_bf(a: &Dataset, b: Option<&Dataset>, spec: &JoinSpec, ekdb: &mut EkdbJoin) {
         let mut want = VecSink::default();
@@ -432,19 +426,9 @@ mod tests {
         }
     }
 
-    /// `dims`-d points on a 1/64 lattice, `sizes[s]` of them in dimension-0
-    /// stripe `s` of width 8/64 (the ε the tests join at): duplicates and
-    /// dim-0 gaps of exactly ε are the common case.
+    /// The boundary input joined at ε = 8/64 (see the generator).
     fn striped(dims: usize, sizes: &[usize], seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut flat = Vec::new();
-        for (s, &k) in sizes.iter().enumerate() {
-            for _ in 0..k {
-                flat.push((s as u64 * 8 + rng.gen_range(0..8u64)) as f64 / 64.0);
-                flat.extend((1..dims).map(|_| rng.gen_range(0..64u64) as f64 / 64.0));
-            }
-        }
-        Dataset::from_flat(dims, flat).unwrap()
+        hdsj_data::lattice_stripes(dims, sizes, seed).unwrap()
     }
 
     /// What the join's traversal emits and counts with tiled leaf joins

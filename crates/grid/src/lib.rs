@@ -14,13 +14,17 @@
 //! out of the high-`d` plots.
 //!
 //! Cells are kept in a hash directory (occupied cells only), so space is
-//! `O(N)` regardless of how fine the grid is.
+//! `O(N)` regardless of how fine the grid is. A cell is a `(x0, id)` run
+//! sorted once at build, and a cell pair is one call of the tile join every
+//! other structured method ends in: the grid differs from them only in its
+//! filter.
 #![forbid(unsafe_code)]
 
+use hdsj_core::obs::names;
 use hdsj_core::stats::TracedPhase;
 use hdsj_core::{
-    join::validate_inputs, Dataset, Error, JoinKind, JoinSpec, JoinStats, LifecycleCtx,
-    PairSink, Refiner, Result, SimilarityJoin, Tracer,
+    join::validate_inputs, sort_by_coord, Dataset, Error, JoinKind, JoinSpec, JoinStats,
+    LifecycleCtx, PairSink, Refiner, Result, SimilarityJoin, TileJoin, Tracer,
 };
 use std::collections::HashMap;
 
@@ -66,72 +70,74 @@ fn cell_of(p: &[f64], eps: f64) -> Vec<i64> {
     p.iter().map(|&x| (x / eps).floor() as i64).collect()
 }
 
-/// Hash directory: occupied cell → point ids, with deterministic iteration
-/// order (sorted cell coordinates).
+/// One cell's points as the tile join takes them: `(x0, id)`, ascending.
+type Run = Vec<(f64, u32)>;
+
+/// Hash directory: occupied cell → its run.
 struct Directory {
-    cells: HashMap<Vec<i64>, Vec<u32>>,
+    cells: HashMap<Vec<i64>, Run>,
 }
 
 impl Directory {
-    fn build(ds: &Dataset, eps: f64) -> Directory {
-        let mut cells: HashMap<Vec<i64>, Vec<u32>> = HashMap::new();
+    /// Every cell's run is sorted once here, for every probe of it.
+    fn build(ds: &Dataset, eps: f64, lifecycle: Option<&LifecycleCtx>) -> Result<Directory> {
+        let mut cells: HashMap<Vec<i64>, Run> = HashMap::new();
         for (i, p) in ds.iter() {
-            cells.entry(cell_of(p, eps)).or_default().push(i);
+            // Most cells of a fine grid hold one point: no room for four.
+            cells
+                .entry(cell_of(p, eps))
+                .or_insert_with(|| Vec::with_capacity(1))
+                .push((p[0], i));
         }
-        Directory { cells }
+        for (idx, run) in cells.values_mut().enumerate() {
+            if idx % POLL_STRIDE == 0 {
+                if let Some(lc) = lifecycle {
+                    lc.poll()?;
+                }
+            }
+            sort_by_coord(run);
+        }
+        Ok(Directory { cells })
     }
 
-    fn sorted_keys(&self) -> Vec<&Vec<i64>> {
-        let mut keys: Vec<&Vec<i64>> = self.cells.keys().collect();
-        keys.sort_unstable();
-        keys
+    /// Occupied cells in key order: the probe's deterministic iteration.
+    fn sorted_cells(&self) -> Vec<(&Vec<i64>, &Run)> {
+        let mut cells: Vec<_> = self.cells.iter().collect();
+        cells.sort_unstable_by_key(|&(key, _)| key);
+        cells
     }
 
     fn bytes(&self) -> u64 {
         self.cells
             .iter()
-            .map(|(k, v)| (k.len() * 8 + v.len() * 4 + 48) as u64)
+            .map(|(k, v)| (k.len() * 8 + std::mem::size_of_val(&v[..]) + 48) as u64)
             .sum()
     }
 }
 
-/// Calls `f` for every offset in `{-1,0,1}^d`, including the zero offset.
-fn for_each_offset(d: usize, f: &mut impl FnMut(&[i64])) {
-    let mut offset = vec![-1i64; d];
+/// Calls `f` for the offsets of `{-1,0,1}^d` from `[first; d]` on, in
+/// odometer order (dimension 0 fastest), until it fails. From `first = -1`
+/// that is all `3^d`. From `first = 0` it is the zero offset and then the
+/// half whose last non-zero entry is `+1` — one of every `±offset` — which
+/// is what a self-join visits, so each cell pair is seen once.
+fn for_each_offset(
+    d: usize,
+    first: i64,
+    f: &mut impl FnMut(&[i64]) -> Result<()>,
+) -> Result<()> {
+    let mut offset = vec![first; d];
     // allow(hdsj::lifecycle_poll): 3^d odometer over the neighbourhood —
     // bounded by dimensionality, not by the dataset.
     loop {
-        f(&offset);
-        // Odometer increment over {-1,0,1}.
-        let mut i = 0;
-        loop {
-            if i == d {
-                return;
-            }
-            if offset[i] < 1 {
-                offset[i] += 1;
-                break;
-            }
-            offset[i] = -1;
-            i += 1;
-        }
+        f(&offset)?;
+        // Odometer increment over {-1,0,1}: the first entry below 1 steps
+        // up, the entries before it wrap around.
+        let Some(i) = offset.iter().position(|&o| o < 1) else {
+            return Ok(());
+        };
+        offset[i] += 1;
+        offset[..i].fill(-1);
     }
-}
-
-/// True when `offset` is lexicographically positive (first non-zero entry is
-/// `+1`) — the half-neighbourhood used by self-joins so each cell pair is
-/// visited once.
-fn is_positive(offset: &[i64]) -> bool {
-    // allow(hdsj::lifecycle_poll): d entries, bounded by dimensionality.
-    for &o in offset {
-        if o > 0 {
-            return true;
-        }
-        if o < 0 {
-            return false;
-        }
-    }
-    false
 }
 
 impl GridJoin {
@@ -165,7 +171,8 @@ impl GridJoin {
         root.attr_u64("dims", dims as u64);
         root.attr_f64("eps", spec.eps);
 
-        if let Some(lc) = &self.lifecycle {
+        let lifecycle = self.lifecycle.as_ref();
+        if let Some(lc) = lifecycle {
             lc.poll()?;
         }
         let build = TracedPhase::start_classed(
@@ -173,12 +180,12 @@ impl GridJoin {
             &root,
             "build",
             hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::GRID_PHASE_BUILD_NS,
+            names::GRID_PHASE_BUILD_NS,
         );
-        let dir_a = Directory::build(a, spec.eps);
+        let dir_a = Directory::build(a, spec.eps, lifecycle)?;
         let dir_b = match kind {
             JoinKind::SelfJoin => None,
-            JoinKind::TwoSets => Some(Directory::build(b, spec.eps)),
+            JoinKind::TwoSets => Some(Directory::build(b, spec.eps, lifecycle)?),
         };
         let structure_bytes = dir_a.bytes() + dir_b.as_ref().map(|d| d.bytes()).unwrap_or(0);
         build.finish(&mut phases);
@@ -188,83 +195,59 @@ impl GridJoin {
             &root,
             "probe",
             hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::GRID_PHASE_PROBE_NS,
+            names::GRID_PHASE_PROBE_NS,
         );
-        if let Some(lc) = &self.lifecycle {
+        if let Some(lc) = lifecycle {
             lc.poll()?;
         }
         let mut refiner = Refiner::new(a, b, kind, spec, sink);
+        let mut join = TileJoin::new(b, spec.eps, lifecycle);
+        let mut cell_pairs = 0u64;
         let mut neighbour = vec![0i64; dims];
-        match kind {
-            JoinKind::SelfJoin => {
-                for (idx, key) in dir_a.sorted_keys().into_iter().enumerate() {
-                    if idx % POLL_STRIDE == 0 {
-                        if let Some(lc) = &self.lifecycle {
-                            lc.poll()?;
-                        }
-                    }
-                    let points = &dir_a.cells[key];
-                    // Within-cell pairs.
-                    for (x, &i) in points.iter().enumerate() {
-                        for &j in &points[x + 1..] {
-                            refiner.offer(i, j);
-                        }
-                    }
-                    // Positive half of the neighbourhood.
-                    for_each_offset(dims, &mut |off| {
-                        if !is_positive(off) {
-                            return;
-                        }
-                        for ((n, &k), &o) in neighbour.iter_mut().zip(key.iter()).zip(off) {
-                            *n = k + o;
-                        }
-                        if let Some(others) = dir_a.cells.get(&neighbour) {
-                            for &i in points {
-                                for &j in others {
-                                    refiner.offer(i, j);
-                                }
-                            }
-                        }
-                    });
+        // A self-join probes its own directory: each cell with itself, then
+        // with the positive half of its neighbourhood.
+        let probed = dir_b.as_ref().unwrap_or(&dir_a);
+        let first = if dir_b.is_some() { -1 } else { 0 };
+        for (idx, (key, xs)) in dir_a.sorted_cells().into_iter().enumerate() {
+            if idx % POLL_STRIDE == 0 {
+                if let Some(lc) = lifecycle {
+                    lc.poll()?;
                 }
             }
-            JoinKind::TwoSets => {
-                let Some(dir_b) = dir_b.as_ref() else {
-                    return Err(Error::Internal(
-                        "two-set grid join reached probe without directory b".into(),
-                    ));
+            // From 0 the first offset is the zero offset: the cell itself.
+            let mut within = first == 0;
+            for_each_offset(dims, first, &mut |off| {
+                for ((n, &k), &o) in neighbour.iter_mut().zip(key.iter()).zip(off) {
+                    *n = k + o;
+                }
+                let ys = if within {
+                    Some(xs)
+                } else {
+                    probed.cells.get(&neighbour)
                 };
-                for (idx, key) in dir_a.sorted_keys().into_iter().enumerate() {
-                    if idx % POLL_STRIDE == 0 {
-                        if let Some(lc) = &self.lifecycle {
-                            lc.poll()?;
-                        }
-                    }
-                    let points = &dir_a.cells[key];
-                    for_each_offset(dims, &mut |off| {
-                        for ((n, &k), &o) in neighbour.iter_mut().zip(key.iter()).zip(off) {
-                            *n = k + o;
-                        }
-                        if let Some(others) = dir_b.cells.get(&neighbour) {
-                            for &i in points {
-                                for &j in others {
-                                    refiner.offer(i, j);
-                                }
-                            }
-                        }
-                    });
+                if let Some(ys) = ys {
+                    cell_pairs += 1;
+                    join.run(xs, ys, within, &mut refiner)?;
                 }
-            }
+                within = false;
+                Ok(())
+            })?;
         }
         let mut stats = refiner.finish(JoinStats::default());
         sweep.finish(&mut phases);
         stats.phases = phases;
-        stats.structure_bytes = structure_bytes;
+        stats.structure_bytes = structure_bytes + join.scratch_bytes();
         if self.tracer.enabled() {
             root.attr_u64("candidates", stats.candidates);
             root.attr_u64("results", stats.results);
-            self.tracer.counter("grid.candidates").add(stats.candidates);
-            self.tracer.counter("grid.results").add(stats.results);
+            for (name, v) in [
+                (names::GRID_CANDIDATES, stats.candidates),
+                (names::GRID_RESULTS, stats.results),
+                (names::GRID_CELL_PAIRS, cell_pairs),
+            ] {
+                self.tracer.counter(name).add(v);
+            }
+            join.tally().record(&self.tracer, "grid");
         }
         root.finish();
         Ok(stats)
@@ -308,7 +291,7 @@ impl SimilarityJoin for GridJoin {
 mod tests {
     use super::*;
     use hdsj_bruteforce::BruteForce;
-    use hdsj_core::{verify, Metric, VecSink};
+    use hdsj_core::{verify, CountSink, Metric, VecSink};
 
     fn compare_with_bf(a: &Dataset, b: Option<&Dataset>, spec: &JoinSpec) {
         let mut want = VecSink::default();
@@ -376,6 +359,59 @@ mod tests {
         compare_with_bf(&ds, None, &JoinSpec::new(eps, Metric::Linf));
     }
 
+    /// The boundary input joined at ε = 8/64 (see the generator).
+    fn striped(dims: usize, sizes: &[usize], seed: u64) -> Dataset {
+        hdsj_data::lattice_stripes(dims, sizes, seed).unwrap()
+    }
+
+    #[test]
+    fn lattice_inputs_match_brute_force_under_every_metric() {
+        let a = striped(3, &[40, 0, 25, 60, 1, 30, 0, 50], 1);
+        let b = striped(3, &[30, 20, 0, 45, 0, 0, 35, 10], 2);
+        // Two dimensions: ~19 points a cell, enough lanes to gather.
+        let dense = striped(2, &[150; 8], 3);
+        for metric in [Metric::L1, Metric::L2, Metric::Linf, Metric::Lp(3.0)] {
+            let spec = JoinSpec::new(8.0 / 64.0, metric);
+            compare_with_bf(&a, None, &spec);
+            compare_with_bf(&a, Some(&b), &spec);
+            compare_with_bf(&b, Some(&a), &spec);
+            compare_with_bf(&dense, None, &spec);
+        }
+    }
+
+    /// Cancels a query at its first result pair.
+    struct CancelAtFirstPair(hdsj_core::CancelToken, u64);
+
+    impl PairSink for CancelAtFirstPair {
+        fn push(&mut self, _: u32, _: u32) {
+            self.0.cancel();
+            self.1 += 1;
+        }
+    }
+
+    #[test]
+    fn a_canceled_lifecycle_stops_the_join_inside_a_cell_pair() {
+        // 64 cells, fewer than one `POLL_STRIDE`: past the first cell only
+        // the tile join polls.
+        let ds = striped(2, &[150; 8], 4);
+        let spec = JoinSpec::l2(8.0 / 64.0);
+        let mut all = CountSink::default();
+        GridJoin::default().self_join(&ds, &spec, &mut all).unwrap();
+
+        let lc = LifecycleCtx::unbounded();
+        let mut sink = CancelAtFirstPair(lc.cancel_token(), 0);
+        let mut grid = GridJoin::default();
+        grid.set_lifecycle(lc);
+        let err = grid.self_join(&ds, &spec, &mut sink).unwrap_err();
+        assert!(matches!(err, Error::Canceled(_)), "{err:?}");
+        assert!(
+            0 < sink.1 && sink.1 < all.count,
+            "{} of {}",
+            sink.1,
+            all.count
+        );
+    }
+
     #[test]
     fn large_eps_degenerates_to_single_cell() {
         let ds = hdsj_data::uniform(2, 100, 5).unwrap();
@@ -416,16 +452,26 @@ mod tests {
     #[test]
     fn offsets_enumerate_exactly_3_pow_d() {
         for d in 1..=5usize {
-            let mut n = 0;
-            let mut positive = 0;
-            for_each_offset(d, &mut |off| {
-                n += 1;
-                if is_positive(off) {
-                    positive += 1;
-                }
-            });
-            assert_eq!(n, 3usize.pow(d as u32));
-            assert_eq!(positive, (3usize.pow(d as u32) - 1) / 2);
+            let mut all = std::collections::BTreeSet::new();
+            for_each_offset(d, -1, &mut |off| {
+                assert!(all.insert(off.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(all.len(), 3usize.pow(d as u32));
+            // From zero: the zero offset first, then one of every ±offset.
+            let mut half = Vec::new();
+            for_each_offset(d, 0, &mut |off| {
+                half.push(off.to_vec());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(half[0], vec![0; d]);
+            assert_eq!(half.len(), all.len().div_ceil(2));
+            for off in &half[1..] {
+                let negated: Vec<i64> = off.iter().map(|o| -o).collect();
+                assert!(all.contains(off) && !half.contains(&negated), "{off:?}");
+            }
         }
     }
 }

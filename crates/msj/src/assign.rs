@@ -129,26 +129,6 @@ impl Assigner {
             let common = grid::common_prefix_len(self.lo[i], self.hi[i], self.depth);
             level = level.min(common);
         }
-        self.finish_assign(level)
-    }
-
-    /// Size-separation assignment of an arbitrary box `[lo, hi]` — the
-    /// original S3J case, where every rectangle has its own extent (used by
-    /// the rectangle intersection join in [`crate::s3j`]).
-    pub fn assign_faces(&mut self, lo_face: &[f64], hi_face: &[f64]) -> (BitKey, u8) {
-        debug_assert_eq!(lo_face.len(), self.dims);
-        debug_assert_eq!(hi_face.len(), self.dims);
-        let mut level = self.depth;
-        for i in 0..self.dims {
-            self.lo[i] = grid::quantize(lo_face[i], self.depth);
-            self.hi[i] = grid::quantize(hi_face[i], self.depth);
-            let common = grid::common_prefix_len(self.lo[i], self.hi[i], self.depth);
-            level = level.min(common);
-        }
-        self.finish_assign(level)
-    }
-
-    fn finish_assign(&mut self, level: u32) -> (BitKey, u8) {
         if level == 0 {
             return (BitKey::zero(self.key_bits), 0);
         }

@@ -33,7 +33,6 @@
 
 pub mod assign;
 pub mod parallel;
-pub mod s3j;
 pub mod sweep;
 
 use assign::{Assigner, RecordCodec};
@@ -501,13 +500,8 @@ impl Msj {
         };
         if self.tracer.enabled() {
             use hdsj_core::obs::names;
-            let t = tally.tiles;
+            tally.tiles.record(&self.tracer, "msj");
             for (name, v) in [
-                (names::MSJ_SWEEP_TILES_GATHERED, t.tiles_gathered),
-                (names::MSJ_SWEEP_LANES_GATHERED, t.lanes_gathered),
-                (names::MSJ_SWEEP_BLOCK_CANDIDATES, t.block_candidates),
-                (names::MSJ_SWEEP_BLOCK_CALLS, t.block_calls),
-                (names::MSJ_SWEEP_PAIR_CANDIDATES, t.pair_candidates),
                 (names::MSJ_SWEEP_VIEW_TESTED, tally.view_tested),
                 (names::MSJ_SWEEP_VIEW_KEPT, tally.view_kept),
                 (names::MSJ_SWEEP_STRIPED_JOINS, tally.striped_joins),

@@ -12,233 +12,197 @@
 //! `<algo>.phase.<phase>_ns`.
 //!
 //! Dynamically built names (`IoCounters::record_counters` emits
-//! `<prefix>.<field>`) cannot be checked lexically; their expansions for
-//! the `pool` prefix are listed here so literal references to them (tests,
-//! the trace reporter) still verify.
+//! `<prefix>.<field>`, `TileTally::record` emits `<algo>.sweep.<field>`)
+//! cannot be checked lexically; their expansions for the `pool` prefix and
+//! for the four algorithms that record a tally are listed here so literal
+//! references to them (tests, the trace reporter) still verify.
 
-/// Candidate pairs examined by the brute-force join.
-pub const BF_CANDIDATES: &str = "bf.candidates";
-/// Result pairs emitted by the brute-force join.
-pub const BF_RESULTS: &str = "bf.results";
+/// Declares the names and collects them into [`ALL`], so a name cannot be
+/// declared and left out of the list the exhaustiveness tests walk.
+macro_rules! registry {
+    ($($(#[$doc:meta])* pub const $name:ident: &str = $value:literal;)*) => {
+        $($(#[$doc])* pub const $name: &str = $value;)*
 
-/// Candidate pairs examined by the ε-KDB-tree join.
-pub const EKDB_CANDIDATES: &str = "ekdb.candidates";
-/// Result pairs emitted by the ε-KDB-tree join.
-pub const EKDB_RESULTS: &str = "ekdb.results";
-/// Leaf pairs (a leaf with itself included) the ε-KDB traversal joined;
-/// `candidates / leaf_pairs` tells traversal-bound from kernel-bound runs.
-pub const EKDB_LEAF_PAIRS: &str = "ekdb.leaf_pairs";
-/// Candidate tiles the ε-KDB leaf joins transposed into the SoA scratch.
-pub const EKDB_SWEEP_TILES_GATHERED: &str = "ekdb.sweep.tiles_gathered";
-/// Lanes (rows) copied by those transposes.
-pub const EKDB_SWEEP_LANES_GATHERED: &str = "ekdb.sweep.lanes_gathered";
-/// ε-KDB candidates emitted as lane windows of a gathered tile.
-pub const EKDB_SWEEP_BLOCK_CANDIDATES: &str = "ekdb.sweep.block_candidates";
-/// Lane windows those candidates came in — block-kernel calls; EKDB's
-/// leaf-sized windows make `block_candidates / block_calls` small.
-pub const EKDB_SWEEP_BLOCK_CALLS: &str = "ekdb.sweep.block_calls";
-/// ε-KDB candidates emitted pair by pair (tile too sparse to gather).
-pub const EKDB_SWEEP_PAIR_CANDIDATES: &str = "ekdb.sweep.pair_candidates";
+        /// Every registered metric name, for exhaustiveness tests.
+        pub const ALL: &[&str] = &[$($name),*];
+    };
+}
 
-/// Candidate pairs examined by the ε-grid join.
-pub const GRID_CANDIDATES: &str = "grid.candidates";
-/// Result pairs emitted by the ε-grid join.
-pub const GRID_RESULTS: &str = "grid.results";
+registry! {
+    /// Candidate pairs examined by the brute-force join.
+    pub const BF_CANDIDATES: &str = "bf.candidates";
+    /// Result pairs emitted by the brute-force join.
+    pub const BF_RESULTS: &str = "bf.results";
 
-/// Candidate pairs examined by the multidimensional spatial join (MSJ).
-pub const MSJ_CANDIDATES: &str = "msj.candidates";
-/// Result pairs emitted by MSJ.
-pub const MSJ_RESULTS: &str = "msj.results";
-/// Candidates forwarded from MSJ's sweep phase into refinement.
-pub const MSJ_REFINE_CANDIDATES: &str = "msj.refine.candidates";
-/// Pairs surviving MSJ refinement.
-pub const MSJ_REFINE_PAIRS: &str = "msj.refine.pairs";
-/// Microseconds MSJ sweep workers spent blocked on the refine channel.
-pub const MSJ_SWEEP_SEND_WAIT_US: &str = "msj.sweep.send_wait_us";
-/// Candidate tiles the MSJ sweep transposed into its SoA scratch block.
-pub const MSJ_SWEEP_TILES_GATHERED: &str = "msj.sweep.tiles_gathered";
-/// Lanes (rows) copied by those transposes; `block_candidates /
-/// lanes_gathered` is the reuse each gathered lane got.
-pub const MSJ_SWEEP_LANES_GATHERED: &str = "msj.sweep.lanes_gathered";
-/// MSJ candidates emitted as lane windows of a gathered tile.
-pub const MSJ_SWEEP_BLOCK_CANDIDATES: &str = "msj.sweep.block_candidates";
-/// Lane windows those candidates came in — block-kernel calls;
-/// `block_candidates / block_calls` is the lanes per call.
-pub const MSJ_SWEEP_BLOCK_CALLS: &str = "msj.sweep.block_calls";
-/// MSJ candidates emitted pair by pair (tile too sparse to gather).
-pub const MSJ_SWEEP_PAIR_CANDIDATES: &str = "msj.sweep.pair_candidates";
-/// Ancestor entries the MSJ sweep tested while narrowing cell views.
-pub const MSJ_SWEEP_VIEW_TESTED: &str = "msj.sweep.view_tested";
-/// Of those, entries whose ε-cube met the cell (`view_kept ≤ view_tested`).
-pub const MSJ_SWEEP_VIEW_KEPT: &str = "msj.sweep.view_kept";
-/// MSJ cell-pair joins partitioned by a second dimension's ε-stripes.
-pub const MSJ_SWEEP_STRIPED_JOINS: &str = "msj.sweep.striped_joins";
+    /// Candidate pairs examined by the ε-KDB-tree join.
+    pub const EKDB_CANDIDATES: &str = "ekdb.candidates";
+    /// Result pairs emitted by the ε-KDB-tree join.
+    pub const EKDB_RESULTS: &str = "ekdb.results";
+    /// Leaf pairs (a leaf with itself included) the ε-KDB traversal joined;
+    /// `candidates / leaf_pairs` tells traversal-bound from kernel-bound runs.
+    pub const EKDB_LEAF_PAIRS: &str = "ekdb.leaf_pairs";
+    /// Candidate tiles the ε-KDB leaf joins transposed into the SoA scratch.
+    pub const EKDB_SWEEP_TILES_GATHERED: &str = "ekdb.sweep.tiles_gathered";
+    /// Lanes (rows) copied by those transposes.
+    pub const EKDB_SWEEP_LANES_GATHERED: &str = "ekdb.sweep.lanes_gathered";
+    /// ε-KDB candidates emitted as lane windows of a gathered tile.
+    pub const EKDB_SWEEP_BLOCK_CANDIDATES: &str = "ekdb.sweep.block_candidates";
+    /// Lane windows those candidates came in — block-kernel calls; EKDB's
+    /// leaf-sized windows make `block_candidates / block_calls` small.
+    pub const EKDB_SWEEP_BLOCK_CALLS: &str = "ekdb.sweep.block_calls";
+    /// ε-KDB candidates emitted pair by pair (tile too sparse to gather).
+    pub const EKDB_SWEEP_PAIR_CANDIDATES: &str = "ekdb.sweep.pair_candidates";
 
-/// Chunks dispatched by the hdsj-exec pool.
-pub const EXEC_TASKS: &str = "exec.tasks";
-/// Worker threads spawned by the hdsj-exec pool.
-pub const EXEC_WORKERS: &str = "exec.workers";
-/// Times an hdsj-exec worker polled the chunk cursor and found no work
-/// left (tail imbalance).
-pub const EXEC_STEAL_WAITS: &str = "exec.steal_waits";
+    /// Candidate pairs examined by the ε-grid join.
+    pub const GRID_CANDIDATES: &str = "grid.candidates";
+    /// Result pairs emitted by the ε-grid join.
+    pub const GRID_RESULTS: &str = "grid.results";
+    /// Occupied cell pairs (a cell with itself included) the ε-grid probe
+    /// joined — the hits of its `3^d` neighbourhood enumeration.
+    pub const GRID_CELL_PAIRS: &str = "grid.cell_pairs";
+    /// Candidate tiles the ε-grid cell joins transposed into the SoA scratch.
+    pub const GRID_SWEEP_TILES_GATHERED: &str = "grid.sweep.tiles_gathered";
+    /// Lanes (rows) copied by those transposes.
+    pub const GRID_SWEEP_LANES_GATHERED: &str = "grid.sweep.lanes_gathered";
+    /// ε-grid candidates emitted as lane windows of a gathered tile.
+    pub const GRID_SWEEP_BLOCK_CANDIDATES: &str = "grid.sweep.block_candidates";
+    /// Lane windows those candidates came in — block-kernel calls.
+    pub const GRID_SWEEP_BLOCK_CALLS: &str = "grid.sweep.block_calls";
+    /// ε-grid candidates emitted pair by pair (cell too small to gather).
+    pub const GRID_SWEEP_PAIR_CANDIDATES: &str = "grid.sweep.pair_candidates";
 
-/// Candidate pairs examined by the R-tree spatial join (RSJ).
-pub const RSJ_CANDIDATES: &str = "rsj.candidates";
-/// Result pairs emitted by RSJ.
-pub const RSJ_RESULTS: &str = "rsj.results";
+    /// Candidate pairs examined by the multidimensional spatial join (MSJ).
+    pub const MSJ_CANDIDATES: &str = "msj.candidates";
+    /// Result pairs emitted by MSJ.
+    pub const MSJ_RESULTS: &str = "msj.results";
+    /// Candidates forwarded from MSJ's sweep phase into refinement.
+    pub const MSJ_REFINE_CANDIDATES: &str = "msj.refine.candidates";
+    /// Pairs surviving MSJ refinement.
+    pub const MSJ_REFINE_PAIRS: &str = "msj.refine.pairs";
+    /// Microseconds MSJ sweep workers spent blocked on the refine channel.
+    pub const MSJ_SWEEP_SEND_WAIT_US: &str = "msj.sweep.send_wait_us";
+    /// Candidate tiles the MSJ sweep transposed into its SoA scratch block.
+    pub const MSJ_SWEEP_TILES_GATHERED: &str = "msj.sweep.tiles_gathered";
+    /// Lanes (rows) copied by those transposes; `block_candidates /
+    /// lanes_gathered` is the reuse each gathered lane got.
+    pub const MSJ_SWEEP_LANES_GATHERED: &str = "msj.sweep.lanes_gathered";
+    /// MSJ candidates emitted as lane windows of a gathered tile.
+    pub const MSJ_SWEEP_BLOCK_CANDIDATES: &str = "msj.sweep.block_candidates";
+    /// Lane windows those candidates came in — block-kernel calls;
+    /// `block_candidates / block_calls` is the lanes per call.
+    pub const MSJ_SWEEP_BLOCK_CALLS: &str = "msj.sweep.block_calls";
+    /// MSJ candidates emitted pair by pair (tile too sparse to gather).
+    pub const MSJ_SWEEP_PAIR_CANDIDATES: &str = "msj.sweep.pair_candidates";
+    /// Ancestor entries the MSJ sweep tested while narrowing cell views.
+    pub const MSJ_SWEEP_VIEW_TESTED: &str = "msj.sweep.view_tested";
+    /// Of those, entries whose ε-cube met the cell (`view_kept ≤ view_tested`).
+    pub const MSJ_SWEEP_VIEW_KEPT: &str = "msj.sweep.view_kept";
+    /// MSJ cell-pair joins partitioned by a second dimension's ε-stripes.
+    pub const MSJ_SWEEP_STRIPED_JOINS: &str = "msj.sweep.striped_joins";
 
-/// Candidate pairs examined by the seeded-tree/S3J variant.
-pub const S3J_CANDIDATES: &str = "s3j.candidates";
-/// Result pairs emitted by the seeded-tree/S3J variant.
-pub const S3J_RESULTS: &str = "s3j.results";
+    /// Chunks dispatched by the hdsj-exec pool.
+    pub const EXEC_TASKS: &str = "exec.tasks";
+    /// Worker threads spawned by the hdsj-exec pool.
+    pub const EXEC_WORKERS: &str = "exec.workers";
+    /// Times an hdsj-exec worker polled the chunk cursor and found no work
+    /// left (tail imbalance).
+    pub const EXEC_STEAL_WAITS: &str = "exec.steal_waits";
 
-/// Candidate pairs examined by the 1-d sort-merge baseline.
-pub const SM1D_CANDIDATES: &str = "sm1d.candidates";
-/// Result pairs emitted by the 1-d sort-merge baseline.
-pub const SM1D_RESULTS: &str = "sm1d.results";
+    /// Candidate pairs examined by the R-tree spatial join (RSJ).
+    pub const RSJ_CANDIDATES: &str = "rsj.candidates";
+    /// Result pairs emitted by RSJ.
+    pub const RSJ_RESULTS: &str = "rsj.results";
+    /// Node pairs (a node with itself included) the synchronized traversal
+    /// visited, leaves and inner nodes alike: what fat MBRs fail to prune.
+    pub const RSJ_NODE_PAIRS: &str = "rsj.node_pairs";
+    /// Of those, the leaf pairs handed to the tile join; `candidates /
+    /// leaf_pairs` tells traversal-bound from kernel-bound runs.
+    pub const RSJ_LEAF_PAIRS: &str = "rsj.leaf_pairs";
+    /// Candidate tiles the RSJ leaf joins transposed into the SoA scratch.
+    pub const RSJ_SWEEP_TILES_GATHERED: &str = "rsj.sweep.tiles_gathered";
+    /// Lanes (rows) copied by those transposes.
+    pub const RSJ_SWEEP_LANES_GATHERED: &str = "rsj.sweep.lanes_gathered";
+    /// RSJ candidates emitted as lane windows of a gathered tile.
+    pub const RSJ_SWEEP_BLOCK_CANDIDATES: &str = "rsj.sweep.block_candidates";
+    /// Lane windows those candidates came in — block-kernel calls.
+    pub const RSJ_SWEEP_BLOCK_CALLS: &str = "rsj.sweep.block_calls";
+    /// RSJ candidates emitted pair by pair (leaf too small to gather: every
+    /// leaf at d = 64, where a page holds 7 points).
+    pub const RSJ_SWEEP_PAIR_CANDIDATES: &str = "rsj.sweep.pair_candidates";
 
-/// Buffer-pool pages read from disk (`IoCounters::reads`).
-pub const POOL_READS: &str = "pool.reads";
-/// Buffer-pool pages written to disk (`IoCounters::writes`).
-pub const POOL_WRITES: &str = "pool.writes";
-/// Buffer-pool pages allocated (`IoCounters::allocs`).
-pub const POOL_ALLOCS: &str = "pool.allocs";
-/// Buffer-pool cache hits (`IoCounters::hits`).
-pub const POOL_HITS: &str = "pool.hits";
-/// Frames evicted to make room (`IoCounters::evictions`).
-pub const POOL_EVICTIONS: &str = "pool.evictions";
-/// Dirty frames written back on eviction (`IoCounters::writebacks`).
-pub const POOL_WRITEBACKS: &str = "pool.writebacks";
-/// Transient-fault retries that eventually succeeded (`IoCounters::retries`).
-pub const POOL_RETRIES: &str = "pool.retries";
-/// Injected faults observed (`IoCounters::faults`).
-pub const POOL_FAULTS: &str = "pool.faults";
-/// Checksum mismatches detected on page read (`IoCounters::corruptions`).
-pub const POOL_CORRUPTION_DETECTED: &str = "pool.corruption_detected";
-/// Buffer-pool hit rate over a run (gauge, 0.0–1.0).
-pub const POOL_HIT_RATE: &str = "pool.hit_rate";
+    /// Candidate pairs examined by the 1-d sort-merge baseline.
+    pub const SM1D_CANDIDATES: &str = "sm1d.candidates";
+    /// Result pairs emitted by the 1-d sort-merge baseline.
+    pub const SM1D_RESULTS: &str = "sm1d.results";
 
-/// Disk-read latency per buffer-pool page (histogram, ns).
-pub const POOL_READ_NS: &str = "pool.read_ns";
-/// Disk-write latency per buffer-pool page (histogram, ns).
-pub const POOL_WRITE_NS: &str = "pool.write_ns";
-/// Eviction write-back latency per dirty frame (histogram, ns).
-pub const POOL_WRITEBACK_NS: &str = "pool.writeback_ns";
+    /// Buffer-pool pages read from disk (`IoCounters::reads`).
+    pub const POOL_READS: &str = "pool.reads";
+    /// Buffer-pool pages written to disk (`IoCounters::writes`).
+    pub const POOL_WRITES: &str = "pool.writes";
+    /// Buffer-pool pages allocated (`IoCounters::allocs`).
+    pub const POOL_ALLOCS: &str = "pool.allocs";
+    /// Buffer-pool cache hits (`IoCounters::hits`).
+    pub const POOL_HITS: &str = "pool.hits";
+    /// Frames evicted to make room (`IoCounters::evictions`).
+    pub const POOL_EVICTIONS: &str = "pool.evictions";
+    /// Dirty frames written back on eviction (`IoCounters::writebacks`).
+    pub const POOL_WRITEBACKS: &str = "pool.writebacks";
+    /// Transient-fault retries that eventually succeeded (`IoCounters::retries`).
+    pub const POOL_RETRIES: &str = "pool.retries";
+    /// Injected faults observed (`IoCounters::faults`).
+    pub const POOL_FAULTS: &str = "pool.faults";
+    /// Checksum mismatches detected on page read (`IoCounters::corruptions`).
+    pub const POOL_CORRUPTION_DETECTED: &str = "pool.corruption_detected";
+    /// Buffer-pool hit rate over a run (gauge, 0.0–1.0).
+    pub const POOL_HIT_RATE: &str = "pool.hit_rate";
 
-/// Per-chunk execution time in the hdsj-exec pool (histogram, ns).
-pub const EXEC_CHUNK_NS: &str = "exec.chunk_ns";
-/// Time each hdsj-exec worker waited between spawn and its first chunk
-/// claim (histogram, ns) — queue/startup latency.
-pub const EXEC_QUEUE_WAIT_NS: &str = "exec.queue_wait_ns";
+    /// Disk-read latency per buffer-pool page (histogram, ns).
+    pub const POOL_READ_NS: &str = "pool.read_ns";
+    /// Disk-write latency per buffer-pool page (histogram, ns).
+    pub const POOL_WRITE_NS: &str = "pool.write_ns";
+    /// Eviction write-back latency per dirty frame (histogram, ns).
+    pub const POOL_WRITEBACK_NS: &str = "pool.writeback_ns";
 
-/// Brute-force join phase duration (histogram, ns).
-pub const BF_PHASE_JOIN_NS: &str = "bf.phase.join_ns";
-/// 1-d sort-merge sort-phase duration (histogram, ns).
-pub const SM1D_PHASE_SORT_NS: &str = "sm1d.phase.sort_ns";
-/// 1-d sort-merge sweep-phase duration (histogram, ns).
-pub const SM1D_PHASE_SWEEP_NS: &str = "sm1d.phase.sweep_ns";
-/// ε-grid build-phase duration (histogram, ns).
-pub const GRID_PHASE_BUILD_NS: &str = "grid.phase.build_ns";
-/// ε-grid probe-phase duration (histogram, ns).
-pub const GRID_PHASE_PROBE_NS: &str = "grid.phase.probe_ns";
-/// ε-KDB-tree build-phase duration (histogram, ns).
-pub const EKDB_PHASE_BUILD_NS: &str = "ekdb.phase.build_ns";
-/// ε-KDB-tree join-phase duration (histogram, ns).
-pub const EKDB_PHASE_JOIN_NS: &str = "ekdb.phase.join_ns";
-/// R-tree spatial join build-phase duration (histogram, ns).
-pub const RSJ_PHASE_BUILD_NS: &str = "rsj.phase.build_ns";
-/// R-tree spatial join join-phase duration (histogram, ns).
-pub const RSJ_PHASE_JOIN_NS: &str = "rsj.phase.join_ns";
-/// S3J assign-phase duration (histogram, ns).
-pub const S3J_PHASE_ASSIGN_NS: &str = "s3j.phase.assign_ns";
-/// S3J sort-phase duration (histogram, ns).
-pub const S3J_PHASE_SORT_NS: &str = "s3j.phase.sort_ns";
-/// S3J sweep-phase duration (histogram, ns).
-pub const S3J_PHASE_SWEEP_NS: &str = "s3j.phase.sweep_ns";
-/// MSJ assign-phase duration (histogram, ns).
-pub const MSJ_PHASE_ASSIGN_NS: &str = "msj.phase.assign_ns";
-/// MSJ sort-phase duration (histogram, ns).
-pub const MSJ_PHASE_SORT_NS: &str = "msj.phase.sort_ns";
-/// MSJ sweep-phase duration (histogram, ns).
-pub const MSJ_PHASE_SWEEP_NS: &str = "msj.phase.sweep_ns";
+    /// Per-chunk execution time in the hdsj-exec pool (histogram, ns).
+    pub const EXEC_CHUNK_NS: &str = "exec.chunk_ns";
+    /// Time each hdsj-exec worker waited between spawn and its first chunk
+    /// claim (histogram, ns) — queue/startup latency.
+    pub const EXEC_QUEUE_WAIT_NS: &str = "exec.queue_wait_ns";
 
-/// Cooperative cancellation/deadline polls observed by a query's
-/// lifecycle context (`LifecycleStats::polls`).
-pub const LIFECYCLE_CANCEL_POLLS: &str = "lifecycle.cancel_polls";
-/// Durable checkpoints written by a resumable query
-/// (`LifecycleStats::checkpoints`).
-pub const LIFECYCLE_CHECKPOINTS: &str = "lifecycle.checkpoints";
-/// Manifest files reused (not recomputed) by a resumed join.
-pub const JOIN_RESUMED_LEVELS: &str = "join.resumed_levels";
+    /// Brute-force join phase duration (histogram, ns).
+    pub const BF_PHASE_JOIN_NS: &str = "bf.phase.join_ns";
+    /// 1-d sort-merge sort-phase duration (histogram, ns).
+    pub const SM1D_PHASE_SORT_NS: &str = "sm1d.phase.sort_ns";
+    /// 1-d sort-merge sweep-phase duration (histogram, ns).
+    pub const SM1D_PHASE_SWEEP_NS: &str = "sm1d.phase.sweep_ns";
+    /// ε-grid build-phase duration (histogram, ns).
+    pub const GRID_PHASE_BUILD_NS: &str = "grid.phase.build_ns";
+    /// ε-grid probe-phase duration (histogram, ns).
+    pub const GRID_PHASE_PROBE_NS: &str = "grid.phase.probe_ns";
+    /// ε-KDB-tree build-phase duration (histogram, ns).
+    pub const EKDB_PHASE_BUILD_NS: &str = "ekdb.phase.build_ns";
+    /// ε-KDB-tree join-phase duration (histogram, ns).
+    pub const EKDB_PHASE_JOIN_NS: &str = "ekdb.phase.join_ns";
+    /// R-tree spatial join build-phase duration (histogram, ns).
+    pub const RSJ_PHASE_BUILD_NS: &str = "rsj.phase.build_ns";
+    /// R-tree spatial join join-phase duration (histogram, ns).
+    pub const RSJ_PHASE_JOIN_NS: &str = "rsj.phase.join_ns";
+    /// MSJ assign-phase duration (histogram, ns).
+    pub const MSJ_PHASE_ASSIGN_NS: &str = "msj.phase.assign_ns";
+    /// MSJ sort-phase duration (histogram, ns).
+    pub const MSJ_PHASE_SORT_NS: &str = "msj.phase.sort_ns";
+    /// MSJ sweep-phase duration (histogram, ns).
+    pub const MSJ_PHASE_SWEEP_NS: &str = "msj.phase.sweep_ns";
 
-/// Every registered metric name, for exhaustiveness tests.
-pub const ALL: &[&str] = &[
-    BF_CANDIDATES,
-    BF_RESULTS,
-    EKDB_CANDIDATES,
-    EKDB_RESULTS,
-    EKDB_LEAF_PAIRS,
-    EKDB_SWEEP_TILES_GATHERED,
-    EKDB_SWEEP_LANES_GATHERED,
-    EKDB_SWEEP_BLOCK_CANDIDATES,
-    EKDB_SWEEP_PAIR_CANDIDATES,
-    GRID_CANDIDATES,
-    GRID_RESULTS,
-    MSJ_CANDIDATES,
-    MSJ_RESULTS,
-    MSJ_REFINE_CANDIDATES,
-    MSJ_REFINE_PAIRS,
-    MSJ_SWEEP_SEND_WAIT_US,
-    MSJ_SWEEP_TILES_GATHERED,
-    MSJ_SWEEP_LANES_GATHERED,
-    MSJ_SWEEP_BLOCK_CANDIDATES,
-    MSJ_SWEEP_PAIR_CANDIDATES,
-    MSJ_SWEEP_VIEW_TESTED,
-    MSJ_SWEEP_VIEW_KEPT,
-    MSJ_SWEEP_STRIPED_JOINS,
-    EXEC_TASKS,
-    EXEC_WORKERS,
-    EXEC_STEAL_WAITS,
-    RSJ_CANDIDATES,
-    RSJ_RESULTS,
-    S3J_CANDIDATES,
-    S3J_RESULTS,
-    SM1D_CANDIDATES,
-    SM1D_RESULTS,
-    POOL_READS,
-    POOL_WRITES,
-    POOL_ALLOCS,
-    POOL_HITS,
-    POOL_EVICTIONS,
-    POOL_WRITEBACKS,
-    POOL_RETRIES,
-    POOL_FAULTS,
-    POOL_CORRUPTION_DETECTED,
-    POOL_HIT_RATE,
-    POOL_READ_NS,
-    POOL_WRITE_NS,
-    POOL_WRITEBACK_NS,
-    EXEC_CHUNK_NS,
-    EXEC_QUEUE_WAIT_NS,
-    BF_PHASE_JOIN_NS,
-    SM1D_PHASE_SORT_NS,
-    SM1D_PHASE_SWEEP_NS,
-    GRID_PHASE_BUILD_NS,
-    GRID_PHASE_PROBE_NS,
-    EKDB_PHASE_BUILD_NS,
-    EKDB_PHASE_JOIN_NS,
-    RSJ_PHASE_BUILD_NS,
-    RSJ_PHASE_JOIN_NS,
-    S3J_PHASE_ASSIGN_NS,
-    S3J_PHASE_SORT_NS,
-    S3J_PHASE_SWEEP_NS,
-    MSJ_PHASE_ASSIGN_NS,
-    MSJ_PHASE_SORT_NS,
-    MSJ_PHASE_SWEEP_NS,
-    LIFECYCLE_CANCEL_POLLS,
-    LIFECYCLE_CHECKPOINTS,
-    JOIN_RESUMED_LEVELS,
-];
+    /// Cooperative cancellation/deadline polls observed by a query's
+    /// lifecycle context (`LifecycleStats::polls`).
+    pub const LIFECYCLE_CANCEL_POLLS: &str = "lifecycle.cancel_polls";
+    /// Durable checkpoints written by a resumable query
+    /// (`LifecycleStats::checkpoints`).
+    pub const LIFECYCLE_CHECKPOINTS: &str = "lifecycle.checkpoints";
+    /// Manifest files reused (not recomputed) by a resumed join.
+    pub const JOIN_RESUMED_LEVELS: &str = "join.resumed_levels";
+}
 
 #[cfg(test)]
 mod tests {

@@ -260,12 +260,7 @@ impl DynamicTree {
                     self.height += 1;
                 }
                 Some((parent_pid, idx)) => {
-                    let mut entries = match Node::load(&self.engine, parent_pid, self.dims)? {
-                        Node::Inner(entries) => entries,
-                        Node::Leaf(_) => {
-                            return Err(Error::Storage("leaf on inner path".into()))
-                        }
-                    };
+                    let mut entries = Node::load_inner(&self.engine, parent_pid, self.dims)?;
                     entries[idx].mbr = old_mbr.clone();
                     debug_assert_eq!(entries[idx].child, old_pid);
                     entries.push(InnerEntry {

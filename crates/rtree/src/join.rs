@@ -5,22 +5,24 @@
 //! construction to the join, because a similarity-join user rarely has
 //! pre-built indexes lying around). The traversal descends both trees in
 //! lock-step, pruning every node pair whose MBRs are further than ε apart in
-//! L∞ (safe for all supported metrics, whose ε-balls the L∞ cube contains),
-//! and plane-sweeps leaf pairs along dimension 0 before handing candidates
-//! to the exact-metric refiner.
+//! L∞ (safe for all supported metrics, whose ε-balls the L∞ cube contains).
+//! A leaf pair is two `(x0, id)` runs read off the leaf pages, already in
+//! page order, and one call of the tile join every other structured method
+//! ends in: the R-tree differs from them only in its filter.
 
 use crate::build::BuildStrategy;
-use crate::node::Node;
+use crate::node::{load_leaf_run, InnerEntry, Node};
 use crate::tree::RTree;
+use hdsj_core::obs::names;
 use hdsj_core::stats::TracedPhase;
 use hdsj_core::{
-    join::validate_inputs, Dataset, Error, IoCounters, JoinKind, JoinSpec, JoinStats,
-    LifecycleCtx, PairSink, Rect, Refiner, Result, SimilarityJoin, Tracer,
+    join::validate_inputs, Dataset, IoCounters, JoinKind, JoinSpec, JoinStats, LifecycleCtx,
+    PairSink, Refiner, Result, SimilarityJoin, TileJoin, Tracer,
 };
 use hdsj_storage::{PageId, StorageEngine};
 
 /// Node visits between lifecycle polls during the synchronized traversal.
-const POLL_STRIDE: usize = 256;
+const POLL_STRIDE: u64 = 256;
 
 /// R-tree spatial join (build-and-join).
 #[derive(Clone)]
@@ -119,7 +121,7 @@ impl RsjJoin {
             &root,
             "build",
             hdsj_core::obs::PhaseClass::Io,
-            hdsj_core::obs::names::RSJ_PHASE_BUILD_NS,
+            names::RSJ_PHASE_BUILD_NS,
         );
         let tree_a = RTree::build(engine, a, self.strategy, self.fill)?;
         let tree_b = match kind {
@@ -135,45 +137,44 @@ impl RsjJoin {
             &root,
             "join",
             hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::RSJ_PHASE_JOIN_NS,
+            names::RSJ_PHASE_JOIN_NS,
         );
         if let Some(lc) = &self.lifecycle {
             lc.poll()?;
         }
-        let mut refiner = Refiner::new(a, b, kind, spec, sink);
-        {
-            let mut traversal = Traversal {
-                engine,
-                dims: a.dims(),
-                eps: spec.eps,
-                refiner: &mut refiner,
-                lifecycle: self.lifecycle.as_ref(),
-                visits: 0,
-            };
-            match (&kind, &tree_b) {
-                (JoinKind::SelfJoin, _) => traversal.self_pairs(tree_a.root())?,
-                (JoinKind::TwoSets, Some(tb)) => {
-                    traversal.cross_pairs(tree_a.root(), tb.root())?
-                }
-                (JoinKind::TwoSets, None) => {
-                    return Err(Error::Internal(
-                        "two-set join reached traversal without tree b".into(),
-                    ))
-                }
-            }
+        let mut traversal = Traversal::new(
+            engine,
+            b,
+            spec.eps,
+            Refiner::new(a, b, kind, spec, sink),
+            self.lifecycle.as_ref(),
+        );
+        match &tree_b {
+            None => traversal.self_pairs(tree_a.root(), tree_a.height())?,
+            Some(tree_b) => traversal.cross_pairs(
+                (tree_a.root(), tree_a.height()),
+                (tree_b.root(), tree_b.height()),
+            )?,
         }
-        let mut stats = refiner.finish(JoinStats::default());
+        let mut stats = traversal.refiner.finish(JoinStats::default());
         join.finish(&mut phases);
 
         stats.phases = phases;
-        stats.structure_bytes = structure_bytes;
+        stats.structure_bytes = structure_bytes + traversal.join.scratch_bytes();
         let io_after = engine.io_counters();
         stats.io = IoCounters::diff(&io_after, &io_before);
         if self.tracer.enabled() {
             root.attr_u64("candidates", stats.candidates);
             root.attr_u64("results", stats.results);
-            self.tracer.counter("rsj.candidates").add(stats.candidates);
-            self.tracer.counter("rsj.results").add(stats.results);
+            for (name, v) in [
+                (names::RSJ_CANDIDATES, stats.candidates),
+                (names::RSJ_RESULTS, stats.results),
+                (names::RSJ_NODE_PAIRS, traversal.node_pairs),
+                (names::RSJ_LEAF_PAIRS, traversal.leaf_pairs),
+            ] {
+                self.tracer.counter(name).add(v);
+            }
+            traversal.join.tally().record(&self.tracer, "rsj");
             stats.io.record_counters(&self.tracer, "pool");
             engine.pool().stats().record_latency_metrics(&self.tracer);
         }
@@ -182,53 +183,78 @@ impl RsjJoin {
     }
 }
 
-struct Traversal<'a, 'r> {
+/// A node by page id and level (1 = leaf): all leaves of a tree sit at one
+/// depth, so the descent knows what each page holds before it fetches it.
+type At = (PageId, u32);
+
+/// The synchronized descent. Every visit fetches its pages through the
+/// pool, one after the other, and holds no pin while it recurses.
+struct Traversal<'a> {
     engine: &'a StorageEngine,
     dims: usize,
     eps: f64,
-    refiner: &'r mut Refiner<'a>,
-    lifecycle: Option<&'r LifecycleCtx>,
-    visits: usize,
+    join: TileJoin<'a>,
+    refiner: Refiner<'a>,
+    lifecycle: Option<&'a LifecycleCtx>,
+    /// The two leaf runs of the current visit, reused across visits.
+    xs: Vec<(f64, u32)>,
+    ys: Vec<(f64, u32)>,
+    /// Visits: every `self_pairs` / `cross_pairs` call.
+    node_pairs: u64,
+    /// Visits that joined two leaves (or a leaf with itself).
+    leaf_pairs: u64,
 }
 
-impl Traversal<'_, '_> {
-    /// Polls the lifecycle context every [`POLL_STRIDE`] node visits so
-    /// cancellation or a deadline stops the traversal mid-descent.
-    fn maybe_poll(&mut self) -> Result<()> {
-        if self.visits.is_multiple_of(POLL_STRIDE) {
+impl<'a> Traversal<'a> {
+    /// A traversal whose right-hand leaves hold points of `b`.
+    fn new(
+        engine: &'a StorageEngine,
+        b: &'a Dataset,
+        eps: f64,
+        refiner: Refiner<'a>,
+        lifecycle: Option<&'a LifecycleCtx>,
+    ) -> Traversal<'a> {
+        Traversal {
+            engine,
+            dims: b.dims(),
+            eps,
+            join: TileJoin::new(b, eps, lifecycle),
+            refiner,
+            lifecycle,
+            xs: Vec::new(),
+            ys: Vec::new(),
+            node_pairs: 0,
+            leaf_pairs: 0,
+        }
+    }
+
+    /// Counts the visit and polls the lifecycle context every
+    /// [`POLL_STRIDE`] of them, so cancellation or a deadline stops the
+    /// traversal mid-descent (the tile join polls inside a leaf pair).
+    fn enter(&mut self) -> Result<()> {
+        if self.node_pairs.is_multiple_of(POLL_STRIDE) {
             if let Some(lc) = self.lifecycle {
                 lc.poll()?;
             }
         }
-        self.visits += 1;
+        self.node_pairs += 1;
         Ok(())
     }
 
     /// Unordered pairs within one subtree (self-join).
-    fn self_pairs(&mut self, pid: PageId) -> Result<()> {
-        self.maybe_poll()?;
-        match Node::load(self.engine, pid, self.dims)? {
-            Node::Leaf(mut entries) => {
-                sort_by_dim0(&mut entries);
-                for (x, e) in entries.iter().enumerate() {
-                    for f in &entries[x + 1..] {
-                        if f.coords[0] - e.coords[0] > self.eps {
-                            break;
-                        }
-                        if linf_within(&e.coords, &f.coords, self.eps) {
-                            self.refiner.offer(e.id, f.id);
-                        }
-                    }
-                }
-            }
-            Node::Inner(entries) => {
-                for (i, e) in entries.iter().enumerate() {
-                    self.self_pairs(e.child)?;
-                    for f in &entries[i + 1..] {
-                        if e.mbr.mindist_linf(&f.mbr) <= self.eps {
-                            self.cross_pairs(e.child, f.child)?;
-                        }
-                    }
+    fn self_pairs(&mut self, pid: PageId, level: u32) -> Result<()> {
+        self.enter()?;
+        if level == 1 {
+            self.leaf_pairs += 1;
+            load_leaf_run(self.engine, pid, self.dims, &mut self.xs)?;
+            return self.join.run(&self.xs, &self.xs, true, &mut self.refiner);
+        }
+        let entries = Node::load_inner(self.engine, pid, self.dims)?;
+        for (i, e) in entries.iter().enumerate() {
+            self.self_pairs(e.child, level - 1)?;
+            for f in &entries[i + 1..] {
+                if e.mbr.mindist_linf(&f.mbr) <= self.eps {
+                    self.cross_pairs((e.child, level - 1), (f.child, level - 1))?;
                 }
             }
         }
@@ -237,66 +263,38 @@ impl Traversal<'_, '_> {
 
     /// Pairs across two distinct subtrees (of the same tree or of two
     /// trees; the refiner knows which reporting convention applies).
-    fn cross_pairs(&mut self, pa: PageId, pb: PageId) -> Result<()> {
-        self.maybe_poll()?;
-        let na = Node::load(self.engine, pa, self.dims)?;
-        let nb = Node::load(self.engine, pb, self.dims)?;
-        match (na, nb) {
-            (Node::Leaf(mut ea), Node::Leaf(mut eb)) => {
-                sort_by_dim0(&mut ea);
-                sort_by_dim0(&mut eb);
-                let mut start = 0usize;
-                for e in &ea {
-                    while start < eb.len() && eb[start].coords[0] < e.coords[0] - self.eps {
-                        start += 1;
-                    }
-                    for f in &eb[start..] {
-                        if f.coords[0] - e.coords[0] > self.eps {
-                            break;
-                        }
-                        if linf_within(&e.coords, &f.coords, self.eps) {
-                            self.refiner.offer(e.id, f.id);
-                        }
-                    }
-                }
-            }
-            (Node::Inner(ea), Node::Inner(eb)) => {
-                for e in &ea {
-                    for f in &eb {
-                        if e.mbr.mindist_linf(&f.mbr) <= self.eps {
-                            self.cross_pairs(e.child, f.child)?;
-                        }
-                    }
-                }
-            }
-            (Node::Inner(ea), nb @ Node::Leaf(_)) => {
-                // Height mismatch: descend the taller side against the leaf.
-                let leaf_mbr = nb.mbr(self.dims);
-                for e in &ea {
-                    if e.mbr.mindist_linf(&leaf_mbr) <= self.eps {
-                        self.cross_pairs(e.child, pb)?;
-                    }
-                }
-            }
-            (na @ Node::Leaf(_), Node::Inner(eb)) => {
-                let leaf_mbr = na.mbr(self.dims);
-                for f in &eb {
-                    if leaf_mbr.mindist_linf(&f.mbr) <= self.eps {
-                        self.cross_pairs(pa, f.child)?;
-                    }
+    fn cross_pairs(&mut self, a: At, b: At) -> Result<()> {
+        self.enter()?;
+        let ((pa, la), (pb, lb)) = (a, b);
+        if la == 1 && lb == 1 {
+            self.leaf_pairs += 1;
+            load_leaf_run(self.engine, pa, self.dims, &mut self.xs)?;
+            load_leaf_run(self.engine, pb, self.dims, &mut self.ys)?;
+            return self.join.run(&self.xs, &self.ys, false, &mut self.refiner);
+        }
+        let (ea, eb) = (self.entries(a)?, self.entries(b)?);
+        // A leaf beside an inner node stays where it is.
+        let (la, lb) = ((la - 1).max(1), (lb - 1).max(1));
+        for e in &ea {
+            for f in &eb {
+                if e.mbr.mindist_linf(&f.mbr) <= self.eps {
+                    self.cross_pairs((e.child, la), (f.child, lb))?;
                 }
             }
         }
         Ok(())
     }
-}
 
-fn sort_by_dim0(entries: &mut [crate::node::LeafEntry]) {
-    entries.sort_unstable_by(|a, b| a.coords[0].total_cmp(&b.coords[0]).then(a.id.cmp(&b.id)));
-}
-
-fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    Rect::point(a).mindist_linf(&Rect::point(b)) <= eps
+    /// The entries of an inner node. A leaf that meets an inner node (the
+    /// trees differ in height) stands as one entry, itself under its own
+    /// MBR, while the taller side descends.
+    fn entries(&self, (pid, level): At) -> Result<Vec<InnerEntry>> {
+        if level > 1 {
+            return Node::load_inner(self.engine, pid, self.dims);
+        }
+        let mbr = Node::load(self.engine, pid, self.dims)?.mbr(self.dims);
+        Ok(vec![InnerEntry { child: pid, mbr }])
+    }
 }
 
 impl SimilarityJoin for RsjJoin {
@@ -336,7 +334,7 @@ impl SimilarityJoin for RsjJoin {
 mod tests {
     use super::*;
     use hdsj_bruteforce::BruteForce;
-    use hdsj_core::{verify, Metric, VecSink};
+    use hdsj_core::{verify, CountSink, Error, Metric, VecSink};
 
     fn compare_with_bf(a: &Dataset, b: Option<&Dataset>, spec: &JoinSpec, rsj: &mut RsjJoin) {
         let mut want = VecSink::default();
@@ -358,11 +356,7 @@ mod tests {
     #[test]
     fn matches_brute_force_for_every_build_strategy() {
         let ds = hdsj_data::uniform(4, 500, 11).unwrap();
-        for strategy in [
-            BuildStrategy::HilbertPack,
-            BuildStrategy::Str,
-            BuildStrategy::DynamicInsert,
-        ] {
+        for strategy in STRATEGIES {
             let mut rsj = RsjJoin::with_strategy(strategy);
             compare_with_bf(&ds, None, &JoinSpec::new(0.2, Metric::L2), &mut rsj);
         }
@@ -425,6 +419,114 @@ mod tests {
             Some(&b),
             &JoinSpec::new(0.15, Metric::L2),
             &mut RsjJoin::default(),
+        );
+    }
+
+    const STRATEGIES: [BuildStrategy; 3] = [
+        BuildStrategy::HilbertPack,
+        BuildStrategy::Str,
+        BuildStrategy::DynamicInsert,
+    ];
+
+    /// The boundary input joined at ε = 8/64 (see the generator).
+    fn striped(dims: usize, sizes: &[usize], seed: u64) -> Dataset {
+        hdsj_data::lattice_stripes(dims, sizes, seed).unwrap()
+    }
+
+    #[test]
+    fn lattice_inputs_match_brute_force_for_every_strategy_and_metric() {
+        let a = striped(3, &[40, 0, 25, 60, 1, 30, 0, 50], 1);
+        let b = striped(3, &[30, 20, 0, 45, 0, 0, 35, 10], 2);
+        // Five points against a tree one level taller.
+        let few = striped(3, &[2, 0, 0, 3], 3);
+        let many = striped(3, &[375; 8], 4);
+        for strategy in STRATEGIES {
+            for metric in [Metric::L1, Metric::L2, Metric::Linf, Metric::Lp(3.0)] {
+                let spec = JoinSpec::new(8.0 / 64.0, metric);
+                let mut rsj = RsjJoin::with_strategy(strategy);
+                compare_with_bf(&a, None, &spec, &mut rsj);
+                compare_with_bf(&a, Some(&b), &spec, &mut rsj);
+                // Building the tall tree dominates the test's time: every
+                // strategy under L2, every metric under the default one.
+                if strategy == BuildStrategy::HilbertPack || metric == Metric::L2 {
+                    compare_with_bf(&few, Some(&many), &spec, &mut rsj);
+                    compare_with_bf(&many, Some(&few), &spec, &mut rsj);
+                }
+            }
+        }
+    }
+
+    /// The page id of the leftmost leaf under `pid`.
+    fn first_leaf(engine: &StorageEngine, pid: PageId, dims: usize) -> PageId {
+        match Node::load(engine, pid, dims).unwrap() {
+            Node::Leaf(_) => pid,
+            Node::Inner(entries) => first_leaf(engine, entries[0].child, dims),
+        }
+    }
+
+    #[test]
+    fn a_leaf_out_of_page_order_is_a_storage_error_not_a_short_answer() {
+        let ds = striped(2, &[150; 8], 5);
+        let engine = StorageEngine::in_memory(64);
+        let tree = RTree::build(&engine, &ds, BuildStrategy::HilbertPack, 0.7).unwrap();
+        tree.check_invariants().unwrap();
+        let leaf = first_leaf(&engine, tree.root(), 2);
+        assert_ne!(leaf, tree.root());
+        crate::node::tests::swap_leaf_entries(
+            &mut engine.fetch(leaf).unwrap().write(),
+            2,
+            0,
+            1,
+        );
+
+        let err = tree.check_invariants().unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err:?}");
+        let spec = JoinSpec::l2(8.0 / 64.0);
+        let mut sink = VecSink::default();
+        let refiner = Refiner::new(&ds, &ds, JoinKind::SelfJoin, &spec, &mut sink);
+        let mut traversal = Traversal::new(&engine, &ds, spec.eps, refiner, None);
+        let err = traversal
+            .self_pairs(tree.root(), tree.height())
+            .unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err:?}");
+    }
+
+    /// Cancels a query at its first result pair.
+    struct CancelAtFirstPair(hdsj_core::CancelToken, u64);
+
+    impl PairSink for CancelAtFirstPair {
+        fn push(&mut self, _: u32, _: u32) {
+            self.0.cancel();
+            self.1 += 1;
+        }
+    }
+
+    #[test]
+    fn a_canceled_lifecycle_stops_the_join_inside_a_leaf_pair() {
+        let ds = striped(2, &[150; 8], 6);
+        // No lifecycle on the engine, and fewer visits than one
+        // `POLL_STRIDE`: past the first visit only the tile join polls.
+        let engine = StorageEngine::in_memory(64);
+        let tree = RTree::build(&engine, &ds, BuildStrategy::HilbertPack, 0.7).unwrap();
+        let spec = JoinSpec::l2(8.0 / 64.0);
+        let mut all = CountSink::default();
+        RsjJoin::default().self_join(&ds, &spec, &mut all).unwrap();
+
+        let lc = LifecycleCtx::unbounded();
+        let mut sink = CancelAtFirstPair(lc.cancel_token(), 0);
+        let refiner = Refiner::new(&ds, &ds, JoinKind::SelfJoin, &spec, &mut sink);
+        let mut traversal = Traversal::new(&engine, &ds, spec.eps, refiner, Some(&lc));
+        let err = traversal
+            .self_pairs(tree.root(), tree.height())
+            .unwrap_err();
+        assert!(matches!(err, Error::Canceled(_)), "{err:?}");
+        assert!(traversal.node_pairs < POLL_STRIDE);
+        drop(traversal);
+        assert!(
+            0 < sink.1 && sink.1 < all.count,
+            "{} of {}",
+            sink.1,
+            all.count
         );
     }
 

@@ -15,17 +15,15 @@
 //!   with quadratic splits ([`build::BuildStrategy`]);
 //! * [`tree`] — the [`tree::RTree`] handle with invariant checking;
 //! * [`join`] — [`RsjJoin`]: the Brinkhoff/Kriegel/Seeger synchronized
-//!   traversal, pruning node pairs by L∞ MBR mindist and sweeping leaf
-//!   pairs along dimension 0.
+//!   traversal, pruning node pairs by L∞ MBR mindist; a leaf pair is one
+//!   call of the tile join the other structured methods share.
 #![forbid(unsafe_code)]
 
 pub mod build;
 pub mod join;
-pub mod knn;
 pub mod node;
 pub mod tree;
 
 pub use build::BuildStrategy;
 pub use join::RsjJoin;
-pub use knn::Neighbour;
 pub use tree::RTree;

@@ -13,9 +13,15 @@
 //! the buffer pool like a real disk-resident index — and so leaf fan-out
 //! shrinks as `d` grows, which is precisely the high-dimensional R-tree
 //! pathology the evaluation exhibits.
+//!
+//! A leaf's entries are written ascending in (dimension 0, id)
+//! ([`Node::write_to`] is the one place that orders them), so the join
+//! reads a leaf's `(x0, id)` run straight off the page, already in the
+//! order the shared tile join takes ([`load_leaf_run`]).
 
 use hdsj_core::{Error, Rect, Result};
 use hdsj_storage::{Page, PageId, StorageEngine, PAGE_HEADER, PAGE_SIZE};
+use std::cmp::Ordering;
 
 /// Offset of the node's kind byte (just past the storage header).
 const KIND_OFFSET: usize = PAGE_HEADER;
@@ -45,6 +51,12 @@ pub struct LeafEntry {
     pub coords: Vec<f64>,
 }
 
+/// The order of a leaf page's entries, as `(x0, id)`: ascending dimension 0,
+/// ties by id — the order the tile join takes a run in.
+fn run_order(a: (f64, u32), b: (f64, u32)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
 /// An entry of an inner node: a child page and its MBR.
 #[derive(Clone, Debug, PartialEq)]
 pub struct InnerEntry {
@@ -64,47 +76,18 @@ pub enum Node {
 }
 
 impl Node {
-    /// True for leaves.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf(_))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match self {
-            Node::Leaf(v) => v.len(),
-            Node::Inner(v) => v.len(),
-        }
-    }
-
-    /// True when the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The union MBR of all entries.
     pub fn mbr(&self, dims: usize) -> Rect {
         let mut mbr = Rect::empty(dims);
         match self {
-            Node::Leaf(entries) => {
-                // allow(hdsj::lifecycle_poll): per-node entries, bounded
-                // by the page fan-out.
-                for e in entries {
-                    mbr.grow_point(&e.coords);
-                }
-            }
-            Node::Inner(entries) => {
-                // allow(hdsj::lifecycle_poll): per-node entries, bounded
-                // by the page fan-out.
-                for e in entries {
-                    mbr.grow_rect(&e.mbr);
-                }
-            }
+            Node::Leaf(entries) => entries.iter().for_each(|e| mbr.grow_point(&e.coords)),
+            Node::Inner(entries) => entries.iter().for_each(|e| mbr.grow_rect(&e.mbr)),
         }
         mbr
     }
 
-    /// Serializes into `page`. Errors when the node exceeds the page.
+    /// Serializes into `page`, a leaf's entries ascending in (dimension 0,
+    /// id). Errors when the node exceeds the page.
     pub fn write_to(&self, page: &mut Page, dims: usize) -> Result<()> {
         let (kind, count, entry_size) = match self {
             Node::Leaf(v) => (KIND_LEAF, v.len(), 4 + 8 * dims),
@@ -120,6 +103,10 @@ impl Node {
         let mut off = HEADER;
         match self {
             Node::Leaf(entries) => {
+                let mut entries: Vec<&LeafEntry> = entries.iter().collect();
+                entries.sort_unstable_by(|a, b| {
+                    run_order((a.coords[0], a.id), (b.coords[0], b.id))
+                });
                 // allow(hdsj::lifecycle_poll): serializes one page's
                 // entries, bounded by the page fan-out.
                 for e in entries {
@@ -155,50 +142,27 @@ impl Node {
 
     /// Deserializes a node from `page`.
     pub fn read_from(page: &Page, dims: usize) -> Result<Node> {
-        let kind = page.bytes()[KIND_OFFSET];
-        let count = page.get_u16(COUNT_OFFSET) as usize;
-        let mut off = HEADER;
-        match kind {
-            KIND_LEAF => {
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let id = page.get_u32(off);
-                    off += 4;
-                    let mut coords = Vec::with_capacity(dims);
-                    for _ in 0..dims {
-                        coords.push(page.get_f64(off));
-                        off += 8;
-                    }
-                    entries.push(LeafEntry { id, coords });
-                }
-                Ok(Node::Leaf(entries))
-            }
-            KIND_INNER => {
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let child = page.get_u64(off);
-                    off += 8;
-                    let mut lo = Vec::with_capacity(dims);
-                    for _ in 0..dims {
-                        lo.push(page.get_f64(off));
-                        off += 8;
-                    }
-                    let mut hi = Vec::with_capacity(dims);
-                    for _ in 0..dims {
-                        hi.push(page.get_f64(off));
-                        off += 8;
-                    }
-                    entries.push(InnerEntry {
-                        child,
-                        mbr: Rect::new(lo, hi),
-                    });
-                }
-                Ok(Node::Inner(entries))
-            }
-            other => Err(Error::Storage(format!(
-                "page is not an R-tree node (kind {other})"
-            ))),
-        }
+        let coords = |off: usize| (0..dims).map(|k| page.get_f64(off + 8 * k)).collect();
+        Ok(match header(page, dims)? {
+            (true, count) => Node::Leaf(
+                (0..count)
+                    .map(|k| HEADER + k * (4 + 8 * dims))
+                    .map(|off| LeafEntry {
+                        id: page.get_u32(off),
+                        coords: coords(off + 4),
+                    })
+                    .collect(),
+            ),
+            (false, count) => Node::Inner(
+                (0..count)
+                    .map(|k| HEADER + k * (8 + 16 * dims))
+                    .map(|off| InnerEntry {
+                        child: page.get_u64(off),
+                        mbr: Rect::new(coords(off + 8), coords(off + 8 + 8 * dims)),
+                    })
+                    .collect(),
+            ),
+        })
     }
 
     /// Convenience: fetches and deserializes the node at `pid`.
@@ -206,6 +170,21 @@ impl Node {
         let guard = engine.fetch(pid)?;
         let node = Node::read_from(&guard.read(), dims)?;
         Ok(node)
+    }
+
+    /// Fetches the node at `pid`, which the caller knows from the tree's
+    /// height to be an inner node, and returns its entries.
+    pub fn load_inner(
+        engine: &StorageEngine,
+        pid: PageId,
+        dims: usize,
+    ) -> Result<Vec<InnerEntry>> {
+        match Node::load(engine, pid, dims)? {
+            Node::Inner(entries) => Ok(entries),
+            Node::Leaf(_) => Err(Error::Storage(format!(
+                "page {pid}: a leaf above leaf level"
+            ))),
+        }
     }
 
     /// Convenience: serializes the node into the page at `pid`.
@@ -216,8 +195,57 @@ impl Node {
     }
 }
 
+/// Whether `page` holds a leaf, and its entry count, checked: the page is
+/// read from storage, so a count its entries cannot fit is an error, not an
+/// index past the page.
+fn header(page: &Page, dims: usize) -> Result<(bool, usize)> {
+    let kind = page.bytes()[KIND_OFFSET];
+    let count = page.get_u16(COUNT_OFFSET) as usize;
+    let capacity = match kind {
+        KIND_LEAF => Some(leaf_capacity(dims)),
+        KIND_INNER => Some(inner_capacity(dims)),
+        _ => None,
+    };
+    if capacity.is_none_or(|c| count > c) {
+        return Err(Error::Storage(format!(
+            "page is not an R-tree node at d={dims}: kind {kind}, {count} entries"
+        )));
+    }
+    Ok((kind == KIND_LEAF, count))
+}
+
+/// Replaces `run` with the `(x0, id)` run of the leaf at `pid`, copied off
+/// the page while it is pinned — no [`LeafEntry`], no coordinates past the
+/// first. A page that is not a leaf, or whose entries are out of page order
+/// (the tile join would silently miss pairs on them), is an error.
+pub fn load_leaf_run(
+    engine: &StorageEngine,
+    pid: PageId,
+    dims: usize,
+    run: &mut Vec<(f64, u32)>,
+) -> Result<()> {
+    let guard = engine.fetch(pid)?;
+    let page = guard.read();
+    let (true, count) = header(&page, dims)? else {
+        return Err(Error::Storage(format!(
+            "page {pid}: an inner node at leaf level"
+        )));
+    };
+    run.clear();
+    run.extend((0..count).map(|k| {
+        let off = HEADER + k * (4 + 8 * dims);
+        (page.get_f64(off + 4), page.get_u32(off))
+    }));
+    if run.windows(2).any(|w| run_order(w[0], w[1]).is_gt()) {
+        return Err(Error::Storage(format!(
+            "page {pid}: leaf entries out of (dim 0, id) order"
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -273,7 +301,7 @@ mod tests {
         let node = Node::Leaf(entries);
         let mut page = Page::zeroed();
         node.write_to(&mut page, dims).unwrap();
-        assert_eq!(Node::read_from(&page, dims).unwrap().len(), cap);
+        assert_eq!(len(&Node::read_from(&page, dims).unwrap()), cap);
     }
 
     #[test]
@@ -288,6 +316,84 @@ mod tests {
             .collect();
         let mut page = Page::zeroed();
         assert!(Node::Leaf(entries).write_to(&mut page, dims).is_err());
+    }
+
+    fn len(node: &Node) -> usize {
+        match node {
+            Node::Leaf(v) => v.len(),
+            Node::Inner(v) => v.len(),
+        }
+    }
+
+    /// Swaps leaf entries `i` and `j` of `page` byte for byte — what no
+    /// writer does, to stand for a damaged page.
+    pub(crate) fn swap_leaf_entries(page: &mut Page, dims: usize, i: usize, j: usize) {
+        let size = 4 + 8 * dims;
+        let (lo, hi) = (i.min(j), i.max(j));
+        let (head, tail) = page.bytes_mut()[HEADER..].split_at_mut(hi * size);
+        head[lo * size..][..size].swap_with_slice(&mut tail[..size]);
+    }
+
+    #[test]
+    fn leaves_are_written_in_page_order_and_read_as_runs() {
+        let dims = 2;
+        let entry = |id: u32, x0: f64| LeafEntry {
+            id,
+            coords: vec![x0, 0.5],
+        };
+        // Out of order, with a dimension-0 tie the id breaks.
+        let node = Node::Leaf(vec![entry(7, 0.75), entry(9, 0.25), entry(3, 0.25)]);
+        let engine = StorageEngine::in_memory(4);
+        let pid = engine.alloc().unwrap().id();
+        node.store(&engine, pid, dims).unwrap();
+        let sorted = Node::Leaf(vec![entry(3, 0.25), entry(9, 0.25), entry(7, 0.75)]);
+        assert_eq!(Node::load(&engine, pid, dims).unwrap(), sorted);
+        let mut run = vec![(9.0, 9)];
+        load_leaf_run(&engine, pid, dims, &mut run).unwrap();
+        assert_eq!(run, [(0.25, 3), (0.25, 9), (0.75, 7)]);
+        let err = Node::load_inner(&engine, pid, dims).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err:?}");
+
+        swap_leaf_entries(&mut engine.fetch(pid).unwrap().write(), dims, 0, 2);
+        let err = load_leaf_run(&engine, pid, dims, &mut run).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err:?}");
+
+        let inner = Node::Inner(vec![InnerEntry {
+            child: 5,
+            mbr: Rect::point(&[0.5, 0.5]),
+        }]);
+        inner.store(&engine, pid, dims).unwrap();
+        let err = load_leaf_run(&engine, pid, dims, &mut run).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_count_the_page_cannot_hold_is_a_storage_error() {
+        let dims = 5;
+        let engine = StorageEngine::in_memory(4);
+        let pid = engine.alloc().unwrap().id();
+        for (kind, capacity) in [
+            (KIND_LEAF, leaf_capacity(dims)),
+            (KIND_INNER, inner_capacity(dims)),
+        ] {
+            let claim = |count: usize| {
+                let guard = engine.fetch(pid).unwrap();
+                let mut page = guard.write();
+                *page = Page::zeroed();
+                page.bytes_mut()[KIND_OFFSET] = kind;
+                page.put_u16(COUNT_OFFSET, count as u16);
+            };
+            for count in [capacity + 1, u16::MAX as usize] {
+                claim(count);
+                let err = Node::load(&engine, pid, dims).unwrap_err();
+                assert!(matches!(err, Error::Storage(_)), "{kind} {count}: {err:?}");
+                let err = load_leaf_run(&engine, pid, dims, &mut Vec::new()).unwrap_err();
+                assert!(matches!(err, Error::Storage(_)), "{kind} {count}: {err:?}");
+            }
+            // A full page of zeroed entries still reads.
+            claim(capacity);
+            assert_eq!(len(&Node::load(&engine, pid, dims).unwrap()), capacity);
+        }
     }
 
     #[test]

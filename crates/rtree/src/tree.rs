@@ -1,7 +1,7 @@
 //! The R-tree handle: construction dispatch, queries, and invariant checks.
 
 use crate::build::{self, BuildStrategy, DynamicTree};
-use crate::node::{leaf_capacity, Node};
+use crate::node::{leaf_capacity, load_leaf_run, Node};
 use hdsj_core::{Dataset, Error, Rect, Result};
 use hdsj_storage::{PageId, StorageEngine, PAGE_SIZE};
 
@@ -66,11 +66,6 @@ impl RTree {
         self.height
     }
 
-    /// Dimensionality.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// Number of indexed points.
     pub fn len(&self) -> u64 {
         self.len
@@ -89,11 +84,6 @@ impl RTree {
     /// Structure-resident bytes (pages × page size), the E5 metric.
     pub fn structure_bytes(&self) -> u64 {
         self.pages * PAGE_SIZE as u64
-    }
-
-    /// The storage engine the tree lives on.
-    pub fn engine(&self) -> &StorageEngine {
-        &self.engine
     }
 
     /// Ids of all points within L∞ distance `eps` of `point` **before exact
@@ -136,6 +126,8 @@ impl RTree {
     ///
     /// * every child's MBR is contained in its parent entry's MBR;
     /// * all leaves sit at the same depth (`height`);
+    /// * every leaf's entries ascend in (dimension 0, id), the order the
+    ///   join reads them in;
     /// * every indexed id appears exactly once.
     pub fn check_invariants(&self) -> Result<u64> {
         let mut seen = std::collections::HashSet::new();
@@ -164,6 +156,7 @@ impl RTree {
                         "leaf at wrong depth ({levels_left} levels left)"
                     )));
                 }
+                load_leaf_run(&self.engine, pid, self.dims, &mut Vec::new())?;
                 for e in &entries {
                     if let Some(p) = parent_mbr {
                         if !p.contains_point(&e.coords) {

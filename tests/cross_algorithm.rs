@@ -65,52 +65,57 @@ fn check_all_two(a: &Dataset, b: &Dataset, spec: &JoinSpec, label: &str) {
     }
 }
 
+/// Self-joins `ds` with `algo` under a memory tracer, checks the pairs
+/// against `want` and the tile tally under `prefix` against the stats
+/// (every candidate went through the shared tile join, as a lane window or
+/// as a pair), and returns the counter reader.
+fn check_tallied_self(
+    mut algo: Box<dyn SimilarityJoin>,
+    prefix: &str,
+    ds: &Dataset,
+    spec: &JoinSpec,
+    want: &[(u32, u32)],
+    label: &str,
+) -> impl Fn(&str) -> u64 {
+    let label = format!("{label}/{}", algo.name());
+    let (tracer, mem) = hdsj::obs::Tracer::memory();
+    algo.set_tracer(tracer.clone());
+    let mut sink = VecSink::default();
+    let stats = algo.self_join(ds, spec, &mut sink).unwrap();
+    tracer.flush();
+    verify::assert_same_results(&label, want, &sink.pairs);
+    let tally = move |name: &str| mem.counter_value(name).unwrap_or(0);
+    let sweep = |field: &str| tally(&format!("{prefix}.sweep.{field}"));
+    let (block, calls) = (sweep("block_candidates"), sweep("block_calls"));
+    assert_eq!(
+        block + sweep("pair_candidates"),
+        stats.candidates,
+        "{label}"
+    );
+    // Every block call carries at least one candidate.
+    assert!(calls <= block && (calls == 0) == (block == 0), "{label}");
+    assert_eq!(block == 0, sweep("tiles_gathered") == 0, "{label}");
+    tally
+}
+
 /// EKDB, SM1D and MSJ by name — no roster skip can hide them — on inputs
 /// whose leaves, projection and cells span several candidate tiles:
 /// brute-force results through the shared tile join's block path. Returns
 /// MSJ's `(view_tested, striped_joins)`.
 fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) -> (u64, u64) {
     let want = ground_truth_self(ds, spec);
-    let (tracer, mem) = hdsj::obs::Tracer::memory();
-    let mut msj = hdsj::msj::Msj::default();
-    msj.set_tracer(tracer.clone());
-    let mut sink = VecSink::default();
-    let stats = msj.self_join(ds, spec, &mut sink).unwrap();
-    tracer.flush();
-    verify::assert_same_results(&format!("{label}/MSJ"), &want, &sink.pairs);
-    let tally = |name| mem.counter_value(name).unwrap_or(0);
-    assert_eq!(
-        tally("msj.sweep.block_candidates") + tally("msj.sweep.pair_candidates"),
-        stats.candidates,
-        "{label}"
-    );
-    // Every block call carries at least one candidate.
-    let (calls, block) = (
-        tally("msj.sweep.block_calls"),
-        tally("msj.sweep.block_candidates"),
-    );
-    assert!(calls <= block && (calls == 0) == (block == 0), "{label}");
+    let msj = Box::new(hdsj::msj::Msj::default());
+    let tally = check_tallied_self(msj, "msj", ds, spec, &want, label);
     // The funnel of the sweep's view filter: tested → kept.
     let tested = tally("msj.sweep.view_tested");
     assert!(tally("msj.sweep.view_kept") <= tested, "{label}");
     let msj_funnel = (tested, tally("msj.sweep.striped_joins"));
 
-    let (tracer, mem) = hdsj::obs::Tracer::memory();
-    let mut ekdb = hdsj::ekdb::EkdbJoin::default();
-    ekdb.set_tracer(tracer.clone());
-    let mut sink = VecSink::default();
-    let stats = ekdb.self_join(ds, spec, &mut sink).unwrap();
-    tracer.flush();
-    verify::assert_same_results(&format!("{label}/EKDB"), &want, &sink.pairs);
-    let tally = |name| mem.counter_value(name).unwrap_or(0);
-    let block = tally("ekdb.sweep.block_candidates");
-    assert!(block > 0, "{label}: EKDB gathered no tile");
-    let calls = tally("ekdb.sweep.block_calls");
-    assert!(0 < calls && calls <= block, "{label}: {calls} calls");
-    assert_eq!(
-        block + tally("ekdb.sweep.pair_candidates"),
-        stats.candidates,
-        "{label}"
+    let ekdb = Box::new(hdsj::ekdb::EkdbJoin::default());
+    let tally = check_tallied_self(ekdb, "ekdb", ds, spec, &want, label);
+    assert!(
+        tally("ekdb.sweep.tiles_gathered") > 0,
+        "{label}: EKDB gathered no tile"
     );
 
     let mut sink = VecSink::default();
@@ -119,6 +124,42 @@ fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) -> (u64, u64) {
         .unwrap();
     verify::assert_same_results(&format!("{label}/SM1D"), &want, &sink.pairs);
     msj_funnel
+}
+
+/// RSJ and GRID end in the same tile join: the tally identity holds for
+/// them, and the stage really runs — or, for the R-tree at d = 64, where a
+/// leaf holds 7 points, visibly cannot.
+#[test]
+fn rsj_and_grid_candidates_go_through_the_tile_join() {
+    let rsj = || Box::new(hdsj::rtree::RsjJoin::default());
+    let ds = uniform(4, 4000, 17).unwrap();
+    let spec = JoinSpec::l2(0.1);
+    let want = ground_truth_self(&ds, &spec);
+    let tally = check_tallied_self(rsj(), "rsj", &ds, &spec, &want, "uniform d=4");
+    assert!(
+        tally("rsj.sweep.tiles_gathered") > 0,
+        "RSJ gathered no tile"
+    );
+    let (nodes, leaves) = (tally("rsj.node_pairs"), tally("rsj.leaf_pairs"));
+    assert!(0 < leaves && leaves < nodes, "{leaves} of {nodes}");
+
+    let ds = uniform(64, 300, 18).unwrap();
+    let spec = JoinSpec::l2(2.0);
+    let want = ground_truth_self(&ds, &spec);
+    let tally = check_tallied_self(rsj(), "rsj", &ds, &spec, &want, "uniform d=64");
+    assert_eq!(tally("rsj.sweep.tiles_gathered"), 0);
+    assert!(tally("rsj.sweep.pair_candidates") > 0);
+
+    let ds = uniform(2, 3000, 19).unwrap();
+    let spec = JoinSpec::l2(0.1);
+    let want = ground_truth_self(&ds, &spec);
+    let grid = Box::new(hdsj::grid::GridJoin::default());
+    let tally = check_tallied_self(grid, "grid", &ds, &spec, &want, "dense d=2");
+    assert!(
+        tally("grid.sweep.tiles_gathered") > 0,
+        "GRID gathered no tile"
+    );
+    assert!(tally("grid.cell_pairs") >= 100);
 }
 
 #[test]
