@@ -1,7 +1,7 @@
 //! Size-separation level assignment and the level-file record layout.
 
 use hdsj_core::{Error, Result};
-use hdsj_sfc::{grid, BitKey, Curve};
+use hdsj_sfc::{grid, BitKey, Curve, KeyWriter};
 
 /// Tag byte marking entries of the left input.
 pub const TAG_A: u8 = 0;
@@ -15,8 +15,8 @@ pub const TAG_B: u8 = 1;
 /// ```
 ///
 /// Big-endian key bytes followed by the level byte mean the external sort's
-/// `memcmp` prefix order *is* the `(padded key, level)` DFS order of the
-/// cell hierarchy.
+/// whole-record `memcmp` order *is* the `(padded key, level)` DFS order of
+/// the cell hierarchy, with `(tag, id bytes)` as the tiebreak inside a cell.
 #[derive(Clone, Copy, Debug)]
 pub struct RecordCodec {
     key_bits: u32,
@@ -38,7 +38,8 @@ impl RecordCodec {
         self.key_bytes + 1 + 1 + 4
     }
 
-    /// Prefix length the external sort compares: key bytes + level byte.
+    /// The prefix that decides the sweep's cell order: key bytes + level
+    /// byte (the sort compares whole records; the rest breaks ties).
     pub fn sort_key_len(&self) -> usize {
         self.key_bytes + 1
     }
@@ -50,9 +51,29 @@ impl RecordCodec {
 
     /// Serializes one entry into `out` (which must be `record_len` long).
     pub fn encode(&self, key: &BitKey, level: u8, tag: u8, id: u32, out: &mut [u8]) {
-        debug_assert_eq!(out.len(), self.record_len());
         debug_assert_eq!(key.nbits(), self.key_bits);
         out[..self.key_bytes].copy_from_slice(&key.to_be_bytes());
+        self.put_meta(level, tag, id, out);
+    }
+
+    /// Assigns `p` and serializes its entry into `out` in one step: the key
+    /// is written straight into the record's first bytes, no [`BitKey`] is
+    /// built. The same bytes as `encode` of `assigner.assign(p)`.
+    pub fn encode_point(
+        &self,
+        assigner: &mut Assigner,
+        p: &[f64],
+        tag: u8,
+        id: u32,
+        out: &mut [u8],
+    ) {
+        debug_assert_eq!(assigner.key_bits, self.key_bits);
+        let level = assigner.assign_into(p, &mut out[..self.key_bytes]);
+        self.put_meta(level, tag, id, out);
+    }
+
+    fn put_meta(&self, level: u8, tag: u8, id: u32, out: &mut [u8]) {
+        debug_assert_eq!(out.len(), self.record_len());
         out[self.key_bytes] = level;
         out[self.key_bytes + 1] = tag;
         out[self.key_bytes + 2..].copy_from_slice(&id.to_le_bytes());
@@ -83,14 +104,11 @@ pub fn cube_half(eps: f64) -> f64 {
 
 /// Assigns ε-cubes to hierarchy levels and cell keys.
 pub struct Assigner {
-    dims: usize,
     depth: u32,
     /// Half cube side ([`cube_half`]).
     half: f64,
-    curve: Curve,
     key_bits: u32,
-    lo: Vec<u32>,
-    hi: Vec<u32>,
+    writer: KeyWriter,
     cell: Vec<u32>,
 }
 
@@ -101,42 +119,47 @@ impl Assigner {
             return Err(Error::InvalidInput(format!("depth {depth} not in 1..=20")));
         }
         Ok(Assigner {
-            dims,
             depth,
             half: cube_half(eps),
-            curve,
             key_bits: dims as u32 * depth,
-            lo: vec![0; dims],
-            hi: vec![0; dims],
+            writer: KeyWriter::new(curve, dims),
             cell: vec![0; dims],
         })
     }
 
-    /// The level and zero-padded cell key of the cube centred on `p`.
+    /// The level and zero-padded cell key of the cube centred on `p`
+    /// ([`Assigner::assign_into`], as a [`BitKey`]).
+    pub fn assign(&mut self, p: &[f64]) -> (BitKey, u8) {
+        let mut bytes = vec![0u8; BitKey::byte_len(self.key_bits)];
+        let level = self.assign_into(p, &mut bytes);
+        (BitKey::from_be_bytes(self.key_bits, &bytes), level)
+    }
+
+    /// Writes the zero-padded cell key of the cube centred on `p` into
+    /// `key` (`BitKey::byte_len(d·depth)` bytes, big-endian) and returns its
+    /// level.
     ///
     /// Level = the finest grid at which the cube `[p−ε/2, p+ε/2]` crosses no
     /// cell boundary, i.e. the minimum over dimensions of the common prefix
     /// length of the quantized cube faces. The cell key is the curve index
-    /// of the containing cell at that level, zero-extended to full depth.
-    pub fn assign(&mut self, p: &[f64]) -> (BitKey, u8) {
-        debug_assert_eq!(p.len(), self.dims);
+    /// of the containing cell at that level, zero-extended to full depth;
+    /// level 0's is all zeros.
+    pub fn assign_into(&mut self, p: &[f64], key: &mut [u8]) -> u8 {
+        debug_assert_eq!(p.len(), self.cell.len());
         let mut level = self.depth;
         // allow(hdsj::lifecycle_poll): per-dimension loop over one point's
         // coordinates (d entries), bounded by the layout not the dataset.
-        for (i, &x) in p.iter().enumerate() {
-            self.lo[i] = grid::quantize(x - self.half, self.depth);
-            self.hi[i] = grid::quantize(x + self.half, self.depth);
-            let common = grid::common_prefix_len(self.lo[i], self.hi[i], self.depth);
-            level = level.min(common);
+        for (cell, &x) in self.cell.iter_mut().zip(p) {
+            *cell = grid::quantize(x - self.half, self.depth);
+            let hi = grid::quantize(x + self.half, self.depth);
+            level = level.min(grid::common_prefix_len(*cell, hi, self.depth));
         }
-        if level == 0 {
-            return (BitKey::zero(self.key_bits), 0);
+        // allow(hdsj::lifecycle_poll): d entries of one point, as above.
+        for cell in self.cell.iter_mut() {
+            *cell >>= self.depth - level;
         }
-        for i in 0..self.dims {
-            self.cell[i] = self.lo[i] >> (self.depth - level);
-        }
-        let key = self.curve.key(&self.cell, level);
-        (key.zero_extended(self.key_bits), level as u8)
+        self.writer.write(&self.cell, level, key);
+        level as u8
     }
 }
 
@@ -168,6 +191,34 @@ mod tests {
         assert_eq!(codec.key_of(&rec), key.to_be_bytes());
         assert_eq!(codec.meta_of(&rec), (4, TAG_B, 123456));
         assert_eq!(codec.sort_key_len(), codec.record_len() - 5);
+    }
+
+    #[test]
+    fn record_encoded_in_place_equals_the_one_built_from_a_bitkey() {
+        // Keys of one and of several words, both curves, levels 0..=depth.
+        for (dims, eps) in [(1usize, 0.3), (3, 0.004), (9, 0.01), (40, 0.05)] {
+            for curve in [Curve::Hilbert, Curve::ZOrder] {
+                let depth = ((1.0f64 / eps).log2().floor() as u32).min(16);
+                let codec = RecordCodec::new(dims, depth);
+                let mut a = Assigner::new(dims, depth, eps, curve).unwrap();
+                let (mut want, mut got) = (
+                    vec![0u8; codec.record_len()],
+                    vec![0xffu8; codec.record_len()],
+                );
+                let mut levels = std::collections::BTreeSet::new();
+                for id in 0..400u32 {
+                    let p: Vec<f64> = (0..dims as u32)
+                        .map(|i| f64::from((id * 40503 + i * 2477) % 9973) / 9973.0)
+                        .collect();
+                    let (key, level) = a.assign(&p);
+                    codec.encode(&key, level, TAG_B, id, &mut want);
+                    codec.encode_point(&mut a, &p, TAG_B, id, &mut got);
+                    assert_eq!(got, want, "{curve:?} dims {dims} point {id}");
+                    levels.insert(level);
+                }
+                assert!(levels.len() > 1, "{curve:?} dims {dims}: {levels:?}");
+            }
+        }
     }
 
     #[test]

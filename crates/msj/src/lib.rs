@@ -312,7 +312,8 @@ impl Msj {
 
         // Phase 1: level assignment, one combined file of tagged entries.
         // Chunks of points are assigned and Hilbert-encoded on the pool
-        // (each chunk owns its Assigner and encodes into a local buffer);
+        // (each chunk owns its Assigner and encodes every record in place
+        // in a local buffer);
         // the file writes stay on this thread, in chunk order, so the level
         // file is byte-identical at every thread count. Skipped entirely
         // when a durable sorted file (or the sealed level file itself)
@@ -353,20 +354,16 @@ impl Msj {
                         |r| {
                             let mut assigner =
                                 Assigner::new(dims, depth, spec.eps, self.curve)?;
-                            let mut local = Vec::with_capacity(r.len() * rec_len);
-                            let mut rec = vec![0u8; rec_len];
-                            for i in r {
-                                let (key, level) = assigner.assign(ds.point(i as u32));
-                                codec.encode(&key, level, tag, i as u32, &mut rec);
-                                local.extend_from_slice(&rec);
+                            let mut local = vec![0u8; r.len() * rec_len];
+                            for (i, rec) in r.zip(local.chunks_exact_mut(rec_len)) {
+                                let id = i as u32;
+                                codec.encode_point(&mut assigner, ds.point(id), tag, id, rec);
                             }
                             Ok(local)
                         },
                     )?;
                     for buf in bufs {
-                        for rec in buf.chunks_exact(rec_len) {
-                            f.push(rec)?;
-                        }
+                        f.extend(&buf)?;
                     }
                 }
                 f.release_tail();
@@ -380,7 +377,7 @@ impl Msj {
 
         // Phase 2: external sort by (padded cell key, level) — the DFS
         // order of the cell hierarchy. The level byte directly follows the
-        // key bytes, so one prefix comparison covers both. Run formation
+        // key bytes, so whole-record byte order covers both. Run formation
         // fans out on the same thread budget; output stays byte-identical.
         // With recovery, every spilled run and merge output checkpoints,
         // and a completed sort is reused outright.

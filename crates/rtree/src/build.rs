@@ -3,7 +3,7 @@
 
 use crate::node::{inner_capacity, leaf_capacity, InnerEntry, LeafEntry, Node};
 use hdsj_core::{Dataset, Error, Rect, Result};
-use hdsj_sfc::{grid, hilbert};
+use hdsj_sfc::{grid, BitKey, Curve, KeyWriter};
 use hdsj_storage::{PageId, StorageEngine};
 
 /// How an R-tree is built.
@@ -25,17 +25,19 @@ const ORDER_BITS: u32 = 16;
 /// Resolution-ordering of `ds` along the Hilbert curve.
 pub fn hilbert_order(ds: &Dataset) -> Vec<u32> {
     let dims = ds.dims();
-    let mut enc = hilbert::HilbertEncoder::new(dims, ORDER_BITS);
+    let key_len = BitKey::byte_len(dims as u32 * ORDER_BITS);
+    let mut writer = KeyWriter::new(Curve::Hilbert, dims);
     let mut cell = vec![0u32; dims];
-    let mut keyed: Vec<(hdsj_sfc::BitKey, u32)> = ds
-        .iter()
-        .map(|(i, p)| {
-            grid::quantize_point(p, ORDER_BITS, &mut cell);
-            (enc.encode(&cell), i)
-        })
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, i)| i).collect()
+    let mut keys = vec![0u8; ds.len() * key_len];
+    for ((_, p), key) in ds.iter().zip(keys.chunks_exact_mut(key_len)) {
+        grid::quantize_point(p, ORDER_BITS, &mut cell);
+        writer.write(&cell, ORDER_BITS, key);
+    }
+    // Equal-width big-endian keys: byte order is key order.
+    let key = |i: u32| &keys[i as usize * key_len..][..key_len];
+    let mut order: Vec<u32> = (0..ds.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    order
 }
 
 /// Generalized Sort-Tile-Recursive ordering: recursively sorts on each

@@ -127,19 +127,10 @@ impl BitKey {
             (1..=31).contains(&bits),
             "bits per dimension must be in 1..=31"
         );
-        let d = coords.len() as u32;
-        let mut key = BitKey::zero(d * bits);
-        let mut pos = 0;
-        for plane in (0..bits).rev() {
-            for &c in coords {
-                debug_assert!(c < (1 << bits), "coordinate {c} exceeds {bits} bits");
-                if (c >> plane) & 1 == 1 {
-                    key.set(pos, true);
-                }
-                pos += 1;
-            }
-        }
-        key
+        let nbits = coords.len() as u32 * bits;
+        let mut words = Vec::with_capacity(Self::words_for(nbits));
+        interleave_words(coords, bits, |w| words.push(w));
+        BitKey { nbits, words }
     }
 
     /// Inverse of [`BitKey::interleave`]: recovers `dims` coordinates of
@@ -193,6 +184,41 @@ impl BitKey {
     pub fn byte_len(nbits: u32) -> usize {
         Self::words_for(nbits) * 8
     }
+}
+
+/// The one producer of the interleaved layout: the bits of `coords`, plane
+/// `bits − 1` first and dimension 0 first within a plane, OR-ed into 64-bit
+/// words that `emit` receives most significant first. The last word is
+/// left-aligned, its unused low bits zero. `bits == 0` emits nothing.
+pub(crate) fn interleave_words(coords: &[u32], bits: u32, mut emit: impl FnMut(u64)) {
+    let (mut word, mut filled) = (0u64, 0u32);
+    for plane in (0..bits).rev() {
+        for &c in coords {
+            debug_assert!(c < (1 << bits), "coordinate {c} exceeds {bits} bits");
+            word = word << 1 | u64::from(c >> plane & 1);
+            filled += 1;
+            if filled == 64 {
+                emit(word);
+                (word, filled) = (0, 0);
+            }
+        }
+    }
+    if filled > 0 {
+        emit(word << (64 - filled));
+    }
+}
+
+/// [`interleave_words`] written big-endian into `out`, the rest of `out`
+/// zeroed: the bytes of `BitKey::interleave(coords, bits)` zero-extended to
+/// `8 · out.len()` bits, with no `BitKey` in between. Panics when `out` is
+/// shorter than [`BitKey::byte_len`] of the key.
+pub(crate) fn interleave_into(coords: &[u32], bits: u32, out: &mut [u8]) {
+    let mut at = 0;
+    interleave_words(coords, bits, |w| {
+        out[at..at + 8].copy_from_slice(&w.to_be_bytes());
+        at += 8;
+    });
+    out[at..].fill(0);
 }
 
 impl PartialOrd for BitKey {

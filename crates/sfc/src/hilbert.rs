@@ -13,7 +13,7 @@ use crate::bitkey::BitKey;
 pub const MAX_BITS: u32 = 31;
 
 /// In-place conversion: grid coordinates → transposed Hilbert index.
-fn axes_to_transpose(x: &mut [u32], bits: u32) {
+pub(crate) fn axes_to_transpose(x: &mut [u32], bits: u32) {
     let n = x.len();
     if n <= 1 || bits == 0 {
         return; // 1-D Hilbert curve is the identity.
@@ -24,13 +24,13 @@ fn axes_to_transpose(x: &mut [u32], bits: u32) {
     while q > 1 {
         let p = q - 1;
         for i in 0..n {
-            if x[i] & q != 0 {
-                x[0] ^= p; // invert low bits of x[0]
-            } else {
-                let t = (x[0] ^ x[i]) & p;
-                x[0] ^= t;
-                x[i] ^= t;
-            }
+            // Bit `q` of x[i] set: invert the low bits of x[0]; clear: swap
+            // the low bits of x[0] and x[i]. Written as masks, not a branch —
+            // the bit is as good as random and this loop is the key's cost.
+            let set = 0u32.wrapping_sub(u32::from(x[i] & q != 0));
+            let t = (x[0] ^ x[i]) & p & !set;
+            x[0] ^= t | (p & set);
+            x[i] ^= t;
         }
         q >>= 1;
     }
@@ -97,34 +97,6 @@ pub fn coords(key: &BitKey, dims: usize, bits: u32) -> Vec<u32> {
     let mut x = key.deinterleave(dims, bits);
     transpose_to_axes(&mut x, bits);
     x
-}
-
-/// Reusable encoder that avoids per-call allocation of the coordinate
-/// scratch buffer — the hot path of MSJ's level assignment.
-#[derive(Debug)]
-pub struct HilbertEncoder {
-    bits: u32,
-    scratch: Vec<u32>,
-}
-
-impl HilbertEncoder {
-    /// Creates an encoder for `dims`-dimensional grids with `bits` bits per
-    /// dimension.
-    pub fn new(dims: usize, bits: u32) -> HilbertEncoder {
-        assert!((1..=MAX_BITS).contains(&bits));
-        HilbertEncoder {
-            bits,
-            scratch: vec![0; dims],
-        }
-    }
-
-    /// Encodes `coords` into a fresh key.
-    pub fn encode(&mut self, coords: &[u32]) -> BitKey {
-        debug_assert_eq!(coords.len(), self.scratch.len());
-        self.scratch.copy_from_slice(coords);
-        axes_to_transpose(&mut self.scratch, self.bits);
-        BitKey::interleave(&self.scratch, self.bits)
-    }
 }
 
 #[cfg(test)]
@@ -228,10 +200,12 @@ mod tests {
 
     #[test]
     fn encoder_matches_free_function() {
-        let mut enc = HilbertEncoder::new(4, 8);
+        let mut enc = crate::KeyWriter::new(crate::Curve::Hilbert, 4);
+        let mut bytes = [0xffu8; 8];
         for seed in 0..50u32 {
             let c: Vec<u32> = (0..4).map(|i| (seed * 31 + i * 17) % 256).collect();
-            assert_eq!(enc.encode(&c), index(&c, 8));
+            enc.write(&c, 8, &mut bytes);
+            assert_eq!(bytes.to_vec(), index(&c, 8).zero_extended(64).to_be_bytes());
         }
     }
 

@@ -21,10 +21,11 @@
 //!   system would perform. The pool seals/verifies page checksums and
 //!   retries transient disk faults under a [`pool::RetryPolicy`];
 //! * [`file::RecordFile`] — append-only files of fixed-size records on top
-//!   of the pool (MSJ's level files, sort runs);
+//!   of the pool (MSJ's level files, sort runs), written and read a page at
+//!   a time;
 //! * [`sort::external_sort`] — multi-way external merge sort over record
-//!   files, ordering records by a byte-prefix key (big-endian keys compare
-//!   with `memcmp`).
+//!   files, ordering records by whole-record `memcmp` (big-endian keys
+//!   lead the record, so byte order is key order).
 //!
 //! [`StorageEngine`] bundles disk, fault plan, and pool behind one handle
 //! that the algorithm crates share; [`StorageEngine::builder`] configures

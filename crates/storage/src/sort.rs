@@ -1,15 +1,16 @@
 //! External multi-way merge sort over [`RecordFile`]s.
 //!
-//! Records are ordered by `memcmp` of their first `key_len` bytes (ties
-//! broken by the remaining bytes, making the sort deterministic). Keys in
-//! this workspace are big-endian `BitKey` bytes plus a
-//! level byte, so byte order *is* key order.
+//! Records are ordered by whole-record `memcmp`. `key_len` is validated
+//! against the record length and changes nothing else: the first `key_len`
+//! bytes with ties broken on the rest *is* the whole record. Keys here are
+//! big-endian `BitKey` bytes plus a level byte, so byte order *is* key order —
+//! and a record of at most 16 bytes sorts as one big-endian integer, exactly.
 //!
 //! The sort follows the textbook two-stage shape: (1) run formation — fill a
-//! bounded in-memory workspace, `sort_unstable`, spill a sorted run; (2)
-//! multi-way merge with a loser-tree-equivalent binary heap, cascading in
-//! passes when the number of runs exceeds the merge fan-in. All I/O flows
-//! through the buffer pool and is therefore counted.
+//! bounded in-memory workspace, `sort_unstable` it in place, spill a sorted
+//! run; (2) multi-way merge with a loser-tree-equivalent binary heap,
+//! cascading in passes when the number of runs exceeds the merge fan-in. All
+//! I/O flows through the buffer pool and is therefore counted.
 //!
 //! With [`SortConfig::threads`] > 1, run formation fans out on the
 //! `hdsj-exec` pool: the filled workspace is split into contiguous slices,
@@ -17,17 +18,17 @@
 //! own run. All I/O (input cursor reads, run writes) stays on the calling
 //! thread, so fault-injection schedules are identical at every thread
 //! count. The output is **byte-identical** to the serial sort: records are
-//! totally ordered (key prefix, then full-record tiebreak), so the merged
-//! result is the unique sorted sequence of the input multiset regardless of
-//! how records were partitioned into runs.
+//! totally ordered, so the merged result is the unique sorted sequence of
+//! the input multiset regardless of how records were partitioned into runs.
 
 use crate::file::{RecordCursor, RecordFile};
 use crate::manifest::{Checkpointer, ManifestState};
 use crate::StorageEngine;
 use hdsj_core::{Error, Result};
 use hdsj_exec::Pool;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::sync::Mutex;
 
 /// Maximum number of runs merged in one pass.
 const MAX_FANIN: usize = 64;
@@ -56,8 +57,8 @@ impl Default for SortConfig {
     }
 }
 
-/// Sorts `input` by the first `key_len` bytes of each record (full-record
-/// tiebreak), producing a new file on the same engine. The input file is
+/// Sorts `input` by whole-record `memcmp` (`key_len` is validated, see the
+/// module doc), producing a new file on the same engine. The input file is
 /// left untouched.
 pub fn external_sort(
     engine: &StorageEngine,
@@ -71,51 +72,13 @@ pub fn external_sort(
             "key length {key_len} exceeds record length {rec_len}"
         )));
     }
-    let mem_records = config.mem_records.max(2);
     let fanin = config.fanin.clamp(2, MAX_FANIN);
-    let pool = Pool::new(config.threads);
 
-    // Stage 1: run formation. With several workers, each filled workspace
-    // splits into contiguous slices sorted concurrently; every sorted slice
-    // spills as its own run (written here, sequentially, in slice order).
     let mut runs: Vec<RecordFile> = Vec::new();
-    {
-        let mut buf: Vec<u8> = Vec::with_capacity(mem_records * rec_len);
-        let mut cursor = input.cursor();
-        loop {
-            buf.clear();
-            while buf.len() < mem_records * rec_len {
-                match cursor.next()? {
-                    Some(rec) => buf.extend_from_slice(rec),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                break;
-            }
-            let n = buf.len() / rec_len;
-            let slice = n.div_ceil(pool.threads()).max(1);
-            let buf = &buf;
-            let sorted_slices = pool.map_chunks(None, n, slice, |range| {
-                let mut order: Vec<u32> = (range.start as u32..range.end as u32).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    let ra = &buf[a as usize * rec_len..(a as usize + 1) * rec_len];
-                    let rb = &buf[b as usize * rec_len..(b as usize + 1) * rec_len];
-                    cmp_records(ra, rb, key_len)
-                });
-                Ok(order)
-            })?;
-            for order in sorted_slices {
-                let mut run = RecordFile::create(engine, rec_len)?;
-                for &i in &order {
-                    run.push(&buf[i as usize * rec_len..(i as usize + 1) * rec_len])?;
-                }
-                run.release_tail();
-                runs.push(run);
-            }
-        }
-    }
-
+    form_runs(engine, input.cursor(), rec_len, config, |run| {
+        runs.push(run);
+        Ok(())
+    })?;
     if runs.is_empty() {
         return RecordFile::create(engine, rec_len);
     }
@@ -128,7 +91,7 @@ pub fn external_sort(
         while iter.peek().is_some() {
             let group: Vec<RecordFile> = iter.by_ref().take(fanin).collect();
             let refs: Vec<&RecordFile> = group.iter().collect();
-            next.push(merge_runs(engine, &refs, key_len)?);
+            next.push(merge_runs(engine, &refs)?);
             for run in group {
                 run.destroy()?;
             }
@@ -160,7 +123,7 @@ pub fn external_sort(
 ///   lengths* under `prefix` — no separate position marker can tear away
 ///   from the files it describes;
 /// * the sorted output is the unique ordered sequence of the input
-///   multiset (full-record tiebreak), so resuming with different run
+///   multiset (whole-record order), so resuming with different run
 ///   boundaries than the fresh execution still yields byte-identical
 ///   output.
 #[allow(clippy::too_many_arguments)] // the recovery quadruple (ckpt, prefix, out_point, state) travels together
@@ -185,9 +148,7 @@ pub fn external_sort_resumable(
         // The whole sort already completed before the crash.
         return spec.open(engine);
     }
-    let mem_records = config.mem_records.max(2);
     let fanin = config.fanin.clamp(2, MAX_FANIN);
-    let pool = Pool::new(config.threads);
 
     // Recover sealed work. Tags carry numeric suffixes; recover them in
     // (kind, index) order so resumed merges stay deterministic.
@@ -219,43 +180,13 @@ pub fn external_sort_resumable(
 
     // Stage 1: run formation, resumed at the first unconsumed record.
     if input_pos < input.len() {
-        let mut buf: Vec<u8> = Vec::with_capacity(mem_records * rec_len);
-        let mut cursor = input.cursor_at(input_pos);
-        loop {
-            buf.clear();
-            while buf.len() < mem_records * rec_len {
-                match cursor.next()? {
-                    Some(rec) => buf.extend_from_slice(rec),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                break;
-            }
-            let n = buf.len() / rec_len;
-            let slice = n.div_ceil(pool.threads()).max(1);
-            let buf = &buf;
-            let sorted_slices = pool.map_chunks(None, n, slice, |range| {
-                let mut order: Vec<u32> = (range.start as u32..range.end as u32).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    let ra = &buf[a as usize * rec_len..(a as usize + 1) * rec_len];
-                    let rb = &buf[b as usize * rec_len..(b as usize + 1) * rec_len];
-                    cmp_records(ra, rb, key_len)
-                });
-                Ok(order)
-            })?;
-            for order in sorted_slices {
-                let mut run = RecordFile::create(engine, rec_len)?;
-                for &i in &order {
-                    run.push(&buf[i as usize * rec_len..(i as usize + 1) * rec_len])?;
-                }
-                run.release_tail();
-                let tag = format!("{run_pfx}{run_seq}");
-                run_seq += 1;
-                ckpt.seal_file("sort.run_sealed", &tag, &run, &[])?;
-                runs.push((tag, run));
-            }
-        }
+        form_runs(engine, input.cursor_at(input_pos), rec_len, config, |run| {
+            let tag = format!("{run_pfx}{run_seq}");
+            run_seq += 1;
+            ckpt.seal_file("sort.run_sealed", &tag, &run, &[])?;
+            runs.push((tag, run));
+            Ok(())
+        })?;
     }
 
     if runs.is_empty() {
@@ -272,7 +203,7 @@ pub fn external_sort_resumable(
         while iter.peek().is_some() {
             let group: Vec<(String, RecordFile)> = iter.by_ref().take(fanin).collect();
             let files: Vec<&RecordFile> = group.iter().map(|(_, f)| f).collect();
-            let merged = merge_runs(engine, &files, key_len)?;
+            let merged = merge_runs(engine, &files)?;
             let consumed: Vec<String> = group.iter().map(|(t, _)| t.clone()).collect();
             let tag = format!("{merge_pfx}{merge_seq}");
             merge_seq += 1;
@@ -293,64 +224,133 @@ pub fn external_sort_resumable(
     Ok(out)
 }
 
-fn cmp_records(a: &[u8], b: &[u8], key_len: usize) -> Ordering {
-    a[..key_len]
-        .cmp(&b[..key_len])
-        .then_with(|| a[key_len..].cmp(&b[key_len..]))
+/// Run formation's workspace, typed by the record length. Either form
+/// holds no more than records plus four bytes of index each.
+enum Workspace {
+    /// Records of at most 16 bytes, each read as one big-endian integer
+    /// (record bytes on top, zeros below): integer order is record order.
+    Ints(Vec<u128>),
+    /// Longer records back to back, and the index sorted in their place.
+    Indexed(Vec<u8>, Vec<u32>),
 }
 
-/// One heap entry: the current record of run `run`, ordered ascending.
-struct HeapItem {
-    rec: Vec<u8>,
-    key_len: usize,
-    run: usize,
+/// Sorts `items` in place, one contiguous `slice` per worker.
+fn sort_slices<T: Send>(
+    pool: &Pool,
+    items: &mut [T],
+    slice: usize,
+    sort: impl Fn(&mut [T]) + Sync,
+) -> Result<()> {
+    let n = items.len();
+    // Workers share the closure, not the slices: each takes its own lock.
+    let parts: Vec<Mutex<&mut [T]>> = items.chunks_mut(slice).map(Mutex::new).collect();
+    let poisoned = |_| Error::Internal("sort slice lock poisoned".into());
+    pool.map_chunks(None, n, slice, |range| {
+        sort(&mut parts[range.start / slice].lock().map_err(poisoned)?);
+        Ok(())
+    })
+    .map(|_| ())
 }
 
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse record order (BinaryHeap is a max-heap) and break ties by
-        // run index for a deterministic, stable-per-run merge.
-        cmp_records(&other.rec, &self.rec, self.key_len).then_with(|| other.run.cmp(&self.run))
-    }
-}
-
-fn merge_runs(
+/// Stage 1 of both sorts: reads `cursor` to its end, `config.mem_records` at
+/// a time. Each filled workspace splits into one contiguous slice per worker,
+/// sorted concurrently; every sorted slice is written as its own run (here,
+/// sequentially, in slice order) and handed to `spill`.
+fn form_runs(
     engine: &StorageEngine,
-    runs: &[&RecordFile],
-    key_len: usize,
-) -> Result<RecordFile> {
+    mut cursor: RecordCursor<'_>,
+    rec_len: usize,
+    config: SortConfig,
+    mut spill: impl FnMut(RecordFile) -> Result<()>,
+) -> Result<()> {
+    use Workspace::{Indexed, Ints};
+    let mem_records = config.mem_records.max(2);
+    let pool = Pool::new(config.threads);
+    let mut ws = match rec_len {
+        ..=16 => Ints(Vec::with_capacity(mem_records)),
+        _ => Indexed(Vec::with_capacity(mem_records * rec_len), Vec::new()),
+    };
+    let mut page: Vec<u8> = Vec::new(); // one page of the run being written
+    loop {
+        let mut n = 0;
+        while n < mem_records {
+            let Some(rec) = cursor.next()? else { break };
+            match &mut ws {
+                Ints(ints) => {
+                    let mut be = [0u8; 16];
+                    be[..rec_len].copy_from_slice(rec);
+                    ints.push(u128::from_be_bytes(be));
+                }
+                Indexed(bytes, order) => {
+                    bytes.extend_from_slice(rec);
+                    order.push(n as u32);
+                }
+            }
+            n += 1;
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        let slice = n.div_ceil(pool.threads()).max(1);
+        match &mut ws {
+            Ints(ints) => sort_slices(&pool, ints, slice, <[u128]>::sort_unstable)?,
+            Indexed(bytes, order) => {
+                let rec = |i: u32| &bytes[i as usize * rec_len..][..rec_len];
+                let by_record = |a: &u32, b: &u32| rec(*a).cmp(rec(*b));
+                sort_slices(&pool, order, slice, |part| part.sort_unstable_by(by_record))?;
+            }
+        }
+        for start in (0..n).step_by(slice) {
+            let mut run = RecordFile::create(engine, rec_len)?;
+            let end = (start + slice).min(n);
+            for lo in (start..end).step_by(run.records_per_page()) {
+                page.clear();
+                for at in lo..(lo + run.records_per_page()).min(end) {
+                    match &ws {
+                        Ints(ints) => {
+                            page.extend_from_slice(&ints[at].to_be_bytes()[..rec_len])
+                        }
+                        Indexed(bytes, order) => page.extend_from_slice(
+                            &bytes[order[at] as usize * rec_len..][..rec_len],
+                        ),
+                    }
+                }
+                run.extend(&page)?;
+            }
+            run.release_tail();
+            spill(run)?;
+        }
+        match &mut ws {
+            Ints(ints) => ints.clear(),
+            Indexed(bytes, order) => {
+                bytes.clear();
+                order.clear();
+            }
+        }
+    }
+}
+
+fn merge_runs(engine: &StorageEngine, runs: &[&RecordFile]) -> Result<RecordFile> {
     let rec_len = runs[0].record_len();
     let mut out = RecordFile::create(engine, rec_len)?;
     let mut cursors: Vec<RecordCursor<'_>> = runs.iter().map(|r| r.cursor()).collect();
-    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(runs.len());
-    for (i, cur) in cursors.iter_mut().enumerate() {
+    // Min-heap of (current record, run): ties go to the earlier run, for a
+    // deterministic, stable-per-run merge.
+    let mut heap: BinaryHeap<Reverse<(Vec<u8>, usize)>> = BinaryHeap::with_capacity(runs.len());
+    for (run, cur) in cursors.iter_mut().enumerate() {
         if let Some(rec) = cur.next()? {
-            heap.push(HeapItem {
-                rec: rec.to_vec(),
-                key_len,
-                run: i,
-            });
+            heap.push(Reverse((rec.to_vec(), run)));
         }
     }
-    while let Some(item) = heap.pop() {
-        out.push(&item.rec)?;
-        if let Some(rec) = cursors[item.run].next()? {
-            heap.push(HeapItem {
-                rec: rec.to_vec(),
-                key_len,
-                run: item.run,
-            });
+    // The top's record goes out and its run's next takes its place: one sift,
+    // no allocation. One `push` each, so an output page is allocated when its
+    // first record is due, between the same two cursor fetches as ever.
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((rec, run)) = &mut *top;
+        out.push(rec)?;
+        match cursors[*run].next()? {
+            Some(next) => rec.copy_from_slice(next),
+            None => drop(PeekMut::pop(top)),
         }
     }
     out.release_tail();
@@ -587,7 +587,7 @@ mod resumable_tests {
         Ok(got)
     }
 
-    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    pub(super) fn fresh_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("hdsj-rsort-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -643,6 +643,98 @@ mod resumable_tests {
         let got = attempt(&dir, &records, None).unwrap();
         assert_eq!(got, expected);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[cfg(test)]
+mod workspace_tests {
+    use super::resumable_tests::fresh_dir;
+    use super::*;
+    use crate::manifest::Manifest;
+
+    /// Level-file-shaped records: a `key_len`-byte big-endian key drawn from
+    /// few distinct values (so ties reach the level, tag and id bytes), with
+    /// the top bit set on some, then level, tag and a little-endian id.
+    fn level_records(key_len: usize, n: u32) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                let h = i.wrapping_mul(2654435761);
+                let mut rec = vec![0u8; key_len];
+                rec[0] = (h >> 24) as u8 & 0x83;
+                rec[key_len - 1] = (h >> 8) as u8 & 0x07;
+                rec.extend([(h % 5) as u8, (i % 2) as u8]);
+                rec.extend(i.to_le_bytes());
+                rec
+            })
+            .collect()
+    }
+
+    #[test]
+    fn both_sorts_equal_vec_sort_for_integer_and_indexed_workspaces() {
+        // Key widths 8 (a 14-byte record: one integer), 16 and 24 (22 and 30
+        // bytes: indexed), serial and fanned out, several runs and merges.
+        for key_len in [8usize, 16, 24] {
+            let records = level_records(key_len, 1500);
+            let mut want = records.clone();
+            want.sort();
+            for threads in [1usize, 3] {
+                let config = SortConfig {
+                    mem_records: 200,
+                    fanin: 3,
+                    threads,
+                };
+                let label = format!("key {key_len} threads {threads}");
+
+                let eng = StorageEngine::in_memory(16);
+                let mut input = RecordFile::create(&eng, key_len + 6).unwrap();
+                input.extend(&records.concat()).unwrap();
+                input.release_tail();
+                let out = external_sort(&eng, &input, key_len + 1, config).unwrap();
+                assert_eq!(out.read_all().unwrap(), want, "external_sort, {label}");
+
+                let dir = fresh_dir(&format!("typed-{key_len}-{threads}"));
+                let eng = StorageEngine::file_backed(&dir.join("pages"), 16).unwrap();
+                let manifest = Manifest::create(&dir.join("manifest"), 1).unwrap();
+                let mut ckpt = Checkpointer::new(&eng, manifest);
+                let mut input = RecordFile::create(&eng, key_len + 6).unwrap();
+                input.extend(&records.concat()).unwrap();
+                input.release_tail();
+                let out = external_sort_resumable(
+                    &eng,
+                    &input,
+                    key_len + 1,
+                    config,
+                    &mut ckpt,
+                    "sort.w",
+                    "sort.out_sealed",
+                    &ManifestState::default(),
+                )
+                .unwrap();
+                assert_eq!(out.read_all().unwrap(), want, "resumable, {label}");
+                assert_eq!(eng.pool().pinned_frames(), 0, "leaked pins, {label}");
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn key_len_changes_no_ordering() {
+        // Whatever prefix is named the key, the order is the whole record's.
+        let records = level_records(8, 700);
+        let mut want = records.clone();
+        want.sort();
+        let eng = StorageEngine::in_memory(16);
+        let mut input = RecordFile::create(&eng, 14).unwrap();
+        input.extend(&records.concat()).unwrap();
+        input.release_tail();
+        for key_len in [0usize, 1, 9, 14] {
+            let config = SortConfig {
+                mem_records: 128,
+                ..SortConfig::default()
+            };
+            let out = external_sort(&eng, &input, key_len, config).unwrap();
+            assert_eq!(out.read_all().unwrap(), want, "key_len {key_len}");
+        }
     }
 }
 

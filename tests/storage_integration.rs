@@ -3,7 +3,7 @@
 // Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use hdsj::core::{verify, CountSink, JoinSpec, Metric, SimilarityJoin, VecSink};
+use hdsj::core::{verify, CountSink, Dataset, JoinSpec, Metric, SimilarityJoin, VecSink};
 use hdsj::data::uniform;
 use hdsj::msj::Msj;
 use hdsj::rtree::RsjJoin;
@@ -146,4 +146,96 @@ fn shared_engine_supports_sequential_joins() {
         .unwrap();
     verify::assert_same_results("MSJ shared engine", &first.pairs, &second.pairs);
     assert!(engine.io_counters().allocs >= io_after_first.allocs);
+}
+
+#[test]
+fn msj_io_counters_are_pinned_to_the_page_sequence() {
+    // The pool must see the same fetch / alloc / unpin sequence whatever the
+    // level-file code does above it: these literals were recorded at the
+    // commit before records moved a page at a time, and pass on both.
+    let io_of = |frames: usize, sort_mem_records: usize, a, b: Option<_>, eps| {
+        let mut msj = Msj::with_engine(StorageEngine::in_memory(frames));
+        msj.sort_mem_records = sort_mem_records;
+        let spec = JoinSpec::new(eps, Metric::L2);
+        let mut sink = CountSink::default();
+        let io = match b {
+            None => msj.self_join(a, &spec, &mut sink),
+            Some(b) => msj.join(a, b, &spec, &mut sink),
+        }
+        .unwrap()
+        .io;
+        [io.reads, io.writes, io.evictions, io.allocs, io.hits]
+    };
+    // 14-byte records (one key word), six runs merged through eight frames.
+    let ds = uniform(4, 3_000, 91).unwrap();
+    assert_eq!(io_of(8, 512, &ds, None, 0.05), [10, 13, 16, 18, 8]);
+    // 22-byte records (two key words), four runs, two-set.
+    let (a, b) = (
+        uniform(12, 7_000, 92).unwrap(),
+        uniform(12, 7_000, 93).unwrap(),
+    );
+    assert_eq!(
+        io_of(32, 4_096, &a, Some(&b), 0.01),
+        [112, 117, 180, 117, 5]
+    );
+}
+
+#[test]
+fn sorted_level_files_are_byte_identical_to_the_parents() {
+    // The four benchmark inputs' shapes (generators, n, ε, sort budget of
+    // `twoset_d8_dense`), assigned record by record in place and sorted at
+    // one and two threads. Lengths and CRC-32s of the sorted files were
+    // recorded at the parent commit, which built every key bit by bit
+    // through a `BitKey` and sorted a `u32` index with a `memcmp` closure.
+    use hdsj::data::{gaussian_clusters, split, timeseries::fourier_dataset, ClusterSpec};
+    use hdsj::msj::assign::{Assigner, RecordCodec, TAG_A, TAG_B};
+    use hdsj::storage::sort::{external_sort, SortConfig};
+    use hdsj::storage::{crc32, RecordFile};
+
+    let level_file = |a: &Dataset, b: Option<&Dataset>, eps: f64, threads: usize| {
+        let dims = a.dims();
+        let depth = Msj::default().effective_depth(eps);
+        let codec = RecordCodec::new(dims, depth);
+        let engine = StorageEngine::in_memory(1024);
+        let mut assigner = Assigner::new(dims, depth, eps, hdsj::sfc::Curve::Hilbert).unwrap();
+        let mut file = RecordFile::create(&engine, codec.record_len()).unwrap();
+        let mut rec = vec![0u8; codec.record_len()];
+        for (ds, tag) in [(Some(a), TAG_A), (b, TAG_B)] {
+            for (id, p) in ds.into_iter().flat_map(|ds| ds.iter()) {
+                codec.encode_point(&mut assigner, p, tag, id, &mut rec);
+                file.push(&rec).unwrap();
+            }
+        }
+        file.release_tail();
+        let config = SortConfig {
+            mem_records: 4096,
+            threads,
+            ..SortConfig::default()
+        };
+        let sorted = external_sort(&engine, &file, codec.sort_key_len(), config).unwrap();
+        (sorted.len(), crc32(&sorted.read_all().unwrap().concat()))
+    };
+    let uniform_d16 = uniform(16, 8_000, 1).unwrap();
+    let fourier_d64 = fourier_dataset(64, 6_000, 128, 1).unwrap();
+    let clusters = gaussian_clusters(8, 28_000, ClusterSpec::default(), 1).unwrap();
+    let (twoset_a, twoset_b) = split(&clusters, 14_000).unwrap();
+    let lowdim_d4 = uniform(4, 50_000, 1).unwrap();
+    for threads in [1, 2] {
+        assert_eq!(
+            level_file(&uniform_d16, None, 0.5, threads),
+            (8_000, 1964761311)
+        );
+        assert_eq!(
+            level_file(&fourier_d64, None, 0.07, threads),
+            (6_000, 180577432)
+        );
+        assert_eq!(
+            level_file(&twoset_a, Some(&twoset_b), 0.1, threads),
+            (28_000, 2377688818)
+        );
+        assert_eq!(
+            level_file(&lowdim_d4, None, 0.04, threads),
+            (50_000, 4032887625)
+        );
+    }
 }
