@@ -3,7 +3,7 @@
 //! (`crates/obs/src/names.rs`).
 //!
 //! Metric names are stringly-typed at the call sites
-//! (`tracer.counter("msj.refine.pairs")`,
+//! (`tracer.counter("msj.results")`,
 //! `tracer.histogram("pool.read_ns")`) and again in tests and the trace
 //! reporter (`sink.counter_value("pool.hits")`,
 //! `sink.hist_snapshot("exec.chunk_ns")`). A typo on either side

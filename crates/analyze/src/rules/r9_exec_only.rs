@@ -55,8 +55,8 @@ pub fn check(file: &FileModel, out: &mut Vec<Diagnostic>) {
             line,
             message: format!(
                 "`thread::{what}` outside crates/exec: route parallelism through the \
-                 hdsj-exec pool (map_chunks / map_reduce / producer_consumers) so panic \
-                 containment, determinism, and instrumentation apply"
+                 hdsj-exec pool (`Pool::map_chunks`) so panic containment, determinism, \
+                 and instrumentation apply"
             ),
         });
     }

@@ -78,7 +78,6 @@ fn bench_external_sort(c: &mut Criterion) {
                     SortConfig {
                         mem_records: 8192,
                         fanin: 16,
-                        ..SortConfig::default()
                     },
                 )
                 .unwrap()

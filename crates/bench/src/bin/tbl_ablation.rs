@@ -28,10 +28,10 @@ fn main() -> hdsj_core::Result<()> {
         ]);
     }
     for threads in [2usize, 4] {
-        let mut msj = Msj::with_refine_threads(threads);
+        let mut msj = Msj::with_threads(threads);
         let m = measure_self_join(&mut msj, &ds, &spec)?;
         table.row(vec![
-            format!("MSJ/refine x{threads}"),
+            format!("MSJ/threads x{threads}"),
             fmt_ms(m.elapsed_ms),
             m.stats.candidates.to_string(),
             m.stats.results.to_string(),

@@ -14,17 +14,17 @@
 //! [`BruteForce::block`] is `0` (the default); an explicit block size is
 //! honoured for both loops. Tiling changes only loop chunking — the
 //! kernels are bit-exact across dispatch levels and tile widths — so
-//! results never depend on the blocking. An optional thread count fans
-//! the outer rows out over the `hdsj-exec` pool, whose chunk-ordered
-//! results keep output deterministic at every thread count.
+//! results never depend on the blocking. A thread count hands consecutive
+//! ranges of the (probe block, tile) nest out over the `hdsj-exec` pool and
+//! replays their pairs in range order: the same loop nest, so the same pair
+//! order, at every count.
 #![forbid(unsafe_code)]
 
-use hdsj_core::obs::Span;
 use hdsj_core::simd::tile;
 use hdsj_core::stats::TracedPhase;
 use hdsj_core::{
     join::validate_inputs, Dataset, JoinKind, JoinSpec, JoinStats, LifecycleCtx, PairSink,
-    Refiner, Result, SimilarityJoin, SoABlock, Tracer,
+    Refiner, Result, SimilarityJoin, SoABlock, Tracer, VecSink,
 };
 use hdsj_exec::Pool;
 use std::ops::Range;
@@ -36,11 +36,11 @@ pub struct BruteForce {
     /// candidate tile for L1d and the probe block for L2 from the host
     /// cache probe.
     pub block: usize,
-    /// Worker threads; `1` runs single-threaded on the calling thread.
+    /// Worker threads the (probe block, tile) nest is handed out over; `1`
+    /// runs it on the calling thread, straight into the caller's sink.
     pub threads: usize,
-    /// Per-query lifecycle context, polled at phase boundaries, at every
-    /// probe-block/tile boundary of the serial loops, and (via the exec
-    /// pool) at chunk boundaries.
+    /// Per-query lifecycle context, polled at phase boundaries and at every
+    /// probe-block/tile boundary of the loops.
     lifecycle: Option<LifecycleCtx>,
     /// Trace sink for spans/counters (disabled by default; see
     /// `set_tracer`).
@@ -107,19 +107,65 @@ impl BruteForce {
         if let Some(lc) = &self.lifecycle {
             lc.poll()?;
         }
+        let lifecycle = self.lifecycle.as_ref();
+        let (tile_w, probe_rows) = blocking(self.block, b.dims());
+        // One SoA transpose of the inner set, shared read-only by every
+        // worker; each tile covers a contiguous ascending id range.
+        let tiles = SoABlock::partition(b, tile_w);
+        // The one loop nest, flattened: unit `u` is probe block `u / tiles`
+        // against tile `u % tiles` — the block stays in L2 while each
+        // L1-sized tile is reused by all of its rows, one across-candidate
+        // kernel pass per (probe, tile). Any split of `0..units` into
+        // consecutive ranges, run in any order and replayed in range order,
+        // emits what one pass over it emits. The lifecycle context (if any)
+        // is polled at every unit: within one tile sweep.
+        let units = a.len().div_ceil(probe_rows) * tiles.len();
+        let probe = |units: Range<usize>, refiner: &mut Refiner<'_>| -> Result<()> {
+            for unit in units {
+                if let Some(lc) = lifecycle {
+                    lc.poll()?;
+                }
+                let (block, tile) = (unit / tiles.len(), &tiles[unit % tiles.len()]);
+                let rows = block * probe_rows..((block + 1) * probe_rows).min(a.len());
+                for i in rows.start as u32..rows.end as u32 {
+                    if let Some(lanes) = tile_lanes(kind, i, tile) {
+                        refiner.offer_block(i, tile, lanes);
+                    }
+                }
+            }
+            Ok(())
+        };
         let stats = if self.threads <= 1 {
             let mut refiner = Refiner::new(a, b, kind, spec, sink);
-            serial_tiles(
-                a,
-                b,
-                kind,
-                self.block,
-                self.lifecycle.as_ref(),
-                &mut |i, tile, lanes| refiner.offer_block(i, tile, lanes),
-            )?;
+            probe(0..units, &mut refiner)?;
             refiner.finish(JoinStats::default())
         } else {
-            self.run_parallel(a, b, kind, spec, sink, &root)?
+            let mut pool = Pool::with_tracer(self.threads, self.tracer.clone());
+            if let Some(lc) = lifecycle {
+                pool = pool.with_lifecycle(lc.clone());
+            }
+            // Several chunks per worker: a self-join's later blocks skip the
+            // tiles below them, so finer chunks balance the tail.
+            let chunk = units.div_ceil(self.threads * 4);
+            let parts = pool.map_chunks(Some(&root), units, chunk, |units| {
+                let mut out = VecSink::default();
+                let mut refiner = Refiner::new(a, b, kind, spec, &mut out);
+                probe(units, &mut refiner)?;
+                Ok((refiner.finish(JoinStats::default()), out.pairs))
+            })?;
+            let mut stats = JoinStats::default();
+            for (part, pairs) in parts {
+                if let Some(lc) = lifecycle {
+                    lc.poll()?;
+                }
+                stats.candidates += part.candidates;
+                stats.dist_evals += part.dist_evals;
+                stats.results += part.results;
+                for (i, j) in pairs {
+                    sink.push(i, j);
+                }
+            }
+            stats
         };
         timer.finish(&mut phases);
         if self.tracer.enabled() {
@@ -130,62 +176,6 @@ impl BruteForce {
         }
         root.finish();
         Ok(JoinStats { phases, ..stats })
-    }
-
-    fn run_parallel(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-        parent: &Span,
-    ) -> Result<JoinStats> {
-        let n = a.len();
-        let mut pool = Pool::with_tracer(self.threads, self.tracer.clone());
-        if let Some(lc) = &self.lifecycle {
-            pool = pool.with_lifecycle(lc.clone());
-        }
-        // Several chunks per worker: self-join rows get cheaper as i grows,
-        // so finer chunks balance the tail. Chunk-ordered results keep the
-        // sink delivery deterministic at every thread count.
-        let chunk = n.div_ceil(self.threads * 4).max(1);
-        let (tile_w, _) = blocking(self.block, b.dims());
-        let metric = spec.metric.normalized();
-        // One SoA transpose of the inner set, shared read-only by every
-        // worker; each tile covers a contiguous ascending id range.
-        let tiles = SoABlock::partition(b, tile_w);
-        let results = pool.map_chunks(Some(parent), n, chunk, |rows: Range<usize>| {
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            let mut candidates = 0u64;
-            let mut hits: Vec<u32> = Vec::new();
-            for i in rows.start as u32..rows.end as u32 {
-                let pi = a.point(i);
-                for tile in &tiles {
-                    let Some(lanes) = tile_lanes(kind, i, tile) else {
-                        continue;
-                    };
-                    candidates += (lanes.end - lanes.start) as u64;
-                    hits.clear();
-                    metric.within_block(pi, tile, lanes, spec.eps, &mut hits);
-                    for &jj in &hits {
-                        pairs.push((i, jj));
-                    }
-                }
-            }
-            Ok((pairs, candidates))
-        })?;
-
-        let mut stats = JoinStats::default();
-        for (pairs, candidates) in results {
-            stats.candidates += candidates;
-            stats.dist_evals += candidates;
-            stats.results += pairs.len() as u64;
-            for (i, j) in pairs {
-                sink.push(i, j);
-            }
-        }
-        Ok(stats)
     }
 }
 
@@ -206,40 +196,6 @@ fn tile_lanes(kind: JoinKind, i: u32, tile: &SoABlock) -> Option<Range<usize>> {
         }
     };
     (start < tile.len()).then(|| start..tile.len())
-}
-
-/// Cache-blocked serial enumeration: the inner set is transposed once into
-/// L1-sized SoA tiles, outer rows walk in L2-sized blocks, and each
-/// (probe, tile) pair is emitted for one across-candidate kernel pass.
-/// The lifecycle context (if any) is polled at every probe-block × tile
-/// boundary, so a serial join observes cancellation within one tile sweep.
-fn serial_tiles(
-    a: &Dataset,
-    b: &Dataset,
-    kind: JoinKind,
-    block: usize,
-    lifecycle: Option<&LifecycleCtx>,
-    emit: &mut impl FnMut(u32, &SoABlock, Range<usize>),
-) -> Result<()> {
-    let n = a.len() as u32;
-    let (tile_w, probe_rows) = blocking(block, b.dims());
-    let tiles = SoABlock::partition(b, tile_w);
-    let mut bi = 0;
-    while bi < n {
-        let bi_end = (bi + probe_rows.max(1) as u32).min(n);
-        for tile in &tiles {
-            if let Some(lc) = lifecycle {
-                lc.poll()?;
-            }
-            for i in bi..bi_end {
-                if let Some(lanes) = tile_lanes(kind, i, tile) {
-                    emit(i, tile, lanes);
-                }
-            }
-        }
-        bi = bi_end;
-    }
-    Ok(())
 }
 
 impl SimilarityJoin for BruteForce {
@@ -386,22 +342,35 @@ mod tests {
 
     #[test]
     fn parallel_output_is_deterministic_across_thread_counts() {
-        // Chunk-ordered pool results mean the sink sees pairs in the same
-        // order no matter how many workers ran or how they were scheduled.
-        let ds = hdsj_data::uniform(5, 240, 17).unwrap();
+        // 16 probe blocks × 16 tiles of 64: the sink sees pairs in the one
+        // loop nest's order — probe block, tile, row — no matter how many
+        // workers its ranges were handed to (3: an uneven hand-out, cut
+        // inside blocks). One tile, or a nest that differs with the count,
+        // hides the difference.
+        let ds = hdsj_data::uniform(5, 1000, 17).unwrap();
+        let other = hdsj_data::uniform(5, 900, 18).unwrap();
         let spec = JoinSpec::new(0.3, Metric::L2);
-        let runs: Vec<Vec<(u32, u32)>> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&t| {
+        for b in [None, Some(&other)] {
+            let run = |threads: usize| {
+                let mut bf = BruteForce {
+                    block: 64,
+                    threads,
+                    ..BruteForce::default()
+                };
                 let mut sink = VecSink::default();
-                BruteForce::parallel(t)
-                    .self_join(&ds, &spec, &mut sink)
-                    .unwrap();
-                sink.pairs
-            })
-            .collect();
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            assert_eq!(run, &runs[0], "threads={}", [1, 2, 4, 8][i]);
+                let stats = match b {
+                    None => bf.self_join(&ds, &spec, &mut sink).unwrap(),
+                    Some(b) => bf.join(&ds, b, &spec, &mut sink).unwrap(),
+                };
+                (sink.pairs, stats.candidates, stats.results)
+            };
+            let serial = run(1);
+            assert!(serial.0.len() > 1000, "{} pairs", serial.0.len());
+            let row_major = serial.0.windows(2).all(|w| w[0] <= w[1]);
+            assert!(!row_major, "the order must show the blocking");
+            for threads in [2, 3, 8] {
+                assert_eq!(run(threads), serial, "threads={threads}");
+            }
         }
     }
 

@@ -45,13 +45,14 @@ pub trait CandidateSink {
     fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>);
     /// One candidate `(i, j)` of a tile too sparse to gather.
     fn pair(&mut self, i: u32, j: u32);
-    /// All events of the current tile have been delivered.
-    fn end_tile(&mut self) -> Result<()> {
+    /// All events of tile `seq` (its number among the tiles the join has
+    /// reached, see [`TileJoin::share`]) have been delivered.
+    fn end_tile(&mut self, _seq: u64) -> Result<()> {
         Ok(())
     }
 }
 
-/// The serial path: candidates go straight into the exact-metric refiner.
+/// Candidates go straight into the exact-metric refiner.
 impl CandidateSink for Refiner<'_> {
     #[inline]
     fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
@@ -78,6 +79,17 @@ pub struct TileTally {
     pub block_calls: u64,
     /// Candidates emitted one pair at a time.
     pub pair_candidates: u64,
+}
+
+/// Field by field: shares of one join ([`TileJoin::share`]) add up to it.
+impl std::ops::AddAssign for TileTally {
+    fn add_assign(&mut self, other: TileTally) {
+        self.tiles_gathered += other.tiles_gathered;
+        self.lanes_gathered += other.lanes_gathered;
+        self.block_candidates += other.block_candidates;
+        self.block_calls += other.block_calls;
+        self.pair_candidates += other.pair_candidates;
+    }
 }
 
 impl TileTally {
@@ -118,6 +130,12 @@ pub struct TileJoin<'a> {
     /// Lanes of the widest tile gathered so far.
     widest: usize,
     tally: TileTally,
+    /// Tiles reached so far over every [`TileJoin::run`], skipped or not.
+    seq: u64,
+    /// The next tile number the join runs, and how far on the one after is
+    /// ([`TileJoin::share`]: `index`, then every `of`-th).
+    mine: u64,
+    stride: u64,
 }
 
 impl<'a> TileJoin<'a> {
@@ -139,7 +157,20 @@ impl<'a> TileJoin<'a> {
             ids: Vec::new(),
             widest: 0,
             tally: TileTally::default(),
+            seq: 0,
+            mine: 0,
+            stride: 1,
         }
+    }
+
+    /// Restricts the join to share `index` of `of`: every tile a run reaches
+    /// is numbered, in one sequence over all runs, and only those numbered
+    /// `index` modulo `of` are counted, gathered and emitted. What a tile
+    /// emits depends on `xs`, `ys` and its offset alone, so `of` joins given
+    /// the same runs emit, between them and tile for tile, what one emits.
+    pub fn share(mut self, index: usize, of: usize) -> TileJoin<'a> {
+        (self.mine, self.stride) = (index as u64, of.max(1) as u64);
+        self
     }
 
     /// Tallies over every [`TileJoin::run`] so far.
@@ -179,6 +210,12 @@ impl<'a> TileJoin<'a> {
             if from == xs.len() {
                 break;
             }
+            let seq = self.seq;
+            self.seq += 1;
+            if seq != self.mine {
+                continue;
+            }
+            self.mine += self.stride;
             let tile_ys = &ys[..hi];
             // Enough candidates to repay the transpose? Not when the tile is
             // narrower than `lanes_min`, nor when fewer than
@@ -225,7 +262,7 @@ impl<'a> TileJoin<'a> {
             } else {
                 self.tally.pair_candidates += n;
             }
-            sink.end_tile()?;
+            sink.end_tile(seq)?;
         }
         Ok(())
     }
@@ -334,10 +371,21 @@ mod tests {
     }
 
     /// Collects every event as pairs, checking each tile against the rows
-    /// it claims to hold.
+    /// it claims to hold, and where in `pairs` each numbered tile ended.
     struct Collect<'a> {
         data: &'a Dataset,
         pairs: Vec<(u32, u32)>,
+        ends: Vec<(u64, usize)>,
+    }
+
+    impl<'a> Collect<'a> {
+        fn new(data: &'a Dataset) -> Collect<'a> {
+            Collect {
+                data,
+                pairs: Vec::new(),
+                ends: Vec::new(),
+            }
+        }
     }
 
     impl CandidateSink for Collect<'_> {
@@ -351,6 +399,10 @@ mod tests {
         }
         fn pair(&mut self, i: u32, j: u32) {
             self.pairs.push((i, j));
+        }
+        fn end_tile(&mut self, seq: u64) -> Result<()> {
+            self.ends.push((seq, self.pairs.len()));
+            Ok(())
         }
     }
 
@@ -369,9 +421,10 @@ mod tests {
 
     /// Checks `xs × ys` and `xs` within itself against the reference, as
     /// multisets (no pair twice, none missing), on the always-gather
-    /// branch, the derived policy, and the never-gather branch — and that
+    /// branch, the derived policy, and the never-gather branch — that
     /// `JoinStats.candidates` through the real refiner is the reference
-    /// count on each.
+    /// count on each, and that three shares of the join (an odd count: uneven
+    /// ownership), replayed in tile order, are its emission and its tally.
     fn check(xv: &[f64], yv: &[f64], eps: f64, tile_w: usize) {
         let (data, xs, ys) = lists(xv, yv);
         let spec = JoinSpec::l2(eps.max(1e-9));
@@ -392,14 +445,42 @@ mod tests {
             ];
             for (gather_min, lanes_min) in policies {
                 let label = format!("within={within} w={tile_w} g={gather_min}");
-                let mut join = TileJoin::new(&data, eps, None);
-                (join.tile_w, join.gather_min, join.lanes_min) =
-                    (tile_w, gather_min, lanes_min);
-                let mut sink = Collect {
-                    data: &data,
-                    pairs: Vec::new(),
+                let tuned = |index, of| {
+                    let mut join = TileJoin::new(&data, eps, None).share(index, of);
+                    (join.tile_w, join.gather_min, join.lanes_min) =
+                        (tile_w, gather_min, lanes_min);
+                    join
                 };
+                let mut join = tuned(0, 1);
+                let mut sink = Collect::new(&data);
                 join.run(&xs, ys, within, &mut sink).unwrap();
+
+                // Two runs each: tile numbers run on across one join's runs.
+                let mut twice = tuned(0, 1);
+                let mut whole = Collect::new(&data);
+                let (mut tiles, mut shared) = (Vec::new(), TileTally::default());
+                for _ in 0..2 {
+                    twice.run(&xs, ys, within, &mut whole).unwrap();
+                }
+                for index in 0..3 {
+                    let mut part = tuned(index, 3);
+                    let mut out = Collect::new(&data);
+                    for _ in 0..2 {
+                        part.run(&xs, ys, within, &mut out).unwrap();
+                    }
+                    let mut at = 0;
+                    for (seq, end) in out.ends {
+                        assert_eq!(seq % 3, index as u64, "{label}");
+                        tiles.push((seq, out.pairs[at..end].to_vec()));
+                        at = end;
+                    }
+                    shared += part.tally;
+                }
+                tiles.sort_unstable_by_key(|t| t.0);
+                let replayed: Vec<_> = tiles.into_iter().flat_map(|t| t.1).collect();
+                assert_eq!(replayed, whole.pairs, "{label}");
+                assert_eq!(shared, twice.tally, "{label}");
+
                 sink.pairs.sort_unstable();
                 assert_eq!(sink.pairs, want, "{label}");
                 let t = join.tally;
@@ -455,10 +536,7 @@ mod tests {
         lc.cancel_token().cancel();
         let mut join = TileJoin::new(&data, 0.5, Some(&lc));
         assert_eq!(join.gather_min, 1);
-        let mut sink = Collect {
-            data: &data,
-            pairs: Vec::new(),
-        };
+        let mut sink = Collect::new(&data);
         let err = join.run(&xs, &ys, false, &mut sink).unwrap_err();
         assert!(matches!(err, Error::Canceled(_)), "{err:?}");
         assert!(sink.pairs.is_empty());
@@ -478,10 +556,7 @@ mod tests {
             let (data, xs, ys) = lists(&vec![0.5; probes], &vec![0.5; lanes]);
             let mut join = TileJoin::new(&data, 0.1, None);
             join.gather_min = gather_min;
-            let mut sink = Collect {
-                data: &data,
-                pairs: Vec::new(),
-            };
+            let mut sink = Collect::new(&data);
             join.run(&xs, &ys, false, &mut sink).unwrap();
             assert_eq!(sink.pairs.len(), probes * lanes);
             let t = join.tally();

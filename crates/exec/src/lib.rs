@@ -1,31 +1,23 @@
 //! # hdsj-exec — the workspace's scoped thread pool
 //!
-//! Every parallel site in the workspace used to hand-roll its own scoped
-//! threads (MSJ's refine workers, the brute-force chunker, run formation in
-//! the external sort). This crate centralizes that machinery behind three
-//! std-only primitives, all built on `std::thread::scope` so borrowed data
-//! needs no `Arc`:
+//! Every parallel site in the workspace (MSJ's level assignment and sweep,
+//! the brute-force loop nest) is a partition of its work into numbered
+//! parts, each with an output of its own, merged in part order. This crate
+//! is that one shape, std-only, built on `std::thread::scope` so borrowed
+//! data needs no `Arc`:
 //!
 //! * [`Pool::map_chunks`] — chunked parallel-for: `0..n` is split into
 //!   fixed-size chunks which workers claim from an atomic cursor; results
 //!   come back **in chunk order**, so output is deterministic regardless of
 //!   scheduling (serial and parallel runs produce identical vectors).
-//! * [`Pool::map_reduce`] — `map_chunks` followed by a fold over the chunk
-//!   results, again in chunk order.
-//! * [`Pool::producer_consumers`] — a producer running on the calling
-//!   thread feeding worker closures (the MSJ sweep → refine-worker shape).
-//!   The channel between them belongs to the caller; the pool only owns
-//!   spawning, panic containment, and error priority.
 //!
 //! ## Panic containment and error priority
 //!
 //! Worker closures run under `catch_unwind`: a panicking metric (or a chaos
 //! failpoint) becomes a typed [`Error::Internal`] carrying the panic
 //! message, never an unwind across the scope. When several workers fail,
-//! the error of the **lowest chunk index** (`map_chunks`) or **lowest
-//! worker index** (`producer_consumers`) wins, so error reporting is as
-//! deterministic as success output. Worker errors beat producer errors:
-//! a dead worker usually *explains* the producer's failed sends.
+//! the error of the **lowest chunk index** wins, so error reporting is as
+//! deterministic as success output.
 //!
 //! ## Observability
 //!
@@ -339,104 +331,6 @@ impl Pool {
         }
         Ok(out)
     }
-
-    /// [`Pool::map_chunks`] followed by a fold over the chunk results, in
-    /// chunk order — so the reduction is as deterministic as the map.
-    pub fn map_reduce<R, A, F, G>(
-        &self,
-        parent: Option<&Span>,
-        n: usize,
-        chunk: usize,
-        map: F,
-        init: A,
-        mut fold: G,
-    ) -> Result<A>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> Result<R> + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        let mut acc = init;
-        // allow(hdsj::lifecycle_poll): folds already-computed per-chunk
-        // results; the workers that produced them polled per chunk.
-        for r in self.map_chunks(parent, n, chunk, map)? {
-            acc = fold(acc, r);
-        }
-        Ok(acc)
-    }
-
-    /// Runs `producer` on the calling thread while each closure in
-    /// `consumers` runs on its own worker. The channel (or other handoff)
-    /// between them belongs to the caller: each consumer closure should own
-    /// its receiver clone, and the caller must drop the original receiver
-    /// *before* calling so consumer exit terminates the producer's sends.
-    ///
-    /// Consumer panics are contained into typed errors. Error priority:
-    /// the lowest-indexed failing consumer wins, then the producer's error.
-    pub fn producer_consumers<P, C, FP, FC>(
-        &self,
-        consumers: Vec<FC>,
-        producer: FP,
-    ) -> Result<(P, Vec<C>)>
-    where
-        C: Send,
-        FP: FnOnce() -> Result<P>,
-        FC: FnOnce(usize) -> Result<C> + Send,
-    {
-        // One poll before fan-out: a query already canceled (or past its
-        // deadline) never spawns the consumer stage at all. In-flight
-        // cancellation is observed by the producer's own poll sites.
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        if self.tracer.enabled() {
-            self.tracer
-                .counter(names::EXEC_WORKERS)
-                .add(consumers.len() as u64);
-        }
-        let (produced, outcomes): (Result<P>, Vec<std::thread::Result<Result<C>>>) =
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(consumers.len());
-                for (idx, consumer) in consumers.into_iter().enumerate() {
-                    handles.push(s.spawn(move || {
-                        let _live = schedule::worker_guard();
-                        schedule::yield_point(schedule::Site::ConsumerStart);
-                        catch_unwind(AssertUnwindSafe(|| consumer(idx))).unwrap_or_else(
-                            |payload| {
-                                Err(Error::Internal(format!(
-                                    "exec worker {idx} panicked: {}",
-                                    panic_message(payload.as_ref())
-                                )))
-                            },
-                        )
-                    }));
-                }
-                let produced =
-                    catch_unwind(AssertUnwindSafe(producer)).unwrap_or_else(|payload| {
-                        Err(Error::Internal(format!(
-                            "exec producer panicked: {}",
-                            panic_message(payload.as_ref())
-                        )))
-                    });
-                (produced, handles.into_iter().map(|h| h.join()).collect())
-            });
-
-        let mut results = Vec::with_capacity(outcomes.len());
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(Ok(c)) => results.push(c),
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    return Err(Error::Internal(format!(
-                        "exec worker {idx} died outside containment: {}",
-                        panic_message(payload.as_ref())
-                    )))
-                }
-            }
-        }
-        let p = produced?;
-        Ok((p, results))
-    }
 }
 
 #[cfg(test)]
@@ -550,21 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_sums_in_chunk_order() {
-        let total = Pool::new(4)
-            .map_reduce(
-                None,
-                1000,
-                7,
-                |r| Ok(r.sum::<usize>()),
-                0usize,
-                |acc, s| acc + s,
-            )
-            .unwrap();
-        assert_eq!(total, (0..1000).sum::<usize>());
-    }
-
-    #[test]
     fn counters_and_worker_spans_are_reported() {
         let (tracer, sink) = Tracer::memory();
         let pool = Pool::with_tracer(4, tracer.clone());
@@ -586,78 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn producer_consumers_round_trip() {
-        let pool = Pool::new(3);
-        let (tx, rx) = crossbeam::channel::bounded::<u64>(8);
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let rx = rx.clone();
-                move |_idx: usize| {
-                    let mut sum = 0u64;
-                    while let Ok(v) = rx.recv() {
-                        sum += v;
-                    }
-                    Ok(sum)
-                }
-            })
-            .collect();
-        drop(rx);
-        let (count, sums) = pool
-            .producer_consumers(consumers, move || {
-                for v in 1..=100u64 {
-                    tx.send(v)
-                        .map_err(|_| Error::Internal("send failed".into()))?;
-                }
-                Ok(100u64)
-            })
-            .unwrap();
-        assert_eq!(count, 100);
-        assert_eq!(sums.iter().sum::<u64>(), (1..=100u64).sum::<u64>());
-    }
-
-    #[test]
-    fn consumer_panic_beats_producer_error() {
-        let pool = Pool::new(2);
-        let (tx, rx) = crossbeam::channel::bounded::<u64>(1);
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let rx = rx.clone();
-                move |idx: usize| -> Result<u64> {
-                    drop(rx);
-                    // The containment path under test.
-                    panic!("injected consumer failure (worker {idx})")
-                }
-            })
-            .collect();
-        drop(rx);
-        let err = pool
-            .producer_consumers(consumers, move || {
-                // All consumers die immediately; sends fail once the ring
-                // fills and every receiver is gone.
-                for v in 0..100u64 {
-                    if tx.send(v).is_err() {
-                        return Err(Error::Internal("producer send failed".into()));
-                    }
-                }
-                Ok(0u64)
-            })
-            .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("panicked"), "{msg}");
-        assert!(
-            msg.contains("injected consumer failure (worker 0)"),
-            "{msg}"
-        );
-    }
-
-    #[test]
     fn cross_thread_cancel_stops_within_one_chunk() {
         use hdsj_core::LifecycleCtx;
         let ctx = LifecycleCtx::unbounded();
         let token = ctx.cancel_token();
         let pool = Pool::new(4).with_lifecycle(ctx);
         let executed = AtomicUsize::new(0);
-        let (started_tx, started_rx) = crossbeam::channel::bounded::<()>(1);
+        let (started_tx, started_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let canceler = std::thread::spawn(move || {
             // Wait for the first chunk to start, then cancel from outside.
             started_rx.recv().ok();
@@ -694,17 +508,6 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
-    }
-
-    #[test]
-    fn canceled_lifecycle_blocks_producer_consumers() {
-        use hdsj_core::LifecycleCtx;
-        let ctx = LifecycleCtx::unbounded();
-        ctx.cancel_token().cancel();
-        let pool = Pool::new(2).with_lifecycle(ctx);
-        let consumers: Vec<_> = (0..2).map(|_| |_idx: usize| Ok(0u64)).collect();
-        let err = pool.producer_consumers(consumers, || Ok(0u64)).unwrap_err();
-        assert!(matches!(err, Error::Canceled(_)), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * The pool calls [`yield_point`] at each interesting transition
 //!   ([`Site`]: worker start, stop-flag check, cursor claim, chunk
-//!   completion, consumer start, worker exit). With the feature off these
+//!   completion, worker exit). With the feature off these
 //!   are inlined no-ops; with it on, each call mixes the installed seed
 //!   with a per-thread step counter and the site id through a SplitMix64
 //!   hash and issues 0–3 `std::thread::yield_now()` calls. Different
@@ -19,11 +19,10 @@
 //!   [`live_workers`] must read zero once a pool call returns — the
 //!   quiescent-shutdown assertion.
 //! * The `explorer` submodule (feature-gated like the rest of this
-//!   machinery) drives all three primitives (`map_chunks`,
-//!   `map_reduce`, `producer_consumers`) through a seed range, asserting
-//!   byte-determinism against serially computed expectations, sum
-//!   preservation across a producer/consumer handoff, deterministic
-//!   error identity, and post-return quiescence for each seed.
+//!   machinery) drives `map_chunks` through a seed range, asserting
+//!   byte-determinism against serially computed expectations,
+//!   schedule-stable metrics, deterministic error identity, and
+//!   post-return quiescence for each seed.
 //!
 //! This is deliberately *not* loom: no model checking, no exhaustive
 //! interleaving enumeration, std only. It buys a large, reproducible
@@ -47,8 +46,6 @@ pub enum Site {
     CursorClaim,
     /// Finished a chunk (result recorded locally).
     ChunkDone,
-    /// A producer_consumers worker has started.
-    ConsumerStart,
     /// A worker's liveness guard is dropping.
     WorkerExit,
 }
@@ -166,17 +163,15 @@ mod imp {
 
 pub use imp::*;
 
-/// The seeded scenario driver: runs the pool's three primitives under
-/// schedule perturbation and checks their contracts after every seed.
+/// The seeded scenario driver: runs the pool under schedule perturbation
+/// and checks its contracts after every seed.
 #[cfg(feature = "debug-schedules")]
 pub mod explorer {
     use super::imp::{install, live_workers, mix, uninstall};
     use crate::Pool;
     use hdsj_core::Error;
-    use std::collections::VecDeque;
     use std::ops::Range;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex, MutexGuard};
 
     /// A violated contract: which seed, which scenario, what went wrong.
     /// `seed` is all that is needed to replay — `explore(seed..seed + 1)`.
@@ -213,8 +208,6 @@ pub mod explorer {
 
     const SCENARIOS: &[Scenario] = &[
         ("map_chunks_determinism", map_chunks_determinism),
-        ("map_reduce_sum", map_reduce_sum),
-        ("producer_consumers_sum", producer_consumers_sum),
         ("error_priority_quiescence", error_priority_quiescence),
         ("traced_pool_metrics", traced_pool_metrics),
     ];
@@ -273,122 +266,6 @@ pub mod explorer {
             if flat != expected {
                 return Err(format!("output diverged from serial at {threads} threads"));
             }
-        }
-        Ok(())
-    }
-
-    /// `map_reduce` folds chunk results in chunk order; the total must
-    /// match the closed form.
-    fn map_reduce_sum() -> Result<(), String> {
-        let n = 1000usize;
-        let total = Pool::new(4)
-            .map_reduce(
-                None,
-                n,
-                7,
-                |r: Range<usize>| Ok(r.sum::<usize>()),
-                0usize,
-                |acc, s| acc + s,
-            )
-            .map_err(|e| format!("map_reduce failed: {e}"))?;
-        let want = n * (n - 1) / 2;
-        if total != want {
-            return Err(format!("sum {total} != {want}"));
-        }
-        Ok(())
-    }
-
-    /// A minimal closeable MPMC queue (std `Mutex` + `Condvar`) so the
-    /// producer/consumer scenario needs no dev-dependency inside `src/`.
-    struct Queue {
-        items: Mutex<(VecDeque<u64>, bool)>,
-        ready: Condvar,
-    }
-
-    impl Queue {
-        fn new() -> Queue {
-            Queue {
-                items: Mutex::new((VecDeque::new(), false)),
-                ready: Condvar::new(),
-            }
-        }
-
-        /// Mutex poisoning only happens if a holder panicked; the pool
-        /// contains panics before they can reach these critical sections,
-        /// so recovering the inner state is sound.
-        fn guard(&self) -> MutexGuard<'_, (VecDeque<u64>, bool)> {
-            match self.items.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            }
-        }
-
-        fn push(&self, v: u64) {
-            self.guard().0.push_back(v);
-            self.ready.notify_one();
-        }
-
-        fn close(&self) {
-            self.guard().1 = true;
-            self.ready.notify_all();
-        }
-
-        fn pop(&self) -> Option<u64> {
-            let mut g = self.guard();
-            // allow(hdsj::lifecycle_poll): condvar wait loop — sleeps until
-            // notified, terminates when the queue closes.
-            loop {
-                if let Some(v) = g.0.pop_front() {
-                    return Some(v);
-                }
-                if g.1 {
-                    return None;
-                }
-                g = match self.ready.wait(g) {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        }
-    }
-
-    /// `producer_consumers` must conserve the produced values: every item
-    /// sent is consumed exactly once, across any schedule.
-    fn producer_consumers_sum() -> Result<(), String> {
-        let q = Queue::new();
-        let nconsumers = 3usize;
-        let consumers: Vec<_> = (0..nconsumers)
-            .map(|_| {
-                let q = &q;
-                move |_idx: usize| {
-                    let mut sum = 0u64;
-                    let mut count = 0u64;
-                    // allow(hdsj::lifecycle_poll): explorer scenario drains
-                    // a fixed, small item count; not a query path.
-                    while let Some(v) = q.pop() {
-                        sum += v;
-                        count += 1;
-                    }
-                    Ok((sum, count))
-                }
-            })
-            .collect();
-        let (sent, harvested) = Pool::new(nconsumers)
-            .producer_consumers(consumers, || {
-                for v in 1..=200u64 {
-                    q.push(v);
-                }
-                q.close();
-                Ok(200u64)
-            })
-            .map_err(|e| format!("producer_consumers failed: {e}"))?;
-        let total: u64 = harvested.iter().map(|(s, _)| s).sum();
-        let count: u64 = harvested.iter().map(|(_, c)| c).sum();
-        let want: u64 = (1..=200u64).sum();
-        if sent != 200 || count != 200 || total != want {
-            return Err(format!(
-                "handoff lost items: sent={sent} consumed={count} sum={total} want={want}"
-            ));
         }
         Ok(())
     }

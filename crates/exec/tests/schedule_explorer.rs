@@ -12,7 +12,7 @@
 
 use hdsj_exec::schedule;
 
-/// The default sweep: 350 seeds × 5 scenarios over the pool primitives.
+/// The default sweep: 350 seeds × 3 scenarios over `Pool::map_chunks`.
 /// The window rotates when the pool's concurrency surface changes (the
 /// SIMD-tier refinement batching rode the dataflow-analyzer PR into the
 /// workers) so CI keeps exploring fresh interleavings; 0..600 was
@@ -43,7 +43,7 @@ fn all_pool_primitives_hold_under_schedule_perturbation() {
         Err(failure) => panic!("schedule explorer violation: {failure}"),
     };
     assert_eq!(report.seeds, range.end - range.start);
-    assert_eq!(report.scenarios_per_seed, 5);
+    assert_eq!(report.scenarios_per_seed, 3);
     // Liveness: the yield-point hooks actually fired during the sweep —
     // the guarantee was tested, not skipped.
     assert!(

@@ -32,14 +32,14 @@
 #![forbid(unsafe_code)]
 
 pub mod assign;
-pub mod parallel;
 pub mod sweep;
 
 use assign::{Assigner, RecordCodec};
 use hdsj_core::stats::TracedPhase;
 use hdsj_core::{
-    join::validate_inputs, Dataset, Error, IoCounters, JoinKind, JoinSpec, JoinStats,
-    LifecycleCtx, PairSink, Refiner, Result, SimilarityJoin, Tracer,
+    join::validate_inputs, CandidateSink, Dataset, Error, IoCounters, JoinKind, JoinSpec,
+    JoinStats, LifecycleCtx, PairSink, Refiner, Result, SimilarityJoin, SoABlock, Tracer,
+    VecSink,
 };
 use hdsj_exec::Pool;
 use hdsj_sfc::Curve;
@@ -78,13 +78,10 @@ pub struct Msj {
     pub sort_mem_records: usize,
     /// Buffer-pool frames of the owned engine (when none is supplied).
     pub pool_pages: usize,
-    /// Worker threads for exact-metric candidate refinement; `1` refines
-    /// inline on the sweep thread.
-    pub refine_threads: usize,
-    /// Worker threads for the pipeline front end (level assignment + run
-    /// formation in the external sort); `1` runs fully serial. Refinement
-    /// uses `max(threads, refine_threads)`. Results are identical at every
-    /// thread count.
+    /// Worker threads, i.e. how many partitions the two parallel phases
+    /// are run over: level assignment (chunks of points) and the sweep
+    /// (shares of its tiles, every worker reading the whole sorted file).
+    /// The sort is serial. Results are identical at every count.
     pub threads: usize,
     engine: Option<StorageEngine>,
     /// Per-query lifecycle context: polled at phase boundaries, by the
@@ -97,10 +94,10 @@ pub struct Msj {
     /// Trace sink for spans/counters (disabled by default; see
     /// `set_tracer`).
     pub tracer: Tracer,
-    /// Chaos failpoint: the refinement worker with this index panics on
-    /// startup, exercising the panic-containment path. Never set outside
-    /// fault-injection tests.
-    pub fail_refine_worker: Option<usize>,
+    /// Chaos failpoint: the sweep worker with this index panics on startup
+    /// (`threads` > 1), exercising the panic-containment path. Never set
+    /// outside fault-injection tests.
+    pub fail_sweep_worker: Option<usize>,
 }
 
 impl Default for Msj {
@@ -110,13 +107,12 @@ impl Default for Msj {
             max_depth: 16,
             sort_mem_records: 128 * 1024,
             pool_pages: 1024,
-            refine_threads: 1,
             threads: 1,
             engine: None,
             lifecycle: None,
             recovery: None,
             tracer: Tracer::disabled(),
-            fail_refine_worker: None,
+            fail_sweep_worker: None,
         }
     }
 }
@@ -139,21 +135,11 @@ impl Msj {
         }
     }
 
-    /// Refines candidates on `threads` worker threads.
-    pub fn with_refine_threads(threads: usize) -> Msj {
-        Msj {
-            refine_threads: threads.max(1),
-            ..Msj::default()
-        }
-    }
-
-    /// Runs the whole pipeline (assignment, sort run formation, and
-    /// refinement) on `threads` worker threads.
+    /// Runs level assignment and the sweep on `threads` worker threads
+    /// (`0` = all hardware threads).
     pub fn with_threads(threads: usize) -> Msj {
-        let t = hdsj_exec::resolve_threads(threads).max(1);
         Msj {
-            threads: t,
-            refine_threads: t,
+            threads: hdsj_exec::resolve_threads(threads).max(1),
             ..Msj::default()
         }
     }
@@ -220,7 +206,6 @@ impl Msj {
         root.attr_f64("eps", spec.eps);
         root.attr_u64("depth", depth as u64);
         root.attr_u64("threads", self.threads as u64);
-        root.attr_u64("refine_threads", self.refine_threads as u64);
 
         let mut resumed_files = 0u64;
         let result = self.pipeline(
@@ -309,6 +294,12 @@ impl Msj {
         let sort_done = recovery
             .as_ref()
             .is_some_and(|r| r.state.files.contains_key(SORT_OUT_TAG));
+        let lifecycle = self.lifecycle.as_ref();
+        let workers = self.threads.max(1);
+        let mut pool = Pool::with_tracer(workers, self.tracer.clone());
+        if let Some(lc) = lifecycle {
+            pool = pool.with_lifecycle(lc.clone());
+        }
 
         // Phase 1: level assignment, one combined file of tagged entries.
         // Chunks of points are assigned and Hilbert-encoded on the pool
@@ -338,10 +329,6 @@ impl Msj {
                 file = Some(spec_file.open(engine)?);
             } else {
                 let mut f = RecordFile::create(engine, rec_len)?;
-                let mut pool = Pool::with_tracer(self.threads, self.tracer.clone());
-                if let Some(lc) = &self.lifecycle {
-                    pool = pool.with_lifecycle(lc.clone());
-                }
                 const ASSIGN_CHUNK: usize = 4096;
                 for (ds, tag) in [(a, assign::TAG_A), (b, assign::TAG_B)] {
                     if tag == assign::TAG_B && kind != JoinKind::TwoSets {
@@ -377,8 +364,9 @@ impl Msj {
 
         // Phase 2: external sort by (padded cell key, level) — the DFS
         // order of the cell hierarchy. The level byte directly follows the
-        // key bytes, so whole-record byte order covers both. Run formation
-        // fans out on the same thread budget; output stays byte-identical.
+        // key bytes, so whole-record byte order covers both. Serial at every
+        // thread count: sorting T slices of a run apart made T runs for the
+        // merge to undo and was slower on every workload (DESIGN §11).
         // With recovery, every spilled run and merge output checkpoints,
         // and a completed sort is reused outright.
         if let Some(lc) = &self.lifecycle {
@@ -393,7 +381,6 @@ impl Msj {
         );
         let sort_config = SortConfig {
             mem_records: self.sort_mem_records,
-            threads: self.threads,
             ..SortConfig::default()
         };
         let sorted = match recovery.as_mut() {
@@ -443,13 +430,16 @@ impl Msj {
         };
         sort_timer.finish(&mut phases);
 
-        // Phase 3: stack-based synchronized sweep, refining inline or on
-        // worker threads. Not checkpointed: the sweep is deterministic, so
-        // a crash mid-sweep redoes it from the durable sorted file.
-        if let Some(lc) = &self.lifecycle {
+        // Phase 3: the stack-based synchronized sweep. Every worker runs the
+        // whole of it over the sorted file — its own cursor, stack and
+        // refiner — and executes its share of the tiles; the shares' outputs
+        // are replayed in tile order, which is the one-worker emission
+        // (DESIGN §11). One worker writes straight into the caller's sink.
+        // Not checkpointed: the sweep is deterministic, so a crash mid-sweep
+        // redoes it from the durable sorted file.
+        if let Some(lc) = lifecycle {
             lc.poll()?;
         }
-        let refine_threads = self.refine_threads.max(self.threads);
         let mut sweep_timer = TracedPhase::start_classed(
             &self.tracer,
             root,
@@ -458,8 +448,7 @@ impl Msj {
             hdsj_core::obs::names::MSJ_PHASE_SWEEP_NS,
         );
         let mut stats = JoinStats::default();
-        let lifecycle = self.lifecycle.as_ref();
-        let tally = if refine_threads <= 1 {
+        let tally = if workers == 1 {
             let mut refiner = Refiner::new(a, b, kind, spec, sink);
             let tally = sweep::sweep(
                 &sorted,
@@ -469,29 +458,70 @@ impl Msj {
                 kind,
                 spec.eps,
                 lifecycle,
+                (0, 1),
                 &mut refiner,
             )?;
             stats = refiner.finish(stats);
             tally
         } else {
-            let (tally, pairs, candidates) = parallel::sweep_and_refine(
-                &sorted,
-                codec,
-                a,
-                b,
-                kind,
-                spec,
-                refine_threads,
-                lifecycle,
-                &self.tracer,
-                sweep_timer.span_mut(),
-                self.fail_refine_worker,
-            )?;
-            stats.candidates += candidates;
-            stats.dist_evals += candidates;
-            stats.results += pairs.len() as u64;
-            for (i, j) in pairs {
-                sink.push(i, j);
+            let shares = pool.map_chunks(Some(sweep_timer.span_mut()), workers, 1, |w| {
+                let worker = w.start;
+                if self.fail_sweep_worker == Some(worker) {
+                    // Deliberate chaos failpoint: the panic is contained by the
+                    // pool and surfaces as a typed error at the join() site.
+                    #[allow(clippy::panic)]
+                    {
+                        panic!("injected sweep-worker failure (worker {worker})");
+                    }
+                }
+                let mut out = VecSink::default();
+                let mut marked = Marked {
+                    refiner: Refiner::new(a, b, kind, spec, &mut out),
+                    ends: Vec::new(),
+                };
+                let tally = sweep::sweep(
+                    &sorted,
+                    codec,
+                    a,
+                    b,
+                    kind,
+                    spec.eps,
+                    lifecycle,
+                    (worker, workers),
+                    &mut marked,
+                )?;
+                let Marked { refiner, ends } = marked;
+                let counts = refiner.finish(JoinStats::default());
+                Ok((tally, counts, ends, out.pairs))
+            })?;
+            // The views and stripes are every share's alike; the tiles and
+            // the memory held are each share's own.
+            let mut tally = sweep::SweepTally {
+                peak_bytes: 0,
+                tiles: Default::default(),
+                ..shares[0].0
+            };
+            let mut tiles = Vec::new();
+            for (worker, (share, counts, ends, _)) in shares.iter().enumerate() {
+                tally.peak_bytes += share.peak_bytes;
+                tally.tiles += share.tiles;
+                stats.candidates += counts.candidates;
+                stats.dist_evals += counts.dist_evals;
+                stats.results += counts.results;
+                let mut start = 0;
+                for &(seq, end) in ends {
+                    tiles.push((seq, worker, start..end));
+                    start = end;
+                }
+            }
+            tiles.sort_unstable_by_key(|tile| tile.0);
+            for (_, worker, pairs) in tiles {
+                if let Some(lc) = lifecycle {
+                    lc.poll()?;
+                }
+                for &(i, j) in &shares[worker].3[pairs] {
+                    sink.push(i, j);
+                }
             }
             tally
         };
@@ -521,6 +551,33 @@ impl Msj {
     }
 }
 
+/// A sweep worker's sink: the refiner, and where in its output each tile of
+/// the worker's share that matched anything ended, under the tile's number.
+struct Marked<'a> {
+    refiner: Refiner<'a>,
+    ends: Vec<(u64, usize)>,
+}
+
+impl CandidateSink for Marked<'_> {
+    #[inline]
+    fn block(&mut self, i: u32, tile: &SoABlock, lanes: std::ops::Range<usize>) {
+        self.refiner.offer_block(i, tile, lanes);
+    }
+
+    #[inline]
+    fn pair(&mut self, i: u32, j: u32) {
+        self.refiner.offer(i, j);
+    }
+
+    fn end_tile(&mut self, seq: u64) -> Result<()> {
+        let end = self.refiner.counters().1 as usize;
+        if self.ends.last().map_or(0, |last| last.1) < end {
+            self.ends.push((seq, end));
+        }
+        Ok(())
+    }
+}
+
 impl SimilarityJoin for Msj {
     fn name(&self) -> &'static str {
         "MSJ"
@@ -535,9 +592,7 @@ impl SimilarityJoin for Msj {
     }
 
     fn set_threads(&mut self, threads: usize) {
-        let t = hdsj_exec::resolve_threads(threads).max(1);
-        self.threads = t;
-        self.refine_threads = t;
+        self.threads = hdsj_exec::resolve_threads(threads).max(1);
     }
 
     fn join(
@@ -763,37 +818,78 @@ mod lifecycle_tests {
     #[test]
     fn pre_canceled_join_returns_canceled_not_panic() {
         let ds = hdsj_data::uniform(4, 300, 41).unwrap();
-        let lc = LifecycleCtx::unbounded();
-        lc.cancel_token().cancel();
-        let mut msj = Msj::default();
-        msj.set_lifecycle(lc);
-        let mut sink = VecSink::default();
-        let err = msj
-            .self_join(&ds, &JoinSpec::l2(0.1), &mut sink)
-            .unwrap_err();
-        assert!(matches!(err, Error::Canceled(_)), "{err:?}");
+        for threads in [1, 2] {
+            let lc = LifecycleCtx::unbounded();
+            lc.cancel_token().cancel();
+            let engine = StorageEngine::in_memory(64);
+            let mut msj = Msj {
+                threads,
+                ..Msj::with_engine(engine.clone())
+            };
+            msj.set_lifecycle(lc);
+            let mut sink = VecSink::default();
+            let err = msj
+                .self_join(&ds, &JoinSpec::l2(0.1), &mut sink)
+                .unwrap_err();
+            assert!(matches!(err, Error::Canceled(_)), "{err:?}");
+            assert_eq!(engine.pool().pinned_frames(), 0, "threads={threads}");
+        }
     }
 
     #[test]
     fn exhausted_io_budget_surfaces_as_typed_error() {
-        let ds = hdsj_data::uniform(4, 2000, 42).unwrap();
-        let lc = LifecycleCtx::builder().io_budget(3).build();
-        let engine = StorageEngine::in_memory(4); // tiny pool: plenty of I/O
-        let mut msj = Msj::with_engine(engine.clone());
-        msj.set_lifecycle(lc);
-        let mut sink = VecSink::default();
-        let err = msj
-            .self_join(&ds, &JoinSpec::l2(0.1), &mut sink)
-            .unwrap_err();
-        assert!(matches!(err, Error::BudgetExhausted(_)), "{err:?}");
-        // Graceful exit: no pins leaked, and the lifecycle ctx was removed
-        // so the engine is reusable.
-        assert_eq!(engine.pool().pinned_frames(), 0);
-        let mut retry = VecSink::default();
-        Msj::with_engine(engine)
-            .self_join(&ds, &JoinSpec::l2(0.1), &mut retry)
-            .unwrap();
-        assert!(!retry.pairs.is_empty());
+        // A 16-page level file through a 4-frame pool: every scan's reads
+        // miss. Each sweep worker scans the sorted file through its own
+        // cursor, so a budget is charged one scan per worker — less what a
+        // worker finds resident because another just read it.
+        let ds = hdsj_data::uniform(4, 8000, 42).unwrap();
+        let spec = JoinSpec::l2(0.05);
+        let run = |threads: usize, lc: LifecycleCtx| {
+            let engine = StorageEngine::in_memory(4);
+            let mut msj = Msj {
+                threads,
+                ..Msj::with_engine(engine.clone())
+            };
+            msj.set_lifecycle(lc.clone());
+            let mut sink = VecSink::default();
+            let outcome = msj.self_join(&ds, &spec, &mut sink).map(|_| sink.pairs);
+            // Graceful exit: no pins leaked, and the lifecycle ctx was
+            // removed so the engine is reusable.
+            assert_eq!(engine.pool().pinned_frames(), 0, "threads={threads}");
+            let mut retry = VecSink::default();
+            Msj::with_engine(engine)
+                .self_join(&ds, &spec, &mut retry)
+                .unwrap();
+            (outcome, lc.stats().io_used, retry.pairs)
+        };
+        let (want, one_scan, _) = run(1, LifecycleCtx::unbounded());
+        let want = want.unwrap();
+        assert!(!want.is_empty() && one_scan > 64, "{one_scan} operations");
+        for threads in [1, 2] {
+            // Too small for the assignment; one operation short of, and
+            // exactly, a one-worker join; enough for a scan per worker.
+            for budget in [3, one_scan - 1, one_scan, 2 * one_scan] {
+                let label = format!("threads={threads} budget={budget} of {one_scan}");
+                let lc = LifecycleCtx::builder().io_budget(budget).build();
+                let (outcome, used, retry) = run(threads, lc);
+                assert_eq!(retry, want, "{label}");
+                match outcome {
+                    Ok(pairs) => {
+                        assert_eq!(pairs, want, "{label}");
+                        assert!((one_scan..=budget).contains(&used), "{label}: {used}");
+                    }
+                    Err(err) => {
+                        assert!(matches!(err, Error::BudgetExhausted(_)), "{label}: {err:?}");
+                        // Only the second worker's scan can fail a budget
+                        // that one worker's whole join fits.
+                        assert!(
+                            budget < one_scan || threads == 2 && budget == one_scan,
+                            "{label}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -938,10 +1034,11 @@ mod parallel_tests {
 
     #[test]
     fn parallel_output_is_byte_identical_to_serial() {
-        // `threads` drives assignment, sort run formation, AND refinement.
-        // Tile jobs are numbered in sweep order and merged by that number,
-        // so the ordered pair list — not just the set — and the counters
-        // equal the serial pipeline's at every thread count.
+        // `threads` is the partition count of assignment and of the sweep.
+        // Tiles are numbered in sweep order and the workers' outputs replayed
+        // by that number, so the ordered pair list — not just the set — the
+        // counters and every `msj.sweep.*` tally equal the one-worker
+        // pipeline's at every thread count (3: uneven tile ownership).
         let a = hdsj_data::uniform(5, 700, 2001).unwrap();
         let b = hdsj_data::uniform(5, 650, 2002).unwrap();
         let wide = hdsj_data::uniform(8, 400, 1008).unwrap();
@@ -959,22 +1056,32 @@ mod parallel_tests {
         ];
         for (a, b, spec) in cases {
             let run = |mut msj: Msj| {
+                let (tracer, events) = Tracer::memory();
+                msj.set_tracer(tracer.clone());
                 let mut sink = VecSink::default();
                 let stats = match b {
                     None => msj.self_join(a, &spec, &mut sink).unwrap(),
                     Some(b) => msj.join(a, b, &spec, &mut sink).unwrap(),
                 };
-                (sink.pairs, stats.candidates, stats.results)
+                tracer.flush();
+                let mut sweep: Vec<(String, u64)> = events
+                    .counters()
+                    .into_iter()
+                    .filter(|c| c.name.starts_with("msj.sweep."))
+                    .map(|c| (c.name, c.value))
+                    .collect();
+                sweep.sort();
+                assert_eq!(sweep.len(), 8, "{sweep:?}");
+                (sink.pairs, stats.candidates, stats.results, sweep)
             };
             let serial = run(Msj::default());
             assert!(serial.0.len() > 100, "too sparse: {} pairs", serial.0.len());
-            for threads in [1usize, 2, 4, 8] {
+            for threads in [1usize, 2, 3, 4, 8] {
                 assert_eq!(run(Msj::with_threads(threads)), serial, "threads={threads}");
             }
-            assert_eq!(run(Msj::with_refine_threads(3)), serial, "refine only");
             let mut via_trait = Msj::default();
             via_trait.set_threads(3);
-            assert_eq!((via_trait.threads, via_trait.refine_threads), (3, 3));
+            assert_eq!(via_trait.threads, 3);
             assert_eq!(run(via_trait), serial, "set_threads");
         }
     }
@@ -985,51 +1092,46 @@ mod parallel_tests {
 
         let ds = hdsj_data::uniform(6, 1200, 2004).unwrap();
         let spec = JoinSpec::new(0.3, Metric::L2);
+        let mut want = VecSink::default();
+        let serial = Msj::default().self_join(&ds, &spec, &mut want).unwrap();
         let (tracer, events) = Tracer::memory();
-        let mut msj = Msj::with_refine_threads(4);
+        let mut msj = Msj::with_threads(4);
         msj.set_tracer(tracer.clone());
         let mut out = VecSink::default();
         let stats = msj.self_join(&ds, &spec, &mut out).unwrap();
         tracer.flush();
 
-        // The shared counters are incremented concurrently from every
-        // worker, one batch at a time — they must still sum exactly.
+        // Each worker counts what its share of the tiles held; the totals
+        // are the serial sweep's, in the stats and in the counters.
+        assert_eq!(out.pairs, want.pairs);
         assert_eq!(
-            events.counter_value("msj.refine.pairs"),
-            Some(stats.results)
+            (stats.candidates, stats.results, stats.dist_evals),
+            (serial.candidates, serial.results, serial.dist_evals)
         );
+        assert_eq!(events.counter_value("msj.results"), Some(serial.results));
         assert_eq!(
-            events.counter_value("msj.refine.candidates"),
-            Some(stats.candidates)
+            events.counter_value("msj.candidates"),
+            Some(serial.candidates)
         );
 
-        // Each worker reports its own span under the sweep phase, and the
-        // per-worker attributes also sum to the totals.
+        // Each worker reports its own span under the sweep phase (the
+        // assignment's workers report under theirs), one share each.
         let spans = events.spans();
         let sweep_id = spans
             .iter()
             .find(|s| s.name == "sweep")
             .expect("sweep span")
             .id;
-        let attr_total = |key: &str| -> u64 {
-            spans
-                .iter()
-                .filter(|s| s.name == "refine-worker")
-                .map(|s| {
-                    assert_eq!(s.parent, Some(sweep_id));
-                    match s.attrs.iter().find(|(k, _)| k == key) {
-                        Some((_, AttrValue::U64(v))) => *v,
-                        other => panic!("missing u64 attr {key}: {other:?}"),
-                    }
-                })
-                .sum()
-        };
-        assert_eq!(
-            spans.iter().filter(|s| s.name == "refine-worker").count(),
-            4
-        );
-        assert_eq!(attr_total("pairs"), stats.results);
-        assert_eq!(attr_total("candidates"), stats.candidates);
+        let mut workers: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "exec.worker" && s.parent == Some(sweep_id))
+            .map(|s| match s.attrs.iter().find(|(k, _)| k == "worker") {
+                Some((_, AttrValue::U64(v))) => *v,
+                other => panic!("missing u64 attr worker: {other:?}"),
+            })
+            .collect();
+        workers.sort_unstable();
+        assert_eq!(workers, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -1038,8 +1140,8 @@ mod parallel_tests {
         let spec = JoinSpec::l2(0.2);
         let engine = StorageEngine::in_memory(64);
         let mut msj = Msj {
-            refine_threads: 3,
-            fail_refine_worker: Some(1),
+            threads: 3,
+            fail_sweep_worker: Some(1),
             ..Msj::with_engine(engine.clone())
         };
         let mut sink = VecSink::default();
@@ -1047,7 +1149,7 @@ mod parallel_tests {
         let msg = err.to_string();
         assert!(msg.contains("panicked"), "typed panic error, got: {msg}");
         assert!(
-            msg.contains("injected refine-worker failure"),
+            msg.contains("injected sweep-worker failure"),
             "panic message preserved, got: {msg}"
         );
         // Containment left the pool consistent: nothing pinned, temp files
@@ -1059,7 +1161,7 @@ mod parallel_tests {
             engine.pool().num_pages() as usize,
             "temp pages must be back on the freelist"
         );
-        msj.fail_refine_worker = None;
+        msj.fail_sweep_worker = None;
         let mut retry_sink = VecSink::default();
         msj.self_join(&ds, &spec, &mut retry_sink).unwrap();
         let mut want = VecSink::default();

@@ -175,10 +175,13 @@ struct Joiner<'a> {
     tally: SweepTally,
 }
 
-/// Runs the sweep, delivering every candidate to `sink` (serial runs hand
-/// it the refiner; parallel runs a channel that ships tile jobs). The
-/// lifecycle context is polled at every tile, and every 1 024
-/// entries of narrowing or striping.
+/// Runs share `share.0` of `share.1` of the sweep, delivering its candidates
+/// to `sink`: the whole stream is read and every cell opened, narrowed and
+/// striped, but of the tiles the cell-pair joins reach only those of the
+/// share ([`TileJoin::share`]) are counted, gathered and emitted — so the
+/// view and stripe tallies are the whole sweep's in every share and the
+/// tile tallies add up over the shares. The lifecycle context is polled at
+/// every tile, and every 1 024 entries of narrowing or striping.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep<S: CandidateSink>(
     sorted: &RecordFile,
@@ -188,6 +191,7 @@ pub fn sweep<S: CandidateSink>(
     kind: JoinKind,
     eps: f64,
     lifecycle: Option<&LifecycleCtx>,
+    share: (usize, usize),
     sink: &mut S,
 ) -> Result<SweepTally> {
     let dims = a.dims() as u32;
@@ -201,7 +205,7 @@ pub fn sweep<S: CandidateSink>(
         eps,
         cubes,
         lifecycle,
-        join: TileJoin::new(b, eps, lifecycle),
+        join: TileJoin::new(b, eps, lifecycle).share(share.0, share.1),
         stripe_scratch: 0,
         tally: SweepTally::default(),
     };

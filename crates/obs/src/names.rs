@@ -75,12 +75,6 @@ registry! {
     pub const MSJ_CANDIDATES: &str = "msj.candidates";
     /// Result pairs emitted by MSJ.
     pub const MSJ_RESULTS: &str = "msj.results";
-    /// Candidates forwarded from MSJ's sweep phase into refinement.
-    pub const MSJ_REFINE_CANDIDATES: &str = "msj.refine.candidates";
-    /// Pairs surviving MSJ refinement.
-    pub const MSJ_REFINE_PAIRS: &str = "msj.refine.pairs";
-    /// Microseconds MSJ sweep workers spent blocked on the refine channel.
-    pub const MSJ_SWEEP_SEND_WAIT_US: &str = "msj.sweep.send_wait_us";
     /// Candidate tiles the MSJ sweep transposed into its SoA scratch block.
     pub const MSJ_SWEEP_TILES_GATHERED: &str = "msj.sweep.tiles_gathered";
     /// Lanes (rows) copied by those transposes; `block_candidates /

@@ -622,7 +622,6 @@ mod destroy_tests {
                 SortConfig {
                     mem_records: 256,
                     fanin: 4,
-                    ..SortConfig::default()
                 },
             )
             .unwrap();

@@ -12,23 +12,16 @@
 //! cascading in passes when the number of runs exceeds the merge fan-in. All
 //! I/O flows through the buffer pool and is therefore counted.
 //!
-//! With [`SortConfig::threads`] > 1, run formation fans out on the
-//! `hdsj-exec` pool: the filled workspace is split into contiguous slices,
-//! each worker sorts its own slice, and every sorted slice spills as its
-//! own run. All I/O (input cursor reads, run writes) stays on the calling
-//! thread, so fault-injection schedules are identical at every thread
-//! count. The output is **byte-identical** to the serial sort: records are
-//! totally ordered, so the merged result is the unique sorted sequence of
-//! the input multiset regardless of how records were partitioned into runs.
+//! Both stages run on the calling thread. Sorting a filled workspace as one
+//! slice per worker made each slice a run of its own, and the merge of the
+//! extra runs cost more than the sorting saved (DESIGN §11).
 
 use crate::file::{RecordCursor, RecordFile};
 use crate::manifest::{Checkpointer, ManifestState};
 use crate::StorageEngine;
 use hdsj_core::{Error, Result};
-use hdsj_exec::Pool;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::sync::Mutex;
 
 /// Maximum number of runs merged in one pass.
 const MAX_FANIN: usize = 64;
@@ -40,11 +33,6 @@ pub struct SortConfig {
     pub mem_records: usize,
     /// Merge fan-in (clamped to `2..=64`).
     pub fanin: usize,
-    /// Worker threads for run formation (`0` = all hardware threads, per
-    /// `hdsj-exec`'s resolution rule). `1` sorts runs on the calling
-    /// thread. The merge stage is always sequential, and output is
-    /// byte-identical at every thread count.
-    pub threads: usize,
 }
 
 impl Default for SortConfig {
@@ -52,7 +40,6 @@ impl Default for SortConfig {
         SortConfig {
             mem_records: 64 * 1024,
             fanin: MAX_FANIN,
-            threads: 1,
         }
     }
 }
@@ -234,28 +221,9 @@ enum Workspace {
     Indexed(Vec<u8>, Vec<u32>),
 }
 
-/// Sorts `items` in place, one contiguous `slice` per worker.
-fn sort_slices<T: Send>(
-    pool: &Pool,
-    items: &mut [T],
-    slice: usize,
-    sort: impl Fn(&mut [T]) + Sync,
-) -> Result<()> {
-    let n = items.len();
-    // Workers share the closure, not the slices: each takes its own lock.
-    let parts: Vec<Mutex<&mut [T]>> = items.chunks_mut(slice).map(Mutex::new).collect();
-    let poisoned = |_| Error::Internal("sort slice lock poisoned".into());
-    pool.map_chunks(None, n, slice, |range| {
-        sort(&mut parts[range.start / slice].lock().map_err(poisoned)?);
-        Ok(())
-    })
-    .map(|_| ())
-}
-
 /// Stage 1 of both sorts: reads `cursor` to its end, `config.mem_records` at
-/// a time. Each filled workspace splits into one contiguous slice per worker,
-/// sorted concurrently; every sorted slice is written as its own run (here,
-/// sequentially, in slice order) and handed to `spill`.
+/// a time. Each filled workspace is sorted in place, written as one run and
+/// handed to `spill`.
 fn form_runs(
     engine: &StorageEngine,
     mut cursor: RecordCursor<'_>,
@@ -265,7 +233,6 @@ fn form_runs(
 ) -> Result<()> {
     use Workspace::{Indexed, Ints};
     let mem_records = config.mem_records.max(2);
-    let pool = Pool::new(config.threads);
     let mut ws = match rec_len {
         ..=16 => Ints(Vec::with_capacity(mem_records)),
         _ => Indexed(Vec::with_capacity(mem_records * rec_len), Vec::new()),
@@ -291,35 +258,27 @@ fn form_runs(
         if n == 0 {
             return Ok(());
         }
-        let slice = n.div_ceil(pool.threads()).max(1);
         match &mut ws {
-            Ints(ints) => sort_slices(&pool, ints, slice, <[u128]>::sort_unstable)?,
+            Ints(ints) => ints.sort_unstable(),
             Indexed(bytes, order) => {
                 let rec = |i: u32| &bytes[i as usize * rec_len..][..rec_len];
-                let by_record = |a: &u32, b: &u32| rec(*a).cmp(rec(*b));
-                sort_slices(&pool, order, slice, |part| part.sort_unstable_by(by_record))?;
+                order.sort_unstable_by(|a, b| rec(*a).cmp(rec(*b)));
             }
         }
-        for start in (0..n).step_by(slice) {
-            let mut run = RecordFile::create(engine, rec_len)?;
-            let end = (start + slice).min(n);
-            for lo in (start..end).step_by(run.records_per_page()) {
-                page.clear();
-                for at in lo..(lo + run.records_per_page()).min(end) {
-                    match &ws {
-                        Ints(ints) => {
-                            page.extend_from_slice(&ints[at].to_be_bytes()[..rec_len])
-                        }
-                        Indexed(bytes, order) => page.extend_from_slice(
-                            &bytes[order[at] as usize * rec_len..][..rec_len],
-                        ),
-                    }
+        let mut run = RecordFile::create(engine, rec_len)?;
+        for lo in (0..n).step_by(run.records_per_page()) {
+            page.clear();
+            for at in lo..(lo + run.records_per_page()).min(n) {
+                match &ws {
+                    Ints(ints) => page.extend_from_slice(&ints[at].to_be_bytes()[..rec_len]),
+                    Indexed(bytes, order) => page
+                        .extend_from_slice(&bytes[order[at] as usize * rec_len..][..rec_len]),
                 }
-                run.extend(&page)?;
             }
-            run.release_tail();
-            spill(run)?;
+            run.extend(&page)?;
         }
+        run.release_tail();
+        spill(run)?;
         match &mut ws {
             Ints(ints) => ints.clear(),
             Indexed(bytes, order) => {
@@ -394,7 +353,6 @@ mod tests {
             SortConfig {
                 mem_records: 37,
                 fanin: 3,
-                ..SortConfig::default()
             },
         )
         .unwrap();
@@ -437,7 +395,6 @@ mod tests {
             SortConfig {
                 mem_records: 2,
                 fanin: 2,
-                ..SortConfig::default()
             },
         )
         .unwrap();
@@ -462,7 +419,6 @@ mod tests {
             SortConfig {
                 mem_records: 10,
                 fanin: 2,
-                ..SortConfig::default()
             },
         )
         .unwrap();
@@ -492,7 +448,6 @@ mod tests {
             SortConfig {
                 mem_records: 8,
                 fanin: 2,
-                ..SortConfig::default()
             },
         );
         eng.set_fault_after(None);
@@ -540,7 +495,6 @@ mod resumable_tests {
         let cfg = SortConfig {
             mem_records: 16,
             fanin: 2,
-            ..SortConfig::default()
         };
         let (eng, mut ckpt, state, input);
         if man_path.exists() {
@@ -672,48 +626,45 @@ mod workspace_tests {
     #[test]
     fn both_sorts_equal_vec_sort_for_integer_and_indexed_workspaces() {
         // Key widths 8 (a 14-byte record: one integer), 16 and 24 (22 and 30
-        // bytes: indexed), serial and fanned out, several runs and merges.
+        // bytes: indexed), several runs and merges.
         for key_len in [8usize, 16, 24] {
             let records = level_records(key_len, 1500);
             let mut want = records.clone();
             want.sort();
-            for threads in [1usize, 3] {
-                let config = SortConfig {
-                    mem_records: 200,
-                    fanin: 3,
-                    threads,
-                };
-                let label = format!("key {key_len} threads {threads}");
+            let config = SortConfig {
+                mem_records: 200,
+                fanin: 3,
+            };
+            let label = format!("key {key_len}");
 
-                let eng = StorageEngine::in_memory(16);
-                let mut input = RecordFile::create(&eng, key_len + 6).unwrap();
-                input.extend(&records.concat()).unwrap();
-                input.release_tail();
-                let out = external_sort(&eng, &input, key_len + 1, config).unwrap();
-                assert_eq!(out.read_all().unwrap(), want, "external_sort, {label}");
+            let eng = StorageEngine::in_memory(16);
+            let mut input = RecordFile::create(&eng, key_len + 6).unwrap();
+            input.extend(&records.concat()).unwrap();
+            input.release_tail();
+            let out = external_sort(&eng, &input, key_len + 1, config).unwrap();
+            assert_eq!(out.read_all().unwrap(), want, "external_sort, {label}");
 
-                let dir = fresh_dir(&format!("typed-{key_len}-{threads}"));
-                let eng = StorageEngine::file_backed(&dir.join("pages"), 16).unwrap();
-                let manifest = Manifest::create(&dir.join("manifest"), 1).unwrap();
-                let mut ckpt = Checkpointer::new(&eng, manifest);
-                let mut input = RecordFile::create(&eng, key_len + 6).unwrap();
-                input.extend(&records.concat()).unwrap();
-                input.release_tail();
-                let out = external_sort_resumable(
-                    &eng,
-                    &input,
-                    key_len + 1,
-                    config,
-                    &mut ckpt,
-                    "sort.w",
-                    "sort.out_sealed",
-                    &ManifestState::default(),
-                )
-                .unwrap();
-                assert_eq!(out.read_all().unwrap(), want, "resumable, {label}");
-                assert_eq!(eng.pool().pinned_frames(), 0, "leaked pins, {label}");
-                std::fs::remove_dir_all(&dir).ok();
-            }
+            let dir = fresh_dir(&format!("typed-{key_len}"));
+            let eng = StorageEngine::file_backed(&dir.join("pages"), 16).unwrap();
+            let manifest = Manifest::create(&dir.join("manifest"), 1).unwrap();
+            let mut ckpt = Checkpointer::new(&eng, manifest);
+            let mut input = RecordFile::create(&eng, key_len + 6).unwrap();
+            input.extend(&records.concat()).unwrap();
+            input.release_tail();
+            let out = external_sort_resumable(
+                &eng,
+                &input,
+                key_len + 1,
+                config,
+                &mut ckpt,
+                "sort.w",
+                "sort.out_sealed",
+                &ManifestState::default(),
+            )
+            .unwrap();
+            assert_eq!(out.read_all().unwrap(), want, "resumable, {label}");
+            assert_eq!(eng.pool().pinned_frames(), 0, "leaked pins, {label}");
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -762,7 +713,7 @@ mod properties {
                 file.push(r).unwrap();
             }
             file.release_tail();
-            let out = external_sort(&eng, &file, key_len, SortConfig { mem_records, fanin, ..SortConfig::default() })
+            let out = external_sort(&eng, &file, key_len, SortConfig { mem_records, fanin })
                 .unwrap();
             let got = out.read_all().unwrap();
             let mut want = records.clone();
@@ -770,37 +721,6 @@ mod properties {
                 a[..key_len].cmp(&b[..key_len]).then_with(|| a[key_len..].cmp(&b[key_len..]))
             });
             prop_assert_eq!(got, want);
-        }
-
-        #[test]
-        fn parallel_sort_is_byte_identical_to_serial(
-            records in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 10),
-                0..300,
-            ),
-            key_len in 1usize..=10,
-            mem_records in 2usize..48,
-        ) {
-            let sort_with = |threads: usize| {
-                let eng = StorageEngine::in_memory(64);
-                let mut file = RecordFile::create(&eng, 10).unwrap();
-                for r in &records {
-                    file.push(r).unwrap();
-                }
-                file.release_tail();
-                let out = external_sort(
-                    &eng,
-                    &file,
-                    key_len,
-                    SortConfig { mem_records, fanin: 4, threads },
-                )
-                .unwrap();
-                out.read_all().unwrap()
-            };
-            let serial = sort_with(1);
-            for threads in [2usize, 4, 8] {
-                prop_assert_eq!(&sort_with(threads), &serial, "threads={}", threads);
-            }
         }
     }
 }

@@ -63,8 +63,24 @@ fn check_simd_env() -> Result<()> {
     }
 }
 
+/// Rejects an `HDSJ_THREADS` that is not a count, for the same reason:
+/// `exec::default_threads` falls back to one thread, so `HDSJ_THREADS=four`
+/// would run serial without a word.
+fn check_threads_env() -> Result<()> {
+    let Some(raw) = std::env::var_os("HDSJ_THREADS") else {
+        return Ok(());
+    };
+    match raw.to_str().map(|s| s.trim().parse::<usize>()) {
+        Some(Ok(_)) => Ok(()),
+        _ => Err(Error::InvalidInput(format!(
+            "HDSJ_THREADS={raw:?} is not a thread count; accepted: 0 (all cores) or a positive integer"
+        ))),
+    }
+}
+
 fn run(args: &[String]) -> Result<()> {
     check_simd_env()?;
+    check_threads_env()?;
     let Some(cmd) = args.first() else {
         print_help();
         return Ok(());
@@ -127,10 +143,15 @@ a trace (counters, gauges, histograms) as human-readable text or
 Prometheus exposition format (`--format prom`).
 
 THREADS:
-  --threads N           worker threads for the parallel algorithms (bf, msj).
+  --threads N           worker threads for the parallel algorithms (bf, msj):
+                        how many ways the one join body's work is split (bf:
+                        runs of its block x tile nest; msj: chunks of points
+                        to assign, tiles of the sweep), the parts' pairs
+                        replayed in order.
                         0 means all available cores. Defaults to the
-                        HDSJ_THREADS environment variable, or 1 (serial)
-                        when unset. Results are identical at every thread
+                        HDSJ_THREADS environment variable (anything but a
+                        count is rejected, exit 2), or 1 when unset. Pairs,
+                        their order and the counters are identical at every
                         count; algorithms without a parallel path ignore it.
 
 KERNEL TIER:

@@ -204,22 +204,22 @@ fn corrupting_writes_yield_corruption_not_wrong_answers() {
     }
 }
 
-/// A panicking refinement worker is contained as a typed error and leaves
-/// the shared engine reusable.
+/// A panicking sweep worker is contained as a typed error and leaves the
+/// shared engine reusable.
 #[test]
 fn refine_worker_panic_is_contained_and_engine_stays_usable() {
     let ds = dataset();
     let engine = StorageEngine::in_memory(POOL_PAGES);
     let mut msj = Msj::with_engine(engine.clone());
-    msj.refine_threads = 3;
-    msj.fail_refine_worker = Some(1);
+    msj.threads = 3;
+    msj.fail_sweep_worker = Some(1);
     let mut sink = VecSink::default();
     let err = msj.self_join(&ds, &spec(), &mut sink).unwrap_err();
     // The exec pool contains worker panics as Error::Internal.
     assert!(matches!(err, Error::Internal(_)), "{err:?}");
     assert!(err.to_string().contains("panicked"), "{err}");
     assert!(
-        err.to_string().contains("injected refine-worker failure"),
+        err.to_string().contains("injected sweep-worker failure"),
         "{err}"
     );
     assert_eq!(engine.pool().pinned_frames(), 0);
@@ -230,7 +230,7 @@ fn refine_worker_panic_is_contained_and_engine_stays_usable() {
 
     // Same engine, failpoint off: the join completes normally.
     let mut msj = Msj::with_engine(engine);
-    msj.refine_threads = 3;
+    msj.threads = 3;
     let mut sink = VecSink::default();
     msj.self_join(&ds, &spec(), &mut sink).unwrap();
     assert!(!sink.pairs.is_empty());

@@ -272,8 +272,22 @@ fn mistyped_simd_cap_is_rejected_at_startup() {
         assert!(err.contains("HDSJ_SIMD"), "{err}");
         assert!(err.contains("avx512") && err.contains("off"), "{err}");
     }
+    // The other variable read at startup: a thread count that is not one
+    // used to run serial, silently.
+    let out = hdsj()
+        .env("HDSJ_THREADS", "four")
+        .args(["info", "--input", "/nonexistent.csv"])
+        .output()
+        .expect("info");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("HDSJ_THREADS") && err.contains("four"),
+        "{err}"
+    );
     // Case and surrounding whitespace are still forgiven.
     let out = hdsj()
+        .env("HDSJ_THREADS", " 2\n")
         .env("HDSJ_SIMD", " Off\n")
         .arg("help")
         .output()

@@ -67,8 +67,9 @@ struct Funnel {
 }
 
 /// MSJ (as `configure` builds it for a thread count) against the truth:
-/// every metric, `--threads` 1 and 2, pair lists identical across thread
-/// counts.
+/// every metric, `--threads` 1, 2 and 3 (an odd count: the sweep's tiles
+/// are owned unevenly), pair lists and filter tallies identical across
+/// thread counts.
 fn check(
     label: &str,
     a: &Dataset,
@@ -80,8 +81,8 @@ fn check(
     for metric in METRICS {
         let spec = JoinSpec::new(eps, metric);
         let want = truth(a, b, &spec);
-        let mut serial: Option<Vec<(u32, u32)>> = None;
-        for threads in [1usize, 2] {
+        let mut serial = None;
+        for threads in [1usize, 2, 3] {
             let label = format!("{label} {metric:?} threads={threads}");
             let (tracer, events) = Tracer::memory();
             let mut msj = configure(threads);
@@ -105,10 +106,12 @@ fn check(
             );
             funnel.view_tested += tested;
             funnel.view_kept += kept;
-            funnel.striped_joins += count("msj.sweep.striped_joins");
+            let striped = count("msj.sweep.striped_joins");
+            funnel.striped_joins += striped;
+            let run = (got.pairs, stats.candidates, [tested, kept, striped]);
             match &serial {
-                None => serial = Some(got.pairs),
-                Some(first) => assert_eq!(first, &got.pairs, "{label}: pair order"),
+                None => serial = Some(run),
+                Some(first) => assert_eq!(first, &run, "{label}: pair order and tallies"),
             }
         }
     }
@@ -339,7 +342,18 @@ fn check_candidates(a: &Dataset, b: Option<&Dataset>, eps: f64) -> (usize, usize
     };
     let right = b.unwrap_or(a);
     let mut sink = Collect::default();
-    hdsj::msj::sweep::sweep(&sorted, &codec, a, right, kind, eps, None, &mut sink).unwrap();
+    hdsj::msj::sweep::sweep(
+        &sorted,
+        &codec,
+        a,
+        right,
+        kind,
+        eps,
+        None,
+        (0, 1),
+        &mut sink,
+    )
+    .unwrap();
 
     // The unfiltered sweep's set. The probe `x` of a pair is the left
     // input's point (two sets), the deeper cell's point, or within one cell

@@ -183,8 +183,8 @@ fn msj_io_counters_are_pinned_to_the_page_sequence() {
 #[test]
 fn sorted_level_files_are_byte_identical_to_the_parents() {
     // The four benchmark inputs' shapes (generators, n, ε, sort budget of
-    // `twoset_d8_dense`), assigned record by record in place and sorted at
-    // one and two threads. Lengths and CRC-32s of the sorted files were
+    // `twoset_d8_dense`), assigned record by record in place and sorted.
+    // Lengths and CRC-32s of the sorted files were
     // recorded at the parent commit, which built every key bit by bit
     // through a `BitKey` and sorted a `u32` index with a `memcmp` closure.
     use hdsj::data::{gaussian_clusters, split, timeseries::fourier_dataset, ClusterSpec};
@@ -192,7 +192,7 @@ fn sorted_level_files_are_byte_identical_to_the_parents() {
     use hdsj::storage::sort::{external_sort, SortConfig};
     use hdsj::storage::{crc32, RecordFile};
 
-    let level_file = |a: &Dataset, b: Option<&Dataset>, eps: f64, threads: usize| {
+    let level_file = |a: &Dataset, b: Option<&Dataset>, eps: f64| {
         let dims = a.dims();
         let depth = Msj::default().effective_depth(eps);
         let codec = RecordCodec::new(dims, depth);
@@ -209,7 +209,6 @@ fn sorted_level_files_are_byte_identical_to_the_parents() {
         file.release_tail();
         let config = SortConfig {
             mem_records: 4096,
-            threads,
             ..SortConfig::default()
         };
         let sorted = external_sort(&engine, &file, codec.sort_key_len(), config).unwrap();
@@ -220,22 +219,11 @@ fn sorted_level_files_are_byte_identical_to_the_parents() {
     let clusters = gaussian_clusters(8, 28_000, ClusterSpec::default(), 1).unwrap();
     let (twoset_a, twoset_b) = split(&clusters, 14_000).unwrap();
     let lowdim_d4 = uniform(4, 50_000, 1).unwrap();
-    for threads in [1, 2] {
-        assert_eq!(
-            level_file(&uniform_d16, None, 0.5, threads),
-            (8_000, 1964761311)
-        );
-        assert_eq!(
-            level_file(&fourier_d64, None, 0.07, threads),
-            (6_000, 180577432)
-        );
-        assert_eq!(
-            level_file(&twoset_a, Some(&twoset_b), 0.1, threads),
-            (28_000, 2377688818)
-        );
-        assert_eq!(
-            level_file(&lowdim_d4, None, 0.04, threads),
-            (50_000, 4032887625)
-        );
-    }
+    assert_eq!(level_file(&uniform_d16, None, 0.5), (8_000, 1964761311));
+    assert_eq!(level_file(&fourier_d64, None, 0.07), (6_000, 180577432));
+    assert_eq!(
+        level_file(&twoset_a, Some(&twoset_b), 0.1),
+        (28_000, 2377688818)
+    );
+    assert_eq!(level_file(&lowdim_d4, None, 0.04), (50_000, 4032887625));
 }
