@@ -20,42 +20,27 @@
 //! order, at every count.
 #![forbid(unsafe_code)]
 
+use hdsj_core::obs::PhaseClass;
 use hdsj_core::simd::tile;
-use hdsj_core::stats::TracedPhase;
 use hdsj_core::{
-    join::validate_inputs, Dataset, JoinKind, JoinSpec, JoinStats, LifecycleCtx, PairSink,
-    Refiner, Result, SimilarityJoin, SoABlock, Tracer, VecSink,
+    Dataset, JoinEnv, JoinKind, JoinRun, JoinSpec, PairSink, Refiner, Result, SimilarityJoin,
+    SoABlock, VecSink,
 };
 use hdsj_exec::Pool;
 use std::ops::Range;
 
 /// Block nested-loop join.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BruteForce {
     /// Points per tile of the blocked loops; `0` (the default) sizes the
     /// candidate tile for L1d and the probe block for L2 from the host
     /// cache probe.
     pub block: usize,
-    /// Worker threads the (probe block, tile) nest is handed out over; `1`
-    /// runs it on the calling thread, straight into the caller's sink.
-    pub threads: usize,
-    /// Per-query lifecycle context, polled at phase boundaries and at every
-    /// probe-block/tile boundary of the loops.
-    lifecycle: Option<LifecycleCtx>,
-    /// Trace sink for spans/counters (disabled by default; see
-    /// `set_tracer`).
-    pub tracer: Tracer,
-}
-
-impl Default for BruteForce {
-    fn default() -> BruteForce {
-        BruteForce {
-            block: 0,
-            threads: 1,
-            lifecycle: None,
-            tracer: Tracer::disabled(),
-        }
-    }
+    /// Tracer, lifecycle context (polled at every probe-block/tile
+    /// boundary of the loops) and thread count: the (probe block, tile)
+    /// nest is handed out over `threads` workers; `1` runs it on the
+    /// calling thread, straight into the caller's sink.
+    pub env: JoinEnv,
 }
 
 /// Effective (candidate-tile width, probe-block rows) for a join over
@@ -72,110 +57,9 @@ fn blocking(block: usize, dims: usize) -> (usize, usize) {
 impl BruteForce {
     /// A parallel instance with `threads` workers.
     pub fn parallel(threads: usize) -> BruteForce {
-        BruteForce {
-            threads: hdsj_exec::resolve_threads(threads).max(1),
-            ..BruteForce::default()
-        }
-    }
-
-    fn run(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        validate_inputs(a, b, spec)?;
-        let mut phases = Vec::new();
-
-        let mut root = self.tracer.span("bf.join");
-        root.attr_str("algo", "BF");
-        root.attr_u64("n_a", a.len() as u64);
-        root.attr_u64("n_b", b.len() as u64);
-        root.attr_u64("dims", a.dims() as u64);
-        root.attr_f64("eps", spec.eps);
-        root.attr_u64("threads", self.threads as u64);
-
-        let timer = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "join",
-            hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::BF_PHASE_JOIN_NS,
-        );
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        let lifecycle = self.lifecycle.as_ref();
-        let (tile_w, probe_rows) = blocking(self.block, b.dims());
-        // One SoA transpose of the inner set, shared read-only by every
-        // worker; each tile covers a contiguous ascending id range.
-        let tiles = SoABlock::partition(b, tile_w);
-        // The one loop nest, flattened: unit `u` is probe block `u / tiles`
-        // against tile `u % tiles` — the block stays in L2 while each
-        // L1-sized tile is reused by all of its rows, one across-candidate
-        // kernel pass per (probe, tile). Any split of `0..units` into
-        // consecutive ranges, run in any order and replayed in range order,
-        // emits what one pass over it emits. The lifecycle context (if any)
-        // is polled at every unit: within one tile sweep.
-        let units = a.len().div_ceil(probe_rows) * tiles.len();
-        let probe = |units: Range<usize>, refiner: &mut Refiner<'_>| -> Result<()> {
-            for unit in units {
-                if let Some(lc) = lifecycle {
-                    lc.poll()?;
-                }
-                let (block, tile) = (unit / tiles.len(), &tiles[unit % tiles.len()]);
-                let rows = block * probe_rows..((block + 1) * probe_rows).min(a.len());
-                for i in rows.start as u32..rows.end as u32 {
-                    if let Some(lanes) = tile_lanes(kind, i, tile) {
-                        refiner.offer_block(i, tile, lanes);
-                    }
-                }
-            }
-            Ok(())
-        };
-        let stats = if self.threads <= 1 {
-            let mut refiner = Refiner::new(a, b, kind, spec, sink);
-            probe(0..units, &mut refiner)?;
-            refiner.finish(JoinStats::default())
-        } else {
-            let mut pool = Pool::with_tracer(self.threads, self.tracer.clone());
-            if let Some(lc) = lifecycle {
-                pool = pool.with_lifecycle(lc.clone());
-            }
-            // Several chunks per worker: a self-join's later blocks skip the
-            // tiles below them, so finer chunks balance the tail.
-            let chunk = units.div_ceil(self.threads * 4);
-            let parts = pool.map_chunks(Some(&root), units, chunk, |units| {
-                let mut out = VecSink::default();
-                let mut refiner = Refiner::new(a, b, kind, spec, &mut out);
-                probe(units, &mut refiner)?;
-                Ok((refiner.finish(JoinStats::default()), out.pairs))
-            })?;
-            let mut stats = JoinStats::default();
-            for (part, pairs) in parts {
-                if let Some(lc) = lifecycle {
-                    lc.poll()?;
-                }
-                stats.candidates += part.candidates;
-                stats.dist_evals += part.dist_evals;
-                stats.results += part.results;
-                for (i, j) in pairs {
-                    sink.push(i, j);
-                }
-            }
-            stats
-        };
-        timer.finish(&mut phases);
-        if self.tracer.enabled() {
-            root.attr_u64("candidates", stats.candidates);
-            root.attr_u64("results", stats.results);
-            self.tracer.counter("bf.candidates").add(stats.candidates);
-            self.tracer.counter("bf.results").add(stats.results);
-        }
-        root.finish();
-        Ok(JoinStats { phases, ..stats })
+        let mut bf = BruteForce::default();
+        bf.set_threads(threads);
+        bf
     }
 }
 
@@ -203,35 +87,72 @@ impl SimilarityJoin for BruteForce {
         "BF"
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn env(&mut self) -> &mut JoinEnv {
+        &mut self.env
     }
 
-    fn set_lifecycle(&mut self, ctx: LifecycleCtx) {
-        self.lifecycle = Some(ctx);
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = hdsj_exec::resolve_threads(threads).max(1);
-    }
-
-    fn join(
-        &mut self,
+    fn run(
+        &self,
+        run: &mut JoinRun<'_>,
         a: &Dataset,
         b: &Dataset,
+        kind: JoinKind,
         spec: &JoinSpec,
         sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, b, JoinKind::TwoSets, spec, sink)
-    }
-
-    fn self_join(
-        &mut self,
-        a: &Dataset,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, a, JoinKind::SelfJoin, spec, sink)
+    ) -> Result<()> {
+        run.attr_u64("threads", run.threads() as u64);
+        run.phase("join", PhaseClass::Cpu, |run| {
+            let (tile_w, probe_rows) = blocking(self.block, b.dims());
+            // One SoA transpose of the inner set, shared read-only by every
+            // worker; each tile covers a contiguous ascending id range.
+            let tiles = SoABlock::partition(b, tile_w);
+            run.structure_bytes(tiles.iter().map(SoABlock::bytes).sum());
+            // The one loop nest, flattened: unit `u` is probe block `u / tiles`
+            // against tile `u % tiles` — the block stays in L2 while each
+            // L1-sized tile is reused by all of its rows, one across-candidate
+            // kernel pass per (probe, tile). Any split of `0..units` into
+            // consecutive ranges, run in any order and replayed in range order,
+            // emits what one pass over it emits. The lifecycle context (if any)
+            // is polled at every unit: within one tile sweep.
+            let units = a.len().div_ceil(probe_rows) * tiles.len();
+            let probe = |units: Range<usize>, refiner: &mut Refiner<'_>| -> Result<()> {
+                for unit in units {
+                    run.poll()?;
+                    let (block, tile) = (unit / tiles.len(), &tiles[unit % tiles.len()]);
+                    let rows = block * probe_rows..((block + 1) * probe_rows).min(a.len());
+                    for i in rows.start as u32..rows.end as u32 {
+                        if let Some(lanes) = tile_lanes(kind, i, tile) {
+                            refiner.offer_block(i, tile, lanes);
+                        }
+                    }
+                }
+                Ok(())
+            };
+            if run.threads() == 1 {
+                let mut refiner = Refiner::new(a, b, kind, spec, sink);
+                let probed = probe(0..units, &mut refiner);
+                run.refined(refiner.counters());
+                return probed;
+            }
+            // Several chunks per worker: a self-join's later blocks skip the
+            // tiles below them, so finer chunks balance the tail.
+            let chunk = units.div_ceil(run.threads() * 4);
+            let parts =
+                Pool::for_run(run).map_chunks(Some(run.span()), units, chunk, |units| {
+                    let mut out = VecSink::default();
+                    let mut refiner = Refiner::new(a, b, kind, spec, &mut out);
+                    probe(units, &mut refiner)?;
+                    Ok((refiner.counters(), out.pairs))
+                })?;
+            for (counters, pairs) in parts {
+                run.poll()?;
+                run.refined(counters);
+                for (i, j) in pairs {
+                    sink.push(i, j);
+                }
+            }
+            Ok(())
+        })
     }
 }
 
@@ -289,7 +210,6 @@ mod tests {
         let mut got = VecSink::default();
         BruteForce {
             block: 3,
-            threads: 1,
             ..BruteForce::default()
         }
         .self_join(&ds, &spec, &mut got)
@@ -354,8 +274,7 @@ mod tests {
             let run = |threads: usize| {
                 let mut bf = BruteForce {
                     block: 64,
-                    threads,
-                    ..BruteForce::default()
+                    ..BruteForce::parallel(threads)
                 };
                 let mut sink = VecSink::default();
                 let stats = match b {
@@ -380,10 +299,33 @@ mod tests {
         let spec = JoinSpec::new(0.21, Metric::L2);
         let mut bf = BruteForce::default();
         bf.set_threads(4);
-        assert_eq!(bf.threads, 4);
+        assert_eq!(bf.env.threads, 4);
         let mut sink = VecSink::default();
         let stats = bf.self_join(&ds, &spec, &mut sink).unwrap();
         assert_eq!(stats.results, 24);
+    }
+
+    #[test]
+    fn the_transposed_inner_set_is_charged_as_structure() {
+        // The tiles are a full copy of the inner set, padded per tile.
+        let (a, b) = (grid_points(), hdsj_data::uniform(6, 300, 9).unwrap());
+        let spec = JoinSpec::new(0.2, Metric::L2);
+        for threads in [1, 3] {
+            let mut sink = VecSink::default();
+            let stats = BruteForce::parallel(threads)
+                .self_join(&b, &spec, &mut sink)
+                .unwrap();
+            assert!(stats.structure_bytes >= 300 * 6 * 8, "{stats:?}");
+        }
+        let mut sink = VecSink::default();
+        let stats = BruteForce::default()
+            .join(&hdsj_data::uniform(2, 40, 1).unwrap(), &a, &spec, &mut sink)
+            .unwrap();
+        assert!(stats.structure_bytes >= 16 * 2 * 8, "inner set: {stats:?}");
+        assert!(
+            stats.structure_bytes < 40 * 2 * 8,
+            "not the outer: {stats:?}"
+        );
     }
 
     #[test]

@@ -59,14 +59,15 @@ pub mod verify;
 pub use dataset::Dataset;
 pub use error::{Error, Result};
 pub use join::{
-    CallbackSink, CountSink, JoinKind, JoinSpec, PairSink, SimilarityJoin, VecSink,
+    CallbackSink, CountSink, JoinEnv, JoinKind, JoinRun, JoinSpec, PairSink, SimilarityJoin,
+    VecSink,
 };
 pub use lifecycle::{CancelToken, LifecycleCtx, LifecycleStats};
 pub use metric::Metric;
 pub use rect::Rect;
 pub use refine::Refiner;
 pub use soa::SoABlock;
-pub use stats::{IoCounters, JoinStats, Phase, PhaseTimer, TracedPhase};
+pub use stats::{IoCounters, JoinStats, Phase};
 pub use sweep::{sort_by_coord, CandidateSink, TileJoin, TileTally};
 
 /// Structured tracing and metrics (re-exported from `hdsj-obs` so the

@@ -200,6 +200,11 @@ impl SoABlock {
         &self.buf[self.head..]
     }
 
+    /// Bytes the block holds: its padded columns and its id list.
+    pub fn bytes(&self) -> u64 {
+        (std::mem::size_of_val(self.data()) + std::mem::size_of_val(self.ids())) as u64
+    }
+
     /// Coordinate `dim` of lane `t`.
     #[inline]
     pub fn value(&self, dim: usize, t: usize) -> f64 {

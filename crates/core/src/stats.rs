@@ -3,11 +3,12 @@
 //! Every join reports a [`JoinStats`]: how many candidate pairs the filter
 //! structure produced, how many survived exact-metric refinement, how many
 //! exact distance evaluations were spent, the paged-storage I/O counters,
-//! the peak structure-resident memory, and a list of named phases with
-//! wall-clock durations. The experiment binaries print these fields as the
-//! columns of the reproduced tables and figures.
+//! the peak structure-resident memory, a list of named phases with
+//! wall-clock durations, and the filter's own named counters. All of it is
+//! filled in by the one join driver (`crate::join`); the experiment binaries
+//! print these fields as the columns of the reproduced tables and figures.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Page-level I/O counters filled in by the `hdsj-storage` buffer pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -131,6 +132,11 @@ pub struct JoinStats {
     pub structure_bytes: u64,
     /// Named, ordered phases with wall-clock durations.
     pub phases: Vec<Phase>,
+    /// What the filter did beyond `candidates`, by the name the trace
+    /// records it under less the `<algo>.` prefix (`leaf_pairs`,
+    /// `sweep.block_calls`, …): the join driver's `JoinRun::count` and
+    /// `JoinRun::tally`, in recording order.
+    pub counters: Vec<(&'static str, u64)>,
 }
 
 impl JoinStats {
@@ -147,6 +153,11 @@ impl JoinStats {
             .map(|p| p.elapsed)
     }
 
+    /// A named counter, if the join recorded it.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find(|c| c.0 == name).map(|c| c.1)
+    }
+
     /// Filter selectivity: results / candidates (1.0 when no candidates,
     /// since a filter that emits nothing is vacuously exact).
     pub fn filter_precision(&self) -> f64 {
@@ -155,114 +166,6 @@ impl JoinStats {
         } else {
             self.results as f64 / self.candidates as f64
         }
-    }
-}
-
-/// Scoped stopwatch that appends a [`Phase`] to a `Vec` when finished.
-///
-/// ```
-/// use hdsj_core::stats::{Phase, PhaseTimer};
-/// let mut phases: Vec<Phase> = Vec::new();
-/// {
-///     let t = PhaseTimer::start("sort");
-///     // ... work ...
-///     t.finish(&mut phases);
-/// }
-/// assert_eq!(phases[0].name, "sort");
-/// ```
-#[derive(Debug)]
-pub struct PhaseTimer {
-    name: &'static str,
-    started: Instant,
-}
-
-impl PhaseTimer {
-    /// Starts timing a phase.
-    pub fn start(name: &'static str) -> PhaseTimer {
-        PhaseTimer {
-            name,
-            started: Instant::now(),
-        }
-    }
-
-    /// Stops the clock and records the phase.
-    pub fn finish(self, phases: &mut Vec<Phase>) {
-        phases.push(Phase {
-            name: self.name,
-            elapsed: self.started.elapsed(),
-        });
-    }
-}
-
-/// A [`PhaseTimer`] that is also a trace span: the phase shows up both in
-/// [`JoinStats::phases`] (for the experiment tables) and, when the tracer
-/// is enabled, as a child span in the structured trace.
-///
-/// ```
-/// use hdsj_core::stats::{Phase, TracedPhase};
-/// let tracer = hdsj_core::obs::Tracer::disabled();
-/// let root = tracer.span("join");
-/// let mut phases: Vec<Phase> = Vec::new();
-/// let t = TracedPhase::start(&root, "sort");
-/// // ... work ...
-/// t.finish(&mut phases);
-/// assert_eq!(phases[0].name, "sort");
-/// ```
-#[derive(Debug)]
-pub struct TracedPhase {
-    name: &'static str,
-    span: hdsj_obs::Span,
-    /// Duration histogram this phase feeds on finish (nanoseconds), from
-    /// [`TracedPhase::start_classed`].
-    hist: Option<std::sync::Arc<hdsj_obs::Histogram>>,
-}
-
-impl TracedPhase {
-    /// Starts a phase as a child span of `parent`.
-    pub fn start(parent: &hdsj_obs::Span, name: &'static str) -> TracedPhase {
-        TracedPhase {
-            name,
-            span: parent.child(name),
-            hist: None,
-        }
-    }
-
-    /// Starts a phase that also carries a [`hdsj_obs::PhaseClass`] (for
-    /// `trace-report --phases`) and feeds its duration into `tracer`'s
-    /// `hist_name` histogram on finish — the fully instrumented variant
-    /// every join algorithm's phases use.
-    pub fn start_classed(
-        tracer: &hdsj_obs::Tracer,
-        parent: &hdsj_obs::Span,
-        name: &'static str,
-        class: hdsj_obs::PhaseClass,
-        hist_name: &'static str,
-    ) -> TracedPhase {
-        let mut span = parent.child(name);
-        span.set_phase(class);
-        TracedPhase {
-            name,
-            span,
-            hist: tracer.enabled().then(|| tracer.histogram(hist_name)),
-        }
-    }
-
-    /// Mutable access to the underlying span, e.g. to attach attributes.
-    pub fn span_mut(&mut self) -> &mut hdsj_obs::Span {
-        &mut self.span
-    }
-
-    /// Ends the span and records the phase (and its duration histogram,
-    /// when started with [`TracedPhase::start_classed`]).
-    pub fn finish(self, phases: &mut Vec<Phase>) {
-        let elapsed = self.span.finish();
-        if let Some(hist) = &self.hist {
-            hist.record_duration(elapsed);
-        }
-        phases.push(Phase {
-            name: self.name,
-            elapsed,
-        });
     }
 }
 
@@ -356,46 +259,47 @@ mod tests {
         assert_eq!(sink.counter_value("pool.corruption_detected"), Some(2));
     }
 
+    /// One traced run of the driver with a single `sort` phase.
+    fn one_phase_run(
+        tracer: &hdsj_obs::Tracer,
+        class: hdsj_obs::PhaseClass,
+        work: impl FnOnce(),
+    ) -> JoinStats {
+        let env = crate::join::JoinEnv {
+            tracer: tracer.clone(),
+            ..Default::default()
+        };
+        let spec = crate::join::JoinSpec::l2(0.1);
+        crate::join::drive("MSJ", &env, [(0, 2); 2], &spec, |run| {
+            run.phase("sort", class, |_| {
+                work();
+                Ok(())
+            })
+        })
+        .unwrap()
+    }
+
     #[test]
     fn traced_phase_records_both_phase_and_span() {
         let (tracer, sink) = hdsj_obs::Tracer::memory();
-        let mut phases = Vec::new();
-        {
-            let root = tracer.span("join");
-            let t = TracedPhase::start(&root, "sort");
-            t.finish(&mut phases);
-            root.finish();
-        }
-        assert_eq!(phases.len(), 1);
-        assert_eq!(phases[0].name, "sort");
+        let stats = one_phase_run(&tracer, hdsj_obs::PhaseClass::Cpu, || ());
+        assert_eq!(stats.phases.len(), 1);
+        assert_eq!(stats.phases[0].name, "sort");
         let spans = sink.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "sort");
-        assert_eq!(spans[1].name, "join");
+        assert_eq!(spans[1].name, "msj.join");
         assert_eq!(spans[0].parent, Some(spans[1].id));
     }
 
     #[test]
     fn classed_phase_records_class_and_histogram() {
         let (tracer, sink) = hdsj_obs::Tracer::memory();
-        let mut phases = Vec::new();
-        {
-            let root = tracer.span("join");
-            let t = TracedPhase::start_classed(
-                &tracer,
-                &root,
-                "sort",
-                hdsj_obs::PhaseClass::Io,
-                "msj.phase.sort_ns",
-            );
-            t.finish(&mut phases);
-            root.finish();
-        }
+        let stats = one_phase_run(&tracer, hdsj_obs::PhaseClass::Io, || ());
         tracer.flush();
-        assert_eq!(phases[0].name, "sort");
-        let spans = sink.spans();
+        assert_eq!(stats.phases[0].name, "sort");
         assert_eq!(
-            spans[0].attrs,
+            sink.spans()[0].attrs,
             vec![(
                 hdsj_obs::PHASE_ATTR.to_string(),
                 hdsj_obs::AttrValue::Str("io".to_string())
@@ -404,27 +308,22 @@ mod tests {
         let hist = sink.hist_snapshot("msj.phase.sort_ns").unwrap();
         assert_eq!(hist.count, 1);
 
-        // Disabled tracer: no histogram handle is even created.
-        let t = TracedPhase::start_classed(
-            &hdsj_obs::Tracer::disabled(),
-            &hdsj_obs::Tracer::disabled().span("x"),
-            "sort",
-            hdsj_obs::PhaseClass::Cpu,
-            "msj.phase.sort_ns",
-        );
-        t.finish(&mut phases);
-        assert_eq!(phases.len(), 2);
+        // Disabled tracer: the phase is still clocked into the stats.
+        let disabled = hdsj_obs::Tracer::disabled();
+        let stats = one_phase_run(&disabled, hdsj_obs::PhaseClass::Cpu, || ());
+        assert_eq!(stats.phases.len(), 1);
     }
 
     #[test]
     fn phase_timer_records_named_phase() {
-        let mut phases = Vec::new();
-        let t = PhaseTimer::start("assign");
-        std::thread::sleep(Duration::from_millis(1));
-        t.finish(&mut phases);
-        assert_eq!(phases.len(), 1);
-        assert_eq!(phases[0].name, "assign");
-        assert!(phases[0].elapsed >= Duration::from_millis(1));
+        let stats = one_phase_run(
+            &hdsj_obs::Tracer::disabled(),
+            hdsj_obs::PhaseClass::Cpu,
+            || std::thread::sleep(Duration::from_millis(1)),
+        );
+        assert_eq!(stats.phases.len(), 1);
+        assert_eq!(stats.phases[0].name, "sort");
+        assert!(stats.phases[0].elapsed >= Duration::from_millis(1));
     }
 
     #[test]

@@ -93,19 +93,17 @@ impl std::ops::AddAssign for TileTally {
 }
 
 impl TileTally {
-    /// Adds the tally to `tracer`'s counters `<algo>.sweep.<field>` — one
-    /// spelling of the five names for every algorithm that ends in a
-    /// [`TileJoin`]. The expansions are registered in `obs::names`.
-    pub fn record(&self, tracer: &hdsj_obs::Tracer, algo: &str) {
-        for (field, value) in [
-            ("tiles_gathered", self.tiles_gathered),
-            ("lanes_gathered", self.lanes_gathered),
-            ("block_candidates", self.block_candidates),
-            ("block_calls", self.block_calls),
-            ("pair_candidates", self.pair_candidates),
-        ] {
-            tracer.counter(format!("{algo}.sweep.{field}")).add(value);
-        }
+    /// The tally under the names a join run records it by
+    /// (`JoinRun::tally`) — one spelling of the five for every algorithm
+    /// that ends in a [`TileJoin`]; `obs::names` registers them per algorithm.
+    pub fn counters(&self) -> [(&'static str, u64); 5] {
+        [
+            ("sweep.tiles_gathered", self.tiles_gathered),
+            ("sweep.lanes_gathered", self.lanes_gathered),
+            ("sweep.block_candidates", self.block_candidates),
+            ("sweep.block_calls", self.block_calls),
+            ("sweep.pair_candidates", self.pair_candidates),
+        ]
     }
 }
 
@@ -578,18 +576,13 @@ mod tests {
             block_calls: 4,
             pair_candidates: 5,
         };
+        assert_eq!(tally.counters().iter().map(|c| c.1).sum::<u64>(), 15);
         for algo in ["msj", "ekdb", "rsj", "grid"] {
-            let (tracer, mem) = hdsj_obs::Tracer::memory();
-            tally.record(&tracer, algo);
-            tracer.flush();
-            let counters = mem.counters();
-            assert_eq!(counters.iter().map(|c| c.value).sum::<u64>(), 15);
-            for c in &counters {
-                assert!(c.name.starts_with(algo), "{}", c.name);
+            for (name, _) in tally.counters() {
+                let name = format!("{algo}.{name}");
                 assert!(
-                    hdsj_obs::names::ALL.contains(&c.name.as_str()),
-                    "{} is not in the registry",
-                    c.name
+                    hdsj_obs::names::ALL.contains(&name.as_str()),
+                    "{name} is not in the registry"
                 );
             }
         }

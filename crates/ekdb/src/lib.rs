@@ -19,10 +19,10 @@
 //! flat level files.
 #![forbid(unsafe_code)]
 
-use hdsj_core::stats::TracedPhase;
+use hdsj_core::obs::PhaseClass;
 use hdsj_core::{
-    join::validate_inputs, sort_by_coord, Dataset, JoinKind, JoinSpec, JoinStats, LifecycleCtx,
-    PairSink, Refiner, Result, SimilarityJoin, TileJoin, Tracer,
+    sort_by_coord, Dataset, JoinEnv, JoinKind, JoinRun, JoinSpec, LifecycleCtx, PairSink,
+    Refiner, Result, SimilarityJoin, TileJoin,
 };
 
 /// Leaf pairs between the traversal's own lifecycle polls (the leaf join
@@ -153,98 +153,17 @@ fn stripe_index(x: f64, eps: f64, stripes: usize) -> usize {
 pub struct EkdbJoin {
     /// Points a leaf may hold before it splits.
     pub leaf_capacity: usize,
-    /// Per-query lifecycle context, polled at phase boundaries, every
-    /// [`POLL_STRIDE`] leaf pairs, and by the leaf join per tile.
-    lifecycle: Option<LifecycleCtx>,
-    /// Trace sink for spans/counters (disabled by default; see
-    /// `set_tracer`).
-    pub tracer: Tracer,
+    /// Tracer and lifecycle context (polled every `POLL_STRIDE` leaf
+    /// pairs and by the leaf join per tile); the thread count is ignored.
+    pub env: JoinEnv,
 }
 
 impl Default for EkdbJoin {
     fn default() -> EkdbJoin {
         EkdbJoin {
             leaf_capacity: 64,
-            lifecycle: None,
-            tracer: Tracer::disabled(),
+            env: JoinEnv::default(),
         }
-    }
-}
-
-impl EkdbJoin {
-    fn run(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        validate_inputs(a, b, spec)?;
-        let mut phases = Vec::new();
-
-        let mut root = self.tracer.span("ekdb.join");
-        root.attr_str("algo", "EKDB");
-        root.attr_u64("n_a", a.len() as u64);
-        root.attr_u64("n_b", b.len() as u64);
-        root.attr_u64("dims", a.dims() as u64);
-        root.attr_f64("eps", spec.eps);
-
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        let build = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "build",
-            hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::EKDB_PHASE_BUILD_NS,
-        );
-        let tree_a = Tree::build(a, spec.eps, self.leaf_capacity);
-        let tree_b = match kind {
-            JoinKind::SelfJoin => None,
-            JoinKind::TwoSets => Some(Tree::build(b, spec.eps, self.leaf_capacity)),
-        };
-        let tree_bytes = tree_a.bytes() + tree_b.as_ref().map(|t| t.bytes()).unwrap_or(0);
-        build.finish(&mut phases);
-
-        let join = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "join",
-            hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::EKDB_PHASE_JOIN_NS,
-        );
-        let lifecycle = self.lifecycle.as_ref();
-        if let Some(lc) = lifecycle {
-            lc.poll()?;
-        }
-        let mut leaves = TiledLeaves {
-            join: TileJoin::new(b, spec.eps, lifecycle),
-            refiner: Refiner::new(a, b, kind, spec, sink),
-            lifecycle,
-            leaf_pairs: 0,
-        };
-        traverse(&tree_a, tree_b.as_ref(), &mut leaves)?;
-        let mut stats = leaves.refiner.finish(JoinStats::default());
-        join.finish(&mut phases);
-        stats.phases = phases;
-        stats.structure_bytes = tree_bytes + leaves.join.scratch_bytes();
-        if self.tracer.enabled() {
-            use hdsj_core::obs::names;
-            leaves.join.tally().record(&self.tracer, "ekdb");
-            root.attr_u64("candidates", stats.candidates);
-            root.attr_u64("results", stats.results);
-            for (name, v) in [
-                (names::EKDB_CANDIDATES, stats.candidates),
-                (names::EKDB_RESULTS, stats.results),
-                (names::EKDB_LEAF_PAIRS, leaves.leaf_pairs),
-            ] {
-                self.tracer.counter(name).add(v);
-            }
-        }
-        root.finish();
-        Ok(stats)
     }
 }
 
@@ -340,31 +259,43 @@ impl SimilarityJoin for EkdbJoin {
         "EKDB"
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn env(&mut self) -> &mut JoinEnv {
+        &mut self.env
     }
 
-    fn set_lifecycle(&mut self, ctx: LifecycleCtx) {
-        self.lifecycle = Some(ctx);
-    }
-
-    fn join(
-        &mut self,
+    fn run(
+        &self,
+        run: &mut JoinRun<'_>,
         a: &Dataset,
         b: &Dataset,
+        kind: JoinKind,
         spec: &JoinSpec,
         sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, b, JoinKind::TwoSets, spec, sink)
-    }
+    ) -> Result<()> {
+        let (tree_a, tree_b) = run.phase("build", PhaseClass::Cpu, |run| {
+            let tree_a = Tree::build(a, spec.eps, self.leaf_capacity);
+            let tree_b = match kind {
+                JoinKind::SelfJoin => None,
+                JoinKind::TwoSets => Some(Tree::build(b, spec.eps, self.leaf_capacity)),
+            };
+            run.structure_bytes(tree_a.bytes() + tree_b.as_ref().map_or(0, Tree::bytes));
+            Ok((tree_a, tree_b))
+        })?;
 
-    fn self_join(
-        &mut self,
-        a: &Dataset,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, a, JoinKind::SelfJoin, spec, sink)
+        run.phase("join", PhaseClass::Cpu, |run| {
+            let mut leaves = TiledLeaves {
+                join: TileJoin::new(b, spec.eps, run.lifecycle()),
+                refiner: Refiner::new(a, b, kind, spec, sink),
+                lifecycle: run.lifecycle(),
+                leaf_pairs: 0,
+            };
+            let traversed = traverse(&tree_a, tree_b.as_ref(), &mut leaves);
+            run.refined(leaves.refiner.counters());
+            run.tally(leaves.join.tally());
+            run.count("leaf_pairs", leaves.leaf_pairs);
+            run.structure_bytes(leaves.join.scratch_bytes());
+            traversed
+        })
     }
 }
 

@@ -38,6 +38,7 @@
 
 pub mod schedule;
 
+pub use hdsj_core::join::resolve_threads;
 use hdsj_core::obs::{names, Span, Tracer};
 use hdsj_core::{Error, LifecycleCtx, Result};
 use std::ops::Range;
@@ -65,19 +66,6 @@ pub fn default_threads() -> usize {
             Err(_) => 1,
         },
         Err(_) => 1,
-    }
-}
-
-/// Normalizes a requested thread count: `0` means "all hardware threads"
-/// (via `std::thread::available_parallelism`), anything else is taken
-/// as-is.
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
     }
 }
 
@@ -114,6 +102,16 @@ impl Pool {
             threads: resolve_threads(threads).max(1),
             tracer,
             lifecycle: None,
+        }
+    }
+
+    /// The pool a join run fans out over: its thread budget, its tracer
+    /// and its lifecycle context.
+    pub fn for_run(run: &hdsj_core::JoinRun<'_>) -> Pool {
+        Pool {
+            threads: run.threads(),
+            tracer: run.tracer().clone(),
+            lifecycle: run.lifecycle().cloned(),
         }
     }
 

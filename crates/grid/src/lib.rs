@@ -20,11 +20,10 @@
 //! filter.
 #![forbid(unsafe_code)]
 
-use hdsj_core::obs::names;
-use hdsj_core::stats::TracedPhase;
+use hdsj_core::obs::PhaseClass;
 use hdsj_core::{
-    join::validate_inputs, sort_by_coord, Dataset, Error, JoinKind, JoinSpec, JoinStats,
-    LifecycleCtx, PairSink, Refiner, Result, SimilarityJoin, TileJoin, Tracer,
+    sort_by_coord, Dataset, Error, JoinEnv, JoinKind, JoinRun, JoinSpec, PairSink, Refiner,
+    Result, SimilarityJoin, TileJoin,
 };
 use std::collections::HashMap;
 
@@ -47,20 +46,16 @@ const POLL_STRIDE: usize = 256;
 pub struct GridJoin {
     /// Refuse dimensionalities above this (3^d neighbour enumeration).
     pub max_dims: usize,
-    /// Per-query lifecycle context, polled at phase boundaries and every
-    /// [`POLL_STRIDE`] probed cells.
-    lifecycle: Option<LifecycleCtx>,
-    /// Trace sink for spans/counters (disabled by default; see
-    /// `set_tracer`).
-    pub tracer: Tracer,
+    /// Tracer and lifecycle context (polled every `POLL_STRIDE` probed
+    /// cells); the thread count is ignored.
+    pub env: JoinEnv,
 }
 
 impl Default for GridJoin {
     fn default() -> GridJoin {
         GridJoin {
             max_dims: 10,
-            lifecycle: None,
-            tracer: Tracer::disabled(),
+            env: JoinEnv::default(),
         }
     }
 }
@@ -80,7 +75,7 @@ struct Directory {
 
 impl Directory {
     /// Every cell's run is sorted once here, for every probe of it.
-    fn build(ds: &Dataset, eps: f64, lifecycle: Option<&LifecycleCtx>) -> Result<Directory> {
+    fn build(ds: &Dataset, eps: f64, run: &JoinRun<'_>) -> Result<Directory> {
         let mut cells: HashMap<Vec<i64>, Run> = HashMap::new();
         for (i, p) in ds.iter() {
             // Most cells of a fine grid hold one point: no room for four.
@@ -89,13 +84,11 @@ impl Directory {
                 .or_insert_with(|| Vec::with_capacity(1))
                 .push((p[0], i));
         }
-        for (idx, run) in cells.values_mut().enumerate() {
+        for (idx, cell) in cells.values_mut().enumerate() {
             if idx % POLL_STRIDE == 0 {
-                if let Some(lc) = lifecycle {
-                    lc.poll()?;
-                }
+                run.poll()?;
             }
-            sort_by_coord(run);
+            sort_by_coord(cell);
         }
         Ok(Directory { cells })
     }
@@ -140,8 +133,25 @@ fn for_each_offset(
     }
 }
 
-impl GridJoin {
-    fn check_dims(&self, dims: usize) -> Result<()> {
+impl SimilarityJoin for GridJoin {
+    fn name(&self) -> &'static str {
+        "GRID"
+    }
+
+    fn env(&mut self) -> &mut JoinEnv {
+        &mut self.env
+    }
+
+    fn run(
+        &self,
+        run: &mut JoinRun<'_>,
+        a: &Dataset,
+        b: &Dataset,
+        kind: JoinKind,
+        spec: &JoinSpec,
+        sink: &mut dyn PairSink,
+    ) -> Result<()> {
+        let dims = a.dims();
         if dims > self.max_dims {
             return Err(Error::Unsupported(format!(
                 "epsilon-grid join at d={dims} would enumerate 3^{dims} neighbour cells; \
@@ -149,141 +159,59 @@ impl GridJoin {
                 self.max_dims
             )));
         }
-        Ok(())
-    }
 
-    fn run(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        let dims = validate_inputs(a, b, spec)?;
-        self.check_dims(dims)?;
-        let mut phases = Vec::new();
+        let (dir_a, dir_b) = run.phase("build", PhaseClass::Cpu, |run| {
+            let dir_a = Directory::build(a, spec.eps, run)?;
+            let dir_b = match kind {
+                JoinKind::SelfJoin => None,
+                JoinKind::TwoSets => Some(Directory::build(b, spec.eps, run)?),
+            };
+            run.structure_bytes(dir_a.bytes() + dir_b.as_ref().map_or(0, Directory::bytes));
+            Ok((dir_a, dir_b))
+        })?;
 
-        let mut root = self.tracer.span("grid.join");
-        root.attr_str("algo", "GRID");
-        root.attr_u64("n_a", a.len() as u64);
-        root.attr_u64("n_b", b.len() as u64);
-        root.attr_u64("dims", dims as u64);
-        root.attr_f64("eps", spec.eps);
-
-        let lifecycle = self.lifecycle.as_ref();
-        if let Some(lc) = lifecycle {
-            lc.poll()?;
-        }
-        let build = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "build",
-            hdsj_core::obs::PhaseClass::Cpu,
-            names::GRID_PHASE_BUILD_NS,
-        );
-        let dir_a = Directory::build(a, spec.eps, lifecycle)?;
-        let dir_b = match kind {
-            JoinKind::SelfJoin => None,
-            JoinKind::TwoSets => Some(Directory::build(b, spec.eps, lifecycle)?),
-        };
-        let structure_bytes = dir_a.bytes() + dir_b.as_ref().map(|d| d.bytes()).unwrap_or(0);
-        build.finish(&mut phases);
-
-        let sweep = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "probe",
-            hdsj_core::obs::PhaseClass::Cpu,
-            names::GRID_PHASE_PROBE_NS,
-        );
-        if let Some(lc) = lifecycle {
-            lc.poll()?;
-        }
-        let mut refiner = Refiner::new(a, b, kind, spec, sink);
-        let mut join = TileJoin::new(b, spec.eps, lifecycle);
-        let mut cell_pairs = 0u64;
-        let mut neighbour = vec![0i64; dims];
-        // A self-join probes its own directory: each cell with itself, then
-        // with the positive half of its neighbourhood.
-        let probed = dir_b.as_ref().unwrap_or(&dir_a);
-        let first = if dir_b.is_some() { -1 } else { 0 };
-        for (idx, (key, xs)) in dir_a.sorted_cells().into_iter().enumerate() {
-            if idx % POLL_STRIDE == 0 {
-                if let Some(lc) = lifecycle {
-                    lc.poll()?;
+        run.phase("probe", PhaseClass::Cpu, |run| {
+            let mut refiner = Refiner::new(a, b, kind, spec, sink);
+            let mut join = TileJoin::new(b, spec.eps, run.lifecycle());
+            let mut cell_pairs = 0u64;
+            let mut neighbour = vec![0i64; dims];
+            // A self-join probes its own directory: each cell with itself,
+            // then with the positive half of its neighbourhood.
+            let probed = dir_b.as_ref().unwrap_or(&dir_a);
+            let first = if dir_b.is_some() { -1 } else { 0 };
+            let mut probe = || -> Result<()> {
+                for (idx, (key, xs)) in dir_a.sorted_cells().into_iter().enumerate() {
+                    if idx % POLL_STRIDE == 0 {
+                        run.poll()?;
+                    }
+                    // From 0 the first offset is the zero offset: the cell itself.
+                    let mut within = first == 0;
+                    for_each_offset(dims, first, &mut |off| {
+                        for ((n, &k), &o) in neighbour.iter_mut().zip(key.iter()).zip(off) {
+                            *n = k + o;
+                        }
+                        let ys = if within {
+                            Some(xs)
+                        } else {
+                            probed.cells.get(&neighbour)
+                        };
+                        if let Some(ys) = ys {
+                            cell_pairs += 1;
+                            join.run(xs, ys, within, &mut refiner)?;
+                        }
+                        within = false;
+                        Ok(())
+                    })?;
                 }
-            }
-            // From 0 the first offset is the zero offset: the cell itself.
-            let mut within = first == 0;
-            for_each_offset(dims, first, &mut |off| {
-                for ((n, &k), &o) in neighbour.iter_mut().zip(key.iter()).zip(off) {
-                    *n = k + o;
-                }
-                let ys = if within {
-                    Some(xs)
-                } else {
-                    probed.cells.get(&neighbour)
-                };
-                if let Some(ys) = ys {
-                    cell_pairs += 1;
-                    join.run(xs, ys, within, &mut refiner)?;
-                }
-                within = false;
                 Ok(())
-            })?;
-        }
-        let mut stats = refiner.finish(JoinStats::default());
-        sweep.finish(&mut phases);
-        stats.phases = phases;
-        stats.structure_bytes = structure_bytes + join.scratch_bytes();
-        if self.tracer.enabled() {
-            root.attr_u64("candidates", stats.candidates);
-            root.attr_u64("results", stats.results);
-            for (name, v) in [
-                (names::GRID_CANDIDATES, stats.candidates),
-                (names::GRID_RESULTS, stats.results),
-                (names::GRID_CELL_PAIRS, cell_pairs),
-            ] {
-                self.tracer.counter(name).add(v);
-            }
-            join.tally().record(&self.tracer, "grid");
-        }
-        root.finish();
-        Ok(stats)
-    }
-}
-
-impl SimilarityJoin for GridJoin {
-    fn name(&self) -> &'static str {
-        "GRID"
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn set_lifecycle(&mut self, ctx: LifecycleCtx) {
-        self.lifecycle = Some(ctx);
-    }
-
-    fn join(
-        &mut self,
-        a: &Dataset,
-        b: &Dataset,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, b, JoinKind::TwoSets, spec, sink)
-    }
-
-    fn self_join(
-        &mut self,
-        a: &Dataset,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, a, JoinKind::SelfJoin, spec, sink)
+            };
+            let probed_all = probe();
+            run.refined(refiner.counters());
+            run.count("cell_pairs", cell_pairs);
+            run.tally(join.tally());
+            run.structure_bytes(join.scratch_bytes());
+            probed_all
+        })
     }
 }
 
@@ -291,7 +219,7 @@ impl SimilarityJoin for GridJoin {
 mod tests {
     use super::*;
     use hdsj_bruteforce::BruteForce;
-    use hdsj_core::{verify, CountSink, Metric, VecSink};
+    use hdsj_core::{verify, CountSink, LifecycleCtx, Metric, VecSink};
 
     fn compare_with_bf(a: &Dataset, b: Option<&Dataset>, spec: &JoinSpec) {
         let mut want = VecSink::default();

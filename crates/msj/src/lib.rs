@@ -35,11 +35,10 @@ pub mod assign;
 pub mod sweep;
 
 use assign::{Assigner, RecordCodec};
-use hdsj_core::stats::TracedPhase;
+use hdsj_core::obs::{names, PhaseClass};
 use hdsj_core::{
-    join::validate_inputs, CandidateSink, Dataset, Error, IoCounters, JoinKind, JoinSpec,
-    JoinStats, LifecycleCtx, PairSink, Refiner, Result, SimilarityJoin, SoABlock, Tracer,
-    VecSink,
+    CandidateSink, Dataset, Error, JoinEnv, JoinKind, JoinRun, JoinSpec, PairSink, Refiner,
+    Result, SimilarityJoin, SoABlock, VecSink,
 };
 use hdsj_exec::Pool;
 use hdsj_sfc::Curve;
@@ -78,22 +77,18 @@ pub struct Msj {
     pub sort_mem_records: usize,
     /// Buffer-pool frames of the owned engine (when none is supplied).
     pub pool_pages: usize,
-    /// Worker threads, i.e. how many partitions the two parallel phases
-    /// are run over: level assignment (chunks of points) and the sweep
-    /// (shares of its tiles, every worker reading the whole sorted file).
-    /// The sort is serial. Results are identical at every count.
-    pub threads: usize,
+    /// Tracer, lifecycle context (polled by the exec pool at chunk
+    /// boundaries, by the buffer pool on every disk operation, and by the
+    /// sweep) and worker threads, i.e. how many partitions the two
+    /// parallel phases are run over: level assignment (chunks of points)
+    /// and the sweep (shares of its tiles, every worker reading the whole
+    /// sorted file). The sort is serial. Results are identical at every
+    /// count.
+    pub env: JoinEnv,
     engine: Option<StorageEngine>,
-    /// Per-query lifecycle context: polled at phase boundaries, by the
-    /// exec pool at chunk boundaries, and by the buffer pool on every
-    /// disk operation (see `set_lifecycle`).
-    lifecycle: Option<LifecycleCtx>,
     /// Checkpoint/resume context (see [`Msj::set_recovery`]). Shared so
     /// the configured join stays cloneable; locked once per run.
     recovery: Option<Arc<Mutex<Recovery>>>,
-    /// Trace sink for spans/counters (disabled by default; see
-    /// `set_tracer`).
-    pub tracer: Tracer,
     /// Chaos failpoint: the sweep worker with this index panics on startup
     /// (`threads` > 1), exercising the panic-containment path. Never set
     /// outside fault-injection tests.
@@ -107,11 +102,9 @@ impl Default for Msj {
             max_depth: 16,
             sort_mem_records: 128 * 1024,
             pool_pages: 1024,
-            threads: 1,
+            env: JoinEnv::default(),
             engine: None,
-            lifecycle: None,
             recovery: None,
-            tracer: Tracer::disabled(),
             fail_sweep_worker: None,
         }
     }
@@ -138,10 +131,9 @@ impl Msj {
     /// Runs level assignment and the sweep on `threads` worker threads
     /// (`0` = all hardware threads).
     pub fn with_threads(threads: usize) -> Msj {
-        Msj {
-            threads: hdsj_exec::resolve_threads(threads).max(1),
-            ..Msj::default()
-        }
+        let mut msj = Msj::default();
+        msj.set_threads(threads);
+        msj
     }
 
     /// Arms checkpoint/resume: every phase boundary seals its output into
@@ -168,7 +160,7 @@ impl Msj {
         let mut hist = vec![0u64; depth as usize + 1];
         for (n, (_, p)) in ds.iter().enumerate() {
             if n % 4096 == 0 {
-                if let Some(lc) = &self.lifecycle {
+                if let Some(lc) = &self.env.lifecycle {
                     lc.poll()?;
                 }
             }
@@ -176,378 +168,6 @@ impl Msj {
             hist[level as usize] += 1;
         }
         Ok(hist)
-    }
-
-    fn run(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        let dims = validate_inputs(a, b, spec)?;
-        let engine = match &self.engine {
-            Some(e) => e.clone(),
-            None => StorageEngine::in_memory(self.pool_pages),
-        };
-        if let Some(lc) = &self.lifecycle {
-            engine.set_lifecycle(lc.clone());
-        }
-        let io_before = engine.io_counters();
-        let depth = self.effective_depth(spec.eps);
-        let codec = RecordCodec::new(dims, depth);
-
-        let mut root = self.tracer.span("msj.join");
-        root.attr_str("algo", "MSJ");
-        root.attr_u64("n_a", a.len() as u64);
-        root.attr_u64("n_b", b.len() as u64);
-        root.attr_u64("dims", dims as u64);
-        root.attr_f64("eps", spec.eps);
-        root.attr_u64("depth", depth as u64);
-        root.attr_u64("threads", self.threads as u64);
-
-        let mut resumed_files = 0u64;
-        let result = self.pipeline(
-            &engine,
-            &codec,
-            dims,
-            depth,
-            &root,
-            a,
-            b,
-            kind,
-            spec,
-            sink,
-            &mut resumed_files,
-        );
-
-        // Observability flushes on *every* exit, including cancellation,
-        // deadline/budget exhaustion, and storage faults: partial metrics
-        // are the point of terminating gracefully instead of tearing down.
-        let io = IoCounters::diff(&engine.io_counters(), &io_before);
-        if self.tracer.enabled() {
-            io.record_counters(&self.tracer, "pool");
-            engine.pool().stats().record_latency_metrics(&self.tracer);
-            self.tracer.gauge("pool.hit_rate", io.hit_rate());
-            if let Some(lc) = &self.lifecycle {
-                let ls = lc.stats();
-                self.tracer
-                    .counter(hdsj_core::obs::names::LIFECYCLE_CANCEL_POLLS)
-                    .add(ls.polls);
-                self.tracer
-                    .counter(hdsj_core::obs::names::LIFECYCLE_CHECKPOINTS)
-                    .add(ls.checkpoints);
-            }
-            if resumed_files > 0 {
-                self.tracer
-                    .counter(hdsj_core::obs::names::JOIN_RESUMED_LEVELS)
-                    .add(resumed_files);
-            }
-            match &result {
-                Ok(stats) => {
-                    root.attr_u64("candidates", stats.candidates);
-                    root.attr_u64("results", stats.results);
-                    self.tracer.counter("msj.candidates").add(stats.candidates);
-                    self.tracer.counter("msj.results").add(stats.results);
-                }
-                Err(e) => root.attr_str("error", e.variant_name()),
-            }
-        }
-        root.finish();
-        engine.clear_lifecycle();
-        let mut stats = result?;
-        stats.io = io;
-        Ok(stats)
-    }
-
-    /// The three MSJ phases. Split from [`Msj::run`] so the caller can
-    /// flush tracing/metrics uniformly on success *and* error exits.
-    #[allow(clippy::too_many_arguments)]
-    fn pipeline(
-        &self,
-        engine: &StorageEngine,
-        codec: &RecordCodec,
-        dims: usize,
-        depth: u32,
-        root: &hdsj_core::obs::Span,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-        resumed_files: &mut u64,
-    ) -> Result<JoinStats> {
-        let mut phases = Vec::new();
-        let mut recovery = match &self.recovery {
-            Some(r) => Some(
-                r.lock()
-                    .map_err(|_| Error::Internal("msj recovery lock poisoned".into()))?,
-            ),
-            None => None,
-        };
-        // Every live manifest file is work a previous incarnation already
-        // finished — count them before any of it is consumed.
-        if let Some(r) = recovery.as_ref() {
-            *resumed_files = r.state.files.len() as u64;
-        }
-        let sort_done = recovery
-            .as_ref()
-            .is_some_and(|r| r.state.files.contains_key(SORT_OUT_TAG));
-        let lifecycle = self.lifecycle.as_ref();
-        let workers = self.threads.max(1);
-        let mut pool = Pool::with_tracer(workers, self.tracer.clone());
-        if let Some(lc) = lifecycle {
-            pool = pool.with_lifecycle(lc.clone());
-        }
-
-        // Phase 1: level assignment, one combined file of tagged entries.
-        // Chunks of points are assigned and Hilbert-encoded on the pool
-        // (each chunk owns its Assigner and encodes every record in place
-        // in a local buffer);
-        // the file writes stay on this thread, in chunk order, so the level
-        // file is byte-identical at every thread count. Skipped entirely
-        // when a durable sorted file (or the sealed level file itself)
-        // survives from a crashed run.
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        let mut assign_timer = TracedPhase::start_classed(
-            &self.tracer,
-            root,
-            "assign",
-            hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::MSJ_PHASE_ASSIGN_NS,
-        );
-        let rec_len = codec.record_len();
-        let mut file: Option<RecordFile> = None;
-        if !sort_done {
-            if let Some(spec_file) = recovery
-                .as_ref()
-                .and_then(|r| r.state.files.get(ASSIGN_TAG))
-            {
-                file = Some(spec_file.open(engine)?);
-            } else {
-                let mut f = RecordFile::create(engine, rec_len)?;
-                const ASSIGN_CHUNK: usize = 4096;
-                for (ds, tag) in [(a, assign::TAG_A), (b, assign::TAG_B)] {
-                    if tag == assign::TAG_B && kind != JoinKind::TwoSets {
-                        continue;
-                    }
-                    let bufs = pool.map_chunks(
-                        Some(assign_timer.span_mut()),
-                        ds.len(),
-                        ASSIGN_CHUNK,
-                        |r| {
-                            let mut assigner =
-                                Assigner::new(dims, depth, spec.eps, self.curve)?;
-                            let mut local = vec![0u8; r.len() * rec_len];
-                            for (i, rec) in r.zip(local.chunks_exact_mut(rec_len)) {
-                                let id = i as u32;
-                                codec.encode_point(&mut assigner, ds.point(id), tag, id, rec);
-                            }
-                            Ok(local)
-                        },
-                    )?;
-                    for buf in bufs {
-                        f.extend(&buf)?;
-                    }
-                }
-                f.release_tail();
-                if let Some(r) = recovery.as_mut() {
-                    r.ckpt.seal_file("msj.assign_sealed", ASSIGN_TAG, &f, &[])?;
-                }
-                file = Some(f);
-            }
-        }
-        assign_timer.finish(&mut phases);
-
-        // Phase 2: external sort by (padded cell key, level) — the DFS
-        // order of the cell hierarchy. The level byte directly follows the
-        // key bytes, so whole-record byte order covers both. Serial at every
-        // thread count: sorting T slices of a run apart made T runs for the
-        // merge to undo and was slower on every workload (DESIGN §11).
-        // With recovery, every spilled run and merge output checkpoints,
-        // and a completed sort is reused outright.
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        let sort_timer = TracedPhase::start_classed(
-            &self.tracer,
-            root,
-            "sort",
-            hdsj_core::obs::PhaseClass::Io,
-            hdsj_core::obs::names::MSJ_PHASE_SORT_NS,
-        );
-        let sort_config = SortConfig {
-            mem_records: self.sort_mem_records,
-            ..SortConfig::default()
-        };
-        let sorted = match recovery.as_mut() {
-            None => {
-                let f = file
-                    .as_ref()
-                    .ok_or_else(|| Error::Internal("msj lost its level file".into()))?;
-                let sorted = external_sort(engine, f, codec.sort_key_len(), sort_config)?;
-                // The unsorted level file is consumed; return its pages.
-                if let Some(f) = file.take() {
-                    f.destroy()?;
-                }
-                sorted
-            }
-            Some(r) => {
-                if sort_done {
-                    // Crash landed between the sort's final seal and the
-                    // level-file drop: retire the stale level file now.
-                    if let Some(spec_file) = r.state.files.get(ASSIGN_TAG) {
-                        let stale = spec_file.open(engine)?;
-                        r.ckpt.drop_file("msj.assign_dropped", ASSIGN_TAG)?;
-                        stale.destroy()?;
-                    }
-                    r.state.files[SORT_OUT_TAG].open(engine)?
-                } else {
-                    let f = file
-                        .as_ref()
-                        .ok_or_else(|| Error::Internal("msj lost its level file".into()))?;
-                    let Recovery { ckpt, state } = &mut **r;
-                    let sorted = external_sort_resumable(
-                        engine,
-                        f,
-                        codec.sort_key_len(),
-                        sort_config,
-                        ckpt,
-                        "msj.sort",
-                        "msj.sort_sealed",
-                        state,
-                    )?;
-                    r.ckpt.drop_file("msj.assign_dropped", ASSIGN_TAG)?;
-                    if let Some(f) = file.take() {
-                        f.destroy()?;
-                    }
-                    sorted
-                }
-            }
-        };
-        sort_timer.finish(&mut phases);
-
-        // Phase 3: the stack-based synchronized sweep. Every worker runs the
-        // whole of it over the sorted file — its own cursor, stack and
-        // refiner — and executes its share of the tiles; the shares' outputs
-        // are replayed in tile order, which is the one-worker emission
-        // (DESIGN §11). One worker writes straight into the caller's sink.
-        // Not checkpointed: the sweep is deterministic, so a crash mid-sweep
-        // redoes it from the durable sorted file.
-        if let Some(lc) = lifecycle {
-            lc.poll()?;
-        }
-        let mut sweep_timer = TracedPhase::start_classed(
-            &self.tracer,
-            root,
-            "sweep",
-            hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::MSJ_PHASE_SWEEP_NS,
-        );
-        let mut stats = JoinStats::default();
-        let tally = if workers == 1 {
-            let mut refiner = Refiner::new(a, b, kind, spec, sink);
-            let tally = sweep::sweep(
-                &sorted,
-                codec,
-                a,
-                b,
-                kind,
-                spec.eps,
-                lifecycle,
-                (0, 1),
-                &mut refiner,
-            )?;
-            stats = refiner.finish(stats);
-            tally
-        } else {
-            let shares = pool.map_chunks(Some(sweep_timer.span_mut()), workers, 1, |w| {
-                let worker = w.start;
-                if self.fail_sweep_worker == Some(worker) {
-                    // Deliberate chaos failpoint: the panic is contained by the
-                    // pool and surfaces as a typed error at the join() site.
-                    #[allow(clippy::panic)]
-                    {
-                        panic!("injected sweep-worker failure (worker {worker})");
-                    }
-                }
-                let mut out = VecSink::default();
-                let mut marked = Marked {
-                    refiner: Refiner::new(a, b, kind, spec, &mut out),
-                    ends: Vec::new(),
-                };
-                let tally = sweep::sweep(
-                    &sorted,
-                    codec,
-                    a,
-                    b,
-                    kind,
-                    spec.eps,
-                    lifecycle,
-                    (worker, workers),
-                    &mut marked,
-                )?;
-                let Marked { refiner, ends } = marked;
-                let counts = refiner.finish(JoinStats::default());
-                Ok((tally, counts, ends, out.pairs))
-            })?;
-            // The views and stripes are every share's alike; the tiles and
-            // the memory held are each share's own.
-            let mut tally = sweep::SweepTally {
-                peak_bytes: 0,
-                tiles: Default::default(),
-                ..shares[0].0
-            };
-            let mut tiles = Vec::new();
-            for (worker, (share, counts, ends, _)) in shares.iter().enumerate() {
-                tally.peak_bytes += share.peak_bytes;
-                tally.tiles += share.tiles;
-                stats.candidates += counts.candidates;
-                stats.dist_evals += counts.dist_evals;
-                stats.results += counts.results;
-                let mut start = 0;
-                for &(seq, end) in ends {
-                    tiles.push((seq, worker, start..end));
-                    start = end;
-                }
-            }
-            tiles.sort_unstable_by_key(|tile| tile.0);
-            for (_, worker, pairs) in tiles {
-                if let Some(lc) = lifecycle {
-                    lc.poll()?;
-                }
-                for &(i, j) in &shares[worker].3[pairs] {
-                    sink.push(i, j);
-                }
-            }
-            tally
-        };
-        if self.tracer.enabled() {
-            use hdsj_core::obs::names;
-            tally.tiles.record(&self.tracer, "msj");
-            for (name, v) in [
-                (names::MSJ_SWEEP_VIEW_TESTED, tally.view_tested),
-                (names::MSJ_SWEEP_VIEW_KEPT, tally.view_kept),
-                (names::MSJ_SWEEP_STRIPED_JOINS, tally.striped_joins),
-            ] {
-                self.tracer.counter(name).add(v);
-            }
-        }
-        sweep_timer.finish(&mut phases);
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        if let Some(r) = recovery.as_mut() {
-            r.ckpt.drop_file("msj.done", SORT_OUT_TAG)?;
-        }
-        sorted.destroy()?;
-
-        stats.phases = phases;
-        stats.structure_bytes = tally.peak_bytes;
-        Ok(stats)
     }
 }
 
@@ -583,35 +203,243 @@ impl SimilarityJoin for Msj {
         "MSJ"
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn env(&mut self) -> &mut JoinEnv {
+        &mut self.env
     }
 
-    fn set_lifecycle(&mut self, ctx: LifecycleCtx) {
-        self.lifecycle = Some(ctx);
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = hdsj_exec::resolve_threads(threads).max(1);
-    }
-
-    fn join(
-        &mut self,
+    /// The three MSJ phases, inside the storage engine's scope.
+    fn run(
+        &self,
+        run: &mut JoinRun<'_>,
         a: &Dataset,
         b: &Dataset,
+        kind: JoinKind,
         spec: &JoinSpec,
         sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, b, JoinKind::TwoSets, spec, sink)
-    }
+    ) -> Result<()> {
+        let engine = match &self.engine {
+            Some(e) => e.clone(),
+            None => StorageEngine::in_memory(self.pool_pages),
+        };
+        let dims = a.dims();
+        let depth = self.effective_depth(spec.eps);
+        let codec = RecordCodec::new(dims, depth);
+        run.attr_u64("depth", depth as u64);
+        run.attr_u64("threads", run.threads() as u64);
 
-    fn self_join(
-        &mut self,
-        a: &Dataset,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, a, JoinKind::SelfJoin, spec, sink)
+        let mut recovery = match &self.recovery {
+            Some(r) => Some(
+                r.lock()
+                    .map_err(|_| Error::Internal("msj recovery lock poisoned".into()))?,
+            ),
+            None => None,
+        };
+        // Every live manifest file is work a previous incarnation already
+        // finished — counted before any of it is consumed.
+        let resumed_files = recovery.as_ref().map_or(0, |r| r.state.files.len());
+        if resumed_files > 0 {
+            let resumed = run.tracer().counter(names::JOIN_RESUMED_LEVELS);
+            resumed.add(resumed_files as u64);
+        }
+        let sort_done = recovery
+            .as_ref()
+            .is_some_and(|r| r.state.files.contains_key(SORT_OUT_TAG));
+        let pool = Pool::for_run(run);
+
+        engine.scope(run, |run| {
+            // Phase 1: level assignment, one combined file of tagged entries.
+            // Chunks of points are assigned and Hilbert-encoded on the pool
+            // (each chunk owns its Assigner and encodes every record in place
+            // in a local buffer);
+            // the file writes stay on this thread, in chunk order, so the level
+            // file is byte-identical at every thread count. Skipped entirely
+            // when a durable sorted file (or the sealed level file itself)
+            // survives from a crashed run.
+            let rec_len = codec.record_len();
+            let mut file = run.phase("assign", PhaseClass::Cpu, |run| {
+                if sort_done {
+                    return Ok(None);
+                }
+                if let Some(spec_file) = recovery
+                    .as_ref()
+                    .and_then(|r| r.state.files.get(ASSIGN_TAG))
+                {
+                    return Ok(Some(spec_file.open(&engine)?));
+                }
+                let mut f = RecordFile::create(&engine, rec_len)?;
+                const ASSIGN_CHUNK: usize = 4096;
+                for (ds, tag) in [(a, assign::TAG_A), (b, assign::TAG_B)] {
+                    if tag == assign::TAG_B && kind != JoinKind::TwoSets {
+                        continue;
+                    }
+                    let bufs =
+                        pool.map_chunks(Some(run.span()), ds.len(), ASSIGN_CHUNK, |r| {
+                            let mut assigner =
+                                Assigner::new(dims, depth, spec.eps, self.curve)?;
+                            let mut local = vec![0u8; r.len() * rec_len];
+                            for (i, rec) in r.zip(local.chunks_exact_mut(rec_len)) {
+                                let id = i as u32;
+                                codec.encode_point(&mut assigner, ds.point(id), tag, id, rec);
+                            }
+                            Ok(local)
+                        })?;
+                    for buf in bufs {
+                        f.extend(&buf)?;
+                    }
+                }
+                f.release_tail();
+                if let Some(r) = recovery.as_mut() {
+                    r.ckpt.seal_file("msj.assign_sealed", ASSIGN_TAG, &f, &[])?;
+                }
+                Ok(Some(f))
+            })?;
+
+            // Phase 2: external sort by (padded cell key, level) — the DFS
+            // order of the cell hierarchy. The level byte directly follows the
+            // key bytes, so whole-record byte order covers both. Serial at every
+            // thread count: sorting T slices of a run apart made T runs for the
+            // merge to undo and was slower on every workload (DESIGN §11).
+            // With recovery, every spilled run and merge output checkpoints,
+            // and a completed sort is reused outright.
+            let sorted = run.phase("sort", PhaseClass::Io, |_| {
+                let sort_config = SortConfig {
+                    mem_records: self.sort_mem_records,
+                    ..SortConfig::default()
+                };
+                let lost = || Error::Internal("msj lost its level file".into());
+                let sorted = match recovery.as_mut() {
+                    None => {
+                        let f = file.as_ref().ok_or_else(lost)?;
+                        external_sort(&engine, f, codec.sort_key_len(), sort_config)?
+                    }
+                    Some(r) if sort_done => {
+                        // Crash landed between the sort's final seal and the
+                        // level-file drop: retire the stale level file now.
+                        if let Some(spec_file) = r.state.files.get(ASSIGN_TAG) {
+                            let stale = spec_file.open(&engine)?;
+                            r.ckpt.drop_file("msj.assign_dropped", ASSIGN_TAG)?;
+                            stale.destroy()?;
+                        }
+                        r.state.files[SORT_OUT_TAG].open(&engine)?
+                    }
+                    Some(r) => {
+                        let f = file.as_ref().ok_or_else(lost)?;
+                        let Recovery { ckpt, state } = &mut **r;
+                        let sorted = external_sort_resumable(
+                            &engine,
+                            f,
+                            codec.sort_key_len(),
+                            sort_config,
+                            ckpt,
+                            "msj.sort",
+                            "msj.sort_sealed",
+                            state,
+                        )?;
+                        r.ckpt.drop_file("msj.assign_dropped", ASSIGN_TAG)?;
+                        sorted
+                    }
+                };
+                // The unsorted level file is consumed; return its pages.
+                if let Some(f) = file.take() {
+                    f.destroy()?;
+                }
+                Ok(sorted)
+            })?;
+
+            // Phase 3: the stack-based synchronized sweep. Every worker runs the
+            // whole of it over the sorted file — its own cursor, stack and
+            // refiner — and executes its share of the tiles; the shares' outputs
+            // are replayed in tile order, which is the one-worker emission
+            // (DESIGN §11). One worker writes straight into the caller's sink.
+            // Not checkpointed: the sweep is deterministic, so a crash mid-sweep
+            // redoes it from the durable sorted file.
+            run.phase("sweep", PhaseClass::Cpu, |run| {
+                let (workers, lifecycle) = (run.threads(), run.lifecycle());
+                let tally = if workers == 1 {
+                    let mut refiner = Refiner::new(a, b, kind, spec, sink);
+                    let swept = sweep::sweep(
+                        &sorted,
+                        &codec,
+                        a,
+                        b,
+                        kind,
+                        spec.eps,
+                        lifecycle,
+                        (0, 1),
+                        &mut refiner,
+                    );
+                    run.refined(refiner.counters());
+                    swept?
+                } else {
+                    let shares = pool.map_chunks(Some(run.span()), workers, 1, |w| {
+                        let worker = w.start;
+                        if self.fail_sweep_worker == Some(worker) {
+                            // Deliberate chaos failpoint: the panic is contained by the
+                            // pool and surfaces as a typed error at the join() site.
+                            #[allow(clippy::panic)]
+                            {
+                                panic!("injected sweep-worker failure (worker {worker})");
+                            }
+                        }
+                        let mut out = VecSink::default();
+                        let mut marked = Marked {
+                            refiner: Refiner::new(a, b, kind, spec, &mut out),
+                            ends: Vec::new(),
+                        };
+                        let tally = sweep::sweep(
+                            &sorted,
+                            &codec,
+                            a,
+                            b,
+                            kind,
+                            spec.eps,
+                            lifecycle,
+                            (worker, workers),
+                            &mut marked,
+                        )?;
+                        let Marked { refiner, ends } = marked;
+                        Ok((tally, refiner.counters(), ends, out.pairs))
+                    })?;
+                    // The views and stripes are every share's alike; the tiles and
+                    // the memory held are each share's own.
+                    let mut tally = sweep::SweepTally {
+                        peak_bytes: 0,
+                        tiles: Default::default(),
+                        ..shares[0].0
+                    };
+                    let mut tiles = Vec::new();
+                    for (worker, (share, counters, ends, _)) in shares.iter().enumerate() {
+                        tally.peak_bytes += share.peak_bytes;
+                        tally.tiles += share.tiles;
+                        run.refined(*counters);
+                        let mut start = 0;
+                        for &(seq, end) in ends {
+                            tiles.push((seq, worker, start..end));
+                            start = end;
+                        }
+                    }
+                    tiles.sort_unstable_by_key(|tile| tile.0);
+                    for (_, worker, pairs) in tiles {
+                        run.poll()?;
+                        for &(i, j) in &shares[worker].3[pairs] {
+                            sink.push(i, j);
+                        }
+                    }
+                    tally
+                };
+                run.tally(tally.tiles);
+                run.count("sweep.view_tested", tally.view_tested);
+                run.count("sweep.view_kept", tally.view_kept);
+                run.count("sweep.striped_joins", tally.striped_joins);
+                run.structure_bytes(tally.peak_bytes);
+                Ok(())
+            })?;
+            run.poll()?;
+            if let Some(r) = recovery.as_mut() {
+                r.ckpt.drop_file("msj.done", SORT_OUT_TAG)?;
+            }
+            sorted.destroy()
+        })
     }
 }
 
@@ -813,7 +641,7 @@ mod tests {
 #[cfg(test)]
 mod lifecycle_tests {
     use super::*;
-    use hdsj_core::VecSink;
+    use hdsj_core::{LifecycleCtx, VecSink};
 
     #[test]
     fn pre_canceled_join_returns_canceled_not_panic() {
@@ -822,10 +650,8 @@ mod lifecycle_tests {
             let lc = LifecycleCtx::unbounded();
             lc.cancel_token().cancel();
             let engine = StorageEngine::in_memory(64);
-            let mut msj = Msj {
-                threads,
-                ..Msj::with_engine(engine.clone())
-            };
+            let mut msj = Msj::with_engine(engine.clone());
+            msj.env.threads = threads;
             msj.set_lifecycle(lc);
             let mut sink = VecSink::default();
             let err = msj
@@ -846,10 +672,8 @@ mod lifecycle_tests {
         let spec = JoinSpec::l2(0.05);
         let run = |threads: usize, lc: LifecycleCtx| {
             let engine = StorageEngine::in_memory(4);
-            let mut msj = Msj {
-                threads,
-                ..Msj::with_engine(engine.clone())
-            };
+            let mut msj = Msj::with_engine(engine.clone());
+            msj.env.threads = threads;
             msj.set_lifecycle(lc.clone());
             let mut sink = VecSink::default();
             let outcome = msj.self_join(&ds, &spec, &mut sink).map(|_| sink.pairs);
@@ -890,34 +714,6 @@ mod lifecycle_tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lifecycle_error_still_flushes_metrics() {
-        use hdsj_core::obs::Tracer;
-        let ds = hdsj_data::uniform(4, 2000, 43).unwrap();
-        let lc = LifecycleCtx::builder().io_budget(3).build();
-        let (tracer, events) = Tracer::memory();
-        let mut msj = Msj::with_engine(StorageEngine::in_memory(4));
-        msj.set_lifecycle(lc);
-        msj.set_tracer(tracer.clone());
-        let mut sink = VecSink::default();
-        assert!(msj.self_join(&ds, &JoinSpec::l2(0.1), &mut sink).is_err());
-        tracer.flush();
-        // Partial metrics survive the failed join: the poll counter is
-        // non-zero and the root span records the error variant.
-        let polls = events
-            .counter_value(hdsj_core::obs::names::LIFECYCLE_CANCEL_POLLS)
-            .unwrap_or(0);
-        assert!(polls > 0, "lifecycle polls must be flushed on error");
-        let spans = events.spans();
-        let root = spans.iter().find(|s| s.name == "msj.join").unwrap();
-        assert!(
-            root.attrs.iter().any(|(k, v)| k == "error"
-                && matches!(v, hdsj_core::obs::AttrValue::Str(s) if s == "BudgetExhausted")),
-            "root span must carry the error variant: {:?}",
-            root.attrs
-        );
     }
 }
 
@@ -1030,7 +826,7 @@ mod recovery_tests {
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
-    use hdsj_core::{verify, Metric, VecSink};
+    use hdsj_core::{verify, Metric, Tracer, VecSink};
 
     #[test]
     fn parallel_output_is_byte_identical_to_serial() {
@@ -1081,7 +877,7 @@ mod parallel_tests {
             }
             let mut via_trait = Msj::default();
             via_trait.set_threads(3);
-            assert_eq!(via_trait.threads, 3);
+            assert_eq!(via_trait.env.threads, 3);
             assert_eq!(run(via_trait), serial, "set_threads");
         }
     }
@@ -1140,10 +936,10 @@ mod parallel_tests {
         let spec = JoinSpec::l2(0.2);
         let engine = StorageEngine::in_memory(64);
         let mut msj = Msj {
-            threads: 3,
             fail_sweep_worker: Some(1),
             ..Msj::with_engine(engine.clone())
         };
+        msj.env.threads = 3;
         let mut sink = VecSink::default();
         let err = msj.self_join(&ds, &spec, &mut sink).unwrap_err();
         let msg = err.to_string();

@@ -290,6 +290,27 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
+    /// What was recorded after `earlier` was taken of the same histogram:
+    /// buckets, count and sum exactly. The extremes of a difference are not
+    /// recoverable, so `min`/`max` are the cumulative ones narrowed to the
+    /// difference's outermost buckets (exact when `earlier` is empty).
+    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        let mut diff = HistogramSnapshot::empty();
+        for (idx, (&now, &then)) in self.buckets.iter().zip(&earlier.buckets).enumerate() {
+            diff.buckets[idx] = now.saturating_sub(then);
+        }
+        diff.count = diff.buckets.iter().sum();
+        if let (Some(lo), Some(hi)) = (
+            diff.buckets.iter().position(|&c| c > 0),
+            diff.buckets.iter().rposition(|&c| c > 0),
+        ) {
+            diff.sum = self.sum.saturating_sub(earlier.sum);
+            diff.min = self.min.max(bucket_lower(lo));
+            diff.max = self.max.min(bucket_upper(hi));
+        }
+        diff
+    }
+
     /// The non-empty buckets as `(index, count)` pairs — the JSONL wire
     /// form.
     pub fn sparse_buckets(&self) -> Vec<(u64, u64)> {
@@ -431,6 +452,28 @@ mod tests {
         let mut snap = a.snapshot();
         snap.merge(&b.snapshot());
         assert_eq!(snap, both.snapshot());
+    }
+
+    #[test]
+    fn since_is_what_was_recorded_after_the_earlier_snapshot() {
+        let h = Histogram::new();
+        let empty = h.snapshot();
+        for v in [3u64, 9, 700] {
+            h.record(v);
+        }
+        let first = h.snapshot();
+        assert_eq!(first.since(&empty), first, "exact from an empty start");
+        assert_eq!(first.since(&first), HistogramSnapshot::empty());
+        for v in [40u64, 50] {
+            h.record(v);
+        }
+        let later = h.snapshot().since(&first);
+        assert_eq!((later.count, later.sum), (2, 90));
+        // 40 and 50 share a bucket: the extremes are that bucket's bounds.
+        assert!(later.min <= 40 && 50 <= later.max && later.max < 700);
+        let mut whole = first.clone();
+        whole.merge(&later);
+        assert_eq!(whole.buckets, h.snapshot().buckets);
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod report;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
@@ -353,12 +354,13 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Starts a root span.
-    pub fn span(&self, name: &'static str) -> Span {
-        self.start_span(name, None)
+    /// Starts a root span. The name may be built at run time (the join
+    /// driver's `<algo>.join`); a literal costs nothing.
+    pub fn span(&self, name: impl Into<Cow<'static, str>>) -> Span {
+        self.start_span(name.into(), None)
     }
 
-    fn start_span(&self, name: &'static str, parent: Option<u64>) -> Span {
+    fn start_span(&self, name: Cow<'static, str>, parent: Option<u64>) -> Span {
         let id = self
             .inner
             .as_ref()
@@ -472,7 +474,7 @@ pub struct Span {
     tracer: Tracer,
     id: u64,
     parent: Option<u64>,
-    name: &'static str,
+    name: Cow<'static, str>,
     started: Instant,
     attrs: Vec<(String, AttrValue)>,
     finished: bool,
@@ -482,7 +484,7 @@ impl Span {
     /// Starts a child span of this one.
     pub fn child(&self, name: &'static str) -> Span {
         self.tracer
-            .start_span(name, self.tracer.enabled().then_some(self.id))
+            .start_span(name.into(), self.tracer.enabled().then_some(self.id))
     }
 
     /// This span's id (0 on a disabled tracer).
@@ -537,7 +539,7 @@ impl Span {
             self.tracer.record(&Event::Span(SpanEvent {
                 id: self.id,
                 parent: self.parent,
-                name: self.name.to_string(),
+                name: std::mem::take(&mut self.name).into_owned(),
                 start_us: self.tracer.micros_since_epoch(self.started),
                 dur_us: elapsed.as_micros() as u64,
                 attrs: std::mem::take(&mut self.attrs),

@@ -13,11 +13,10 @@
 use crate::build::BuildStrategy;
 use crate::node::{load_leaf_run, InnerEntry, Node};
 use crate::tree::RTree;
-use hdsj_core::obs::names;
-use hdsj_core::stats::TracedPhase;
+use hdsj_core::obs::PhaseClass;
 use hdsj_core::{
-    join::validate_inputs, Dataset, IoCounters, JoinKind, JoinSpec, JoinStats, LifecycleCtx,
-    PairSink, Refiner, Result, SimilarityJoin, TileJoin, Tracer,
+    Dataset, JoinEnv, JoinKind, JoinRun, JoinSpec, LifecycleCtx, PairSink, Refiner, Result,
+    SimilarityJoin, TileJoin,
 };
 use hdsj_storage::{PageId, StorageEngine};
 
@@ -34,12 +33,10 @@ pub struct RsjJoin {
     /// Buffer-pool frames of the owned engine (when none is supplied).
     pub pool_pages: usize,
     engine: Option<StorageEngine>,
-    /// Per-query lifecycle context, polled at phase boundaries, every
-    /// [`POLL_STRIDE`] node visits, and (via the engine) on every page op.
-    lifecycle: Option<LifecycleCtx>,
-    /// Trace sink for spans/counters (disabled by default; see
-    /// `set_tracer`).
-    pub tracer: Tracer,
+    /// Tracer and lifecycle context (polled every `POLL_STRIDE` node
+    /// visits and, via the engine, on every page op); the thread count is
+    /// ignored.
+    pub env: JoinEnv,
 }
 
 impl Default for RsjJoin {
@@ -49,8 +46,7 @@ impl Default for RsjJoin {
             fill: 0.7,
             pool_pages: 1024,
             engine: None,
-            lifecycle: None,
-            tracer: Tracer::disabled(),
+            env: JoinEnv::default(),
         }
     }
 }
@@ -71,115 +67,6 @@ impl RsjJoin {
             strategy,
             ..RsjJoin::default()
         }
-    }
-
-    fn run(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        validate_inputs(a, b, spec)?;
-        let engine = match &self.engine {
-            Some(e) => e.clone(),
-            None => StorageEngine::in_memory(self.pool_pages),
-        };
-        if let Some(lc) = &self.lifecycle {
-            engine.set_lifecycle(lc.clone());
-        }
-        let result = self.run_inner(&engine, a, b, kind, spec, sink);
-        engine.clear_lifecycle();
-        result
-    }
-
-    fn run_inner(
-        &self,
-        engine: &StorageEngine,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        let io_before = engine.io_counters();
-        let mut phases = Vec::new();
-
-        let mut root = self.tracer.span("rsj.join");
-        root.attr_str("algo", "RSJ");
-        root.attr_u64("n_a", a.len() as u64);
-        root.attr_u64("n_b", b.len() as u64);
-        root.attr_u64("dims", a.dims() as u64);
-        root.attr_f64("eps", spec.eps);
-
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        let build = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "build",
-            hdsj_core::obs::PhaseClass::Io,
-            names::RSJ_PHASE_BUILD_NS,
-        );
-        let tree_a = RTree::build(engine, a, self.strategy, self.fill)?;
-        let tree_b = match kind {
-            JoinKind::SelfJoin => None,
-            JoinKind::TwoSets => Some(RTree::build(engine, b, self.strategy, self.fill)?),
-        };
-        let structure_bytes = tree_a.structure_bytes()
-            + tree_b.as_ref().map(|t| t.structure_bytes()).unwrap_or(0);
-        build.finish(&mut phases);
-
-        let join = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "join",
-            hdsj_core::obs::PhaseClass::Cpu,
-            names::RSJ_PHASE_JOIN_NS,
-        );
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        let mut traversal = Traversal::new(
-            engine,
-            b,
-            spec.eps,
-            Refiner::new(a, b, kind, spec, sink),
-            self.lifecycle.as_ref(),
-        );
-        match &tree_b {
-            None => traversal.self_pairs(tree_a.root(), tree_a.height())?,
-            Some(tree_b) => traversal.cross_pairs(
-                (tree_a.root(), tree_a.height()),
-                (tree_b.root(), tree_b.height()),
-            )?,
-        }
-        let mut stats = traversal.refiner.finish(JoinStats::default());
-        join.finish(&mut phases);
-
-        stats.phases = phases;
-        stats.structure_bytes = structure_bytes + traversal.join.scratch_bytes();
-        let io_after = engine.io_counters();
-        stats.io = IoCounters::diff(&io_after, &io_before);
-        if self.tracer.enabled() {
-            root.attr_u64("candidates", stats.candidates);
-            root.attr_u64("results", stats.results);
-            for (name, v) in [
-                (names::RSJ_CANDIDATES, stats.candidates),
-                (names::RSJ_RESULTS, stats.results),
-                (names::RSJ_NODE_PAIRS, traversal.node_pairs),
-                (names::RSJ_LEAF_PAIRS, traversal.leaf_pairs),
-            ] {
-                self.tracer.counter(name).add(v);
-            }
-            traversal.join.tally().record(&self.tracer, "rsj");
-            stats.io.record_counters(&self.tracer, "pool");
-            engine.pool().stats().record_latency_metrics(&self.tracer);
-        }
-        root.finish();
-        Ok(stats)
     }
 }
 
@@ -302,31 +189,56 @@ impl SimilarityJoin for RsjJoin {
         "RSJ"
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn env(&mut self) -> &mut JoinEnv {
+        &mut self.env
     }
 
-    fn set_lifecycle(&mut self, ctx: LifecycleCtx) {
-        self.lifecycle = Some(ctx);
-    }
-
-    fn join(
-        &mut self,
+    fn run(
+        &self,
+        run: &mut JoinRun<'_>,
         a: &Dataset,
         b: &Dataset,
+        kind: JoinKind,
         spec: &JoinSpec,
         sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, b, JoinKind::TwoSets, spec, sink)
-    }
+    ) -> Result<()> {
+        let engine = match &self.engine {
+            Some(e) => e.clone(),
+            None => StorageEngine::in_memory(self.pool_pages),
+        };
+        engine.scope(run, |run| {
+            let (tree_a, tree_b) = run.phase("build", PhaseClass::Io, |run| {
+                let tree_a = RTree::build(&engine, a, self.strategy, self.fill)?;
+                let tree_b = match kind {
+                    JoinKind::SelfJoin => None,
+                    JoinKind::TwoSets => {
+                        Some(RTree::build(&engine, b, self.strategy, self.fill)?)
+                    }
+                };
+                let bytes_b = tree_b.as_ref().map_or(0, RTree::structure_bytes);
+                run.structure_bytes(tree_a.structure_bytes() + bytes_b);
+                Ok((tree_a, tree_b))
+            })?;
 
-    fn self_join(
-        &mut self,
-        a: &Dataset,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, a, JoinKind::SelfJoin, spec, sink)
+            run.phase("join", PhaseClass::Cpu, |run| {
+                let refiner = Refiner::new(a, b, kind, spec, sink);
+                let mut traversal =
+                    Traversal::new(&engine, b, spec.eps, refiner, run.lifecycle());
+                let traversed = match &tree_b {
+                    None => traversal.self_pairs(tree_a.root(), tree_a.height()),
+                    Some(tree_b) => traversal.cross_pairs(
+                        (tree_a.root(), tree_a.height()),
+                        (tree_b.root(), tree_b.height()),
+                    ),
+                };
+                run.refined(traversal.refiner.counters());
+                run.count("node_pairs", traversal.node_pairs);
+                run.count("leaf_pairs", traversal.leaf_pairs);
+                run.tally(traversal.join.tally());
+                run.structure_bytes(traversal.join.scratch_bytes());
+                traversed
+            })
+        })
     }
 }
 

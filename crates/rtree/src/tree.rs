@@ -86,41 +86,6 @@ impl RTree {
         self.pages * PAGE_SIZE as u64
     }
 
-    /// Ids of all points within L∞ distance `eps` of `point` **before exact
-    /// refinement** (the caller applies its metric) — the building block of
-    /// index-based similarity search.
-    pub fn linf_range(&self, point: &[f64], eps: f64) -> Result<Vec<u32>> {
-        if point.len() != self.dims {
-            return Err(Error::InvalidInput(format!(
-                "query point has {} dims, tree has {}",
-                point.len(),
-                self.dims
-            )));
-        }
-        let query = Rect::point(point);
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(pid) = stack.pop() {
-            match Node::load(&self.engine, pid, self.dims)? {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        if query.mindist_linf(&Rect::point(&e.coords)) <= eps {
-                            out.push(e.id);
-                        }
-                    }
-                }
-                Node::Inner(entries) => {
-                    for e in entries {
-                        if query.mindist_linf(&e.mbr) <= eps {
-                            stack.push(e.child);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Verifies the structural invariants, returning the number of points
     /// found. Used by the test suites.
     ///
@@ -253,32 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn linf_range_matches_linear_scan() {
-        let ds = hdsj_data::uniform(3, 800, 5).unwrap();
-        let eng = engine();
-        let tree = RTree::build(&eng, &ds, BuildStrategy::HilbertPack, 0.7).unwrap();
-        let q = [0.4, 0.6, 0.5];
-        let eps = 0.12;
-        let mut want: Vec<u32> = ds
-            .iter()
-            .filter(|(_, p)| p.iter().zip(&q).all(|(a, b)| (a - b).abs() <= eps))
-            .map(|(i, _)| i)
-            .collect();
-        let mut got = tree.linf_range(&q, eps).unwrap();
-        want.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(want, got);
-    }
-
-    #[test]
-    fn linf_range_rejects_wrong_dims() {
-        let ds = hdsj_data::uniform(3, 10, 5).unwrap();
-        let eng = engine();
-        let tree = RTree::build(&eng, &ds, BuildStrategy::HilbertPack, 0.7).unwrap();
-        assert!(tree.linf_range(&[0.5, 0.5], 0.1).is_err());
-    }
-
-    #[test]
     fn dynamic_inserts_in_adversarial_order() {
         // Sorted input is the classic worst case for dynamic R-trees.
         let mut rows: Vec<Vec<f64>> = (0..600)
@@ -342,27 +281,6 @@ mod properties {
             let eng = StorageEngine::in_memory(1024);
             let tree = RTree::build(&eng, &ds, strategy, fill).unwrap();
             prop_assert_eq!(tree.check_invariants().unwrap(), ds.len() as u64);
-        }
-
-        #[test]
-        fn range_query_equals_scan_on_random_trees(
-            ds in dataset(200),
-            eps in 0.01f64..0.5,
-            q_seed in 0u32..1000,
-        ) {
-            prop_assume!(!ds.is_empty());
-            let eng = StorageEngine::in_memory(1024);
-            let tree = RTree::build(&eng, &ds, BuildStrategy::HilbertPack, 0.7).unwrap();
-            let q = ds.point(q_seed % ds.len() as u32).to_vec();
-            let mut want: Vec<u32> = ds
-                .iter()
-                .filter(|(_, p)| p.iter().zip(&q).all(|(a, b)| (a - b).abs() <= eps))
-                .map(|(i, _)| i)
-                .collect();
-            let mut got = tree.linf_range(&q, eps).unwrap();
-            want.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(want, got);
         }
     }
 }

@@ -18,10 +18,10 @@
 //! picks the highest-variance one, the standard heuristic.
 #![forbid(unsafe_code)]
 
-use hdsj_core::stats::TracedPhase;
+use hdsj_core::obs::PhaseClass;
 use hdsj_core::{
-    join::validate_inputs, sort_by_coord, Dataset, Error, JoinKind, JoinSpec, JoinStats,
-    LifecycleCtx, PairSink, Refiner, Result, SimilarityJoin, TileJoin, Tracer,
+    sort_by_coord, Dataset, Error, JoinEnv, JoinKind, JoinRun, JoinSpec, PairSink, Refiner,
+    Result, SimilarityJoin, TileJoin,
 };
 
 /// Sort-merge join over one projected dimension.
@@ -39,12 +39,9 @@ pub struct SortMergeJoin {
     /// Projection dimension; `None` selects the highest-variance dimension
     /// of the (left) input at run time.
     pub dimension: Option<usize>,
-    /// Per-query lifecycle context, polled at phase boundaries and by the
-    /// sweep's tile join (per candidate tile and every 1024 probes).
-    lifecycle: Option<LifecycleCtx>,
-    /// Trace sink for spans/counters (disabled by default; see
-    /// `set_tracer`).
-    pub tracer: Tracer,
+    /// Tracer and lifecycle context (polled by the sweep's tile join, per
+    /// candidate tile and every 1024 probes); the thread count is ignored.
+    pub env: JoinEnv,
 }
 
 impl SortMergeJoin {
@@ -73,82 +70,6 @@ impl SortMergeJoin {
         }
         best
     }
-
-    fn run(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        kind: JoinKind,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        let dims = validate_inputs(a, b, spec)?;
-        let dim = match self.dimension {
-            Some(d) if d >= dims => {
-                return Err(Error::InvalidInput(format!(
-                    "projection dimension {d} out of range for d={dims}"
-                )));
-            }
-            Some(d) => d,
-            None => Self::best_dimension(a),
-        };
-        let mut phases = Vec::new();
-
-        let mut root = self.tracer.span("sm1d.join");
-        root.attr_str("algo", "SM1D");
-        root.attr_u64("n_a", a.len() as u64);
-        root.attr_u64("n_b", b.len() as u64);
-        root.attr_u64("dims", dims as u64);
-        root.attr_f64("eps", spec.eps);
-        root.attr_u64("projection_dim", dim as u64);
-
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        let sort_timer = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "sort",
-            hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::SM1D_PHASE_SORT_NS,
-        );
-        let sorted_a = sorted_projection(a, dim);
-        let sorted_b = match kind {
-            JoinKind::SelfJoin => None,
-            JoinKind::TwoSets => Some(sorted_projection(b, dim)),
-        };
-        let list_bytes =
-            (sorted_a.len() + sorted_b.as_ref().map(|s| s.len()).unwrap_or(0)) as u64 * 12;
-        sort_timer.finish(&mut phases);
-
-        let sweep_timer = TracedPhase::start_classed(
-            &self.tracer,
-            &root,
-            "sweep",
-            hdsj_core::obs::PhaseClass::Cpu,
-            hdsj_core::obs::names::SM1D_PHASE_SWEEP_NS,
-        );
-        if let Some(lc) = &self.lifecycle {
-            lc.poll()?;
-        }
-        let mut refiner = Refiner::new(a, b, kind, spec, sink);
-        let mut join = TileJoin::new(b, spec.eps, self.lifecycle.as_ref());
-        let candidates = sorted_b.as_ref().unwrap_or(&sorted_a);
-        join.run(&sorted_a, candidates, sorted_b.is_none(), &mut refiner)?;
-        let mut stats = refiner.finish(JoinStats::default());
-        sweep_timer.finish(&mut phases);
-
-        stats.phases = phases;
-        stats.structure_bytes = list_bytes + join.scratch_bytes();
-        if self.tracer.enabled() {
-            root.attr_u64("candidates", stats.candidates);
-            root.attr_u64("results", stats.results);
-            self.tracer.counter("sm1d.candidates").add(stats.candidates);
-            self.tracer.counter("sm1d.results").add(stats.results);
-        }
-        root.finish();
-        Ok(stats)
-    }
 }
 
 fn sorted_projection(ds: &Dataset, dim: usize) -> Vec<(f64, u32)> {
@@ -162,31 +83,51 @@ impl SimilarityJoin for SortMergeJoin {
         "SM1D"
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn env(&mut self) -> &mut JoinEnv {
+        &mut self.env
     }
 
-    fn set_lifecycle(&mut self, ctx: LifecycleCtx) {
-        self.lifecycle = Some(ctx);
-    }
-
-    fn join(
-        &mut self,
+    fn run(
+        &self,
+        run: &mut JoinRun<'_>,
         a: &Dataset,
         b: &Dataset,
+        kind: JoinKind,
         spec: &JoinSpec,
         sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, b, JoinKind::TwoSets, spec, sink)
-    }
+    ) -> Result<()> {
+        let dim = match self.dimension {
+            Some(d) if d >= a.dims() => {
+                return Err(Error::InvalidInput(format!(
+                    "projection dimension {d} out of range for d={}",
+                    a.dims()
+                )));
+            }
+            Some(d) => d,
+            None => Self::best_dimension(a),
+        };
+        run.attr_u64("projection_dim", dim as u64);
 
-    fn self_join(
-        &mut self,
-        a: &Dataset,
-        spec: &JoinSpec,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinStats> {
-        self.run(a, a, JoinKind::SelfJoin, spec, sink)
+        let (sorted_a, sorted_b) = run.phase("sort", PhaseClass::Cpu, |run| {
+            let sorted_a = sorted_projection(a, dim);
+            let sorted_b = match kind {
+                JoinKind::SelfJoin => None,
+                JoinKind::TwoSets => Some(sorted_projection(b, dim)),
+            };
+            let entries = sorted_a.len() + sorted_b.as_ref().map_or(0, Vec::len);
+            run.structure_bytes(entries as u64 * 12);
+            Ok((sorted_a, sorted_b))
+        })?;
+
+        run.phase("sweep", PhaseClass::Cpu, |run| {
+            let mut refiner = Refiner::new(a, b, kind, spec, sink);
+            let mut join = TileJoin::new(b, spec.eps, run.lifecycle());
+            let candidates = sorted_b.as_ref().unwrap_or(&sorted_a);
+            let swept = join.run(&sorted_a, candidates, sorted_b.is_none(), &mut refiner);
+            run.refined(refiner.counters());
+            run.structure_bytes(join.scratch_bytes());
+            swept
+        })
     }
 }
 

@@ -51,7 +51,7 @@ pub use points::{disk_block_nested_loops, PointFile};
 pub use pool::{BufferPool, PinnedPage, RetryPolicy};
 pub use stats::IoStats;
 
-use hdsj_core::{IoCounters, Result};
+use hdsj_core::{IoCounters, JoinRun, Result};
 use std::sync::Arc;
 
 /// A disk plus a buffer pool: the handle the join algorithms hold.
@@ -184,6 +184,35 @@ impl StorageEngine {
     /// file-backed engines; a no-op in memory).
     pub fn sync(&self) -> Result<()> {
         self.pool.sync()
+    }
+
+    /// One join run's use of the engine, the same on every exit of `body`:
+    /// installs the run's lifecycle context, snapshots the I/O counters
+    /// and latency histograms, runs `body`, then reports the difference —
+    /// into the run's [`hdsj_core::JoinStats::io`] and, traced, as the
+    /// `pool.*` counters, the `pool.*_ns` histograms and the
+    /// `pool.hit_rate` gauge — and removes the context again.
+    pub fn scope<T>(
+        &self,
+        run: &mut JoinRun<'_>,
+        body: impl FnOnce(&mut JoinRun<'_>) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(lc) = run.lifecycle() {
+            self.set_lifecycle(lc.clone());
+        }
+        let (stats, tracer) = (self.pool.stats(), run.tracer());
+        let io_before = stats.snapshot();
+        let latency_before = tracer.enabled().then(|| stats.latency());
+        let outcome = body(run);
+        let io = IoCounters::diff(&stats.snapshot(), &io_before);
+        if let Some(before) = latency_before {
+            io.record_counters(tracer, "pool");
+            stats.record_latency_since(tracer, &before);
+            tracer.gauge(hdsj_obs::names::POOL_HIT_RATE, io.hit_rate());
+        }
+        run.io(&io);
+        self.clear_lifecycle();
+        outcome
     }
 
     /// Installs a per-query lifecycle context: every disk operation polls

@@ -10,9 +10,9 @@
 
 use crate::file::RecordFile;
 use crate::{PageId, StorageEngine};
-use hdsj_core::{
-    Dataset, Error, IoCounters, JoinKind, JoinSpec, JoinStats, PairSink, PhaseTimer, Result,
-};
+use hdsj_core::join::drive;
+use hdsj_core::obs::PhaseClass;
+use hdsj_core::{Dataset, Error, JoinEnv, JoinKind, JoinSpec, JoinStats, PairSink, Result};
 
 /// A dataset stored in pages: fixed-size records of `d` little-endian
 /// `f64`s, in insertion order (record index = point id).
@@ -141,7 +141,8 @@ fn decode_point(rec: &[u8], out: &mut [f64]) {
 /// Disk block nested-loops ε-join over two point files: the measured
 /// quadratic baseline. `block_points` is the number of *outer* points held
 /// in memory per pass (the classic memory-for-I/O trade: each pass scans
-/// the whole inner file once).
+/// the whole inner file once). Runs under the join driver like the six
+/// algorithms, with default settings: untraced, unbounded, serial.
 pub fn disk_block_nested_loops(
     a: &PointFile,
     b: &PointFile,
@@ -150,30 +151,40 @@ pub fn disk_block_nested_loops(
     block_points: usize,
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats> {
-    spec.validate()?;
-    if a.dims() != b.dims() {
-        return Err(Error::InvalidInput(format!(
-            "dimensionality mismatch: {} vs {}",
-            a.dims(),
-            b.dims()
-        )));
-    }
-    let engine = a.engine().clone();
-    let io_before = engine.io_counters();
-    let mut phases = Vec::new();
-    let timer = PhaseTimer::start("join");
-
-    // The refiner needs materialized datasets for exact distances; BNL
-    // streams them block by block instead, so run refinement inline.
     let block_points = block_points.max(1);
+    let sizes = [(a.len() as usize, a.dims()), (b.len() as usize, b.dims())];
+    drive("BNL", &JoinEnv::default(), sizes, spec, |run| {
+        run.structure_bytes((block_points * (a.dims() * 8 + 16)) as u64 * 2);
+        a.engine().scope(run, |run| {
+            run.phase("join", PhaseClass::Io, |run| {
+                let mut counts = (0, 0, 0);
+                let scanned = scan_blocks(a, b, kind, spec, block_points, sink, &mut counts);
+                run.refined(counts);
+                scanned
+            })
+        })
+    })
+}
+
+/// The two nested block scans. The refiner needs materialized datasets for
+/// exact distances; BNL streams them block by block instead, so refinement
+/// runs inline, into `counts` = (candidates, results, distance evaluations).
+fn scan_blocks(
+    a: &PointFile,
+    b: &PointFile,
+    kind: JoinKind,
+    spec: &JoinSpec,
+    block_points: usize,
+    sink: &mut dyn PairSink,
+    counts: &mut (u64, u64, u64),
+) -> Result<()> {
     let mut outer: Vec<(u32, Vec<f64>)> = Vec::with_capacity(block_points);
     let mut inner: Vec<(u32, Vec<f64>)> = Vec::with_capacity(block_points);
-    let mut stats = JoinStats::default();
     let mut start_a = 0u64;
     loop {
         let got = a.read_block(start_a, block_points, &mut outer)?;
         if got == 0 {
-            break;
+            return Ok(());
         }
         let mut start_b = match kind {
             JoinKind::TwoSets => 0,
@@ -188,20 +199,14 @@ pub fn disk_block_nested_loops(
             }
             for (i, pa) in &outer {
                 for (j, pb) in &inner {
-                    let (i, j) = match kind {
-                        JoinKind::TwoSets => (*i, *j),
-                        JoinKind::SelfJoin => {
-                            if *j <= *i {
-                                continue;
-                            }
-                            (*i, *j)
-                        }
-                    };
-                    stats.candidates += 1;
-                    stats.dist_evals += 1;
+                    if kind == JoinKind::SelfJoin && j <= i {
+                        continue;
+                    }
+                    counts.0 += 1;
+                    counts.2 += 1;
                     if spec.metric.within(pa, pb, spec.eps) {
-                        stats.results += 1;
-                        sink.push(i, j);
+                        counts.1 += 1;
+                        sink.push(*i, *j);
                     }
                 }
             }
@@ -209,13 +214,6 @@ pub fn disk_block_nested_loops(
         }
         start_a += got as u64;
     }
-
-    timer.finish(&mut phases);
-    stats.phases = phases;
-    let io_after = engine.io_counters();
-    stats.io = IoCounters::diff(&io_after, &io_before);
-    stats.structure_bytes = (block_points * (a.dims() * 8 + 16)) as u64 * 2;
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -281,7 +279,7 @@ mod tests {
         let mut want = VecSink::default();
         {
             use hdsj_core::SimilarityJoin;
-            let mut bf = TestBf;
+            let mut bf = TestBf::default();
             bf.self_join(&ds, &spec, &mut want).unwrap();
         }
         let mut got = VecSink::default();
@@ -338,39 +336,33 @@ mod tests {
 
     /// Minimal in-crate brute force used as the test oracle (the real one
     /// lives in `hdsj-bruteforce`, which depends on this crate's siblings).
-    struct TestBf;
+    #[derive(Default)]
+    struct TestBf(JoinEnv);
     impl hdsj_core::SimilarityJoin for TestBf {
         fn name(&self) -> &'static str {
             "TESTBF"
         }
-        fn join(
-            &mut self,
+        fn env(&mut self) -> &mut JoinEnv {
+            &mut self.0
+        }
+        fn run(
+            &self,
+            run: &mut hdsj_core::JoinRun<'_>,
             a: &Dataset,
             b: &Dataset,
+            kind: JoinKind,
             spec: &JoinSpec,
             sink: &mut dyn PairSink,
-        ) -> Result<JoinStats> {
-            let mut r = Refiner::new(a, b, JoinKind::TwoSets, spec, sink);
+        ) -> Result<()> {
+            let mut r = Refiner::new(a, b, kind, spec, sink);
             for (i, _) in a.iter() {
-                for (j, _) in b.iter() {
+                let from = if kind == JoinKind::SelfJoin { i + 1 } else { 0 };
+                for j in from..b.len() as u32 {
                     r.offer(i, j);
                 }
             }
-            Ok(r.finish(JoinStats::default()))
-        }
-        fn self_join(
-            &mut self,
-            a: &Dataset,
-            spec: &JoinSpec,
-            sink: &mut dyn PairSink,
-        ) -> Result<JoinStats> {
-            let mut r = Refiner::new(a, a, JoinKind::SelfJoin, spec, sink);
-            for (i, _) in a.iter() {
-                for j in i + 1..a.len() as u32 {
-                    r.offer(i, j);
-                }
-            }
-            Ok(r.finish(JoinStats::default()))
+            run.refined(r.counters());
+            Ok(())
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Shared I/O and fault counters, plus per-operation latency histograms.
 
 use hdsj_core::IoCounters;
-use hdsj_obs::{names, Histogram, Tracer};
+use hdsj_obs::{names, Histogram, HistogramSnapshot, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -13,8 +13,8 @@ use std::time::Duration;
 /// only observes.)
 ///
 /// Reads, writes, and write-backs also feed lock-free latency histograms
-/// (nanoseconds); [`IoStats::record_latency_metrics`] folds them into a
-/// tracer's registry under the `pool.*_ns` names.
+/// (nanoseconds); [`IoStats::record_latency_since`] folds a run's share of
+/// them into a tracer's registry under the `pool.*_ns` names.
 #[derive(Debug, Default)]
 pub struct IoStats {
     reads: AtomicU64,
@@ -115,29 +115,29 @@ impl IoStats {
         }
     }
 
-    /// Folds the latency histograms into `tracer`'s registry under
-    /// [`names::POOL_READ_NS`] / [`names::POOL_WRITE_NS`] /
-    /// [`names::POOL_WRITEBACK_NS`]. The shared-cell companion of
-    /// `IoCounters::record_counters`; call once at the end of a traced
-    /// run.
-    pub fn record_latency_metrics(&self, tracer: &Tracer) {
-        if !tracer.enabled() {
-            return;
-        }
-        tracer
-            .histogram(names::POOL_READ_NS)
-            .merge(&self.read_ns.snapshot());
-        tracer
-            .histogram(names::POOL_WRITE_NS)
-            .merge(&self.write_ns.snapshot());
-        tracer
-            .histogram(names::POOL_WRITEBACK_NS)
-            .merge(&self.writeback_ns.snapshot());
+    /// The latency distributions so far (nanoseconds), under the names a
+    /// tracer records them by: reads, writes, eviction write-backs.
+    pub fn latency(&self) -> [(&'static str, HistogramSnapshot); 3] {
+        [
+            (names::POOL_READ_NS, self.read_ns.snapshot()),
+            (names::POOL_WRITE_NS, self.write_ns.snapshot()),
+            (names::POOL_WRITEBACK_NS, self.writeback_ns.snapshot()),
+        ]
     }
 
-    /// Read-latency distribution so far (nanoseconds).
-    pub fn read_latency(&self) -> hdsj_obs::HistogramSnapshot {
-        self.read_ns.snapshot()
+    /// Folds what the latency histograms gained since `before` (an earlier
+    /// [`IoStats::latency`]) into `tracer`'s registry. The shared-cell
+    /// companion of `IoCounters::diff` + `record_counters`: the histograms
+    /// are cumulative over the engine's life, a traced run owns only its
+    /// own operations.
+    pub fn record_latency_since(
+        &self,
+        tracer: &Tracer,
+        before: &[(&'static str, HistogramSnapshot); 3],
+    ) {
+        for ((name, now), (_, then)) in self.latency().iter().zip(before) {
+            tracer.histogram(*name).merge(&now.since(then));
+        }
     }
 
     /// Zeroes the counters and latency histograms.
@@ -169,23 +169,26 @@ mod tests {
         s.record_write_timed(Duration::from_nanos(800));
         s.record_writeback_timed(Duration::from_micros(3));
         assert_eq!(s.snapshot().reads, 2);
-        assert_eq!(s.read_latency().count, 2);
-        assert_eq!(s.read_latency().min, 500);
+        assert_eq!(s.latency()[0].1.count, 2);
+        assert_eq!(s.latency()[0].1.min, 500);
 
         let (tracer, sink) = hdsj_obs::Tracer::memory();
-        s.record_latency_metrics(&tracer);
+        let fresh = IoStats::default().latency();
+        s.record_latency_since(&tracer, &fresh);
+        // A second run on the same stats owns only what it added.
+        let before = s.latency();
+        s.record_read_timed(Duration::from_micros(7));
+        s.record_latency_since(&tracer, &before);
         tracer.flush();
         let read = sink.hist_snapshot(names::POOL_READ_NS).unwrap();
-        assert_eq!(read.count, 2);
+        assert_eq!((read.count, read.sum, read.min), (3, 27_500, 500));
         assert_eq!(sink.hist_snapshot(names::POOL_WRITE_NS).unwrap().count, 1);
         assert_eq!(
             sink.hist_snapshot(names::POOL_WRITEBACK_NS).unwrap().count,
             1
         );
-        // Disabled tracer: no-op, and reset clears the distributions.
-        s.record_latency_metrics(&hdsj_obs::Tracer::disabled());
         s.reset();
-        assert_eq!(s.read_latency().count, 0);
+        assert_eq!(s.latency()[0].1.count, 0);
     }
 
     #[test]

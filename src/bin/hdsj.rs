@@ -533,7 +533,9 @@ fn join(flags: &HashMap<String, String>) -> Result<()> {
                 .parse()
                 .map_err(|e| Error::InvalidInput(format!("--target-pairs: {e}")))?;
             let eps = data::eps_for_target_pairs(&input, metric, target, 200_000, 42);
-            println!("calibrated eps = {eps:.6} for ~{target} pairs");
+            // Stderr: stdout is the summary, or one JSON object (which
+            // carries the value as `eps`).
+            eprintln!("calibrated eps = {eps:.6} for ~{target} pairs");
             eps
         }
         (None, None) => {
@@ -611,18 +613,20 @@ fn join(flags: &HashMap<String, String>) -> Result<()> {
 
     let mut sink = VecSink::default();
     let started = std::time::Instant::now();
-    let stats = match &other {
-        Some(other) => algo.join(&input, other, &spec, &mut sink)?,
-        None => algo.self_join(&input, &spec, &mut sink)?,
+    let outcome = match &other {
+        Some(other) => algo.join(&input, other, &spec, &mut sink),
+        None => algo.self_join(&input, &spec, &mut sink),
     };
     let elapsed = started.elapsed();
+    // A failed join reports too: the driver has recorded what it counted.
     if let Some(tracer) = &tracer {
         tracer.flush();
         hdsj::obs::set_global(hdsj::obs::Tracer::disabled());
     }
+    let stats = outcome?;
 
     if json_stats {
-        println!("{}", stats_json(algo.name(), &stats, elapsed));
+        println!("{}", stats_json(algo.name(), eps, &stats, elapsed));
     } else {
         println!("algorithm : {}", algo.name());
         println!("pairs     : {}", stats.results);
@@ -681,52 +685,58 @@ fn join(flags: &HashMap<String, String>) -> Result<()> {
 
 /// One machine-readable JSON object for `--stats json`, built with the
 /// `hdsj-obs` encoder so escaping and float formatting stay consistent
-/// with trace files.
+/// with trace files. New keys go at the end: readers find the old ones
+/// where they were.
 fn stats_json(
     algo: &str,
+    eps: f64,
     stats: &hdsj::core::JoinStats,
     elapsed: std::time::Duration,
 ) -> String {
     use hdsj::obs::json::{encode_f64, encode_str};
-    let mut s = String::from("{");
-    s.push_str(&format!("\"algorithm\":{},", encode_str(algo)));
-    s.push_str(&format!(
-        "\"simd\":{},",
-        encode_str(hdsj::core::simd::level().name())
-    ));
-    s.push_str(&format!("\"results\":{},", stats.results));
-    s.push_str(&format!("\"candidates\":{},", stats.candidates));
-    s.push_str(&format!("\"dist_evals\":{},", stats.dist_evals));
-    s.push_str(&format!(
-        "\"filter_precision\":{},",
-        encode_f64(stats.filter_precision())
-    ));
-    s.push_str(&format!("\"time_us\":{},", elapsed.as_micros()));
-    s.push_str(&format!("\"structure_bytes\":{},", stats.structure_bytes));
-    s.push_str("\"phases\":{");
-    for (i, phase) in stats.phases.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{}:{}",
-            encode_str(phase.name),
-            phase.elapsed.as_micros()
-        ));
-    }
-    s.push_str("},\"io\":{");
-    s.push_str(&format!("\"reads\":{},", stats.io.reads));
-    s.push_str(&format!("\"writes\":{},", stats.io.writes));
-    s.push_str(&format!("\"allocs\":{},", stats.io.allocs));
-    s.push_str(&format!("\"hits\":{},", stats.io.hits));
-    s.push_str(&format!("\"evictions\":{},", stats.io.evictions));
-    s.push_str(&format!("\"writebacks\":{},", stats.io.writebacks));
-    s.push_str(&format!("\"retries\":{},", stats.io.retries));
-    s.push_str(&format!("\"faults\":{},", stats.io.faults));
-    s.push_str(&format!("\"corruptions\":{},", stats.io.corruptions));
-    s.push_str(&format!("\"hit_rate\":{}", encode_f64(stats.io.hit_rate())));
-    s.push_str("}}");
-    s
+    let object = |fields: Vec<(&str, String)>| {
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| format!("{}:{value}", encode_str(key)))
+            .collect();
+        format!("{{{}}}", fields.join(","))
+    };
+    let phases: Vec<_> = stats
+        .phases
+        .iter()
+        .map(|p| (p.name, p.elapsed.as_micros().to_string()))
+        .collect();
+    let counters = stats.counters.iter().map(|&(k, v)| (k, v.to_string()));
+    let counters = counters.collect();
+    let io = &stats.io;
+    let mut io_fields: Vec<(&str, String)> = [
+        ("reads", io.reads),
+        ("writes", io.writes),
+        ("allocs", io.allocs),
+        ("hits", io.hits),
+        ("evictions", io.evictions),
+        ("writebacks", io.writebacks),
+        ("retries", io.retries),
+        ("faults", io.faults),
+        ("corruptions", io.corruptions),
+    ]
+    .map(|(k, v)| (k, v.to_string()))
+    .to_vec();
+    io_fields.push(("hit_rate", encode_f64(io.hit_rate())));
+    object(vec![
+        ("algorithm", encode_str(algo)),
+        ("simd", encode_str(hdsj::core::simd::level().name())),
+        ("results", stats.results.to_string()),
+        ("candidates", stats.candidates.to_string()),
+        ("dist_evals", stats.dist_evals.to_string()),
+        ("filter_precision", encode_f64(stats.filter_precision())),
+        ("time_us", elapsed.as_micros().to_string()),
+        ("structure_bytes", stats.structure_bytes.to_string()),
+        ("phases", object(phases)),
+        ("io", object(io_fields)),
+        ("counters", object(counters)),
+        ("eps", encode_f64(eps)),
+    ])
 }
 
 /// `hdsj trace-report FILE [--phases] [--critical-path]`: renders a

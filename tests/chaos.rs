@@ -211,7 +211,7 @@ fn refine_worker_panic_is_contained_and_engine_stays_usable() {
     let ds = dataset();
     let engine = StorageEngine::in_memory(POOL_PAGES);
     let mut msj = Msj::with_engine(engine.clone());
-    msj.threads = 3;
+    msj.env.threads = 3;
     msj.fail_sweep_worker = Some(1);
     let mut sink = VecSink::default();
     let err = msj.self_join(&ds, &spec(), &mut sink).unwrap_err();
@@ -230,7 +230,7 @@ fn refine_worker_panic_is_contained_and_engine_stays_usable() {
 
     // Same engine, failpoint off: the join completes normally.
     let mut msj = Msj::with_engine(engine);
-    msj.threads = 3;
+    msj.env.threads = 3;
     let mut sink = VecSink::default();
     msj.self_join(&ds, &spec(), &mut sink).unwrap();
     assert!(!sink.pairs.is_empty());

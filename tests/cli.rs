@@ -253,6 +253,35 @@ fn stats_json_emits_one_parseable_object() {
         assert_eq!(capped.get("simd").and_then(|v| v.as_str()), Some(want));
         assert_eq!(capped.get("results"), obj.get("results"), "{cap}");
     }
+
+    // The filter funnel needs no trace: the driver's named counters, which
+    // account for every candidate.
+    let counters = obj.get("counters").expect("counters object");
+    let count = |name: &str| counters.get(name).and_then(|v| v.as_u64()).expect(name);
+    assert_eq!(
+        count("sweep.block_candidates") + count("sweep.pair_candidates"),
+        obj.get("candidates").and_then(|v| v.as_u64()).unwrap()
+    );
+    assert_eq!(obj.get("eps").and_then(|v| v.as_f64()), Some(0.2));
+
+    // A calibrated threshold is still one object on stdout: the value is a
+    // key of it, the human-readable line goes to stderr.
+    let out = hdsj()
+        .args(["join", "--algo", "ekdb", "--target-pairs", "500"])
+        .args(["--stats", "json", "--input", csv.to_str().unwrap()])
+        .output()
+        .expect("join");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout.trim().lines().count(), 1, "{stdout}");
+    let obj = hdsj::obs::json::parse(stdout.trim()).expect("valid JSON");
+    let eps = obj.get("eps").and_then(|v| v.as_f64()).expect("eps key");
+    assert!(eps > 0.0 && eps < 1.0, "{eps}");
+    assert!(obj
+        .get("counters")
+        .and_then(|c| c.get("leaf_pairs"))
+        .is_some());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("calibrated eps"));
 }
 
 #[test]
@@ -414,16 +443,25 @@ fn exit_codes_reflect_error_families() {
     assert!(stderr.contains("Corruption"), "{stderr}");
     assert!(stderr.contains("checksum"), "{stderr}");
 
-    // 9: an already-expired deadline stops the join before any phase.
+    // 9: an already-expired deadline stops the join before any phase —
+    // and the trace of the failed run is still written out.
+    let trace_path = tmp("deadline.jsonl");
     let out = hdsj()
         .args(["join", "--algo", "msj", "--eps", "0.25", "--quiet"])
         .args(input)
         .args(["--deadline-ms", "0"])
+        .args(["--trace", trace_path.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(9));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("DeadlineExceeded"), "{stderr}");
+    let text = std::fs::read_to_string(&trace_path).unwrap();
+    let trace = hdsj::obs::report::Trace::parse(&text).expect("valid JSONL");
+    assert!(trace.span("msj.join").is_some(), "{text}");
+    assert_eq!(trace.counter("msj.candidates"), Some(0), "{text}");
+    assert!(trace.counter("lifecycle.cancel_polls") > Some(0), "{text}");
+    assert!(text.contains(r#""error":"DeadlineExceeded""#), "{text}");
 
     // 10: a one-page memory budget cannot hold the level files.
     let out = hdsj()

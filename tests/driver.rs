@@ -1,0 +1,348 @@
+//! One table, six rows: what the join driver (`hdsj::core::join`) records
+//! for every algorithm, on success and on every kind of early exit.
+//!
+//! The rows differ only in the documented per-algorithm extras — root-span
+//! attributes, phase names, own counters. Every metric name a traced join
+//! emits must be in `obs::names::ALL`: the driver builds names with
+//! `format!`, out of the analyzer's (R6) lexical reach, so this suite is
+//! what registers them.
+// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use hdsj::core::obs::{names, AttrValue, MemorySink, SpanEvent};
+use hdsj::core::{
+    CancelToken, Dataset, Error, JoinSpec, LifecycleCtx, PairSink, SimilarityJoin, Tracer,
+    VecSink,
+};
+use hdsj::storage::{FaultPlan, StorageEngine};
+use hdsj::{
+    bruteforce::BruteForce, ekdb::EkdbJoin, grid::GridJoin, msj::Msj, rtree::RsjJoin,
+    sortmerge::SortMergeJoin,
+};
+
+/// One row: an algorithm, sized so that every one of its loops runs more
+/// than once on [`points`], and what it records beyond the common set.
+struct Row {
+    algo: Box<dyn SimilarityJoin>,
+    /// Root-span attributes beyond the standard seven.
+    extra_attrs: &'static [&'static str],
+    phases: &'static [&'static str],
+    /// Whether its leaf join records the five `sweep.*` tile counters.
+    tallied: bool,
+}
+
+/// The six rows; RSJ and MSJ on `engine` when one is given.
+fn rows(engine: Option<&StorageEngine>) -> Vec<Row> {
+    let row = |algo, extra_attrs, phases, tallied| Row {
+        algo,
+        extra_attrs,
+        phases,
+        tallied,
+    };
+    let bf = BruteForce {
+        block: 64,
+        ..Default::default()
+    };
+    let (rsj, msj) = match engine {
+        Some(e) => (RsjJoin::with_engine(e.clone()), Msj::with_engine(e.clone())),
+        None => Default::default(),
+    };
+    let (sm1d, grid, ekdb) = (
+        Box::<SortMergeJoin>::default(),
+        Box::<GridJoin>::default(),
+        Box::<EkdbJoin>::default(),
+    );
+    vec![
+        row(Box::new(bf), &["threads"], &["join"], false),
+        row(sm1d, &["projection_dim"], &["sort", "sweep"], false),
+        row(grid, &[], &["build", "probe"], true),
+        row(ekdb, &[], &["build", "join"], true),
+        row(Box::new(rsj), &[], &["build", "join"], true),
+        row(
+            Box::new(msj),
+            &["depth", "threads"],
+            &["assign", "sort", "sweep"],
+            true,
+        ),
+    ]
+}
+
+fn points(seed: u64) -> Dataset {
+    hdsj::data::uniform(4, 2000, seed).unwrap()
+}
+
+fn prefix(algo: &dyn SimilarityJoin) -> String {
+    algo.name().to_ascii_lowercase()
+}
+
+fn root_of(sink: &MemorySink, algo: &str) -> SpanEvent {
+    let name = format!("{algo}.join");
+    let roots: Vec<_> = sink
+        .spans()
+        .into_iter()
+        .filter(|s| s.name == name)
+        .collect();
+    assert_eq!(roots.len(), 1, "{algo}: one root span per join");
+    roots.into_iter().next().unwrap()
+}
+
+fn attr<'a>(span: &'a SpanEvent, key: &str) -> Option<&'a AttrValue> {
+    span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+fn assert_names_registered(sink: &MemorySink, algo: &str) {
+    let counters = sink.counters().into_iter().map(|c| c.name);
+    let hists = sink.hists().into_iter().map(|h| h.name);
+    let gauges = sink.events().into_iter().filter_map(|e| match e {
+        hdsj::core::obs::Event::Gauge(g) => Some(g.name),
+        _ => None,
+    });
+    for name in counters.chain(hists).chain(gauges) {
+        assert!(
+            names::ALL.contains(&name.as_str()),
+            "{algo} recorded {name}, which obs::names does not register"
+        );
+    }
+}
+
+/// Cancels its token at the first pair it sees, as a client that has seen
+/// enough would.
+struct CancelAtFirstPair(CancelToken, u64);
+
+impl PairSink for CancelAtFirstPair {
+    fn push(&mut self, _i: u32, _j: u32) {
+        self.0.cancel();
+        self.1 += 1;
+    }
+}
+
+#[test]
+fn a_successful_join_records_the_same_shape_for_every_algorithm() {
+    let (a, b) = (points(1), points(2));
+    let spec = JoinSpec::l2(0.1);
+    for two_sets in [false, true] {
+        for mut row in rows(None) {
+            let (tracer, sink) = Tracer::memory();
+            row.algo.set_tracer(tracer.clone());
+            let mut pairs = VecSink::default();
+            let stats = match two_sets {
+                false => row.algo.self_join(&a, &spec, &mut pairs).unwrap(),
+                true => row.algo.join(&a, &b, &spec, &mut pairs).unwrap(),
+            };
+            tracer.flush();
+            let algo = prefix(row.algo.as_ref());
+            assert!(stats.results > 0 && stats.results == pairs.pairs.len() as u64);
+
+            // The root span: the standard attributes, then the extras.
+            let root = root_of(&sink, &algo);
+            let mut want = vec!["algo", "n_a", "n_b", "dims", "eps"];
+            want.extend(row.extra_attrs);
+            want.extend(["candidates", "results"]);
+            let keys: Vec<&str> = root.attrs.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, want, "{algo}");
+            assert_eq!(
+                attr(&root, "candidates"),
+                Some(&AttrValue::U64(stats.candidates))
+            );
+
+            // One child span per phase, timed by the same clock.
+            let names: Vec<&str> = stats.phases.iter().map(|p| p.name).collect();
+            assert_eq!(names, row.phases, "{algo}");
+            let spans = sink.spans();
+            for phase in &stats.phases {
+                let children: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.name == phase.name && s.parent == Some(root.id))
+                    .collect();
+                assert_eq!(children.len(), 1, "{algo}.{}", phase.name);
+                assert_eq!(children[0].dur_us, phase.elapsed.as_micros() as u64);
+                let hist = format!("{algo}.phase.{}_ns", phase.name);
+                assert_eq!(sink.hist_snapshot(&hist).unwrap().count, 1, "{hist}");
+            }
+
+            // Counters: the two every algorithm has, its own, nothing else.
+            let counter = |name: &str| sink.counter_value(&format!("{algo}.{name}"));
+            assert_eq!(counter("candidates"), Some(stats.candidates), "{algo}");
+            assert_eq!(counter("results"), Some(stats.results), "{algo}");
+            for &(name, value) in &stats.counters {
+                assert_eq!(counter(name), Some(value), "{algo}.{name}");
+            }
+            if row.tallied {
+                let tally = |name| stats.counter(name).expect(name);
+                assert_eq!(
+                    tally("sweep.block_candidates") + tally("sweep.pair_candidates"),
+                    stats.candidates,
+                    "{algo}: the tile tally accounts for every candidate"
+                );
+            } else {
+                assert_eq!(stats.counters, [], "{algo}");
+            }
+            assert!(stats.structure_bytes > 0, "{algo}");
+            assert!(attr(&root, "error").is_none(), "{algo}");
+            assert_names_registered(&sink, &algo);
+        }
+    }
+}
+
+/// What every early exit must leave behind: the typed error, the counts so
+/// far, the lifecycle's polls, and the variant on the root span.
+fn assert_error_exit_reported(sink: &MemorySink, algo: &str, variant: &str) -> u64 {
+    let root = root_of(sink, algo);
+    assert_eq!(
+        attr(&root, "error"),
+        Some(&AttrValue::Str(variant.to_string())),
+        "{algo}: {:?}",
+        root.attrs
+    );
+    let polls = sink.counter_value(names::LIFECYCLE_CANCEL_POLLS);
+    assert!(polls.is_some_and(|n| n > 0), "{algo}: polls {polls:?}");
+    assert_names_registered(sink, algo);
+    sink.counter_value(&format!("{algo}.candidates"))
+        .unwrap_or_else(|| panic!("{algo}.candidates must be recorded on an error exit"))
+}
+
+#[test]
+fn a_join_cancelled_mid_phase_still_reports() {
+    let ds = points(3);
+    for mut row in rows(None) {
+        let (tracer, sink) = Tracer::memory();
+        let lc = LifecycleCtx::unbounded();
+        let mut pairs = CancelAtFirstPair(lc.cancel_token(), 0);
+        row.algo.set_tracer(tracer.clone());
+        row.algo.set_lifecycle(lc);
+        let err = row
+            .algo
+            .self_join(&ds, &JoinSpec::l2(0.1), &mut pairs)
+            .unwrap_err();
+        tracer.flush();
+        let algo = prefix(row.algo.as_ref());
+        assert!(matches!(err, Error::Canceled(_)), "{algo}: {err:?}");
+        let candidates = assert_error_exit_reported(&sink, &algo, "Canceled");
+        assert!(
+            candidates >= pairs.1 && pairs.1 > 0,
+            "{algo}: {candidates} candidates, {} pairs",
+            pairs.1
+        );
+        // The phase it was cancelled in was closed, not dropped.
+        let last = *row.phases.last().unwrap();
+        let hist = format!("{algo}.phase.{last}_ns");
+        assert_eq!(
+            sink.hist_snapshot(&hist).map(|h| h.count),
+            Some(1),
+            "{hist}"
+        );
+    }
+}
+
+#[test]
+fn a_join_past_its_deadline_still_reports() {
+    let ds = points(4);
+    for mut row in rows(None) {
+        let (tracer, sink) = Tracer::memory();
+        row.algo.set_tracer(tracer.clone());
+        row.algo
+            .set_lifecycle(LifecycleCtx::builder().deadline_ms(0).build());
+        let mut pairs = VecSink::default();
+        let err = row
+            .algo
+            .self_join(&ds, &JoinSpec::l2(0.1), &mut pairs)
+            .unwrap_err();
+        tracer.flush();
+        let algo = prefix(row.algo.as_ref());
+        assert!(matches!(err, Error::DeadlineExceeded(_)), "{algo}: {err:?}");
+        assert_eq!(
+            assert_error_exit_reported(&sink, &algo, "DeadlineExceeded"),
+            0
+        );
+        assert!(pairs.pairs.is_empty(), "{algo}");
+    }
+}
+
+/// The two disk-backed rows, RSJ and MSJ, on `engine`.
+fn disk_rows(engine: &StorageEngine) -> Vec<Row> {
+    rows(Some(engine)).split_off(4)
+}
+
+#[test]
+fn a_storage_fault_still_reports_the_page_traffic() {
+    let ds = points(5);
+    // A two-frame pool, so that both joins really read.
+    let plan = FaultPlan::parse("seed=3,read=1:persistent").unwrap();
+    let engine = StorageEngine::builder(2).faults(plan).in_memory();
+    for mut row in disk_rows(&engine) {
+        let (tracer, sink) = Tracer::memory();
+        row.algo.set_tracer(tracer.clone());
+        let mut pairs = VecSink::default();
+        let err = row
+            .algo
+            .self_join(&ds, &JoinSpec::l2(0.1), &mut pairs)
+            .unwrap_err();
+        tracer.flush();
+        let algo = prefix(row.algo.as_ref());
+        assert!(matches!(err, Error::Storage(_)), "{algo}: {err:?}");
+        let root = root_of(&sink, &algo);
+        assert_eq!(
+            attr(&root, "error"),
+            Some(&AttrValue::Str("Storage".into()))
+        );
+        assert!(sink.counter_value(names::POOL_READS).is_some(), "{algo}");
+        assert!(sink.counter_value(names::POOL_WRITES) > Some(0), "{algo}");
+        assert!(sink.counter_value(names::POOL_FAULTS) > Some(0), "{algo}");
+        assert!(sink.counter_value(&format!("{algo}.candidates")).is_some());
+        assert_names_registered(&sink, &algo);
+        assert_eq!(engine.pool().pinned_frames(), 0, "{algo}");
+    }
+}
+
+#[test]
+fn a_join_over_its_io_budget_still_reports() {
+    // Three disk operations do not get either disk-backed join past its
+    // first pages; the pool charges the budget, the driver reports the exit.
+    let ds = points(7);
+    let engine = StorageEngine::in_memory(4);
+    for mut row in disk_rows(&engine) {
+        let (tracer, sink) = Tracer::memory();
+        row.algo.set_tracer(tracer.clone());
+        row.algo
+            .set_lifecycle(LifecycleCtx::builder().io_budget(3).build());
+        let mut pairs = VecSink::default();
+        let err = row
+            .algo
+            .self_join(&ds, &JoinSpec::l2(0.1), &mut pairs)
+            .unwrap_err();
+        tracer.flush();
+        let algo = prefix(row.algo.as_ref());
+        assert!(matches!(err, Error::BudgetExhausted(_)), "{algo}: {err:?}");
+        assert_error_exit_reported(&sink, &algo, "BudgetExhausted");
+        assert!(sink.counter_value(names::POOL_ALLOCS) > Some(0), "{algo}");
+        assert_eq!(engine.pool().pinned_frames(), 0, "{algo}");
+    }
+}
+
+#[test]
+fn joins_sharing_an_engine_each_count_their_own_page_latencies() {
+    // The pool's latency histograms are cumulative over the engine's life;
+    // a traced join owns what it added, as with the counters beside them.
+    let ds = points(6);
+    let engine = StorageEngine::in_memory(2);
+    let (tracer, sink) = Tracer::memory();
+    let mut reads = 0;
+    for mut row in disk_rows(&engine).into_iter().chain(disk_rows(&engine)) {
+        row.algo.set_tracer(tracer.clone());
+        let mut pairs = VecSink::default();
+        let stats = row
+            .algo
+            .self_join(&ds, &JoinSpec::l2(0.1), &mut pairs)
+            .unwrap();
+        assert!(
+            stats.io.reads > 0,
+            "{}: a two-frame pool must miss",
+            row.algo.name()
+        );
+        reads += stats.io.reads;
+    }
+    tracer.flush();
+    assert_eq!(sink.counter_value(names::POOL_READS), Some(reads));
+    let timed = sink.hist_snapshot(names::POOL_READ_NS).unwrap();
+    assert_eq!(timed.count, reads, "every read timed once, in one join");
+}
