@@ -10,6 +10,11 @@
 //! lanes) shape brute force feeds the across-candidate kernel. A tile whose
 //! windows hold too few candidates to repay the transpose is emitted pair
 //! by pair instead.
+//!
+//! A caller that joins the same candidate list many times can transpose it
+//! once itself and hand the join those *resident* columns
+//! ([`TileJoin::run_resident`]): the same tiles and windows, read in place,
+//! with no counting pass and no gather.
 
 use crate::dataset::Dataset;
 use crate::error::Result;
@@ -68,9 +73,11 @@ impl CandidateSink for Refiner<'_> {
 /// What the joins run so far did, beyond the candidates they emitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TileTally {
-    /// Tiles transposed into the scratch block.
+    /// Tiles transposed into the scratch block, or read from resident
+    /// columns, whose windows went to the block kernel.
     pub tiles_gathered: u64,
-    /// Lanes transposed (rows copied) over all gathered tiles.
+    /// Lanes transposed (rows copied) over all gathered tiles. Resident
+    /// columns were transposed by their owner, who counts their lanes.
     pub lanes_gathered: u64,
     /// Candidates emitted as lane windows of a gathered tile.
     pub block_candidates: u64,
@@ -196,6 +203,36 @@ impl<'a> TileJoin<'a> {
         within: bool,
         sink: &mut S,
     ) -> Result<()> {
+        self.run_from(xs, ys, within, None, sink)
+    }
+
+    /// [`TileJoin::run`] with `ys` already transposed: `ys[k]` is lane
+    /// `at + k` of `columns`. Every window goes to [`CandidateSink::block`]
+    /// on `columns` — nothing is counted, gathered or sent pair by pair —
+    /// and the tiles, their numbers and the pair order are `run`'s.
+    pub fn run_resident<S: CandidateSink>(
+        &mut self,
+        xs: &[(f64, u32)],
+        ys: &[(f64, u32)],
+        within: bool,
+        columns: &SoABlock,
+        at: usize,
+        sink: &mut S,
+    ) -> Result<()> {
+        debug_assert!(at + ys.len() <= columns.len());
+        self.run_from(xs, ys, within, Some((columns, at)), sink)
+    }
+
+    /// The tile loop of both column sources: the scratch tile, or
+    /// `resident` columns with `ys` from the given lane on.
+    fn run_from<S: CandidateSink>(
+        &mut self,
+        xs: &[(f64, u32)],
+        ys: &[(f64, u32)],
+        within: bool,
+        resident: Option<(&SoABlock, usize)>,
+        sink: &mut S,
+    ) -> Result<()> {
         let (eps, lifecycle) = (self.eps, self.lifecycle);
         // First probe whose window can reach the current tile; both lists
         // ascend, so it only moves forward from tile to tile.
@@ -220,9 +257,10 @@ impl<'a> TileJoin<'a> {
             // `gather_min` probes remain (each holds at most one candidate
             // per lane): such a tile goes pair by pair, uncounted.
             // Otherwise counting stops as soon as the answer is yes.
+            // Resident columns cost nothing to reuse: every tile is a block.
             let cutoff = self.gather_min * (hi - lo);
-            let mut gather = false;
-            if hi - lo >= self.lanes_min && xs.len() - from >= self.gather_min {
+            let mut gather = resident.is_some();
+            if !gather && hi - lo >= self.lanes_min && xs.len() - from >= self.gather_min {
                 let mut total = 0usize;
                 tile_windows(xs, tile_ys, lo, from, within, eps, None, |_, w| {
                     total += w.len();
@@ -233,7 +271,7 @@ impl<'a> TileJoin<'a> {
                 }
                 gather = total >= cutoff;
             }
-            if gather {
+            if gather && resident.is_none() {
                 self.ids.clear();
                 self.ids.extend(ys[lo..hi].iter().map(|y| y.1));
                 self.tile.gather_into(self.data, &self.ids);
@@ -241,12 +279,15 @@ impl<'a> TileJoin<'a> {
                 self.tally.tiles_gathered += 1;
                 self.tally.lanes_gathered += (hi - lo) as u64;
             }
-            let (tile, mut n, mut windows) = (&self.tile, 0u64, 0u64);
+            // `ys[k]` is lane `k - lo` of the scratch tile, `at + k` of
+            // resident columns: lane = `base + k - lo`.
+            let (tile, base) = resident.map_or((&self.tile, 0), |(c, at)| (c, at + lo));
+            let (mut n, mut windows) = (0u64, 0u64);
             tile_windows(xs, tile_ys, lo, from, within, eps, lifecycle, |p, w| {
                 n += w.len() as u64;
                 windows += 1;
                 if gather {
-                    sink.block(xs[p].1, tile, w.start - lo..w.end - lo);
+                    sink.block(xs[p].1, tile, base + w.start - lo..base + w.end - lo);
                 } else {
                     for y in &ys[w] {
                         sink.pair(xs[p].1, y.1);
@@ -255,6 +296,7 @@ impl<'a> TileJoin<'a> {
                 true
             })?;
             if gather {
+                self.tally.tiles_gathered += u64::from(resident.is_some() && n > 0);
                 self.tally.block_candidates += n;
                 self.tally.block_calls += windows;
             } else {
@@ -404,10 +446,41 @@ mod tests {
         }
     }
 
-    /// A 1-d dataset holding `xs` then `ys`, and the two sorted lists with
-    /// ids into it.
+    impl Collect<'_> {
+        /// The pairs of every numbered tile that emitted any, in order.
+        fn tiles(&self) -> Vec<(u64, Vec<(u32, u32)>)> {
+            let mut at = 0;
+            let mut tiles = Vec::new();
+            for &(seq, end) in &self.ends {
+                if end > at {
+                    tiles.push((seq, self.pairs[at..end].to_vec()));
+                }
+                at = end;
+            }
+            tiles
+        }
+    }
+
+    /// Lanes in front of the candidate list in its resident columns: not a
+    /// multiple of 8, so windows start mid-group as brute force's do.
+    const AT: usize = 3;
+
+    /// Transposes `ys` once, behind [`AT`] lanes of points no list holds
+    /// (the last rows of a dataset from [`lists`]).
+    fn resident(data: &Dataset, ys: &[(f64, u32)]) -> SoABlock {
+        let pad = (data.len() - AT) as u32;
+        let ids: Vec<u32> = (pad..pad + AT as u32)
+            .chain(ys.iter().map(|y| y.1))
+            .collect();
+        let mut columns = SoABlock::empty(1);
+        columns.gather_into(data, &ids);
+        columns
+    }
+
+    /// A 1-d dataset holding `xs`, `ys`, then [`AT`] points no list holds,
+    /// and the two sorted lists with ids into it.
     fn lists(xs: &[f64], ys: &[f64]) -> (Dataset, List, List) {
-        let flat: Vec<f64> = xs.iter().chain(ys).copied().collect();
+        let flat: Vec<f64> = xs.iter().chain(ys).chain(&[0.75; AT]).copied().collect();
         let data = Dataset::from_flat(1, flat).unwrap();
         let sorted = |vals: &[f64], base: usize| {
             let mut l: List = (base..).zip(vals).map(|(k, &v)| (v, k as u32)).collect();
@@ -419,10 +492,12 @@ mod tests {
 
     /// Checks `xs × ys` and `xs` within itself against the reference, as
     /// multisets (no pair twice, none missing), on the always-gather
-    /// branch, the derived policy, and the never-gather branch — that
-    /// `JoinStats.candidates` through the real refiner is the reference
-    /// count on each, and that three shares of the join (an odd count: uneven
-    /// ownership), replayed in tile order, are its emission and its tally.
+    /// branch, the derived policy, the never-gather branch and resident
+    /// columns — that `JoinStats.candidates` through the real refiner is the
+    /// reference count on each, that every source emits the same pairs per
+    /// numbered tile and leaves the refiner the same counters, and that three
+    /// shares of the join (an odd count: uneven ownership), replayed in tile
+    /// order, are its emission and its tally.
     fn check(xv: &[f64], yv: &[f64], eps: f64, tile_w: usize) {
         let (data, xs, ys) = lists(xv, yv);
         let spec = JoinSpec::l2(eps.max(1e-9));
@@ -436,13 +511,20 @@ mod tests {
                 (&ys, JoinKind::TwoSets)
             };
             want.sort_unstable();
-            let policies = [
-                (0usize, 0usize),
-                (1, GATHER_LANES_MIN),
-                (usize::MAX / 4096, 0),
+            let columns = resident(&data, ys);
+            // (gather_min, lanes_min, column source)
+            let sources = [
+                (0usize, 0usize, None),
+                (1, GATHER_LANES_MIN, None),
+                (usize::MAX / 4096, 0, None),
+                (1, GATHER_LANES_MIN, Some((&columns, AT))),
             ];
-            for (gather_min, lanes_min) in policies {
-                let label = format!("within={within} w={tile_w} g={gather_min}");
+            let mut first = None;
+            for (gather_min, lanes_min, source) in sources {
+                let label = format!(
+                    "within={within} w={tile_w} g={gather_min} resident={}",
+                    source.is_some()
+                );
                 let tuned = |index, of| {
                     let mut join = TileJoin::new(&data, eps, None).share(index, of);
                     (join.tile_w, join.gather_min, join.lanes_min) =
@@ -451,27 +533,23 @@ mod tests {
                 };
                 let mut join = tuned(0, 1);
                 let mut sink = Collect::new(&data);
-                join.run(&xs, ys, within, &mut sink).unwrap();
+                join.run_from(&xs, ys, within, source, &mut sink).unwrap();
 
                 // Two runs each: tile numbers run on across one join's runs.
                 let mut twice = tuned(0, 1);
                 let mut whole = Collect::new(&data);
                 let (mut tiles, mut shared) = (Vec::new(), TileTally::default());
                 for _ in 0..2 {
-                    twice.run(&xs, ys, within, &mut whole).unwrap();
+                    twice.run_from(&xs, ys, within, source, &mut whole).unwrap();
                 }
                 for index in 0..3 {
                     let mut part = tuned(index, 3);
                     let mut out = Collect::new(&data);
                     for _ in 0..2 {
-                        part.run(&xs, ys, within, &mut out).unwrap();
+                        part.run_from(&xs, ys, within, source, &mut out).unwrap();
                     }
-                    let mut at = 0;
-                    for (seq, end) in out.ends {
-                        assert_eq!(seq % 3, index as u64, "{label}");
-                        tiles.push((seq, out.pairs[at..end].to_vec()));
-                        at = end;
-                    }
+                    assert!(out.ends.iter().all(|e| e.0 % 3 == index as u64), "{label}");
+                    tiles.extend(out.tiles());
                     shared += part.tally;
                 }
                 tiles.sort_unstable_by_key(|t| t.0);
@@ -479,18 +557,26 @@ mod tests {
                 assert_eq!(replayed, whole.pairs, "{label}");
                 assert_eq!(shared, twice.tally, "{label}");
 
+                let emitted = sink.tiles();
                 sink.pairs.sort_unstable();
                 assert_eq!(sink.pairs, want, "{label}");
                 let t = join.tally;
                 assert_eq!(t.block_candidates + t.pair_candidates, want.len() as u64);
+                assert_eq!(t.block_candidates == 0, t.tiles_gathered == 0, "{label}");
                 assert!(gather_min != 0 || t.pair_candidates == 0, "{label}");
                 assert!(gather_min <= 1 || t.tiles_gathered == 0, "{label}");
+                if source.is_some() {
+                    assert_eq!((t.pair_candidates, t.lanes_gathered), (0, 0), "{label}");
+                }
 
                 let mut out = CountSink::default();
                 let mut refiner = Refiner::new(&data, &data, kind, &spec, &mut out);
-                join.run(&xs, ys, within, &mut refiner).unwrap();
-                let stats = refiner.finish(Default::default());
-                assert_eq!(stats.candidates, want.len() as u64, "{label}");
+                join.run_from(&xs, ys, within, source, &mut refiner)
+                    .unwrap();
+                let counters = refiner.counters();
+                assert_eq!(counters.0, want.len() as u64, "{label}");
+                let first = first.get_or_insert((emitted.clone(), counters));
+                assert_eq!((&emitted, counters), (&first.0, first.1), "{label}");
             }
         }
     }
@@ -538,6 +624,22 @@ mod tests {
         let err = join.run(&xs, &ys, false, &mut sink).unwrap_err();
         assert!(matches!(err, Error::Canceled(_)), "{err:?}");
         assert!(sink.pairs.is_empty());
+    }
+
+    #[test]
+    fn a_canceled_lifecycle_stops_a_resident_run() {
+        let (data, xs, ys) = lists(&[0.1, 0.2], &[0.1, 0.2]);
+        let columns = resident(&data, &ys);
+        let lc = LifecycleCtx::unbounded();
+        lc.cancel_token().cancel();
+        let mut join = TileJoin::new(&data, 0.5, Some(&lc));
+        let mut sink = Collect::new(&data);
+        let err = join
+            .run_resident(&xs, &ys, false, &columns, AT, &mut sink)
+            .unwrap_err();
+        assert!(matches!(err, Error::Canceled(_)), "{err:?}");
+        assert!(sink.pairs.is_empty() && sink.ends.is_empty());
+        assert_eq!(join.tally(), TileTally::default());
     }
 
     #[test]

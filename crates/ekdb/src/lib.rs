@@ -10,7 +10,8 @@
 //! two points within L∞ distance ε always land in the *same or adjacent*
 //! stripes, so the join only pairs sibling subtrees whose stripe indices
 //! differ by at most one — and within leaves, a plane sweep along dimension
-//! 0 bounds the candidate set.
+//! 0 bounds the candidate set. The candidate side's points are transposed
+//! once per join, leaf after leaf, and every leaf pair reads them in place.
 //!
 //! The structure is excellent when a few dimensions suffice to cut the data
 //! down, but its interior fan-out is `⌊1/ε⌋` *per node*, so its memory
@@ -22,18 +23,22 @@
 use hdsj_core::obs::PhaseClass;
 use hdsj_core::{
     sort_by_coord, Dataset, JoinEnv, JoinKind, JoinRun, JoinSpec, LifecycleCtx, PairSink,
-    Refiner, Result, SimilarityJoin, TileJoin,
+    Refiner, Result, SimilarityJoin, SoABlock, TileJoin,
 };
 
 /// Leaf pairs between the traversal's own lifecycle polls (the leaf join
 /// polls per tile, but only once it has candidates).
 const POLL_STRIDE: u64 = 256;
 
+/// A leaf's `(x0, id)` entries.
+type List = [(f64, u32)];
+
 /// One node of the ε-KDB tree.
 enum Node {
     /// `(x0, id)` per point, sorted by `x0` after the build: the list the
-    /// leaf join sweeps.
-    Leaf(Vec<(f64, u32)>),
+    /// leaf join sweeps; and the lane of its first point in the tree's
+    /// columns, whose lanes are the leaves' points in DFS order.
+    Leaf(Vec<(f64, u32)>, usize),
     /// Children indexed by stripe of the split dimension; `None` = empty.
     Inner { children: Vec<Option<Box<Node>>> },
 }
@@ -41,6 +46,8 @@ enum Node {
 /// An ε-KDB tree over one dataset.
 struct Tree {
     root: Node,
+    /// The leaves' ids in DFS order: what the columns transpose.
+    lanes: Vec<u32>,
     stripes: usize,
     dims: usize,
     leaf_capacity: usize,
@@ -53,7 +60,8 @@ impl Tree {
         // every stripe is at least ε wide.
         let stripes = ((1.0 / eps).floor() as usize).max(1);
         let mut tree = Tree {
-            root: Node::Leaf(Vec::new()),
+            root: Node::Leaf(Vec::new(), 0),
+            lanes: Vec::with_capacity(ds.len()),
             stripes,
             dims: ds.dims(),
             leaf_capacity: leaf_capacity.max(2),
@@ -78,16 +86,18 @@ impl Tree {
                 Node::Inner { children } => {
                     let s = stripe_index(ds.point(id)[depth], eps, stripes);
                     let child =
-                        children[s].get_or_insert_with(|| Box::new(Node::Leaf(Vec::new())));
+                        children[s].get_or_insert_with(|| Box::new(Node::Leaf(Vec::new(), 0)));
                     node = child;
                     depth += 1;
                 }
-                Node::Leaf(points) => {
+                Node::Leaf(points, _) => {
                     points.push((ds.point(id)[0], id));
                     // Split when over capacity and a dimension is left. Past
                     // depth == dims the leaf simply grows (the structure has
                     // no dimensions left to cut — the paper's behaviour).
-                    if points.len() > capacity && depth < dims {
+                    // Never into ≤ 2 stripes: two are always adjacent, so
+                    // every leaf would meet every other — one leaf is SM1D.
+                    if points.len() > capacity && depth < dims && stripes > 2 {
                         let old = std::mem::take(points);
                         let mut children: Vec<Option<Box<Node>>> =
                             (0..stripes).map(|_| None).collect();
@@ -96,8 +106,8 @@ impl Tree {
                             // Children are only ever created as leaves in
                             // this loop, so the `if let` always matches.
                             let child = children[s]
-                                .get_or_insert_with(|| Box::new(Node::Leaf(Vec::new())));
-                            if let Node::Leaf(v) = child.as_mut() {
+                                .get_or_insert_with(|| Box::new(Node::Leaf(Vec::new(), 0)));
+                            if let Node::Leaf(v, _) = child.as_mut() {
                                 v.push(entry);
                             }
                         }
@@ -109,21 +119,26 @@ impl Tree {
         }
     }
 
-    /// Sorts every leaf by dimension 0 so leaf joins can plane-sweep.
+    /// Sorts every leaf by dimension 0 so leaf joins can plane-sweep, and
+    /// lays the leaves out one after another in DFS order.
     fn sort_leaves(&mut self) {
-        fn rec(node: &mut Node) {
+        fn rec(node: &mut Node, lanes: &mut Vec<u32>) {
             match node {
-                Node::Leaf(points) => sort_by_coord(points),
+                Node::Leaf(points, at) => {
+                    sort_by_coord(points);
+                    *at = lanes.len();
+                    lanes.extend(points.iter().map(|p| p.1));
+                }
                 Node::Inner { children } => {
                     // allow(hdsj::lifecycle_poll): per-node fan-out bounded
                     // by split arity; the build polls at its phase boundary.
                     for c in children.iter_mut().flatten() {
-                        rec(c);
+                        rec(c, lanes);
                     }
                 }
             }
         }
-        rec(&mut self.root);
+        rec(&mut self.root, &mut self.lanes);
     }
 
     /// Structure-resident bytes: the quantity experiment E5 reports. Interior
@@ -133,7 +148,7 @@ impl Tree {
     fn bytes(&self) -> u64 {
         fn rec(node: &Node) -> u64 {
             match node {
-                Node::Leaf(points) => 32 + points.len() as u64 * 12,
+                Node::Leaf(points, _) => 32 + points.len() as u64 * 12,
                 Node::Inner { children } => {
                     32 + children.len() as u64 * 8
                         + children.iter().flatten().map(|c| rec(c)).sum::<u64>()
@@ -151,7 +166,7 @@ fn stripe_index(x: f64, eps: f64, stripes: usize) -> usize {
 /// ε-KDB tree join.
 #[derive(Clone, Debug)]
 pub struct EkdbJoin {
-    /// Points a leaf may hold before it splits.
+    /// Points a leaf may hold before it splits (it never does at ⌊1/ε⌋ ≤ 2).
     pub leaf_capacity: usize,
     /// Tracer and lifecycle context (polled every `POLL_STRIDE` leaf
     /// pairs and by the leaf join per tile); the thread count is ignored.
@@ -167,15 +182,18 @@ impl Default for EkdbJoin {
     }
 }
 
-/// What the traversal does with a pair of leaves: `xs × ys`, or with
-/// `within` the unordered pairs of one leaf (`xs` and `ys` the same list).
+/// What the traversal does with a pair of leaves: `xs × ys`, `ys` from
+/// lane `at` of the candidate tree's columns on, or with `within` the
+/// unordered pairs of one leaf (`xs` and `ys` the same list).
 trait LeafJoin {
-    fn leaf_pair(&mut self, xs: &[(f64, u32)], ys: &[(f64, u32)], within: bool) -> Result<()>;
+    fn leaf_pair(&mut self, xs: &List, ys: &List, at: usize, within: bool) -> Result<()>;
 }
 
-/// Leaf pairs go through the shared tile-major join into the refiner.
+/// Leaf pairs go through the shared tile-major join into the refiner,
+/// reading the candidate leaf from the columns in place.
 struct TiledLeaves<'a> {
     join: TileJoin<'a>,
+    columns: &'a SoABlock,
     refiner: Refiner<'a>,
     lifecycle: Option<&'a LifecycleCtx>,
     /// Leaf pairs (a leaf with itself included) handed to the join.
@@ -185,14 +203,15 @@ struct TiledLeaves<'a> {
 impl LeafJoin for TiledLeaves<'_> {
     /// Polls the lifecycle context every [`POLL_STRIDE`] leaf pairs so a
     /// traversal that finds no candidates still stops.
-    fn leaf_pair(&mut self, xs: &[(f64, u32)], ys: &[(f64, u32)], within: bool) -> Result<()> {
+    fn leaf_pair(&mut self, xs: &List, ys: &List, at: usize, within: bool) -> Result<()> {
         if self.leaf_pairs.is_multiple_of(POLL_STRIDE) {
             if let Some(lc) = self.lifecycle {
                 lc.poll()?;
             }
         }
         self.leaf_pairs += 1;
-        self.join.run(xs, ys, within, &mut self.refiner)
+        self.join
+            .run_resident(xs, ys, within, self.columns, at, &mut self.refiner)
     }
 }
 
@@ -207,7 +226,7 @@ fn traverse<L: LeafJoin>(a: &Tree, b: Option<&Tree>, leaves: &mut L) -> Result<(
 /// Enumerates unordered pairs within subtree `node`.
 fn pair_self<L: LeafJoin>(node: &Node, leaves: &mut L) -> Result<()> {
     match node {
-        Node::Leaf(points) => leaves.leaf_pair(points, points, true)?,
+        Node::Leaf(points, at) => leaves.leaf_pair(points, points, *at, true)?,
         Node::Inner { children } => {
             for i in 0..children.len() {
                 if let Some(ci) = &children[i] {
@@ -228,13 +247,13 @@ fn pair_self<L: LeafJoin>(node: &Node, leaves: &mut L) -> Result<()> {
 #[allow(clippy::needless_range_loop)]
 fn pair_cross<L: LeafJoin>(x: &Node, y: &Node, leaves: &mut L) -> Result<()> {
     match (x, y) {
-        (Node::Leaf(px), Node::Leaf(py)) => leaves.leaf_pair(px, py, false)?,
-        (Node::Inner { children }, leaf @ Node::Leaf(_)) => {
+        (Node::Leaf(px, _), Node::Leaf(py, at)) => leaves.leaf_pair(px, py, *at, false)?,
+        (Node::Inner { children }, leaf @ Node::Leaf(..)) => {
             for c in children.iter().flatten() {
                 pair_cross(c, leaf, leaves)?;
             }
         }
-        (leaf @ Node::Leaf(_), Node::Inner { children }) => {
+        (leaf @ Node::Leaf(..), Node::Inner { children }) => {
             for c in children.iter().flatten() {
                 pair_cross(leaf, c, leaves)?;
             }
@@ -272,28 +291,34 @@ impl SimilarityJoin for EkdbJoin {
         spec: &JoinSpec,
         sink: &mut dyn PairSink,
     ) -> Result<()> {
-        let (tree_a, tree_b) = run.phase("build", PhaseClass::Cpu, |run| {
+        let (tree_a, tree_b, columns) = run.phase("build", PhaseClass::Cpu, |run| {
             let tree_a = Tree::build(a, spec.eps, self.leaf_capacity);
             let tree_b = match kind {
                 JoinKind::SelfJoin => None,
                 JoinKind::TwoSets => Some(Tree::build(b, spec.eps, self.leaf_capacity)),
             };
-            run.structure_bytes(tree_a.bytes() + tree_b.as_ref().map_or(0, Tree::bytes));
-            Ok((tree_a, tree_b))
+            // Every candidate transposed once: a leaf is the lanes from its offset on.
+            let mut columns = SoABlock::empty(b.dims());
+            columns.gather_into(b, &tree_b.as_ref().unwrap_or(&tree_a).lanes);
+            let trees = tree_a.bytes() + tree_b.as_ref().map_or(0, Tree::bytes);
+            run.structure_bytes(trees + columns.bytes());
+            Ok((tree_a, tree_b, columns))
         })?;
 
         run.phase("join", PhaseClass::Cpu, |run| {
             let mut leaves = TiledLeaves {
                 join: TileJoin::new(b, spec.eps, run.lifecycle()),
+                columns: &columns,
                 refiner: Refiner::new(a, b, kind, spec, sink),
                 lifecycle: run.lifecycle(),
                 leaf_pairs: 0,
             };
             let traversed = traverse(&tree_a, tree_b.as_ref(), &mut leaves);
             run.refined(leaves.refiner.counters());
-            run.tally(leaves.join.tally());
+            let mut tally = leaves.join.tally();
+            tally.lanes_gathered = columns.len() as u64;
+            run.tally(tally);
             run.count("leaf_pairs", leaves.leaf_pairs);
-            run.structure_bytes(leaves.join.scratch_bytes());
             traversed
         })
     }
@@ -304,7 +329,8 @@ mod tests {
     use super::*;
     use hdsj_bruteforce::BruteForce;
     use hdsj_core::simd::tile::soa_tile_width;
-    use hdsj_core::{verify, Metric, VecSink};
+    use hdsj_core::{verify, CountSink, Metric, VecSink};
+    use hdsj_sortmerge::SortMergeJoin;
     use proptest::prelude::*;
 
     fn compare_with_bf(a: &Dataset, b: Option<&Dataset>, spec: &JoinSpec, ekdb: &mut EkdbJoin) {
@@ -332,12 +358,7 @@ mod tests {
     }
 
     impl LeafJoin for PairwiseLeaves<'_> {
-        fn leaf_pair(
-            &mut self,
-            xs: &[(f64, u32)],
-            ys: &[(f64, u32)],
-            within: bool,
-        ) -> Result<()> {
+        fn leaf_pair(&mut self, xs: &List, ys: &List, _: usize, within: bool) -> Result<()> {
             let mut start = 0usize;
             for (idx, &(x0, i)) in xs.iter().enumerate() {
                 if within {
@@ -363,7 +384,8 @@ mod tests {
     }
 
     /// What the join's traversal emits and counts with tiled leaf joins
-    /// (`tiled`) or the pairwise reference, through a refiner on `spec`.
+    /// over resident columns (`tiled`) or the pairwise reference, through
+    /// a refiner on `spec`.
     fn refined(
         a: &Dataset,
         b: Option<&Dataset>,
@@ -380,11 +402,14 @@ mod tests {
             JoinKind::SelfJoin
         };
         let b = b.unwrap_or(a);
+        let mut columns = SoABlock::empty(b.dims());
+        columns.gather_into(b, &tree_b.as_ref().unwrap_or(&tree_a).lanes);
         let mut sink = VecSink::default();
         let refiner = Refiner::new(a, b, kind, spec, &mut sink);
         let counters = if tiled {
             let mut leaves = TiledLeaves {
                 join: TileJoin::new(b, eps, None),
+                columns: &columns,
                 refiner,
                 lifecycle: None,
                 leaf_pairs: 0,
@@ -558,26 +583,83 @@ mod tests {
 
     #[test]
     fn memory_grows_as_eps_shrinks() {
-        // The ε-KDB signature: interior fan-out is ⌊1/ε⌋, so structure
+        // The ε-KDB signature: interior fan-out is ⌊1/ε⌋, so the tree's
         // memory explodes as ε shrinks — here on top of a fixed 12 bytes
-        // per point of leaf entries, a third of the ε = 0.2 total.
+        // per point of leaf entries, 24 000 of the ε = 0.2 tree's 41 200.
+        // (The join's columns, a constant n·d·8 on top, are left out.)
         let ds = hdsj_data::uniform(4, 2000, 8).unwrap();
-        let bytes = |eps: f64| {
-            let mut sink = VecSink::default();
-            EkdbJoin {
-                leaf_capacity: 16,
-                ..Default::default()
-            }
-            .self_join(&ds, &JoinSpec::new(eps, Metric::L2), &mut sink)
-            .unwrap()
-            .structure_bytes
-        };
+        let bytes = |eps: f64| Tree::build(&ds, eps, 16).bytes();
         assert!(
             bytes(0.01) > 3 * bytes(0.2),
             "{} vs {}",
             bytes(0.01),
             bytes(0.2)
         );
+    }
+
+    #[test]
+    fn structure_bytes_charge_the_trees_and_the_candidate_columns() {
+        let (a, b) = (
+            hdsj_data::uniform(4, 700, 8).unwrap(),
+            hdsj_data::uniform(4, 300, 9).unwrap(),
+        );
+        let spec = JoinSpec::l2(0.1);
+        let tree = |ds: &Dataset| Tree::build(ds, spec.eps, 64).bytes();
+        // n·d·8 of columns plus n ids, the columns padded to 8 lanes.
+        let columns =
+            |ds: &Dataset| (ds.len().next_multiple_of(8) * 4 * 8 + ds.len() * 4) as u64;
+        let mut sink = VecSink::default();
+        let mut ekdb = EkdbJoin::default();
+        let stats = ekdb.self_join(&a, &spec, &mut sink).unwrap();
+        assert_eq!(stats.structure_bytes, tree(&a) + columns(&a));
+        let stats = ekdb.join(&a, &b, &spec, &mut sink).unwrap();
+        assert_eq!(stats.structure_bytes, tree(&a) + tree(&b) + columns(&b));
+    }
+
+    #[test]
+    fn two_stripes_or_fewer_build_one_leaf_and_join_as_sm1d() {
+        let a = hdsj_data::uniform(4, 300, 41).unwrap();
+        let b = hdsj_data::uniform(4, 250, 42).unwrap();
+        // ε on both sides of ⌊1/ε⌋ = 3, and whether the tree splits.
+        let cases = [
+            (0.25, true),
+            (0.3, true),
+            (1.0 / 3.0, true),
+            (0.34, false),
+            (0.5, false),
+            (1.0, false),
+            (2.0, false),
+        ];
+        for (eps, splits) in cases {
+            for metric in [Metric::L1, Metric::L2, Metric::Linf] {
+                let spec = JoinSpec::new(eps, metric);
+                let label = format!("eps={eps} {metric:?}");
+                for b in [None, Some(&b)] {
+                    let mut ekdb = EkdbJoin::default();
+                    compare_with_bf(&a, b, &spec, &mut ekdb);
+                    let mut sink = CountSink::default();
+                    let mut sm1d = SortMergeJoin::on_dimension(0);
+                    let (stats, sm1d) = match b {
+                        None => (
+                            ekdb.self_join(&a, &spec, &mut sink).unwrap(),
+                            sm1d.self_join(&a, &spec, &mut sink).unwrap(),
+                        ),
+                        Some(b) => (
+                            ekdb.join(&a, b, &spec, &mut sink).unwrap(),
+                            sm1d.join(&a, b, &spec, &mut sink).unwrap(),
+                        ),
+                    };
+                    let leaf_pairs = stats.counter("leaf_pairs").unwrap();
+                    assert_eq!(leaf_pairs > 1, splits, "{label}: {leaf_pairs} leaf pairs");
+                    if !splits {
+                        // One sorted list, SM1D's dim-0 window pairs (on
+                        // `uniform_d16`: 23 833 854 for both).
+                        assert_eq!(leaf_pairs, 1, "{label}");
+                        assert_eq!(stats.candidates, sm1d.candidates, "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

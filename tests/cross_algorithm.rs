@@ -113,10 +113,18 @@ fn check_tiled_self(ds: &Dataset, spec: &JoinSpec, label: &str) -> (u64, u64) {
 
     let ekdb = Box::new(hdsj::ekdb::EkdbJoin::default());
     let tally = check_tallied_self(ekdb, "ekdb", ds, spec, &want, label);
+    // Every point transposed once, every leaf pair read from those columns
+    // in windows of the block kernel — none pair by pair.
     assert!(
         tally("ekdb.sweep.tiles_gathered") > 0,
         "{label}: EKDB gathered no tile"
     );
+    assert_eq!(
+        tally("ekdb.sweep.lanes_gathered"),
+        ds.len() as u64,
+        "{label}"
+    );
+    assert_eq!(tally("ekdb.sweep.pair_candidates"), 0, "{label}");
 
     let mut sink = VecSink::default();
     hdsj::sortmerge::SortMergeJoin::default()
