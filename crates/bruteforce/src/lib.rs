@@ -307,7 +307,8 @@ mod tests {
 
     #[test]
     fn the_transposed_inner_set_is_charged_as_structure() {
-        // The tiles are a full copy of the inner set, padded per tile.
+        // The tiles are a full copy of the inner set and its f32 copy,
+        // padded per tile.
         let (a, b) = (grid_points(), hdsj_data::uniform(6, 300, 9).unwrap());
         let spec = JoinSpec::new(0.2, Metric::L2);
         for threads in [1, 3] {
@@ -315,13 +316,16 @@ mod tests {
             let stats = BruteForce::parallel(threads)
                 .self_join(&b, &spec, &mut sink)
                 .unwrap();
-            assert!(stats.structure_bytes >= 300 * 6 * 8, "{stats:?}");
+            assert!(stats.structure_bytes >= 300 * 6 * (8 + 4), "{stats:?}");
         }
         let mut sink = VecSink::default();
         let stats = BruteForce::default()
             .join(&hdsj_data::uniform(2, 40, 1).unwrap(), &a, &spec, &mut sink)
             .unwrap();
-        assert!(stats.structure_bytes >= 16 * 2 * 8, "inner set: {stats:?}");
+        assert!(
+            stats.structure_bytes >= 16 * 2 * (8 + 4),
+            "inner set: {stats:?}"
+        );
         assert!(
             stats.structure_bytes < 40 * 2 * 8,
             "not the outer: {stats:?}"

@@ -101,10 +101,12 @@ impl Metric {
     /// across-candidate vector path — the kernels broadcast one probe
     /// coordinate and stream the tile's contiguous dimension columns — and
     /// the only one that depends on the dispatch tier. ε is converted to
-    /// the kernel's accumulation domain (ε² for L2) here, once per tile.
-    /// Decisions are exactly those of [`Metric::within`] (see
-    /// [`crate::simd`]), so swapping per-pair tests for a block never
-    /// changes join results.
+    /// the kernel's accumulation domain (ε² for L2) here, once per call;
+    /// a vector tier then widens that budget, also once per call, into the
+    /// bound of its f32 prefilter, which only drops candidates the f64
+    /// sum rejects (DESIGN §16). Decisions are exactly those of
+    /// [`Metric::within`] (see [`crate::simd`]), so swapping per-pair tests
+    /// for a block never changes join results.
     pub fn within_block(
         &self,
         probe: &[f64],

@@ -31,7 +31,11 @@
 //! FMA). Early exits only ever compare a *partial* monotone fold against
 //! the budget, so a block decision equals the full-sum decision — that
 //! is, [`crate::Metric::within`] on the same pair — at every tier, and
-//! join results do not depend on the dispatch level. `Lp` for general `p`
+//! join results do not depend on the dispatch level. The vector tiers run
+//! an f32 prefilter in front of that sum on calls with enough work for it
+//! to pay; it decides nothing: it drops only a lane whose f32 sum exceeds
+//! a bound that proves the f64 sum over the budget, and the f64 sum decides
+//! every lane it keeps (DESIGN §16). `Lp` for general `p`
 //! is `powf`-bound and stays on [`portable::lp_within_block`] at every
 //! tier.
 

@@ -15,6 +15,12 @@
 //! as the full sum, so block decisions equal [`crate::Metric::within`]'s
 //! (and join results are byte-identical) at every dispatch level.
 //!
+//! In front of that f64 body the same body runs over the block's f32 copy,
+//! twice the candidates per vector, against a budget ([`f32_budget`])
+//! widened by a bound on every rounding the f32 copy and f32 arithmetic
+//! add: it only drops a lane the f64 body would reject, and the f64 body
+//! alone decides every lane it keeps.
+//!
 //! This file is the only place in the workspace where `unsafe` is
 //! permitted: hdsj-core carries `#![deny(unsafe_code)]` and every other
 //! crate keeps `forbid`. The unsafe surface is exactly (a) one unaligned
@@ -29,15 +35,20 @@ use crate::simd::portable;
 use crate::soa::SoABlock;
 use std::ops::Range;
 
-/// Pushes the ids of the qualifying lanes (bit `k` of `mask` set) of the
-/// group `t..t + g` that lie inside `lanes`. A group starts at a multiple
-/// of `g`, not at the window, so its lanes below `lanes.start` are dropped
-/// here exactly as those at and past `lanes.end` are. Needs `t < lanes.end`.
+/// The bits of the lanes of the group `t..t + g` that lie inside `lanes`
+/// (bit `k` for lane `t + k`). A group starts at a multiple of `g`, not at
+/// the window, so its lanes below `lanes.start` are cleared here exactly
+/// as those at and past `lanes.end` are. Needs `t < lanes.end`, `g < 32`.
 #[inline(always)]
-fn emit(mask: u32, t: usize, lanes: &Range<usize>, g: usize, ids: &[u32], out: &mut Vec<u32>) {
+fn window(t: usize, lanes: &Range<usize>, g: usize) -> u32 {
     let upto = (1u32 << (lanes.end - t).min(g)) - 1;
     let below = (1u32 << lanes.start.saturating_sub(t).min(g)) - 1;
-    let mut hits = mask & upto & !below;
+    upto & !below
+}
+
+/// Pushes the ids of the lanes `t + k` for every bit `k` of `hits`.
+#[inline(always)]
+fn emit(mut hits: u32, t: usize, ids: &[u32], out: &mut Vec<u32>) {
     while hits != 0 {
         out.push(ids[t + hits.trailing_zeros() as usize]);
         hits &= hits - 1;
@@ -55,28 +66,151 @@ fn check_due(dim: usize) -> bool {
     dim <= 16 || dim.is_multiple_of(16)
 }
 
+/// The f32 prefilter's budget for a call: a `B` such that an f32 sum (or
+/// maximum) over the block's f32 copy above `B` proves the f64 kernel's
+/// sum above `budget`, so the lane needs no f64 pass. `None` skips the
+/// prefilter for the call: coordinates too large for f32 to hold their
+/// differences (`M > 2¹²⁶`; NaN, infinities), more dimensions than the
+/// linear bounds below allow, or a `B` that is not a finite f32.
+///
+/// With `u = 2⁻²⁴` and `v = 2⁻⁵³` the unit roundoffs and `k = d + 8`
+/// (the sub, the square and the at most `d/4 + 5` additions on any term's
+/// path, with room), the f64 kernel accepts a lane only if its exact sum
+/// is at most `X = budget·(1 + 2kv) + 2⁻¹⁴⁸` (`1 + 2v` for L∞; the
+/// constant covers f64 underflow), so only if every `|pᵢ − cᵢ| ≤ r` —
+/// `r = X`, or `(X + 1)/2 ≥ √X` for L2. Then `M = max_abs + r` bounds
+/// every coordinate such a lane and its probe hold, without a pass over
+/// the probe. Rounding both to f32 and subtracting in f32 moves a
+/// difference by at most `e = 3u(1 + u)·M + 2⁻¹⁴⁸` (two input roundings,
+/// the subtraction's, and subnormal half-ulps). The f32 sum of an
+/// accepted lane is therefore at most
+///
+/// * L2: `(1 + 2ku)·(X + (X + d)·e + d·e²) + d·2⁻¹⁴⁹` — `(√X + √d·e)²`
+///   by Minkowski, with `2√(Xd) ≤ X + d` so no square root per call,
+/// * L1: `(1 + 2ku)·(X + d·e)`,
+/// * L∞: `(1 + 2u)·(X + e)`,
+///
+/// where `1 + 2kx` bounds `(1 + x)^k` and `(1 − x)^−k` for `kx ≤ 1/8`.
+/// The result is widened by `2⁻²⁰` (relative) and `2⁻¹⁴⁹` (absolute), so
+/// neither its own f64 rounding nor the conversion to the nearest f32 can
+/// bring it below the bound. DESIGN §16 has the derivation.
+fn f32_budget<const SQ: bool, const MAX: bool>(
+    d: usize,
+    max_abs: f64,
+    budget: f64,
+) -> Option<f32> {
+    const U: f64 = f32::EPSILON as f64 / 2.0;
+    const V: f64 = f64::EPSILON / 2.0;
+    /// `2⁻¹⁴⁸`, twice the smallest f32 subnormal.
+    const TINY: f64 = f32::MIN_POSITIVE as f64 / (1u64 << 22) as f64;
+    if d > 1 << 20 {
+        return None;
+    }
+    let (d, k) = (d as f64, (d + 8) as f64);
+    let x = budget * (1.0 + 2.0 * if MAX { 1.0 } else { k } * V) + TINY;
+    let m = max_abs + if SQ { (x + 1.0) / 2.0 } else { x };
+    if m.is_nan() || m > (1u128 << 126) as f64 {
+        return None;
+    }
+    let e = 3.0 * U * (1.0 + U) * m + TINY;
+    let b = if MAX {
+        (1.0 + 2.0 * U) * (x + e)
+    } else if SQ {
+        (1.0 + 2.0 * k * U) * (x + (x + d) * e + d * e * e) + d * TINY / 2.0
+    } else {
+        (1.0 + 2.0 * k * U) * (x + d * e)
+    } * (1.0 + 1.0 / (1u64 << 20) as f64)
+        + TINY / 2.0;
+    (b <= f64::from(f32::MAX)).then_some(b as f32)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(f32 groups sieved, f64 groups run behind them)` on this thread,
+    /// for the tests that check the prefilter fires.
+    static STAGE: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
 /// The canonical fold of a group's four accumulators, `(a0 + a1) + (a2 + a3)`
-/// (every `+` a `max` under `MAX`), for the instantiation it expands in.
+/// (every `+` a `max` under `MAX`), with `acc` the precision's fold.
 macro_rules! fold4 {
-    ($a0:ident $a1:ident $a2:ident $a3:ident) => {
-        acc::<MAX>(acc::<MAX>($a0, $a1), acc::<MAX>($a2, $a3))
+    ($acc:ident: $a0:ident $a1:ident $a2:ident $a3:ident) => {
+        $acc::<MAX>($acc::<MAX>($a0, $a1), $acc::<MAX>($a2, $a3))
     };
 }
 
 /// The across-candidate block kernel, written once and instantiated in
-/// `sse2` (2 lanes), `avx2` (4) and `avx512` (8). Everything
-/// width-specific is a name the instantiating module supplies: `LANES`,
-/// `load`, `splat`, `term`, `acc`, `gt_mask`, `le_mask`. A macro rather
-/// than a generic fn because the body must itself carry the module's
-/// `#[target_feature]` for those helpers to inline into it.
+/// `sse2` (2 f64 / 4 f32 lanes per vector), `avx2` (4 / 8) and `avx512`
+/// (8 / 16). Everything width-specific is a name the instantiating module
+/// supplies: `LANES`, `load`, `splat`, `step`, `acc`, `gt_mask`,
+/// `le_mask` and their f32 forms `load32`, `splat32`, `step32`, `acc32`,
+/// `gt_mask32`, `ngt_mask32`. A macro rather than a generic fn because
+/// the body must itself carry the module's `#[target_feature]` for those
+/// helpers to inline into it.
 macro_rules! block_kernel {
     ($feature:literal) => {
         block_kernel!($feature, $);
     };
-    // `$d` is a literal `$`: the body defines a macro of its own, whose
+    // `$d` is a literal `$`: the body defines macros of its own, whose
     // metavariables this one has to pass through unexpanded.
     ($feature:literal, $d:tt) => {
-        /// Block filter: pushes the id of every lane in `lanes` whose
+        // One iteration over the groups `(g => kept: a0 a1 a2 a3)…` of one
+        // precision — its helpers, then its columns (`stride` slots apiece,
+        // a group's loads from slot `g`, its lanes from `g · per`), probe,
+        // budget, lanes per vector and window: the 4-dimension steps with
+        // the probe splats shared, one exit test for all of them, then each
+        // group's tail and fold. `kept` gets the lanes in `lanes` that
+        // `keep` passes, and stays as it was when every lane of every group
+        // is rejected at a check. The accumulators are locals named by the
+        // caller, not an array threaded through a helper: a spilled
+        // accumulator array turns the hot loop into stack traffic.
+        macro_rules! groups {
+            (
+                $d load:ident $d splat:ident $d step:ident $d acc:ident $d gt:ident $d keep:ident,
+                $d quads:ident $d singles:ident $d stride:ident * $d per:literal,
+                $d probe4:ident $d vbudget:ident $d vlanes:expr, $d lanes:ident;
+                $d(($d g:ident => $d kept:ident: $d a0:ident $d a1:ident $d a2:ident $d a3:ident))+
+            ) => {'exit: {
+                let full = (1u32 << $d vlanes) - 1;
+                $d(let (mut $d a0, mut $d a1, mut $d a2, mut $d a3) =
+                    ($d splat(0.0), $d splat(0.0), $d splat(0.0), $d splat(0.0));)+
+                let mut dim = 0;
+                for (p, cols) in $d probe4.clone().zip($d quads.clone()) {
+                    let (c0, cols) = cols.split_at($d stride);
+                    let (c1, cols) = cols.split_at($d stride);
+                    let (c2, c3) = cols.split_at($d stride);
+                    let (p0, p1, p2, p3) =
+                        ($d splat(p[0]), $d splat(p[1]), $d splat(p[2]), $d splat(p[3]));
+                    $d(
+                        $d a0 = $d step::<SQ, MAX>($d a0, p0, $d load(c0, $d g));
+                        $d a1 = $d step::<SQ, MAX>($d a1, p1, $d load(c1, $d g));
+                        $d a2 = $d step::<SQ, MAX>($d a2, p2, $d load(c2, $d g));
+                        $d a3 = $d step::<SQ, MAX>($d a3, p3, $d load(c3, $d g));
+                    )+
+                    dim += 4;
+                    // Every lane's final value is at least its partial
+                    // one, so once all of them — in every group — exceed
+                    // the budget all the decisions are already `false`.
+                    if check_due(dim) {
+                        let rejected = full
+                            $d(& $d gt(fold4!($d acc: $d a0 $d a1 $d a2 $d a3), $d vbudget))+;
+                        if rejected == full {
+                            break 'exit;
+                        }
+                    }
+                }
+                $d(
+                    let mut tail = $d splat(0.0);
+                    for (&p, col) in $d probe4.remainder().iter().zip($d singles.clone()) {
+                        tail = $d step::<SQ, MAX>(tail, $d splat(p), $d load(col, $d g));
+                    }
+                    let total = $d acc::<MAX>(fold4!($d acc: $d a0 $d a1 $d a2 $d a3), tail);
+                    $d kept = $d keep(total, $d vbudget) & window($d g * $d per, &$d lanes, $d vlanes);
+                )+
+            }};
+        }
+
+        /// The f64 body: pushes the id of every lane in `lanes` whose
         /// candidate is within `budget` of `probe` — `Σ term ≤ budget`
         /// (L1; L2 with `SQ` and a squared budget) or, with `MAX`,
         /// `max |probeᵢ − cᵢ| ≤ budget` (L∞) — `LANES` candidates per
@@ -95,22 +229,21 @@ macro_rules! block_kernel {
         /// data-dependent exit branch every step, a second group's eight
         /// loads and adds fill those slots (DESIGN §16 has the cycles).
         #[target_feature(enable = $feature)]
-        pub fn within_block<const SQ: bool, const MAX: bool>(
+        #[inline(never)]
+        fn refine<const SQ: bool, const MAX: bool>(
             probe: &[f64],
             block: &SoABlock,
             lanes: Range<usize>,
             budget: f64,
             out: &mut Vec<u32>,
         ) {
-            debug_assert_eq!(probe.len(), block.dims());
-            debug_assert!(lanes.end <= block.len());
             let width = block.width();
             let ids = block.ids();
-            // The columns come four at a time. An empty block has none
-            // (and `chunks_exact(0)` panics), and a `width` whose quadruple
-            // wraps cannot be a tile's: both go to the portable loop whole.
+            // The columns come four at a time. An empty block has none (and
+            // `chunks_exact(0)` panics), and a `width` whose quadruple wraps
+            // cannot be a tile's: both go to the portable loop whole.
             // Knowing that `4 * width` does not wrap is also what lets the
-            // optimizer drop the three `split_at` checks below.
+            // optimizer drop the three `split_at` checks of `groups!`.
             if width == 0 || width > usize::MAX / 4 {
                 return portable::within_block::<SQ, MAX>(probe, block, lanes, budget, out);
             }
@@ -120,54 +253,6 @@ macro_rules! block_kernel {
             let singles = quads.remainder().chunks_exact(width);
             let probe4 = probe.chunks_exact(4);
             let vbudget = splat(budget);
-            let all = (1u32 << LANES) - 1;
-
-            // One iteration over the groups `(start: a0 a1 a2 a3)…`: the
-            // 4-dimension steps with the probe splats shared, one exit test
-            // for all of them, then each group's tail, fold and emit. The
-            // accumulators are locals named by the caller, not an array
-            // threaded through a helper: a spilled accumulator array turns
-            // the hot loop into stack traffic.
-            macro_rules! groups {
-                ($d(($d g:ident: $d a0:ident $d a1:ident $d a2:ident $d a3:ident))+) => {'exit: {
-                    $d(let (mut $d a0, mut $d a1, mut $d a2, mut $d a3) =
-                        (splat(0.0), splat(0.0), splat(0.0), splat(0.0));)+
-                    let mut dim = 0;
-                    for (p, cols) in probe4.clone().zip(quads.clone()) {
-                        let (c0, cols) = cols.split_at(width);
-                        let (c1, cols) = cols.split_at(width);
-                        let (c2, c3) = cols.split_at(width);
-                        let (p0, p1, p2, p3) =
-                            (splat(p[0]), splat(p[1]), splat(p[2]), splat(p[3]));
-                        $d(
-                            $d a0 = acc::<MAX>($d a0, term::<SQ>(p0, load(c0, $d g)));
-                            $d a1 = acc::<MAX>($d a1, term::<SQ>(p1, load(c1, $d g)));
-                            $d a2 = acc::<MAX>($d a2, term::<SQ>(p2, load(c2, $d g)));
-                            $d a3 = acc::<MAX>($d a3, term::<SQ>(p3, load(c3, $d g)));
-                        )+
-                        dim += 4;
-                        // Every lane's final value is at least its partial
-                        // one, so once all of them — in every group — exceed
-                        // the budget all the decisions are already `false`.
-                        if check_due(dim) {
-                            let rejected = all
-                                $d(& gt_mask(fold4!($d a0 $d a1 $d a2 $d a3), vbudget))+;
-                            if rejected == all {
-                                break 'exit;
-                            }
-                        }
-                    }
-                    $d(
-                        let mut tail = splat(0.0);
-                        for (&p, col) in probe4.remainder().iter().zip(singles.clone()) {
-                            tail = acc::<MAX>(tail, term::<SQ>(splat(p), load(col, $d g)));
-                        }
-                        let total = acc::<MAX>(fold4!($d a0 $d a1 $d a2 $d a3), tail);
-                        emit(le_mask(total, vbudget), $d g, &lanes, LANES, ids, out);
-                    )+
-                }};
-            }
-
             let mut g = lanes.start / LANES * LANES;
             // Every column is a slice of exactly `width` values, so these
             // guards (`g < width` first: `width - g` cannot wrap) are the
@@ -177,11 +262,144 @@ macro_rules! block_kernel {
             // group is ragged and the odd one out is the last.
             while g < width && width - g >= 2 * LANES && g + LANES < lanes.end {
                 let h = g + LANES;
-                groups!((g: a0 a1 a2 a3) (h: b0 b1 b2 b3));
+                let (mut m, mut n) = (0, 0);
+                groups!(
+                    load splat step acc gt_mask le_mask,
+                    quads singles width * 1,
+                    probe4 vbudget LANES, lanes;
+                    (g => m: a0 a1 a2 a3) (h => n: b0 b1 b2 b3)
+                );
+                emit(m, g, ids, out);
+                emit(n, h, ids, out);
                 g += 2 * LANES;
             }
             if g < lanes.end && g < width && width - g >= LANES {
-                groups!((g: a0 a1 a2 a3));
+                let mut m = 0;
+                groups!(
+                    load splat step acc gt_mask le_mask,
+                    quads singles width * 1,
+                    probe4 vbudget LANES, lanes;
+                    (g => m: a0 a1 a2 a3)
+                );
+                emit(m, g, ids, out);
+            }
+        }
+
+        /// Block filter: [`refine`]'s decisions, through [`sieve`] where a
+        /// call has enough work for an f32 stage to pay. This entry holds
+        /// no loop, so the calls that go straight to [`refine`] (most at low
+        /// d) pay for no stack frame of the stage's.
+        #[target_feature(enable = $feature)]
+        pub fn within_block<const SQ: bool, const MAX: bool>(
+            probe: &[f64],
+            block: &SoABlock,
+            lanes: Range<usize>,
+            budget: f64,
+            out: &mut Vec<u32>,
+        ) {
+            debug_assert_eq!(probe.len(), block.dims());
+            debug_assert!(lanes.end <= block.len());
+            // The stage has a fixed cost per call (its budget, a second
+            // pass over any survivor's group), so it is run only where the
+            // f64 work it can save is larger: more than two f64 groups, and
+            // more than `32 · LANES` lane-dimensions (at low d a group is
+            // rejected after its first step and a call is mostly overhead).
+            if lanes.len() > 2 * LANES && lanes.len() * probe.len() > 32 * LANES {
+                if let Some(budget32) = f32_budget::<SQ, MAX>(probe.len(), block.max_abs(), budget) {
+                    return sieve::<SQ, MAX>(probe, block, lanes, budget, budget32, out);
+                }
+            }
+            refine::<SQ, MAX>(probe, block, lanes, budget, out)
+        }
+
+        /// The f32 stage: the same body as [`refine`] over the block's f32
+        /// copy, `2 · LANES` lanes per vector, against `budget32` from
+        /// [`f32_budget`] — a lane whose f32 sum exceeds it is provably
+        /// rejected in f64 too. Only the f64 groups holding an f32 survivor
+        /// go to [`refine`], whose `le_mask` alone decides what is emitted;
+        /// a lane the f32 compare cannot order (NaN) survives.
+        #[target_feature(enable = $feature)]
+        #[inline(never)]
+        fn sieve<const SQ: bool, const MAX: bool>(
+            probe: &[f64],
+            block: &SoABlock,
+            lanes: Range<usize>,
+            budget: f64,
+            budget32: f32,
+            out: &mut Vec<u32>,
+        ) {
+            // As in [`refine`]: an empty copy has no columns
+            // (`chunks_exact(0)` panics) and a slot count whose quadruple
+            // wraps cannot be a tile's.
+            let slots = block.width32() / 2;
+            if slots == 0 || slots > usize::MAX / 4 {
+                return refine::<SQ, MAX>(probe, block, lanes, budget, out);
+            }
+            // Groups of `2 · LANES` f32 lanes, read as the `LANES` packed
+            // slots from `s`: lanes `2s..2s + 2 · LANES`, an f64 group pair.
+            let quads = block.packed32().chunks_exact(4 * slots);
+            let singles = quads.remainder().chunks_exact(slots);
+            // The probe in f32, on the stack up to 64 dimensions.
+            let (mut stack, mut heap) = ([0.0f32; 64], Vec::new());
+            let probe32 = match stack.get_mut(..probe.len()) {
+                Some(fits) => fits,
+                None => {
+                    heap.resize(probe.len(), 0.0);
+                    &mut heap[..]
+                }
+            };
+            for (s, &p) in probe32.iter_mut().zip(probe) {
+                *s = p as f32;
+            }
+            let probe4 = probe32.chunks_exact(4);
+            let vbudget = splat32(budget32);
+            // The f64 groups of the f32 group at slot `s` that hold a
+            // survivor in `kept`, refined as one window.
+            let verify = |s: usize, kept: u32, out: &mut Vec<u32>| {
+                let low = kept & ((1 << LANES) - 1) != 0;
+                let high = kept >> LANES != 0;
+                #[cfg(test)]
+                STAGE.with(|c| {
+                    let (sieved, verified) = c.get();
+                    c.set((sieved + 1, verified + usize::from(low) + usize::from(high)));
+                });
+                if low || high {
+                    let from = 2 * s + if low { 0 } else { LANES };
+                    let to = 2 * s + if high { 2 * LANES } else { LANES };
+                    refine::<SQ, MAX>(
+                        probe,
+                        block,
+                        from.max(lanes.start)..to.min(lanes.end),
+                        budget,
+                        out,
+                    );
+                }
+            };
+            let mut s = lanes.start / (2 * LANES) * LANES;
+            // As in [`refine`], with `slots` (a multiple of `LANE_PAD`,
+            // hence of `LANES`) bounding the loads.
+            while s < slots && slots - s >= 2 * LANES && 2 * (s + LANES) < lanes.end {
+                let t = s + LANES;
+                let (mut m, mut n) = (0, 0);
+                groups!(
+                    load32 splat32 step32 acc32 gt_mask32 ngt_mask32,
+                    quads singles slots * 2,
+                    probe4 vbudget 2 * LANES, lanes;
+                    (s => m: a0 a1 a2 a3) (t => n: b0 b1 b2 b3)
+                );
+                verify(s, m, out);
+                verify(t, n, out);
+                s += 2 * LANES;
+            }
+            if 2 * s < lanes.end && s < slots && slots - s >= LANES {
+                let mut m = 0;
+                groups!(
+                    load32 splat32 step32 acc32 gt_mask32 ngt_mask32,
+                    quads singles slots * 2,
+                    probe4 vbudget 2 * LANES, lanes;
+                    (s => m: a0 a1 a2 a3)
+                );
+                verify(s, m, out);
             }
         }
     };
@@ -262,16 +480,18 @@ mod avx2 {
         unsafe { _mm256_loadu_pd(s.as_ptr()) }
     }
 
-    /// One term vector: `(a−b)²` (`SQ`) or `|a−b|`.
+    /// Folds the term `(p−c)²` (`SQ`) or `|p−c|` into the accumulator `a`
+    /// with [`acc`].
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn term<const SQ: bool>(a: __m256d, b: __m256d) -> __m256d {
-        let d = _mm256_sub_pd(a, b);
-        if SQ {
+    fn step<const SQ: bool, const MAX: bool>(a: __m256d, p: __m256d, c: __m256d) -> __m256d {
+        let d = _mm256_sub_pd(p, c);
+        let term = if SQ {
             _mm256_mul_pd(d, d)
         } else {
             _mm256_andnot_pd(_mm256_set1_pd(-0.0), d)
-        }
+        };
+        acc::<MAX>(a, term)
     }
 
     #[target_feature(enable = "avx2")]
@@ -305,6 +525,59 @@ mod avx2 {
         _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a, b)) as u32
     }
 
+    /// `2 · LANES` f32 lanes of a packed column: the `LANES` slots from
+    /// `slot` on, read by [`load`] and bit-cast.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) fn load32(col: &[f64], slot: usize) -> __m256 {
+        _mm256_castpd_ps(load(col, slot))
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn splat32(x: f32) -> __m256 {
+        _mm256_set1_ps(x)
+    }
+
+    /// The f32 [`step`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn step32<const SQ: bool, const MAX: bool>(a: __m256, p: __m256, c: __m256) -> __m256 {
+        let d = _mm256_sub_ps(p, c);
+        let term = if SQ {
+            _mm256_mul_ps(d, d)
+        } else {
+            _mm256_andnot_ps(_mm256_set1_ps(-0.0), d)
+        };
+        acc32::<MAX>(a, term)
+    }
+
+    /// The f32 [`acc`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn acc32<const MAX: bool>(a: __m256, x: __m256) -> __m256 {
+        if MAX {
+            _mm256_max_ps(a, x)
+        } else {
+            _mm256_add_ps(a, x)
+        }
+    }
+
+    /// The f32 [`gt_mask`]: clear where either lane is NaN.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn gt_mask32(a: __m256, b: __m256) -> u32 {
+        _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(a, b)) as u32
+    }
+
+    /// Bit `k` set where lane `k` of `a` is not `>` lane `k` of `b`: `<=`,
+    /// or either is NaN.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn ngt_mask32(a: __m256, b: __m256) -> u32 {
+        _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NGT_UQ>(a, b)) as u32
+    }
+
     block_kernel!("avx2");
 }
 
@@ -325,16 +598,18 @@ mod sse2 {
         unsafe { _mm_loadu_pd(s.as_ptr()) }
     }
 
-    /// One term vector: `(a−b)²` (`SQ`) or `|a−b|`.
+    /// Folds the term `(p−c)²` (`SQ`) or `|p−c|` into the accumulator `a`
+    /// with [`acc`].
     #[inline]
     #[target_feature(enable = "sse2")]
-    fn term<const SQ: bool>(a: __m128d, b: __m128d) -> __m128d {
-        let d = _mm_sub_pd(a, b);
-        if SQ {
+    fn step<const SQ: bool, const MAX: bool>(a: __m128d, p: __m128d, c: __m128d) -> __m128d {
+        let d = _mm_sub_pd(p, c);
+        let term = if SQ {
             _mm_mul_pd(d, d)
         } else {
             _mm_andnot_pd(_mm_set1_pd(-0.0), d)
-        }
+        };
+        acc::<MAX>(a, term)
     }
 
     #[inline]
@@ -368,6 +643,59 @@ mod sse2 {
         _mm_movemask_pd(_mm_cmple_pd(a, b)) as u32
     }
 
+    /// `2 · LANES` f32 lanes of a packed column: the `LANES` slots from
+    /// `slot` on, read by [`load`] and bit-cast.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub(super) fn load32(col: &[f64], slot: usize) -> __m128 {
+        _mm_castpd_ps(load(col, slot))
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn splat32(x: f32) -> __m128 {
+        _mm_set1_ps(x)
+    }
+
+    /// The f32 [`step`].
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn step32<const SQ: bool, const MAX: bool>(a: __m128, p: __m128, c: __m128) -> __m128 {
+        let d = _mm_sub_ps(p, c);
+        let term = if SQ {
+            _mm_mul_ps(d, d)
+        } else {
+            _mm_andnot_ps(_mm_set1_ps(-0.0), d)
+        };
+        acc32::<MAX>(a, term)
+    }
+
+    /// The f32 [`acc`].
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn acc32<const MAX: bool>(a: __m128, x: __m128) -> __m128 {
+        if MAX {
+            _mm_max_ps(a, x)
+        } else {
+            _mm_add_ps(a, x)
+        }
+    }
+
+    /// The f32 [`gt_mask`]: clear where either lane is NaN.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn gt_mask32(a: __m128, b: __m128) -> u32 {
+        _mm_movemask_ps(_mm_cmpgt_ps(a, b)) as u32
+    }
+
+    /// Bit `k` set where lane `k` of `a` is not `>` lane `k` of `b`: `<=`,
+    /// or either is NaN.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn ngt_mask32(a: __m128, b: __m128) -> u32 {
+        _mm_movemask_ps(_mm_cmpngt_ps(a, b)) as u32
+    }
+
     block_kernel!("sse2");
 }
 
@@ -389,17 +717,19 @@ mod avx512 {
         unsafe { _mm512_loadu_pd(s.as_ptr()) }
     }
 
-    /// One term vector: `(a−b)²` (`SQ`) or `|a−b|` (`_mm512_abs_pd` clears
-    /// the sign bit, as `f64::abs` does).
+    /// Folds the term `(p−c)²` (`SQ`) or `|p−c|` into the accumulator `a`
+    /// with [`acc`] (`_mm512_abs_pd` clears the sign bit, as `f64::abs`
+    /// does).
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn term<const SQ: bool>(a: __m512d, b: __m512d) -> __m512d {
-        let d = _mm512_sub_pd(a, b);
-        if SQ {
+    fn step<const SQ: bool, const MAX: bool>(a: __m512d, p: __m512d, c: __m512d) -> __m512d {
+        let d = _mm512_sub_pd(p, c);
+        let term = if SQ {
             _mm512_mul_pd(d, d)
         } else {
             _mm512_abs_pd(d)
-        }
+        };
+        acc::<MAX>(a, term)
     }
 
     #[target_feature(enable = "avx512f")]
@@ -431,6 +761,59 @@ mod avx512 {
     #[inline]
     fn le_mask(a: __m512d, b: __m512d) -> u32 {
         _mm512_cmp_pd_mask::<_CMP_LE_OQ>(a, b) as u32
+    }
+
+    /// `2 · LANES` f32 lanes of a packed column: the `LANES` slots from
+    /// `slot` on, read by [`load`] and bit-cast.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    pub(super) fn load32(col: &[f64], slot: usize) -> __m512 {
+        _mm512_castpd_ps(load(col, slot))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn splat32(x: f32) -> __m512 {
+        _mm512_set1_ps(x)
+    }
+
+    /// The f32 [`step`], the square and the add fused into one rounding
+    /// (the f32 budget allows for either).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn step32<const SQ: bool, const MAX: bool>(a: __m512, p: __m512, c: __m512) -> __m512 {
+        let d = _mm512_sub_ps(p, c);
+        match (SQ, MAX) {
+            (true, false) => _mm512_fmadd_ps(d, d, a),
+            (true, true) => acc32::<MAX>(a, _mm512_mul_ps(d, d)),
+            (false, _) => acc32::<MAX>(a, _mm512_abs_ps(d)),
+        }
+    }
+
+    /// The f32 [`acc`].
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn acc32<const MAX: bool>(a: __m512, x: __m512) -> __m512 {
+        if MAX {
+            _mm512_max_ps(a, x)
+        } else {
+            _mm512_add_ps(a, x)
+        }
+    }
+
+    /// The f32 [`gt_mask`]: clear where either lane is NaN.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn gt_mask32(a: __m512, b: __m512) -> u32 {
+        u32::from(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(a, b))
+    }
+
+    /// Bit `k` set where lane `k` of `a` is not `>` lane `k` of `b`: `<=`,
+    /// or either is NaN.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn ngt_mask32(a: __m512, b: __m512) -> u32 {
+        u32::from(_mm512_cmp_ps_mask::<_CMP_NGT_UQ>(a, b))
     }
 
     block_kernel!("avx512f");
@@ -534,17 +917,27 @@ mod tests {
 
     /// The bound of a vector load is the slice it reads from, in release
     /// builds too: one element past a column's last full group panics
-    /// before anything is read.
+    /// before anything is read — an f64 column's and a packed f32 one's.
     #[test]
     fn a_load_past_the_last_full_group_panics_at_every_tier() {
         type Load = fn(&[f64], usize);
-        let mut loads: Vec<(&str, usize, Load)> = vec![("sse2", 2, |col, at| {
-            sse2::load(col, at);
-        })];
+        let mut loads: Vec<(&str, usize, Load)> = vec![
+            ("sse2", 2, |col, at| {
+                sse2::load(col, at);
+            }),
+            ("sse2 f32", 2, |col, slot| {
+                // SAFETY: SSE2 is part of the x86-64 baseline.
+                unsafe { sse2::load32(col, slot) };
+            }),
+        ];
         if avx2_available() {
             loads.push(("avx2", 4, |col, at| {
                 // SAFETY: `avx2_available()` held just above.
                 unsafe { avx2::load(col, at) };
+            }));
+            loads.push(("avx2 f32", 4, |col, slot| {
+                // SAFETY: `avx2_available()` held just above.
+                unsafe { avx2::load32(col, slot) };
             }));
         }
         if avx512_available() {
@@ -552,16 +945,79 @@ mod tests {
                 // SAFETY: `avx512_available()` held just above.
                 unsafe { avx512::load(col, at) };
             }));
+            loads.push(("avx512 f32", 8, |col, slot| {
+                // SAFETY: `avx512_available()` held just above.
+                unsafe { avx512::load32(col, slot) };
+            }));
         }
         // The column is a window of a longer buffer, so a load that lost
         // its check fails this test instead of leaving the allocation.
         let buf = [0.5f64; 32];
         let col = &buf[..16];
-        for (tier, lanes, load) in loads {
-            load(col, col.len() - lanes);
-            for at in [col.len() - lanes + 1, col.len(), col.len() + 1, usize::MAX] {
+        for (tier, slots, load) in loads {
+            load(col, col.len() - slots);
+            for at in [col.len() - slots + 1, col.len(), col.len() + 1, usize::MAX] {
                 let past = std::panic::catch_unwind(|| load(col, at));
                 assert!(past.is_err(), "{tier}: load at {at} of 16 did not panic");
+            }
+        }
+    }
+
+    /// `(f32 groups sieved, f64 groups verified)` by one call.
+    fn stage(
+        f: BlockFn,
+        probe: &[f64],
+        block: &SoABlock,
+        eps: f64,
+        got: &mut Vec<u32>,
+    ) -> (usize, usize) {
+        STAGE.with(|s| s.set((0, 0)));
+        f(probe, block, 0..block.len(), eps, got);
+        STAGE.with(|s| s.get())
+    }
+
+    /// The f32 stage fires: a block far from the probe loses at least
+    /// 99 % of its f64 groups before any f64 work, one lane at distance
+    /// exactly ε still reaches the f64 body (which accepts it), and a
+    /// coordinate past f32's range skips the stage for the call.
+    #[test]
+    fn the_f32_stage_drops_far_groups_and_keeps_a_lane_at_eps() {
+        const N: usize = 2000;
+        const EPS: f64 = 0.5;
+        let d = 16;
+        let mut state = 0x5eedu64;
+        let far: Vec<f64> = (0..N * d)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                2.0 + (state >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect();
+        let probe = vec![0.0; d];
+        let mut at_eps = far.clone();
+        at_eps[777 * d..778 * d].fill(0.0);
+        at_eps[777 * d + 5] = EPS;
+        let mut huge = far.clone();
+        huge[3] = 1e39;
+        let blocks = [far, at_eps, huge].map(|flat| {
+            SoABlock::from_range(&Dataset::from_flat(d, flat).unwrap(), 0..N as u32)
+        });
+        for (tier, fns) in block_tiers() {
+            for (metric, f) in METRICS.into_iter().zip(fns) {
+                let eps = budget(metric, EPS);
+                let mut got = Vec::new();
+                let (sieved, verified) = stage(f, &probe, &blocks[0], eps, &mut got);
+                assert!(sieved > 0 && got.is_empty(), "{tier} {metric:?}");
+                assert!(
+                    verified * 100 <= 2 * sieved,
+                    "{tier} {metric:?}: {verified} of {}",
+                    2 * sieved
+                );
+                let (sieved, verified) = stage(f, &probe, &blocks[1], eps, &mut got);
+                assert_eq!(got, [777], "{tier} {metric:?}");
+                assert!(sieved > 0 && verified == 1, "{tier} {metric:?}: {verified}");
+                got.clear();
+                let (sieved, _) = stage(f, &probe, &blocks[2], eps, &mut got);
+                assert_eq!((sieved, got.len()), (0, 0), "{tier} {metric:?}");
             }
         }
     }

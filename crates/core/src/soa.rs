@@ -33,6 +33,18 @@
 //! width never straddles two lines. That is a speed property only: the
 //! kernels load unaligned from checked slices, and where the allocator or
 //! an interpreter cannot give the alignment the columns start at offset 0.
+//!
+//! ## The f32 copy
+//!
+//! Behind the f64 columns every block holds the same coordinates rounded
+//! to f32 (`v as f32`), for the block kernels' f32 prefilter: column `dim`
+//! is [`SoABlock::width32`] lanes packed two to an `f64` slot (lane `2i`
+//! in the low 32 bits of slot `i`, lane `2i + 1` in the high ones), so a
+//! vector load of `f64` slots bit-casts to twice as many f32 lanes and no
+//! second load form is needed. `width32` is `width` rounded up to
+//! `2 · LANE_PAD`, the widest f32 group; lanes past `len` replicate the
+//! last real one here too. [`SoABlock::max_abs`] is the largest
+//! `|coordinate|` in the block, which the prefilter's error bound needs.
 
 use crate::dataset::Dataset;
 use std::ops::Range;
@@ -51,19 +63,22 @@ const LINE_BYTES: usize = LANE_PAD * std::mem::size_of::<f64>();
 /// Storage is `dims × width` values, laid out column-contiguous:
 /// `data()[dim * width + t]` is coordinate `dim` of lane `t`. Lanes
 /// `0..len` are real candidates (`ids()[t]` is the dataset row id); lanes
-/// `len..width` replicate lane `len - 1`.
+/// `len..width` replicate lane `len - 1`. Behind them sits the f32 copy
+/// ([`SoABlock::packed32`]).
 #[derive(Clone, Debug)]
 pub struct SoABlock {
     dims: usize,
     len: usize,
     width: usize,
     ids: Vec<u32>,
-    /// `head` values to skip, then the `dims × width` columns, nothing
-    /// after them.
+    /// `head` values to skip, then the `dims × width` columns, then the
+    /// `dims × width32 / 2` slots of packed f32 columns, nothing after them.
     buf: Vec<f64>,
     /// Where the first column starts in `buf`: on a cache line if the
     /// allocation allows (a clone keeps the offset, not the alignment).
     head: usize,
+    /// The largest `|coordinate|` over every lane (`0.0` when empty).
+    max_abs: f64,
 }
 
 impl SoABlock {
@@ -77,6 +92,7 @@ impl SoABlock {
             ids: Vec::new(),
             buf: Vec::new(),
             head: 0,
+            max_abs: 0.0,
         }
     }
 
@@ -121,6 +137,7 @@ impl SoABlock {
         self.dims = ds.dims();
         self.len = count;
         self.ids.clear();
+        self.max_abs = 0.0;
         if count == 0 {
             self.width = 0;
             self.buf.clear();
@@ -129,33 +146,56 @@ impl SoABlock {
         }
         self.width = count.next_multiple_of(LANE_PAD);
         let cells = self.dims * self.width;
+        let slots = self.dims * self.width32() / 2;
         // One line of slack, of which the part in front of the next line
         // boundary is skipped. The boundary moves when `resize` reallocates,
         // so it is looked up on every fill; `usize::MAX` ("cannot say":
         // Miri) means offset 0. Every cell is written below, so only what
         // `resize` appends is zeroed first.
-        self.buf.resize(cells + LANE_PAD, 0.0);
+        self.buf.resize(cells + slots + LANE_PAD, 0.0);
         let to_line = self.buf.as_ptr().align_offset(LINE_BYTES);
         self.head = if to_line < LANE_PAD { to_line } else { 0 };
-        self.buf.truncate(self.head + cells);
+        self.buf.truncate(self.head + cells + slots);
         if js.is_empty() {
             self.ids.extend(base..base + count as u32);
         } else {
             self.ids.extend_from_slice(&js[..count]);
         }
         let width = self.width;
-        let data = &mut self.buf[self.head..];
+        let (data, packed) = self.buf[self.head..].split_at_mut(cells);
         for (t, &id) in self.ids.iter().enumerate() {
             for (dim, &v) in ds.point(id).iter().enumerate() {
                 data[dim * width + t] = v;
             }
         }
         // Padding lanes replicate the last real candidate so vector loads
-        // of a full group stay in bounds and finite.
-        for col in data.chunks_exact_mut(width) {
+        // of a full group stay in bounds and finite; the f32 copy is cut
+        // from the finished column, so its padding does the same.
+        // `max_abs` is kept per lane of a line and folded once at the end:
+        // lane-wise compares vectorize where a fold per line does not.
+        // A dataset's coordinates are finite, so no NaN can slip past them.
+        let mut tops = [0.0f64; 8];
+        for (col, col32) in data
+            .chunks_exact_mut(width)
+            .zip(packed.chunks_exact_mut(slots / self.dims))
+        {
             let last = col[count - 1];
             col[count..].fill(last);
+            let (pairs, pad) = col32.split_at_mut(width / 2);
+            for (slots, line) in pairs.chunks_exact_mut(4).zip(col.chunks_exact(8)) {
+                for (top, v) in tops.iter_mut().zip(line) {
+                    let a = v.abs();
+                    *top = if a > *top { a } else { *top };
+                }
+                let halves: [u64; 8] =
+                    std::array::from_fn(|i| u64::from((line[i] as f32).to_bits()));
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    *slot = f64::from_bits(halves[2 * i] | halves[2 * i + 1] << 32);
+                }
+            }
+            pad.fill(pack(last, last));
         }
+        self.max_abs = tops.into_iter().fold(0.0, f64::max);
     }
 
     /// Number of real candidate lanes.
@@ -197,12 +237,35 @@ impl SoABlock {
     /// group's loads are bounded by one comparison (DESIGN §17).
     #[inline]
     pub fn data(&self) -> &[f64] {
-        &self.buf[self.head..]
+        &self.buf[self.head..self.head + self.dims * self.width]
     }
 
-    /// Bytes the block holds: its padded columns and its id list.
+    /// Lanes per f32 column: `width()` rounded up to `2 · LANE_PAD` (`0`
+    /// for an empty block).
+    #[inline]
+    pub fn width32(&self) -> usize {
+        self.width.next_multiple_of(2 * LANE_PAD)
+    }
+
+    /// The f32 copy: `dims() × width32() / 2` slots, column `dim` from slot
+    /// `dim * width32 / 2`, lanes `2i` and `2i + 1` packed into slot `i`
+    /// (low and high 32 bits). Cut like [`SoABlock::data`].
+    #[inline]
+    pub fn packed32(&self) -> &[f64] {
+        &self.buf[self.head + self.dims * self.width..]
+    }
+
+    /// The largest `|coordinate|` the block holds (`0.0` when empty).
+    #[inline]
+    pub fn max_abs(&self) -> f64 {
+        self.max_abs
+    }
+
+    /// Bytes the block holds: its padded columns, their f32 copy and its
+    /// id list.
     pub fn bytes(&self) -> u64 {
-        (std::mem::size_of_val(self.data()) + std::mem::size_of_val(self.ids())) as u64
+        (std::mem::size_of_val(&self.buf[self.head..]) + std::mem::size_of_val(self.ids()))
+            as u64
     }
 
     /// Coordinate `dim` of lane `t`.
@@ -210,6 +273,14 @@ impl SoABlock {
     pub fn value(&self, dim: usize, t: usize) -> f64 {
         self.buf[self.head + dim * self.width + t]
     }
+}
+
+/// Two coordinates rounded to f32 in one `f64` slot, `lo` in the low half:
+/// on a little-endian target the slot's bytes are the two f32s in lane
+/// order, which is what a bit-cast vector load reads.
+#[inline(always)]
+fn pack(lo: f64, hi: f64) -> f64 {
+    f64::from_bits(u64::from((hi as f32).to_bits()) << 32 | u64::from((lo as f32).to_bits()))
 }
 
 #[cfg(test)]
@@ -303,6 +374,73 @@ mod tests {
                 assert_eq!(b.value(dim, t).to_bits(), last.to_bits(), "{what}");
             }
         }
+        assert_eq!(b.width32() % 16, 0, "{what}");
+        assert!(
+            b.width32() >= b.width() && b.width32() < b.width() + 16,
+            "{what}"
+        );
+        assert_eq!(b.packed32().len(), b.dims() * b.width32() / 2, "{what}");
+        #[cfg(not(miri))]
+        assert_eq!(b.packed32().as_ptr() as usize % 64, 0, "{what}");
+        assert_f32_copy(b, what);
+    }
+
+    /// Coordinate `dim` of lane `t` in the f32 copy (`t < width32()`).
+    fn value32(b: &SoABlock, dim: usize, t: usize) -> f32 {
+        let bits = b.packed32()[dim * b.width32() / 2 + t / 2].to_bits();
+        f32::from_bits((bits >> (32 * (t % 2))) as u32)
+    }
+
+    /// The f32 copy is `v as f32` of every lane, bit for bit, padding up
+    /// to `width32` included, and `max_abs` is the largest `|v|`.
+    fn assert_f32_copy(b: &SoABlock, what: &str) {
+        let mut max_abs = 0.0f64;
+        for dim in 0..b.dims() {
+            for t in 0..b.width32() {
+                let v = b.value(dim, t.min(b.len() - 1));
+                max_abs = max_abs.max(v.abs());
+                let got = value32(b, dim, t).to_bits();
+                assert_eq!(got, (v as f32).to_bits(), "{what}: dim {dim} lane {t}");
+            }
+        }
+        assert_eq!(b.max_abs().to_bits(), max_abs.to_bits(), "{what}");
+    }
+
+    #[test]
+    fn the_f32_copy_is_every_coordinate_rounded_and_padded() {
+        let vals = [
+            0.0,
+            -0.0,
+            1.0 + f64::EPSILON,
+            -3.0e-310,
+            5e-324,
+            1e-40,
+            1e100,
+            -1e100,
+            f64::from(f32::MAX),
+            0.1,
+        ];
+        let flat: Vec<f64> = (0..13 * 3).map(|i| vals[i % vals.len()]).collect();
+        let d = Dataset::from_flat(3, flat).unwrap();
+        for n in [1u32, 5, 8, 9, 13] {
+            let b = SoABlock::from_range(&d, 0..n);
+            assert_f32_copy(&b, &format!("n={n}"));
+        }
+        let b = SoABlock::from_range(&d, 0..13);
+        assert_eq!(b.max_abs(), 1e100);
+        // Lane 2 starts at `vals[6]`; lane 0's second coordinate is -0.0.
+        assert_eq!(value32(&b, 0, 2), f32::INFINITY);
+        assert_eq!(value32(&b, 1, 0).to_bits(), (-0.0f32).to_bits());
+        assert!(SoABlock::empty(3).packed32().is_empty());
+    }
+
+    #[test]
+    fn bytes_charge_the_columns_their_f32_copy_and_the_ids() {
+        let d = ds(20, 3);
+        let b = SoABlock::from_range(&d, 0..20);
+        assert_eq!((b.width(), b.width32()), (24, 32));
+        assert_eq!(b.bytes(), (3 * 24 * 8 + 3 * 32 * 4 + 20 * 4) as u64);
+        assert_eq!(SoABlock::empty(3).bytes(), 0);
     }
 
     #[test]
@@ -328,6 +466,7 @@ mod tests {
         }
         let c = b.clone();
         assert_eq!(c.data(), b.data());
+        assert_eq!(c.packed32(), b.packed32());
     }
 
     #[test]

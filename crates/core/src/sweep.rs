@@ -183,9 +183,13 @@ impl<'a> TileJoin<'a> {
         self.tally
     }
 
-    /// Bytes the scratch tile and its two id lists have grown to.
+    /// Bytes the scratch tile (its columns and their f32 copy) and its
+    /// two id lists have grown to.
     pub fn scratch_bytes(&self) -> u64 {
-        (self.widest.next_multiple_of(LANE_PAD) * (self.data.dims() * 8 + 8)) as u64
+        let dims = self.data.dims();
+        let lanes = self.widest.next_multiple_of(LANE_PAD);
+        let lanes32 = self.widest.next_multiple_of(2 * LANE_PAD);
+        (lanes * (dims * 8 + 8) + lanes32 * dims * 4) as u64
     }
 
     /// Emits every pair `(x, y)` of `xs × ys` whose coordinates differ by
@@ -666,6 +670,12 @@ mod tests {
             // One tile, every probe's window non-empty: a call per probe.
             let calls = if gathered { probes as u64 } else { 0 };
             assert_eq!(t.block_calls, calls);
+            // The scratch tile holds the widest gather: its padded 1-d
+            // column, the f32 copy padded to 16 lanes, two id lists.
+            let (w, w32) = (lanes.next_multiple_of(8), lanes.next_multiple_of(16));
+            let bytes = if gathered { w * 8 + w32 * 4 + w * 8 } else { 0 };
+            assert_eq!(join.scratch_bytes(), bytes as u64);
+            assert!(join.scratch_bytes() >= join.tile.bytes());
         }
     }
 

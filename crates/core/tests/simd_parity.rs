@@ -18,7 +18,9 @@
 //! groups, tiles that end in a two-group iteration and in the one-group
 //! epilogue, every branch of the 4/8/12/16/32/… early-exit schedule with
 //! either group of a pair rejected alone, and ε exactly at a candidate in
-//! the first and last lane of a group.
+//! the first and last lane of a group. The f32 prefilter in front of the
+//! vector kernels gets its own cases: mixed magnitudes, a lattice f32
+//! cannot resolve, and coordinates past f32's range.
 // Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -354,6 +356,163 @@ fn groups_rejected_at_each_check_are_dropped_exactly() {
                 }
             }
         }
+    }
+    simd::set_level(saved);
+}
+
+// ---------------------------------------------------------------------
+// The f32 prefilter: whatever it drops, the f64 kernel rejects.
+// ---------------------------------------------------------------------
+
+/// `coord()`'s mixed magnitudes — both zeros, f64 subnormals (which f32
+/// rounds to zero), an f32 subnormal, unit and 1e6 scale side by side —
+/// with its `1e100` arm only when `huge`: a block holding one skips the
+/// prefilter, a block without runs it.
+fn stage_coord(huge: bool) -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -1.0f64..1.0,
+        -1.0f64..1.0,
+        -1.0f64..1.0,
+        -1e6f64..1e6,
+        Just(0.0),
+        Just(-0.0),
+        Just(5e-324),
+        Just(-7.4e-310),
+        Just(1e-40),
+        Just(-3.5e-150),
+        Just(if huge { 1e100 } else { 1e30 }),
+    ]
+}
+
+/// `1 + k·2⁻⁴⁰` in even dimensions, which f32 collapses to one value, and
+/// `1 + 2⁻²⁴ + k·2⁻⁴⁰` in odd ones, which straddles the midpoint of two
+/// f32 values and so rounds a whole f32 ulp apart or together: every f32
+/// difference is off by far more than the f64 distances it must not
+/// misjudge.
+fn lattice(dim: usize, k: i32) -> f64 {
+    let mid = if dim % 2 == 1 { 2f64.powi(-24) } else { 0.0 };
+    1.0 + mid + f64::from(k) * 2f64.powi(-40)
+}
+
+/// The fewest lanes a window of `d` dimensions needs for the f32 stage to
+/// run at every tier: more than two 8-lane groups and more than 256
+/// lane-dimensions (the AVX-512 tier's bar; narrower tiers' are lower).
+/// Smaller windows go straight to f64, which the other tests cover.
+fn sieved(d: usize) -> usize {
+    (256 / d).max(16) + 1
+}
+
+/// Rows of one `SEAM_DIMS` dimensionality, row 0 the probe: enough that a
+/// window starting at any of the first 16 lanes is [`sieved`], and up to
+/// 40 more. A quarter are [`lattice`] rows, a quarter hold `1e100`.
+fn stage_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (0usize..SEAM_DIMS.len(), 0u32..4).prop_flat_map(|(i, kind)| {
+        let (d, least) = (SEAM_DIMS[i], sieved(SEAM_DIMS[i]) + 16);
+        let row = if kind == 3 {
+            proptest::collection::vec(-8i32..9, d)
+                .prop_map(|ks| {
+                    ks.iter()
+                        .enumerate()
+                        .map(|(dim, &k)| lattice(dim, k))
+                        .collect()
+                })
+                .boxed()
+        } else {
+            proptest::collection::vec(stage_coord(kind == 0), d).boxed()
+        };
+        proptest::collection::vec(row, least..least + 40)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The f32 stage never rejects an f64 hit: ε at the exact f64 distance
+    /// of one lane and one ulp either side, windows starting inside a
+    /// group, at every tier (`assert_block_matches_pairs`).
+    #[test]
+    fn the_f32_stage_never_rejects_an_f64_hit(
+        rows in stage_rows(),
+        pick in 0usize..64,
+        start in 0usize..16,
+    ) {
+        let _sweep = tier_sweep();
+        let saved = simd::level();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let len = rows.len() - 1;
+        let block = SoABlock::from_range(&ds, 1..len as u32 + 1);
+        let lane = pick % len;
+        for metric in METRICS {
+            let exact = metric.distance(ds.point(0), ds.point(block.ids()[lane]));
+            for eps in boundary_eps(exact) {
+                assert_block_matches_pairs(&ds, &block, start.min(len - 1)..len, eps);
+            }
+        }
+        simd::set_level(saved);
+    }
+}
+
+/// Asserts the block kernels at every tier on `rows` (row 0 the probe),
+/// with ε at the exact f64 distance of the first, middle and last lane and
+/// one ulp either side, over windows from lanes 0, 5 and 9 (each one
+/// [`sieved`] when `rows` has `sieved(d) + 10` or more).
+fn assert_exact_eps_windows(rows: &[Vec<f64>]) {
+    let ds = Dataset::from_rows(rows).unwrap();
+    let len = rows.len() - 1;
+    let block = SoABlock::from_range(&ds, 1..len as u32 + 1);
+    for lane in [0, len / 2, len - 1] {
+        for metric in METRICS {
+            let exact = metric.distance(ds.point(0), ds.point(block.ids()[lane]));
+            for eps in boundary_eps(exact) {
+                for start in [0, 5, 9].into_iter().filter(|&s| s < len) {
+                    assert_block_matches_pairs(&ds, &block, start..len, eps);
+                }
+            }
+        }
+    }
+}
+
+/// Every row on the [`lattice`], at every `SEAM_DIMS` dimensionality.
+#[test]
+fn the_f32_stage_keeps_hits_on_a_lattice_f32_cannot_resolve() {
+    let _sweep = tier_sweep();
+    let saved = simd::level();
+    let mut state = 0x1a77;
+    for &d in SEAM_DIMS {
+        for len in [9, 16, 40].map(|more| sieved(d) + more) {
+            let rows: Vec<Vec<f64>> = (0..=len)
+                .map(|_| {
+                    (0..d)
+                        .map(|dim| lattice(dim, (unit(&mut state) * 17.0) as i32 - 8))
+                        .collect()
+                })
+                .collect();
+            assert_exact_eps_windows(&rows);
+        }
+    }
+    simd::set_level(saved);
+}
+
+/// Coordinates at and past f32's range, whose f32 copies are `f32::MAX`
+/// and infinities: the stage steps aside for the call and f64 decides.
+#[test]
+fn coordinates_past_f32_range_leave_f64_deciding() {
+    let _sweep = tier_sweep();
+    let saved = simd::level();
+    let mut state = 0xb16;
+    let far = [f64::from(f32::MAX), 3.5e38, -3.5e38, 1e39, -1e39];
+    for &d in SEAM_DIMS {
+        let rows: Vec<Vec<f64>> = (0..=sieved(d) + 9)
+            .map(|_| {
+                (0..d)
+                    .map(|_| {
+                        let v = far[(unit(&mut state) * 5.0) as usize];
+                        v + unit(&mut state) * 1e24
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_exact_eps_windows(&rows);
     }
     simd::set_level(saved);
 }

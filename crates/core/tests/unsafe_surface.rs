@@ -1,5 +1,6 @@
 //! Pins the crate's unsafe surface: `simd/x86.rs` holds three vector loads
-//! (each on a slice that is `LANES` long by construction) and three
+//! (each on a slice that is `LANES` long by construction; the f32
+//! prefilter's packed columns go through the same ones) and three
 //! feature-probed tier entries, and nothing under `src/` offsets a raw
 //! pointer or indexes unchecked — a load's bound is a slice's, checked in
 //! release builds (`a_load_past_the_last_full_group_panics_at_every_tier`).
@@ -11,7 +12,7 @@ use std::path::Path;
 #[test]
 fn x86_holds_six_unsafe_blocks_outside_its_tests() {
     let kernel = include_str!("../src/simd/x86.rs");
-    let (live, _tests) = kernel.split_once("#[cfg(test)]").unwrap();
+    let (live, _tests) = kernel.split_once("#[cfg(test)]\nmod tests {").unwrap();
     assert_eq!(live.matches("unsafe {").count(), 6);
 }
 

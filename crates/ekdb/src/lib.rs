@@ -605,9 +605,12 @@ mod tests {
         );
         let spec = JoinSpec::l2(0.1);
         let tree = |ds: &Dataset| Tree::build(ds, spec.eps, 64).bytes();
-        // n·d·8 of columns plus n ids, the columns padded to 8 lanes.
-        let columns =
-            |ds: &Dataset| (ds.len().next_multiple_of(8) * 4 * 8 + ds.len() * 4) as u64;
+        // n·d·8 of columns padded to 8 lanes, n·d·4 of their f32 copy
+        // padded to 16, plus n ids.
+        let columns = |ds: &Dataset| {
+            let n = ds.len();
+            (n.next_multiple_of(8) * 4 * 8 + n.next_multiple_of(16) * 4 * 4 + n * 4) as u64
+        };
         let mut sink = VecSink::default();
         let mut ekdb = EkdbJoin::default();
         let stats = ekdb.self_join(&a, &spec, &mut sink).unwrap();
