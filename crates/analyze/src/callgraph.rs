@@ -17,7 +17,7 @@
 //! Reachability is a monotone bitset fixed-point computed once at build:
 //! `reach[f] = ⋃ targets(f) ∪ reach[target]` iterated to convergence.
 //! Cycles converge exactly (the transfer function is monotone on a finite
-//! lattice), so the interprocedural rules (R4, R10, R11) terminate on
+//! lattice), so the interprocedural rules (R10, R12) terminate on
 //! recursion knots with the *full* closure — no under-approximation inside
 //! strongly connected components.
 
@@ -39,9 +39,9 @@ pub struct CallSite {
     /// narrowed by its declared type, a `Self::`/`Type::` path with a
     /// matching impl, or a bare free-function call. False for the
     /// keep-every-method fallback (unknown receiver, trait object,
-    /// computed receiver), whose edges over-approximate heavily; rules
-    /// that *deny* on reachability (R4) only trust precise edges, while
-    /// rules that *clear* on reachability (R10, R11) may use all of them.
+    /// computed receiver), whose edges over-approximate heavily. A rule
+    /// that *denied* on reachability would trust only precise edges; R10,
+    /// which *clears* on reachability, may use all of them.
     pub resolved: bool,
 }
 

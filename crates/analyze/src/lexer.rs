@@ -10,8 +10,7 @@
 //!
 //! Comments are kept out of the main token stream and returned separately:
 //! the structural rules scan code tokens without tripping over doc text,
-//! while the comment list drives `// ORDERING:` detection (R7) and
-//! `allow(hdsj::<rule>)` suppressions.
+//! while the comment list drives `allow(hdsj::<rule>)` suppressions.
 
 /// Kind of a code token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,13 +1,12 @@
 //! # hdsj-analyze — workspace-wide static invariant checker
 //!
-//! Clippy's generic lints cannot see project rules: that every
-//! buffer-pool pin has an RAII unpin, that the few blocking locks follow
-//! one global order, that the error taxonomy has no dead variants, that
-//! obs metric names match the registry, that input-sized loops reach a
-//! lifecycle poll. This crate is a std-only diagnostics engine —
-//! hand-rolled lexer, light structural parser, a workspace symbol table
-//! and conservative call graph ([`symbols`], [`callgraph`]), ten rules
-//! (R3–R12) — that enforces exactly those, with `file:line` output,
+//! Clippy's generic lints cannot see project rules: that obs metric
+//! names match the registry, that input-sized loops reach a lifecycle
+//! poll, that the manifest seals only after the data fsync. This crate is
+//! a std-only diagnostics engine — hand-rolled lexer, light structural
+//! parser, a workspace symbol table and conservative call graph
+//! ([`symbols`], [`callgraph`]), three rules (R6, R10, R12) — that
+//! enforces exactly those, with `file:line` output,
 //! deny/warn levels, and comment-based suppression
 //! (`// allow(hdsj::<rule>): why`). What clippy *can* see — panics in
 //! library code, undocumented `unsafe` — is left to it
@@ -131,7 +130,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<CheckReport> {
 }
 
 /// Checks the workspace rooted at `root`, running only the rules named in
-/// `filter` (a `--rules` spec like `"r7,r8"`; ids or names).
+/// `filter` (a `--rules` spec like `"r6,r10"`; ids or names).
 pub fn check_workspace_filtered(root: &Path, filter: &str) -> Result<CheckReport, String> {
     let set = rules::parse_filter(filter)?;
     let ws = Workspace::load(root).map_err(|e| e.to_string())?;

@@ -1,7 +1,7 @@
 //! `hdsj-analyze` — the static invariant checker's standalone CLI.
 //!
 //! ```text
-//! cargo run -p hdsj-analyze -- check [--root DIR] [--format human|jsonl|sarif] [--rules r7,r8]
+//! cargo run -p hdsj-analyze -- check [--root DIR] [--format human|jsonl|sarif] [--rules r6,r10]
 //! cargo run -p hdsj-analyze -- list-rules
 //! cargo run -p hdsj-analyze -- explain <rule>
 //! ```
@@ -73,7 +73,7 @@ fn run(args: &[String]) -> Result<bool, String> {
             "--rules" => {
                 rules = Some(
                     it.next()
-                        .ok_or("--rules needs a value (e.g. r7,r8)")?
+                        .ok_or("--rules needs a value (e.g. r6,r10)")?
                         .clone(),
                 );
             }
@@ -93,6 +93,6 @@ fn run(args: &[String]) -> Result<bool, String> {
 }
 
 fn usage() -> String {
-    "usage: hdsj-analyze check [--root DIR] [--format human|jsonl|sarif] [--rules r7,r8] | list-rules | explain <rule>"
+    "usage: hdsj-analyze check [--root DIR] [--format human|jsonl|sarif] [--rules r6,r10] | list-rules | explain <rule>"
         .to_string()
 }

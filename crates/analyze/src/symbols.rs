@@ -1,15 +1,14 @@
 //! Pass 1a — the workspace symbol table.
 //!
-//! The lexical rules only ever needed token adjacency; the interprocedural
-//! rules (R4 lock order across calls, R10 poll reachability, R11 budget
-//! coverage) and the typed rules (R7 receiver classes, R12 engine-vs-
-//! manifest `sync`) need to know *what a name is*: which `impl` block a
+//! The lexical rule (R6) only needs token adjacency; R10 (poll
+//! reachability across calls) and R12 (engine-vs-manifest `sync`) need
+//! to know *what a name is*: which `impl` block a
 //! function lives in, what type a struct field has, what a `let` binding
 //! aliases. [`SymbolTable::build`] extracts exactly that from the token
 //! streams — no type inference, no generics unification, just the
 //! name→type facts the rules consume.
 //!
-//! Approximation contract (documented in DESIGN.md §15): types are tracked
+//! Approximation contract (documented in DESIGN.md §10): types are tracked
 //! as their *token text* (`Arc < Mutex < Inner > >`), matched by substring
 //! (`ty_contains("Mutex")`). That over-approximates (a field `not_an_atomic:
 //! PseudoAtomicLog` would match "Atomic") and under-approximates (a type
@@ -84,7 +83,7 @@ pub struct SymbolTable {
     /// Function ids by name (one name, many impls — trait methods).
     pub by_name: BTreeMap<String, Vec<usize>>,
     /// Structs by type name. A name collision across crates keeps the
-    /// definition with more fields (same winner-picking as R5's enum).
+    /// definition with more fields.
     pub structs: BTreeMap<String, StructSym>,
     /// `static NAME: Ty` declarations by name → type text.
     pub statics: BTreeMap<String, String>,

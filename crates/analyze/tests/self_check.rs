@@ -3,7 +3,7 @@
 //! the same gate CI applies via `cargo run -p hdsj-analyze -- check`; as a
 //! test it fails the ordinary `cargo test` run too, so a patch cannot land
 //! by skipping the analyze job.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::Path;

@@ -2,7 +2,7 @@
 //! swept parameter, one bench per algorithm. Workloads are deliberately
 //! small (Criterion repeats them many times); the experiment binaries run
 //! the full-size sweeps.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -7,7 +7,7 @@
 //! the across-candidate SoA filter at the host's best dispatch tier
 //! (override with `HDSJ_SIMD`) — the throughput path, with independent
 //! accumulator chains per candidate.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,6 +1,6 @@
 //! R-tree construction benchmarks: the three build strategies across
 //! dimensionalities (the build half of the E12 ablation).
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,6 +1,6 @@
 //! Space-filling-curve micro-benchmarks: Hilbert vs Z-order encode cost and
 //! decode cost across dimensionalities (feeds the E12 ablation analysis).
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

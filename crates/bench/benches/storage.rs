@@ -1,6 +1,6 @@
 //! Storage-engine micro-benchmarks: buffer-pool hit path, miss/evict path,
 //! record-file append/scan, and the external sort.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -13,7 +13,7 @@
 //!
 //! Wall-clock reads are deliberately confined to this module: the
 //! deadline is captured as an [`Instant`] at construction and compared in
-//! [`LifecycleCtx::poll`], so R8-scoped deterministic modules (the sort,
+//! [`LifecycleCtx::poll`], so the byte-deterministic modules (the sort,
 //! the sweep, the kernels) never touch the clock themselves — they only
 //! call `poll()`.
 
@@ -109,8 +109,8 @@ impl LifecycleBuilder {
         LifecycleCtx {
             shared: Arc::new(Shared {
                 cancel: AtomicBool::new(false),
-                // allow(hdsj::determinism): arming a deadline is wall-clock
-                // by definition; it gates *when* a query stops, not output.
+                // Arming a deadline is wall-clock by definition; it gates
+                // *when* a query stops, not output.
                 deadline: self.deadline.map(|d| Instant::now() + d),
                 io_budget: self.io_budget,
                 page_budget: self.page_budget,
@@ -163,8 +163,8 @@ impl LifecycleCtx {
             return Err(Error::Canceled("query canceled".into()));
         }
         if let Some(deadline) = self.shared.deadline {
-            // allow(hdsj::determinism): the deadline check is wall-clock by
-            // definition; it decides whether to stop, never output bytes.
+            // The deadline check is wall-clock by definition; it decides
+            // whether to stop, never output bytes.
             if Instant::now() >= deadline {
                 return Err(Error::DeadlineExceeded("wall-clock deadline passed".into()));
             }
@@ -265,6 +265,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn cancel_from_another_thread() {
         let ctx = LifecycleCtx::unbounded();
         let token = ctx.cancel_token();

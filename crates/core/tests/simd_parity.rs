@@ -21,7 +21,7 @@
 //! the first and last lane of a group. The f32 prefilter in front of the
 //! vector kernels gets its own cases: mixed magnitudes, a lattice f32
 //! cannot resolve, and coordinates past f32's range.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hdsj_core::soa::SoABlock;

@@ -195,6 +195,8 @@ impl Pool {
         let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let lifecycle = self.lifecycle.as_ref();
+        // The workspace's one thread spawn: clippy.toml disallows it elsewhere.
+        #[allow(clippy::disallowed_methods)]
         let joined: Vec<WorkerHarvest<R>> = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
@@ -463,6 +465,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn cross_thread_cancel_stops_within_one_chunk() {
         use hdsj_core::LifecycleCtx;
         let ctx = LifecycleCtx::unbounded();

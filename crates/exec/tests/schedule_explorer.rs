@@ -13,10 +13,10 @@
 use hdsj_exec::schedule;
 
 /// The default sweep: 350 seeds × 3 scenarios over `Pool::map_chunks`.
-/// The window rotates when the pool's concurrency surface changes (the
-/// SIMD-tier refinement batching rode the dataflow-analyzer PR into the
-/// workers) so CI keeps exploring fresh interleavings; 0..600 was
-/// covered by earlier windows.
+/// The window rotates when the pool's concurrency surface changes (as
+/// when the SIMD-tier refinement batching moved into the workers) so CI
+/// keeps exploring fresh interleavings; 0..600 was covered by earlier
+/// windows.
 const DEFAULT_SEEDS: std::ops::Range<u64> = 600..950;
 
 fn seed_range() -> std::ops::Range<u64> {

@@ -20,13 +20,12 @@
 //!
 //! Recording increments atomics in one of [`SHARDS`] shards; each thread
 //! is pinned to a shard by a round-robin thread-local (no `thread::current`
-//! — the id source is our own atomic, keeping the R8 determinism surface
-//! clean). [`Histogram::snapshot`] folds the shards with commutative
-//! operations only (sums, min, max), so the merged [`HistogramSnapshot`]
-//! is a pure function of the *multiset* of recorded values: any thread
-//! count, interleaving, or shard assignment yields byte-identical
-//! snapshots. That property is what lets histograms live inside the
-//! byte-deterministic pipelines without widening the R8 exemption surface.
+//! — the id source is our own atomic). [`Histogram::snapshot`] folds the
+//! shards with commutative operations only (sums, min, max), so the merged
+//! [`HistogramSnapshot`] is a pure function of the *multiset* of recorded
+//! values: any thread count, interleaving, or shard assignment yields
+//! byte-identical snapshots. That property is what lets histograms live
+//! inside the byte-deterministic pipelines.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -41,7 +40,7 @@ pub const SHARDS: usize = 8;
 
 /// Round-robin shard assignment source. Using our own atomic instead of
 /// `thread::current().id()` keeps thread identity out of the deterministic
-/// modules (R8) — and the assignment only steers *where* a value is
+/// modules — and the assignment only steers *where* a value is
 /// counted, never the merged result.
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
@@ -477,6 +476,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn reset_empties_every_shard() {
         let h = Histogram::new();
         std::thread::scope(|s| {

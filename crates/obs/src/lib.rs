@@ -656,6 +656,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn concurrent_counter_increments_are_exact() {
         let (t, _sink) = Tracer::memory();
         let threads = 8;

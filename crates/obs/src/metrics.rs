@@ -4,9 +4,8 @@
 //!
 //! This is the object a serving layer exposes per query (`hdsj stats
 //! --format prom` renders it from a trace file today; `hdsj serve` will
-//! render it live). Metric *names* are governed by [`crate::names`] and
-//! the R6 `counter_registry` analyze rule, exactly as counters always
-//! were.
+//! render it live). Metric *names* are governed by [`crate::names`],
+//! exactly as counters always were.
 
 use crate::hist::{bucket_upper, Histogram, HistogramSnapshot};
 use crate::{json, lock_recover};

@@ -1,24 +1,28 @@
 //! Metric-name registry: the single source of truth for every counter,
 //! gauge, and histogram name the workspace records.
 //!
-//! Metric names are stringly-typed at their call sites; a typo there (or
-//! in a test's `counter_value` assertion) silently creates a metric nobody
-//! else reads. Two checks hold call sites to this file:
+//! A metric name typed wrong at a call site (or in a test's
+//! `counter_value` assertion) would silently create a metric nobody else
+//! reads. Four things hold call sites to this file:
 //!
-//! * **Literal names** (`tracer.counter("pool.hits")`, the `pub const`s
-//!   below) are cross-checked lexically by the `hdsj-analyze` rule R6
-//!   (`counter_registry`) against the string literals in **this file** —
-//!   add new names here first.
+//! * **Constants.** Product code names a metric through the `pub const`s
+//!   below (`names::POOL_HITS`), so a misspelt name does not compile.
+//! * **Literal names** that bypass the constants
+//!   (`tracer.counter("pool.hits")`) are cross-checked lexically by the
+//!   `hdsj-analyze` rule R6 (`counter_registry`) against the string
+//!   literals in **this file**.
+//! * **`registry!`** puts every constant into [`ALL`], so a name cannot be
+//!   declared and left out of the list the exhaustiveness tests walk.
 //! * **Derived names** are built at run time by the one join driver
 //!   (`hdsj_core::join`) from an algorithm's lower-cased `name()`:
 //!   `<algo>.candidates`, `<algo>.results`, `<algo>.phase.<phase>_ns` for
 //!   every `JoinRun::phase`, `<algo>.<count>` for every `JoinRun::count`,
-//!   and `<algo>.sweep.<field>` for a recorded `TileTally`. R6 cannot see
-//!   them; they are registered by the `joins` table below — one row per
-//!   algorithm: its phases and its own counts — which the macro expands
-//!   into [`ALL`], and the driver suite (`tests/driver.rs`) fails on any
-//!   name a traced join emits that [`ALL`] lacks. A new phase or count is
-//!   one word in its algorithm's row.
+//!   and `<algo>.sweep.<field>` for a recorded `TileTally`. They are
+//!   registered by the `joins` table below — one row per algorithm: its
+//!   phases and its own counts — which the macro expands into [`ALL`], and
+//!   the driver suite (`tests/driver.rs`) fails on any name a traced join
+//!   of any algorithm emits that [`ALL`] lacks. A new phase or count is one
+//!   word in its algorithm's row.
 //!
 //! Naming convention: histograms of durations end in `_ns` (values are
 //! nanoseconds). `IoCounters::record_counters` emits `pool.<field>`; those

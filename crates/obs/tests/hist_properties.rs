@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 
 /// Records `values` into a fresh histogram from `threads` OS threads,
 /// dealing values round-robin, and returns the snapshot.
+#[allow(clippy::disallowed_methods)]
 fn record_across_threads(values: &[u64], threads: usize) -> HistogramSnapshot {
     let h = Histogram::new();
     std::thread::scope(|scope| {

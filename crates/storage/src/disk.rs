@@ -290,6 +290,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn file_disk_concurrent_positioned_io() {
         // Positioned I/O has no shared cursor: concurrent readers and
         // writers on different pages must not interleave each other's

@@ -1,16 +1,14 @@
 //! Runtime invariant layer — the `debug-invariants` feature.
 //!
-//! `hdsj-analyze`'s static rules (R3 `pin_pairing`, R4 `lock_order`) check
-//! what is *lexically* visible inside one function. This module is the
-//! runtime complement: with the `debug-invariants` cargo feature enabled,
-//! the storage engine checks the same contracts dynamically, across
-//! function and thread boundaries, on every operation:
+//! The storage engine's locking and pinning contracts, checked at run
+//! time: with the `debug-invariants` cargo feature enabled, the engine
+//! asserts them across function and thread boundaries, on every
+//! operation:
 //!
 //! * **Lock order** — [`ordered`] maintains a per-thread stack of held
-//!   lock ranks (the table in [`rank`], identical to R4's declared order)
-//!   and asserts that every acquisition is of a rank ≥ every rank already
-//!   held on the thread. Static R4 can't see a rank-2 disk lock taken
-//!   three calls below a rank-0 pool lock; this can.
+//!   lock ranks (the table in [`rank`], the declaration of the order) and
+//!   asserts that every acquisition is of a rank ≥ every rank already
+//!   held on the thread, however many calls separate the two.
 //! * **Structural invariants** — [`invariant`] guards the buffer-pool
 //!   facts the chaos suite relies on: the freelist never aliases a
 //!   resident frame, a sealed page's checksum verifies before it reaches
@@ -24,9 +22,9 @@
 //! [`checks`] counts executed checks so tests can assert the layer was
 //! actually live (a silently disabled checker "passes" everything).
 
-/// The global lock-rank order, mirroring `hdsj-analyze` rule R4: a thread
-/// may only acquire locks of non-decreasing rank. "Pool before stats,
-/// never the reverse."
+/// The global lock-rank order — its one declaration: a thread may only
+/// acquire locks of non-decreasing rank. "Pool before stats, never the
+/// reverse."
 pub mod rank {
     /// `BufferPool::inner` — the pool's frame map / freelist mutex.
     pub const POOL: u8 = 0;

@@ -7,7 +7,7 @@
 //! CI runs this file via
 //! `cargo test -p hdsj-storage --features debug-invariants`.
 #![cfg(feature = "debug-invariants")]
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hdsj_storage::invariants;

@@ -1,6 +1,6 @@
 //! Public-API integration tests: the umbrella crate's advertised workflows
 //! work end to end as documented in the README.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hdsj::all_algorithms;
@@ -115,6 +115,7 @@ fn stats_phases_are_populated_for_all_structured_algorithms() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods)]
 fn msj_sweep_observes_deadline_and_cross_thread_cancel() {
     use hdsj::core::{Error, LifecycleCtx};
     use std::time::{Duration, Instant};

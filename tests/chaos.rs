@@ -6,7 +6,7 @@
 //!
 //! Seeds are fixed so CI is reproducible; `HDSJ_CHAOS_SEED=n` narrows the
 //! sweep to one seed (the CI chaos job fans out over several).
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hdsj::core::{Dataset, Error, JoinSpec, Metric, SimilarityJoin, VecSink};

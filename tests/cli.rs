@@ -1,6 +1,6 @@
 //! End-to-end tests of the `hdsj` command-line tool: generate → info →
 //! join round trips through real files and real process invocations.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
@@ -390,12 +390,10 @@ fn help_lists_commands() {
 /// variant, so scripts can tell bad flags from bad disks.
 #[test]
 fn exit_codes_reflect_error_families() {
-    // 2: invalid input (unknown command; the analyzer is `hdsj-analyze`).
-    for cmd in ["frobnicate", "analyze"] {
-        let out = hdsj().arg(cmd).output().unwrap();
-        assert_eq!(out.status.code(), Some(2), "{cmd}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("InvalidInput"));
-    }
+    // 2: invalid input (unknown command).
+    let out = hdsj().arg("frobnicate").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("InvalidInput"));
 
     let csv = tmp("chaos.csv");
     hdsj()

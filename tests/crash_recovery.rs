@@ -8,7 +8,7 @@
 //! `hdsj-msj`) cover many more crash points and seeds cheaply; this file
 //! proves the same guarantees survive an actual process death, where no
 //! destructor runs and the manifest tail may be torn.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::{Path, PathBuf};

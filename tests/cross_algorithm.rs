@@ -1,7 +1,7 @@
 //! Cross-algorithm equivalence: every algorithm must produce exactly the
 //! brute-force result set on every workload × metric × join-kind
 //! combination. This is the central correctness contract of the library.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use hdsj::all_algorithms;

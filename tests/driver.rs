@@ -4,9 +4,10 @@
 //! The rows differ only in the documented per-algorithm extras — root-span
 //! attributes, phase names, own counters. Every metric name a traced join
 //! emits must be in `obs::names::ALL`: the driver builds names with
-//! `format!`, out of the analyzer's (R6) lexical reach, so this suite is
-//! what registers them.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+//! `format!`, which no compiler check can see, so this suite is what
+//! registers them. The same rows bound the work a join does between two
+//! lifecycle polls, which is how far it can overrun a cancel or deadline.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use hdsj::core::obs::{names, AttrValue, MemorySink, SpanEvent};
@@ -345,4 +346,87 @@ fn joins_sharing_an_engine_each_count_their_own_page_latencies() {
     assert_eq!(sink.counter_value(names::POOL_READS), Some(reads));
     let timed = sink.hist_snapshot(names::POOL_READ_NS).unwrap();
     assert_eq!(timed.count, reads, "every read timed once, in one join");
+}
+
+/// Counts the pairs a join emits between two consecutive lifecycle polls:
+/// it holds a clone of the join's context and reads its poll count at every
+/// pair.
+#[derive(Default)]
+struct PollGaps {
+    lc: LifecycleCtx,
+    polls: u64,
+    gap: u64,
+    widest: u64,
+    pairs: u64,
+}
+
+impl PairSink for PollGaps {
+    fn push(&mut self, _i: u32, _j: u32) {
+        let polls = self.lc.stats().polls;
+        if polls != self.polls {
+            (self.polls, self.gap) = (polls, 0);
+        }
+        self.gap += 1;
+        self.widest = self.widest.max(self.gap);
+        self.pairs += 1;
+    }
+}
+
+/// `n` points of a cube of side 0.05 at the centre of `[0,1)^4`.
+fn cluster(n: usize, seed: u64) -> Dataset {
+    let unit = hdsj::data::uniform(4, n, seed).unwrap();
+    let mut ds = Dataset::new(4).unwrap();
+    for (_, p) in unit.iter() {
+        let q: Vec<f64> = p.iter().map(|x| 0.475 + 0.05 * x).collect();
+        ds.push(&q).unwrap();
+    }
+    ds
+}
+
+/// A cancel or a deadline is seen only at a poll, so the work between two
+/// polls is how far a join can overrun one. Here every candidate is a
+/// result — both sets lie in one cube of diameter 0.1 and ε = 0.4 — and the
+/// sink sees each pair as it is emitted, so the pairs between two polls
+/// are the work between them.
+///
+/// At this ε the two sets are one leaf (ε-KDB), one level-0 cell (MSJ), one
+/// cell (GRID) and one sorted run (SM1D): nothing but the leaf join's own
+/// poll, every 1 024 probes in `core::sweep`, interrupts their sweeps, and
+/// nothing but BF's per-(probe block, tile) poll its loop nest. A deleted
+/// hot-loop poll leaves all `PROBES × LANES` pairs in one gap, 8× the bound.
+#[test]
+fn every_hot_loop_polls_within_a_bounded_stride() {
+    const PROBES: usize = 8 * 1024;
+    const LANES: usize = 32;
+    // 1 024 probes × at most `LANES` candidates each; BF's 64 × 32 units
+    // are smaller.
+    const STRIDE: u64 = 1024 * LANES as u64;
+    let (a, b) = (cluster(PROBES, 1), cluster(LANES, 2));
+    for mut row in rows(None) {
+        let lc = LifecycleCtx::unbounded();
+        row.algo.set_lifecycle(lc.clone());
+        let mut gaps = PollGaps {
+            lc,
+            ..Default::default()
+        };
+        row.algo
+            .join(&a, &b, &JoinSpec::l2(0.4), &mut gaps)
+            .unwrap();
+        let algo = prefix(row.algo.as_ref());
+        assert_eq!(gaps.pairs, (PROBES * LANES) as u64, "{algo}");
+        assert!(
+            gaps.widest <= STRIDE,
+            "{algo}: {} pairs between two polls, bound {STRIDE}",
+            gaps.widest
+        );
+    }
+
+    // MSJ's level histogram (E9) runs outside a join: one poll per 4 096
+    // points it assigns.
+    let lc = LifecycleCtx::unbounded();
+    let mut msj = Msj::default();
+    msj.set_lifecycle(lc.clone());
+    msj.level_histogram(&a, 0.4).unwrap();
+    let polls = lc.stats().polls;
+    assert!(polls * 4096 >= PROBES as u64, "{polls} polls");
 }

@@ -6,7 +6,7 @@
 //! a one-level hierarchy, points on and beyond the domain's edges, and a
 //! stripe that holds almost everything. Every scenario asserts that the
 //! filter it targets really ran.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use hdsj::core::obs::Tracer;

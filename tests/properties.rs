@@ -1,6 +1,6 @@
 //! Property-based integration tests: randomized point sets and join
 //! parameters, with brute force as the oracle.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hdsj::all_algorithms;

@@ -1,6 +1,6 @@
 //! Storage-stack integration: disk-based joins on file-backed engines,
 //! pool-size independence of results, and failure injection end to end.
-// Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
+// Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hdsj::core::{verify, CountSink, Dataset, JoinSpec, Metric, SimilarityJoin, VecSink};
