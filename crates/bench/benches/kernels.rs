@@ -88,15 +88,18 @@ fn bench_within(c: &mut Criterion) {
         });
         let ds = Dataset::from_rows(&points).unwrap();
         let block = SoABlock::from_range(&ds, 0..points.len() as u32);
+        let probe = Dataset::from_rows(std::slice::from_ref(&x)).unwrap();
         group.bench_with_input(BenchmarkId::new("simd_block", d), &block, |b, blk| {
             let mut out = Vec::with_capacity(blk.len());
+            let mut scratch = hdsj_core::simd::Scratch::default();
             b.iter(|| {
                 out.clear();
-                Metric::L2.within_block(
-                    black_box(&x),
+                Metric::L2.within_windows(
+                    black_box(&probe),
                     black_box(blk),
-                    0..blk.len(),
+                    &[(0, 0..blk.len())],
                     eps,
+                    &mut scratch,
                     &mut out,
                 );
                 out.len()

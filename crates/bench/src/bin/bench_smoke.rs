@@ -355,17 +355,26 @@ fn sweep_block(ds: &hdsj_core::Dataset, eps: f64, reps: usize) -> (f64, u64) {
         .collect();
     let mut times = Vec::with_capacity(REPEATS);
     let mut hits = 0u64;
-    let mut out: Vec<u32> = Vec::new();
+    let mut out: Vec<(u32, u32)> = Vec::new();
+    let mut scratch = hdsj_core::simd::Scratch::default();
     for _ in 0..REPEATS {
         let eps = black_box(eps);
         hits = 0;
         let start = Instant::now();
         for _ in 0..reps {
-            for (i, x) in ds.iter() {
+            for i in 0..ds.len() as u32 {
                 for tile in &tiles {
                     out.clear();
-                    Metric::L2.within_block(black_box(x), tile, 0..tile.len(), eps, &mut out);
-                    hits += out.iter().filter(|&&j| j != i).count() as u64;
+                    let window = [(i, 0..tile.len())];
+                    Metric::L2.within_windows(
+                        black_box(ds),
+                        tile,
+                        &window,
+                        eps,
+                        &mut scratch,
+                        &mut out,
+                    );
+                    hits += out.iter().filter(|&&(_, j)| j != i).count() as u64;
                 }
             }
         }

@@ -7,9 +7,9 @@
 //!
 //! The loops are cache-blocked: the inner set is transposed **once** into
 //! L1-sized structure-of-arrays tiles ([`hdsj_core::SoABlock`]), outer
-//! rows walk in L2-sized blocks, and every (probe, tile) pair runs the
-//! across-candidate SIMD kernel through `Refiner::offer_block` /
-//! `Metric::within_block` with a single metric dispatch per tile. Tile
+//! rows walk in L2-sized blocks, and every (probe block, tile) pair runs
+//! the across-candidate SIMD kernel through `Refiner::offer_windows` /
+//! `Metric::within_windows`, one call per run of its rows' windows. Tile
 //! sizes come from the host cache probe (`hdsj_core::simd::tile`) when
 //! [`BruteForce::block`] is `0` (the default); an explicit block size is
 //! honoured for both loops. Tiling changes only loop chunking — the
@@ -24,7 +24,7 @@ use hdsj_core::obs::PhaseClass;
 use hdsj_core::simd::tile;
 use hdsj_core::{
     Dataset, JoinEnv, JoinKind, JoinRun, JoinSpec, PairSink, Refiner, Result, SimilarityJoin,
-    SoABlock, VecSink,
+    SoABlock, VecSink, WindowBatch,
 };
 use hdsj_exec::Pool;
 use std::ops::Range;
@@ -109,22 +109,25 @@ impl SimilarityJoin for BruteForce {
             run.structure_bytes(tiles.iter().map(SoABlock::bytes).sum());
             // The one loop nest, flattened: unit `u` is probe block `u / tiles`
             // against tile `u % tiles` — the block stays in L2 while each
-            // L1-sized tile is reused by all of its rows, one across-candidate
-            // kernel pass per (probe, tile). Any split of `0..units` into
-            // consecutive ranges, run in any order and replayed in range order,
-            // emits what one pass over it emits. The lifecycle context (if any)
-            // is polled at every unit: within one tile sweep.
+            // L1-sized tile is reused by all of its rows, its rows' windows
+            // going to the across-candidate kernel a batch per call. Any split
+            // of `0..units` into consecutive ranges, run in any order and
+            // replayed in range order, emits what one pass over it emits. The
+            // lifecycle context (if any) is polled at every unit: within one
+            // tile sweep.
             let units = a.len().div_ceil(probe_rows) * tiles.len();
             let probe = |units: Range<usize>, refiner: &mut Refiner<'_>| -> Result<()> {
+                let mut batch = WindowBatch::default();
                 for unit in units {
                     run.poll()?;
                     let (block, tile) = (unit / tiles.len(), &tiles[unit % tiles.len()]);
                     let rows = block * probe_rows..((block + 1) * probe_rows).min(a.len());
                     for i in rows.start as u32..rows.end as u32 {
                         if let Some(lanes) = tile_lanes(kind, i, tile) {
-                            refiner.offer_block(i, tile, lanes);
+                            batch.push(refiner, tile, i, lanes);
                         }
                     }
+                    batch.flush(refiner, tile);
                 }
                 Ok(())
             };

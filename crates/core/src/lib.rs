@@ -68,7 +68,7 @@ pub use rect::Rect;
 pub use refine::Refiner;
 pub use soa::SoABlock;
 pub use stats::{IoCounters, JoinStats, Phase};
-pub use sweep::{sort_by_coord, CandidateSink, TileJoin, TileTally};
+pub use sweep::{sort_by_coord, CandidateSink, TileJoin, TileTally, WindowBatch};
 
 /// Structured tracing and metrics (re-exported from `hdsj-obs` so the
 /// algorithm crates need no extra dependency).

@@ -8,16 +8,17 @@
 //!
 //! There are two evaluation paths. One pair goes straight to the 4-lane
 //! scalar kernels in [`crate::kernels`]; a candidate *tile* goes through
-//! [`Metric::within_block`] to the block kernel of the best tier the host
+//! [`Metric::within_windows`] to the block kernel of the best tier the host
 //! supports ([`crate::simd`]: AVX-512/AVX2/SSE2, falling back to a
 //! portable strided loop). Either way the `Lp(2)`/`Lp(1)` exponents are
 //! normalized to the specialized L2/L1 kernels first. Every block tier
 //! decides each candidate exactly as the pair kernel would (see
 //! [`crate::simd`]), so routing here changes speed, never results.
 
+use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::kernels;
-use crate::simd;
+use crate::simd::{self, Scratch};
 use crate::soa::SoABlock;
 use std::ops::Range;
 
@@ -95,33 +96,46 @@ impl Metric {
         }
     }
 
-    /// Block threshold test over a structure-of-arrays candidate tile:
-    /// appends to `out` the dataset row id of every lane in `lanes` whose
-    /// candidate is within `eps` of `probe`, in lane order. This is the
+    /// Block threshold test over a structure-of-arrays candidate tile: for
+    /// each window `(i, lanes)`, appends `(i, id)` for every lane in
+    /// `lanes` whose candidate is within `eps` of probe row `i` of
+    /// `probes`, window by window and within one in lane order. This is the
     /// across-candidate vector path — the kernels broadcast one probe
     /// coordinate and stream the tile's contiguous dimension columns — and
     /// the only one that depends on the dispatch tier. ε is converted to
-    /// the kernel's accumulation domain (ε² for L2) here, once per call;
-    /// a vector tier then widens that budget, also once per call, into the
-    /// bound of its f32 prefilter, which only drops candidates the f64
-    /// sum rejects (DESIGN §16). Decisions are exactly those of
-    /// [`Metric::within`] (see [`crate::simd`]), so swapping per-pair tests
-    /// for a block never changes join results.
-    pub fn within_block(
+    /// the kernel's accumulation domain (ε² for L2) here, once per call; a
+    /// vector tier then widens that budget, also once per call and only if
+    /// a window needs it, into the bound of its f32 prefilter, which only
+    /// drops candidates the f64 sum rejects (DESIGN §16). Decisions are
+    /// exactly those of [`Metric::within`] (see [`crate::simd`]), so
+    /// swapping per-pair tests for a block never changes join results.
+    pub fn within_windows(
         &self,
-        probe: &[f64],
+        probes: &Dataset,
         block: &SoABlock,
-        lanes: Range<usize>,
+        windows: &[(u32, Range<usize>)],
         eps: f64,
-        out: &mut Vec<u32>,
+        scratch: &mut Scratch,
+        out: &mut Vec<(u32, u32)>,
     ) {
         match self.normalized() {
-            Metric::L1 => simd::within_block::<false, false>(probe, block, lanes, eps, out),
-            Metric::L2 => {
-                simd::within_block::<true, false>(probe, block, lanes, eps * eps, out)
+            Metric::L1 => {
+                simd::within_windows::<false, false>(probes, block, windows, eps, scratch, out)
             }
-            Metric::Linf => simd::within_block::<false, true>(probe, block, lanes, eps, out),
-            Metric::Lp(p) => simd::portable::lp_within_block(probe, block, lanes, eps, p, out),
+            Metric::L2 => simd::within_windows::<true, false>(
+                probes,
+                block,
+                windows,
+                eps * eps,
+                scratch,
+                out,
+            ),
+            Metric::Linf => {
+                simd::within_windows::<false, true>(probes, block, windows, eps, scratch, out)
+            }
+            Metric::Lp(p) => {
+                simd::portable::lp_within_windows(probes, block, windows, eps, p, out)
+            }
         }
     }
 

@@ -10,6 +10,7 @@
 
 use crate::dataset::Dataset;
 use crate::join::{JoinKind, JoinSpec, PairSink};
+use crate::simd::Scratch;
 use crate::soa::SoABlock;
 use crate::stats::JoinStats;
 use std::ops::Range;
@@ -33,7 +34,9 @@ pub struct Refiner<'a> {
     candidates: u64,
     results: u64,
     dist_evals: u64,
-    scratch: Vec<u32>,
+    /// The block kernel's hits of the current call, and what it reuses.
+    hits: Vec<(u32, u32)>,
+    scratch: Scratch,
 }
 
 impl<'a> Refiner<'a> {
@@ -56,7 +59,8 @@ impl<'a> Refiner<'a> {
             candidates: 0,
             results: 0,
             dist_evals: 0,
-            scratch: Vec::new(),
+            hits: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -84,32 +88,35 @@ impl<'a> Refiner<'a> {
         }
     }
 
-    /// Offers the candidate lanes `lanes` of a pre-built SoA `block`
-    /// against probe row `i`, evaluated through the across-candidate
-    /// [`crate::metric::Metric::within_block`] kernel.
+    /// Offers, for each window `(i, lanes)`, the candidate lanes `lanes` of
+    /// a pre-built SoA `block` against probe row `i`: one call of the
+    /// across-candidate [`crate::metric::Metric::within_windows`] kernel
+    /// for the whole list.
     ///
     /// Semantics match [`Refiner::offer`] called for every id of
-    /// `block.ids()[lanes]` in lane order: same counters (self-join
-    /// diagonal lanes dropped before counting), same canonical
-    /// `(min, max)` emission — kernel distances are bit-symmetric under
-    /// argument swap, so evaluating in the probe's orientation is exact.
-    /// Brute force tiles its inner set once per join; the MSJ sweep
-    /// gathers one tile per cell-pair window.
-    pub fn offer_block(&mut self, i: u32, block: &SoABlock, lanes: Range<usize>) {
-        debug_assert!(lanes.end <= block.len());
-        if lanes.end <= lanes.start {
-            return;
-        }
-        let n = (lanes.end - lanes.start) as u64;
-        self.scratch.clear();
-        let probe = self.a.point(i);
-        self.metric
-            .within_block(probe, block, lanes.clone(), self.eps, &mut self.scratch);
+    /// `block.ids()[lanes]`, window by window, each in lane order: same
+    /// counters (self-join diagonal lanes dropped before counting), same
+    /// canonical `(min, max)` emission — kernel distances are bit-symmetric
+    /// under argument swap, so evaluating in the probe's orientation is
+    /// exact. An empty or inverted window offers nothing. Brute force tiles
+    /// its inner set once per join; the sweeps gather one tile per
+    /// cell-pair window run.
+    pub fn offer_windows(&mut self, block: &SoABlock, windows: &[(u32, Range<usize>)]) {
+        let n: u64 = windows.iter().map(|w| w.1.len() as u64).sum();
+        self.hits.clear();
+        self.metric.within_windows(
+            self.a,
+            block,
+            windows,
+            self.eps,
+            &mut self.scratch,
+            &mut self.hits,
+        );
         match self.kind {
             JoinKind::TwoSets => {
                 self.candidates += n;
                 self.dist_evals += n;
-                for &j in &self.scratch {
+                for &(i, j) in &self.hits {
                     self.results += 1;
                     self.sink.push(i, j);
                 }
@@ -117,9 +124,9 @@ impl<'a> Refiner<'a> {
             JoinKind::SelfJoin => {
                 // A diagonal lane is at distance 0, so the kernel always
                 // lists it: counting `j == i` among the hits finds every
-                // one without a scan of the window's ids.
+                // one without a scan of the windows' ids.
                 let mut diag = 0;
-                for &j in &self.scratch {
+                for &(i, j) in &self.hits {
                     if j == i {
                         diag += 1;
                         continue;
@@ -153,6 +160,7 @@ mod tests {
     use super::*;
     use crate::join::VecSink;
     use crate::metric::Metric;
+    use crate::sweep::{WindowBatch, WINDOWS_PER_CALL};
 
     fn square() -> Dataset {
         Dataset::from_rows(&[vec![0.0, 0.0], vec![0.1, 0.0], vec![0.9, 0.9]]).unwrap()
@@ -190,40 +198,60 @@ mod tests {
 
     #[test]
     fn block_offers_match_serial_offers() {
-        let rows: Vec<Vec<f64>> = (0..30)
+        // 60 points on a smooth curve at d = 16, so neighbours are hits and
+        // 30-lane windows reach the f32 stage (and pair up) at every tier.
+        const N: u32 = 60;
+        let rows: Vec<Vec<f64>> = (0..N)
             .map(|i| {
-                let t = i as f64 * 0.21;
-                vec![t.sin() * 0.5 + 0.5, t.cos() * 0.5 + 0.5]
+                let t = f64::from(i) * 0.05;
+                (0..16)
+                    .map(|k| (t + f64::from(k) * 0.1).sin() * 0.5 + 0.5)
+                    .collect()
             })
             .collect();
         let a = Dataset::from_rows(&rows).unwrap();
-        let tile = SoABlock::from_range(&a, 0..30);
+        let tile = SoABlock::from_range(&a, 0..N);
+        // Per probe: split, empty and inverted windows. The diagonal lane
+        // falls at both ends of a window as `i` varies (0, 29, 30, 59), and
+        // the list — four windows a probe — is longer than a flush.
+        let mut windows: Vec<(u32, Range<usize>)> = Vec::new();
+        for i in 0..N {
+            #[allow(clippy::reversed_empty_ranges)]
+            windows.extend([(i, 0..30), (i, 30..30), (i, 40..30), (i, 30..60)]);
+        }
+        // A window whose only lane is the diagonal: a self-join neither
+        // counts nor emits it, a two-set join does both.
+        windows.push((7, 7..8));
+        assert!(windows.len() > 2 * WINDOWS_PER_CALL);
         for metric in [Metric::L1, Metric::L2, Metric::Linf, Metric::Lp(3.0)] {
             let spec = JoinSpec::new(0.3, metric);
             for kind in [JoinKind::SelfJoin, JoinKind::TwoSets] {
                 let mut serial_sink = VecSink::default();
                 let mut serial = Refiner::new(&a, &a, kind, &spec, &mut serial_sink);
-                let mut block_sink = VecSink::default();
-                let mut blocked = Refiner::new(&a, &a, kind, &spec, &mut block_sink);
-                for i in 0..30u32 {
-                    for j in 0..30u32 {
-                        serial.offer(i, j);
+                for (i, lanes) in &windows {
+                    for t in lanes.clone() {
+                        serial.offer(*i, tile.ids()[t]);
                     }
-                    // Split, empty, and inverted windows; the diagonal lane
-                    // falls at either edge of a window as `i` varies.
-                    blocked.offer_block(i, &tile, 0..15);
-                    blocked.offer_block(i, &tile, 15..15);
-                    #[allow(clippy::reversed_empty_ranges)]
-                    blocked.offer_block(i, &tile, 20..15);
-                    blocked.offer_block(i, &tile, 15..30);
                 }
-                // A window whose only lane is the diagonal: a self-join
-                // neither counts nor emits it, a two-set join does both.
-                serial.offer(7, 7);
-                blocked.offer_block(7, &tile, 7..8);
-                assert_eq!(blocked.counters(), serial.counters(), "{metric:?} {kind:?}");
-                drop((serial, blocked));
-                assert_eq!(block_sink.pairs, serial_sink.pairs, "{metric:?} {kind:?}");
+                // The whole list in one call, and in flushes as the sweeps
+                // and brute force hand it over.
+                let mut whole_sink = VecSink::default();
+                let mut whole = Refiner::new(&a, &a, kind, &spec, &mut whole_sink);
+                whole.offer_windows(&tile, &windows);
+                let mut batched_sink = VecSink::default();
+                let mut batched = Refiner::new(&a, &a, kind, &spec, &mut batched_sink);
+                let mut batch = WindowBatch::default();
+                for (i, lanes) in &windows {
+                    batch.push(&mut batched, &tile, *i, lanes.clone());
+                }
+                batch.flush(&mut batched, &tile);
+                let want = serial.counters();
+                assert!(want.1 > N as u64, "{metric:?} {kind:?}: {want:?}");
+                assert_eq!(whole.counters(), want, "{metric:?} {kind:?}");
+                assert_eq!(batched.counters(), want, "{metric:?} {kind:?}");
+                drop((serial, whole, batched));
+                assert_eq!(whole_sink.pairs, serial_sink.pairs, "{metric:?} {kind:?}");
+                assert_eq!(batched_sink.pairs, serial_sink.pairs, "{metric:?} {kind:?}");
             }
         }
     }

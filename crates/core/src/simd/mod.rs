@@ -1,10 +1,11 @@
-//! The runtime-dispatched block kernel: one probe row against a
-//! structure-of-arrays candidate tile.
+//! The runtime-dispatched block kernel: a list of probe windows against
+//! one structure-of-arrays candidate tile.
 //!
 //! Refinement has two code paths. A single pair goes through the 4-lane
 //! scalar kernels in [`crate::kernels`] — [`crate::Metric::within`] calls
 //! them directly, at every tier. A candidate *tile* goes through
-//! [`within_block`], the one dispatcher here: a one-time capability probe
+//! [`within_windows`], the one dispatcher here, once per tile (or per run
+//! of its windows): a one-time capability probe
 //! picks the best block tier the host supports (AVX-512 → AVX2 → SSE2 →
 //! scalar on x86-64; every other architecture runs the scalar tier, the
 //! reference the vector tiers are tested against), and every later call
@@ -36,7 +37,7 @@
 //! to pay; it decides nothing: it drops only a lane whose f32 sum exceeds
 //! a bound that proves the f64 sum over the budget, and the f64 sum decides
 //! every lane it keeps (DESIGN §16). `Lp` for general `p`
-//! is `powf`-bound and stays on [`portable::lp_within_block`] at every
+//! is `powf`-bound and stays on [`portable::lp_within_windows`] at every
 //! tier.
 
 pub mod portable;
@@ -45,6 +46,7 @@ pub mod tile;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
+use crate::dataset::Dataset;
 use crate::soa::SoABlock;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -178,28 +180,51 @@ fn clamp(requested: Level) -> Level {
         .unwrap_or(Level::Scalar)
 }
 
-/// The one block dispatcher: appends to `out` the id of every lane in
-/// `lanes` whose candidate is within `budget` of `probe`, in lane order, at
-/// the active tier. `budget` is in the accumulation domain — `Σ |pᵢ − cᵢ|`
-/// (L1), `Σ (pᵢ − cᵢ)²` with `SQ` and `ε²` (L2), `max |pᵢ − cᵢ|` with
-/// `MAX` (L∞) — and [`crate::Metric::within_block`] converts ε to it once
-/// per call. The `_` arm is the scalar tier: `clamp` never stores a tier
-/// the host lacks, so off x86-64 it is the only arm there is.
-pub fn within_block<const SQ: bool, const MAX: bool>(
-    probe: &[f64],
+/// What the block kernel reuses from call to call — the probes' f32
+/// copies and a two-probe pass's parked survivor masks — so that no call
+/// allocates once a run has warmed it. One per refiner.
+#[derive(Debug, Default)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub struct Scratch {
+    probe32: Vec<f32>,
+    masks: Vec<u32>,
+}
+
+/// The one block dispatcher: for each window `(i, lanes)` of `windows`,
+/// appends `(i, id)` for every lane in `lanes` whose candidate is within
+/// `budget` of probe row `i` of `probes`, window by window and within a
+/// window in lane order, at the active tier. One call per tile: a tier
+/// pays its fixed costs once per list. `budget` is in the accumulation
+/// domain — `Σ |pᵢ − cᵢ|` (L1), `Σ (pᵢ − cᵢ)²` with `SQ` and `ε²` (L2),
+/// `max |pᵢ − cᵢ|` with `MAX` (L∞) — and [`crate::Metric::within_windows`]
+/// converts ε to it once per call. The `_` arm is the scalar tier: `clamp`
+/// never stores a tier the host lacks, so off x86-64 it is the only arm
+/// there is.
+pub fn within_windows<const SQ: bool, const MAX: bool>(
+    probes: &Dataset,
     block: &SoABlock,
-    lanes: Range<usize>,
+    windows: &[(u32, Range<usize>)],
     budget: f64,
-    out: &mut Vec<u32>,
+    scratch: &mut Scratch,
+    out: &mut Vec<(u32, u32)>,
 ) {
     match level() {
         #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_within_block::<SQ, MAX>(probe, block, lanes, budget, out),
+        Level::Sse2 => {
+            x86::sse2_within_windows::<SQ, MAX>(probes, block, windows, budget, scratch, out)
+        }
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_within_block::<SQ, MAX>(probe, block, lanes, budget, out),
+        Level::Avx2 => {
+            x86::avx2_within_windows::<SQ, MAX>(probes, block, windows, budget, scratch, out)
+        }
         #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => x86::avx512_within_block::<SQ, MAX>(probe, block, lanes, budget, out),
-        _ => portable::within_block::<SQ, MAX>(probe, block, lanes, budget, out),
+        Level::Avx512 => {
+            x86::avx512_within_windows::<SQ, MAX>(probes, block, windows, budget, scratch, out)
+        }
+        _ => {
+            let _ = scratch;
+            portable::within_windows::<SQ, MAX>(probes, block, windows, budget, out)
+        }
     }
 }
 
@@ -244,11 +269,22 @@ mod tests {
         fn check<const SQ: bool, const MAX: bool>(name: &str, tier: Level) {
             let d = ds(23, 17);
             let block = crate::soa::SoABlock::from_range(&d, 0..23);
-            let probe = d.point(11);
+            let windows = [(11, 0..23), (3, 5..23), (4, 0..9)];
             for budget in [0.1, 0.6, 2.0] {
                 let (mut got, mut want) = (Vec::new(), Vec::new());
-                within_block::<SQ, MAX>(probe, &block, 0..23, budget, &mut got);
-                portable::within_block::<SQ, MAX>(probe, &block, 0..23, budget, &mut want);
+                let mut scratch = Scratch::default();
+                within_windows::<SQ, MAX>(&d, &block, &windows, budget, &mut scratch, &mut got);
+                for (i, lanes) in windows.clone() {
+                    let mut ids = Vec::new();
+                    portable::within_block::<SQ, MAX>(
+                        d.point(i),
+                        &block,
+                        lanes,
+                        budget,
+                        &mut ids,
+                    );
+                    want.extend(ids.into_iter().map(|j| (i, j)));
+                }
                 assert_eq!(got, want, "{name} {tier:?} budget={budget}");
             }
         }

@@ -1,7 +1,8 @@
 //! Portable strided block kernels — the scalar dispatch level's SoA path,
 //! the reference the vector tiers are tested against (they come here
 //! themselves only for an empty block), and the only path for the metric
-//! without a vector implementation (`Lp`).
+//! without a vector implementation (`Lp`). [`within_block`] is one window
+//! alone: the per-window reference the tests compare window lists with.
 //!
 //! These walk a [`SoABlock`] one candidate lane at a time with **exactly**
 //! the accumulation scheme of [`crate::kernels`]: four dimension-lane
@@ -12,6 +13,7 @@
 //! `kernels::*_within(probe, row)` computes on the row-major layout, so
 //! decisions — and hence join results — cannot depend on which path ran.
 
+use crate::dataset::Dataset;
 use crate::kernels::{fold4, SUPER_BLOCK};
 use crate::soa::SoABlock;
 use std::ops::Range;
@@ -87,26 +89,66 @@ fn max_within_at(probe: &[f64], block: &SoABlock, t: usize, eps: f64) -> bool {
     true
 }
 
-/// Lane loop shared by the two entry points below: pushes
-/// `block.ids()[t]` for every qualifying lane in `lanes`, in lane order.
+/// Lane loop shared by the entry points below: calls `hit(id)` for
+/// `block.ids()[t]` of every qualifying lane `t` in `lanes`, in lane order.
 #[inline(always)]
 fn filter_lanes(
     block: &SoABlock,
     lanes: Range<usize>,
-    out: &mut Vec<u32>,
     within_at: impl Fn(usize) -> bool,
+    mut hit: impl FnMut(u32),
 ) {
-    debug_assert!(lanes.end <= block.len());
+    debug_assert!(lanes.is_empty() || lanes.end <= block.len());
     for t in lanes {
         if within_at(t) {
-            out.push(block.ids()[t]);
+            hit(block.ids()[t]);
         }
     }
 }
 
-/// The scalar tier's block filter: `Σ |pᵢ − cᵢ| ≤ budget` (L1),
-/// `Σ (pᵢ − cᵢ)² ≤ budget` with `SQ` (L2, `budget = ε²`), or
-/// `max |pᵢ − cᵢ| ≤ budget` with `MAX` (L∞).
+/// Whether lane `t` is within `budget` of `probe`: `Σ |pᵢ − cᵢ|` (L1),
+/// `Σ (pᵢ − cᵢ)²` with `SQ` (L2, `budget = ε²`), or `max |pᵢ − cᵢ|` with
+/// `MAX` (L∞).
+#[inline(always)]
+fn lane_within<const SQ: bool, const MAX: bool>(
+    probe: &[f64],
+    block: &SoABlock,
+    t: usize,
+    budget: f64,
+) -> bool {
+    if MAX {
+        max_within_at(probe, block, t, budget)
+    } else if SQ {
+        sum_within_at(probe, block, t, budget, |x, y| (x - y) * (x - y))
+    } else {
+        sum_within_at(probe, block, t, budget, |x, y| (x - y).abs())
+    }
+}
+
+/// The scalar tier's block filter over a list of windows: `(i, id)` for
+/// every lane of every window `(i, lanes)` within `budget` of probe row
+/// `i` (the sums of `lane_within`), window by window, each in lane order.
+pub fn within_windows<const SQ: bool, const MAX: bool>(
+    probes: &Dataset,
+    block: &SoABlock,
+    windows: &[(u32, Range<usize>)],
+    budget: f64,
+    out: &mut Vec<(u32, u32)>,
+) {
+    for (i, lanes) in windows {
+        let probe = probes.point(*i);
+        filter_lanes(
+            block,
+            lanes.clone(),
+            |t| lane_within::<SQ, MAX>(probe, block, t, budget),
+            |j| out.push((*i, j)),
+        );
+    }
+}
+
+/// One window alone: the ids of the lanes in `lanes` within `budget` of
+/// `probe`, in lane order — what [`within_windows`] decides for a window,
+/// kept as the reference the tiers' window lists are tested against.
 pub fn within_block<const SQ: bool, const MAX: bool>(
     probe: &[f64],
     block: &SoABlock,
@@ -114,30 +156,34 @@ pub fn within_block<const SQ: bool, const MAX: bool>(
     budget: f64,
     out: &mut Vec<u32>,
 ) {
-    filter_lanes(block, lanes, out, |t| {
-        if MAX {
-            max_within_at(probe, block, t, budget)
-        } else if SQ {
-            sum_within_at(probe, block, t, budget, |x, y| (x - y) * (x - y))
-        } else {
-            sum_within_at(probe, block, t, budget, |x, y| (x - y).abs())
-        }
-    });
+    filter_lanes(
+        block,
+        lanes,
+        |t| lane_within::<SQ, MAX>(probe, block, t, budget),
+        |j| out.push(j),
+    );
 }
 
-/// Lp block filter in the `ε^p` domain. `powf` has no vector ISA, so every
-/// dispatch level routes Lp blocks here.
-pub fn lp_within_block(
-    probe: &[f64],
+/// Lp block filter over a list of windows in the `ε^p` domain. `powf` has
+/// no vector ISA, so every dispatch level routes Lp blocks here.
+pub fn lp_within_windows(
+    probes: &Dataset,
     block: &SoABlock,
-    lanes: Range<usize>,
+    windows: &[(u32, Range<usize>)],
     eps: f64,
     p: f64,
-    out: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
 ) {
-    filter_lanes(block, lanes, out, |t| {
-        sum_within_at(probe, block, t, eps.powf(p), |x, y| (x - y).abs().powf(p))
-    });
+    let budget = eps.powf(p);
+    for (i, lanes) in windows {
+        let probe = probes.point(*i);
+        filter_lanes(
+            block,
+            lanes.clone(),
+            |t| sum_within_at(probe, block, t, budget, |x, y| (x - y).abs().powf(p)),
+            |j| out.push((*i, j)),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -184,13 +230,11 @@ mod tests {
                     expect(&|a, b| kernels::linf_within(a, b, eps)),
                     "linf d={dims} eps={eps}"
                 );
-                got.clear();
-                lp_within_block(&probe, &block, 0..13, eps, 3.0, &mut got);
-                assert_eq!(
-                    got,
-                    expect(&|a, b| kernels::lp_within(a, b, eps, 3.0)),
-                    "lp d={dims} eps={eps}"
-                );
+                let mut pairs = Vec::new();
+                lp_within_windows(&d, &block, &[(6, 0..13)], eps, 3.0, &mut pairs);
+                let want = expect(&|a, b| kernels::lp_within(a, b, eps, 3.0));
+                let want: Vec<(u32, u32)> = want.into_iter().map(|j| (6, j)).collect();
+                assert_eq!(pairs, want, "lp d={dims} eps={eps}");
             }
         }
     }

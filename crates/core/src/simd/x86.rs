@@ -15,11 +15,14 @@
 //! as the full sum, so block decisions equal [`crate::Metric::within`]'s
 //! (and join results are byte-identical) at every dispatch level.
 //!
-//! In front of that f64 body the same body runs over the block's f32 copy,
-//! twice the candidates per vector, against a budget ([`f32_budget`])
-//! widened by a bound on every rounding the f32 copy and f32 arithmetic
-//! add: it only drops a lane the f64 body would reject, and the f64 body
-//! alone decides every lane it keeps.
+//! One call takes a block and a list of probe windows: its fixed costs —
+//! cutting the columns, the f32 budget — are paid once per list, not once
+//! per window. In front of the f64 body the same body runs over the
+//! block's f32 copy, twice the candidates per vector, against a budget
+//! ([`f32_budget`]) widened by a bound on every rounding the f32 copy and
+//! f32 arithmetic add: it only drops a lane the f64 body would reject, and
+//! the f64 body alone decides every lane it keeps. Two consecutive windows
+//! that both reach that stage share its column loads, two probes per pass.
 //!
 //! This file is the only place in the workspace where `unsafe` is
 //! permitted: hdsj-core carries `#![deny(unsafe_code)]` and every other
@@ -31,26 +34,29 @@
 //! `#[target_feature]` fn from an ungated one: E0133). DESIGN §17.
 #![allow(unsafe_code)]
 
-use crate::simd::portable;
+use crate::dataset::Dataset;
+use crate::simd::{portable, Scratch};
 use crate::soa::SoABlock;
 use std::ops::Range;
+use std::slice::ChunksExact;
 
 /// The bits of the lanes of the group `t..t + g` that lie inside `lanes`
 /// (bit `k` for lane `t + k`). A group starts at a multiple of `g`, not at
 /// the window, so its lanes below `lanes.start` are cleared here exactly
-/// as those at and past `lanes.end` are. Needs `t < lanes.end`, `g < 32`.
+/// as those at and past `lanes.end` are; a group wholly outside `lanes` —
+/// one of a two-probe pass's union window — has none. Needs `g < 32`.
 #[inline(always)]
 fn window(t: usize, lanes: &Range<usize>, g: usize) -> u32 {
-    let upto = (1u32 << (lanes.end - t).min(g)) - 1;
+    let upto = (1u32 << lanes.end.saturating_sub(t).min(g)) - 1;
     let below = (1u32 << lanes.start.saturating_sub(t).min(g)) - 1;
     upto & !below
 }
 
-/// Pushes the ids of the lanes `t + k` for every bit `k` of `hits`.
+/// Pushes `(i, id)` for the lane `t + k` of every bit `k` of `hits`.
 #[inline(always)]
-fn emit(mut hits: u32, t: usize, ids: &[u32], out: &mut Vec<u32>) {
+fn emit(mut hits: u32, t: usize, i: u32, ids: &[u32], out: &mut Vec<(u32, u32)>) {
     while hits != 0 {
-        out.push(ids[t + hits.trailing_zeros() as usize]);
+        out.push((i, ids[t + hits.trailing_zeros() as usize]));
         hits &= hits - 1;
     }
 }
@@ -64,6 +70,93 @@ fn emit(mut hits: u32, t: usize, ids: &[u32], out: &mut Vec<u32>) {
 #[inline(always)]
 fn check_due(dim: usize) -> bool {
     dim <= 16 || dim.is_multiple_of(16)
+}
+
+/// A block's columns, cut once per call: `quads` yields four columns of
+/// `stride` values at a time, `singles` the `d mod 4` columns after them.
+/// Building the two iterators divides; cloning one copies two slices.
+#[derive(Clone)]
+struct Cols<'a> {
+    quads: ChunksExact<'a, f64>,
+    singles: ChunksExact<'a, f64>,
+    stride: usize,
+}
+
+impl<'a> Cols<'a> {
+    /// `None` for a block without columns (`chunks_exact(0)` panics) or
+    /// with a `stride` whose quadruple wraps, which cannot be a tile's.
+    /// Knowing that `4 * stride` does not wrap is also what lets the
+    /// optimizer drop the three `split_at` checks of `groups!`.
+    #[inline(always)]
+    fn new(data: &'a [f64], stride: usize) -> Option<Cols<'a>> {
+        if stride == 0 || stride > usize::MAX / 4 {
+            return None;
+        }
+        let quads = data.chunks_exact(4 * stride);
+        let singles = quads.remainder().chunks_exact(stride);
+        Some(Cols {
+            quads,
+            singles,
+            stride,
+        })
+    }
+}
+
+/// What every window of one call shares: the block's f64 columns, its ids
+/// and the budget.
+struct Tile<'a> {
+    cols: Cols<'a>,
+    ids: &'a [u32],
+    budget: f64,
+}
+
+/// The f32 stage of one call: the packed f32 copy, `slots` per column, and
+/// the budget from [`f32_budget`]. Made at the call's first window that
+/// passes the gate, so a call whose windows are all narrow pays for
+/// neither. `sieve` and `sieve2` cut the copy into [`Cols`]
+/// themselves: columns cut in the function that loops over them let the
+/// optimizer hoist the column checks out of the group loop, which it does
+/// not do for columns handed in by reference (in-process A/B on
+/// `uniform_d16`'s sweep: 0.96× of the parent at AVX2 handed in, 1.02×
+/// cut in place).
+struct Stage<'a> {
+    packed: &'a [f64],
+    slots: usize,
+    budget: f32,
+}
+
+impl<'a> Stage<'a> {
+    /// `None` when the block cannot be sieved: no f32 budget (see
+    /// [`f32_budget`]), or an f32 copy without columns.
+    fn new<const SQ: bool, const MAX: bool>(
+        block: &'a SoABlock,
+        budget: f64,
+    ) -> Option<Stage<'a>> {
+        let budget = f32_budget::<SQ, MAX>(block.dims(), block.max_abs(), budget)?;
+        let slots = block.width32() / 2;
+        (slots != 0 && slots <= usize::MAX / 4).then_some(Stage {
+            packed: block.packed32(),
+            slots,
+            budget,
+        })
+    }
+}
+
+/// `probes` rounded to f32 in `dst`, in the layout `groups!` reads `N`
+/// probes from: four dimensions of each in turn (`a0..a3 b0..b3 a4..`),
+/// then each one's `d mod 4` tail.
+fn interleave32<'s, const N: usize>(dst: &'s mut Vec<f32>, probes: [&[f64]; N]) -> &'s [f32] {
+    dst.clear();
+    let quad = probes[0].len() / 4 * 4;
+    for q in (0..quad).step_by(4) {
+        for p in probes {
+            dst.extend(p[q..q + 4].iter().map(|&v| v as f32));
+        }
+    }
+    for p in probes {
+        dst.extend(p[quad..].iter().map(|&v| v as f32));
+    }
+    dst
 }
 
 /// The f32 prefilter's budget for a call: a `B` such that an f32 sum (or
@@ -129,6 +222,9 @@ thread_local! {
     /// `(f32 groups sieved, f64 groups run behind them)` on this thread,
     /// for the tests that check the prefilter fires.
     static STAGE: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    /// Window pairs sieved together in one two-probe pass on this thread,
+    /// for the test that checks the pass fires.
+    static PAIRED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The canonical fold of a group's four accumulators, `(a0 + a1) + (a2 + a3)`
@@ -154,67 +250,149 @@ macro_rules! block_kernel {
     // `$d` is a literal `$`: the body defines macros of its own, whose
     // metavariables this one has to pass through unexpanded.
     ($feature:literal, $d:tt) => {
-        // One iteration over the groups `(g => kept: a0 a1 a2 a3)…` of one
-        // precision — its helpers, then its columns (`stride` slots apiece,
-        // a group's loads from slot `g`, its lanes from `g · per`), probe,
-        // budget, lanes per vector and window: the 4-dimension steps with
-        // the probe splats shared, one exit test for all of them, then each
-        // group's tail and fold. `kept` gets the lanes in `lanes` that
-        // `keep` passes, and stays as it was when every lane of every group
-        // is rejected at a check. The accumulators are locals named by the
-        // caller, not an array threaded through a helper: a spilled
-        // accumulator array turns the hot loop into stack traffic.
+        // One iteration over the groups `g: (k, lanes => kept: a0 a1 a2
+        // a3)…; …` of one precision — its helpers, then its columns (a
+        // group's loads from slot `g`, its lanes from `g · per`), the `np`
+        // probes interleaved four dimensions at a time (`interleave32`'s
+        // layout; one probe is itself), budget and lanes per vector. Each
+        // group lists the probes it meets: probe `k`'s window `lanes`, its
+        // `kept` mask and its accumulators. The 4-dimension steps load each
+        // group's four columns once for all its probes, one exit test
+        // covers every (group, probe), then each one's tail and fold.
+        // `kept` gets the lanes in `lanes` that `keep` passes, and stays as
+        // it was when every lane of every (group, probe) is rejected at a
+        // check. The accumulators are locals named by the caller, not an
+        // array threaded through a helper: a spilled accumulator array
+        // turns the hot loop into stack traffic.
         macro_rules! groups {
             (
                 $d load:ident $d splat:ident $d step:ident $d acc:ident $d gt:ident $d keep:ident,
-                $d quads:ident $d singles:ident $d stride:ident * $d per:literal,
-                $d probe4:ident $d vbudget:ident $d vlanes:expr, $d lanes:ident;
-                $d(($d g:ident => $d kept:ident: $d a0:ident $d a1:ident $d a2:ident $d a3:ident))+
+                $d cols:ident * $d per:literal, $d probes:ident / $d np:literal,
+                $d vbudget:ident $d vlanes:expr;
+                $d($d g:ident: $d(($d k:literal, $d lanes:ident =>
+                    $d kept:ident: $d a0:ident $d a1:ident $d a2:ident $d a3:ident))+);+
             ) => {'exit: {
                 let full = (1u32 << $d vlanes) - 1;
-                $d(let (mut $d a0, mut $d a1, mut $d a2, mut $d a3) =
-                    ($d splat(0.0), $d splat(0.0), $d splat(0.0), $d splat(0.0));)+
+                $d($d(let (mut $d a0, mut $d a1, mut $d a2, mut $d a3) =
+                    ($d splat(0.0), $d splat(0.0), $d splat(0.0), $d splat(0.0));)+)+
+                let stride = $d cols.stride;
                 let mut dim = 0;
-                for (p, cols) in $d probe4.clone().zip($d quads.clone()) {
-                    let (c0, cols) = cols.split_at($d stride);
-                    let (c1, cols) = cols.split_at($d stride);
-                    let (c2, c3) = cols.split_at($d stride);
-                    let (p0, p1, p2, p3) =
-                        ($d splat(p[0]), $d splat(p[1]), $d splat(p[2]), $d splat(p[3]));
+                for (p, q) in $d probes.chunks_exact(4 * $d np).zip($d cols.quads.clone()) {
+                    let (c0, q) = q.split_at(stride);
+                    let (c1, q) = q.split_at(stride);
+                    let (c2, c3) = q.split_at(stride);
                     $d(
-                        $d a0 = $d step::<SQ, MAX>($d a0, p0, $d load(c0, $d g));
-                        $d a1 = $d step::<SQ, MAX>($d a1, p1, $d load(c1, $d g));
-                        $d a2 = $d step::<SQ, MAX>($d a2, p2, $d load(c2, $d g));
-                        $d a3 = $d step::<SQ, MAX>($d a3, p3, $d load(c3, $d g));
+                        let c = ($d load(c0, $d g), $d load(c1, $d g), $d load(c2, $d g), $d load(c3, $d g));
+                        $d(
+                            $d a0 = $d step::<SQ, MAX>($d a0, $d splat(p[4 * $d k]), c.0);
+                            $d a1 = $d step::<SQ, MAX>($d a1, $d splat(p[4 * $d k + 1]), c.1);
+                            $d a2 = $d step::<SQ, MAX>($d a2, $d splat(p[4 * $d k + 2]), c.2);
+                            $d a3 = $d step::<SQ, MAX>($d a3, $d splat(p[4 * $d k + 3]), c.3);
+                        )+
                     )+
                     dim += 4;
                     // Every lane's final value is at least its partial
-                    // one, so once all of them — in every group — exceed
-                    // the budget all the decisions are already `false`.
+                    // one, so once all of them — in every group, for every
+                    // probe — exceed the budget all the decisions are
+                    // already `false`.
                     if check_due(dim) {
                         let rejected = full
-                            $d(& $d gt(fold4!($d acc: $d a0 $d a1 $d a2 $d a3), $d vbudget))+;
+                            $d($d(& $d gt(fold4!($d acc: $d a0 $d a1 $d a2 $d a3), $d vbudget))+)+;
                         if rejected == full {
                             break 'exit;
                         }
                     }
                 }
-                $d(
+                let rest = $d probes.chunks_exact(4 * $d np).remainder();
+                let r = rest.len() / $d np;
+                $d($d(
                     let mut tail = $d splat(0.0);
-                    for (&p, col) in $d probe4.remainder().iter().zip($d singles.clone()) {
+                    for (&p, col) in rest[$d k * r..][..r].iter().zip($d cols.singles.clone()) {
                         tail = $d step::<SQ, MAX>(tail, $d splat(p), $d load(col, $d g));
                     }
                     let total = $d acc::<MAX>(fold4!($d acc: $d a0 $d a1 $d a2 $d a3), tail);
                     $d kept = $d keep(total, $d vbudget) & window($d g * $d per, &$d lanes, $d vlanes);
-                )+
+                )+)+
             }};
         }
 
-        /// The f64 body: pushes the id of every lane in `lanes` whose
-        /// candidate is within `budget` of `probe` — `Σ term ≤ budget`
-        /// (L1; L2 with `SQ` and a squared budget) or, with `MAX`,
-        /// `max |probeᵢ − cᵢ| ≤ budget` (L∞) — `LANES` candidates per
-        /// vector group, streaming the SoA columns.
+        /// Whether a window of `lanes` at `d` dimensions goes through the
+        /// f32 stage. The stage has a fixed cost per window (the probe's
+        /// f32 copy, a second pass over any survivor's group), so it runs
+        /// only where the f64 work it can save is larger: more than two f64
+        /// groups, and more than `32 · LANES` lane-dimensions (at low d a
+        /// group is rejected after its first step and a window is mostly
+        /// overhead).
+        #[inline(always)]
+        fn gated(lanes: &Range<usize>, d: usize) -> bool {
+            let n = lanes.end.saturating_sub(lanes.start);
+            n > 2 * LANES && n * d > 32 * LANES
+        }
+
+        /// Block filter over a list of windows: pushes `(i, id)` for every
+        /// lane of every window `(i, lanes)` whose candidate is within
+        /// `budget` of probe row `i` of `probes` — `Σ term ≤ budget` (L1; L2
+        /// with `SQ` and a squared budget) or, with `MAX`,
+        /// `max |probeᵢ − cᵢ| ≤ budget` (L∞) — window by window, each in
+        /// lane order. The f64 columns are cut and the f32 stage's budget
+        /// made once for the list; each window then goes to [`refine`], or through
+        /// [`sieve`] when it passes the gate — with the next window, when
+        /// that passes too, through [`sieve2`].
+        #[target_feature(enable = $feature)]
+        pub fn within_windows<const SQ: bool, const MAX: bool>(
+            probes: &Dataset,
+            block: &SoABlock,
+            windows: &[(u32, Range<usize>)],
+            budget: f64,
+            scratch: &mut Scratch,
+            out: &mut Vec<(u32, u32)>,
+        ) {
+            debug_assert_eq!(probes.dims(), block.dims());
+            let Some(cols) = Cols::new(block.data(), block.width()) else {
+                return portable::within_windows::<SQ, MAX>(probes, block, windows, budget, out);
+            };
+            let tile = Tile { cols, ids: block.ids(), budget };
+            let d = block.dims();
+            // `None` until a window passes the gate; then the stage, or
+            // `None` inside when this block cannot be sieved.
+            let mut stage = None;
+            let mut rest = windows;
+            while let [(i, lanes), tail @ ..] = rest {
+                rest = tail;
+                if lanes.start >= lanes.end {
+                    continue;
+                }
+                debug_assert!(lanes.end <= block.len());
+                if gated(lanes, d) {
+                    let stage = stage.get_or_insert_with(|| Stage::new::<SQ, MAX>(block, budget));
+                    if let Some(stage) = stage {
+                        // Two windows share a pass when it covers no lane
+                        // neither of them holds.
+                        match rest {
+                            [(j, next), tail @ ..]
+                                if gated(next, d)
+                                    && next.end.max(lanes.end) - next.start.min(lanes.start)
+                                        <= lanes.len() + next.len() =>
+                            {
+                                rest = tail;
+                                let pair = [probes.point(*i), probes.point(*j)];
+                                let ids = [*i, *j];
+                                sieve2::<SQ, MAX>(pair, ids, [lanes, next], &tile, stage, scratch, out);
+                            }
+                            _ => {
+                                let probe = probes.point(*i);
+                                sieve::<SQ, MAX>(probe, *i, lanes, &tile, stage, scratch, out)
+                            }
+                        }
+                        continue;
+                    }
+                }
+                refine::<SQ, MAX>(probes.point(*i), *i, lanes, &tile, out);
+            }
+        }
+
+        /// The f64 body for one window: `LANES` candidates per vector
+        /// group, streaming the SoA columns.
         ///
         /// Accumulator `a_k` collects dimensions `≡ k (mod 4)`, the
         /// per-lane result is `(a0 + a1) + (a2 + a3)` plus a separately
@@ -229,30 +407,16 @@ macro_rules! block_kernel {
         /// data-dependent exit branch every step, a second group's eight
         /// loads and adds fill those slots (DESIGN §16 has the cycles).
         #[target_feature(enable = $feature)]
-        #[inline(never)]
+        #[inline]
         fn refine<const SQ: bool, const MAX: bool>(
             probe: &[f64],
-            block: &SoABlock,
-            lanes: Range<usize>,
-            budget: f64,
-            out: &mut Vec<u32>,
+            i: u32,
+            lanes: &Range<usize>,
+            tile: &Tile,
+            out: &mut Vec<(u32, u32)>,
         ) {
-            let width = block.width();
-            let ids = block.ids();
-            // The columns come four at a time. An empty block has none (and
-            // `chunks_exact(0)` panics), and a `width` whose quadruple wraps
-            // cannot be a tile's: both go to the portable loop whole.
-            // Knowing that `4 * width` does not wrap is also what lets the
-            // optimizer drop the three `split_at` checks of `groups!`.
-            if width == 0 || width > usize::MAX / 4 {
-                return portable::within_block::<SQ, MAX>(probe, block, lanes, budget, out);
-            }
-            // Chunked once per call and cloned per iteration: building
-            // these iterators divides, cloning one copies two slices.
-            let quads = block.data().chunks_exact(4 * width);
-            let singles = quads.remainder().chunks_exact(width);
-            let probe4 = probe.chunks_exact(4);
-            let vbudget = splat(budget);
+            let (cols, width) = (&tile.cols, tile.cols.stride);
+            let vbudget = splat(tile.budget);
             let mut g = lanes.start / LANES * LANES;
             // Every column is a slice of exactly `width` values, so these
             // guards (`g < width` first: `width - g` cannot wrap) are the
@@ -265,116 +429,78 @@ macro_rules! block_kernel {
                 let (mut m, mut n) = (0, 0);
                 groups!(
                     load splat step acc gt_mask le_mask,
-                    quads singles width * 1,
-                    probe4 vbudget LANES, lanes;
-                    (g => m: a0 a1 a2 a3) (h => n: b0 b1 b2 b3)
+                    cols * 1, probe / 1, vbudget LANES;
+                    g: (0, lanes => m: a0 a1 a2 a3);
+                    h: (0, lanes => n: b0 b1 b2 b3)
                 );
-                emit(m, g, ids, out);
-                emit(n, h, ids, out);
+                emit(m, g, i, tile.ids, out);
+                emit(n, h, i, tile.ids, out);
                 g += 2 * LANES;
             }
             if g < lanes.end && g < width && width - g >= LANES {
                 let mut m = 0;
                 groups!(
                     load splat step acc gt_mask le_mask,
-                    quads singles width * 1,
-                    probe4 vbudget LANES, lanes;
-                    (g => m: a0 a1 a2 a3)
+                    cols * 1, probe / 1, vbudget LANES;
+                    g: (0, lanes => m: a0 a1 a2 a3)
                 );
-                emit(m, g, ids, out);
+                emit(m, g, i, tile.ids, out);
             }
         }
 
-        /// Block filter: [`refine`]'s decisions, through [`sieve`] where a
-        /// call has enough work for an f32 stage to pay. This entry holds
-        /// no loop, so the calls that go straight to [`refine`] (most at low
-        /// d) pay for no stack frame of the stage's.
+        /// The f64 groups of the f32 group at slot `s` that hold a
+        /// survivor in `kept`, refined as one window of probe `i`.
         #[target_feature(enable = $feature)]
-        pub fn within_block<const SQ: bool, const MAX: bool>(
+        #[inline]
+        fn verify<const SQ: bool, const MAX: bool>(
+            s: usize,
+            kept: u32,
             probe: &[f64],
-            block: &SoABlock,
-            lanes: Range<usize>,
-            budget: f64,
-            out: &mut Vec<u32>,
+            i: u32,
+            lanes: &Range<usize>,
+            tile: &Tile,
+            out: &mut Vec<(u32, u32)>,
         ) {
-            debug_assert_eq!(probe.len(), block.dims());
-            debug_assert!(lanes.end <= block.len());
-            // The stage has a fixed cost per call (its budget, a second
-            // pass over any survivor's group), so it is run only where the
-            // f64 work it can save is larger: more than two f64 groups, and
-            // more than `32 · LANES` lane-dimensions (at low d a group is
-            // rejected after its first step and a call is mostly overhead).
-            if lanes.len() > 2 * LANES && lanes.len() * probe.len() > 32 * LANES {
-                if let Some(budget32) = f32_budget::<SQ, MAX>(probe.len(), block.max_abs(), budget) {
-                    return sieve::<SQ, MAX>(probe, block, lanes, budget, budget32, out);
-                }
+            let low = kept & ((1 << LANES) - 1) != 0;
+            let high = kept >> LANES != 0;
+            #[cfg(test)]
+            STAGE.with(|c| {
+                let (sieved, verified) = c.get();
+                c.set((sieved + 1, verified + usize::from(low) + usize::from(high)));
+            });
+            if low || high {
+                let from = 2 * s + if low { 0 } else { LANES };
+                let to = 2 * s + if high { 2 * LANES } else { LANES };
+                let sub = from.max(lanes.start)..to.min(lanes.end);
+                refine::<SQ, MAX>(probe, i, &sub, tile, out);
             }
-            refine::<SQ, MAX>(probe, block, lanes, budget, out)
         }
 
-        /// The f32 stage: the same body as [`refine`] over the block's f32
-        /// copy, `2 · LANES` lanes per vector, against `budget32` from
-        /// [`f32_budget`] — a lane whose f32 sum exceeds it is provably
+        /// The f32 stage for one window: the same body as [`refine`] over
+        /// the block's f32 copy, `2 · LANES` lanes per vector, against the
+        /// stage's budget — a lane whose f32 sum exceeds it is provably
         /// rejected in f64 too. Only the f64 groups holding an f32 survivor
-        /// go to [`refine`], whose `le_mask` alone decides what is emitted;
-        /// a lane the f32 compare cannot order (NaN) survives.
+        /// go to [`refine`] ([`verify`]), whose `le_mask` alone decides what
+        /// is emitted; a lane the f32 compare cannot order (NaN) survives.
         #[target_feature(enable = $feature)]
         #[inline(never)]
         fn sieve<const SQ: bool, const MAX: bool>(
             probe: &[f64],
-            block: &SoABlock,
-            lanes: Range<usize>,
-            budget: f64,
-            budget32: f32,
-            out: &mut Vec<u32>,
+            i: u32,
+            lanes: &Range<usize>,
+            tile: &Tile,
+            stage: &Stage,
+            scratch: &mut Scratch,
+            out: &mut Vec<(u32, u32)>,
         ) {
-            // As in [`refine`]: an empty copy has no columns
-            // (`chunks_exact(0)` panics) and a slot count whose quadruple
-            // wraps cannot be a tile's.
-            let slots = block.width32() / 2;
-            if slots == 0 || slots > usize::MAX / 4 {
-                return refine::<SQ, MAX>(probe, block, lanes, budget, out);
-            }
+            let Some(cols) = Cols::new(stage.packed, stage.slots) else {
+                return refine::<SQ, MAX>(probe, i, lanes, tile, out);
+            };
+            let (cols, slots) = (&cols, stage.slots);
+            let probe32 = interleave32(&mut scratch.probe32, [probe]);
+            let vbudget = splat32(stage.budget);
             // Groups of `2 · LANES` f32 lanes, read as the `LANES` packed
             // slots from `s`: lanes `2s..2s + 2 · LANES`, an f64 group pair.
-            let quads = block.packed32().chunks_exact(4 * slots);
-            let singles = quads.remainder().chunks_exact(slots);
-            // The probe in f32, on the stack up to 64 dimensions.
-            let (mut stack, mut heap) = ([0.0f32; 64], Vec::new());
-            let probe32 = match stack.get_mut(..probe.len()) {
-                Some(fits) => fits,
-                None => {
-                    heap.resize(probe.len(), 0.0);
-                    &mut heap[..]
-                }
-            };
-            for (s, &p) in probe32.iter_mut().zip(probe) {
-                *s = p as f32;
-            }
-            let probe4 = probe32.chunks_exact(4);
-            let vbudget = splat32(budget32);
-            // The f64 groups of the f32 group at slot `s` that hold a
-            // survivor in `kept`, refined as one window.
-            let verify = |s: usize, kept: u32, out: &mut Vec<u32>| {
-                let low = kept & ((1 << LANES) - 1) != 0;
-                let high = kept >> LANES != 0;
-                #[cfg(test)]
-                STAGE.with(|c| {
-                    let (sieved, verified) = c.get();
-                    c.set((sieved + 1, verified + usize::from(low) + usize::from(high)));
-                });
-                if low || high {
-                    let from = 2 * s + if low { 0 } else { LANES };
-                    let to = 2 * s + if high { 2 * LANES } else { LANES };
-                    refine::<SQ, MAX>(
-                        probe,
-                        block,
-                        from.max(lanes.start)..to.min(lanes.end),
-                        budget,
-                        out,
-                    );
-                }
-            };
             let mut s = lanes.start / (2 * LANES) * LANES;
             // As in [`refine`], with `slots` (a multiple of `LANE_PAD`,
             // hence of `LANES`) bounding the loads.
@@ -383,23 +509,83 @@ macro_rules! block_kernel {
                 let (mut m, mut n) = (0, 0);
                 groups!(
                     load32 splat32 step32 acc32 gt_mask32 ngt_mask32,
-                    quads singles slots * 2,
-                    probe4 vbudget 2 * LANES, lanes;
-                    (s => m: a0 a1 a2 a3) (t => n: b0 b1 b2 b3)
+                    cols * 2, probe32 / 1, vbudget 2 * LANES;
+                    s: (0, lanes => m: a0 a1 a2 a3);
+                    t: (0, lanes => n: b0 b1 b2 b3)
                 );
-                verify(s, m, out);
-                verify(t, n, out);
+                verify::<SQ, MAX>(s, m, probe, i, lanes, tile, out);
+                verify::<SQ, MAX>(t, n, probe, i, lanes, tile, out);
                 s += 2 * LANES;
             }
             if 2 * s < lanes.end && s < slots && slots - s >= LANES {
                 let mut m = 0;
                 groups!(
                     load32 splat32 step32 acc32 gt_mask32 ngt_mask32,
-                    quads singles slots * 2,
-                    probe4 vbudget 2 * LANES, lanes;
-                    (s => m: a0 a1 a2 a3)
+                    cols * 2, probe32 / 1, vbudget 2 * LANES;
+                    s: (0, lanes => m: a0 a1 a2 a3)
                 );
-                verify(s, m, out);
+                verify::<SQ, MAX>(s, m, probe, i, lanes, tile, out);
+            }
+        }
+
+        /// [`sieve`] for two windows at once, over their union: each
+        /// iteration takes two f32 groups for both probes, so every column
+        /// load serves four (group, probe) sums, and one exit test covers
+        /// all four. Each probe's survivors are cut to its own window.
+        /// Probe `a`'s are verified as they come, probe `b`'s masks wait in
+        /// the scratch until `a`'s window is done, so hits still arrive
+        /// window by window.
+        #[target_feature(enable = $feature)]
+        #[inline(never)]
+        fn sieve2<const SQ: bool, const MAX: bool>(
+            probes: [&[f64]; 2],
+            [i, j]: [u32; 2],
+            [la, lb]: [&Range<usize>; 2],
+            tile: &Tile,
+            stage: &Stage,
+            scratch: &mut Scratch,
+            out: &mut Vec<(u32, u32)>,
+        ) {
+            #[cfg(test)]
+            PAIRED.with(|c| c.set(c.get() + 1));
+            let Some(cols) = Cols::new(stage.packed, stage.slots) else {
+                refine::<SQ, MAX>(probes[0], i, la, tile, out);
+                return refine::<SQ, MAX>(probes[1], j, lb, tile, out);
+            };
+            let (cols, slots) = (&cols, stage.slots);
+            let Scratch { probe32, masks } = scratch;
+            let probe32 = interleave32(probe32, probes);
+            masks.clear();
+            let vbudget = splat32(stage.budget);
+            let union = la.start.min(lb.start)..la.end.max(lb.end);
+            let first = union.start / (2 * LANES) * LANES;
+            let mut s = first;
+            while s < slots && slots - s >= 2 * LANES && 2 * (s + LANES) < union.end {
+                let t = s + LANES;
+                let (mut m, mut n, mut mb, mut nb) = (0, 0, 0, 0);
+                groups!(
+                    load32 splat32 step32 acc32 gt_mask32 ngt_mask32,
+                    cols * 2, probe32 / 2, vbudget 2 * LANES;
+                    s: (0, la => m: a0 a1 a2 a3) (1, lb => mb: b0 b1 b2 b3);
+                    t: (0, la => n: e0 e1 e2 e3) (1, lb => nb: f0 f1 f2 f3)
+                );
+                verify::<SQ, MAX>(s, m, probes[0], i, la, tile, out);
+                verify::<SQ, MAX>(t, n, probes[0], i, la, tile, out);
+                masks.extend([mb, nb]);
+                s += 2 * LANES;
+            }
+            if 2 * s < union.end && s < slots && slots - s >= LANES {
+                let (mut m, mut mb) = (0, 0);
+                groups!(
+                    load32 splat32 step32 acc32 gt_mask32 ngt_mask32,
+                    cols * 2, probe32 / 2, vbudget 2 * LANES;
+                    s: (0, la => m: a0 a1 a2 a3) (1, lb => mb: b0 b1 b2 b3)
+                );
+                verify::<SQ, MAX>(s, m, probes[0], i, la, tile, out);
+                masks.push(mb);
+            }
+            for (s, &kept) in (first..).step_by(LANES).zip(masks.iter()) {
+                verify::<SQ, MAX>(s, kept, probes[1], j, lb, tile, out);
             }
         }
     };
@@ -417,50 +603,53 @@ pub fn avx512_available() -> bool {
 // ---------------------------------------------------------------------
 // One entry point per tier. The kernels are safe `#[target_feature]` fns;
 // only the feature-availability hand-off needs `unsafe`. `budget` is in
-// the accumulation domain (see `crate::simd::within_block`).
+// the accumulation domain (see `crate::simd::within_windows`).
 // ---------------------------------------------------------------------
 
 /// Block filter via the 2-lane SSE2 kernel.
-pub fn sse2_within_block<const SQ: bool, const MAX: bool>(
-    probe: &[f64],
+pub fn sse2_within_windows<const SQ: bool, const MAX: bool>(
+    probes: &Dataset,
     block: &SoABlock,
-    lanes: Range<usize>,
+    windows: &[(u32, Range<usize>)],
     budget: f64,
-    out: &mut Vec<u32>,
+    scratch: &mut Scratch,
+    out: &mut Vec<(u32, u32)>,
 ) {
     // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
     // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::within_block::<SQ, MAX>(probe, block, lanes, budget, out) }
+    unsafe { sse2::within_windows::<SQ, MAX>(probes, block, windows, budget, scratch, out) }
 }
 
 /// Block filter via the 4-lane AVX2 kernel.
-pub fn avx2_within_block<const SQ: bool, const MAX: bool>(
-    probe: &[f64],
+pub fn avx2_within_windows<const SQ: bool, const MAX: bool>(
+    probes: &Dataset,
     block: &SoABlock,
-    lanes: Range<usize>,
+    windows: &[(u32, Range<usize>)],
     budget: f64,
-    out: &mut Vec<u32>,
+    scratch: &mut Scratch,
+    out: &mut Vec<(u32, u32)>,
 ) {
     debug_assert!(avx2_available());
     // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
     // select the AVX2 kernel only after `is_x86_feature_detected!("avx2")`
     // reports support, so the required target feature is present.
-    unsafe { avx2::within_block::<SQ, MAX>(probe, block, lanes, budget, out) }
+    unsafe { avx2::within_windows::<SQ, MAX>(probes, block, windows, budget, scratch, out) }
 }
 
 /// Block filter via the 8-lane AVX-512 kernel.
-pub fn avx512_within_block<const SQ: bool, const MAX: bool>(
-    probe: &[f64],
+pub fn avx512_within_windows<const SQ: bool, const MAX: bool>(
+    probes: &Dataset,
     block: &SoABlock,
-    lanes: Range<usize>,
+    windows: &[(u32, Range<usize>)],
     budget: f64,
-    out: &mut Vec<u32>,
+    scratch: &mut Scratch,
+    out: &mut Vec<(u32, u32)>,
 ) {
     debug_assert!(avx512_available());
     // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
     // select the AVX-512 kernel only after `avx512_available()` reports
     // `avx512f`, so the required target feature is present.
-    unsafe { avx512::within_block::<SQ, MAX>(probe, block, lanes, budget, out) }
+    unsafe { avx512::within_windows::<SQ, MAX>(probes, block, windows, budget, scratch, out) }
 }
 
 mod avx2 {
@@ -822,10 +1011,16 @@ mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
     use crate::metric::Metric;
 
-    type BlockFn = fn(&[f64], &SoABlock, Range<usize>, f64, &mut Vec<u32>);
+    type BlockFn = fn(
+        &Dataset,
+        &SoABlock,
+        &[(u32, Range<usize>)],
+        f64,
+        &mut Scratch,
+        &mut Vec<(u32, u32)>,
+    );
 
     /// The metric each `[l1, l2, linf]` slot of [`block_tiers`] decides,
     /// and the budget its kernel takes for a given ε.
@@ -845,18 +1040,18 @@ mod tests {
         let mut tiers: Vec<(&'static str, [BlockFn; 3])> = vec![(
             "sse2",
             [
-                sse2_within_block::<false, false>,
-                sse2_within_block::<true, false>,
-                sse2_within_block::<false, true>,
+                sse2_within_windows::<false, false>,
+                sse2_within_windows::<true, false>,
+                sse2_within_windows::<false, true>,
             ],
         )];
         if avx2_available() {
             tiers.push((
                 "avx2",
                 [
-                    avx2_within_block::<false, false>,
-                    avx2_within_block::<true, false>,
-                    avx2_within_block::<false, true>,
+                    avx2_within_windows::<false, false>,
+                    avx2_within_windows::<true, false>,
+                    avx2_within_windows::<false, true>,
                 ],
             ));
         }
@@ -864,13 +1059,33 @@ mod tests {
             tiers.push((
                 "avx512",
                 [
-                    avx512_within_block::<false, false>,
-                    avx512_within_block::<true, false>,
-                    avx512_within_block::<false, true>,
+                    avx512_within_windows::<false, false>,
+                    avx512_within_windows::<true, false>,
+                    avx512_within_windows::<false, true>,
                 ],
             ));
         }
         tiers
+    }
+
+    /// What one call of `f` over `windows` emits.
+    fn call(
+        f: BlockFn,
+        probes: &Dataset,
+        block: &SoABlock,
+        windows: &[(u32, Range<usize>)],
+        budget: f64,
+    ) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        f(
+            probes,
+            block,
+            windows,
+            budget,
+            &mut Scratch::default(),
+            &mut out,
+        );
+        out
     }
 
     #[test]
@@ -881,15 +1096,14 @@ mod tests {
                 .collect();
             let ds = Dataset::from_flat(dims, flat).unwrap();
             let block = crate::soa::SoABlock::from_range(&ds, 0..23);
-            let probe = ds.point(11).to_vec();
             for eps in [0.1, 0.5, 2.0] {
                 for (tier, fns) in block_tiers() {
                     for (metric, f) in METRICS.into_iter().zip(fns) {
-                        let expect: Vec<u32> = (0..23u32)
-                            .filter(|&j| metric.within(&probe, ds.point(j), eps))
+                        let expect: Vec<(u32, u32)> = (0..23u32)
+                            .filter(|&j| metric.within(ds.point(11), ds.point(j), eps))
+                            .map(|j| (11, j))
                             .collect();
-                        let mut got = Vec::new();
-                        f(&probe, &block, 0..23, budget(metric, eps), &mut got);
+                        let got = call(f, &ds, &block, &[(11, 0..23)], budget(metric, eps));
                         assert_eq!(got, expect, "{tier} {metric:?} d={dims} eps={eps}");
                     }
                 }
@@ -902,15 +1116,20 @@ mod tests {
         let flat: Vec<f64> = (0..80).map(|i| i as f64 * 1e-3).collect();
         let ds = Dataset::from_flat(4, flat).unwrap();
         let block = crate::soa::SoABlock::from_range(&ds, 0..20);
-        let probe = ds.point(0).to_vec();
+        let subranges = [3..8, 1..20, 9..19, 16..20, 19..20];
         for (tier, fns) in block_tiers() {
-            for lanes in [3..8, 1..20, 9..19, 16..20, 19..20] {
-                for f in fns {
-                    let mut got = Vec::new();
-                    f(&probe, &block, lanes.clone(), 1e9, &mut got);
-                    let want: Vec<u32> = lanes.clone().map(|t| t as u32).collect();
+            for f in fns {
+                let mut all = Vec::new();
+                for lanes in subranges.clone() {
+                    let want: Vec<(u32, u32)> = lanes.clone().map(|t| (0, t as u32)).collect();
+                    let got = call(f, &ds, &block, &[(0, lanes.clone())], 1e9);
                     assert_eq!(got, want, "{tier} {lanes:?}");
+                    all.extend(want);
                 }
+                // The same windows as one list emit, window by window, the
+                // same lanes.
+                let list: Vec<_> = subranges.iter().map(|l| (0, l.clone())).collect();
+                assert_eq!(call(f, &ds, &block, &list, 1e9), all, "{tier}");
             }
         }
     }
@@ -963,17 +1182,19 @@ mod tests {
         }
     }
 
-    /// `(f32 groups sieved, f64 groups verified)` by one call.
-    fn stage(
+    /// What one call emits, with `(f32 groups sieved, f64 groups verified)`
+    /// and the window pairs it sieved together.
+    fn staged(
         f: BlockFn,
-        probe: &[f64],
+        probes: &Dataset,
         block: &SoABlock,
-        eps: f64,
-        got: &mut Vec<u32>,
-    ) -> (usize, usize) {
+        windows: &[(u32, Range<usize>)],
+        budget: f64,
+    ) -> (Vec<(u32, u32)>, (usize, usize), usize) {
         STAGE.with(|s| s.set((0, 0)));
-        f(probe, block, 0..block.len(), eps, got);
-        STAGE.with(|s| s.get())
+        PAIRED.with(|p| p.set(0));
+        let got = call(f, probes, block, windows, budget);
+        (got, STAGE.with(|s| s.get()), PAIRED.with(|p| p.get()))
     }
 
     /// The f32 stage fires: a block far from the probe loses at least
@@ -992,7 +1213,7 @@ mod tests {
                 2.0 + (state >> 11) as f64 / (1u64 << 53) as f64
             })
             .collect();
-        let probe = vec![0.0; d];
+        let probe = Dataset::from_flat(d, vec![0.0; d]).unwrap();
         let mut at_eps = far.clone();
         at_eps[777 * d..778 * d].fill(0.0);
         at_eps[777 * d + 5] = EPS;
@@ -1001,23 +1222,90 @@ mod tests {
         let blocks = [far, at_eps, huge].map(|flat| {
             SoABlock::from_range(&Dataset::from_flat(d, flat).unwrap(), 0..N as u32)
         });
+        let all = [(0, 0..N)];
         for (tier, fns) in block_tiers() {
             for (metric, f) in METRICS.into_iter().zip(fns) {
                 let eps = budget(metric, EPS);
-                let mut got = Vec::new();
-                let (sieved, verified) = stage(f, &probe, &blocks[0], eps, &mut got);
+                let (got, (sieved, verified), _) = staged(f, &probe, &blocks[0], &all, eps);
                 assert!(sieved > 0 && got.is_empty(), "{tier} {metric:?}");
                 assert!(
                     verified * 100 <= 2 * sieved,
                     "{tier} {metric:?}: {verified} of {}",
                     2 * sieved
                 );
-                let (sieved, verified) = stage(f, &probe, &blocks[1], eps, &mut got);
-                assert_eq!(got, [777], "{tier} {metric:?}");
+                let (got, (sieved, verified), _) = staged(f, &probe, &blocks[1], &all, eps);
+                assert_eq!(got, [(0, 777)], "{tier} {metric:?}");
                 assert!(sieved > 0 && verified == 1, "{tier} {metric:?}: {verified}");
-                got.clear();
-                let (sieved, _) = stage(f, &probe, &blocks[2], eps, &mut got);
+                let (got, (sieved, _), _) = staged(f, &probe, &blocks[2], &all, eps);
                 assert_eq!((sieved, got.len()), (0, 0), "{tier} {metric:?}");
+            }
+        }
+    }
+
+    /// Two consecutive windows that both pass the gate share a pass exactly
+    /// when their union holds no lane neither of them does — overlapping or
+    /// adjacent, not apart, and never with a window the gate turns away —
+    /// and the pass changes nothing: every list emits what its windows do
+    /// one call apiece (a one-window list never pairs).
+    #[test]
+    fn the_two_probe_pass_fires_on_joint_windows_and_changes_nothing() {
+        const N: u32 = 200;
+        let d = 16;
+        let mut state = 0x7e57u64;
+        let flat: Vec<f64> = (0..N as usize * d)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect();
+        let ds = Dataset::from_flat(d, flat).unwrap();
+        let block = SoABlock::from_range(&ds, 0..N);
+        // (list, window pairs sieved together)
+        type List = &'static [(u32, Range<usize>)];
+        let lists: [(List, usize); 6] = [
+            (&[(0, 0..150), (1, 5..160)], 1),
+            (&[(0, 0..100), (1, 100..200)], 1),
+            (&[(0, 0..60), (1, 140..200)], 0),
+            (&[(0, 0..150), (1, 3..6)], 0),
+            (&[(0, 3..100), (1, 11..117), (2, 20..120)], 1),
+            (
+                &[
+                    (5, 0..200),
+                    (6, 0..200),
+                    (7, 9..9),
+                    (7, 9..190),
+                    (8, 9..190),
+                ],
+                2,
+            ),
+        ];
+        for (tier, fns) in block_tiers() {
+            for (metric, f) in METRICS.into_iter().zip(fns) {
+                // ε at the distance of a middling lane, so some lanes of
+                // every window are hits and most are not, and one that
+                // takes every lane.
+                let mid = metric.distance(ds.point(0), ds.point(100));
+                let far = metric.distance(ds.point(0), ds.point(1)) * 4.0;
+                for eps in [mid, far] {
+                    for (list, pairs) in &lists {
+                        let (got, _, paired) =
+                            staged(f, &ds, &block, list, budget(metric, eps));
+                        assert_eq!(paired, *pairs, "{tier} {metric:?} {list:?}");
+                        let one_at_a_time: Vec<(u32, u32)> = list
+                            .iter()
+                            .flat_map(|w| {
+                                call(
+                                    f,
+                                    &ds,
+                                    &block,
+                                    std::slice::from_ref(w),
+                                    budget(metric, eps),
+                                )
+                            })
+                            .collect();
+                        assert_eq!(got, one_at_a_time, "{tier} {metric:?} {list:?}");
+                    }
+                }
             }
         }
     }

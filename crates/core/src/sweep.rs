@@ -5,9 +5,10 @@
 //! which every pair whose coordinates differ by at most ε is a candidate.
 //! [`TileJoin`] is that step, once. The join is **tile-major**: the
 //! candidate list is cut into L1-sized tiles, each tile is transposed once
-//! into one reusable [`SoABlock`], and every probe whose ε-window touches
-//! the tile hands its lane window to the sink — the same (probe, tile,
-//! lanes) shape brute force feeds the across-candidate kernel. A tile whose
+//! into one reusable [`SoABlock`], and the lane windows of every probe
+//! whose ε-window touches the tile go to the sink together, a run of up to
+//! [`WINDOWS_PER_CALL`] per call — the same (tile, probe windows) shape
+//! brute force feeds the across-candidate kernel. A tile whose
 //! windows hold too few candidates to repay the transpose is emitted pair
 //! by pair instead.
 //!
@@ -42,12 +43,28 @@ pub fn sort_by_coord(list: &mut [(f64, u32)]) {
     list.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
 }
 
+/// Windows a [`WindowBatch`] hands over per call: the block kernel's fixed
+/// cost (~17 ns at d = 4, ~32 ns at d = 16 on the AVX-512 host, against
+/// 46 ns for a whole 20-lane window at d = 16) is paid once per this many.
+/// Against the per-window calls, at AVX-512 (the tile join of
+/// `uniform_d16` / of `lowdim_d4`, brute force on `uniform_d16`): 16 read
+/// 1.13× / 1.06× / 1.09×, 64 read 1.17× / 1.07× / 1.11×, 256 no better
+/// than 64. The bound also keeps a call's hits — and `msj_peak_rss_mb`,
+/// which an unbounded list raised 3 % on `uniform_d16` — small. It
+/// divides the poll stride (1 024 probes), so a tile whose every probe
+/// has a window hands all of them over before the next poll.
+pub const WINDOWS_PER_CALL: usize = 64;
+
+const _: () = assert!(PROBES_PER_POLL.is_multiple_of(WINDOWS_PER_CALL));
+
 /// Receives the join's candidates, in sweep order. Probe ids index the
 /// left input, candidate ids the right input (the same dataset for a
 /// self-join). Every candidate pair arrives exactly once.
 pub trait CandidateSink {
-    /// Candidates `tile.ids()[lanes]` for probe `i`.
-    fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>);
+    /// Candidates `tile.ids()[lanes]` for probe `i`, for each `(i, lanes)`
+    /// of `windows` in turn: a run of one tile's windows, at most
+    /// [`WINDOWS_PER_CALL`] of them.
+    fn windows(&mut self, tile: &SoABlock, windows: &[(u32, Range<usize>)]);
     /// One candidate `(i, j)` of a tile too sparse to gather.
     fn pair(&mut self, i: u32, j: u32);
     /// All events of tile `seq` (its number among the tiles the join has
@@ -60,13 +77,46 @@ pub trait CandidateSink {
 /// Candidates go straight into the exact-metric refiner.
 impl CandidateSink for Refiner<'_> {
     #[inline]
-    fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
-        self.offer_block(i, tile, lanes);
+    fn windows(&mut self, tile: &SoABlock, windows: &[(u32, Range<usize>)]) {
+        self.offer_windows(tile, windows);
     }
 
     #[inline]
     fn pair(&mut self, i: u32, j: u32) {
         self.offer(i, j);
+    }
+}
+
+/// One tile's windows on their way to a sink, handed over
+/// [`WINDOWS_PER_CALL`] at a time: the tile joins and brute force collect
+/// into one so that each tile costs one kernel call, not one per probe.
+#[derive(Debug, Default)]
+pub struct WindowBatch(Vec<(u32, Range<usize>)>);
+
+impl WindowBatch {
+    /// Adds probe `i`'s window `lanes` of `tile`, handing the batch to
+    /// `sink` once it is full.
+    #[inline]
+    pub fn push<S: CandidateSink>(
+        &mut self,
+        sink: &mut S,
+        tile: &SoABlock,
+        i: u32,
+        lanes: Range<usize>,
+    ) {
+        self.0.push((i, lanes));
+        if self.0.len() == WINDOWS_PER_CALL {
+            self.flush(sink, tile);
+        }
+    }
+
+    /// Hands what is left of `tile`'s windows to `sink`.
+    #[inline]
+    pub fn flush<S: CandidateSink>(&mut self, sink: &mut S, tile: &SoABlock) {
+        if !self.0.is_empty() {
+            sink.windows(tile, &self.0);
+            self.0.clear();
+        }
     }
 }
 
@@ -81,8 +131,9 @@ pub struct TileTally {
     pub lanes_gathered: u64,
     /// Candidates emitted as lane windows of a gathered tile.
     pub block_candidates: u64,
-    /// Those windows: one block-kernel call each, so `block_candidates /
-    /// block_calls` is the lanes a call's fixed cost is spread over.
+    /// Those windows — not kernel calls: a call takes a tile's run of up
+    /// to [`WINDOWS_PER_CALL`] windows. `block_candidates / block_calls`
+    /// is the lanes per window, what the f32 stage's gate sees.
     pub block_calls: u64,
     /// Candidates emitted one pair at a time.
     pub pair_candidates: u64,
@@ -132,6 +183,7 @@ pub struct TileJoin<'a> {
     lifecycle: Option<&'a LifecycleCtx>,
     tile: SoABlock,
     ids: Vec<u32>,
+    batch: WindowBatch,
     /// Lanes of the widest tile gathered so far.
     widest: usize,
     tally: TileTally,
@@ -160,6 +212,7 @@ impl<'a> TileJoin<'a> {
             lifecycle,
             tile: SoABlock::empty(data.dims()),
             ids: Vec::new(),
+            batch: WindowBatch::default(),
             widest: 0,
             tally: TileTally::default(),
             seq: 0,
@@ -211,8 +264,9 @@ impl<'a> TileJoin<'a> {
     }
 
     /// [`TileJoin::run`] with `ys` already transposed: `ys[k]` is lane
-    /// `at + k` of `columns`. Every window goes to [`CandidateSink::block`]
-    /// on `columns` — nothing is counted, gathered or sent pair by pair —
+    /// `at + k` of `columns`. Every window goes to
+    /// [`CandidateSink::windows`] on `columns` — nothing is counted,
+    /// gathered or sent pair by pair —
     /// and the tiles, their numbers and the pair order are `run`'s.
     pub fn run_resident<S: CandidateSink>(
         &mut self,
@@ -286,19 +340,23 @@ impl<'a> TileJoin<'a> {
             // `ys[k]` is lane `k - lo` of the scratch tile, `at + k` of
             // resident columns: lane = `base + k - lo`.
             let (tile, base) = resident.map_or((&self.tile, 0), |(c, at)| (c, at + lo));
+            let batch = &mut self.batch;
             let (mut n, mut windows) = (0u64, 0u64);
             tile_windows(xs, tile_ys, lo, from, within, eps, lifecycle, |p, w| {
                 n += w.len() as u64;
                 windows += 1;
                 if gather {
-                    sink.block(xs[p].1, tile, base + w.start - lo..base + w.end - lo);
+                    let lanes = base + w.start - lo..base + w.end - lo;
+                    batch.push(sink, tile, xs[p].1, lanes);
                 } else {
                     for y in &ys[w] {
                         sink.pair(xs[p].1, y.1);
                     }
                 }
                 true
-            })?;
+            })
+            .inspect_err(|_| batch.0.clear())?;
+            batch.flush(sink, tile);
             if gather {
                 self.tally.tiles_gathered += u64::from(resident.is_some() && n > 0);
                 self.tally.block_candidates += n;
@@ -433,12 +491,15 @@ mod tests {
     }
 
     impl CandidateSink for Collect<'_> {
-        fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
-            assert!(lanes.start < lanes.end && lanes.end <= tile.len());
-            for t in lanes {
-                let j = tile.ids()[t];
-                assert_eq!(tile.value(0, t).to_bits(), self.data.point(j)[0].to_bits());
-                self.pairs.push((i, j));
+        fn windows(&mut self, tile: &SoABlock, windows: &[(u32, Range<usize>)]) {
+            assert!((1..=WINDOWS_PER_CALL).contains(&windows.len()));
+            for (i, lanes) in windows {
+                assert!(lanes.start < lanes.end && lanes.end <= tile.len());
+                for t in lanes.clone() {
+                    let j = tile.ids()[t];
+                    assert_eq!(tile.value(0, t).to_bits(), self.data.point(j)[0].to_bits());
+                    self.pairs.push((*i, j));
+                }
             }
         }
         fn pair(&mut self, i: u32, j: u32) {
@@ -667,7 +728,7 @@ mod tests {
             let all = (probes * lanes) as u64;
             let want = if gathered { (all, 0) } else { (0, all) };
             assert_eq!((t.block_candidates, t.pair_candidates), want);
-            // One tile, every probe's window non-empty: a call per probe.
+            // One tile, every probe's window non-empty: a window per probe.
             let calls = if gathered { probes as u64 } else { 0 };
             assert_eq!(t.block_calls, calls);
             // The scratch tile holds the widest gather: its padded 1-d

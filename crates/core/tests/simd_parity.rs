@@ -20,10 +20,14 @@
 //! either group of a pair rejected alone, and ε exactly at a candidate in
 //! the first and last lane of a group. The f32 prefilter in front of the
 //! vector kernels gets its own cases: mixed magnitudes, a lattice f32
-//! cannot resolve, and coordinates past f32's range.
+//! cannot resolve, and coordinates past f32's range. A kernel call takes a
+//! list of probe windows, and two consecutive windows can share the
+//! prefilter's passes: `window_lists_match_metric_within_pair_by_pair`
+//! checks whole lists, pair by pair and in order.
 // Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use hdsj_core::simd::Scratch;
 use hdsj_core::soa::SoABlock;
 use hdsj_core::{kernels, simd, Dataset, Metric};
 use proptest::prelude::*;
@@ -151,13 +155,15 @@ proptest! {
             simd::set_level(tier);
             for lanes in [full.clone(), tail.clone()] {
                 for metric in BLOCK_METRICS {
-                    let want: Vec<u32> = block.ids()[lanes.clone()]
+                    let want: Vec<(u32, u32)> = block.ids()[lanes.clone()]
                         .iter()
                         .copied()
                         .filter(|&j| metric.within(&probe, ds.point(j), eps))
+                        .map(|j| (0, j))
                         .collect();
                     let mut got = Vec::new();
-                    metric.within_block(&probe, &block, lanes.clone(), eps, &mut got);
+                    let window = [(0, lanes.clone())];
+                    metric.within_windows(&ds, &block, &window, eps, &mut Scratch::default(), &mut got);
                     prop_assert_eq!(
                         &got, &want,
                         "{:?} at {:?} lanes {:?}", metric, tier, &lanes
@@ -243,20 +249,23 @@ fn unit(state: &mut u64) -> f64 {
     (*state >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Asserts `Metric::within_block` over `lanes` lists exactly the ids
-/// `Metric::within` accepts, at every supported tier.
+/// Asserts `Metric::within_windows` over the one window `lanes` of probe
+/// row 0 lists exactly the ids `Metric::within` accepts, at every
+/// supported tier.
 fn assert_block_matches_pairs(ds: &Dataset, block: &SoABlock, lanes: Range<usize>, eps: f64) {
     let probe = ds.point(0);
     for metric in METRICS {
-        let want: Vec<u32> = block.ids()[lanes.clone()]
+        let want: Vec<(u32, u32)> = block.ids()[lanes.clone()]
             .iter()
             .copied()
             .filter(|&j| metric.within(probe, ds.point(j), eps))
+            .map(|j| (0, j))
             .collect();
         for tier in simd::supported() {
             simd::set_level(tier);
             let mut got = Vec::new();
-            metric.within_block(probe, block, lanes.clone(), eps, &mut got);
+            let window = [(0, lanes.clone())];
+            metric.within_windows(ds, block, &window, eps, &mut Scratch::default(), &mut got);
             assert_eq!(
                 got,
                 want,
@@ -450,6 +459,96 @@ proptest! {
         }
         simd::set_level(saved);
     }
+
+    /// A list of windows — the shape the tile joins hand the kernel, one
+    /// call per tile — decides every (probe, lane) as `Metric::within`
+    /// does and emits the hits window by window, each in lane order, at
+    /// every tier. The lists ([`window_list`]) hold overlapping, nested,
+    /// disjoint and empty windows, equal starts and starts inside a group,
+    /// so consecutive windows that reach the f32 stage share its passes
+    /// two probes at a time; ε sits at one lane's exact distance, one ulp
+    /// either side, and at a distance that takes every lane, where any
+    /// lane a pass loses is a lost hit.
+    #[test]
+    fn window_lists_match_metric_within_pair_by_pair(
+        rows in stage_rows(),
+        moves in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0u32..6), 1..7),
+        pick in 0usize..64,
+    ) {
+        let _sweep = tier_sweep();
+        let saved = simd::level();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let len = rows.len() - 1;
+        let block = SoABlock::from_range(&ds, 1..len as u32 + 1);
+        let windows = window_list(len, pick % 16, &moves);
+        let lane = (pick % 16).max(pick % len);
+        let mut scratch = Scratch::default();
+        for metric in METRICS {
+            let exact = metric.distance(ds.point(0), ds.point(block.ids()[lane]));
+            let every = windows
+                .iter()
+                .flat_map(|(i, lanes)| block.ids()[lanes.clone()].iter().map(move |&j| (*i, j)))
+                .map(|(i, j)| metric.distance(ds.point(i), ds.point(j)))
+                .fold(0.0, f64::max);
+            for eps in boundary_eps(exact).into_iter().chain([every]) {
+                let want: Vec<(u32, u32)> = windows
+                    .iter()
+                    .flat_map(|(i, lanes)| block.ids()[lanes.clone()].iter().map(move |&j| (*i, j)))
+                    .filter(|&(i, j)| metric.within(ds.point(i), ds.point(j), eps))
+                    .collect();
+                for tier in simd::supported() {
+                    simd::set_level(tier);
+                    let mut got = Vec::new();
+                    metric.within_windows(&ds, &block, &windows, eps, &mut scratch, &mut got);
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{:?} at {:?}: d={} windows {:?}, eps {}", metric, tier, ds.dims(), &windows, eps
+                    );
+                }
+            }
+        }
+        simd::set_level(saved);
+    }
+}
+
+/// Windows over a `len`-lane block for probe rows 0..6: first probe 0's
+/// from `start` (inside the first group or two) to the end, then one per
+/// move `(kind, a, b, probe)`, each placed against the last non-empty one —
+/// shifted right a few lanes (overlapping), inside it (nested), past its
+/// end (disjoint, or the block's last lanes), empty, from the same start,
+/// or from inside the first groups to the end.
+fn window_list(
+    len: usize,
+    start: usize,
+    moves: &[(u8, usize, usize, u32)],
+) -> Vec<(u32, Range<usize>)> {
+    let mut list = vec![(0, start.min(len - 1)..len)];
+    let mut last = list[0].1.clone();
+    for &(kind, a, b, probe) in moves {
+        let half = last.len() / 2 + 1;
+        let w = match kind {
+            0 => {
+                let e = (last.end + b % 8).min(len);
+                (last.start + a % 8).min(e)..e
+            }
+            1 => {
+                let s = last.start + a % half;
+                s..(s + b % half).min(last.end)
+            }
+            2 => {
+                let s = (last.end + a % 8).min(len - 1);
+                s..(s + 1 + b).min(len)
+            }
+            3 => a % len..a % len,
+            4 => last.start..(last.start + 1 + b * 4).min(len),
+            _ => a % 16 % len..len,
+        };
+        if !w.is_empty() {
+            last = w.clone();
+        }
+        list.push((probe, w));
+    }
+    list
 }
 
 /// Asserts the block kernels at every tier on `rows` (row 0 the probe),

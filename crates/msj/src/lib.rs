@@ -180,8 +180,8 @@ struct Marked<'a> {
 
 impl CandidateSink for Marked<'_> {
     #[inline]
-    fn block(&mut self, i: u32, tile: &SoABlock, lanes: std::ops::Range<usize>) {
-        self.refiner.offer_block(i, tile, lanes);
+    fn windows(&mut self, tile: &SoABlock, windows: &[(u32, std::ops::Range<usize>)]) {
+        self.refiner.offer_windows(tile, windows);
     }
 
     #[inline]

@@ -298,8 +298,11 @@ fn one_stripe_holds_almost_everything() {
 struct Collect(Vec<(u32, u32)>);
 
 impl CandidateSink for Collect {
-    fn block(&mut self, i: u32, tile: &SoABlock, lanes: Range<usize>) {
-        self.0.extend(tile.ids()[lanes].iter().map(|&j| (i, j)));
+    fn windows(&mut self, tile: &SoABlock, windows: &[(u32, Range<usize>)]) {
+        for (i, lanes) in windows {
+            self.0
+                .extend(tile.ids()[lanes.clone()].iter().map(|&j| (*i, j)));
+        }
     }
 
     fn pair(&mut self, i: u32, j: u32) {
