@@ -172,6 +172,7 @@ impl JoinStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdsj_obs::names;
 
     #[test]
     fn io_counters_accumulate() {
@@ -251,12 +252,12 @@ mod tests {
         };
         io.record_counters(&tracer, "pool");
         tracer.flush();
-        assert_eq!(sink.counter_value("pool.hits"), Some(7));
-        assert_eq!(sink.counter_value("pool.reads"), Some(2));
-        assert_eq!(sink.counter_value("pool.evictions"), Some(1));
-        assert_eq!(sink.counter_value("pool.retries"), Some(3));
-        assert_eq!(sink.counter_value("pool.faults"), Some(4));
-        assert_eq!(sink.counter_value("pool.corruption_detected"), Some(2));
+        assert_eq!(sink.counter_value(names::POOL_HITS), Some(7));
+        assert_eq!(sink.counter_value(names::POOL_READS), Some(2));
+        assert_eq!(sink.counter_value(names::POOL_EVICTIONS), Some(1));
+        assert_eq!(sink.counter_value(names::POOL_RETRIES), Some(3));
+        assert_eq!(sink.counter_value(names::POOL_FAULTS), Some(4));
+        assert_eq!(sink.counter_value(names::POOL_CORRUPTION_DETECTED), Some(2));
     }
 
     /// One traced run of the driver with a single `sort` phase.

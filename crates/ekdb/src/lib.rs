@@ -130,8 +130,8 @@ impl Tree {
                     lanes.extend(points.iter().map(|p| p.1));
                 }
                 Node::Inner { children } => {
-                    // allow(hdsj::lifecycle_poll): per-node fan-out bounded
-                    // by split arity; the build polls at its phase boundary.
+                    // Per-node fan-out bounded by split arity; the build polls
+                    // at its phase boundary.
                     for c in children.iter_mut().flatten() {
                         rec(c, lanes);
                     }

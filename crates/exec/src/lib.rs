@@ -309,8 +309,8 @@ impl Pool {
         });
 
         let mut slots: Vec<(usize, Result<R>)> = Vec::with_capacity(nchunks);
-        // allow(hdsj::lifecycle_poll): one iteration per worker handle,
-        // bounded by pool width; the workers themselves polled per chunk.
+        // One iteration per worker handle, bounded by pool width; the workers
+        // themselves polled per chunk.
         for worker in joined {
             match worker {
                 Ok(local) => slots.extend(local),

@@ -129,8 +129,8 @@ mod imp {
         let h = mix(SEED.load(Ordering::Relaxed)
             ^ ((site as u64) << 32)
             ^ step.wrapping_mul(0x9E37));
-        // allow(hdsj::lifecycle_poll): at most three yields (h % 4), a
-        // perturbation knob, not an input-sized loop.
+        // At most three yields (h % 4), a perturbation knob, not an
+        // input-sized loop.
         for _ in 0..(h % 4) {
             std::thread::yield_now();
         }

@@ -119,8 +119,8 @@ fn for_each_offset(
     f: &mut impl FnMut(&[i64]) -> Result<()>,
 ) -> Result<()> {
     let mut offset = vec![first; d];
-    // allow(hdsj::lifecycle_poll): 3^d odometer over the neighbourhood —
-    // bounded by dimensionality, not by the dataset.
+    // 3^d odometer over the neighbourhood — bounded by dimensionality, not by
+    // the dataset.
     loop {
         f(&offset)?;
         // Odometer increment over {-1,0,1}: the first entry below 1 steps

@@ -147,14 +147,14 @@ impl Assigner {
     pub fn assign_into(&mut self, p: &[f64], key: &mut [u8]) -> u8 {
         debug_assert_eq!(p.len(), self.cell.len());
         let mut level = self.depth;
-        // allow(hdsj::lifecycle_poll): per-dimension loop over one point's
-        // coordinates (d entries), bounded by the layout not the dataset.
+        // Per-dimension loop over one point's coordinates (d entries), bounded
+        // by the layout not the dataset.
         for (cell, &x) in self.cell.iter_mut().zip(p) {
             *cell = grid::quantize(x - self.half, self.depth);
             let hi = grid::quantize(x + self.half, self.depth);
             level = level.min(grid::common_prefix_len(*cell, hi, self.depth));
         }
-        // allow(hdsj::lifecycle_poll): d entries of one point, as above.
+        // d entries of one point, as above.
         for cell in self.cell.iter_mut() {
             *cell >>= self.depth - level;
         }

@@ -181,6 +181,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
 
     #[test]
     fn registry_shares_cells_by_name() {
@@ -202,10 +203,10 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let reg = MetricsRegistry::default();
-        reg.counter_cell("pool.hits")
+        reg.counter_cell(names::POOL_HITS)
             .fetch_add(9, Ordering::Relaxed);
-        reg.set_gauge("pool.hit_rate", 0.9);
-        let h = reg.histogram("pool.read_ns");
+        reg.set_gauge(names::POOL_HIT_RATE, 0.9);
+        let h = reg.histogram(names::POOL_READ_NS);
         h.record(3);
         h.record(900);
         let text = reg.snapshot().to_prometheus();
@@ -231,7 +232,7 @@ mod tests {
     #[test]
     fn human_rendering_summarizes_histograms() {
         let reg = MetricsRegistry::default();
-        let h = reg.histogram("exec.chunk_ns");
+        let h = reg.histogram(names::EXEC_CHUNK_NS);
         for v in 1..=100u64 {
             h.record(v);
         }

@@ -3,30 +3,27 @@
 //!
 //! A metric name typed wrong at a call site (or in a test's
 //! `counter_value` assertion) would silently create a metric nobody else
-//! reads. Four things hold call sites to this file:
+//! reads. Three things hold call sites to this file:
 //!
-//! * **Constants.** Product code names a metric through the `pub const`s
-//!   below (`names::POOL_HITS`), so a misspelt name does not compile.
-//! * **Literal names** that bypass the constants
-//!   (`tracer.counter("pool.hits")`) are cross-checked lexically by the
-//!   `hdsj-analyze` rule R6 (`counter_registry`) against the string
-//!   literals in **this file**.
+//! * **Constants.** Code names a metric through the `pub const`s below
+//!   (`names::POOL_HITS`), so a misspelt name does not compile. No product
+//!   code passes a literal name.
 //! * **`registry!`** puts every constant into [`ALL`], so a name cannot be
 //!   declared and left out of the list the exhaustiveness tests walk.
-//! * **Derived names** are built at run time by the one join driver
-//!   (`hdsj_core::join`) from an algorithm's lower-cased `name()`:
-//!   `<algo>.candidates`, `<algo>.results`, `<algo>.phase.<phase>_ns` for
-//!   every `JoinRun::phase`, `<algo>.<count>` for every `JoinRun::count`,
-//!   and `<algo>.sweep.<field>` for a recorded `TileTally`. They are
-//!   registered by the `joins` table below — one row per algorithm: its
-//!   phases and its own counts — which the macro expands into [`ALL`], and
-//!   the driver suite (`tests/driver.rs`) fails on any name a traced join
-//!   of any algorithm emits that [`ALL`] lacks. A new phase or count is one
-//!   word in its algorithm's row.
+//! * **The driver suite** (`tests/driver.rs`) checks the **derived names**,
+//!   which the one join driver (`hdsj_core::join`) builds at run time from
+//!   an algorithm's lower-cased `name()`: `<algo>.candidates`,
+//!   `<algo>.results`, `<algo>.phase.<phase>_ns` for every
+//!   `JoinRun::phase`, `<algo>.<count>` for every `JoinRun::count`, and
+//!   `<algo>.sweep.<field>` for a recorded `TileTally`. They are registered
+//!   by the `joins` table below — one row per algorithm: its phases and its
+//!   own counts — which the macro expands into [`ALL`], and the suite fails
+//!   on any name a traced join of any algorithm emits that [`ALL`] lacks. A
+//!   new phase or count is one word in its algorithm's row.
 //!
 //! Naming convention: histograms of durations end in `_ns` (values are
 //! nanoseconds). `IoCounters::record_counters` emits `pool.<field>`; those
-//! expansions are listed as constants so literal references still verify.
+//! expansions are listed as constants too.
 
 /// Declares the names and collects them, with the expansions of the
 /// `joins` table, into [`ALL`], so a name cannot be declared and left out

@@ -59,8 +59,8 @@ pub fn str_order(ds: &Dataset, leaf_fill: usize) -> Vec<u32> {
         let remaining = (dims - dim) as f64;
         let slabs = (leaves_needed as f64).powf(1.0 / remaining).ceil() as usize;
         let slab_size = ids.len().div_ceil(slabs.max(1));
-        // allow(hdsj::lifecycle_poll): STR bulk-load partitioning runs
-        // before the query lifecycle; slabs form the tile grid, not data.
+        // STR bulk-load partitioning runs before the query lifecycle; slabs
+        // form the tile grid, not data.
         for chunk in ids.chunks_mut(slab_size.max(1)) {
             rec(ds, chunk, dim + 1, dims, leaf_fill);
         }
@@ -307,8 +307,7 @@ fn choose_subtree(entries: &[InnerEntry], rect: &Rect) -> usize {
     let mut best = 0;
     let mut best_enl = f64::INFINITY;
     let mut best_vol = f64::INFINITY;
-    // allow(hdsj::lifecycle_poll): per-node entries, bounded by the page
-    // fan-out.
+    // Per-node entries, bounded by the page fan-out.
     for (i, e) in entries.iter().enumerate() {
         let enl = e.mbr.enlargement(rect);
         let vol = e.mbr.volume();

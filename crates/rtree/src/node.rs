@@ -107,8 +107,7 @@ impl Node {
                 entries.sort_unstable_by(|a, b| {
                     run_order((a.coords[0], a.id), (b.coords[0], b.id))
                 });
-                // allow(hdsj::lifecycle_poll): serializes one page's
-                // entries, bounded by the page fan-out.
+                // Serializes one page's entries, bounded by the page fan-out.
                 for e in entries {
                     debug_assert_eq!(e.coords.len(), dims);
                     page.put_u32(off, e.id);
@@ -120,8 +119,7 @@ impl Node {
                 }
             }
             Node::Inner(entries) => {
-                // allow(hdsj::lifecycle_poll): serializes one page's
-                // entries, bounded by the page fan-out.
+                // Serializes one page's entries, bounded by the page fan-out.
                 for e in entries {
                     debug_assert_eq!(e.mbr.dims(), dims);
                     page.put_u64(off, e.child);

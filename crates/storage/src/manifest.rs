@@ -515,6 +515,10 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{Disk, MemDisk};
+    use crate::page::Page;
+    use crate::stats::IoStats;
+    use std::sync::{Arc, Mutex};
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("hdsj-man-{tag}-{}", std::process::id()));
@@ -741,6 +745,90 @@ mod tests {
         let recs = back.read_all().unwrap();
         assert_eq!(recs.len(), 20);
         assert_eq!(recs[19], 19u64.to_le_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A [`MemDisk`] that notes how long the manifest journal is at every
+    /// page write and every sync it sees.
+    struct RecordingDisk {
+        inner: MemDisk,
+        journal: std::path::PathBuf,
+        log: Arc<Mutex<Vec<(&'static str, u64)>>>,
+    }
+
+    impl RecordingDisk {
+        fn note(&self, op: &'static str) {
+            let len = std::fs::metadata(&self.journal).unwrap().len();
+            self.log.lock().unwrap().push((op, len));
+        }
+    }
+
+    impl Disk for RecordingDisk {
+        fn read_page(&self, id: PageId, into: &mut Page) -> Result<()> {
+            self.inner.read_page(id, into)
+        }
+        fn write_page(&self, id: PageId, page: &Page) -> Result<()> {
+            self.note("write");
+            self.inner.write_page(id, page)
+        }
+        fn alloc_page(&self) -> Result<PageId> {
+            self.inner.alloc_page()
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+        fn sync(&self) -> Result<()> {
+            self.note("sync");
+            self.inner.sync()
+        }
+    }
+
+    /// The durability order, op by op rather than by where a crash lands:
+    /// every page write and data sync a checkpoint makes sees the journal
+    /// as it was before the checkpoint, the last of them is a sync, and
+    /// only then does the journal grow by the record.
+    #[test]
+    fn a_checkpoint_syncs_its_pages_before_it_appends_the_record() {
+        let dir = temp_dir("order");
+        let journal = dir.join("m.journal");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let stats = Arc::new(IoStats::default());
+        let disk = RecordingDisk {
+            inner: MemDisk::new(Arc::clone(&stats)),
+            journal: journal.clone(),
+            log: Arc::clone(&log),
+        };
+        let eng = StorageEngine::builder(8).finish(Box::new(disk), stats);
+        let mut ck = Checkpointer::new(&eng, Manifest::create(&journal, 5).unwrap());
+        let mut file = RecordFile::create(&eng, 8).unwrap();
+        for i in 0..20u64 {
+            file.push(&i.to_le_bytes()).unwrap();
+        }
+        file.release_tail();
+
+        let journal_len = || std::fs::metadata(&journal).unwrap().len();
+        for step in ["seal", "mark"] {
+            log.lock().unwrap().clear();
+            let before = journal_len();
+            match step {
+                "seal" => ck.seal_file("p.seal", "data", &file, &[]),
+                _ => ck.mark("p.mark", "done", 1),
+            }
+            .unwrap();
+            let ops = std::mem::take(&mut *log.lock().unwrap());
+            if step == "seal" {
+                assert!(ops.iter().any(|&(op, _)| op == "write"), "{ops:?}");
+            }
+            assert_eq!(
+                ops.last().map(|&(op, _)| op),
+                Some("sync"),
+                "{step}: {ops:?}"
+            );
+            for &(op, len) in &ops {
+                assert_eq!(len, before, "{step}: a {op} after the record: {ops:?}");
+            }
+            assert!(journal_len() > before, "{step}: the record is appended");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,6 +9,7 @@
 // Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use hdsj::core::obs::names;
 use hdsj::core::{Dataset, Error, JoinSpec, Metric, SimilarityJoin, VecSink};
 use hdsj::data::uniform;
 use hdsj::msj::Msj;
@@ -171,7 +172,7 @@ fn transient_schedule_recovers_under_retry_and_counts_it() {
     assert_eq!(canonical(sink.pairs), canonical(base_pairs));
     assert!(stats.io.retries > 0, "recovery must be visible in stats");
     assert!(stats.io.faults > 0);
-    let traced = mem.counter_value("pool.retries").unwrap_or(0);
+    let traced = mem.counter_value(names::POOL_RETRIES).unwrap_or(0);
     assert!(traced > 0, "pool.retries counter missing from the trace");
     assert_eq!(engine.pool().pinned_frames(), 0);
     assert_eq!(

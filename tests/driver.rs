@@ -10,7 +10,7 @@
 // Panicking is idiomatic in test code; see clippy.toml.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use hdsj::core::obs::{names, AttrValue, MemorySink, SpanEvent};
+use hdsj::core::obs::{names, AttrValue, Event, MemorySink, SpanEvent, TraceSink};
 use hdsj::core::{
     CancelToken, Dataset, Error, JoinSpec, LifecycleCtx, PairSink, SimilarityJoin, Tracer,
     VecSink,
@@ -20,6 +20,7 @@ use hdsj::{
     bruteforce::BruteForce, ekdb::EkdbJoin, grid::GridJoin, msj::Msj, rtree::RsjJoin,
     sortmerge::SortMergeJoin,
 };
+use std::sync::{Arc, Mutex};
 
 /// One row: an algorithm, sized so that every one of its loops runs more
 /// than once on [`points`], and what it records beyond the common set.
@@ -429,4 +430,81 @@ fn every_hot_loop_polls_within_a_bounded_stride() {
     msj.level_histogram(&a, 0.4).unwrap();
     let polls = lc.stats().polls;
     assert!(polls * 4096 >= PROBES as u64, "{polls} polls");
+}
+
+/// Reads the join's poll count as each span ends. A phase's span ends after
+/// its last poll and before the next phase's boundary poll, so the count at
+/// one phase's end less the count at the previous one's is the polls of
+/// that phase, its boundary poll included.
+#[derive(Clone)]
+struct PhasePolls {
+    lc: LifecycleCtx,
+    ends: Arc<Mutex<Vec<(String, u64)>>>,
+}
+
+impl TraceSink for PhasePolls {
+    fn record(&self, event: &Event) {
+        if let Event::Span(span) = event {
+            let polls = self.lc.stats().polls;
+            self.ends.lock().unwrap().push((span.name.clone(), polls));
+        }
+    }
+}
+
+/// The phases before a join's first pair — builds, level assignment,
+/// sorts — emit nothing, so the pair-counting test above cannot see a loop
+/// of theirs that stops polling. Here the input is spread thin (16 384
+/// points in the unit square at ε = 10⁻⁴, two result pairs), so every cell,
+/// leaf, tile and page holds a handful of points and each phase's loops run
+/// once per few points; every such phase must poll at least once per 1 024
+/// points on average.
+///
+/// Two phases poll only at their boundary: SM1D's `sort` and ε-KDB's
+/// `build`. Each is an in-memory sort or insert of the points, O(n log n)
+/// with no I/O, and neither is handed the lifecycle context. BF runs on
+/// 1 024 points — its one phase is quadratic — and polls once per
+/// (64-probe block, 64-lane tile) unit.
+#[test]
+fn every_input_sized_phase_polls() {
+    const N: usize = 16 * 1024;
+    const BF_N: usize = 1024;
+    let spread = hdsj::data::uniform(2, N, 7).unwrap();
+    let bf_input = hdsj::data::uniform(2, BF_N, 7).unwrap();
+    for mut row in rows(None) {
+        let lc = LifecycleCtx::unbounded();
+        let sink = PhasePolls {
+            lc: lc.clone(),
+            ends: Arc::default(),
+        };
+        row.algo.set_lifecycle(lc);
+        row.algo.set_tracer(Tracer::with_sink(sink.clone()));
+        let algo = prefix(row.algo.as_ref());
+        let input = if algo == "bf" { &bf_input } else { &spread };
+        row.algo
+            .self_join(input, &JoinSpec::l2(1e-4), &mut VecSink::default())
+            .unwrap();
+
+        let ends = sink.ends.lock().unwrap();
+        let ends: Vec<_> = ends
+            .iter()
+            .filter(|(name, _)| row.phases.contains(&name.as_str()))
+            .collect();
+        let names: Vec<&str> = ends.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, row.phases, "{algo}");
+        let mut before = 0;
+        for (phase, polls_at_end) in ends {
+            let polls = polls_at_end - before;
+            before = *polls_at_end;
+            let floor = match (algo.as_str(), phase.as_str()) {
+                ("sm1d", "sort") | ("ekdb", "build") => 1,
+                ("bf", _) => ((BF_N / 64) * (BF_N / 64)) as u64,
+                _ => (N / 1024) as u64,
+            };
+            assert!(
+                polls >= floor,
+                "{algo}.{phase}: {polls} polls over {} points, floor {floor}",
+                input.len()
+            );
+        }
+    }
 }
