@@ -27,16 +27,14 @@
 //! spawned), and `exec.steal_waits` (times a worker polled the cursor and
 //! found no work left — a measure of tail imbalance).
 //!
-//! ## Schedule exploration
+//! ## Concurrency contract
 //!
-//! Every scheduling transition calls a [`schedule::yield_point`] hook —
-//! a no-op normally; under the `debug-schedules` feature it perturbs the
-//! OS scheduler from a seed so the explorer (`schedule::explorer`) can
-//! sweep the pool's guarantees across many reproducible interleavings
-//! (DESIGN.md §12).
+//! Every chunk is claimed exactly once (one atomic step on the cursor),
+//! results and errors are ordered by chunk index, and every worker has
+//! been joined when `map_chunks` returns. The unit tests below repeat
+//! small contended runs enough to catch a broken claim, sort or error
+//! priority on every `cargo test` (DESIGN.md §12).
 #![forbid(unsafe_code)]
-
-pub mod schedule;
 
 pub use hdsj_core::join::resolve_threads;
 use hdsj_core::obs::{names, Span, Tracer};
@@ -208,7 +206,6 @@ impl Pool {
                 let chunk_hist = chunk_hist.clone();
                 let queue_hist = queue_hist.clone();
                 handles.push(s.spawn(move || {
-                    let _live = schedule::worker_guard();
                     let mut wspan = if traced {
                         parent.map(|p| p.child("exec.worker"))
                     } else {
@@ -218,7 +215,6 @@ impl Pool {
                     let mut tasks = 0u64;
                     let mut first_claim = queue_hist.is_some();
                     loop {
-                        schedule::yield_point(schedule::Site::StopCheck);
                         // ORDERING: advisory early-exit hint — a missed flag
                         // only runs extra chunks that the error discards; the
                         // scope join publishes all worker state to the caller.
@@ -238,7 +234,6 @@ impl Pool {
                                     None
                                 }
                             });
-                        schedule::yield_point(schedule::Site::CursorClaim);
                         let c = match claimed {
                             Ok(c) => c,
                             Err(_) => {
@@ -274,7 +269,6 @@ impl Pool {
                                     h.record_duration(t0.elapsed());
                                 }
                                 local.push((c, Ok(r)));
-                                schedule::yield_point(schedule::Site::ChunkDone);
                             }
                             Ok(Err(e)) => {
                                 // ORDERING: advisory stop (see the load above);
@@ -339,21 +333,33 @@ mod tests {
     use hdsj_core::obs::names;
     use hdsj_core::Tracer;
 
+    /// `0..n` cut into `chunk`-sized ranges, as a serial loop sees them.
+    fn serial_chunks(n: usize, chunk: usize) -> Vec<Vec<usize>> {
+        (0..n)
+            .collect::<Vec<_>>()
+            .chunks(chunk)
+            .map(<[usize]>::to_vec)
+            .collect()
+    }
+
     #[test]
     fn map_chunks_is_deterministic_across_thread_counts() {
-        let n = 1003;
-        let want: Vec<Vec<usize>> = Pool::new(1)
-            .map_chunks(None, n, 17, |r| Ok(r.collect::<Vec<_>>()))
-            .unwrap();
-        for threads in [2, 3, 4, 8] {
-            let got = Pool::new(threads)
-                .map_chunks(None, n, 17, |r| Ok(r.collect::<Vec<_>>()))
-                .unwrap();
-            assert_eq!(got, want, "threads={threads}");
+        // Every chunk is claimed once and comes back in chunk order. The
+        // second input is small and finely chunked, and it is repeated so
+        // that workers race for the cursor thousands of times: a claim that
+        // is not one atomic step hands some chunk to two workers within a
+        // few hundred runs.
+        for (n, chunk, reps) in [(1003, 17, 1), (257, 9, 350)] {
+            let want = serial_chunks(n, chunk);
+            for threads in [1, 2, 3, 4, 8] {
+                for _ in 0..reps {
+                    let got = Pool::new(threads)
+                        .map_chunks(None, n, chunk, |r| Ok(r.collect::<Vec<_>>()))
+                        .unwrap();
+                    assert_eq!(got, want, "n={n} threads={threads}");
+                }
+            }
         }
-        // And the flattened output is exactly 0..n in order.
-        let flat: Vec<usize> = want.into_iter().flatten().collect();
-        assert_eq!(flat, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -400,6 +406,21 @@ mod tests {
             "each worker that claimed work records one wait, got {}",
             waits.count
         );
+        // Under contention every chunk is counted once and timed once, on
+        // every run: 29 chunks of 7 over 3 workers, each run on a fresh sink.
+        let (n, chunk) = (203, 7);
+        let want = serial_chunks(n, chunk);
+        for _ in 0..50 {
+            let (tracer, sink) = Tracer::memory();
+            let got = Pool::with_tracer(3, tracer.clone())
+                .map_chunks(None, n, chunk, |r| Ok(r.collect::<Vec<_>>()))
+                .unwrap();
+            assert_eq!(got, want);
+            tracer.flush();
+            assert_eq!(sink.counter_value(names::EXEC_TASKS), Some(29));
+            let timed = sink.hist_snapshot(names::EXEC_CHUNK_NS).unwrap();
+            assert_eq!(timed.count, 29);
+        }
         // Untraced pools record nothing.
         let t = Tracer::disabled();
         Pool::with_tracer(2, t.clone())
@@ -410,20 +431,72 @@ mod tests {
 
     #[test]
     fn earliest_chunk_error_wins() {
-        for threads in [1, 4] {
-            let err = Pool::new(threads)
-                .map_chunks(None, 100, 10, |r| {
-                    if r.start >= 30 {
-                        Err(Error::Internal(format!("chunk at {}", r.start)))
-                    } else {
-                        Ok(r.start)
+        // Chunks 3..10 fail. The interleaving is forced so that errors of
+        // two workers are in flight: chunk 0 waits until chunk 3 has started,
+        // so chunk 3 is another worker's, and chunk 3 fails only once a
+        // later chunk has started. Chunk 3's error must win whichever
+        // worker ran it.
+        for threads in [1, 2, 3, 4, 8] {
+            for _ in 0..10 {
+                let (third_started, later_started) =
+                    (AtomicBool::new(false), AtomicBool::new(false));
+                // A serial pool runs chunk 0 before chunk 3: it waits for nothing.
+                let wait_for = |flag: &AtomicBool| {
+                    while threads > 1 && !flag.load(Ordering::Acquire) {
+                        std::thread::yield_now();
                     }
-                })
-                .unwrap_err();
-            assert!(
-                err.to_string().contains("chunk at 30"),
-                "threads={threads}: {err}"
-            );
+                };
+                let err = Pool::new(threads)
+                    .map_chunks(None, 100, 10, |r| {
+                        match r.start {
+                            0 => wait_for(&third_started),
+                            30 => {
+                                third_started.store(true, Ordering::Release);
+                                wait_for(&later_started);
+                            }
+                            s if s > 30 => later_started.store(true, Ordering::Release),
+                            _ => {}
+                        }
+                        if r.start >= 30 {
+                            Err(Error::Internal(format!("chunk at {}", r.start)))
+                        } else {
+                            Ok(r.start)
+                        }
+                    })
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, Error::Internal(m) if m == "chunk at 30"),
+                    "threads={threads}: {err}"
+                );
+            }
+        }
+        // One failing chunk among 1 500: the error is the same on every
+        // run, and once the call returns no worker is still running chunks.
+        let executed = AtomicUsize::new(0);
+        for threads in [1, 2, 3, 4, 8] {
+            for _ in 0..20 {
+                let err = Pool::new(threads)
+                    .map_chunks(None, 3000, 2, |r| {
+                        if r.start == 20 {
+                            Err(Error::Internal(format!("injected at {}", r.start)))
+                        } else {
+                            executed.fetch_add(1, Ordering::Relaxed);
+                            Ok(())
+                        }
+                    })
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, Error::Internal(m) if m == "injected at 20"),
+                    "threads={threads}: {err}"
+                );
+                let before = executed.load(Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                assert_eq!(
+                    executed.load(Ordering::Relaxed),
+                    before,
+                    "threads={threads}"
+                );
+            }
         }
     }
 

@@ -448,6 +448,7 @@ mod tests {
     use super::*;
     use hdsj_bruteforce::BruteForce;
     use hdsj_core::{verify, Metric, VecSink};
+    use hdsj_storage::FaultKind;
 
     fn compare_with_bf(a: &Dataset, b: Option<&Dataset>, spec: &JoinSpec, msj: &mut Msj) {
         let mut want = VecSink::default();
@@ -631,7 +632,7 @@ mod tests {
     fn storage_fault_propagates() {
         let ds = hdsj_data::uniform(3, 200, 5).unwrap();
         let engine = StorageEngine::in_memory(64);
-        engine.set_fault_after(Some(2));
+        engine.fault_plan().on_nth(None, 2, FaultKind::Transient);
         let mut msj = Msj::with_engine(engine);
         let mut sink = VecSink::default();
         assert!(msj.self_join(&ds, &JoinSpec::l2(0.1), &mut sink).is_err());

@@ -2,16 +2,13 @@
 //! decorator.
 //!
 //! A [`FaultPlan`] decides, per disk operation, whether to inject a fault
-//! and of what [`FaultKind`]. Plans combine three trigger styles:
+//! and of what [`FaultKind`]. Plans combine two trigger styles:
 //!
 //! * **probabilities** — each matching operation faults with probability
 //!   `p`, drawn from a seeded xorshift generator, so a given seed replays
 //!   the exact same fault sequence;
 //! * **fault-on-Nth schedules** — the `n`-th matching operation from now
-//!   faults (the style the unit tests use for pinpoint failures);
-//! * **a legacy one-shot** ([`FaultPlan::set_fault_after`]) — the `n`-th
-//!   disk operation of any kind fails once, preserving the semantics of
-//!   the original `IoStats` trigger.
+//!   faults (the style the unit tests use for pinpoint failures).
 //!
 //! [`FaultyDisk`] wraps any [`Disk`] and consults the plan before every
 //! operation. Failing kinds return [`Error::Storage`]; the *lying* kinds
@@ -115,9 +112,6 @@ struct PlanState {
     triggers: Vec<Trigger>,
     dead: Vec<OpKind>,
     crashes: Vec<CrashRule>,
-    /// Legacy one-shot: remaining any-op operations until a single
-    /// transient fault.
-    one_shot: Option<u64>,
 }
 
 impl PlanState {
@@ -140,7 +134,6 @@ impl PlanState {
             || !self.triggers.is_empty()
             || !self.dead.is_empty()
             || !self.crashes.is_empty()
-            || self.one_shot.is_some()
     }
 
     fn decide(&mut self, op: OpKind) -> Option<FaultKind> {
@@ -151,13 +144,6 @@ impl PlanState {
         // Every matching countdown advances on every matching op, whether
         // or not an earlier rule already fired — schedules count
         // operations, not survivors.
-        if let Some(n) = self.one_shot.as_mut() {
-            *n -= 1;
-            if *n == 0 {
-                self.one_shot = None;
-                fired = Some(FaultKind::Transient);
-            }
-        }
         let mut i = 0;
         while i < self.triggers.len() {
             let matches = self.triggers[i].op.is_none_or(|o| o == op);
@@ -240,7 +226,6 @@ impl FaultPlan {
                     triggers: Vec::new(),
                     dead: Vec::new(),
                     crashes: Vec::new(),
-                    one_shot: None,
                 }),
             }),
         }
@@ -288,18 +273,8 @@ impl FaultPlan {
         self.rearm(&st);
     }
 
-    /// Legacy one-shot trigger: `Some(n)` makes the `n`-th disk operation
-    /// of any kind fail once (transient); `None` disarms it. Replaces the
-    /// old `IoStats::set_fault_after`.
-    pub fn set_fault_after(&self, n: Option<u64>) {
-        let _rank = invariants::ordered(rank::FAULT, "fault.state");
-        let mut st = self.inner.state.lock();
-        st.one_shot = n.map(|v| v.max(1));
-        self.rearm(&st);
-    }
-
     /// Clears every rule (probabilities, schedules, dead ops, crash
-    /// points, one-shot).
+    /// points).
     pub fn clear(&self) {
         let _rank = invariants::ordered(rank::FAULT, "fault.state");
         let mut st = self.inner.state.lock();
@@ -307,7 +282,6 @@ impl FaultPlan {
         st.triggers.clear();
         st.dead.clear();
         st.crashes.clear();
-        st.one_shot = None;
         self.rearm(&st);
     }
 
@@ -657,7 +631,7 @@ mod tests {
     fn one_shot_fires_exactly_on_nth_operation_then_disarms() {
         let (disk, stats) = rig(FaultPlan::empty());
         let id = disk.alloc_page().unwrap(); // before arming: free
-        disk.plan().set_fault_after(Some(3));
+        disk.plan().on_nth(None, 3, FaultKind::Transient);
         let mut p = Page::zeroed();
         disk.read_page(id, &mut p).unwrap(); // 1
         disk.read_page(id, &mut p).unwrap(); // 2
@@ -671,8 +645,8 @@ mod tests {
     fn disarming_one_shot_clears_pending_fault() {
         let (disk, _) = rig(FaultPlan::empty());
         let id = disk.alloc_page().unwrap();
-        disk.plan().set_fault_after(Some(1));
-        disk.plan().set_fault_after(None);
+        disk.plan().on_nth(None, 1, FaultKind::Transient);
+        disk.plan().clear();
         let mut p = Page::zeroed();
         disk.read_page(id, &mut p).unwrap();
     }

@@ -299,6 +299,7 @@ impl<'a> RecordCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
 
     fn engine() -> StorageEngine {
         StorageEngine::in_memory(8)
@@ -427,9 +428,10 @@ mod tests {
     fn storage_fault_propagates_through_push() {
         let eng = StorageEngine::in_memory(4);
         let mut f = RecordFile::create(&eng, 16).unwrap();
-        eng.set_fault_after(Some(1)); // the page alloc for the first record
+        // The page alloc for the first record.
+        eng.fault_plan().on_nth(None, 1, FaultKind::Transient);
         assert!(f.push(&[0u8; 16]).is_err());
-        eng.set_fault_after(None);
+        eng.fault_plan().clear();
     }
 }
 

@@ -248,15 +248,6 @@ impl StorageEngine {
     pub fn reset_counters(&self) {
         self.pool.stats().reset()
     }
-
-    /// Injects a one-shot fault: the `n`-th disk operation from now fails
-    /// with a transient storage error. `None` disarms. Shorthand for the
-    /// equivalent [`FaultPlan::set_fault_after`]; richer schedules go
-    /// through [`StorageEngine::fault_plan`] or
-    /// [`EngineBuilder::faults`].
-    pub fn set_fault_after(&self, n: Option<u64>) {
-        self.plan.set_fault_after(n)
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +294,7 @@ mod tests {
     fn clones_share_the_fault_plan() {
         let eng = StorageEngine::in_memory(4);
         let clone = eng.clone();
-        clone.set_fault_after(Some(1));
+        clone.fault_plan().on_nth(None, 1, FaultKind::Transient);
         assert!(eng.alloc().is_err(), "fault armed through the clone");
         assert!(eng.alloc().is_ok(), "one-shot fault clears itself");
     }

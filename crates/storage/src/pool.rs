@@ -681,7 +681,7 @@ mod tests {
         a.write().put_u64(PAGE_HEADER, 1);
         drop(a);
         // Next disk op is the dirty write-back during eviction.
-        plan.set_fault_after(Some(1));
+        plan.on_nth(None, 1, FaultKind::Transient);
         let err = p.alloc().unwrap_err();
         assert!(matches!(err, Error::Storage(_)), "{err}");
     }

@@ -319,6 +319,7 @@ fn merge_runs(engine: &StorageEngine, runs: &[&RecordFile]) -> Result<RecordFile
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
 
     fn make_file(engine: &StorageEngine, records: &[Vec<u8>]) -> RecordFile {
         let mut f = RecordFile::create(engine, records[0].len()).unwrap();
@@ -440,7 +441,7 @@ mod tests {
         let records: Vec<Vec<u8>> = (0..50u64).map(|i| i.to_be_bytes().to_vec()).collect();
         let input = make_file(&eng, &records);
         eng.flush_all().unwrap();
-        eng.set_fault_after(Some(3));
+        eng.fault_plan().on_nth(None, 3, FaultKind::Transient);
         let res = external_sort(
             &eng,
             &input,
@@ -450,7 +451,7 @@ mod tests {
                 fanin: 2,
             },
         );
-        eng.set_fault_after(None);
+        eng.fault_plan().clear();
         assert!(res.is_err());
         // The abandoned partial runs must have returned their pages: every
         // disk page is either owned by the (intact) input or free again.

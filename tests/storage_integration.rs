@@ -7,7 +7,7 @@ use hdsj::core::{verify, CountSink, Dataset, JoinSpec, Metric, SimilarityJoin, V
 use hdsj::data::uniform;
 use hdsj::msj::Msj;
 use hdsj::rtree::RsjJoin;
-use hdsj::storage::StorageEngine;
+use hdsj::storage::{FaultKind, StorageEngine};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("hdsj-it-{tag}-{}", std::process::id()));
@@ -101,7 +101,9 @@ fn fault_injection_aborts_cleanly_everywhere() {
     assert!(ops >= 3, "pipeline must touch the disk, got {ops} ops");
     for fault_at in [1u64, ops / 2, ops] {
         let engine = StorageEngine::in_memory(16);
-        engine.set_fault_after(Some(fault_at));
+        engine
+            .fault_plan()
+            .on_nth(None, fault_at, FaultKind::Transient);
         let mut sink = CountSink::default();
         let res = Msj::with_engine(engine).self_join(&ds, &spec, &mut sink);
         assert!(res.is_err(), "fault at op {fault_at}/{ops} must surface");
@@ -120,7 +122,9 @@ fn rsj_fault_injection_aborts_cleanly() {
     let ops = stats.io.reads + stats.io.writes + stats.io.allocs;
     for fault_at in [1u64, ops / 2, ops] {
         let engine = StorageEngine::in_memory(16);
-        engine.set_fault_after(Some(fault_at));
+        engine
+            .fault_plan()
+            .on_nth(None, fault_at, FaultKind::Transient);
         let mut sink = CountSink::default();
         assert!(RsjJoin::with_engine(engine)
             .self_join(&ds, &spec, &mut sink)
