@@ -18,14 +18,18 @@
 //!    with a stack of "open" ancestor cells: a cube can only intersect
 //!    cubes in its own cell or in an ancestor cell, so each cell's points
 //!    are joined against the cell itself and against its *view* of the
-//!    stack — the ancestors' points whose cube reaches the cell. Candidates
+//!    stack — the ancestors' points whose cube reaches the cell. A cell too
+//!    small to repay a view leaves its points on each ancestor it would have
+//!    joined, and the ancestor joins all such points in one batch when it
+//!    is popped (or earlier, at [`sweep::PENDING_CAP`]). Candidates
 //!    are pre-filtered by ε-stripes of a second dimension (long lists
 //!    only) and a dimension-0 plane sweep, taken tile-major (each L1-sized
 //!    candidate tile is transposed once and reused by every probe whose
 //!    window touches it), and refined with the exact metric.
 //!
 //! The memory the sweep needs is the stack of at most `depth + 1` open
-//! cells, their cached views (together at most `depth` times the stack)
+//! cells, their cached views (together at most `depth` times the stack),
+//! their pending batches (each under `PENDING_CAP` plus one cell's points)
 //! and one L1-sized scratch tile — independent of dimensionality, which is
 //! the structural reason MSJ scales to high `d` where the ε-KDB directory
 //! and the R-tree fan-out collapse (experiments E1, E5).

@@ -16,9 +16,10 @@
 //!    meets `c`. A cell whose join is big enough (`VIEW_MIN_WORK`) caches
 //!    its *view*: the `(x0, id)`-sorted merge of all such points, narrowed
 //!    from the nearest cached view on the stack plus the own lists from
-//!    there down. Any other cell joins against those sources unnarrowed —
-//!    with no view on the stack, every ancestor's full list. The test is
-//!    two ANDs on per-entry *reach masks*; a row is read after a level gap.
+//!    there down. Any other cell's points wait on each of those sources,
+//!    which joins them unnarrowed, one batch per list, when it is popped or
+//!    holds `PENDING_CAP` of them. The test is two ANDs on per-entry *reach
+//!    masks*; a row is read after a level gap.
 //! 2. **Stripes.** A join of two long lists is partitioned by ε-wide
 //!    stripes of a second dimension and runs on same and adjacent stripes.
 //! 3. **The plane sweep** along dimension 0 (lists kept sorted by the first
@@ -41,10 +42,14 @@ const MASK_DIMS: usize = 16;
 
 /// A cell caches a view once (own points) × (entries of its sources)
 /// reaches this: narrowing costs 8–15 ns per source entry and saves each
-/// own point its window over the pruned ones. A rule on own points alone
-/// had `lowdim_d4`'s sweep fastest at ≥ 8 (29 ms; 31–32 at 4 and 2) and
-/// E10's at ≤ 4 (15 ms; 21 at 8); this one gets both, flat 2 048–32 768.
+/// own point its window over the pruned ones. Sweep medians at 2 048–32 768
+/// / 65 536 / 131 072: `lowdim_d4` 41–43 / 40 (8 192's work) / 51 ms, E10
+/// 18–20 / 15 / 13 ms (no view); DESIGN §3.1 says why 8 192 stays.
 const VIEW_MIN_WORK: usize = 8192;
+
+/// Entries at which an open cell joins its pending list early: it never holds
+/// more than this plus one view-less cell (< `VIEW_MIN_WORK` points).
+pub const PENDING_CAP: usize = 1024;
 
 /// Entries both lists need before a join is striped, and stripes the
 /// sampled spread must span. Candidate counts are flat from 128 to 512
@@ -135,6 +140,8 @@ struct OpenCell {
     own: [List; 2],
     /// Per input, the ancestors' points whose cube meets the cell.
     view: Option<[List; 2]>,
+    /// Own points of view-less descendants, to be joined ([`Joiner::flush`]).
+    pending: [List; 2],
 }
 
 impl OpenCell {
@@ -144,7 +151,7 @@ impl OpenCell {
 
     fn bytes(&self) -> u64 {
         let entry = |l: &List| l.pts.len() * 12 + l.reach.len() * 4;
-        let held: usize = self.lists().map(entry).sum();
+        let held: usize = self.lists().chain(&self.pending).map(entry).sum();
         (self.key.len() + self.cell.len() * 4 + held + 64) as u64
     }
 }
@@ -216,23 +223,18 @@ pub fn sweep<S: CandidateSink>(
         let (level, tag, id) = codec.meta_of(rec);
         let side = usize::from(tag != TAG_A);
         let p = joiner.data[side].point(id);
-        let same_cell = current
-            .as_ref()
-            .map(|c| c.level == level && c.key[..] == *key)
-            .unwrap_or(false);
+        let same_cell = matches!(&current, Some(c) if c.level == level && c.key[..] == *key);
         if !same_cell {
             // Close out the previous cell: join it and push it.
             if let Some(cell) = current.take() {
                 joiner.process_cell(cell, &mut stack, sink)?;
             }
             // Pop stack cells that are not ancestors of the new cell.
-            while let Some(top) = stack.last() {
-                let is_ancestor = top.level < level
-                    && prefix_bits_equal(&top.key, key, dims * top.level as u32);
-                if is_ancestor {
-                    break;
-                }
-                stack.pop();
+            let off_path = |top: &mut OpenCell| {
+                top.level >= level || !prefix_bits_equal(&top.key, key, dims * top.level as u32)
+            };
+            while let Some(mut top) = stack.pop_if(off_path) {
+                joiner.flush(&mut top, sink)?;
             }
             current = Some(OpenCell {
                 key: key.to_vec(),
@@ -241,6 +243,7 @@ pub fn sweep<S: CandidateSink>(
                 cell: p.iter().map(|&x| cubes.span(x, level as u32).0).collect(),
                 own: Default::default(),
                 view: None,
+                pending: Default::default(),
             });
         }
         let Some(cell) = current.as_mut() else {
@@ -252,6 +255,9 @@ pub fn sweep<S: CandidateSink>(
     }
     if let Some(cell) = current.take() {
         joiner.process_cell(cell, &mut stack, sink)?;
+    }
+    while let Some(mut top) = stack.pop() {
+        joiner.flush(&mut top, sink)?;
     }
     joiner.tally.peak_bytes += joiner.stripe_scratch as u64 + joiner.join.scratch_bytes();
     joiner.tally.tiles = joiner.join.tally();
@@ -286,15 +292,34 @@ impl Joiner<'_> {
             self.cross(&cell.own, &view, sink)?;
             cell.view = Some(view);
         } else {
-            for anc in sources.iter() {
-                for lists in anc.view.iter().chain([&anc.own]) {
-                    self.cross(&cell.own, lists, sink)?;
+            // Too small to narrow: its points wait on each source's batch.
+            for anc in sources.iter_mut() {
+                for (pending, own) in anc.pending.iter_mut().zip(&cell.own) {
+                    pending.pts.extend_from_slice(&own.pts);
                 }
             }
         }
         stack.push(cell);
         let held = stack.iter().map(|c| c.bytes()).sum();
         self.tally.peak_bytes = self.tally.peak_bytes.max(held);
+        for anc in &mut stack[from..] {
+            if anc.pending.iter().map(|l| l.pts.len()).sum::<usize>() >= PENDING_CAP {
+                self.flush(anc, sink)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Joins and empties `cell`'s pending list: against its view and own
+    /// lists, which have not changed since those points arrived.
+    fn flush<S: CandidateSink>(&mut self, cell: &mut OpenCell, sink: &mut S) -> Result<()> {
+        for list in &mut cell.pending {
+            sort_by_coord(&mut list.pts);
+        }
+        for lists in cell.view.iter().chain([&cell.own]) {
+            self.cross(&cell.pending, lists, sink)?;
+        }
+        cell.pending.iter_mut().for_each(|l| l.pts.clear());
         Ok(())
     }
 
@@ -373,6 +398,9 @@ impl Joiner<'_> {
         within: bool,
         sink: &mut S,
     ) -> Result<()> {
+        if xs.is_empty() || ys.is_empty() {
+            return Ok(());
+        }
         let [a, b] = self.data;
         let rows = || {
             let xs = xs.iter().step_by(xs.len().div_ceil(STRIPE_SAMPLE));
@@ -445,6 +473,7 @@ impl Joiner<'_> {
 mod tests {
     use super::*;
     use crate::assign::Assigner;
+    use hdsj_core::SimilarityJoin;
     use hdsj_sfc::Curve;
     use proptest::prelude::*;
 
@@ -471,6 +500,7 @@ mod tests {
             cell,
             own: Default::default(),
             view: None,
+            pending: Default::default(),
         }
     }
 
@@ -616,6 +646,34 @@ mod tests {
             prop_assert!(sa <= sb && sb - sa <= 1, "{} and {} of {}", sa, sb, n);
             prop_assert!(n <= STRIPES_MAX + 1 && sb < n);
         }
+    }
+
+    #[test]
+    fn pending_points_count_toward_the_peak_structure_bytes() {
+        // ε = 0.01 ⇒ depth 6. Four level-0 points and 1 000 points at the
+        // centres of distinct level-6 cells: no cell is big enough for a
+        // view, so all 1 000 wait on the root (fewer than the cap) until
+        // the stream ends.
+        let centre = |c: u32| (c as f64 + 0.5) / 64.0;
+        let mut rows: Vec<Vec<f64>> = [[0.5, 0.5], [0.5, 0.2], [0.2, 0.5], [0.5, 0.8]]
+            .map(Vec::from)
+            .into();
+        rows.extend(
+            (0..1000u32).map(|i| vec![centre(i * 37 % 64), centre(i * 37 % 4096 / 64)]),
+        );
+        let data = Dataset::from_rows(&rows).unwrap();
+        let mut msj = crate::Msj::default();
+        let hist = msj.level_histogram(&data, 0.01).unwrap();
+        assert_eq!((hist[0], hist[6]), (4, 1000), "{hist:?}");
+        const { assert!(1000 < PENDING_CAP) };
+        let spec = hdsj_core::JoinSpec::l2(0.01);
+        let mut sink = hdsj_core::VecSink::default();
+        let stats = msj.self_join(&data, &spec, &mut sink).unwrap();
+        assert!(
+            stats.structure_bytes >= 1000 * 12,
+            "{}",
+            stats.structure_bytes
+        );
     }
 
     #[test]

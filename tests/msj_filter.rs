@@ -293,6 +293,50 @@ fn one_stripe_holds_almost_everything() {
     assert!(funnel.striped_joins > 0, "{funnel:?}");
 }
 
+#[test]
+fn a_source_joins_its_pending_points_early_once_they_reach_the_cap() {
+    // ε = 0.01 ⇒ depth 6. Forty level-0 points straddle the x1 = 0.5
+    // midplane at any x0; the rest sit within 0.002 of level-6 cell centres
+    // (their cubes fit), a few per cell, with levels 1–5 empty. No cell is
+    // big enough for a view, so every deep point waits on the root, whose
+    // list reaches the cap before the stream ends.
+    let deep = |seed: u64, n: usize| {
+        let mut rng = Rng(seed);
+        dataset(n, 2, move |i, k| match (i < 40, k) {
+            (true, 0) => rng.unit(),
+            (true, _) => 0.5 + (rng.unit() - 0.5) * 0.006,
+            (false, _) => (rng.below(64) as f64 + 0.5) / 64.0 + (rng.unit() - 0.5) * 0.004,
+        })
+    };
+    let cap = hdsj::msj::sweep::PENDING_CAP as u64;
+    let (a, b) = (deep(91, 1100), deep(92, 700));
+    let (ha, hb) = (
+        Msj::default().level_histogram(&a, 0.01).unwrap(),
+        Msj::default().level_histogram(&b, 0.01).unwrap(),
+    );
+    for hist in [&ha, &hb] {
+        assert!(
+            hist[0] == 40 && hist[1..6].iter().all(|&n| n == 0),
+            "{hist:?}"
+        );
+    }
+    assert!(ha[6] > cap && ha[6] + hb[6] > cap * 3 / 2, "{ha:?} {hb:?}");
+    // The two-set root list was joined before it held every deep point.
+    let stats = Msj::default()
+        .join(&a, &b, &JoinSpec::l2(0.01), &mut VecSink::default())
+        .unwrap();
+    let all = 12 * (ha[6] + hb[6]);
+    assert!(
+        stats.structure_bytes < all,
+        "{} of {all}",
+        stats.structure_bytes
+    );
+    check("pending cap", &a, None, 0.01, &default_msj);
+    check("pending cap two-set", &a, Some(&b), 0.01, &default_msj);
+    check_candidates(&a, None, 0.01);
+    check_candidates(&a, Some(&b), 0.01);
+}
+
 /// Collects every candidate the sweep emits.
 #[derive(Default)]
 struct Collect(Vec<(u32, u32)>);
