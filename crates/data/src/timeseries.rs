@@ -5,11 +5,15 @@
 //! few DFT coefficients of each series, as in the time-series indexing
 //! literature the paper builds on). Those datasets are not available, so
 //! this module *builds the same pipeline on synthetic series*: seeded
-//! random walks with optional seasonal structure, a naive DFT, and the
-//! leading coefficients packed into a [`Dataset`]. The resulting points are
-//! strongly correlated with rapidly decaying variance per dimension —
-//! exactly the structure that distinguishes "real" from uniform workloads
-//! in the evaluation (see `DESIGN.md` §5 for the substitution argument).
+//! random walks with optional seasonal structure, a direct DFT, and the
+//! leading coefficients packed into a [`Dataset`]. The DFT reads its
+//! `cos`/`sin` factors from a table computed once per dataset and sums
+//! with time outer and frequency inner, so the inner loop vectorises while
+//! each coefficient keeps the arithmetic, and the bits, of the textbook
+//! double loop. The resulting points are strongly correlated with rapidly
+//! decaying variance per dimension — exactly the structure that
+//! distinguishes "real" from uniform workloads in the evaluation (see
+//! `DESIGN.md` §5 for the substitution argument).
 
 use hdsj_core::{Dataset, Result};
 use rand::rngs::StdRng;
@@ -43,23 +47,63 @@ pub fn seasonal(len: usize, period: usize, amplitude: f64, seed: u64) -> Vec<f64
 /// First `k` DFT coefficients (excluding the DC term) of `series`, returned
 /// as `2k` interleaved `(re, im)` values, normalized by the series length.
 ///
-/// A naive `O(len · k)` evaluation — `k` is a handful, so an FFT would be
-/// overkill and would drag in no end of machinery.
+/// A direct `O(len · k)` evaluation over a table of the `2k · len` twiddle
+/// factors, each accumulator summing `x_t · cos` or `x_t · sin` in `t`
+/// order — `k` is a handful, so an FFT would be overkill and would drag in
+/// no end of machinery.
 pub fn dft_coeffs(series: &[f64], k: usize) -> Vec<f64> {
-    let n = series.len().max(1) as f64;
-    let mut out = Vec::with_capacity(2 * k);
-    for f in 1..=k {
-        let (mut re, mut im) = (0.0, 0.0);
-        let w = -2.0 * std::f64::consts::PI * f as f64 / n;
-        for (t, &x) in series.iter().enumerate() {
-            let angle = w * t as f64;
-            re += x * angle.cos();
-            im += x * angle.sin();
+    Twiddles::new(series.len(), 2 * k).coeffs(series)
+}
+
+/// The `cos` and `sin` of every DFT angle a series of `len` samples needs
+/// for its first `width` interleaved `(re, im)` outputs, computed once and
+/// shared by every series of that length.
+///
+/// Output `j` is the real (`j` even) or imaginary (`j` odd) part at
+/// frequency `f = j / 2 + 1`; row `t` holds `cos` or `sin` of
+/// `w_f · t` with `w_f = −2π·f / len`, the same expressions a per-series
+/// loop would evaluate. Each output's accumulator then takes the same
+/// `+= x_t · table` steps in the same `t` order as that loop, so the result
+/// is bit-identical; only the loop nest is swapped (`t` outer, outputs
+/// inner), which lets the inner loop vectorise across frequencies.
+struct Twiddles {
+    width: usize,
+    n: f64,
+    /// `len` rows of `width` entries, `t`-major.
+    table: Vec<f64>,
+}
+
+impl Twiddles {
+    fn new(len: usize, width: usize) -> Twiddles {
+        let n = len.max(1) as f64;
+        let mut table = Vec::with_capacity(len * width);
+        for t in 0..len {
+            for j in 0..width {
+                let w = -2.0 * std::f64::consts::PI * (j / 2 + 1) as f64 / n;
+                let angle = w * t as f64;
+                table.push(if j % 2 == 0 { angle.cos() } else { angle.sin() });
+            }
         }
-        out.push(re / n);
-        out.push(im / n);
+        Twiddles { width, n, table }
     }
-    out
+
+    /// The first `width` interleaved coefficients of `series`, which must
+    /// have the table's length.
+    fn coeffs(&self, series: &[f64]) -> Vec<f64> {
+        let mut acc = vec![0.0; self.width];
+        // A zero width has an empty table; `max(1)` only keeps
+        // `chunks_exact` from panicking on it.
+        let rows = self.table.chunks_exact(self.width.max(1));
+        for (&x, row) in series.iter().zip(rows) {
+            for (a, &c) in acc.iter_mut().zip(row) {
+                *a += x * c;
+            }
+        }
+        for a in acc.iter_mut() {
+            *a /= self.n;
+        }
+        acc
+    }
 }
 
 /// Builds a `dims`-dimensional dataset from `n` series of length
@@ -69,10 +113,11 @@ pub fn dft_coeffs(series: &[f64], k: usize) -> Vec<f64> {
 ///
 /// Mean-centring each series first removes the level of the walk so the
 /// features capture *shape*, matching the similarity-search pipelines the
-/// paper references.
+/// paper references. One twiddle table, computed up front, serves all `n`
+/// series.
 pub fn fourier_dataset(dims: usize, n: usize, series_len: usize, seed: u64) -> Result<Dataset> {
     let _span = crate::synthetic::gen_span("data.fourier_dataset", dims, n, seed);
-    let k = dims.div_ceil(2);
+    let twiddles = Twiddles::new(series_len, dims);
     let mut rows = Vec::with_capacity(n);
     for i in 0..n {
         let mut series = if i % 3 == 0 {
@@ -84,9 +129,7 @@ pub fn fourier_dataset(dims: usize, n: usize, series_len: usize, seed: u64) -> R
         for v in series.iter_mut() {
             *v -= mean;
         }
-        let mut feats = dft_coeffs(&series, k);
-        feats.truncate(dims);
-        rows.push(feats);
+        rows.push(twiddles.coeffs(&series));
     }
     let raw = Dataset::from_rows(&rows)?;
     Ok(raw.normalized())
@@ -131,6 +174,13 @@ mod tests {
                 assert!(re.abs() < 1e-9 && im.abs() < 1e-9, "f={f}: ({re}, {im})");
             }
         }
+    }
+
+    #[test]
+    fn zero_width_dft_is_empty_not_a_panic() {
+        assert!(dft_coeffs(&[1.0, 2.0], 0).is_empty());
+        assert!(dft_coeffs(&[], 2).iter().all(|&c| c == 0.0));
+        assert!(fourier_dataset(0, 3, 16, 1).is_err());
     }
 
     #[test]

@@ -31,7 +31,8 @@ const MAX_FANIN: usize = 64;
 pub struct SortConfig {
     /// Records held in memory during run formation (the "sort buffer").
     pub mem_records: usize,
-    /// Merge fan-in (clamped to `2..=64`).
+    /// Merge fan-in (clamped to `2..=64` and to the frames the pool can pin
+    /// for a merge).
     pub fanin: usize,
 }
 
@@ -42,6 +43,26 @@ impl Default for SortConfig {
             fanin: MAX_FANIN,
         }
     }
+}
+
+/// The fan-in of every merge: `config.fanin`, clamped to `2..=64` and to
+/// the frames a merge can pin — one per input run and one for the output's
+/// tail page, beside the pages already pinned when the merge pass starts.
+/// Runs beyond it merge in more passes. An error if the pool cannot hold
+/// even a 2-way merge.
+fn merge_fanin(engine: &StorageEngine, config: SortConfig) -> Result<usize> {
+    let pool = engine.pool();
+    let held = pool.pinned_frames();
+    let free = pool.capacity().saturating_sub(held + 1);
+    if free < 2 {
+        return Err(Error::Storage(format!(
+            "a {}-frame buffer pool cannot hold a 2-way merge ({held} frames pinned): \
+             the sort needs at least {} frames",
+            pool.capacity(),
+            held + 3
+        )));
+    }
+    Ok(config.fanin.clamp(2, MAX_FANIN).min(free))
 }
 
 /// Sorts `input` by whole-record `memcmp` (`key_len` is validated, see the
@@ -59,8 +80,6 @@ pub fn external_sort(
             "key length {key_len} exceeds record length {rec_len}"
         )));
     }
-    let fanin = config.fanin.clamp(2, MAX_FANIN);
-
     let mut runs: Vec<RecordFile> = Vec::new();
     form_runs(engine, input.cursor(), rec_len, config, |run| {
         runs.push(run);
@@ -73,6 +92,7 @@ pub fn external_sort(
     // Stage 2: cascaded multi-way merges. Consumed runs are destroyed so
     // their pages return to the freelist instead of growing the disk.
     while runs.len() > 1 {
+        let fanin = merge_fanin(engine, config)?;
         let mut next: Vec<RecordFile> = Vec::new();
         let mut iter = runs.into_iter().peekable();
         while iter.peek().is_some() {
@@ -135,8 +155,6 @@ pub fn external_sort_resumable(
         // The whole sort already completed before the crash.
         return spec.open(engine);
     }
-    let fanin = config.fanin.clamp(2, MAX_FANIN);
-
     // Recover sealed work. Tags carry numeric suffixes; recover them in
     // (kind, index) order so resumed merges stay deterministic.
     let run_pfx = format!("{prefix}.run.");
@@ -185,6 +203,7 @@ pub fn external_sort_resumable(
     // Stage 2: cascaded merges. Each output atomically replaces the files
     // it consumed, then the consumed pages return to the freelist.
     while runs.len() > 1 {
+        let fanin = merge_fanin(engine, config)?;
         let mut next: Vec<(String, RecordFile)> = Vec::new();
         let mut iter = runs.into_iter().peekable();
         while iter.peek().is_some() {
@@ -320,6 +339,7 @@ fn merge_runs(engine: &StorageEngine, runs: &[&RecordFile]) -> Result<RecordFile
 mod tests {
     use super::*;
     use crate::fault::FaultKind;
+    use crate::manifest::{Manifest, ManifestState};
 
     fn make_file(engine: &StorageEngine, records: &[Vec<u8>]) -> RecordFile {
         let mut f = RecordFile::create(engine, records[0].len()).unwrap();
@@ -426,6 +446,79 @@ mod tests {
         let got = sorted_records(&eng, &out);
         assert_eq!(got.len(), 200);
         assert!(got.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn merges_more_runs_than_frames_in_passes_of_the_pool_fan_in() {
+        // 2 000 records, 16 per run: 125 runs on 8 frames, merged 7 at a
+        // time (one frame for the output) in three passes.
+        let records: Vec<Vec<u8>> = (0..2_000u32)
+            .map(|i| i.wrapping_mul(2_654_435_761).to_be_bytes().to_vec())
+            .collect();
+        let mut want = records.clone();
+        want.sort();
+        let config = SortConfig {
+            mem_records: 16,
+            fanin: 64,
+        };
+        let eng = StorageEngine::in_memory(8);
+        let input = make_file(&eng, &records);
+        assert_eq!(merge_fanin(&eng, config).unwrap(), 7);
+        let out = external_sort(&eng, &input, 4, config).unwrap();
+        assert_eq!(out.read_all().unwrap(), want);
+        assert_eq!(eng.pool().pinned_frames(), 0, "leaked pins");
+
+        let dir = resumable_tests::fresh_dir("fanin");
+        let eng = StorageEngine::file_backed(&dir.join("pages"), 8).unwrap();
+        let manifest = Manifest::create(&dir.join("manifest"), 1).unwrap();
+        let mut ckpt = Checkpointer::new(&eng, manifest);
+        let input = make_file(&eng, &records);
+        let out = external_sort_resumable(
+            &eng,
+            &input,
+            4,
+            config,
+            &mut ckpt,
+            "sort.f",
+            "sort.out_sealed",
+            &ManifestState::default(),
+        )
+        .unwrap();
+        assert_eq!(out.read_all().unwrap(), want);
+        assert_eq!(eng.pool().pinned_frames(), 0, "leaked pins");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_pool_too_small_for_a_two_way_merge_names_the_minimum() {
+        let records: Vec<Vec<u8>> =
+            (0..40u64).rev().map(|i| i.to_be_bytes().to_vec()).collect();
+        let config = SortConfig {
+            mem_records: 8,
+            fanin: 2,
+        };
+        // Two frames form runs (input page and run tail) but cannot merge.
+        let eng = StorageEngine::in_memory(2);
+        let input = make_file(&eng, &records);
+        let Err(err) = external_sort(&eng, &input, 8, config) else {
+            panic!("a 2-frame pool merged");
+        };
+        assert!(matches!(err, Error::Storage(_)), "{err:?}");
+        assert!(err.to_string().contains("at least 3 frames"), "{err}");
+        // A page the caller holds counts against the pool.
+        let eng = StorageEngine::in_memory(3);
+        let input = make_file(&eng, &records);
+        let held = eng.alloc().unwrap();
+        let Err(err) = external_sort(&eng, &input, 8, config) else {
+            panic!("a 3-frame pool merged beside a held page");
+        };
+        assert!(err.to_string().contains("at least 4 frames"), "{err}");
+        drop(held);
+        assert_eq!(eng.pool().pinned_frames(), 0, "leaked pins");
+        // One run needs no merge, however small the pool.
+        let eng = StorageEngine::in_memory(2);
+        let input = make_file(&eng, &records[..8]);
+        assert_eq!(external_sort(&eng, &input, 8, config).unwrap().len(), 8);
     }
 
     #[test]
