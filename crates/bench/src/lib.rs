@@ -16,7 +16,7 @@
 //! | `tbl_level_occupancy` | E9  — MSJ level-file occupancy |
 //! | `tbl_filter_quality`  | E10 — candidates vs results |
 //! | `fig_buffer_sweep`    | E11 — I/O vs buffer-pool size |
-//! | `tbl_ablation`        | E12 — curve & build-strategy ablations |
+//! | `tbl_ablation`        | E12 — curve, build-strategy and leaf-capacity ablations |
 //!
 //! Each binary prints an aligned table and writes
 //! `target/experiments/<name>.csv`. Set `HDSJ_QUICK=1` to shrink the

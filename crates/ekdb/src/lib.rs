@@ -48,24 +48,63 @@ struct Tree {
     root: Node,
     /// The leaves' ids in DFS order: what the columns transpose.
     lanes: Vec<u32>,
+    rule: SplitRule,
+}
+
+/// When a leaf splits, and into what: `⌊1/ε⌋` stripes of the next
+/// dimension, at least 1, the last absorbing the remainder so every stripe
+/// is at least ε wide.
+#[derive(Clone, Copy)]
+struct SplitRule {
     stripes: usize,
-    dims: usize,
-    leaf_capacity: usize,
     eps: f64,
+    dims: usize,
+    capacity: usize,
+}
+
+impl SplitRule {
+    fn stripe(&self, x: f64) -> usize {
+        ((x / self.eps).floor() as usize).min(self.stripes - 1)
+    }
+
+    /// Split when over capacity and a dimension is left. Past depth == dims
+    /// the leaf simply grows (the structure has no dimensions left to cut —
+    /// the paper's behaviour). Never into ≤ 2 stripes: two are always
+    /// adjacent, so every leaf would meet every other — one leaf is SM1D.
+    fn splits(&self, len: usize, depth: usize) -> bool {
+        len > self.capacity && depth < self.dims && self.stripes > 2
+    }
+
+    /// The node at `depth` over `entries`: a leaf, or, when they overfill
+    /// one, their stripes of dimension `depth`, each built the same way —
+    /// so no child of a split is left over capacity.
+    fn node(&self, ds: &Dataset, entries: Vec<(f64, u32)>, depth: usize) -> Node {
+        if !self.splits(entries.len(), depth) {
+            return Node::Leaf(entries, 0);
+        }
+        let mut parts = vec![Vec::new(); self.stripes];
+        for entry in entries {
+            parts[self.stripe(ds.point(entry.1)[depth])].push(entry);
+        }
+        let children = parts
+            .into_iter()
+            .map(|part| (!part.is_empty()).then(|| Box::new(self.node(ds, part, depth + 1))))
+            .collect();
+        Node::Inner { children }
+    }
 }
 
 impl Tree {
     fn build(ds: &Dataset, eps: f64, leaf_capacity: usize) -> Tree {
-        // ⌊1/ε⌋ stripes, at least 1; the last stripe absorbs the remainder so
-        // every stripe is at least ε wide.
-        let stripes = ((1.0 / eps).floor() as usize).max(1);
         let mut tree = Tree {
             root: Node::Leaf(Vec::new(), 0),
             lanes: Vec::with_capacity(ds.len()),
-            stripes,
-            dims: ds.dims(),
-            leaf_capacity: leaf_capacity.max(2),
-            eps,
+            rule: SplitRule {
+                stripes: ((1.0 / eps).floor() as usize).max(1),
+                eps,
+                dims: ds.dims(),
+                capacity: leaf_capacity.max(2),
+            },
         };
         for (i, _) in ds.iter() {
             tree.insert(ds, i);
@@ -75,16 +114,13 @@ impl Tree {
     }
 
     fn insert(&mut self, ds: &Dataset, id: u32) {
-        let stripes = self.stripes;
-        let capacity = self.leaf_capacity;
-        let dims = self.dims;
-        let eps = self.eps;
+        let rule = self.rule;
         let mut node = &mut self.root;
         let mut depth = 0;
         loop {
             match node {
                 Node::Inner { children } => {
-                    let s = stripe_index(ds.point(id)[depth], eps, stripes);
+                    let s = rule.stripe(ds.point(id)[depth]);
                     let child =
                         children[s].get_or_insert_with(|| Box::new(Node::Leaf(Vec::new(), 0)));
                     node = child;
@@ -92,26 +128,8 @@ impl Tree {
                 }
                 Node::Leaf(points, _) => {
                     points.push((ds.point(id)[0], id));
-                    // Split when over capacity and a dimension is left. Past
-                    // depth == dims the leaf simply grows (the structure has
-                    // no dimensions left to cut — the paper's behaviour).
-                    // Never into ≤ 2 stripes: two are always adjacent, so
-                    // every leaf would meet every other — one leaf is SM1D.
-                    if points.len() > capacity && depth < dims && stripes > 2 {
-                        let old = std::mem::take(points);
-                        let mut children: Vec<Option<Box<Node>>> =
-                            (0..stripes).map(|_| None).collect();
-                        for entry in old {
-                            let s = stripe_index(ds.point(entry.1)[depth], eps, stripes);
-                            // Children are only ever created as leaves in
-                            // this loop, so the `if let` always matches.
-                            let child = children[s]
-                                .get_or_insert_with(|| Box::new(Node::Leaf(Vec::new(), 0)));
-                            if let Node::Leaf(v, _) = child.as_mut() {
-                                v.push(entry);
-                            }
-                        }
-                        *node = Node::Inner { children };
+                    if rule.splits(points.len(), depth) {
+                        *node = rule.node(ds, std::mem::take(points), depth);
                     }
                     return;
                 }
@@ -159,14 +177,14 @@ impl Tree {
     }
 }
 
-fn stripe_index(x: f64, eps: f64, stripes: usize) -> usize {
-    ((x / eps).floor() as usize).min(stripes - 1)
-}
-
 /// ε-KDB tree join.
 #[derive(Clone, Debug)]
 pub struct EkdbJoin {
     /// Points a leaf may hold before it splits (it never does at ⌊1/ε⌋ ≤ 2).
+    /// The default, 256, is the break-even of the sweep in `tbl_ablation`
+    /// (DESIGN §3.3): a leaf pair costs ~150 ns to reach and call before
+    /// its first candidate, a candidate ~1.3 ns, so a smaller leaf pays
+    /// only where its split removes ~100 candidates per leaf pair it adds.
     pub leaf_capacity: usize,
     /// Tracer and lifecycle context (polled every `POLL_STRIDE` leaf
     /// pairs and by the leaf join per tile); the thread count is ignored.
@@ -176,7 +194,7 @@ pub struct EkdbJoin {
 impl Default for EkdbJoin {
     fn default() -> EkdbJoin {
         EkdbJoin {
-            leaf_capacity: 64,
+            leaf_capacity: 256,
             env: JoinEnv::default(),
         }
     }
@@ -604,7 +622,8 @@ mod tests {
             hdsj_data::uniform(4, 300, 9).unwrap(),
         );
         let spec = JoinSpec::l2(0.1);
-        let tree = |ds: &Dataset| Tree::build(ds, spec.eps, 64).bytes();
+        let capacity = EkdbJoin::default().leaf_capacity;
+        let tree = |ds: &Dataset| Tree::build(ds, spec.eps, capacity).bytes();
         // n·d·8 of columns padded to 8 lanes, n·d·4 of their f32 copy
         // padded to 16, plus n ids.
         let columns = |ds: &Dataset| {
@@ -623,6 +642,8 @@ mod tests {
     fn two_stripes_or_fewer_build_one_leaf_and_join_as_sm1d() {
         let a = hdsj_data::uniform(4, 300, 41).unwrap();
         let b = hdsj_data::uniform(4, 250, 42).unwrap();
+        // Leaves small enough that 300 and 250 points split at all.
+        let leaf_capacity = 64;
         // ε on both sides of ⌊1/ε⌋ = 3, and whether the tree splits.
         let cases = [
             (0.25, true),
@@ -638,7 +659,10 @@ mod tests {
                 let spec = JoinSpec::new(eps, metric);
                 let label = format!("eps={eps} {metric:?}");
                 for b in [None, Some(&b)] {
-                    let mut ekdb = EkdbJoin::default();
+                    let mut ekdb = EkdbJoin {
+                        leaf_capacity,
+                        ..Default::default()
+                    };
                     compare_with_bf(&a, b, &spec, &mut ekdb);
                     let mut sink = CountSink::default();
                     let mut sm1d = SortMergeJoin::on_dimension(0);
@@ -663,6 +687,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `(entries, depth)` of every leaf under `node`, at `depth`.
+    fn leaves(node: &Node, depth: usize, out: &mut Vec<(usize, usize)>) {
+        match node {
+            Node::Leaf(points, _) => out.push((points.len(), depth)),
+            Node::Inner { children } => {
+                for c in children.iter().flatten() {
+                    leaves(c, depth + 1, out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_leaf_holds_more_than_capacity_while_it_can_split() {
+        let fourier = hdsj_data::timeseries::fourier_dataset(64, 400, 128, 1).unwrap();
+        let mut rows = vec![vec![0.5, 0.5, 0.5]; 20];
+        rows.push(vec![0.51, 0.5, 0.5]);
+        let dupes = Dataset::from_rows(&rows).unwrap();
+        let uniform = hdsj_data::uniform(4, 3000, 5).unwrap();
+        let cases = [
+            (&fourier, 0.07, 2),
+            (&fourier, 0.07, 16),
+            (&uniform, 0.04, 2),
+            (&uniform, 0.1, 16),
+            (&dupes, 0.05, 4),
+        ];
+        for (ds, eps, cap) in cases {
+            let tree = Tree::build(ds, eps, cap);
+            let mut found = Vec::new();
+            leaves(&tree.root, 0, &mut found);
+            assert_eq!(found.iter().map(|l| l.0).sum::<usize>(), ds.len());
+            for (len, depth) in found {
+                assert!(
+                    len <= cap || depth == ds.dims(),
+                    "d={} eps={eps} cap={cap}: {len} points at depth {depth}",
+                    ds.dims()
+                );
+            }
+        }
+        // ⌊1/ε⌋ ≤ 2: one leaf of every point, whatever the capacity.
+        let tree = Tree::build(&fourier, 0.4, 2);
+        assert!(matches!(tree.root, Node::Leaf(ref points, _) if points.len() == 400));
+    }
+
+    /// The default leaf keeps ε-KDB out of the traversal-bound regime on
+    /// the benchmark's `lowdim_d4` shape: at ~150 ns per leaf pair and
+    /// ~1.3 ns per candidate, ≥ 1 000 candidates per leaf pair keep the
+    /// per-pair cost near a tenth of the join. At capacity 64 this input
+    /// gets ~3-point leaves and ~9.5 candidates per leaf pair.
+    #[test]
+    fn default_leaves_pay_for_their_leaf_pairs() {
+        let ds = hdsj_data::uniform(4, 50_000, 1).unwrap();
+        let stats = EkdbJoin::default()
+            .self_join(&ds, &JoinSpec::l2(0.04), &mut CountSink::default())
+            .unwrap();
+        let leaf_pairs = stats.counter("leaf_pairs").unwrap();
+        assert!(
+            stats.candidates >= 1_000 * leaf_pairs,
+            "{} candidates over {leaf_pairs} leaf pairs",
+            stats.candidates
+        );
     }
 
     #[test]

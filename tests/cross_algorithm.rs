@@ -8,6 +8,19 @@ use hdsj::all_algorithms;
 use hdsj::bruteforce::BruteForce;
 use hdsj::core::{verify, Dataset, JoinSpec, Metric, SimilarityJoin, VecSink};
 use hdsj::data::{correlated, gaussian_clusters, timeseries, uniform, ClusterSpec};
+use hdsj::ekdb::EkdbJoin;
+
+/// Every algorithm, plus ε-KDB at a leaf capacity of 4: these inputs fit
+/// in one or a few leaves of the default, so this keeps its inner × inner
+/// and leaf × inner traversal under the oracle.
+fn oracle_algorithms() -> Vec<Box<dyn SimilarityJoin>> {
+    let mut algos = all_algorithms();
+    algos.push(Box::new(EkdbJoin {
+        leaf_capacity: 4,
+        ..Default::default()
+    }));
+    algos
+}
 
 fn ground_truth_self(ds: &Dataset, spec: &JoinSpec) -> Vec<(u32, u32)> {
     let mut sink = VecSink::default();
@@ -27,7 +40,7 @@ fn ground_truth_two(a: &Dataset, b: &Dataset, spec: &JoinSpec) -> Vec<(u32, u32)
 /// Algorithms that decline (grid in high d) are skipped.
 fn check_all_self(ds: &Dataset, spec: &JoinSpec, label: &str) {
     let want = ground_truth_self(ds, spec);
-    for mut algo in all_algorithms() {
+    for mut algo in oracle_algorithms() {
         let mut sink = VecSink::default();
         match algo.self_join(ds, spec, &mut sink) {
             Ok(stats) => {
@@ -51,7 +64,7 @@ fn check_all_self(ds: &Dataset, spec: &JoinSpec, label: &str) {
 
 fn check_all_two(a: &Dataset, b: &Dataset, spec: &JoinSpec, label: &str) {
     let want = ground_truth_two(a, b, spec);
-    for mut algo in all_algorithms() {
+    for mut algo in oracle_algorithms() {
         let mut sink = VecSink::default();
         match algo.join(a, b, spec, &mut sink) {
             Ok(_) => verify::assert_same_results(
@@ -287,7 +300,7 @@ fn degenerate_datasets_match() {
 fn result_sets_nest_as_eps_grows() {
     // For every algorithm: results(eps1) ⊆ results(eps2) when eps1 < eps2.
     let ds = uniform(5, 400, 3).unwrap();
-    for mut algo in all_algorithms() {
+    for mut algo in oracle_algorithms() {
         let mut small = VecSink::default();
         let mut large = VecSink::default();
         if algo.self_join(&ds, &JoinSpec::l2(0.1), &mut small).is_err() {
